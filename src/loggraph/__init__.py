@@ -5,11 +5,10 @@ from .engine import Engine, EngineConfig, RunResult, VertexProgram, run_app
 from .ingest import convert, convert_arrays
 from .multilog import MultiLog, RecordFormat
 from .pager import Page, PageStore, StoreRegistry
-from .sortgroup import CombineOp, SortedLog, plan_fusion
+from .sortgroup import SortedLog, plan_fusion
 
 __all__ = [
     "AdjacencyView",
-    "CombineOp",
     "Engine",
     "EngineConfig",
     "GraphDir",

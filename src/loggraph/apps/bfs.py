@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..sortgroup import CombineOp
 
 INF_LEVEL = 0xFFFFFFFF
-
-
-def _fold(acc, rec):
-    if rec["level"] < acc["level"]:
-        acc["level"] = rec["level"]
 
 
 def _reduce(records, starts, out):
@@ -23,7 +17,7 @@ class Bfs(VertexProgram):
     name = "bfs"
     payload_fields = [("level", "<u4")]
     state_dtype = np.dtype([("level", "<u4")])
-    combine = CombineOp(_fold, _reduce)
+    combine = staticmethod(_reduce)
 
     def __init__(self, source: int = 0):
         self.source = source

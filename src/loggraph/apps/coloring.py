@@ -1,11 +1,11 @@
-"""Greedy graph coloring with randomized conflict resolution.
+"""Deterministic greedy graph coloring.
 
-A vertex tracks neighbor colors as they arrive. On a conflict it flips a
-seeded per-superstep coin: heads, it moves to a seeded pick from the colors
-in [0, degree] not known to be taken and announces the change to everyone;
-tails, it re-sends its color to the conflicting neighbors so the conflict
-stays live. Simultaneous adjacent moves rarely re-collide, so activity
-collapses geometrically and the fixpoint is a proper coloring.
+Every vertex starts with color 0 and announces it in the first superstep.
+A vertex remembers the latest color heard from each in-neighbor and takes
+the smallest color not held by a lower-id neighbor, announcing it only when
+it changes. Lower ids never wait on higher ones, so the colors settle from
+the smallest id upward into the sequential greedy coloring in ascending id
+order, which is proper.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..seeds import pick_index, unit_float
 from .community import upsert
 
 
@@ -22,10 +21,6 @@ class Coloring(VertexProgram):
     payload_fields = [("color", "<u4")]
     state_dtype = np.dtype([("color", "<u4"), ("used", "<u4")])
     aux_entry_dtype = np.dtype([("src", "<u4"), ("color", "<u4")])
-
-    def __init__(self, seed: int = 0, move_probability: float = 0.5):
-        self.seed = seed
-        self.move_probability = move_probability
 
     def init_all(self, num_vertices, in_degrees):
         states = np.zeros(num_vertices, self.state_dtype)
@@ -37,28 +32,17 @@ class Coloring(VertexProgram):
         for i in range(len(inbox)):
             used = upsert(table, used, int(inbox["src"][i]), int(inbox["color"][i]))
         state["used"] = used
-        mine = int(state["color"])
-        if ctx.superstep == 0:
-            for w in adj.neighbors:
-                ctx.send(int(w), mine)
-            return
-        conflicted = [
-            int(table["src"][i])
-            for i in range(used)
-            if int(table["color"][i]) == mine and int(table["src"][i]) != v
-        ]
-        if not conflicted:
-            return
-        if unit_float(self.seed, ctx.superstep, v) < self.move_probability:
-            taken = {int(table["color"][i]) for i in range(used)}
-            avail = [c for c in range(len(adj) + 1) if c not in taken]
-            new = avail[pick_index(self.seed, len(avail), ctx.superstep, v, 1)]
+        if ctx.superstep > 0:
+            taken = {int(c) for s, c in zip(table["src"][:used], table["color"][:used]) if s < v}
+            new = 0
+            while new in taken:
+                new += 1
+            if new == int(state["color"]):
+                return
             state["color"] = new
-            for w in adj.neighbors:
-                ctx.send(int(w), new)
-        else:
-            for u in conflicted:
-                ctx.send(u, mine)
+        mine = int(state["color"])
+        for w in adj.neighbors:
+            ctx.send(int(w), mine)
 
     def summary(self, states):
         return {"colors": int(len(np.unique(states["color"])))}

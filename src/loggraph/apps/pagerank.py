@@ -12,13 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..sortgroup import CombineOp
-
-
-def _fold(acc, rec):
-    acc["change"] = acc["change"] + rec["change"]
-    if rec["activate"] > acc["activate"]:
-        acc["activate"] = rec["activate"]
 
 
 def _reduce(records, starts, out):
@@ -30,7 +23,7 @@ class PageRank(VertexProgram):
     name = "pagerank"
     payload_fields = [("change", "<f8"), ("activate", "u1")]
     state_dtype = np.dtype([("rank", "<f8"), ("change", "<f8")])
-    combine = CombineOp(_fold, _reduce)
+    combine = staticmethod(_reduce)
 
     def __init__(self, alpha: float = 0.85, threshold: float = 0.4, use_combine: bool = True):
         self.alpha = alpha

@@ -38,7 +38,6 @@ def _engine_config(args, meta) -> EngineConfig:
         edgelog_frac=args.edgelog_frac,
         max_supersteps=args.max_supersteps,
         edge_log=args.edge_log,
-        presort=args.presort,
         parallel=args.parallel,
         seed=args.seed,
         merge_threshold=args.merge_threshold,
@@ -215,13 +214,11 @@ def cmd_compare(args) -> int:
 def cmd_stats(args) -> int:
     graph = GraphDir(args.graph)
     indeg = graph.in_degrees()
-    pages = {"rowptr": 0, "colidx": 0, "val": 0}
+    pages = {"rowptr": 0, "colidx": 0}
     outdeg = np.zeros(graph.meta.num_vertices, np.int64)
     for part in graph.partitions:
         pages["rowptr"] += part.rowptr.num_pages
         pages["colidx"] += part.colidx.num_pages
-        if part.val is not None:
-            pages["val"] += part.val.num_pages
         rp = part.full_rowptr()
         outdeg[part.lo : part.hi] = np.diff(rp)
     info = {
@@ -249,7 +246,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edgelog-frac", dest="edgelog_frac", type=float, default=0.05)
     p.add_argument("--max-supersteps", dest="max_supersteps", type=int, default=15)
     p.add_argument("--edge-log", dest="edge_log", action="store_true")
-    p.add_argument("--presort", action="store_true")
     p.add_argument("--parallel", type=int, default=0, help="worker threads (0 = deterministic)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--merge-threshold", dest="merge_threshold", type=int, default=4096)

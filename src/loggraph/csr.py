@@ -2,22 +2,23 @@
 
 The vertex space is cut into contiguous intervals sized so that each
 interval's worst-case inbox (one record per in-edge) fits the in-memory sort
-budget. Each interval stores its vertices' out-edges as three paged vectors:
-rowPtr (8-byte local offsets), colIdx (4-byte destination ids) and an
-optional fixed-width value vector. Adjacency loads touch only the pages that
-overlap the requested vertices' ranges, each page at most once per call.
+budget. Each interval stores its vertices' out-edges as two paged vectors:
+rowPtr (8-byte local offsets) and colIdx (4-byte destination ids). Edges
+carry no values. Adjacency loads touch only the pages that overlap the
+requested vertices' ranges, each page at most once per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ContractViolation, CorruptPageError, IngestError, OversizedVertexError
+from .errors import ConfigError, ContractViolation, IngestError, OversizedVertexError
 from .pager import PAGE_HEADER, StoreRegistry, page_capacity, pack_page
 
 ROWPTR_WIDTH = 8
@@ -33,7 +34,6 @@ class GraphMeta:
     interval_bounds: list[int]
     interval_indeg: list[int]
     page_size: int
-    value_width: int = 0
     record_size: int = 16
     dataset_hash: str = ""
 
@@ -48,19 +48,19 @@ class GraphMeta:
         return self.interval_bounds[k], self.interval_bounds[k + 1]
 
     def to_dict(self) -> dict:
-        return {
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "interval_bounds": list(self.interval_bounds),
-            "interval_indeg": list(self.interval_indeg),
-            "page_size": self.page_size,
-            "value_width": self.value_width,
-            "record_size": self.record_size,
-            "dataset_hash": self.dataset_hash,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphMeta":
+        """Parse meta.json; every field must be present and nothing else."""
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(d) - names)
+        missing = sorted(names - set(d))
+        if unknown or missing:
+            raise ConfigError(
+                f"meta.json has unknown keys {unknown} and missing keys {missing}; "
+                "reconvert the graph with this version"
+            )
         return cls(**d)
 
 
@@ -70,7 +70,6 @@ class AdjacencyView:
 
     vertex_id: int
     neighbors: np.ndarray
-    values: np.ndarray | None = None
     colidx_pages: tuple = ()
     source: str = "csr"
 
@@ -124,33 +123,21 @@ def write_records(store, raw: bytes, width: int) -> list[int]:
 
 
 class Partition:
-    """Open handle on one interval's rowPtr/colIdx/val page files."""
+    """Open handle on one interval's rowPtr/colIdx page files."""
 
     def __init__(self, graph_dir: "GraphDir", k: int):
         self.k = k
         self.lo, self.hi = graph_dir.meta.interval_range(k)
-        self.dir = graph_dir
-        meta = graph_dir.meta
         reg = graph_dir.registry
         base = graph_dir.path
         self.rowptr = reg.open(os.path.join(base, f"part{k}.rowptr"), "csr", create=False)
         self.colidx = reg.open(os.path.join(base, f"part{k}.colidx"), "csr", create=False)
-        self.val = None
-        if meta.value_width:
-            self.val = reg.open(os.path.join(base, f"part{k}.val"), "csr", create=False)
-        self.cap_rp = page_capacity(meta.page_size, ROWPTR_WIDTH)
-        self.cap_ci = page_capacity(meta.page_size, VID_WIDTH)
-        self.cap_val = page_capacity(meta.page_size, meta.value_width) if meta.value_width else 0
+        self.cap_rp = page_capacity(graph_dir.meta.page_size, ROWPTR_WIDTH)
+        self.cap_ci = page_capacity(graph_dir.meta.page_size, VID_WIDTH)
 
     @property
     def num_local(self) -> int:
         return self.hi - self.lo
-
-    def read_rowptr_entries(self, idx: np.ndarray) -> np.ndarray:
-        """rowPtr values at the given local indices; each page read once."""
-        pages = np.unique(idx // self.cap_rp)
-        cache = {int(p): np.frombuffer(self.rowptr.read_page(int(p)).records(ROWPTR_WIDTH), ROWPTR_DT) for p in pages}
-        return np.array([int(cache[int(i // self.cap_rp)][int(i % self.cap_rp)]) for i in idx], dtype=np.int64)
 
     def full_rowptr(self) -> np.ndarray:
         parts = [
@@ -166,16 +153,6 @@ class Partition:
             for p in range(self.colidx.num_pages)
         ]
         return np.concatenate(parts) if parts else np.zeros(0, VID_DT)
-
-    def full_values(self) -> np.ndarray | None:
-        if self.val is None:
-            return None
-        w = self.dir.meta.value_width
-        parts = [
-            np.frombuffer(self.val.read_page(p).records(w), np.dtype(f"V{w}"))
-            for p in range(self.val.num_pages)
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0, np.dtype(f"V{w}"))
 
 
 class GraphDir:
@@ -197,23 +174,22 @@ class GraphDir:
         if os.path.exists(p):
             return np.fromfile(p, dtype=VID_DT).astype(np.int64)
         deg = np.zeros(self.meta.num_vertices, np.int64)
-        for _, dst, _ in self.iter_partition_edges():
+        for _, dst in self.iter_partition_edges():
             np.add.at(deg, dst, 1)
         return deg
 
     def iter_partition_edges(self):
-        """Yield (src, dst, val) arrays per interval, in interval order."""
+        """Yield (src, dst) arrays per interval, in interval order."""
         for part in self.partitions:
             rp = part.full_rowptr()
             ci = part.full_colidx()
-            vals = part.full_values()
             counts = np.diff(rp)
             src = np.repeat(np.arange(part.lo, part.hi, dtype=VID_DT), counts)
-            yield src, ci, vals
+            yield src, ci
 
     def all_edges(self) -> tuple[np.ndarray, np.ndarray]:
         srcs, dsts = [], []
-        for s, d, _ in self.iter_partition_edges():
+        for s, d in self.iter_partition_edges():
             srcs.append(s)
             dsts.append(d)
         if not srcs:
@@ -224,7 +200,6 @@ class GraphDir:
 def build_partitions(
     src: np.ndarray,
     dst: np.ndarray,
-    values: np.ndarray | None,
     meta: GraphMeta,
     registry: StoreRegistry,
     out_dir: str,
@@ -241,8 +216,6 @@ def build_partitions(
         raise IngestError(f"vertex id {int(bad[0])} outside [0, {n})")
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    if values is not None:
-        values = np.asarray(values)[order]
 
     for k in range(meta.num_intervals):
         lo, hi = meta.interval_range(k)
@@ -257,17 +230,14 @@ def build_partitions(
         write_records(rp_store, rowptr.tobytes(), ROWPTR_WIDTH)
         ci_store = registry.open(os.path.join(out_dir, f"part{k}.colidx"), "csr")
         write_records(ci_store, colidx.tobytes(), VID_WIDTH)
-        if meta.value_width:
-            v_store = registry.open(os.path.join(out_dir, f"part{k}.val"), "csr")
-            write_records(v_store, values[a:b].tobytes(), meta.value_width)
         rp_store.flush()
         ci_store.flush()
 
 
-def _gather_span(cache: dict, cap: int, a: int, b: int, dtype=VID_DT) -> np.ndarray:
+def _gather_span(cache: dict, cap: int, a: int, b: int) -> np.ndarray:
     """Concatenate entries [a, b) from per-page arrays."""
     if b <= a:
-        return np.zeros(0, dtype)
+        return np.zeros(0, VID_DT)
     p0, p1 = a // cap, (b - 1) // cap
     if p0 == p1:
         base = p0 * cap
@@ -280,11 +250,11 @@ def _gather_span(cache: dict, cap: int, a: int, b: int, dtype=VID_DT) -> np.ndar
 
 
 def load_adjacency(
-    graph: GraphDir, active: np.ndarray, with_values: bool = True
+    graph: GraphDir, active: np.ndarray
 ) -> tuple[dict[int, AdjacencyView], dict[tuple[int, int], int]]:
     """Adjacency for exactly the active vertices (sorted ascending).
 
-    Reads only the rowPtr and colIdx/val pages overlapping the active
+    Reads only the rowPtr and colIdx pages overlapping the active
     vertices' ranges, each distinct page once per call. Also returns per
     colIdx page useful-byte counts for the edge-log optimizer:
     (interval, ordinal) -> bytes of active-vertex entries on that page.
@@ -328,23 +298,9 @@ def load_adjacency(
             p: np.frombuffer(part.colidx.read_page(p).records(VID_WIDTH), VID_DT)
             for p in sorted(ci_pages)
         }
-        val_cache = None
-        if part.val is not None and with_values:
-            w = meta.value_width
-            val_pages: set[int] = set()
-            for a, b in spans:
-                if b > a:
-                    val_pages.update(range(a // part.cap_val, (b - 1) // part.cap_val + 1))
-            val_cache = {
-                p: np.frombuffer(part.val.read_page(p).records(w), np.dtype(f"V{w}"))
-                for p in sorted(val_pages)
-            }
 
         for v, (a, b) in zip(sel, spans):
             nbrs = _gather_span(ci_cache, part.cap_ci, a, b)
-            vals = None
-            if val_cache is not None:
-                vals = _gather_span(val_cache, part.cap_val, a, b, np.dtype(f"V{meta.value_width}"))
             pages = ()
             if b > a:
                 p0, p1 = a // part.cap_ci, (b - 1) // part.cap_ci
@@ -353,7 +309,7 @@ def load_adjacency(
                     lo_e, hi_e = max(a, p * part.cap_ci), min(b, (p + 1) * part.cap_ci)
                     key = (k, p)
                     page_stats[key] = page_stats.get(key, 0) + (hi_e - lo_e) * VID_WIDTH
-            views[int(v)] = AdjacencyView(int(v), nbrs.copy(), vals, pages)
+            views[int(v)] = AdjacencyView(int(v), nbrs.copy(), pages)
     return views, page_stats
 
 
@@ -369,45 +325,34 @@ def merge_structural_updates(
     meta = graph.meta
     part = graph.partitions[k]
     lo, hi = part.lo, part.hi
-    rp = part.full_rowptr()
-    ci = part.full_colidx()
+    rp = part.full_rowptr().tolist()
+    ci = part.full_colidx().tolist()
     old_count = len(ci)
-    vals = part.full_values()
-    adj: list[list] = []
-    for j in range(hi - lo):
-        a, b = int(rp[j]), int(rp[j + 1])
-        if vals is not None:
-            adj.append([(int(ci[i]), vals[i]) for i in range(a, b)])
-        else:
-            adj.append([(int(ci[i]), None) for i in range(a, b)])
+    adj = [ci[a:b] for a, b in zip(rp, rp[1:])]
 
     warnings = 0
     for op in ops:
         if op[0] == "add_edge":
-            _, u, v = op[0], op[1], op[2]
+            _, u, v = op
             if not (0 <= v < meta.num_vertices):
                 raise IngestError(f"insert destination {v} outside [0, {meta.num_vertices})")
-            val = op[3] if len(op) > 3 else None
-            adj[u - lo].append((v, val))
+            adj[u - lo].append(v)
     for op in ops:
         if op[0] == "del_edge":
             _, u, v = op
-            lst = adj[u - lo]
-            for i, (d, _) in enumerate(lst):
-                if d == v:
-                    lst.pop(i)
-                    break
-            else:
+            try:
+                adj[u - lo].remove(v)
+            except ValueError:
                 warnings += 1
         elif op[0] == "del_vertex":
             adj[op[1] - lo] = []
 
     for lst in adj:
-        lst.sort(key=lambda e: e[0])
+        lst.sort()
     counts = np.array([len(lst) for lst in adj], np.int64)
     rowptr = np.zeros(hi - lo + 1, ROWPTR_DT)
     np.cumsum(counts, out=rowptr[1:])
-    colidx = np.array([d for lst in adj for d, _ in lst], VID_DT)
+    colidx = np.fromiter(itertools.chain.from_iterable(adj), VID_DT, int(counts.sum()))
 
     reg = graph.registry
     reg.drop(part.rowptr, "csr", unlink=True)
@@ -417,14 +362,5 @@ def merge_structural_updates(
     ci_store = reg.open(os.path.join(graph.path, f"part{k}.colidx"), "csr")
     write_records(ci_store, colidx.tobytes(), VID_WIDTH)
     part.rowptr, part.colidx = rp_store, ci_store
-    if part.val is not None:
-        w = meta.value_width
-        raw = b"".join(
-            bytes(val) if val is not None else bytes(w) for lst in adj for _, val in lst
-        )
-        reg.drop(part.val, "csr", unlink=True)
-        v_store = reg.open(os.path.join(graph.path, f"part{k}.val"), "csr")
-        write_records(v_store, raw, w)
-        part.val = v_store
     meta.num_edges += len(colidx) - old_count
     return warnings

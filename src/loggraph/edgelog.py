@@ -54,19 +54,17 @@ def classify_inefficient(useful_bytes: int, page_size: int, threshold: float = I
 class EdgeLog:
     """Per-superstep sequential adjacency log with an in-memory index.
 
-    Entries are `vid(4) | degree(4) | neighbors(4*deg) | values(w*deg)`
-    packed back to back across page record regions (entries may span pages).
-    The index maps vertex -> (stream offset, length) and lives one superstep:
+    Entries are `vid(4) | degree(4) | neighbors(4*deg)` packed back to back
+    across page record regions (entries may span pages). The index maps vertex -> (stream offset, length) and lives one superstep:
     written while processing S, consumed while processing S+1.
     """
 
-    def __init__(self, registry: StoreRegistry, log_dir: str, budget_bytes: int, value_width: int = 0):
+    def __init__(self, registry: StoreRegistry, log_dir: str, budget_bytes: int):
         self.registry = registry
         self.dir = log_dir
         self.page_size = registry.page_size
         self.region = self.page_size - PAGE_HEADER
         self.budget = budget_bytes
-        self.value_width = value_width
         os.makedirs(log_dir, exist_ok=True)
         self._consumable: tuple[dict, object] | None = None
         self._tag = -1
@@ -123,14 +121,12 @@ class EdgeLog:
         if not any(p in inefficient_pages for p in view.colidx_pages):
             return False
         deg = len(view.neighbors)
-        entry_len = 8 + 4 * deg + self.value_width * deg
+        entry_len = 8 + 4 * deg
         if self.bytes_logged + entry_len > self.budget:
             self._full = True
             return False
         head = np.array([view.vertex_id, deg], VID_DT).tobytes()
         blob = head + view.neighbors.astype(VID_DT).tobytes()
-        if self.value_width and view.values is not None:
-            blob += view.values.tobytes()
         self._index[view.vertex_id] = (self._pos, entry_len)
         self._append_stream(blob)
         self.bytes_logged += entry_len
@@ -179,9 +175,6 @@ class EdgeLog:
             if int(vid) != v:
                 raise CorruptPageError(f"edge log index mismatch: wanted {v}, found {int(vid)}")
             nbrs = np.frombuffer(blob[8 : 8 + 4 * deg], VID_DT)
-            vals = None
-            if self.value_width:
-                vals = np.frombuffer(blob[8 + 4 * deg :], np.dtype(f"V{self.value_width}"))
-            out[v] = AdjacencyView(v, nbrs.copy(), vals, (), source="edgelog")
+            out[v] = AdjacencyView(v, nbrs.copy(), (), source="edgelog")
         self.read_cache_peak = max(self.read_cache_peak, len(cache) * self.page_size)
         return out

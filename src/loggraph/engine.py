@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .edgelog import ActivityHistory, EdgeLog, classify_inefficient
 from .errors import ConfigError
 from .multilog import MultiLog, RecordFormat
 from .pager import DEFAULT_PAGE_SIZE
-from .sortgroup import CombineOp
 from .state import VertexStateStore
 
 
@@ -39,12 +38,9 @@ class EngineConfig:
     edgelog_frac: float = 0.05
     max_supersteps: int = 15
     edge_log: bool = False
-    presort: bool = False
     parallel: int = 0
     seed: int = 0
     merge_threshold: int = 4096
-    history_depth: int = 1
-    inefficiency_threshold: float = 0.10
     record_trace: bool = False
 
     @property
@@ -60,31 +56,25 @@ class EngineConfig:
         return int(self.memory_budget * self.edgelog_frac)
 
     def to_dict(self) -> dict:
-        return {
-            "memory_budget": self.memory_budget,
-            "page_size": self.page_size,
-            "sort_frac": self.sort_frac,
-            "multilog_frac": self.multilog_frac,
-            "edgelog_frac": self.edgelog_frac,
-            "max_supersteps": self.max_supersteps,
-            "edge_log": self.edge_log,
-            "presort": self.presort,
-            "parallel": self.parallel,
-            "seed": self.seed,
-            "merge_threshold": self.merge_threshold,
-            "history_depth": self.history_depth,
-            "inefficiency_threshold": self.inefficiency_threshold,
-        }
+        """Every knob but record_trace, which only selects an output."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_trace"}
 
 
 class VertexProgram:
     """Contract for application vertex programs.
 
     Subclasses define the wire payload, the state record, an optional
-    combine operator and optional per-in-neighbor table entries, plus:
+    combine reducer and optional per-in-neighbor table entries, plus:
 
       init_all(num_vertices, in_degrees) -> (states, active_bits, init_msgs)
       process(ctx, v, state, adj, inbox)
+
+    combine, when set, is a function reduce(records, starts, out) applied to
+    each sorted log: records are grouped by destination, group i starts at
+    starts[i], and it must fill out's payload fields with one associative,
+    commutative reduction per group (numpy reduceat kernels fit). process
+    then sees a one-record inbox per destination. Set it with staticmethod
+    so that it is not bound to the program instance.
 
     process must not keep ctx beyond the call. Messages are the only way a
     vertex runs again next superstep; deactivation is the default.
@@ -94,8 +84,7 @@ class VertexProgram:
     payload_fields: list[tuple[str, str]] | None = None
     state_dtype: np.dtype = np.dtype([("value", "<u4")])
     aux_entry_dtype: np.dtype | None = None
-    combine: CombineOp | None = None
-    needs_values = False
+    combine = None
 
     def init_all(self, num_vertices: int, in_degrees: np.ndarray):
         raise NotImplementedError
@@ -179,8 +168,8 @@ class Context:
         """Accepted for program-model symmetry; deactivation is the default
         and an incoming message always reactivates."""
 
-    def add_edge(self, src: int, dst: int, value=None) -> None:
-        self._engine._buffer_op(("add_edge", src, dst) if value is None else ("add_edge", src, dst, value))
+    def add_edge(self, src: int, dst: int) -> None:
+        self._engine._buffer_op(("add_edge", src, dst))
 
     def delete_edge(self, src: int, dst: int) -> None:
         self._engine._buffer_op(("del_edge", src, dst))
@@ -207,9 +196,9 @@ class Engine:
         n = self.meta.num_vertices
         self.in_degrees = graph.in_degrees()
         self.deleted = np.zeros(n, bool)
-        self.history = ActivityHistory(n, config.history_depth)
-        self._pending: list[list[tuple]] = [[] for _ in range(self.meta.num_intervals)]
-        self._pending_by_src: list[dict] = [{} for _ in range(self.meta.num_intervals)]
+        self.history = ActivityHistory(n)
+        # per interval: src -> its buffered structural ops, in arrival order
+        self._pending: list[dict[int, list[tuple]]] = [{} for _ in range(self.meta.num_intervals)]
         self._ops_lock = threading.Lock()
         self._el_dirty = np.zeros(n, bool)
         self.structural_warnings = 0
@@ -226,43 +215,34 @@ class Engine:
             return
         k = self.meta.interval_of(u)
         with self._ops_lock:
-            self._pending[k].append(op)
-            ent = self._pending_by_src[k].setdefault(u, {"adds": [], "dels": [], "delv": False})
-            if kind == "add_edge":
-                ent["adds"].append(op[2])
-            elif kind == "del_edge":
-                ent["dels"].append(op[2])
-            else:
-                ent["delv"] = True
+            self._pending[k].setdefault(u, []).append(op)
             self._el_dirty[u] = True
 
     def _overlay(self, view: AdjacencyView) -> AdjacencyView:
         """Most-current adjacency: base CSR plus pending batch semantics
         (insertions first, then one-copy deletions; vertex removal wins)."""
         k = self.meta.interval_of(view.vertex_id)
-        ent = self._pending_by_src[k].get(view.vertex_id)
-        if ent is None:
+        ops = self._pending[k].get(view.vertex_id)
+        if ops is None:
             return view
-        if ent["delv"]:
-            return AdjacencyView(view.vertex_id, view.neighbors[:0], None, view.colidx_pages, "overlay")
-        nbrs = list(map(int, view.neighbors)) + list(ent["adds"])
-        for d in ent["dels"]:
-            try:
-                nbrs.remove(d)
-            except ValueError:
-                pass
+        if any(op[0] == "del_vertex" for op in ops):
+            return AdjacencyView(view.vertex_id, view.neighbors[:0], view.colidx_pages, "overlay")
+        nbrs = view.neighbors.tolist() + [op[2] for op in ops if op[0] == "add_edge"]
+        for op in ops:
+            if op[0] == "del_edge":
+                try:
+                    nbrs.remove(op[2])
+                except ValueError:
+                    pass
         nbrs.sort()
-        return AdjacencyView(
-            view.vertex_id, np.array(nbrs, csrmod.VID_DT), None, view.colidx_pages, "overlay"
-        )
+        return AdjacencyView(view.vertex_id, np.array(nbrs, csrmod.VID_DT), view.colidx_pages, "overlay")
 
     def _merge_interval(self, k: int) -> None:
-        ops = self._pending[k]
+        ops = [op for src_ops in self._pending[k].values() for op in src_ops]
         if not ops:
             return
         self.structural_warnings += csrmod.merge_structural_updates(self.graph, k, ops)
-        self._pending[k] = []
-        self._pending_by_src[k] = {}
+        self._pending[k] = {}
 
     # -- run loop -------------------------------------------------------------
 
@@ -290,15 +270,9 @@ class Engine:
             self.registry,
             os.path.join(self.workdir, "logs"),
             cfg.multilog_budget,
-            presort=cfg.presort,
         )
         if cfg.edge_log:
-            self._edgelog = EdgeLog(
-                self.registry,
-                os.path.join(self.workdir, "edgelog"),
-                cfg.edgelog_budget,
-                value_width=0,
-            )
+            self._edgelog = EdgeLog(self.registry, os.path.join(self.workdir, "edgelog"), cfg.edgelog_budget)
         for v, payload in init_msgs:
             self._mlog.send(int(v), int(v), *payload)
         manifest = self._mlog.seal()
@@ -387,8 +361,8 @@ class Engine:
         for handle in manifest.handles:
             if handle.store is not None:
                 self.registry.drop(handle.store, "log", unlink=True)
-        for k in range(self.meta.num_intervals):
-            if len(self._pending[k]) >= cfg.merge_threshold:
+        for k, pending in enumerate(self._pending):
+            if sum(map(len, pending.values())) >= cfg.merge_threshold:
                 self._merge_interval(k)
         self.history.record(active_bits)
         self._last_active = np.nonzero(active_bits)[0]
@@ -435,12 +409,10 @@ class Engine:
                     csr_ids.append(v)
         else:
             csr_ids = [int(v) for v in act]
-        views, pstats = csrmod.load_adjacency(
-            self.graph, np.array(csr_ids, np.int64), with_values=self.program.needs_values
-        )
+        views, pstats = csrmod.load_adjacency(self.graph, np.array(csr_ids, np.int64))
         for key, useful in pstats.items():
             self._page_usage[key] = self._page_usage.get(key, 0) + useful
-            if classify_inefficient(self._page_usage[key], self.cfg.page_size, self.cfg.inefficiency_threshold):
+            if classify_inefficient(self._page_usage[key], self.cfg.page_size):
                 self._ineff.add(key)
             else:
                 self._ineff.discard(key)

@@ -16,9 +16,11 @@ from .pager import StoreRegistry
 def parse_edge_list(path: str):
     """Parse whitespace-separated `src dst [weight]` lines, `#` comments.
 
-    Returns (src, dst, weights-or-None) as numpy arrays of the original ids.
+    Returns (src, dst) as numpy arrays of the original ids. A weight column
+    is validated (numeric, on every line once it appears) and then dropped:
+    edges carry no values.
     """
-    srcs, dsts, ws = [], [], []
+    srcs, dsts = [], []
     saw_weight = False
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -35,16 +37,13 @@ def parse_edge_list(path: str):
                 raise IngestError(f"non-numeric vertex id in {parts[:2]}", lineno) from None
             if len(parts) == 3:
                 try:
-                    ws.append(float(parts[2]))
+                    float(parts[2])
                 except ValueError:
                     raise IngestError(f"non-numeric weight {parts[2]!r}", lineno) from None
                 saw_weight = True
             elif saw_weight:
                 raise IngestError("missing weight column", lineno)
-    src = np.array(srcs, np.int64)
-    dst = np.array(dsts, np.int64)
-    w = np.array(ws, np.float32) if saw_weight else None
-    return src, dst, w
+    return np.array(srcs, np.int64), np.array(dsts, np.int64)
 
 
 def relabel_dense(src: np.ndarray, dst: np.ndarray):
@@ -68,31 +67,29 @@ def convert(
     original id). With undirected=True every edge is materialized in both
     directions (self-loops stay single).
     """
-    src, dst, w = parse_edge_list(input_path)
+    src, dst = parse_edge_list(input_path)
     src, dst, original_ids = relabel_dense(src, dst)
     if undirected:
-        src, dst, w = _both_directions(src, dst, w)
+        keep = src != dst
+        src, dst = np.concatenate([src, dst[keep]]), np.concatenate([dst, src[keep]])
     n = len(original_ids)
     in_deg = np.bincount(dst, minlength=n).astype(np.int64) if len(dst) else np.zeros(n, np.int64)
     bounds, indeg_sums = csr.partition_vertices(in_deg, record_size, sort_budget)
 
     with open(input_path, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    value_width = 4 if w is not None else 0
     meta = csr.GraphMeta(
         num_vertices=n,
         num_edges=len(src),
         interval_bounds=bounds,
         interval_indeg=indeg_sums,
         page_size=page_size,
-        value_width=value_width,
         record_size=record_size,
         dataset_hash=digest,
     )
     os.makedirs(out_dir, exist_ok=True)
     registry = registry or StoreRegistry(page_size)
-    values = w.view(np.dtype("V4")) if w is not None else None
-    csr.build_partitions(src, dst, values, meta, registry, out_dir)
+    csr.build_partitions(src, dst, meta, registry, out_dir)
     with open(os.path.join(out_dir, "meta.json"), "w") as f:
         json.dump(meta.to_dict(), f, sort_keys=True, indent=1)
     in_deg.astype(np.uint32).tofile(os.path.join(out_dir, "indeg.bin"))
@@ -100,14 +97,6 @@ def convert(
         for dense, orig in enumerate(original_ids):
             f.write(f"{dense}\t{int(orig)}\n")
     return csr.GraphDir(out_dir, registry)
-
-
-def _both_directions(src, dst, w):
-    keep = src != dst
-    s2 = np.concatenate([src, dst[keep]])
-    d2 = np.concatenate([dst, src[keep]])
-    w2 = np.concatenate([w, w[keep]]) if w is not None else None
-    return s2, d2, w2
 
 
 def convert_arrays(
@@ -132,13 +121,12 @@ def convert_arrays(
         interval_bounds=bounds,
         interval_indeg=indeg_sums,
         page_size=page_size,
-        value_width=0,
         record_size=record_size,
         dataset_hash=dataset_hash or f"inline-{len(src)}-{num_vertices}",
     )
     os.makedirs(out_dir, exist_ok=True)
     registry = registry or StoreRegistry(page_size)
-    csr.build_partitions(src, dst, None, meta, registry, out_dir)
+    csr.build_partitions(src, dst, meta, registry, out_dir)
     with open(os.path.join(out_dir, "meta.json"), "w") as f:
         json.dump(meta.to_dict(), f, sort_keys=True, indent=1)
     in_deg.astype(np.uint32).tofile(os.path.join(out_dir, "indeg.bin"))

@@ -8,7 +8,8 @@ files are per (superstep, interval), so a sealed superstep's chain is frozen
 while the next superstep's sends open fresh logs.
 
 Record layout: dest(4) | src(4) | fixed-width payload. Records never span
-pages, so each page parses on its own and can be pre-sorted in place.
+pages, so each page parses on its own. Pages keep arrival order; sorting by
+destination happens once per loaded log, in the sort-and-group unit.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import struct
 import threading
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, CorruptPageError
-from .pager import PAGE_HEADER, PageStore, StoreRegistry, page_capacity
-
-_HDR = struct.Struct("<BH")
+from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, page_capacity
 
 _STRUCT_CODE = {
     "<u4": "I", "<i4": "i", "<u8": "Q", "<i8": "q",
@@ -52,16 +51,6 @@ class RecordFormat:
 def vid_to_interval(bounds: list[int], v: int) -> int:
     """Interval containing v; a boundary vertex belongs to the right interval."""
     return bisect_right(bounds, v) - 1
-
-
-def presort_page(data: bytearray, fmt: RecordFormat) -> None:
-    """Stable in-place sort of a page's records by destination; sets the bit."""
-    flag, count = _HDR.unpack_from(data, 0)
-    raw = bytes(data[PAGE_HEADER : PAGE_HEADER + count * fmt.width])
-    recs = np.frombuffer(raw, dtype=fmt.dtype)
-    order = np.argsort(recs["dest"], kind="stable")
-    data[PAGE_HEADER : PAGE_HEADER + count * fmt.width] = recs[order].tobytes()
-    _HDR.pack_into(data, 0, 1, count)
 
 
 @dataclass
@@ -113,7 +102,6 @@ class MultiLog:
         registry: StoreRegistry,
         log_dir: str,
         buffer_budget: int,
-        presort: bool = False,
         low_watermark: float = 0.9,
     ):
         self.bounds = list(bounds)
@@ -132,14 +120,12 @@ class MultiLog:
             )
         self.budget = buffer_budget
         self.watermark = int(buffer_budget * low_watermark)
-        self.presort = presort
         self.tag = -1
         self.logs: list[_IntervalLog] = []
         self._resident_pages = 0
         self._evict_lock = threading.Lock()
         self._count_lock = threading.Lock()
         self.total_appends = 0
-        self.resident_peak = 0
         self.post_evict_peak = 0
         os.makedirs(log_dir, exist_ok=True)
         self.open_superstep(0)
@@ -177,13 +163,12 @@ class MultiLog:
             self.post_evict_peak = self.resident_bytes
 
     def reset_peaks(self) -> None:
-        self.resident_peak = self._resident_pages
         self.post_evict_peak = self.resident_bytes
 
     def _close_top(self, log: _IntervalLog) -> None:
         # caller holds log.lock; fill is the capacity here. The page stays
         # resident (counted already as a nonempty top), just reclassified.
-        _HDR.pack_into(log.top, 0, 0, log.fill)
+        PAGE_COUNT.pack_into(log.top, 0, log.fill)
         log.closed.append(log.top)
         log.top = bytearray(self.page_size)
         log.fill = 0
@@ -191,8 +176,6 @@ class MultiLog:
     def _bump_resident(self, d: int) -> None:
         with self._count_lock:
             self._resident_pages += d
-            if self._resident_pages > self.resident_peak:
-                self.resident_peak = self._resident_pages
 
     @property
     def resident_bytes(self) -> int:
@@ -205,8 +188,6 @@ class MultiLog:
         return log.store
 
     def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
-        if self.presort:
-            presort_page(data, self.fmt)
         ordinal = self._store_for(log).append_page(bytes(data))
         log.chain.append(ordinal)
         self._bump_resident(-1)
@@ -239,7 +220,7 @@ class MultiLog:
                 with victim.lock:
                     if victim.fill == 0:
                         break
-                    _HDR.pack_into(victim.top, 0, 0, victim.fill)
+                    PAGE_COUNT.pack_into(victim.top, 0, victim.fill)
                     self._flush_page(victim, victim.top)
                     victim.top = bytearray(self.page_size)
                     victim.fill = 0
@@ -256,7 +237,7 @@ class MultiLog:
             while log.closed:
                 self._flush_page(log, log.closed.popleft())
             if log.fill > 0:
-                _HDR.pack_into(log.top, 0, 0, log.fill)
+                PAGE_COUNT.pack_into(log.top, 0, log.fill)
                 self._flush_page(log, log.top)
                 log.top = bytearray(self.page_size)
                 log.fill = 0
@@ -271,29 +252,26 @@ class MultiLog:
         return LogManifest(self.tag, handles)
 
 
-def read_log_records(handle: LogHandle, fmt: RecordFormat):
+def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
     """All records of one sealed interval log, in chain order.
 
-    Returns (records, per-page presorted run lengths). Reads each chain page
-    exactly once and cross-checks the manifest's message count.
+    Reads each chain page exactly once and cross-checks the manifest's
+    message count.
     """
     if handle.store is None or not handle.ordinals:
         if handle.message_count != 0:
             raise CorruptPageError(
                 f"interval {handle.interval}: manifest says {handle.message_count} records, log empty"
             )
-        return np.zeros(0, fmt.dtype), []
-    chunks = []
-    runs = []
-    for ordinal in handle.ordinals:
-        page = handle.store.read_page(ordinal)
-        recs = np.frombuffer(page.records(fmt.width), dtype=fmt.dtype)
-        chunks.append(recs)
-        runs.append((len(recs), page.presorted))
-    records = np.concatenate(chunks) if chunks else np.zeros(0, fmt.dtype)
+        return np.zeros(0, fmt.dtype)
+    chunks = [
+        np.frombuffer(handle.store.read_page(ordinal).records(fmt.width), dtype=fmt.dtype)
+        for ordinal in handle.ordinals
+    ]
+    records = np.concatenate(chunks)
     if len(records) != handle.message_count:
         raise CorruptPageError(
             f"interval {handle.interval}: manifest count {handle.message_count} "
             f"!= {len(records)} parsed records"
         )
-    return records, runs
+    return records

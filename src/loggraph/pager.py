@@ -3,7 +3,7 @@
 Every read and write goes through fixed-size pages so that storage traffic
 can be counted exactly. A page starts with a 16-byte header:
 
-    byte  0      presorted flag (0/1)
+    byte  0      reserved (zero)
     bytes 1-2    record count, little-endian uint16
     bytes 3-15   reserved (zero)
 
@@ -23,7 +23,8 @@ from .errors import AddressError, ContractViolation, CorruptPageError
 PAGE_HEADER = 16
 DEFAULT_PAGE_SIZE = 16384
 
-_HDR = struct.Struct("<BH")
+# the record count field of the page header
+PAGE_COUNT = struct.Struct("<xH")
 
 
 def page_capacity(page_size: int, record_width: int) -> int:
@@ -31,12 +32,12 @@ def page_capacity(page_size: int, record_width: int) -> int:
     return (page_size - PAGE_HEADER) // record_width
 
 
-def pack_page(page_size: int, payload: bytes, count: int, presorted: bool = False) -> bytes:
+def pack_page(page_size: int, payload: bytes, count: int) -> bytes:
     """Assemble a full page image from a record-region payload."""
     if len(payload) > page_size - PAGE_HEADER:
         raise ContractViolation(f"payload of {len(payload)} bytes exceeds record region")
     buf = bytearray(page_size)
-    _HDR.pack_into(buf, 0, 1 if presorted else 0, count)
+    PAGE_COUNT.pack_into(buf, 0, count)
     buf[PAGE_HEADER : PAGE_HEADER + len(payload)] = payload
     return bytes(buf)
 
@@ -49,12 +50,8 @@ class Page:
     data: bytes
 
     @property
-    def presorted(self) -> bool:
-        return self.data[0] != 0
-
-    @property
     def record_count(self) -> int:
-        return _HDR.unpack_from(self.data, 0)[1]
+        return PAGE_COUNT.unpack_from(self.data, 0)[0]
 
     def records(self, record_width: int) -> bytes:
         """Record-region bytes holding exactly record_count records."""

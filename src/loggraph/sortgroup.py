@@ -3,7 +3,8 @@
 Contiguous intervals whose sealed logs fit the sort budget together are
 fused into one load. Records are stably sorted by destination (ties keep
 chain order, which is arrival order), grouped into contiguous per-vertex
-ranges, and optionally reduced by an application combine operator.
+ranges, and optionally reduced by an application combine reducer (see
+`apply_combine`).
 """
 
 from __future__ import annotations
@@ -71,31 +72,18 @@ def plan_fusion(counts: np.ndarray, record_width: int, sort_budget: int) -> list
     return plans
 
 
-def load_log(plan: FusePlan, manifest: LogManifest, fmt: RecordFormat):
-    """Concatenated records of the plan's intervals, plus presorted-run info."""
-    chunks, runs = [], []
-    for k in plan.intervals:
-        recs, page_runs = read_log_records(manifest.handles[k], fmt)
-        chunks.append(recs)
-        runs.extend(page_runs)
-    records = np.concatenate(chunks) if chunks else np.zeros(0, fmt.dtype)
-    return records, runs
+def load_log(plan: FusePlan, manifest: LogManifest, fmt: RecordFormat) -> np.ndarray:
+    """Concatenated records of the plan's intervals, in chain order."""
+    chunks = [read_log_records(manifest.handles[k], fmt) for k in plan.intervals]
+    return np.concatenate(chunks) if chunks else np.zeros(0, fmt.dtype)
 
 
-def sort_n_group(records: np.ndarray, runs: list | None = None) -> SortedLog:
-    """Stable sort by destination and build the group index.
-
-    A log made of a single pre-sorted page needs no sorting; everything else
-    goes through one stable argsort (pre-sorted runs merge to the same
-    result as re-sorting the raw arrival order).
-    """
+def sort_n_group(records: np.ndarray) -> SortedLog:
+    """Stable sort by destination and build the group index."""
     if len(records) == 0:
         e = np.zeros(0, np.int64)
         return SortedLog(records, e, e, e)
-    already = runs is not None and len(runs) == 1 and runs[0][1]
-    if not already:
-        order = np.argsort(records["dest"], kind="stable")
-        records = records[order]
+    records = records[np.argsort(records["dest"], kind="stable")]
     dests, starts = np.unique(records["dest"], return_index=True)
     ends = np.append(starts[1:], len(records))
     return SortedLog(records, dests.astype(np.int64), starts.astype(np.int64), ends.astype(np.int64))
@@ -111,22 +99,12 @@ def extract_active(slog: SortedLog) -> np.ndarray:
     return slog.dests
 
 
-@dataclass
-class CombineOp:
-    """Associative, commutative reduction over one destination's inbox.
+def apply_combine(slog: SortedLog, combine, fmt: RecordFormat) -> SortedLog:
+    """One record per destination, reduced by the program's combine reducer.
 
-    fold_into(acc_row, rec_row) updates the accumulator record in place;
-    reduce_groups(records, starts, out), when given, does the same for all
-    groups at once with numpy reduceat kernels.
-    """
-
-    fold_into: callable
-    reduce_groups: callable | None = None
-
-
-def apply_combine(slog: SortedLog, combine: CombineOp, fmt: RecordFormat) -> SortedLog:
-    """One record per destination: left-fold in stored order.
-
+    combine(records, starts, out) fills the payload fields of `out` (one row
+    per group, dest and src already set) from the grouped `records`, where
+    group i starts at starts[i]; numpy `reduceat` kernels fit this shape.
     The surviving src is the smallest contributor (informational only).
     """
     k = len(slog.dests)
@@ -136,17 +114,7 @@ def apply_combine(slog: SortedLog, combine: CombineOp, fmt: RecordFormat) -> Sor
     out = np.zeros(k, fmt.dtype)
     out["dest"] = slog.dests
     out["src"] = np.minimum.reduceat(slog.records["src"], slog.starts)
-    payload_names = [name for name, _ in fmt.payload_fields]
-    if combine.reduce_groups is not None:
-        combine.reduce_groups(slog.records, slog.starts, out)
-    else:
-        for i in range(k):
-            seg = slog.records[slog.starts[i] : slog.ends[i]]
-            row = out[i]
-            for name in payload_names:
-                row[name] = seg[0][name]
-            for j in range(1, len(seg)):
-                combine.fold_into(row, seg[j])
+    combine(slog.records, slog.starts, out)
     idx = np.arange(k, dtype=np.int64)
     return SortedLog(out, slog.dests, idx, idx + 1)
 
@@ -180,16 +148,16 @@ def iter_plan_sorted(
     lo = bounds[plan.intervals[0]]
     hi = bounds[plan.intervals[-1] + 1]
     if plan.passes == 1:
-        records, runs = load_log(plan, manifest, fmt)
+        records = load_log(plan, manifest, fmt)
         check_dest_range(records, lo, hi)
         if on_resident is not None:
             on_resident(records.nbytes)
-        yield sort_n_group(records, runs)
+        yield sort_n_group(records)
         return
     assert len(plan.intervals) == 1
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
     for a, b in split_dest_range(lo, hi, deg, plan.passes):
-        records, _ = load_log(plan, manifest, fmt)
+        records = load_log(plan, manifest, fmt)
         check_dest_range(records, lo, hi)
         keep = (records["dest"] >= a) & (records["dest"] < b)
         bucket = records[keep]

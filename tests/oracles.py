@@ -80,6 +80,19 @@ def proper_coloring(adj, colors):
     return all(colors[u] != colors[w] for u in range(len(adj)) for w in adj[u] if u != w)
 
 
+def greedy_coloring(adj):
+    """Sequential greedy in ascending id order: the smallest color not held
+    by a lower-id neighbor."""
+    color = []
+    for v in range(len(adj)):
+        taken = {color[u] for u in adj[v] if u < v}
+        c = 0
+        while c in taken:
+            c += 1
+        color.append(c)
+    return color
+
+
 def is_independent(adj, in_set):
     return not any(in_set[u] and in_set[w] for u in range(len(adj)) for w in adj[u])
 

@@ -1,8 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from loggraph import csr
-from loggraph.errors import ContractViolation, IngestError, OversizedVertexError
+from loggraph.errors import ConfigError, ContractViolation, IngestError, OversizedVertexError
 from loggraph.pager import page_capacity
 
 from util import build_graph, ring_graph, random_graph
@@ -71,7 +74,7 @@ def test_build_out_of_range_rejected(tmp_path):
     from loggraph.pager import StoreRegistry
 
     with pytest.raises(IngestError):
-        csr.build_partitions(np.array([0]), np.array([5]), None, meta, StoreRegistry(256), str(tmp_path))
+        csr.build_partitions(np.array([0]), np.array([5]), meta, StoreRegistry(256), str(tmp_path))
 
 
 def test_load_empty_active_reads_nothing(tmp_path):
@@ -202,3 +205,25 @@ def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):
     part = g.partitions[0]
     assert part.cap_rp == page_capacity(256, 8)
     assert part.cap_ci == page_capacity(256, 4)
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (lambda m: m.update(colour_depth=4), "colour_depth"),  # unknown key
+        (lambda m: m.pop("record_size"), "record_size"),  # missing key
+    ],
+    ids=["unknown", "missing"],
+)
+def test_meta_json_key_mismatch_is_config_error(tmp_path, change, named):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    path = os.path.join(g.path, "meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    change(meta)
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ConfigError, match=named) as err:
+        csr.GraphDir(g.path)
+    assert "reconvert" in str(err.value)

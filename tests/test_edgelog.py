@@ -10,7 +10,7 @@ from util import build_graph, random_graph, ring_graph
 
 
 def view(v, nbrs, pages=((0, 0),)):
-    return csr.AdjacencyView(v, np.array(nbrs, np.uint32), None, tuple(pages), "csr")
+    return csr.AdjacencyView(v, np.array(nbrs, np.uint32), tuple(pages), "csr")
 
 
 # -- prediction ---------------------------------------------------------------

@@ -6,20 +6,19 @@ from loggraph.multilog import (
     LogManifest,
     MultiLog,
     RecordFormat,
-    presort_page,
     read_log_records,
     vid_to_interval,
 )
-from loggraph.pager import PAGE_HEADER, StoreRegistry, pack_page
+from loggraph.pager import PAGE_HEADER, StoreRegistry
 
 FMT16 = RecordFormat([("val", "<u8")])  # 4+4+8 = 16-byte records
 
 
-def make_mlog(tmp_path, bounds=(0, 3, 6), page_size=256, budget_pages=None, presort=False):
+def make_mlog(tmp_path, bounds=(0, 3, 6), page_size=256, budget_pages=None):
     reg = StoreRegistry(page_size)
     n_int = len(bounds) - 1
     budget = (budget_pages if budget_pages is not None else 4 * n_int) * page_size
-    return MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), budget, presort=presort)
+    return MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), budget)
 
 
 def test_vid_to_interval_boundaries():
@@ -70,7 +69,7 @@ def test_routing_correctness(tmp_path):
         mlog.send(int(d), 0, 0)
     manifest = mlog.seal()
     for k, handle in enumerate(manifest.handles):
-        recs, _ = read_log_records(handle, FMT16)
+        recs = read_log_records(handle, FMT16)
         if len(recs):
             assert all(vid_to_interval([0, 3, 6], int(d)) == k for d in recs["dest"])
 
@@ -91,7 +90,7 @@ def test_evict_flushes_full_pages_then_tops_to_watermark(tmp_path):
     # send() auto-evicts on overflow; residency must sit at/below the watermark
     assert mlog.resident_bytes <= int(0.9 * mlog.budget)
     manifest = mlog.seal()
-    recs, _ = read_log_records(manifest.handles[0], FMT16)
+    recs = read_log_records(manifest.handles[0], FMT16)
     assert recs["val"].tolist() == list(range(3 * cap + 1))  # order survives eviction
 
 
@@ -127,7 +126,7 @@ def test_seal_empty_interval_has_empty_chain(tmp_path):
     manifest = mlog.seal()
     assert manifest.handles[0].ordinals == []
     assert manifest.handles[0].message_count == 0
-    recs, _ = read_log_records(manifest.handles[0], FMT16)
+    recs = read_log_records(manifest.handles[0], FMT16)
     assert len(recs) == 0
 
 
@@ -138,7 +137,7 @@ def test_seal_partial_top_page_record_count(tmp_path):
     handle = mlog.seal_interval(0)
     page = handle.store.read_page(handle.ordinals[0])
     assert page.record_count == 5
-    recs, _ = read_log_records(handle, FMT16)
+    recs = read_log_records(handle, FMT16)
     assert recs["val"].tolist() == [0, 1, 2, 3, 4]
 
 
@@ -166,53 +165,20 @@ def test_message_count_always_matches_parseable_records(tmp_path):
     manifest = mlog.seal()
     total = 0
     for h in manifest.handles:
-        recs, _ = read_log_records(h, FMT16)
+        recs = read_log_records(h, FMT16)
         assert len(recs) == h.message_count
         total += len(recs)
     assert total == sent
 
 
-def test_presort_page_stable_by_dest():
-    fmt = FMT16
-    raw = b"".join(fmt.struct.pack(d, s, v) for d, s, v in [(5, 0, 0), (2, 0, 1), (2, 0, 2), (9, 0, 3)])
-    data = bytearray(pack_page(256, raw, 4))
-    presort_page(data, fmt)
-    recs = np.frombuffer(bytes(data[PAGE_HEADER : PAGE_HEADER + 4 * 16]), fmt.dtype)
-    assert recs["dest"].tolist() == [2, 2, 5, 9]
-    assert recs["val"].tolist() == [1, 2, 0, 3]  # equal dests keep arrival order
-    assert data[0] == 1
-
-
-def test_presort_sorted_page_only_sets_bit():
-    fmt = FMT16
-    raw = b"".join(fmt.struct.pack(d, 0, i) for i, d in enumerate([1, 2, 3]))
-    data = bytearray(pack_page(256, raw, 3))
-    before = bytes(data[PAGE_HEADER:])
-    presort_page(data, fmt)
-    assert bytes(data[PAGE_HEADER:]) == before
-    assert data[0] == 1
-
-
-def test_presort_disabled_leaves_pages_unsorted(tmp_path):
-    mlog = make_mlog(tmp_path, presort=False)
+def test_flushed_page_keeps_arrival_order(tmp_path):
+    mlog = make_mlog(tmp_path)
     for d in [5, 2, 2, 1]:
         mlog.send(d, 0, 0)
     handle = mlog.seal_interval(0)
     page = handle.store.read_page(0)
-    assert not page.presorted
     recs = np.frombuffer(page.records(16), FMT16.dtype)
     assert recs["dest"].tolist() == [2, 2, 1]  # interval 0 only, arrival order
-
-
-def test_presort_enabled_sets_bit_and_sorts_flushed_pages(tmp_path):
-    mlog = make_mlog(tmp_path, presort=True)
-    for d in [2, 0, 1, 0]:
-        mlog.send(d, 0, 0)
-    handle = mlog.seal_interval(0)
-    page = handle.store.read_page(0)
-    assert page.presorted
-    recs = np.frombuffer(page.records(16), FMT16.dtype)
-    assert recs["dest"].tolist() == sorted(recs["dest"].tolist())
 
 
 def test_exactly_once_multiset_property(tmp_path):
@@ -227,7 +193,7 @@ def test_exactly_once_multiset_property(tmp_path):
         manifest = mlog.seal()
         got = []
         for h in manifest.handles:
-            recs, _ = read_log_records(h, FMT16)
+            recs = read_log_records(h, FMT16)
             got.extend(zip(recs["dest"].tolist(), recs["val"].tolist()))
         assert sorted(got) == sorted(zip(dests.tolist(), vals.tolist()))
 

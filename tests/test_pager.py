@@ -41,13 +41,6 @@ def test_append_ordinals_and_file_length(store):
     assert store.pages_written == 2
 
 
-def test_presorted_flag_roundtrip(store):
-    store.append_page(pack_page(256, b"ab", 1, presorted=True))
-    page = store.read_page(0)
-    assert page.presorted
-    assert page.record_count == 1
-
-
 def test_wrong_size_append_rejected(store):
     with pytest.raises(ContractViolation):
         store.append_page(bytes(100))

@@ -4,7 +4,7 @@ import pytest
 from loggraph import sortgroup
 from loggraph.multilog import MultiLog, RecordFormat
 from loggraph.pager import StoreRegistry
-from loggraph.sortgroup import CombineOp, FusePlan, apply_combine, plan_fusion, sort_n_group
+from loggraph.sortgroup import FusePlan, apply_combine, plan_fusion, sort_n_group
 
 FMT16 = RecordFormat([("val", "<u8")])
 
@@ -56,9 +56,9 @@ def test_fusion_safety_estimates_within_budget():
 
 # -- load_log ----------------------------------------------------------------
 
-def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256, presort=False):
+def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256):
     reg = StoreRegistry(page_size)
-    mlog = MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), 64 * page_size, presort=presort)
+    mlog = MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), 64 * page_size)
     for d, s, v in sends:
         mlog.send(d, s, v)
     return mlog.seal(), reg
@@ -66,8 +66,8 @@ def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256, presort=False)
 
 def test_load_empty_chain(tmp_path):
     manifest, reg = make_sealed(tmp_path, [])
-    recs, runs = sortgroup.load_log(FusePlan([0], 0), manifest, FMT16)
-    assert len(recs) == 0 and runs == []
+    recs = sortgroup.load_log(FusePlan([0], 0), manifest, FMT16)
+    assert len(recs) == 0
     assert reg.totals()["log"][0] == 0
 
 
@@ -76,7 +76,7 @@ def test_load_counts_pages_exactly_once(tmp_path):
     n = 2 * cap + 5  # 2 full pages + 1 partial
     manifest, reg = make_sealed(tmp_path, [(0, 1, i) for i in range(n)])
     before = reg.totals()["log"][0]
-    recs, _ = sortgroup.load_log(FusePlan([0], n * 16), manifest, FMT16)
+    recs = sortgroup.load_log(FusePlan([0], n * 16), manifest, FMT16)
     assert len(recs) == n
     assert reg.totals()["log"][0] - before == 3
     assert recs["val"].tolist() == list(range(n))  # chain order = arrival order
@@ -85,7 +85,7 @@ def test_load_counts_pages_exactly_once(tmp_path):
 def test_load_fused_intervals_concatenates(tmp_path):
     manifest, reg = make_sealed(tmp_path, [(0, 1, 10), (5, 1, 20)])
     before = reg.totals()["log"][0]
-    recs, _ = sortgroup.load_log(FusePlan([0, 1], 32), manifest, FMT16)
+    recs = sortgroup.load_log(FusePlan([0, 1], 32), manifest, FMT16)
     assert reg.totals()["log"][0] - before == 2
     assert recs["val"].tolist() == [10, 20]
 
@@ -127,20 +127,6 @@ def test_group_index_partitions_records():
     assert covered == 200
 
 
-def test_presorted_vs_unsorted_pages_identical(tmp_path):
-    rng = np.random.default_rng(5)
-    sends = [(int(d), int(s), int(v)) for d, s, v in zip(rng.integers(0, 8, 300), rng.integers(0, 8, 300), rng.integers(0, 99, 300))]
-    m_plain, _ = make_sealed(tmp_path / "a", sends, presort=False)
-    m_sorted, _ = make_sealed(tmp_path / "b", sends, presort=True)
-    for k in (0, 1):
-        plan = FusePlan([k], 1)
-        a, runs_a = sortgroup.load_log(plan, m_plain, FMT16)
-        b, runs_b = sortgroup.load_log(plan, m_sorted, FMT16)
-        sa, sb = sort_n_group(a, runs_a), sort_n_group(b, runs_b)
-        assert sa.records.tobytes() == sb.records.tobytes()
-        assert sa.dests.tolist() == sb.dests.tolist()
-
-
 def test_extract_active_dedup_sorted():
     recs = records_of([(4, 0, 0), (2, 0, 1), (4, 0, 2), (1, 0, 3)])
     assert sortgroup.extract_active(sort_n_group(recs)).tolist() == [1, 2, 4]
@@ -161,27 +147,21 @@ def test_extract_active_single_dest_flood():
 PR_FMT = RecordFormat([("change", "<f8"), ("activate", "u1")])
 
 
-def _pr_fold(acc, rec):
-    acc["change"] = acc["change"] + rec["change"]
-    if rec["activate"] > acc["activate"]:
-        acc["activate"] = rec["activate"]
-
-
 def _pr_reduce(records, starts, out):
     out["change"] = np.add.reduceat(records["change"], starts)
     out["activate"] = np.maximum.reduceat(records["activate"], starts)
 
 
-def pr_records(triples):
+def pr_records(triples, activate=()):
     out = np.zeros(len(triples), PR_FMT.dtype)
     for i, (d, s, c) in enumerate(triples):
-        out[i] = (d, s, c, 0)
+        out[i] = (d, s, c, activate[i] if len(activate) else 0)
     return out
 
 
 def test_combine_folds_changes():
     slog = sort_n_group(pr_records([(3, 5, 0.10), (3, 2, 0.25), (3, 9, 0.05)]))
-    out = apply_combine(slog, CombineOp(_pr_fold), PR_FMT)
+    out = apply_combine(slog, _pr_reduce, PR_FMT)
     assert len(out.records) == 1
     assert out.records["change"][0] == pytest.approx(0.40, abs=1e-12)
     assert out.records["src"][0] == 2  # smallest contributing src
@@ -189,20 +169,26 @@ def test_combine_folds_changes():
 
 def test_combine_single_record_identity():
     slog = sort_n_group(pr_records([(3, 5, 0.5), (4, 1, 0.25)]))
-    out = apply_combine(slog, CombineOp(_pr_fold), PR_FMT)
+    out = apply_combine(slog, _pr_reduce, PR_FMT)
     assert out.records.tobytes() == slog.records.tobytes()
 
 
 def test_combine_scalar_and_vectorized_agree():
+    # the vectorized reducer against a plain per-group loop
     rng = np.random.default_rng(9)
     trips = [(int(d), int(s), float(c)) for d, s, c in zip(rng.integers(0, 6, 200), rng.integers(0, 30, 200), rng.random(200))]
-    slog = sort_n_group(pr_records(trips))
-    a = apply_combine(slog, CombineOp(_pr_fold), PR_FMT)
-    b = apply_combine(slog, CombineOp(_pr_fold, _pr_reduce), PR_FMT)
-    assert np.allclose(a.records["change"], b.records["change"], atol=1e-12)
-    assert np.array_equal(a.records["src"], b.records["src"])
-    assert np.array_equal(a.starts, np.arange(len(a.dests)))
-    assert np.array_equal(a.ends, np.arange(len(a.dests)) + 1)
+    flags = rng.integers(0, 2, 200)
+    slog = sort_n_group(pr_records(trips, flags))
+    out = apply_combine(slog, _pr_reduce, PR_FMT)
+    dests = sorted({d for d, _, _ in trips})
+    assert out.records["dest"].tolist() == dests
+    for i, d in enumerate(dests):
+        group = [j for j, (dd, _, _) in enumerate(trips) if dd == d]
+        assert out.records["change"][i] == pytest.approx(sum(trips[j][2] for j in group), abs=1e-12)
+        assert out.records["src"][i] == min(trips[j][1] for j in group)
+        assert out.records["activate"][i] == max(flags[j] for j in group)
+    assert np.array_equal(out.starts, np.arange(len(dests)))
+    assert np.array_equal(out.ends, np.arange(len(dests)) + 1)
 
 
 def test_no_combine_preserves_multiset(tmp_path):
@@ -211,8 +197,7 @@ def test_no_combine_preserves_multiset(tmp_path):
     manifest, _ = make_sealed(tmp_path, sends)
     got = []
     for k in (0, 1):
-        recs, runs = sortgroup.load_log(FusePlan([k], 1), manifest, FMT16)
-        slog = sort_n_group(recs, runs)
+        slog = sort_n_group(sortgroup.load_log(FusePlan([k], 1), manifest, FMT16))
         got.extend(zip(slog.records["dest"].tolist(), slog.records["src"].tolist(), slog.records["val"].tolist()))
     assert sorted(got) == sorted(sends)
 
@@ -224,7 +209,7 @@ def test_multi_pass_bucketing_equals_single_pass(tmp_path):
     sends = [(int(d), 0, int(v)) for d, v in zip(rng.integers(0, 8, 400), rng.integers(0, 99, 400))]
     manifest, reg = make_sealed(tmp_path, sends, bounds=(0, 8))
     whole_plan = FusePlan([0], 400 * 16)
-    whole, _ = sortgroup.load_log(whole_plan, manifest, FMT16)
+    whole = sortgroup.load_log(whole_plan, manifest, FMT16)
     want = sort_n_group(whole)
 
     plan = FusePlan([0], 400 * 16, passes=3)
