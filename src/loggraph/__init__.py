@@ -1,14 +1,16 @@
 """Out-of-core vertex-centric graph engine with per-interval update logs."""
 
-from .csr import GraphDir, GraphMeta, AdjacencyView, load_adjacency, partition_vertices
-from .engine import Engine, EngineConfig, RunResult, VertexProgram, run_app
+from .csr import Adjacency, AdjacencyView, GraphDir, GraphMeta, load_adjacency, partition_vertices
+from .engine import Batch, Engine, EngineConfig, RunResult, VertexProgram, run_app
 from .ingest import convert, convert_arrays
 from .multilog import MultiLog, RecordFormat
 from .pager import Page, PageStore, StoreRegistry
 from .sortgroup import SortedLog, plan_fusion
 
 __all__ = [
+    "Adjacency",
     "AdjacencyView",
+    "Batch",
     "Engine",
     "EngineConfig",
     "GraphDir",

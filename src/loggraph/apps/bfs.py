@@ -1,4 +1,7 @@
-"""Breadth-first search: levels are hop counts from the source."""
+"""Breadth-first search: levels are hop counts from the source.
+
+A batch takes each row's smallest inbox level and broadcasts level + 1 from
+the rows whose level improved."""
 
 from __future__ import annotations
 
@@ -30,14 +33,19 @@ class Bfs(VertexProgram):
         # the source levels itself through an initial self-message
         return states, active, [(self.source, (0,))]
 
-    def process(self, ctx, v, state, adj, inbox):
-        if len(inbox) == 0:
-            return
-        new = int(inbox["level"].min())
-        if new < int(state["level"]):
-            state["level"] = new
-            for w in adj.neighbors:
-                ctx.send(int(w), new + 1)
+    def process_batch(self, ctx, batch):
+        rows, msgs = batch.messages()
+        new = np.full(len(batch), INF_LEVEL, np.uint32)
+        np.minimum.at(new, rows, msgs["level"])
+        level = batch.states["level"]
+        improved = new < level  # a row with an empty inbox keeps INF_LEVEL
+        level[improved] = new[improved]
+        deg = np.where(improved, batch.adj.degrees, 0)
+        ctx.send_many(
+            batch.adj.nbrs[np.repeat(improved, batch.adj.degrees)],
+            np.repeat(batch.ids, deg),
+            np.repeat(new + 1, deg),
+        )
 
     def summary(self, states):
         levels = states["level"]

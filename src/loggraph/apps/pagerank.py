@@ -1,7 +1,9 @@
 """Delta-push PageRank with a sum combine.
 
 Each processed vertex folds the incoming rank changes, accumulates them into
-its rank, and pushes alpha * change / out_degree to every neighbor. The
+its rank, and pushes alpha * change / out_degree to every neighbor. A batch
+is handled as whole columns: one scatter-add of the inboxes, one broadcast
+of every row's share over the flat adjacency. The
 activation flag rides along in the payload when the folded change exceeds
 the threshold; delivery itself is what reactivates a vertex, so the flag is
 informational on the synchronous path.
@@ -36,19 +38,17 @@ class PageRank(VertexProgram):
         states["change"] = 1.0 - self.alpha
         return states, np.ones(num_vertices, bool), []
 
-    def process(self, ctx, v, state, adj, inbox):
-        total = float(state["change"])
-        for i in range(len(inbox)):
-            total += float(inbox["change"][i])
-        state["change"] = 0.0
-        state["rank"] = float(state["rank"]) + total
-        deg = len(adj)
-        if deg == 0:
-            return
-        share = self.alpha * total / deg
-        flag = 1 if total > self.threshold else 0
-        for w in adj.neighbors:
-            ctx.send(int(w), share, flag)
+    def process_batch(self, ctx, batch):
+        rows, msgs = batch.messages()
+        st = batch.states
+        total = st["change"].copy()
+        np.add.at(total, rows, msgs["change"])  # in index order: arrival-order sums
+        st["change"] = 0.0
+        st["rank"] += total
+        deg = batch.adj.degrees
+        share = self.alpha * total / np.maximum(deg, 1)
+        flag = (total > self.threshold).astype(np.uint8)
+        ctx.send_many(batch.adj.nbrs, np.repeat(batch.ids, deg), np.repeat(share, deg), np.repeat(flag, deg))
 
     def summary(self, states):
         r = states["rank"]

@@ -6,6 +6,12 @@ budget. Each interval stores its vertices' out-edges as two paged vectors:
 rowPtr (8-byte local offsets) and colIdx (4-byte destination ids). Edges
 carry no values. Adjacency loads touch only the pages that overlap the
 requested vertices' ranges, each page at most once per call.
+
+A load returns an `Adjacency`: one flat CSR over the requested vertices
+(`ids`, `offsets`, `nbrs`) plus, per row, the colIdx pages it came from and
+its source (CSR, structural overlay or edge log). Row spans, page sets and
+the neighbor gather are array operations; `adj[v]` gives one vertex's
+`AdjacencyView` for the edge log and per-vertex programs.
 """
 
 from __future__ import annotations
@@ -75,6 +81,104 @@ class AdjacencyView:
 
     def __len__(self) -> int:
         return len(self.neighbors)
+
+
+# where an adjacency row came from; Adjacency.source holds indexes into this
+SOURCES = ("csr", "overlay", "edgelog")
+
+
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+
+
+@dataclass
+class Adjacency:
+    """Out-neighbors of a batch of vertices as one flat CSR.
+
+    Row i is vertex ids[i] (ascending); its neighbors are
+    nbrs[offsets[i]:offsets[i + 1]]. pages[i] = (interval, first, end) names
+    the colIdx pages [first, end) the row was read from (first == end when
+    none), and source[i] indexes SOURCES.
+    """
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    nbrs: np.ndarray
+    pages: np.ndarray
+    source: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "Adjacency":
+        return cls.from_rows([], [], SOURCES.index("csr"))
+
+    @classmethod
+    def from_rows(cls, ids, rows: list, source: int, pages: np.ndarray | None = None) -> "Adjacency":
+        """Build from per-vertex neighbor arrays; pages default to none."""
+        lens = np.array([len(r) for r in rows], np.int64)
+        offsets = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        nbrs = np.concatenate(rows).astype(VID_DT) if rows else np.zeros(0, VID_DT)
+        if pages is None:
+            pages = np.zeros((len(rows), 3), np.int64)
+        return cls(np.asarray(ids, np.int64), offsets, nbrs, pages, np.full(len(rows), source, np.uint8))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def view(self, i: int) -> AdjacencyView:
+        """Row i as a per-vertex view."""
+        k, first, end = self.pages[i].tolist()
+        return AdjacencyView(
+            int(self.ids[i]),
+            self.nbrs[self.offsets[i] : self.offsets[i + 1]],
+            tuple((k, p) for p in range(first, end)),
+            SOURCES[self.source[i]],
+        )
+
+    def __getitem__(self, v: int) -> AdjacencyView:
+        i = int(np.searchsorted(self.ids, v))
+        if i == len(self.ids) or self.ids[i] != v:
+            raise KeyError(v)
+        return self.view(i)
+
+    def take(self, rows: np.ndarray) -> "Adjacency":
+        """The given rows, in the given order."""
+        lens = self.degrees[rows]
+        offsets = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        nbrs = self.nbrs[ranges(self.offsets[:-1][rows], lens)]
+        return Adjacency(self.ids[rows], offsets, nbrs, self.pages[rows], self.source[rows])
+
+    def slice(self, a: int, b: int) -> "Adjacency":
+        """Rows [a, b) without copying the neighbors."""
+        off = self.offsets[a : b + 1]
+        return Adjacency(
+            self.ids[a:b], off - off[0], self.nbrs[off[0] : off[-1]], self.pages[a:b], self.source[a:b]
+        )
+
+    @staticmethod
+    def merge(*parts: "Adjacency") -> "Adjacency":
+        """The rows of all parts (disjoint vertex sets) in ascending id order."""
+        parts = [p for p in parts if len(p)]
+        if len(parts) <= 1:
+            return parts[0] if parts else Adjacency.empty()
+        lens = np.concatenate([p.degrees for p in parts])
+        offsets = np.zeros(len(lens) + 1, np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        both = Adjacency(
+            np.concatenate([p.ids for p in parts]),
+            offsets,
+            np.concatenate([p.nbrs for p in parts]),
+            np.concatenate([p.pages for p in parts]),
+            np.concatenate([p.source for p in parts]),
+        )
+        return both.take(np.argsort(both.ids, kind="stable"))
 
 
 def partition_vertices(
@@ -234,24 +338,18 @@ def build_partitions(
         ci_store.flush()
 
 
-def _gather_span(cache: dict, cap: int, a: int, b: int) -> np.ndarray:
-    """Concatenate entries [a, b) from per-page arrays."""
-    if b <= a:
-        return np.zeros(0, VID_DT)
-    p0, p1 = a // cap, (b - 1) // cap
-    if p0 == p1:
-        base = p0 * cap
-        return cache[p0][a - base : b - base]
-    parts = []
-    for p in range(p0, p1 + 1):
-        base = p * cap
-        parts.append(cache[p][max(a, base) - base : min(b, base + cap) - base])
-    return np.concatenate(parts)
+def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarray:
+    """Entries idx of a paged vector; reads each page they touch once, in order."""
+    page = idx // cap
+    pages = np.unique(page)
+    buf = np.zeros(len(pages) * cap, dtype)
+    for i, p in enumerate(pages.tolist()):
+        entries = np.frombuffer(store.read_page(p).records(dtype.itemsize), dtype)
+        buf[i * cap : i * cap + len(entries)] = entries
+    return buf[np.searchsorted(pages, page) * cap + idx % cap]
 
 
-def load_adjacency(
-    graph: GraphDir, active: np.ndarray
-) -> tuple[dict[int, AdjacencyView], dict[tuple[int, int], int]]:
+def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
     """Adjacency for exactly the active vertices (sorted ascending).
 
     Reads only the rowPtr and colIdx pages overlapping the active
@@ -261,56 +359,36 @@ def load_adjacency(
     """
     active = np.asarray(active, np.int64)
     if len(active) == 0:
-        return {}, {}
+        return Adjacency.empty(), {}
     if np.any(np.diff(active) <= 0):
         raise ContractViolation("active vertex list must be sorted ascending, unique")
     meta = graph.meta
     if active[0] < 0 or active[-1] >= meta.num_vertices:
         raise ContractViolation("active vertex id out of range")
 
-    views: dict[int, AdjacencyView] = {}
+    lens, nbrs, pages = [], [], []
     page_stats: dict[tuple[int, int], int] = {}
-    bounds = meta.interval_bounds
-    starts = np.searchsorted(active, bounds)
+    starts = np.searchsorted(active, meta.interval_bounds)
     for k in range(meta.num_intervals):
-        sel = active[starts[k] : starts[k + 1]]
-        if len(sel) == 0:
+        loc = active[starts[k] : starts[k + 1]] - graph.partitions[k].lo
+        if len(loc) == 0:
             continue
         part = graph.partitions[k]
-        loc = sel - part.lo
-
-        rp_idx = np.unique(np.concatenate([loc, loc + 1]))
-        rp_pages = np.unique(rp_idx // part.cap_rp)
-        rp_cache = {
-            int(p): np.frombuffer(part.rowptr.read_page(int(p)).records(ROWPTR_WIDTH), ROWPTR_DT)
-            for p in rp_pages
-        }
-        spans = []
-        ci_pages: set[int] = set()
-        for j in loc:
-            j = int(j)
-            a = int(rp_cache[j // part.cap_rp][j % part.cap_rp])
-            b = int(rp_cache[(j + 1) // part.cap_rp][(j + 1) % part.cap_rp])
-            spans.append((a, b))
-            if b > a:
-                ci_pages.update(range(a // part.cap_ci, (b - 1) // part.cap_ci + 1))
-        ci_cache = {
-            p: np.frombuffer(part.colidx.read_page(p).records(VID_WIDTH), VID_DT)
-            for p in sorted(ci_pages)
-        }
-
-        for v, (a, b) in zip(sel, spans):
-            nbrs = _gather_span(ci_cache, part.cap_ci, a, b)
-            pages = ()
-            if b > a:
-                p0, p1 = a // part.cap_ci, (b - 1) // part.cap_ci
-                pages = tuple((k, p) for p in range(p0, p1 + 1))
-                for p in range(p0, p1 + 1):
-                    lo_e, hi_e = max(a, p * part.cap_ci), min(b, (p + 1) * part.cap_ci)
-                    key = (k, p)
-                    page_stats[key] = page_stats.get(key, 0) + (hi_e - lo_e) * VID_WIDTH
-            views[int(v)] = AdjacencyView(int(v), nbrs.copy(), pages)
-    return views, page_stats
+        rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, np.concatenate([loc, loc + 1]))
+        a, b = rp[: len(loc)].astype(np.int64), rp[len(loc) :].astype(np.int64)
+        pos = ranges(a, b - a)
+        nbrs.append(_read_entries(part.colidx, part.cap_ci, VID_DT, pos))
+        used, count = np.unique(pos // part.cap_ci, return_counts=True)
+        page_stats.update(((k, p), c * VID_WIDTH) for p, c in zip(used.tolist(), count.tolist()))
+        first = a // part.cap_ci
+        end = np.where(b > a, (b - 1) // part.cap_ci + 1, first)
+        pages.append(np.stack([np.full(len(loc), k), first, end], 1))
+        lens.append(b - a)
+    lens = np.concatenate(lens)
+    offsets = np.zeros(len(active) + 1, np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    source = np.full(len(active), SOURCES.index("csr"), np.uint8)
+    return Adjacency(active, offsets, np.concatenate(nbrs), np.concatenate(pages), source), page_stats
 
 
 def merge_structural_updates(

@@ -16,7 +16,7 @@ from collections import deque
 
 import numpy as np
 
-from .csr import AdjacencyView, VID_DT
+from .csr import SOURCES, Adjacency, AdjacencyView, VID_DT
 from .errors import CorruptPageError
 from .pager import PAGE_HEADER, StoreRegistry, pack_page
 
@@ -153,13 +153,16 @@ class EdgeLog:
     def indexed(self, v: int) -> bool:
         return self._consumable is not None and v in self._consumable[0]
 
-    def fetch_batch(self, vids) -> dict[int, AdjacencyView]:
-        """Serve adjacency from last superstep's log; each page read once."""
+    def fetch_batch(self, vids) -> Adjacency:
+        """Serve adjacency of the ascending vids from last superstep's log;
+        each page is read once. An entry whose vertex id or degree field
+        disagrees with the index is corrupt."""
+        vids = [int(v) for v in vids]
         if self._consumable is None:
-            return {}
+            return Adjacency.empty()
         index, store = self._consumable
         cache: dict[int, bytes] = {}
-        out: dict[int, AdjacencyView] = {}
+        rows = []
         for v in vids:
             pos, length = index[v]
             p0, p1 = pos // self.region, (pos + length - 1) // self.region
@@ -171,10 +174,13 @@ class EdgeLog:
                 b = min(pos + length, (p + 1) * self.region) - p * self.region
                 parts.append(cache[p][a:b])
             blob = b"".join(parts)
-            vid, deg = np.frombuffer(blob[:8], VID_DT)
-            if int(vid) != v:
-                raise CorruptPageError(f"edge log index mismatch: wanted {v}, found {int(vid)}")
-            nbrs = np.frombuffer(blob[8 : 8 + 4 * deg], VID_DT)
-            out[v] = AdjacencyView(v, nbrs.copy(), (), source="edgelog")
+            vid, deg = np.frombuffer(blob[:8], VID_DT).tolist()
+            if vid != v:
+                raise CorruptPageError(f"edge log index mismatch: wanted {v}, found {vid}")
+            if 8 + 4 * deg != length:
+                raise CorruptPageError(
+                    f"edge log entry of {v}: degree field {deg} disagrees with its indexed length {length}"
+                )
+            rows.append(np.frombuffer(blob[8:], VID_DT))
         self.read_cache_peak = max(self.read_cache_peak, len(cache) * self.page_size)
-        return out
+        return Adjacency.from_rows(vids, rows, SOURCES.index("edgelog"))

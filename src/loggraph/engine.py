@@ -5,8 +5,15 @@ load and sort each fused log, extract the active vertices, fetch their state
 and adjacency (from the edge log when possible), run the vertex program,
 route its sends through the multi-log, then seal the next superstep's logs,
 merge batched structural updates past the threshold and record the activity
-bit vector. Execution is deterministic single-threaded by default; an
-optional thread pool processes vertices of one batch concurrently.
+bit vector.
+
+The unit of work handed to a program is a Batch: the active vertices of one
+sorted log with their state rows, a flat-CSR adjacency and their inbox spans.
+A program either handles the whole batch with array code and sends through
+`ctx.send_many`, or defines a per-vertex `process` that the base class's
+`process_batch` adapter calls once per vertex. Execution is deterministic
+single-threaded by default; an optional thread pool splits a batch into
+slices processed concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import csr as csrmod
 from . import sortgroup
-from .csr import AdjacencyView, GraphDir
+from .csr import SOURCES, Adjacency, AdjacencyView, GraphDir, ranges
 from .edgelog import ActivityHistory, EdgeLog, classify_inefficient
 from .errors import ConfigError
 from .multilog import MultiLog, RecordFormat
@@ -60,6 +67,41 @@ class EngineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_trace"}
 
 
+@dataclass
+class Batch:
+    """The active vertices of one sorted log, ready for a vertex program.
+
+    Row i is vertex ids[i] (ascending). states[i] is its mutable state row,
+    adj row i its out-neighbors, records[starts[i]:ends[i]] its inbox in
+    arrival order (empty when it was only forced active) and tables[i] its
+    per-in-neighbor table when the program declares one.
+    """
+
+    ids: np.ndarray
+    states: np.ndarray
+    adj: Adjacency
+    records: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    tables: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def messages(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every inbox record in row order, and the row each belongs to."""
+        lens = self.ends - self.starts
+        return np.repeat(np.arange(len(lens)), lens), self.records[ranges(self.starts, lens)]
+
+    def slice(self, a: int, b: int) -> "Batch":
+        """Rows [a, b); the states stay shared with this batch."""
+        tables = self.tables[a:b] if self.tables is not None else None
+        return Batch(
+            self.ids[a:b], self.states[a:b], self.adj.slice(a, b), self.records,
+            self.starts[a:b], self.ends[a:b], tables,
+        )
+
+
 class VertexProgram:
     """Contract for application vertex programs.
 
@@ -67,17 +109,25 @@ class VertexProgram:
     combine reducer and optional per-in-neighbor table entries, plus:
 
       init_all(num_vertices, in_degrees) -> (states, active_bits, init_msgs)
-      process(ctx, v, state, adj, inbox)
+      process_batch(ctx, batch)   or   process(ctx, v, state, adj, inbox)
+
+    process_batch gets one Batch and sends with ctx.send_many(dest, src,
+    *payload), whole columns at once, in the order a per-vertex loop would
+    have sent them. The base process_batch is the generic adapter for
+    per-vertex programs: it calls process once per row in id order, with
+    ctx.vertex and ctx.table set, the state row, an AdjacencyView and the
+    inbox; process sends with ctx.send(dest, *payload).
 
     combine, when set, is a function reduce(records, starts, out) applied to
     each sorted log: records are grouped by destination, group i starts at
     starts[i], and it must fill out's payload fields with one associative,
-    commutative reduction per group (numpy reduceat kernels fit). process
-    then sees a one-record inbox per destination. Set it with staticmethod
-    so that it is not bound to the program instance.
+    commutative reduction per group (numpy reduceat kernels fit). Inboxes
+    then hold one record per destination. Set it with staticmethod so that
+    it is not bound to the program instance.
 
-    process must not keep ctx beyond the call. Messages are the only way a
-    vertex runs again next superstep; deactivation is the default.
+    Neither may keep ctx or the batch beyond the call. Messages are the only
+    way a vertex runs again next superstep; deactivation is the default.
+    Structural updates may only touch the vertex being processed.
     """
 
     name = "program"
@@ -88,6 +138,13 @@ class VertexProgram:
 
     def init_all(self, num_vertices: int, in_degrees: np.ndarray):
         raise NotImplementedError
+
+    def process_batch(self, ctx: "Context", batch: Batch) -> None:
+        starts, ends = batch.starts.tolist(), batch.ends.tolist()
+        for i, v in enumerate(batch.ids.tolist()):
+            ctx.vertex = v
+            ctx.table = batch.tables[i] if batch.tables is not None else None
+            self.process(ctx, v, batch.states[i], batch.adj.view(i), batch.records[starts[i] : ends[i]])
 
     def process(self, ctx, v: int, state, adj: AdjacencyView, inbox: np.ndarray) -> None:
         raise NotImplementedError
@@ -151,18 +208,31 @@ class RunResult:
 
 
 class Context:
-    """Per-vertex API handed to process(); valid only during the call."""
+    """The engine API handed to process_batch (and by the adapter to
+    process); valid only during the call. vertex and table are the row the
+    adapter is processing."""
 
     __slots__ = ("_engine", "superstep", "vertex", "table")
 
-    def __init__(self, engine: "Engine"):
+    def __init__(self, engine: "Engine", superstep: int):
         self._engine = engine
-        self.superstep = 0
+        self.superstep = superstep
         self.vertex = -1
         self.table = None
 
     def send(self, dest: int, *payload) -> None:
         self._engine._mlog.send(dest, self.vertex, *payload)
+
+    def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
+        """Send message i from src[i] to dest[i] with payload column values
+        [i], in index order; a scalar column is broadcast."""
+        fmt = self._engine.fmt
+        records = np.empty(len(dest), fmt.dtype)
+        records["dest"] = dest
+        records["src"] = src
+        for (name, _), col in zip(fmt.payload_fields, payload):
+            records[name] = col
+        self._engine._mlog.send_many(records)
 
     def deactivate(self) -> None:
         """Accepted for program-model symmetry; deactivation is the default
@@ -218,24 +288,34 @@ class Engine:
             self._pending[k].setdefault(u, []).append(op)
             self._el_dirty[u] = True
 
-    def _overlay(self, view: AdjacencyView) -> AdjacencyView:
+    def _overlay(self, adj: Adjacency) -> Adjacency:
         """Most-current adjacency: base CSR plus pending batch semantics
         (insertions first, then one-copy deletions; vertex removal wins)."""
-        k = self.meta.interval_of(view.vertex_id)
-        ops = self._pending[k].get(view.vertex_id)
-        if ops is None:
-            return view
-        if any(op[0] == "del_vertex" for op in ops):
-            return AdjacencyView(view.vertex_id, view.neighbors[:0], view.colidx_pages, "overlay")
-        nbrs = view.neighbors.tolist() + [op[2] for op in ops if op[0] == "add_edge"]
-        for op in ops:
-            if op[0] == "del_edge":
-                try:
-                    nbrs.remove(op[2])
-                except ValueError:
-                    pass
-        nbrs.sort()
-        return AdjacencyView(view.vertex_id, np.array(nbrs, csrmod.VID_DT), view.colidx_pages, "overlay")
+        rows, nbr_lists = [], []
+        for i in np.flatnonzero(self._el_dirty[adj.ids]).tolist():
+            v = int(adj.ids[i])
+            ops = self._pending[self.meta.interval_of(v)].get(v)
+            if ops is None:
+                continue
+            nbrs = []
+            if not any(op[0] == "del_vertex" for op in ops):
+                nbrs = adj.nbrs[adj.offsets[i] : adj.offsets[i + 1]].tolist()
+                nbrs += [op[2] for op in ops if op[0] == "add_edge"]
+                for op in ops:
+                    if op[0] == "del_edge":
+                        try:
+                            nbrs.remove(op[2])
+                        except ValueError:
+                            pass
+                nbrs.sort()
+            rows.append(i)
+            nbr_lists.append(np.array(nbrs, csrmod.VID_DT))
+        if not rows:
+            return adj
+        keep = np.ones(len(adj), bool)
+        keep[rows] = False
+        over = Adjacency.from_rows(adj.ids[rows], nbr_lists, SOURCES.index("overlay"), adj.pages[rows])
+        return Adjacency.merge(adj.take(np.flatnonzero(keep)), over)
 
     def _merge_interval(self, k: int) -> None:
         ops = [op for src_ops in self._pending[k].values() for op in src_ops]
@@ -396,57 +476,50 @@ class Engine:
 
     # -- batch processing -----------------------------------------------------
 
-    def _fetch_adjacency(self, act: np.ndarray):
+    def _fetch_adjacency(self, act: np.ndarray) -> tuple[Adjacency, int]:
+        """Flat CSR over act: from the edge log where it holds a clean copy,
+        otherwise from the CSR with pending structural updates overlaid."""
         el = self._edgelog
-        log_ids = []
-        csr_ids = []
         if el is not None:
-            for v in act:
-                v = int(v)
-                if not self._el_dirty[v] and el.indexed(v):
-                    log_ids.append(v)
-                else:
-                    csr_ids.append(v)
+            from_log = np.fromiter(map(el.indexed, act.tolist()), bool, len(act)) & ~self._el_dirty[act]
         else:
-            csr_ids = [int(v) for v in act]
-        views, pstats = csrmod.load_adjacency(self.graph, np.array(csr_ids, np.int64))
+            from_log = np.zeros(len(act), bool)
+        adj, pstats = csrmod.load_adjacency(self.graph, act[~from_log])
         for key, useful in pstats.items():
             self._page_usage[key] = self._page_usage.get(key, 0) + useful
             if classify_inefficient(self._page_usage[key], self.cfg.page_size):
                 self._ineff.add(key)
             else:
                 self._ineff.discard(key)
-        for v in list(views):
-            views[v] = self._overlay(views[v])
-        if log_ids:
-            views.update(el.fetch_batch(log_ids))
-        return views, len(log_ids)
+        adj = self._overlay(adj)
+        served = int(from_log.sum())
+        if served:
+            adj = Adjacency.merge(adj, el.fetch_batch(act[from_log]))
+        return adj, served
 
     def _process_batch(self, S: int, act: np.ndarray, slog, predicted: np.ndarray) -> int:
-        views, served = self._fetch_adjacency(act)
+        adj, served = self._fetch_adjacency(act)
         sl = self._states.checkout(act)
         aux = self._states.checkout_aux(act) if self.program.aux_entry_dtype is not None else None
-        el = self._edgelog
+        starts, ends = slog.spans(act)
+        batch = Batch(act, sl.rows, adj, slog.records, starts, ends, aux.tables if aux is not None else None)
 
-        def work(span):
-            ctx = Context(self)
-            ctx.superstep = S
-            for i in span:
-                v = int(act[i])
-                ctx.vertex = v
-                ctx.table = aux.tables[i] if aux is not None else None
-                inbox = slog.inbox(v)
-                self.program.process(ctx, v, sl.rows[i], views[v], inbox)
-                if el is not None:
-                    with self._ops_lock:
-                        el.maybe_log(views[v], bool(predicted[v]), self._ineff, bool(self._el_dirty[v]))
+        def work(part: Batch) -> None:
+            self.program.process_batch(Context(self, S), part)
 
         if self.cfg.parallel > 1 and len(act) > 1:
-            chunks = np.array_split(np.arange(len(act)), self.cfg.parallel)
+            cuts = np.linspace(0, len(act), self.cfg.parallel + 1).astype(int).tolist()
+            parts = [batch.slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
             with ThreadPoolExecutor(max_workers=self.cfg.parallel) as pool:
-                list(pool.map(work, [c for c in chunks if len(c)]))
+                list(pool.map(work, parts))
         else:
-            work(range(len(act)))
+            work(batch)
+        el = self._edgelog
+        if el is not None:
+            # structural updates only touch the vertex being processed, so
+            # logging after the batch sees the same dirty bits as after each
+            for i, v in enumerate(act.tolist()):
+                el.maybe_log(adj.view(i), bool(predicted[v]), self._ineff, bool(self._el_dirty[v]))
         sl.commit()
         if aux is not None:
             aux.commit()

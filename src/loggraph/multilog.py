@@ -78,7 +78,7 @@ class LogManifest:
 
 
 class _IntervalLog:
-    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed", "lock")
+    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed")
 
     def __init__(self, interval: int, page_size: int):
         self.interval = interval
@@ -89,11 +89,14 @@ class _IntervalLog:
         self.chain: list[int] = []
         self.message_count = 0
         self.sealed = False
-        self.lock = threading.Lock()
 
 
 class MultiLog:
-    """The multi-log buffer: one append log per vertex interval."""
+    """The multi-log buffer: one append log per vertex interval.
+
+    One lock serializes appends, eviction and sealing, so `send` and
+    `send_many` may be called from several threads.
+    """
 
     def __init__(
         self,
@@ -105,6 +108,7 @@ class MultiLog:
         low_watermark: float = 0.9,
     ):
         self.bounds = list(bounds)
+        self._bounds = np.asarray(bounds, np.int64)
         self.n_intervals = len(bounds) - 1
         self.fmt = fmt
         self.registry = registry
@@ -123,8 +127,7 @@ class MultiLog:
         self.tag = -1
         self.logs: list[_IntervalLog] = []
         self._resident_pages = 0
-        self._evict_lock = threading.Lock()
-        self._count_lock = threading.Lock()
+        self._lock = threading.RLock()
         self.total_appends = 0
         self.post_evict_peak = 0
         os.makedirs(log_dir, exist_ok=True)
@@ -144,19 +147,105 @@ class MultiLog:
         if dest < 0 or dest >= self.bounds[-1]:
             raise ContractViolation(f"destination {dest} outside vertex range")
         log = self.logs[bisect_right(self.bounds, dest) - 1]
-        with log.lock:
-            if log.sealed:
-                raise ContractViolation(f"interval {log.interval} already sealed for tag {self.tag}")
+        with self._lock:
+            self._check_open(log)
             if log.fill == self.capacity:
                 self._close_top(log)
-            off = PAGE_HEADER + log.fill * self.fmt.width
-            self.fmt.struct.pack_into(log.top, off, dest, src, *payload)
-            if log.fill == 0:
-                self._bump_resident(1)
-            log.fill += 1
-            log.message_count += 1
-        with self._count_lock:
-            self.total_appends += 1
+            self.fmt.struct.pack_into(log.top, PAGE_HEADER + log.fill * self.fmt.width, dest, src, *payload)
+            self._appended(log, 1)
+            self._settle()
+
+    def send_many(self, records: np.ndarray) -> None:
+        """Append wire-format records (fmt.dtype) in arrival order.
+
+        Page-exact with a loop of `send`: page images, chains, counts, the
+        records after which eviction runs and the peaks all come out the
+        same. Works in blocks of one page per interval, so its temporaries
+        stay that small whatever the batch size.
+        """
+        if len(records) == 0:
+            return
+        if records.dtype != self.fmt.dtype:
+            raise ContractViolation(f"record dtype {records.dtype} is not the wire format {self.fmt.dtype}")
+        if int(records["dest"].max()) >= self.bounds[-1]:
+            raise ContractViolation(f"destination {int(records['dest'].max())} outside vertex range")
+        block = self.capacity * self.n_intervals
+        with self._lock:
+            done = 0
+            while done < len(records):
+                done += self._append_block(records[done : done + block])
+
+    def _append_block(self, recs: np.ndarray) -> int:
+        """Append recs up to and including the first record that pushes
+        residency past the budget (evicting after it); returns how many."""
+        k = np.searchsorted(self._bounds, recs["dest"], side="right") - 1
+        counts = np.bincount(k, minlength=self.n_intervals)
+        hit = np.flatnonzero(counts)
+        logs = [self.logs[j] for j in hit.tolist()]
+        for log in logs:
+            self._check_open(log)
+        # a record opens a page when it lands at fill % capacity == 0
+        cap = self.capacity
+        fills = [log.fill for log in logs]
+        opened = sum((f + c - 1) // cap - (f - 1) // cap for f, c in zip(fills, counts[hit].tolist()))
+        free = self.budget // self.page_size - self._resident_pages
+        if opened <= free:
+            self._write(recs, k)
+            self._settle()
+            return len(recs)
+        order = np.argsort(k, kind="stable")
+        group_start = np.cumsum(counts) - counts
+        slot = np.arange(len(recs)) + np.repeat(np.array(fills) - group_start[hit], counts[hit])
+        opens = np.empty(len(recs), bool)
+        opens[order] = slot % cap == 0
+        t = int(np.flatnonzero(opens)[free])
+        self._write(recs[:t], k[:t])
+        self._settle()
+        self._write(recs[t : t + 1], k[t : t + 1])
+        self._settle()
+        return t + 1
+
+    def _write(self, recs: np.ndarray, k: np.ndarray) -> None:
+        """Append recs to the logs of their intervals k, in arrival order."""
+        if len(recs) == 0:
+            return
+        order = np.argsort(k, kind="stable")
+        ks = k[order]
+        if ks[0] == ks[-1]:
+            self._append_run(self.logs[int(ks[0])], recs)
+            return
+        cuts = (np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(ks)]):
+            self._append_run(self.logs[int(ks[a])], recs[order[a:b]])
+
+    def _append_run(self, log: _IntervalLog, recs: np.ndarray) -> None:
+        """Copy records of one interval into its top page, closing full tops."""
+        w = self.fmt.width
+        raw = memoryview(np.ascontiguousarray(recs).view(np.uint8))
+        done = 0
+        while done < len(recs):
+            if log.fill == self.capacity:
+                self._close_top(log)
+            take = min(self.capacity - log.fill, len(recs) - done)
+            off = PAGE_HEADER + log.fill * w
+            log.top[off : off + take * w] = raw[done * w : (done + take) * w]
+            self._appended(log, take)
+            done += take
+
+    def _check_open(self, log: _IntervalLog) -> None:
+        if log.sealed:
+            raise ContractViolation(f"interval {log.interval} already sealed for tag {self.tag}")
+
+    def _appended(self, log: _IntervalLog, n: int) -> None:
+        """Count n records just written into log's top page."""
+        if log.fill == 0:
+            self._resident_pages += 1  # the top page turns resident
+        log.fill += n
+        log.message_count += n
+        self.total_appends += n
+
+    def _settle(self) -> None:
+        """After an append: evict when over the budget, then track the peak."""
         if self._resident_pages * self.page_size > self.budget:
             self.evict_if_needed()
         if self.resident_bytes > self.post_evict_peak:
@@ -166,16 +255,12 @@ class MultiLog:
         self.post_evict_peak = self.resident_bytes
 
     def _close_top(self, log: _IntervalLog) -> None:
-        # caller holds log.lock; fill is the capacity here. The page stays
-        # resident (counted already as a nonempty top), just reclassified.
+        # fill is the capacity here. The page stays resident (counted
+        # already as a nonempty top), just reclassified.
         PAGE_COUNT.pack_into(log.top, 0, log.fill)
         log.closed.append(log.top)
         log.top = bytearray(self.page_size)
         log.fill = 0
-
-    def _bump_resident(self, d: int) -> None:
-        with self._count_lock:
-            self._resident_pages += d
 
     @property
     def resident_bytes(self) -> int:
@@ -190,7 +275,7 @@ class MultiLog:
     def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
         ordinal = self._store_for(log).append_page(bytes(data))
         log.chain.append(ordinal)
-        self._bump_resident(-1)
+        self._resident_pages -= 1
 
     def evict_if_needed(self) -> int:
         """Flush resident pages until the buffer is back under the watermark.
@@ -200,38 +285,36 @@ class MultiLog:
         buffer restarts empty.
         """
         evicted = 0
-        with self._evict_lock:
+        with self._lock:
             if self.resident_bytes <= self.budget:
                 return 0
             while self.resident_bytes > self.watermark:
                 flushed = False
                 for log in self.logs:
-                    with log.lock:
-                        if log.closed:
-                            self._flush_page(log, log.closed.popleft())
-                            evicted += 1
-                            flushed = True
+                    if log.closed:
+                        self._flush_page(log, log.closed.popleft())
+                        evicted += 1
+                        flushed = True
                     if self.resident_bytes <= self.watermark:
                         return evicted
                 if not flushed:
                     break
             while self.resident_bytes > self.watermark:
                 victim = max(self.logs, key=lambda l: l.fill)
-                with victim.lock:
-                    if victim.fill == 0:
-                        break
-                    PAGE_COUNT.pack_into(victim.top, 0, victim.fill)
-                    self._flush_page(victim, victim.top)
-                    victim.top = bytearray(self.page_size)
-                    victim.fill = 0
-                    evicted += 1
+                if victim.fill == 0:
+                    break
+                PAGE_COUNT.pack_into(victim.top, 0, victim.fill)
+                self._flush_page(victim, victim.top)
+                victim.top = bytearray(self.page_size)
+                victim.fill = 0
+                evicted += 1
         return evicted
 
     # -- seal path ----------------------------------------------------------
 
     def seal_interval(self, k: int) -> LogHandle:
         log = self.logs[k]
-        with log.lock:
+        with self._lock:
             if log.sealed:
                 raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
             while log.closed:

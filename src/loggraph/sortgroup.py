@@ -40,6 +40,18 @@ class SortedLog:
             return self.records[self.starts[i] : self.ends[i]]
         return self.records[:0]
 
+    def spans(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inbox bounds (starts, ends) of each of the ascending ids in
+        records; an id that got nothing has an empty span."""
+        pos = np.searchsorted(self.dests, ids)
+        found = pos < len(self.dests)
+        found[found] = self.dests[pos[found]] == ids[found]
+        starts = np.zeros(len(ids), np.int64)
+        ends = np.zeros(len(ids), np.int64)
+        starts[found] = self.starts[pos[found]]
+        ends[found] = self.ends[pos[found]]
+        return starts, ends
+
 
 def plan_fusion(counts: np.ndarray, record_width: int, sort_budget: int) -> list[FusePlan]:
     """Greedy left-to-right fusion; empty intervals are never loaded.

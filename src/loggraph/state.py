@@ -3,14 +3,16 @@
 Fixed-width state records are addressed by vertex slot. Applications that
 remember something per in-neighbor (label tables, color tables) get an
 auxiliary byte-stream region sized by in-degree, addressed through per-vertex
-offsets. Checkout gathers the pages covering a set of vertices (each page
-read once), hands out mutable rows, and writes back only the pages whose
-bytes actually changed.
+offsets. Checkout locates every row's (interval, page, slot) with array
+arithmetic, reads each page covering the set once in ascending order and
+hands out mutable rows; commit writes back only the pages whose rows
+actually changed.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 
 import numpy as np
 
@@ -18,38 +20,41 @@ from .pager import PAGE_HEADER, StoreRegistry, pack_page, page_capacity
 
 
 class StateSlice:
-    """Mutable view over the state rows of a checked-out vertex set."""
+    """Mutable view over the state rows of a checked-out vertex set.
 
-    def __init__(self, store: "VertexStateStore", ids: np.ndarray, rows: np.ndarray, pages: dict):
+    Row i lives at slot slots[i] of checked-out page page_of[i]; images
+    holds those pages as read and table their record regions, which commit
+    patches and writes back.
+    """
+
+    def __init__(self, store: "VertexStateStore", ids: np.ndarray, keys, images, page_of, slots):
         self._store = store
         self.ids = ids
-        self.rows = rows
-        self._orig = rows.copy()
-        self._pages = pages
-
-    def row(self, i: int) -> np.void:
-        return self.rows[i]
+        self._keys = keys
+        self._images = images
+        region = images[:, PAGE_HEADER : PAGE_HEADER + store.cap * store.state_width]
+        self._table = region.copy().view(store.state_dtype)
+        self._page_of = page_of
+        self._slots = slots
+        self.rows = self._table[page_of, slots]
+        self._orig = self.rows.copy()
 
     def commit(self) -> None:
+        """Write back, in page order, only the pages whose rows changed."""
         st = self._store
         w = st.state_width
         now = np.frombuffer(self.rows.tobytes(), np.uint8).reshape(-1, w)
         was = np.frombuffer(self._orig.tobytes(), np.uint8).reshape(-1, w)
-        changed = (now != was).any(axis=1) if len(self.rows) else np.zeros(0, bool)
-        if not np.any(changed):
+        changed = np.flatnonzero((now != was).any(axis=1))
+        if len(changed) == 0:
             return
-        dirty = set()
-        for i in np.nonzero(changed)[0]:
-            v = int(self.ids[i])
-            k = st._interval_of(v)
-            j = v - st.bounds[k]
-            pid, slot = divmod(j, st.cap)
-            img = self._pages[(k, pid)]
-            off = PAGE_HEADER + slot * w
-            img[off : off + w] = self.rows[i : i + 1].tobytes()
-            dirty.add((k, pid))
-        for k, pid in sorted(dirty):
-            st.stores[k].write_page(pid, bytes(self._pages[(k, pid)]))
+        pages = self._page_of[changed]
+        self._table[pages, self._slots[changed]] = self.rows[changed]
+        for i in np.unique(pages).tolist():
+            img = self._images[i].copy()
+            img[PAGE_HEADER : PAGE_HEADER + st.cap * w] = self._table[i].view(np.uint8)
+            k, pid = divmod(int(self._keys[i]), st.pages_per_interval)
+            st.stores[k].write_page(pid, img.tobytes())
 
 
 class AuxSlice:
@@ -98,11 +103,15 @@ class VertexStateStore:
         self.registry = registry
         self.dir = dirpath
         self.bounds = list(bounds)
+        self._bounds = np.asarray(bounds, np.int64)
         self.num_vertices = bounds[-1]
         self.state_dtype = np.dtype(state_dtype)
         self.state_width = self.state_dtype.itemsize
         self.page_size = registry.page_size
         self.cap = page_capacity(self.page_size, self.state_width)
+        # pages of the largest interval: (interval, page) packs into the
+        # sortable key interval * pages_per_interval + page
+        self.pages_per_interval = max(1, -(-int(np.diff(self._bounds).max(initial=0)) // self.cap))
         self.aux_region = self.page_size - PAGE_HEADER
         self.stores = []
         self.aux_entry_dtype = np.dtype(aux_entry_dtype) if aux_entry_dtype is not None else None
@@ -119,8 +128,6 @@ class VertexStateStore:
                 self._aux_offsets.append(off)
 
     def _interval_of(self, v: int) -> int:
-        from bisect import bisect_right
-
         return bisect_right(self.bounds, v) - 1
 
     def _aux_span(self, k: int, v: int) -> tuple[int, int]:
@@ -160,20 +167,17 @@ class VertexStateStore:
         return st
 
     def checkout(self, ids: np.ndarray) -> StateSlice:
+        """State rows of ids; each page they touch is read once, in order."""
         ids = np.asarray(ids, np.int64)
-        pages: dict[tuple[int, int], bytearray] = {}
-        rows = np.zeros(len(ids), self.state_dtype)
-        w = self.state_width
-        for i, v in enumerate(ids):
-            v = int(v)
-            k = self._interval_of(v)
-            pid, slot = divmod(v - self.bounds[k], self.cap)
-            key = (k, pid)
-            if key not in pages:
-                pages[key] = bytearray(self.stores[k].read_page(pid).data)
-            off = PAGE_HEADER + slot * w
-            rows[i : i + 1] = np.frombuffer(bytes(pages[key][off : off + w]), self.state_dtype)
-        return StateSlice(self, ids, rows, pages)
+        k = np.searchsorted(self._bounds, ids, side="right") - 1
+        pid, slots = np.divmod(ids - self._bounds[k], self.cap)
+        keys, page_of = np.unique(k * self.pages_per_interval + pid, return_inverse=True)
+        raw = b"".join(
+            self.stores[kk].read_page(p).data
+            for kk, p in (divmod(key, self.pages_per_interval) for key in keys.tolist())
+        )
+        images = np.frombuffer(raw, np.uint8).reshape(len(keys), self.page_size)
+        return StateSlice(self, ids, keys, images, page_of, slots)
 
     def checkout_aux(self, ids: np.ndarray) -> AuxSlice:
         ids = np.asarray(ids, np.int64)

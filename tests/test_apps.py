@@ -77,14 +77,14 @@ def test_pagerank_activation_flag_tracks_threshold(tmp_path):
 
     captured = []
     prog = PageRank()
-    orig = prog.process
+    orig = prog.process_batch
 
-    def spy(ctx, v, state, adj, inbox):
-        if len(inbox):
-            captured.extend(int(a) for a in np.atleast_1d(inbox["activate"]))
-        return orig(ctx, v, state, adj, inbox)
+    def spy(ctx, batch):
+        _, msgs = batch.messages()
+        captured.extend(int(a) for a in msgs["activate"])
+        return orig(ctx, batch)
 
-    prog.process = spy
+    prog.process_batch = spy
     src, dst = clique_graph(4)
     run(tmp_path, src, dst, 4, prog, max_supersteps=5)
     # initial change 0.15 <= 0.4: every delivered flag must be 0

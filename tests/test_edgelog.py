@@ -4,7 +4,7 @@ import pytest
 from loggraph import csr
 from loggraph.edgelog import ActivityHistory, EdgeLog, classify_inefficient
 from loggraph.errors import CorruptPageError
-from loggraph.pager import StoreRegistry
+from loggraph.pager import PAGE_HEADER, StoreRegistry
 
 from util import build_graph, random_graph, ring_graph
 
@@ -118,6 +118,18 @@ def test_index_mismatch_is_corruption(tmp_path):
     idx[99] = idx.pop(1)  # tamper
     with pytest.raises(CorruptPageError):
         el.fetch_batch([99])
+
+
+def test_degree_field_disagreeing_with_index_is_corruption(tmp_path):
+    el, _ = make_log(tmp_path)
+    el.maybe_log(view(7, [5, 9, 11]), True, {(0, 0)}, dirty=False)
+    el.begin_superstep(1)
+    _, store = el._consumable
+    page = bytearray(store.read_page(0).data)
+    page[PAGE_HEADER + 4 : PAGE_HEADER + 8] = np.uint32(7).tobytes()  # degree 3 -> 7
+    store.write_page(0, bytes(page))
+    with pytest.raises(CorruptPageError):
+        el.fetch_batch([7])
 
 
 def test_consumed_log_discarded_after_rotation(tmp_path):

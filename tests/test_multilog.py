@@ -205,3 +205,133 @@ def test_memory_bound_after_evictions(tmp_path):
         mlog.send(int(d), 0, 0)
         assert mlog.post_evict_peak <= mlog.budget
     assert mlog.resident_bytes <= mlog.budget
+
+
+# -- send_many: page-exact with a loop of send ----------------------------------
+
+FMT17 = RecordFormat([("val", "<u8"), ("flag", "u1")])  # odd 17-byte records
+
+
+def count_evictions(mlog):
+    total = [0]
+    inner = mlog.evict_if_needed
+
+    def evict():
+        n = inner()
+        total[0] += n
+        return n
+
+    mlog.evict_if_needed = evict
+    return total
+
+
+def snapshot(mlog):
+    logs = [
+        (log.fill, log.message_count, bytes(log.top), [bytes(p) for p in log.closed], list(log.chain))
+        for log in mlog.logs
+    ]
+    return logs, mlog.resident_bytes, mlog.total_appends, mlog.post_evict_peak
+
+
+@pytest.mark.parametrize(
+    "page_size, n_intervals, budget_pages",
+    [
+        (64, 1, 1),  # two records per page, every page evicts
+        (64, 3, 3),
+        (256, 1, 2),
+        (256, 4, 4),
+        (256, 5, 7),
+        (1024, 3, 30),  # roomy: nothing evicts before the seal
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_send_many_matches_a_loop_of_send(tmp_path, page_size, n_intervals, budget_pages, seed):
+    rng = np.random.default_rng(seed)
+    bounds = list(range(0, 5 * n_intervals + 1, 5))
+
+    def make(name):
+        reg = StoreRegistry(page_size)
+        return MultiLog(bounds, FMT17, reg, str(tmp_path / name), budget_pages * page_size)
+
+    loop, many = make("loop"), make("many")
+    evicted = count_evictions(loop), count_evictions(many)
+    cap = loop.capacity
+    for step in range(16):
+        if step % 3 == 2:
+            # one interval's records up to exactly a full top page
+            k = int(rng.integers(0, n_intervals))
+            size = cap - loop.logs[k].fill + cap * int(rng.integers(0, 3))
+            dest = rng.integers(bounds[k], bounds[k + 1], size)
+        else:
+            size = int(rng.integers(0, 3 * cap * n_intervals + 2))
+            dest = rng.integers(0, bounds[-1], size)
+        recs = np.zeros(size, FMT17.dtype)
+        recs["dest"] = dest
+        recs["src"] = rng.integers(0, 1 << 32, size)
+        recs["val"] = rng.integers(0, 1 << 62, size)
+        recs["flag"] = rng.integers(0, 256, size)
+        for r in recs.tolist():
+            loop.send(*r)
+        many.send_many(recs)
+        assert snapshot(many) == snapshot(loop)
+    assert evicted[0][0] == evicted[1][0]
+    if budget_pages == n_intervals:
+        assert evicted[0][0] > 0
+    want, got = loop.seal(), many.seal()
+    for a, b in zip(want.handles, got.handles):
+        assert (a.ordinals, a.message_count) == (b.ordinals, b.message_count)
+        assert [a.store.read_page(o).data for o in a.ordinals] == [b.store.read_page(o).data for o in b.ordinals]
+
+
+def test_send_many_rejects_bad_records(tmp_path):
+    mlog = make_mlog(tmp_path)
+    with pytest.raises(ContractViolation):
+        mlog.send_many(np.zeros(1, FMT17.dtype))  # not this log's wire format
+    recs = np.zeros(2, FMT16.dtype)
+    recs["dest"] = [1, 6]
+    with pytest.raises(ContractViolation):
+        mlog.send_many(recs)  # 6 is outside the vertex range
+    assert mlog.total_appends == 0
+    mlog.seal()
+    with pytest.raises(ContractViolation):
+        mlog.send_many(recs[:1])
+
+
+def test_send_and_send_many_from_many_threads_lose_nothing(tmp_path):
+    import sys
+    import threading
+
+    mlog = make_mlog(tmp_path, bounds=(0, 12), budget_pages=2)  # every thread on one log
+    per_thread = 2000
+
+    def sender(t):
+        vals = t * per_thread + np.arange(per_thread)
+        if t % 2:
+            recs = np.zeros(per_thread, FMT16.dtype)
+            recs["dest"] = vals % 12
+            recs["src"] = t
+            recs["val"] = vals
+            for a in range(0, per_thread, 7):
+                mlog.send_many(recs[a : a + 7])
+        else:
+            for v in vals.tolist():
+                mlog.send(v % 12, t, v)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sender, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert mlog.total_appends == 6 * per_thread
+    got = []
+    for h in mlog.seal().handles:
+        recs = read_log_records(h, FMT16)
+        assert len(recs) == h.message_count
+        got.extend(recs["val"].tolist())
+    assert sorted(got) == list(range(6 * per_thread))
