@@ -12,11 +12,15 @@ A load returns an `Adjacency`: one flat CSR over the requested vertices
 its source (CSR, structural overlay or edge log). Row spans, page sets and
 the neighbor gather are array operations; `adj[v]` gives one vertex's
 `AdjacencyView` for the edge log and per-vertex programs.
+
+Structural updates are int rows (kind, src, dst) of an ops array, kind one
+of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
+implementation: the engine's overlay applies it to fetched rows and
+`merge_structural_updates` to a whole interval.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from bisect import bisect_right
@@ -86,6 +90,11 @@ class AdjacencyView:
 # where an adjacency row came from; Adjacency.source holds indexes into this
 SOURCES = ("csr", "overlay", "edgelog")
 
+# kinds of structural op, the first column of an ops array
+ADD_EDGE, DEL_EDGE, DEL_VERTEX = range(3)
+# no vertex has this id: ids are uint32 and below num_vertices
+NO_VID = (1 << 32) - 1
+
 
 def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the index ranges [starts[i], starts[i] + lens[i])."""
@@ -114,14 +123,13 @@ class Adjacency:
         return cls.from_rows([], [], SOURCES.index("csr"))
 
     @classmethod
-    def from_rows(cls, ids, rows: list, source: int, pages: np.ndarray | None = None) -> "Adjacency":
-        """Build from per-vertex neighbor arrays; pages default to none."""
+    def from_rows(cls, ids, rows: list, source: int) -> "Adjacency":
+        """Build from per-vertex neighbor arrays, with no pages."""
         lens = np.array([len(r) for r in rows], np.int64)
         offsets = np.zeros(len(rows) + 1, np.int64)
         np.cumsum(lens, out=offsets[1:])
         nbrs = np.concatenate(rows).astype(VID_DT) if rows else np.zeros(0, VID_DT)
-        if pages is None:
-            pages = np.zeros((len(rows), 3), np.int64)
+        pages = np.zeros((len(rows), 3), np.int64)
         return cls(np.asarray(ids, np.int64), offsets, nbrs, pages, np.full(len(rows), source, np.uint8))
 
     def __len__(self) -> int:
@@ -391,54 +399,61 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
     return Adjacency(active, offsets, np.concatenate(nbrs), np.concatenate(pages), source), page_stats
 
 
-def merge_structural_updates(
-    graph: GraphDir, k: int, ops: list[tuple]
-) -> int:
-    """Rewrite interval k's CSR vectors applying one batch of structural ops.
+def apply_ops(
+    ids: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, ops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Apply one batch of structural ops to the CSR rows of the ascending ids.
 
-    Within a batch all insertions land first, then deletions (and vertex
-    removals); each deletion removes one matching edge copy. Deleting an
-    absent edge is a no-op counted in the returned warning tally.
+    Every op's src must be one of ids. All insertions land first, then each
+    deletion removes one copy of its edge; a row with a vertex removal ends
+    empty. Returns the new (offsets, nbrs), neighbors ascending within a
+    row, and the number of deletions that found no copy to remove. The
+    engine never buffers an op on a vertex after its removal, so whether a
+    deletion finds a copy does not depend on the removal.
     """
+    edits = ops[ops[:, 0] != DEL_VERTEX]
+    rows = np.concatenate([np.repeat(np.arange(len(ids)), np.diff(offsets)), np.searchsorted(ids, edits[:, 1])])
+    cols = np.concatenate([nbrs, edits[:, 2]])
+    cols[(cols < 0) | (cols > NO_VID)] = NO_VID  # matches no edge
+    is_del = np.concatenate([np.zeros(len(nbrs), np.int64), edits[:, 0] == DEL_EDGE])
+    # one int64 key per entry (rows stay below 2**30) sorts by (row, nbr),
+    # copies before deletions; a (row, nbr) group with d deletions loses
+    # its first d copies
+    keys = np.sort(rows << 33 | cols << 1 | is_del)
+    rows, cols, is_del = keys >> 33, keys >> 1 & NO_VID, (keys & 1).astype(bool)
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] >> 1 != keys[:-1] >> 1
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    dels = np.add.reduceat(keys & 1, starts)
+    copies = np.diff(np.append(starts, len(keys))) - dels
+    removed = np.zeros(len(ids), bool)
+    removed[np.searchsorted(ids, ops[ops[:, 0] == DEL_VERTEX, 1])] = True
+    keep = ~is_del & (np.arange(len(rows)) - starts[group] >= dels[group]) & ~removed[rows]
+    new_offsets = np.zeros(len(ids) + 1, np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(ids)), out=new_offsets[1:])
+    return new_offsets, cols[keep].astype(VID_DT), int(np.maximum(dels - copies, 0).sum())
+
+
+def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
+    """Rewrite interval k's CSR vectors applying one batch of structural ops
+    (see `apply_ops`); returns the count of deletions of absent edges."""
     meta = graph.meta
     part = graph.partitions[k]
-    lo, hi = part.lo, part.hi
-    rp = part.full_rowptr().tolist()
-    ci = part.full_colidx().tolist()
-    old_count = len(ci)
-    adj = [ci[a:b] for a, b in zip(rp, rp[1:])]
-
-    warnings = 0
-    for op in ops:
-        if op[0] == "add_edge":
-            _, u, v = op
-            if not (0 <= v < meta.num_vertices):
-                raise IngestError(f"insert destination {v} outside [0, {meta.num_vertices})")
-            adj[u - lo].append(v)
-    for op in ops:
-        if op[0] == "del_edge":
-            _, u, v = op
-            try:
-                adj[u - lo].remove(v)
-            except ValueError:
-                warnings += 1
-        elif op[0] == "del_vertex":
-            adj[op[1] - lo] = []
-
-    for lst in adj:
-        lst.sort()
-    counts = np.array([len(lst) for lst in adj], np.int64)
-    rowptr = np.zeros(hi - lo + 1, ROWPTR_DT)
-    np.cumsum(counts, out=rowptr[1:])
-    colidx = np.fromiter(itertools.chain.from_iterable(adj), VID_DT, int(counts.sum()))
+    dst = ops[ops[:, 0] == ADD_EDGE, 2]
+    bad = dst[(dst < 0) | (dst >= meta.num_vertices)]
+    if len(bad):
+        raise IngestError(f"insert destination {int(bad[0])} outside [0, {meta.num_vertices})")
+    rp, old = part.full_rowptr(), part.full_colidx()
+    rowptr, colidx, warnings = apply_ops(np.arange(part.lo, part.hi), rp, old, ops)
 
     reg = graph.registry
     reg.drop(part.rowptr, "csr", unlink=True)
     reg.drop(part.colidx, "csr", unlink=True)
     rp_store = reg.open(os.path.join(graph.path, f"part{k}.rowptr"), "csr")
-    write_records(rp_store, rowptr.tobytes(), ROWPTR_WIDTH)
+    write_records(rp_store, rowptr.astype(ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
     ci_store = reg.open(os.path.join(graph.path, f"part{k}.colidx"), "csr")
     write_records(ci_store, colidx.tobytes(), VID_WIDTH)
     part.rowptr, part.colidx = rp_store, ci_store
-    meta.num_edges += len(colidx) - old_count
+    meta.num_edges += len(colidx) - len(old)
     return warnings

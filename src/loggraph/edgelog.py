@@ -1,18 +1,17 @@
 """Edge-log optimizer: adjacency logging for predicted-active vertices.
 
 While a vertex is processed, its out-edges are already in memory. If the
-vertex looks likely to be active again next superstep (history prediction)
-and its adjacency sits on poorly utilized graph pages, the adjacency is
-appended to a sequential per-superstep edge log. Next superstep those
-vertices are served from the dense log pages instead of sparse CSR pages.
-The log never changes results; it only trades duplicate bytes for fewer
-page reads.
+vertex looks likely to be active again next superstep (it was active in the
+previous one) and its adjacency sits on poorly utilized graph pages, the
+adjacency is appended to a sequential per-superstep edge log. Next
+superstep those vertices are served from the dense log pages instead of
+sparse CSR pages. The log never changes results; it only trades duplicate
+bytes for fewer page reads.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 
 import numpy as np
 
@@ -23,32 +22,9 @@ from .pager import PAGE_HEADER, StoreRegistry, pack_page
 INEFFICIENT_THRESHOLD = 0.10
 
 
-class ActivityHistory:
-    """Ring of the last N per-superstep active bit vectors (default N=1)."""
-
-    def __init__(self, num_vertices: int, depth: int = 1):
-        self.num_vertices = num_vertices
-        self.depth = depth
-        self.ring: deque[np.ndarray] = deque(maxlen=depth)
-
-    def record(self, active_bits: np.ndarray) -> None:
-        assert len(active_bits) == self.num_vertices
-        self.ring.append(active_bits.astype(bool))
-
-    def predict(self, v: int) -> bool:
-        """Active at least once in the last N supersteps; False with no history."""
-        return any(bool(bits[v]) for bits in self.ring)
-
-    def predicted_bits(self) -> np.ndarray:
-        out = np.zeros(self.num_vertices, bool)
-        for bits in self.ring:
-            out |= bits
-        return out
-
-
-def classify_inefficient(useful_bytes: int, page_size: int, threshold: float = INEFFICIENT_THRESHOLD) -> bool:
+def classify_inefficient(useful_bytes: int, page_size: int) -> bool:
     """True for accessed pages using more than nothing but less than the cut."""
-    return 0 < useful_bytes < threshold * page_size
+    return 0 < useful_bytes < INEFFICIENT_THRESHOLD * page_size
 
 
 class EdgeLog:
@@ -106,6 +82,15 @@ class EdgeLog:
         self._index = {}
         self._pos = 0
         self._full = False
+
+    def close(self) -> None:
+        """Drop the readable and the open log; neither is needed again."""
+        readable = self._consumable[1] if self._consumable is not None else None
+        for store in (readable, self._store):
+            if store is not None:
+                self.registry.drop(store, "edgelog", unlink=True)
+        self._consumable = None
+        self._store = None
 
     def _ensure_store(self):
         if self._store is None:

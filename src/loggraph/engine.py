@@ -14,6 +14,14 @@ A program either handles the whole batch with array code and sends through
 `process_batch` adapter calls once per vertex. Execution is deterministic
 single-threaded by default; an optional thread pool splits a batch into
 slices processed concurrently.
+
+Both kinds of program reach the same array mechanisms. `Context.send`
+buffers (dest, src, *payload) tuples and flushes them through
+`MultiLog.send_many` a block at a time and when the batch returns, which
+leaves the same log pages as sending each record on its own. Structural
+updates are buffered per interval as (kind, src, dst) rows (see `csr`) and
+applied by `csr.apply_ops`, to fetched rows by the overlay and to a whole
+interval by the merge.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 from . import csr as csrmod
 from . import sortgroup
 from .csr import SOURCES, Adjacency, AdjacencyView, GraphDir, ranges
-from .edgelog import ActivityHistory, EdgeLog, classify_inefficient
+from .edgelog import EdgeLog, classify_inefficient
 from .errors import ConfigError
 from .multilog import MultiLog, RecordFormat
 from .pager import DEFAULT_PAGE_SIZE
@@ -212,20 +220,33 @@ class Context:
     process); valid only during the call. vertex and table are the row the
     adapter is processing."""
 
-    __slots__ = ("_engine", "superstep", "vertex", "table")
+    __slots__ = ("_engine", "superstep", "vertex", "table", "_sends")
 
     def __init__(self, engine: "Engine", superstep: int):
         self._engine = engine
         self.superstep = superstep
         self.vertex = -1
         self.table = None
+        self._sends: list[tuple] = []
 
     def send(self, dest: int, *payload) -> None:
-        self._engine._mlog.send(dest, self.vertex, *payload)
+        """Send one message from the current vertex; buffered until a block
+        is full, the next send_many or the end of the batch."""
+        self._sends.append((dest, self.vertex, *payload))
+        if len(self._sends) == self._engine._mlog.block:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the buffered sends to the multi-log."""
+        if self._sends:
+            records = self._engine.fmt.pack(self._sends)
+            self._sends = []
+            self._engine._mlog.send_many(records)
 
     def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
         """Send message i from src[i] to dest[i] with payload column values
         [i], in index order; a scalar column is broadcast."""
+        self.flush()
         fmt = self._engine.fmt
         records = np.empty(len(dest), fmt.dtype)
         records["dest"] = dest
@@ -239,13 +260,13 @@ class Context:
         and an incoming message always reactivates."""
 
     def add_edge(self, src: int, dst: int) -> None:
-        self._engine._buffer_op(("add_edge", src, dst))
+        self._engine._buffer_op(csrmod.ADD_EDGE, src, dst)
 
     def delete_edge(self, src: int, dst: int) -> None:
-        self._engine._buffer_op(("del_edge", src, dst))
+        self._engine._buffer_op(csrmod.DEL_EDGE, src, dst)
 
     def delete_vertex(self) -> None:
-        self._engine._buffer_op(("del_vertex", self.vertex))
+        self._engine._buffer_op(csrmod.DEL_VERTEX, self.vertex, -1)
         self._engine.deleted[self.vertex] = True
 
 
@@ -266,9 +287,9 @@ class Engine:
         n = self.meta.num_vertices
         self.in_degrees = graph.in_degrees()
         self.deleted = np.zeros(n, bool)
-        self.history = ActivityHistory(n)
-        # per interval: src -> its buffered structural ops, in arrival order
-        self._pending: list[dict[int, list[tuple]]] = [{} for _ in range(self.meta.num_intervals)]
+        self._last_active = np.zeros(n, bool)  # the edge log's prediction
+        # per interval: its buffered (kind, src, dst) structural ops, in arrival order
+        self._pending: list[list[tuple]] = [[] for _ in range(self.meta.num_intervals)]
         self._ops_lock = threading.Lock()
         self._el_dirty = np.zeros(n, bool)
         self.structural_warnings = 0
@@ -278,51 +299,38 @@ class Engine:
 
     # -- structural update buffering ----------------------------------------
 
-    def _buffer_op(self, op: tuple) -> None:
-        kind, u = op[0], op[1]
-        if self.deleted[u] and kind != "del_vertex":
+    def _buffer_op(self, kind: int, u: int, dst: int) -> None:
+        if self.deleted[u] and kind != csrmod.DEL_VERTEX:
             self.structural_warnings += 1
             return
         k = self.meta.interval_of(u)
         with self._ops_lock:
-            self._pending[k].setdefault(u, []).append(op)
+            self._pending[k].append((kind, u, dst))
             self._el_dirty[u] = True
 
+    def _pending_ops(self, intervals) -> np.ndarray:
+        return np.array([op for k in intervals for op in self._pending[k]], np.int64).reshape(-1, 3)
+
     def _overlay(self, adj: Adjacency) -> Adjacency:
-        """Most-current adjacency: base CSR plus pending batch semantics
-        (insertions first, then one-copy deletions; vertex removal wins)."""
-        rows, nbr_lists = [], []
-        for i in np.flatnonzero(self._el_dirty[adj.ids]).tolist():
-            v = int(adj.ids[i])
-            ops = self._pending[self.meta.interval_of(v)].get(v)
-            if ops is None:
-                continue
-            nbrs = []
-            if not any(op[0] == "del_vertex" for op in ops):
-                nbrs = adj.nbrs[adj.offsets[i] : adj.offsets[i + 1]].tolist()
-                nbrs += [op[2] for op in ops if op[0] == "add_edge"]
-                for op in ops:
-                    if op[0] == "del_edge":
-                        try:
-                            nbrs.remove(op[2])
-                        except ValueError:
-                            pass
-                nbrs.sort()
-            rows.append(i)
-            nbr_lists.append(np.array(nbrs, csrmod.VID_DT))
-        if not rows:
+        """Most-current adjacency: the rows with pending structural ops get
+        them applied by csr.apply_ops and turn "overlay" rows."""
+        dirty = adj.ids[self._el_dirty[adj.ids]]
+        intervals = np.searchsorted(self.meta.interval_bounds, dirty, side="right") - 1
+        ops = self._pending_ops(np.unique(intervals).tolist())
+        ops = ops[np.isin(ops[:, 1], dirty)]
+        if len(ops) == 0:
             return adj
-        keep = np.ones(len(adj), bool)
-        keep[rows] = False
-        over = Adjacency.from_rows(adj.ids[rows], nbr_lists, SOURCES.index("overlay"), adj.pages[rows])
-        return Adjacency.merge(adj.take(np.flatnonzero(keep)), over)
+        hit = np.isin(adj.ids, ops[:, 1])
+        over = adj.take(np.flatnonzero(hit))
+        over.offsets, over.nbrs, _ = csrmod.apply_ops(over.ids, over.offsets, over.nbrs, ops)
+        over.source[:] = SOURCES.index("overlay")
+        return Adjacency.merge(adj.take(np.flatnonzero(~hit)), over)
 
     def _merge_interval(self, k: int) -> None:
-        ops = [op for src_ops in self._pending[k].values() for op in src_ops]
-        if not ops:
+        if not self._pending[k]:
             return
-        self.structural_warnings += csrmod.merge_structural_updates(self.graph, k, ops)
-        self._pending[k] = {}
+        self.structural_warnings += csrmod.merge_structural_updates(self.graph, k, self._pending_ops([k]))
+        self._pending[k] = []
 
     # -- run loop -------------------------------------------------------------
 
@@ -369,13 +377,18 @@ class Engine:
             forced = forced[:0]
             stats_list.append(st)
             if trace is not None:
-                trace.append(self._last_active)
+                trace.append(np.flatnonzero(self._last_active))
             if on_superstep is not None:
                 on_superstep(self, st)
             step += 1
         for k in range(self.meta.num_intervals):
             self._merge_interval(k)
         final = self._states.read_all()
+        # the last sealed logs are never consumed; state files stay on disk
+        self._drop_logs(manifest)
+        self._states.close()
+        if self._edgelog is not None:
+            self._edgelog.close()
         return RunResult(final, stats_list, trace, self.structural_warnings, self.deleted.copy(), self.program)
 
     def _run_superstep(self, S: int, manifest, forced: np.ndarray):
@@ -387,7 +400,7 @@ class Engine:
         self._sort_peak = 0
         if self._edgelog is not None:
             self._edgelog.begin_superstep(S)
-        predicted = self.history.predicted_bits()
+        predicted = self._last_active
         self._ineff: set = set()
         self._page_usage: dict = {}
 
@@ -407,45 +420,29 @@ class Engine:
             self._sort_peak = max(self._sort_peak, nbytes)
 
         for plan in plans:
-            lo = self.meta.interval_bounds[plan.intervals[0]]
-            hi = self.meta.interval_bounds[plan.intervals[-1] + 1]
-            forced_here = forced[(forced >= lo) & (forced < hi)] if len(forced) else forced
-            first_pass = True
-            for slog in sortgroup.iter_plan_sorted(
+            for lo, hi, slog in sortgroup.iter_plan_sorted(
                 plan, manifest, self.fmt, self.meta.interval_bounds, self.in_degrees, track
             ):
                 if self.program.combine is not None:
                     slog = sortgroup.apply_combine(slog, self.program.combine, self.fmt)
                 act = sortgroup.extract_active(slog)
-                if first_pass and len(forced_here):
+                forced_here = forced[(forced >= lo) & (forced < hi)]
+                if len(forced_here):
                     act = np.union1d(act, forced_here)
-                first_pass = False
-                if len(act):
-                    act = act[~self.deleted[act]]
+                act = act[~self.deleted[act]]
                 if len(act) == 0:
                     continue
                 served_from_log += self._process_batch(S, act, slog, predicted)
                 active_bits[act] = True
                 active_count += len(act)
-            if first_pass and len(forced_here):
-                # plan had no records at all (forced-only interval)
-                act = forced_here[~self.deleted[forced_here]]
-                if len(act):
-                    empty = sortgroup.sort_n_group(np.zeros(0, self.fmt.dtype))
-                    served_from_log += self._process_batch(S, act, empty, predicted)
-                    active_bits[act] = True
-                    active_count += len(act)
 
         manifest_next = self._mlog.seal()
         self._mlog.open_superstep(S + 2)
-        for handle in manifest.handles:
-            if handle.store is not None:
-                self.registry.drop(handle.store, "log", unlink=True)
+        self._drop_logs(manifest)
         for k, pending in enumerate(self._pending):
-            if sum(map(len, pending.values())) >= cfg.merge_threshold:
+            if len(pending) >= cfg.merge_threshold:
                 self._merge_interval(k)
-        self.history.record(active_bits)
-        self._last_active = np.nonzero(active_bits)[0]
+        self._last_active = active_bits
 
         delta = self.registry.totals()
         reads = {c: delta[c][0] - base[c][0] for c in delta}
@@ -473,6 +470,11 @@ class Engine:
             csr_pages_inefficient=len(self._ineff),
         )
         return st, manifest_next
+
+    def _drop_logs(self, manifest) -> None:
+        for handle in manifest.handles:
+            if handle.store is not None:
+                self.registry.drop(handle.store, "log", unlink=True)
 
     # -- batch processing -----------------------------------------------------
 
@@ -505,7 +507,9 @@ class Engine:
         batch = Batch(act, sl.rows, adj, slog.records, starts, ends, aux.tables if aux is not None else None)
 
         def work(part: Batch) -> None:
-            self.program.process_batch(Context(self, S), part)
+            ctx = Context(self, S)
+            self.program.process_batch(ctx, part)
+            ctx.flush()
 
         if self.cfg.parallel > 1 and len(act) > 1:
             cuts = np.linspace(0, len(act), self.cfg.parallel + 1).astype(int).tolist()

@@ -10,12 +10,15 @@ while the next superstep's sends open fresh logs.
 Record layout: dest(4) | src(4) | fixed-width payload. Records never span
 pages, so each page parses on its own. Pages keep arrival order; sorting by
 destination happens once per loaded log, in the sort-and-group unit.
+
+`send_many` is the one append path: it copies arrays of wire-format records
+into the top pages. `send` is a one-record call into it, and per-vertex
+programs reach it through the engine's buffered `Context.send`.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 import threading
 from bisect import bisect_right
 from collections import deque
@@ -26,11 +29,6 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, CorruptPageError
 from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, page_capacity
 
-_STRUCT_CODE = {
-    "<u4": "I", "<i4": "i", "<u8": "Q", "<i8": "q",
-    "<f8": "d", "<f4": "f", "u1": "B", "i1": "b", "<u2": "H",
-}
-
 
 class RecordFormat:
     """Wire format of one update message; payload fields are app-defined."""
@@ -39,13 +37,14 @@ class RecordFormat:
         self.payload_fields = list(payload_fields or [])
         self.dtype = np.dtype([("dest", "<u4"), ("src", "<u4")] + self.payload_fields)
         self.width = self.dtype.itemsize
-        fmt = "<II" + "".join(_STRUCT_CODE[code] for _, code in self.payload_fields)
-        self.struct = struct.Struct(fmt)
-        if self.struct.size != self.width:
-            raise ConfigError(f"payload fields {self.payload_fields} do not pack tightly")
 
-    def parse(self, raw: bytes) -> np.ndarray:
-        return np.frombuffer(raw, dtype=self.dtype)
+    def pack(self, rows: list[tuple]) -> np.ndarray:
+        """Records from (dest, src, *payload) tuples; a value the wire format
+        cannot hold, such as a negative destination, is a contract violation."""
+        try:
+            return np.array(rows, self.dtype)
+        except OverflowError as exc:
+            raise ContractViolation(f"message does not fit the wire format: {exc}") from None
 
 
 def vid_to_interval(bounds: list[int], v: int) -> int:
@@ -123,6 +122,8 @@ class MultiLog:
                 f"({self.n_intervals} x {self.page_size})"
             )
         self.budget = buffer_budget
+        # records per send_many block: one page per interval
+        self.block = self.capacity * self.n_intervals
         self.watermark = int(buffer_budget * low_watermark)
         self.tag = -1
         self.logs: list[_IntervalLog] = []
@@ -140,28 +141,18 @@ class MultiLog:
         self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
         self._resident_pages = 0
 
-    def interval_of(self, v: int) -> int:
-        return vid_to_interval(self.bounds, v)
-
     def send(self, dest: int, src: int, *payload) -> None:
-        if dest < 0 or dest >= self.bounds[-1]:
-            raise ContractViolation(f"destination {dest} outside vertex range")
-        log = self.logs[bisect_right(self.bounds, dest) - 1]
-        with self._lock:
-            self._check_open(log)
-            if log.fill == self.capacity:
-                self._close_top(log)
-            self.fmt.struct.pack_into(log.top, PAGE_HEADER + log.fill * self.fmt.width, dest, src, *payload)
-            self._appended(log, 1)
-            self._settle()
+        """Append one record."""
+        self.send_many(self.fmt.pack([(dest, src, *payload)]))
 
     def send_many(self, records: np.ndarray) -> None:
         """Append wire-format records (fmt.dtype) in arrival order.
 
-        Page-exact with a loop of `send`: page images, chains, counts, the
-        records after which eviction runs and the peaks all come out the
-        same. Works in blocks of one page per interval, so its temporaries
-        stay that small whatever the batch size.
+        Splitting the records into several calls leaves the same page
+        images, chains, counts, eviction points and peaks: eviction runs
+        right after the record that pushes residency past the budget.
+        Works in blocks of one page per interval, so its temporaries stay
+        that small whatever the batch size.
         """
         if len(records) == 0:
             return
@@ -169,11 +160,10 @@ class MultiLog:
             raise ContractViolation(f"record dtype {records.dtype} is not the wire format {self.fmt.dtype}")
         if int(records["dest"].max()) >= self.bounds[-1]:
             raise ContractViolation(f"destination {int(records['dest'].max())} outside vertex range")
-        block = self.capacity * self.n_intervals
         with self._lock:
             done = 0
             while done < len(records):
-                done += self._append_block(records[done : done + block])
+                done += self._append_block(records[done : done + self.block])
 
     def _append_block(self, recs: np.ndarray) -> int:
         """Append recs up to and including the first record that pushes

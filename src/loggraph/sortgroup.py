@@ -154,9 +154,11 @@ def iter_plan_sorted(
     in_degrees: np.ndarray | None = None,
     on_resident=None,
 ):
-    """Yield SortedLogs for a plan; multiple dest-partitioned passes when the
-    plan's single interval overflows the sort budget. Each pass re-reads the
-    chain but keeps only its own destination bucket in memory."""
+    """Yield (lo, hi, SortedLog) per pass: the sorted records destined to
+    [lo, hi). One pass covers the plan's vertex range; a plan whose single
+    interval overflows the sort budget takes several dest-partitioned
+    passes, which together cover it, an empty bucket included. Each pass
+    re-reads the chain but keeps only its own destination bucket in memory."""
     lo = bounds[plan.intervals[0]]
     hi = bounds[plan.intervals[-1] + 1]
     if plan.passes == 1:
@@ -164,7 +166,7 @@ def iter_plan_sorted(
         check_dest_range(records, lo, hi)
         if on_resident is not None:
             on_resident(records.nbytes)
-        yield sort_n_group(records)
+        yield lo, hi, sort_n_group(records)
         return
     assert len(plan.intervals) == 1
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
@@ -175,5 +177,4 @@ def iter_plan_sorted(
         bucket = records[keep]
         if on_resident is not None:
             on_resident(bucket.nbytes)
-        if len(bucket):
-            yield sort_n_group(bucket)
+        yield a, b, sort_n_group(bucket)

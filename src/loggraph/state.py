@@ -202,6 +202,11 @@ class VertexStateStore:
             tables.append(np.frombuffer(b"".join(parts), self.aux_entry_dtype).copy())
         return AuxSlice(self, ids, tables, pages)
 
+    def close(self) -> None:
+        """Close the state and aux files; they stay on disk."""
+        for store in self.stores + self.aux_stores:
+            self.registry.drop(store, "state")
+
     def read_all(self) -> np.ndarray:
         """Full state vector, one page read per stored page."""
         out = np.zeros(self.num_vertices, self.state_dtype)

@@ -13,6 +13,7 @@ from collections import Counter, defaultdict, deque
 
 import numpy as np
 
+from loggraph.csr import ADD_EDGE, DEL_EDGE, DEL_VERTEX
 from loggraph.seeds import pick_index, unit_float
 
 INF = 0xFFFFFFFF
@@ -237,3 +238,25 @@ def oracle_randomwalk(adj, n, steps_budget, stride, seed, max_supersteps):
         inboxes = _deliver(sends)
         s += 1
     return visits, s
+
+
+def apply_ops_reference(ids, rows, ops):
+    """Structural op batch semantics over neighbor lists: every insertion is
+    appended first, then each deletion removes one copy in arrival order (a
+    miss counts a warning) and a vertex removal empties its row. Returns
+    the sorted rows and the warning count."""
+    pos = {v: i for i, v in enumerate(ids)}
+    adj = [list(r) for r in rows]
+    for kind, u, v in ops:
+        if kind == ADD_EDGE:
+            adj[pos[u]].append(v)
+    warnings = 0
+    for kind, u, v in ops:
+        if kind == DEL_EDGE:
+            try:
+                adj[pos[u]].remove(v)
+            except ValueError:
+                warnings += 1
+        elif kind == DEL_VERTEX:
+            adj[pos[u]] = []
+    return [sorted(r) for r in adj], warnings

@@ -8,7 +8,8 @@ from loggraph import csr
 from loggraph.errors import ConfigError, ContractViolation, IngestError, OversizedVertexError
 from loggraph.pager import page_capacity
 
-from util import build_graph, ring_graph, random_graph
+import oracles
+from util import build_graph, op_rows, ring_graph, random_graph
 
 
 def test_partition_exact_packing():
@@ -144,7 +145,7 @@ def test_merge_delete_edge(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     k = g.meta.interval_of(2)
-    warn = csr.merge_structural_updates(g, k, [("del_edge", 2, 3)])
+    warn = csr.merge_structural_updates(g, k, op_rows(("del_edge", 2, 3)))
     assert warn == 0
     views, _ = csr.load_adjacency(g, np.array([2]))
     assert views[2].neighbors.tolist() == [1]
@@ -155,7 +156,7 @@ def test_merge_empty_batch_identity(tmp_path):
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     before = [(p.full_rowptr().tolist(), p.full_colidx().tolist()) for p in g.partitions]
     for k in range(g.meta.num_intervals):
-        csr.merge_structural_updates(g, k, [])
+        csr.merge_structural_updates(g, k, op_rows())
     after = [(p.full_rowptr().tolist(), p.full_colidx().tolist()) for p in g.partitions]
     assert before == after
 
@@ -165,7 +166,7 @@ def test_merge_insert_then_delete_is_identity(tmp_path):
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     k = g.meta.interval_of(0)
     before = g.partitions[k].full_colidx().tolist()
-    warn = csr.merge_structural_updates(g, k, [("add_edge", 0, 3), ("del_edge", 0, 3)])
+    warn = csr.merge_structural_updates(g, k, op_rows(("add_edge", 0, 3), ("del_edge", 0, 3)))
     assert warn == 0
     assert g.partitions[k].full_colidx().tolist() == before
 
@@ -174,7 +175,7 @@ def test_merge_missing_delete_warns(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     k = g.meta.interval_of(0)
-    assert csr.merge_structural_updates(g, k, [("del_edge", 0, 4)]) == 1
+    assert csr.merge_structural_updates(g, k, op_rows(("del_edge", 0, 4))) == 1
 
 
 def test_merge_edge_count_invariant(tmp_path):
@@ -185,7 +186,7 @@ def test_merge_edge_count_invariant(tmp_path):
     old = len(g.partitions[k].full_colidx())
     ops = [("add_edge", lo, (lo + 7) % 30), ("add_edge", lo, (lo + 11) % 30)]
     dels = [("del_edge", int(s), int(d)) for s, d in zip(src, dst) if lo <= s < hi][:3]
-    warn = csr.merge_structural_updates(g, k, ops + dels)
+    warn = csr.merge_structural_updates(g, k, op_rows(*ops, *dels))
     rp = g.partitions[k].full_rowptr()
     assert np.all(np.diff(rp) >= 0)
     applied = len(dels) - warn
@@ -196,7 +197,32 @@ def test_merge_rejects_out_of_range_insert(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     with pytest.raises(IngestError):
-        csr.merge_structural_updates(g, 0, [("add_edge", 0, 99)])
+        csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 99)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_apply_ops_matches_the_list_reference(seed):
+    # few distinct neighbors, so rows carry multigraph copies and many
+    # deletions miss; no op follows a removal of its vertex but another
+    # removal, as in the engine's buffer
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(40, size=int(rng.integers(1, 10)), replace=False))
+    rows = [sorted(rng.integers(0, 5, int(rng.integers(0, 6))).tolist()) for _ in ids]
+    ops, removed = [], set()
+    for _ in range(int(rng.integers(0, 40))):
+        u, r = int(rng.choice(ids)), rng.random()
+        kind = csr.ADD_EDGE if r < 0.4 else csr.DEL_EDGE if r < 0.92 else csr.DEL_VERTEX
+        if u in removed and kind != csr.DEL_VERTEX:
+            continue
+        if kind == csr.DEL_VERTEX:
+            removed.add(u)
+        ops.append((kind, u, int(rng.integers(0, 5)) if kind != csr.DEL_VERTEX else -1))
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    nbrs = np.array([x for r in rows for x in r], csr.VID_DT)
+    got_offsets, got_nbrs, got_warnings = csr.apply_ops(ids, offsets, nbrs, np.array(ops, np.int64).reshape(-1, 3))
+    want, want_warnings = oracles.apply_ops_reference(ids.tolist(), rows, ops)
+    assert [got_nbrs[a:b].tolist() for a, b in zip(got_offsets[:-1], got_offsets[1:])] == want
+    assert got_warnings == want_warnings
 
 
 def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loggraph import csr
-from loggraph.edgelog import ActivityHistory, EdgeLog, classify_inefficient
+from loggraph.edgelog import EdgeLog, classify_inefficient
 from loggraph.errors import CorruptPageError
 from loggraph.pager import PAGE_HEADER, StoreRegistry
 
@@ -13,34 +13,6 @@ def view(v, nbrs, pages=((0, 0),)):
     return csr.AdjacencyView(v, np.array(nbrs, np.uint32), tuple(pages), "csr")
 
 
-# -- prediction ---------------------------------------------------------------
-
-def test_predict_active_last_superstep():
-    h = ActivityHistory(4, depth=1)
-    bits = np.zeros(4, bool)
-    bits[2] = True
-    h.record(bits)
-    assert h.predict(2) is True
-    assert h.predict(1) is False
-
-
-def test_predict_no_history_is_false():
-    h = ActivityHistory(4, depth=1)
-    assert all(not h.predict(v) for v in range(4))
-    assert not h.predicted_bits().any()
-
-
-def test_predict_depth_window():
-    h = ActivityHistory(3, depth=2)
-    a = np.array([True, False, False])
-    b = np.array([False, True, False])
-    h.record(a)
-    h.record(b)
-    assert h.predict(0) and h.predict(1) and not h.predict(2)
-    h.record(np.zeros(3, bool))  # a falls out of the window
-    assert not h.predict(0) and h.predict(1)
-
-
 # -- page classification --------------------------------------------------------
 
 def test_classify_untouched_page_not_inefficient():
@@ -48,13 +20,13 @@ def test_classify_untouched_page_not_inefficient():
 
 
 def test_classify_below_threshold():
-    assert classify_inefficient(int(0.05 * 16384), 16384, 0.10) is True
+    assert classify_inefficient(int(0.05 * 16384), 16384) is True
 
 
 def test_classify_boundary_exact_threshold_is_efficient():
     # 1600/16000 is exactly the 10% cut: strict less-than keeps it efficient
-    assert classify_inefficient(1600, 16000, 0.10) is False
-    assert classify_inefficient(1599, 16000, 0.10) is True
+    assert classify_inefficient(1600, 16000) is False
+    assert classify_inefficient(1599, 16000) is True
 
 
 # -- logging + fetch ------------------------------------------------------------

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from loggraph import csr
 from loggraph.apps import Bfs, Community, KCore, PageRank
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
+from loggraph.errors import ContractViolation
 
 from util import build_graph, clique_graph, random_graph, ring_graph
 
@@ -319,3 +322,61 @@ def test_parallel_mode_matches_serial_for_order_free_apps(tmp_path):
     k1 = run_app(g3, KCore(k=3), cfg(max_supersteps=200), str(tmp_path / "r3"))
     k2 = run_app(g4, KCore(k=3), cfg(max_supersteps=200, parallel=4), str(tmp_path / "r4"))
     assert np.array_equal(k1.states["alive"], k2.states["alive"])
+
+
+@pytest.mark.parametrize("dest", [-1, 6, 1 << 32])
+def test_send_to_a_bad_destination_is_a_contract_violation(tmp_path, dest):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+
+    class Stray(VertexProgram):
+        name = "stray"
+        payload_fields = [("x", "<u4")]
+        state_dtype = np.dtype([("v", "<u4")])
+
+        def init_all(self, n, indeg):
+            return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
+
+        def process(self, ctx, v, state, adj, inbox):
+            ctx.send(dest, 1)
+
+    with pytest.raises(ContractViolation):
+        run_app(g, Stray(), cfg(), str(tmp_path / "run"))
+
+
+def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):
+    # one interval whose superstep-0 log overflows the sort budget: every
+    # vertex is forced and sent 40 self-messages, so the plan takes several
+    # destination passes, and each vertex must run once, in its own pass
+    n = 64
+    src, dst = ring_graph(n)
+    g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=1 << 20)
+
+    class Tally(VertexProgram):
+        name = "tally"
+        payload_fields = [("x", "<u4")]
+        state_dtype = np.dtype([("runs", "<u4"), ("heard", "<u4")])
+
+        def init_all(self, n, indeg):
+            msgs = [(v, (1,)) for v in range(n) for _ in range(40)]
+            return np.zeros(n, self.state_dtype), np.ones(n, bool), msgs
+
+        def process(self, ctx, v, state, adj, inbox):
+            state["runs"] += 1
+            state["heard"] += len(inbox)
+
+    res = run_app(g, Tally(), cfg(memory_budget=16 << 10, max_supersteps=1), str(tmp_path / "run"))
+    assert g.meta.num_intervals == 1
+    assert res.states["runs"].tolist() == [1] * n
+    assert res.states["heard"].tolist() == [40] * n
+
+
+def test_run_closes_its_logs_and_state_files(tmp_path):
+    # capped while messages are still in flight, so the last sealed logs
+    # are never consumed
+    src, dst = random_graph(200, 4, seed=17)
+    g = build_graph(tmp_path, src, dst, 200, page_size=256)
+    run_app(g, Community(), cfg(max_supersteps=3, edge_log=True), str(tmp_path / "run"))
+    assert [len(g.registry._stores[klass]) for klass in ("log", "edgelog", "state")] == [0, 0, 0]
+    assert os.listdir(tmp_path / "run" / "logs") == []
+    assert os.listdir(tmp_path / "run" / "edgelog") == []

@@ -218,6 +218,6 @@ def test_multi_pass_bucketing_equals_single_pass(tmp_path):
     parts = list(
         sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, on_resident=peak.append)
     )
-    got = np.concatenate([p.records for p in parts])
+    got = np.concatenate([slog.records for _, _, slog in parts])
     assert got.tobytes() == want.records.tobytes()
     assert max(peak) < whole.nbytes  # each pass held strictly less than the full log

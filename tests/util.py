@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from loggraph import csr
 from loggraph.ingest import convert_arrays
 
 
@@ -83,3 +84,10 @@ def adjacency_lists(src, dst, n):
     for s, d in zip(src[order], dst[order]):
         adj[int(s)].append(int(d))
     return adj
+
+
+def op_rows(*ops):
+    """An ops array from ("add_edge" | "del_edge", src, dst) and
+    ("del_vertex", v) tuples."""
+    kinds = {"add_edge": csr.ADD_EDGE, "del_edge": csr.DEL_EDGE, "del_vertex": csr.DEL_VERTEX}
+    return np.array([(kinds[op[0]], op[1], op[2] if len(op) > 2 else -1) for op in ops], np.int64).reshape(-1, 3)
