@@ -1,8 +1,11 @@
 """Seeded random walks from strided source vertices.
 
-Walker messages carry the remaining step budget; a visited vertex bumps its
-counter, picks a uniform neighbor from a deterministic hash of
-(seed, superstep, vertex, walker index) and forwards the walker.
+Walker messages carry the remaining step budget. A batch bumps each row's
+counter once per walker it holds and forwards every walker with steps left
+to a uniform neighbor, picked by a deterministic hash of (seed, superstep,
+vertex, walker index), where a walker's index is its position in the
+vertex's inbox. Superstep 0 seeds one walker at each source. Walkers are
+sent in (row, index) order, the order a per-vertex loop would send them.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..seeds import pick_index
+from ..seeds import pick_index_many
 
 
 def default_stride(num_vertices: int) -> int:
@@ -35,20 +38,25 @@ class RandomWalk(VertexProgram):
         active[::stride] = True
         return states, active, []
 
-    def _hop(self, ctx, v, adj, j, remaining):
-        if remaining <= 0 or len(adj) == 0:
-            return
-        w = int(adj.neighbors[pick_index(self.seed, len(adj), ctx.superstep, v, j)])
-        ctx.send(w, remaining - 1)
-
-    def process(self, ctx, v, state, adj, inbox):
-        if ctx.superstep == 0 and len(inbox) == 0:
-            state["visits"] = int(state["visits"]) + 1
-            self._hop(ctx, v, adj, 0, self.steps)
-            return
-        for j in range(len(inbox)):
-            state["visits"] = int(state["visits"]) + 1
-            self._hop(ctx, v, adj, j, int(inbox["remaining"][j]))
+    def process_batch(self, ctx, batch):
+        lens = batch.ends - batch.starts
+        rows, msgs = batch.messages()
+        j = np.arange(len(rows)) - np.repeat(np.cumsum(lens) - lens, lens)
+        remaining = msgs["remaining"].astype(np.int64)
+        if ctx.superstep == 0:  # a source with an empty inbox seeds one walker
+            seeded = np.flatnonzero(lens == 0)
+            rows = np.concatenate([rows, seeded])
+            j = np.concatenate([j, np.zeros_like(seeded)])
+            remaining = np.concatenate([remaining, np.full(len(seeded), self.steps, np.int64)])
+            order = np.argsort(rows, kind="stable")
+            rows, j, remaining = rows[order], j[order], remaining[order]
+        batch.states["visits"] += np.bincount(rows, minlength=len(batch)).astype(np.uint64)
+        deg = batch.adj.degrees[rows]
+        hop = (remaining > 0) & (deg > 0)
+        rows, j, remaining, deg = rows[hop], j[hop], remaining[hop], deg[hop]
+        v = batch.ids[rows]
+        pick = pick_index_many(self.seed, deg, ctx.superstep, v, j)
+        ctx.send_many(batch.adj.nbrs[batch.adj.offsets[rows] + pick], v, remaining - 1)
 
     def summary(self, states):
         return {

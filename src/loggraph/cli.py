@@ -97,34 +97,34 @@ def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, met
 
 
 def cmd_convert(args) -> int:
-    graph = ingest.convert(
+    with ingest.convert(
         args.input,
         args.out,
         sort_budget=args.budget,
         page_size=args.page_size,
         record_size=args.record_size,
         undirected=args.undirected,
-    )
-    meta = graph.meta
+    ) as graph:
+        meta = graph.meta
     print(json.dumps({"out": args.out, **meta.to_dict()}, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_run(args) -> int:
-    graph = GraphDir(args.graph)
-    cfg = _engine_config(args, graph.meta)
-    kwargs = _app_kwargs(args)
-    program = make_program(args.app, **kwargs)
-    tmp = None
-    workdir = args.workdir
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="loggraph_run_")
-        workdir = tmp.name
-    try:
-        result = run_app(graph, program, cfg, workdir)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+    with GraphDir(args.graph) as graph:
+        cfg = _engine_config(args, graph.meta)
+        kwargs = _app_kwargs(args)
+        program = make_program(args.app, **kwargs)
+        tmp = None
+        workdir = args.workdir
+        if workdir is None:
+            tmp = tempfile.TemporaryDirectory(prefix="loggraph_run_")
+            workdir = tmp.name
+        try:
+            result = run_app(graph, program, cfg, workdir)
+        finally:
+            if tmp is not None:
+                tmp.cleanup()
     report = build_report(result, cfg, args.app, kwargs, graph.meta)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.report:
@@ -163,13 +163,13 @@ ENGINE_READ_CLASSES = ("csr", "log", "edgelog")
 
 
 def cmd_compare(args) -> int:
-    graph = GraphDir(args.graph)
-    with open(args.report) as f:
-        report = json.load(f)
-    if report.get("dataset_hash") != graph.meta.dataset_hash:
-        raise ConfigError("report was produced from a different dataset (hash mismatch)")
+    with GraphDir(args.graph) as graph:
+        with open(args.report) as f:
+            report = json.load(f)
+        if report.get("dataset_hash") != graph.meta.dataset_hash:
+            raise ConfigError("report was produced from a different dataset (hash mismatch)")
+        src, dst = graph.all_edges()
     trace = np.load(args.trace)
-    src, dst = graph.all_edges()
     tmp = tempfile.TemporaryDirectory(prefix="loggraph_shards_")
     shard_set = shards.build_shards(
         src, dst, graph.meta.num_vertices, args.num_shards, graph.registry, tmp.name
@@ -212,15 +212,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    graph = GraphDir(args.graph)
-    indeg = graph.in_degrees()
-    pages = {"rowptr": 0, "colidx": 0}
-    outdeg = np.zeros(graph.meta.num_vertices, np.int64)
-    for part in graph.partitions:
-        pages["rowptr"] += part.rowptr.num_pages
-        pages["colidx"] += part.colidx.num_pages
-        rp = part.full_rowptr()
-        outdeg[part.lo : part.hi] = np.diff(rp)
+    with GraphDir(args.graph) as graph:
+        indeg = graph.in_degrees()
+        pages = {"rowptr": 0, "colidx": 0}
+        outdeg = np.zeros(graph.meta.num_vertices, np.int64)
+        for part in graph.partitions:
+            pages["rowptr"] += part.rowptr.num_pages
+            pages["colidx"] += part.colidx.num_pages
+            rp = part.full_rowptr()
+            outdeg[part.lo : part.hi] = np.diff(rp)
     info = {
         "meta": graph.meta.to_dict(),
         "pages": pages,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -51,8 +50,9 @@ class GraphMeta:
     def num_intervals(self) -> int:
         return len(self.interval_bounds) - 1
 
-    def interval_of(self, v: int) -> int:
-        return bisect_right(self.interval_bounds, v) - 1
+    def interval_of(self, v):
+        """The interval of each vertex id in v (an int or an array)."""
+        return np.searchsorted(self.interval_bounds, v, side="right") - 1
 
     def interval_range(self, k: int) -> tuple[int, int]:
         return self.interval_bounds[k], self.interval_bounds[k + 1]
@@ -281,6 +281,19 @@ class GraphDir:
             )
         self.partitions = [Partition(self, k) for k in range(self.meta.num_intervals)]
 
+    def close(self) -> None:
+        """Close the partition files; their traffic stays in registry.totals()."""
+        for part in self.partitions:
+            self.registry.drop(part.rowptr, "csr")
+            self.registry.drop(part.colidx, "csr")
+        self.partitions = []
+
+    def __enter__(self) -> "GraphDir":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def in_degrees(self) -> np.ndarray:
         p = os.path.join(self.path, "indeg.bin")
         if os.path.exists(p):
@@ -344,17 +357,28 @@ def build_partitions(
         write_records(ci_store, colidx.tobytes(), VID_WIDTH)
         rp_store.flush()
         ci_store.flush()
+        # GraphDir opens the files again; drop keeps their traffic in totals()
+        registry.drop(rp_store, "csr")
+        registry.drop(ci_store, "csr")
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts."""
+    first = np.ones(len(values), bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
 
 
 def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarray:
-    """Entries idx of a paged vector; reads each page they touch once, in order."""
+    """Entries idx (ascending) of a paged vector; reads each page they touch
+    once, in order."""
     page = idx // cap
-    pages = np.unique(page)
-    buf = np.zeros(len(pages) * cap, dtype)
-    for i, p in enumerate(pages.tolist()):
+    first = _run_starts(page)
+    buf = np.zeros(int(first.sum()) * cap, dtype)
+    for i, p in enumerate(page[first].tolist()):
         entries = np.frombuffer(store.read_page(p).records(dtype.itemsize), dtype)
         buf[i * cap : i * cap + len(entries)] = entries
-    return buf[np.searchsorted(pages, page) * cap + idx % cap]
+    return buf[(np.cumsum(first) - 1) * cap + idx % cap]
 
 
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
@@ -382,12 +406,16 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
         if len(loc) == 0:
             continue
         part = graph.partitions[k]
-        rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, np.concatenate([loc, loc + 1]))
-        a, b = rp[: len(loc)].astype(np.int64), rp[len(loc) :].astype(np.int64)
-        pos = ranges(a, b - a)
+        bounds = np.union1d(loc, loc + 1)
+        rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, bounds).astype(np.int64)
+        i = np.searchsorted(bounds, loc)  # loc + 1 sits at i + 1
+        a, b = rp[i], rp[i + 1]
+        pos = ranges(a, b - a)  # ascending: rows ascend and their spans are disjoint
         nbrs.append(_read_entries(part.colidx, part.cap_ci, VID_DT, pos))
-        used, count = np.unique(pos // part.cap_ci, return_counts=True)
-        page_stats.update(((k, p), c * VID_WIDTH) for p, c in zip(used.tolist(), count.tolist()))
+        page = pos // part.cap_ci
+        first = np.flatnonzero(_run_starts(page))
+        count = np.diff(np.append(first, len(page))) * VID_WIDTH
+        page_stats.update(zip([(k, p) for p in page[first].tolist()], count.tolist()))
         first = a // part.cap_ci
         end = np.where(b > a, (b - 1) // part.cap_ci + 1, first)
         pages.append(np.stack([np.full(len(loc), k), first, end], 1))

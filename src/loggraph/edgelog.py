@@ -27,6 +27,19 @@ def classify_inefficient(useful_bytes: int, page_size: int) -> bool:
     return 0 < useful_bytes < INEFFICIENT_THRESHOLD * page_size
 
 
+def log_candidates(
+    adj: Adjacency, predicted: np.ndarray, dirty: np.ndarray, inefficient_pages: set
+) -> np.ndarray:
+    """The rows of adj that `EdgeLog.maybe_log` would log with room left in
+    the budget: predicted, clean, read from the CSR and touching one of the
+    inefficient (interval, colIdx page) keys. predicted and dirty are per
+    row."""
+    keys = np.sort(np.fromiter((k << 32 | p for k, p in inefficient_pages), np.int64, len(inefficient_pages)))
+    k, first, end = adj.pages.T
+    touches = np.searchsorted(keys, k << 32 | end) > np.searchsorted(keys, k << 32 | first)
+    return predicted & ~dirty & (adj.source == SOURCES.index("csr")) & touches
+
+
 class EdgeLog:
     """Per-superstep sequential adjacency log with an in-memory index.
 
@@ -43,6 +56,7 @@ class EdgeLog:
         self.budget = budget_bytes
         os.makedirs(log_dir, exist_ok=True)
         self._consumable: tuple[dict, object] | None = None
+        self._consumable_ids = np.zeros(0, np.int64)
         self._tag = -1
         self._reset_writer()
         self.bytes_logged = 0
@@ -76,6 +90,7 @@ class EdgeLog:
                 store.append_page(pack_page(self.page_size, payload, 0))
             store.flush()
         self._consumable = (self._index, store)
+        self._consumable_ids = np.fromiter(self._index, np.int64, len(self._index))
         self._store = None
         self._buf = bytearray(self.page_size)
         self._buf_used = 0
@@ -90,6 +105,7 @@ class EdgeLog:
             if store is not None:
                 self.registry.drop(store, "edgelog", unlink=True)
         self._consumable = None
+        self._consumable_ids = np.zeros(0, np.int64)
         self._store = None
 
     def _ensure_store(self):
@@ -135,8 +151,9 @@ class EdgeLog:
 
     # -- read side -----------------------------------------------------------
 
-    def indexed(self, v: int) -> bool:
-        return self._consumable is not None and v in self._consumable[0]
+    def indexed(self, vids) -> np.ndarray:
+        """Which of the vertex ids last superstep's log can serve."""
+        return np.isin(vids, self._consumable_ids)
 
     def fetch_batch(self, vids) -> Adjacency:
         """Serve adjacency of the ascending vids from last superstep's log;

@@ -9,9 +9,10 @@ bit vector.
 
 The unit of work handed to a program is a Batch: the active vertices of one
 sorted log with their state rows, a flat-CSR adjacency and their inbox spans.
-A program either handles the whole batch with array code and sends through
-`ctx.send_many`, or defines a per-vertex `process` that the base class's
-`process_batch` adapter calls once per vertex. Execution is deterministic
+A program either handles the whole batch with array code, sending through
+`ctx.send_many` and buffering structural updates through
+`ctx.structural_many`, or defines a per-vertex `process` that the base
+class's `process_batch` adapter calls once per vertex. Execution is deterministic
 single-threaded by default; an optional thread pool splits a batch into
 slices processed concurrently.
 
@@ -19,9 +20,10 @@ Both kinds of program reach the same array mechanisms. `Context.send`
 buffers (dest, src, *payload) tuples and flushes them through
 `MultiLog.send_many` a block at a time and when the batch returns, which
 leaves the same log pages as sending each record on its own. Structural
-updates are buffered per interval as (kind, src, dst) rows (see `csr`) and
-applied by `csr.apply_ops`, to fetched rows by the overlay and to a whole
-interval by the merge.
+updates are (kind, src, dst) rows (see `csr`). `Context.structural_many` is
+their one buffering path (`add_edge`, `delete_edge` and `delete_vertex`
+hand it one row); it files them per interval, and `csr.apply_ops` applies
+them, to fetched rows by the overlay and to a whole interval by the merge.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 from . import csr as csrmod
 from . import sortgroup
 from .csr import SOURCES, Adjacency, AdjacencyView, GraphDir, ranges
-from .edgelog import EdgeLog, classify_inefficient
-from .errors import ConfigError
+from .edgelog import EdgeLog, classify_inefficient, log_candidates
+from .errors import ConfigError, ContractViolation
 from .multilog import MultiLog, RecordFormat
 from .pager import DEFAULT_PAGE_SIZE
 from .state import VertexStateStore
@@ -121,7 +123,9 @@ class VertexProgram:
 
     process_batch gets one Batch and sends with ctx.send_many(dest, src,
     *payload), whole columns at once, in the order a per-vertex loop would
-    have sent them. The base process_batch is the generic adapter for
+    have sent them; it buffers structural updates with
+    ctx.structural_many(ops), in the order a per-vertex loop would have
+    buffered them. The base process_batch is the generic adapter for
     per-vertex programs: it calls process once per row in id order, with
     ctx.vertex and ctx.table set, the state row, an AdjacencyView and the
     inbox; process sends with ctx.send(dest, *payload).
@@ -135,7 +139,7 @@ class VertexProgram:
 
     Neither may keep ctx or the batch beyond the call. Messages are the only
     way a vertex runs again next superstep; deactivation is the default.
-    Structural updates may only touch the vertex being processed.
+    Structural updates may only touch the vertices being processed.
     """
 
     name = "program"
@@ -259,15 +263,22 @@ class Context:
         """Accepted for program-model symmetry; deactivation is the default
         and an incoming message always reactivates."""
 
+    def structural_many(self, ops) -> None:
+        """Buffer structural ops, int rows (kind, src, dst) with kind one of
+        csr.ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused), in row order.
+        An op other than a removal on a vertex already removed, by an
+        earlier call or an earlier row, is dropped and counted in
+        structural_warnings."""
+        self._engine._buffer_ops(np.asarray(ops, np.int64).reshape(-1, 3))
+
     def add_edge(self, src: int, dst: int) -> None:
-        self._engine._buffer_op(csrmod.ADD_EDGE, src, dst)
+        self.structural_many([(csrmod.ADD_EDGE, src, dst)])
 
     def delete_edge(self, src: int, dst: int) -> None:
-        self._engine._buffer_op(csrmod.DEL_EDGE, src, dst)
+        self.structural_many([(csrmod.DEL_EDGE, src, dst)])
 
     def delete_vertex(self) -> None:
-        self._engine._buffer_op(csrmod.DEL_VERTEX, self.vertex, -1)
-        self._engine.deleted[self.vertex] = True
+        self.structural_many([(csrmod.DEL_VERTEX, self.vertex, -1)])
 
 
 class Engine:
@@ -288,8 +299,8 @@ class Engine:
         self.in_degrees = graph.in_degrees()
         self.deleted = np.zeros(n, bool)
         self._last_active = np.zeros(n, bool)  # the edge log's prediction
-        # per interval: its buffered (kind, src, dst) structural ops, in arrival order
-        self._pending: list[list[tuple]] = [[] for _ in range(self.meta.num_intervals)]
+        # per interval: its buffered (kind, src, dst) structural op arrays, in arrival order
+        self._pending: list[list[np.ndarray]] = [[] for _ in range(self.meta.num_intervals)]
         self._ops_lock = threading.Lock()
         self._el_dirty = np.zeros(n, bool)
         self.structural_warnings = 0
@@ -299,24 +310,36 @@ class Engine:
 
     # -- structural update buffering ----------------------------------------
 
-    def _buffer_op(self, kind: int, u: int, dst: int) -> None:
-        if self.deleted[u] and kind != csrmod.DEL_VERTEX:
-            self.structural_warnings += 1
-            return
-        k = self.meta.interval_of(u)
+    def _buffer_ops(self, ops: np.ndarray) -> None:
+        kind, src = ops[:, 0], ops[:, 1]
+        if len(ops) and (src.min() < 0 or src.max() >= self.meta.num_vertices):
+            raise ContractViolation(f"structural op on a vertex outside [0, {self.meta.num_vertices})")
+        removal = kind == csrmod.DEL_VERTEX
+        # ops after the first removal of their vertex in this array
+        after = np.zeros(len(ops), bool)
+        at = np.flatnonzero(removal)
+        if len(at):
+            removed, first = np.unique(src[at], return_index=True)
+            i = np.searchsorted(removed, src).clip(max=len(removed) - 1)
+            after = (removed[i] == src) & (np.arange(len(ops)) > at[first][i])
         with self._ops_lock:
-            self._pending[k].append((kind, u, dst))
-            self._el_dirty[u] = True
+            drop = ~removal & (self.deleted[src] | after)
+            self.structural_warnings += int(drop.sum())
+            ops = ops[~drop]
+            self.deleted[ops[ops[:, 0] == csrmod.DEL_VERTEX, 1]] = True
+            self._el_dirty[ops[:, 1]] = True
+            intervals = self.meta.interval_of(ops[:, 1])
+            for k in np.unique(intervals).tolist():
+                self._pending[k].append(ops[intervals == k])
 
     def _pending_ops(self, intervals) -> np.ndarray:
-        return np.array([op for k in intervals for op in self._pending[k]], np.int64).reshape(-1, 3)
+        return np.concatenate([np.zeros((0, 3), np.int64)] + [c for k in intervals for c in self._pending[k]])
 
     def _overlay(self, adj: Adjacency) -> Adjacency:
         """Most-current adjacency: the rows with pending structural ops get
         them applied by csr.apply_ops and turn "overlay" rows."""
         dirty = adj.ids[self._el_dirty[adj.ids]]
-        intervals = np.searchsorted(self.meta.interval_bounds, dirty, side="right") - 1
-        ops = self._pending_ops(np.unique(intervals).tolist())
+        ops = self._pending_ops(np.unique(self.meta.interval_of(dirty)).tolist())
         ops = ops[np.isin(ops[:, 1], dirty)]
         if len(ops) == 0:
             return adj
@@ -407,7 +430,7 @@ class Engine:
         plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget)
         covered = {k for p in plans for k in p.intervals}
         if len(forced):
-            for k in sorted(set(self.meta.interval_of(int(v)) for v in forced) - covered):
+            for k in sorted(set(np.unique(self.meta.interval_of(forced)).tolist()) - covered):
                 plans.append(sortgroup.FusePlan([k], 0))
             plans.sort(key=lambda p: p.intervals[0])
 
@@ -440,7 +463,7 @@ class Engine:
         self._mlog.open_superstep(S + 2)
         self._drop_logs(manifest)
         for k, pending in enumerate(self._pending):
-            if len(pending) >= cfg.merge_threshold:
+            if sum(map(len, pending)) >= cfg.merge_threshold:
                 self._merge_interval(k)
         self._last_active = active_bits
 
@@ -483,7 +506,7 @@ class Engine:
         otherwise from the CSR with pending structural updates overlaid."""
         el = self._edgelog
         if el is not None:
-            from_log = np.fromiter(map(el.indexed, act.tolist()), bool, len(act)) & ~self._el_dirty[act]
+            from_log = el.indexed(act) & ~self._el_dirty[act]
         else:
             from_log = np.zeros(len(act), bool)
         adj, pstats = csrmod.load_adjacency(self.graph, act[~from_log])
@@ -521,9 +544,11 @@ class Engine:
         el = self._edgelog
         if el is not None:
             # structural updates only touch the vertex being processed, so
-            # logging after the batch sees the same dirty bits as after each
-            for i, v in enumerate(act.tolist()):
-                el.maybe_log(adj.view(i), bool(predicted[v]), self._ineff, bool(self._el_dirty[v]))
+            # logging after the batch sees the same dirty bits as after each;
+            # candidates are logged in act order until the budget runs out
+            candidates = log_candidates(adj, predicted[act], self._el_dirty[act], self._ineff)
+            for i in np.flatnonzero(candidates).tolist():
+                el.maybe_log(adj.view(i), True, self._ineff, False)
         sl.commit()
         if aux is not None:
             aux.commit()

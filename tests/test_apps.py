@@ -3,7 +3,10 @@ import pytest
 
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.apps.bfs import INF_LEVEL
-from loggraph.engine import EngineConfig, run_app
+from loggraph.csr import SOURCES, Adjacency
+from loggraph.engine import Batch, EngineConfig, run_app
+from loggraph.multilog import RecordFormat
+from loggraph.seeds import pick_index
 
 import oracles
 from util import adjacency_lists, build_graph, clique_graph, path_graph, random_graph, ring_graph, star_graph
@@ -239,6 +242,48 @@ def test_rw_ring_replay(tmp_path):
     res = run(tmp_path, src, dst, 6, RandomWalk(steps=10, stride=2, seed=9), max_supersteps=30)
     visits, _ = oracles.oracle_randomwalk(adjacency_lists(src, dst, 6), 6, 10, 2, 9, 30)
     assert res.states["visits"].tolist() == visits
+
+
+class SendLog:
+    """A stand-in Context that records every send_many call."""
+
+    def __init__(self, superstep):
+        self.superstep = superstep
+        self.sent = []
+
+    def send_many(self, dest, src, *payload):
+        cols = [np.asarray(c).tolist() for c in (dest, src, *payload)]
+        self.sent.extend(zip(*cols))
+
+
+@pytest.mark.parametrize("superstep", [0, 3])
+def test_rw_batch_sends_in_row_then_inbox_order(superstep):
+    # rows with several walkers, one with none, one with no neighbors and
+    # walkers out of steps: each walker hops in (row, inbox index) order
+    rng = np.random.default_rng(superstep)
+    ids = np.array([2, 5, 6, 9, 11])
+    rows = [rng.integers(0, 20, d) for d in (3, 0, 1, 4, 2)]
+    adj = Adjacency.from_rows(ids, rows, SOURCES.index("csr"))
+    inbox = [[4, 0, 2], [7], [], [1, 5], [3, 3, 0, 9]]
+    fmt = RecordFormat(RandomWalk.payload_fields)
+    records = fmt.pack([(v, 0, r) for v, rs in zip(ids.tolist(), inbox) for r in rs])
+    lens = np.array([len(rs) for rs in inbox])
+    starts = np.cumsum(lens) - lens
+    states = np.zeros(len(ids), RandomWalk.state_dtype)
+    prog = RandomWalk(steps=6, seed=77)
+    ctx = SendLog(superstep)
+    prog.process_batch(ctx, Batch(ids, states, adj, records, starts, starts + lens))
+
+    want, visits = [], []
+    for v, nbrs, rs in zip(ids.tolist(), rows, inbox):
+        walkers = [prog.steps] if superstep == 0 and not rs else rs
+        visits.append(len(walkers))
+        for j, remaining in enumerate(walkers):
+            if remaining > 0 and len(nbrs):
+                w = int(nbrs[pick_index(prog.seed, len(nbrs), superstep, v, j)])
+                want.append((w, v, remaining - 1))
+    assert ctx.sent == want
+    assert states["visits"].tolist() == visits
 
 
 # -- K-core ------------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from loggraph.errors import ConfigError, ContractViolation, IngestError, Oversiz
 from loggraph.pager import page_capacity
 
 import oracles
-from util import build_graph, op_rows, ring_graph, random_graph
+from util import adjacency_lists, build_graph, op_rows, ring_graph, random_graph
 
 
 def test_partition_exact_packing():
@@ -129,6 +129,45 @@ def test_page_monotonicity_and_minimality(tmp_path):
     pa, pb, pall = pages_for(a), pages_for(b), pages_for(all_v)
     assert pa <= pb <= pall
     assert pages_for([]) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_matches_a_per_vertex_reference(tmp_path, seed):
+    # neighbors, per-page useful bytes and pages read on random active sets,
+    # with isolated vertices and rows spanning pages
+    rng = np.random.default_rng(seed)
+    n = 300
+    src, dst = random_graph(n, 8, seed=seed)
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    adj = adjacency_lists(src, dst, n)
+    active = np.unique(rng.integers(0, n, int(rng.integers(1, n))))
+    useful, rp_pages = {}, set()
+    for v in active.tolist():
+        k = g.meta.interval_of(v)
+        part = g.partitions[k]
+        rp = part.full_rowptr()
+        local = v - part.lo
+        rp_pages |= {(k, local // part.cap_rp), (k, (local + 1) // part.cap_rp)}
+        for e in range(int(rp[local]), int(rp[local + 1])):
+            key = (k, e // part.cap_ci)
+            useful[key] = useful.get(key, 0) + csr.VID_WIDTH
+    before = g.registry.totals()["csr"][0]
+    views, stats = csr.load_adjacency(g, active)
+    assert g.registry.totals()["csr"][0] - before == len(rp_pages) + len(useful)
+    assert stats == useful
+    assert [views[v].neighbors.tolist() for v in active.tolist()] == [adj[v] for v in active.tolist()]
+
+
+def test_converted_graph_holds_one_store_per_file(tmp_path):
+    src, dst = random_graph(200, 6, seed=7)
+    g = build_graph(tmp_path, src, dst, 200, page_size=256)
+    assert g.meta.num_intervals > 1
+    written = sum(os.path.getsize(tmp_path / "g" / f) for f in os.listdir(tmp_path / "g") if f.startswith("part"))
+    assert len(g.registry._stores["csr"]) == 2 * g.meta.num_intervals
+    assert g.registry.totals()["csr"] == (0, written // 256)
+    g.close()
+    assert g.registry._stores["csr"] == []
+    assert g.registry.totals()["csr"] == (0, written // 256)
 
 
 def test_reconstruction_matches_input_multiset(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loggraph import csr
-from loggraph.edgelog import EdgeLog, classify_inefficient
+from loggraph.edgelog import EdgeLog, classify_inefficient, log_candidates
 from loggraph.errors import CorruptPageError
 from loggraph.pager import PAGE_HEADER, StoreRegistry
 
@@ -111,6 +111,47 @@ def test_consumed_log_discarded_after_rotation(tmp_path):
     assert el.indexed(1)
     el.begin_superstep(2)  # superstep-1 log replaces it; old file unlinked
     assert not el.indexed(1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidate_mask_logs_what_the_per_view_rule_logs(tmp_path, seed):
+    # random rows, colIdx page spans, sources, inefficient pages and
+    # predicted/dirty bits, with a budget that runs out partway
+    rng = np.random.default_rng(seed)
+    n = 200
+    adj = csr.Adjacency.from_rows(np.arange(n), [rng.integers(0, 99, d) for d in rng.integers(0, 6, n)], 0)
+    first = rng.integers(0, 8, n)
+    adj.pages = np.stack([rng.integers(0, 3, n), first, first + rng.integers(0, 3, n)], 1)
+    adj.source = rng.choice(len(csr.SOURCES), n, p=[0.7, 0.15, 0.15]).astype(np.uint8)
+    ineff = set(zip(rng.integers(0, 3, 15).tolist(), rng.integers(0, 10, 15).tolist()))
+    predicted, dirty = rng.random(n) < 0.7, rng.random(n) < 0.2
+
+    views = [adj.view(i) for i in range(n)]
+    rule = [
+        bool(predicted[i]) and not dirty[i] and v.source == "csr" and any(p in ineff for p in v.colidx_pages)
+        for i, v in enumerate(views)
+    ]
+    assert log_candidates(adj, predicted, dirty, ineff).tolist() == rule
+
+    budget = sum(8 + 4 * len(v) for v, hit in zip(views, rule) if hit) // 2
+    old, _ = make_log(tmp_path / "old", budget)
+    new, _ = make_log(tmp_path / "new", budget)
+    logged = [i for i in range(n) if old.maybe_log(views[i], bool(predicted[i]), ineff, bool(dirty[i]))]
+    candidates = np.flatnonzero(log_candidates(adj, predicted, dirty, ineff)).tolist()
+    assert [i for i in candidates if new.maybe_log(views[i], True, ineff, False)] == logged
+    assert 0 < len(logged) < sum(rule)
+    assert new.bytes_logged == old.bytes_logged
+
+
+def test_indexed_answers_for_an_array_of_ids(tmp_path):
+    el, _ = make_log(tmp_path)
+    for v in (9, 2, 5):
+        el.maybe_log(view(v, [1]), True, {(0, 0)}, dirty=False)
+    assert el.indexed(np.arange(10)).tolist() == [False] * 10  # not readable before the rotation
+    el.begin_superstep(1)
+    assert np.flatnonzero(el.indexed(np.arange(10))).tolist() == [2, 5, 9]
+    el.close()
+    assert not el.indexed(np.arange(10)).any()
 
 
 def test_transparency_on_engine_run(tmp_path):

@@ -324,6 +324,113 @@ def test_parallel_mode_matches_serial_for_order_free_apps(tmp_path):
     assert np.array_equal(k1.states["alive"], k2.states["alive"])
 
 
+class PerVertexKCore(KCore):
+    """K-core as a per-vertex program: through the base adapter, with one
+    ctx.delete_edge per notification and ctx.delete_vertex."""
+
+    process_batch = VertexProgram.process_batch
+
+    def process(self, ctx, v, state, adj, inbox):
+        if int(state["alive"]) == 0:
+            return
+        dead = set()
+        for src in inbox["src"].tolist():
+            ctx.delete_edge(v, src)
+            dead.add(src)
+        if len(adj) - len(inbox) < self.k:
+            state["alive"] = 0
+            ctx.delete_vertex()
+            for w in adj.neighbors.tolist():
+                if w not in dead:
+                    ctx.send(w)
+
+
+def directed_graph(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, m), rng.integers(0, n, m)
+
+
+@pytest.mark.parametrize(
+    "make_graph, warned",
+    [(lambda: random_graph(300, 5, seed=43), False), (lambda: directed_graph(300, 1200, 8), True)],
+    ids=["undirected", "directed"],
+)
+def test_per_vertex_kcore_through_the_adapter_matches_the_batch_kcore(tmp_path, make_graph, warned):
+    # every deletion is served through the overlay until the final merge;
+    # on the directed multigraph a notified vertex often has no edge back
+    # to delete, which is a structural warning
+    src, dst = make_graph()
+    runs = []
+    for i, prog in enumerate((KCore(k=4), PerVertexKCore(k=4))):
+        g = build_graph(tmp_path / f"g{i}", src, dst, 300, page_size=256)
+        res = run_app(g, prog, cfg(max_supersteps=500, merge_threshold=10**9), str(tmp_path / f"r{i}"))
+        runs.append((res, g.all_edges()))
+    (batch, batch_edges), (adapter, adapter_edges) = runs
+    assert batch.states.tobytes() == adapter.states.tobytes()
+    assert [st.messages_sent for st in batch.stats] == [st.messages_sent for st in adapter.stats]
+    assert batch.num_supersteps == adapter.num_supersteps > 2
+    assert batch.structural_warnings == adapter.structural_warnings
+    assert (batch.structural_warnings > 0) == warned
+    assert np.array_equal(batch.deleted, adapter.deleted)
+    for a, b in zip(batch_edges, adapter_edges):
+        assert np.array_equal(a, b)
+
+
+OPS = [
+    (csr.DEL_EDGE, 0, 1),
+    (csr.DEL_VERTEX, 0, -1),
+    (csr.DEL_EDGE, 0, 5),  # after the removal of 0: dropped with a warning
+    (csr.ADD_EDGE, 2, 4),
+    (csr.DEL_VERTEX, 3, -1),
+    (csr.DEL_VERTEX, 3, -1),  # a second removal is kept
+    (csr.DEL_EDGE, 4, 3),
+    (csr.ADD_EDGE, 3, 1),  # dropped with a warning
+]
+
+
+@pytest.mark.parametrize("one_call", [True, False])
+def test_structural_many_equals_one_call_per_op(tmp_path, one_call):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+
+    class Editor(VertexProgram):
+        name = "editor"
+        payload_fields = [("x", "<u4")]
+        state_dtype = np.dtype([("v", "<u4")])
+
+        def init_all(self, n, indeg):
+            return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
+
+        def process_batch(self, ctx, batch):
+            for ops in [OPS] if one_call else [[op] for op in OPS]:
+                ctx.structural_many(ops)
+
+    res = run_app(g, Editor(), cfg(), str(tmp_path / "run"))
+    assert res.structural_warnings == 2
+    assert np.flatnonzero(res.deleted).tolist() == [0, 3]
+    views, _ = csr.load_adjacency(g, np.arange(6))
+    assert [views[v].neighbors.tolist() for v in range(6)] == [[], [0, 2], [1, 3, 4], [], [5], [0, 4]]
+
+
+@pytest.mark.parametrize("src", [-1, 6])
+def test_structural_op_on_a_bad_vertex_is_a_contract_violation(tmp_path, src):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+
+    class Stray(VertexProgram):
+        name = "stray"
+        payload_fields = [("x", "<u4")]
+        state_dtype = np.dtype([("v", "<u4")])
+
+        def init_all(self, n, indeg):
+            return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
+
+        def process(self, ctx, v, state, adj, inbox):
+            ctx.delete_edge(src, 1)
+
+    with pytest.raises(ContractViolation):
+        run_app(g, Stray(), cfg(), str(tmp_path / "run"))
+
+
 @pytest.mark.parametrize("dest", [-1, 6, 1 << 32])
 def test_send_to_a_bad_destination_is_a_contract_violation(tmp_path, dest):
     src, dst = ring_graph(6)

@@ -1,17 +1,17 @@
 """Storage knobs must not change results.
 
-The batch apps (PageRank with combine on and off, BFS) and k-core through
-the per-vertex adapter give identical final states, superstep counts,
-message counts and structural warnings at every page size, with the edge
-log on and off, and still match their oracles. K-core also gives them at
-every merge threshold, from merging each superstep to serving every
-deletion through the overlay. Only page counts may differ.
+PageRank (with combine on and off), BFS, random walk and k-core give
+identical final states, superstep counts, message counts and structural
+warnings at every page size, with the edge log on and off, and still match
+their oracles. K-core also gives them at every merge threshold, from
+merging each superstep to serving every deletion through the overlay. Only
+page counts may differ.
 """
 
 import numpy as np
 import pytest
 
-from loggraph.apps import Bfs, KCore, PageRank
+from loggraph.apps import Bfs, KCore, PageRank, RandomWalk
 from loggraph.engine import EngineConfig, run_app
 
 import oracles
@@ -56,7 +56,18 @@ def test_bfs_invariant_across_storage_knobs(tmp_path):
     assert results[0].states["level"].tolist() == oracles.oracle_bfs(adjacency_lists(src, dst, N), 0)
 
 
-def test_kcore_through_the_adapter_invariant_with_overlay(tmp_path):
+def test_randomwalk_invariant_across_storage_knobs(tmp_path):
+    src, dst = random_graph(N, 4, seed=44)
+    results = run_all_knobs(tmp_path, src, dst, lambda: RandomWalk(steps=12, stride=3, seed=3), max_supersteps=40)
+    assert_knob_invariant(results)
+    # walkers revisit vertices, so the edge log serves some adjacency
+    assert all(sum(st.edgelog_served for st in res.stats) > 0 for res in results[1::2])
+    visits, steps = oracles.oracle_randomwalk(adjacency_lists(src, dst, N), N, 12, 3, 3, 40)
+    assert results[0].states["visits"].tolist() == visits
+    assert results[0].num_supersteps == steps
+
+
+def test_kcore_invariant_across_storage_knobs_with_overlay(tmp_path):
     # the default merge threshold is never reached here, so every deletion
     # after the first superstep is served through the structural overlay
     src, dst = random_graph(N, 5, seed=43)

@@ -41,10 +41,10 @@ def random_graph(n, avg_deg, seed, max_directed_edges=100_000):
     v = rng.integers(0, n, target * 3)
     keep = u != v
     a, b = np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])
-    pairs = np.unique(np.stack([a, b], 1), axis=0)[:target]
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    return src, dst
+    # the first target distinct pairs in draw order, not the smallest ones
+    _, first = np.unique(np.stack([a, b], 1), axis=0, return_index=True)
+    first = np.sort(first)[:target]
+    return np.concatenate([a[first], b[first]]), np.concatenate([b[first], a[first]])
 
 
 def small_world(n, k, p, seed):
