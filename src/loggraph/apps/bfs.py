@@ -40,12 +40,7 @@ class Bfs(VertexProgram):
         level = batch.states["level"]
         improved = new < level  # a row with an empty inbox keeps INF_LEVEL
         level[improved] = new[improved]
-        deg = np.where(improved, batch.adj.degrees, 0)
-        ctx.send_many(
-            batch.adj.nbrs[np.repeat(improved, batch.adj.degrees)],
-            np.repeat(batch.ids, deg),
-            np.repeat(new + 1, deg),
-        )
+        ctx.send_many(*batch.broadcast(improved, new + 1))
 
     def summary(self, states):
         levels = states["level"]

@@ -6,14 +6,20 @@ the smallest color not held by a lower-id neighbor, announcing it only when
 it changes. Lower ids never wait on higher ones, so the colors settle from
 the smallest id upward into the sequential greedy coloring in ascending id
 order, which is proper.
+
+A batch upserts every inbox into the flat tables (see `table.upsert`). A
+row's smallest free color is the number of its distinct lower-id colors,
+taken in ascending order, that equal their rank. The changed colors go out
+with one `ctx.send_many`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..csr import ranges
 from ..engine import VertexProgram
-from .community import upsert
+from .table import upsert
 
 
 class Coloring(VertexProgram):
@@ -26,23 +32,23 @@ class Coloring(VertexProgram):
         states = np.zeros(num_vertices, self.state_dtype)
         return states, np.ones(num_vertices, bool), []
 
-    def process(self, ctx, v, state, adj, inbox):
-        table = ctx.table
-        used = int(state["used"])
-        for i in range(len(inbox)):
-            used = upsert(table, used, int(inbox["src"][i]), int(inbox["color"][i]))
-        state["used"] = used
-        if ctx.superstep > 0:
-            taken = {int(c) for s, c in zip(table["src"][:used], table["color"][:used]) if s < v}
-            new = 0
-            while new in taken:
-                new += 1
-            if new == int(state["color"]):
-                return
-            state["color"] = new
-        mine = int(state["color"])
-        for w in adj.neighbors:
-            ctx.send(int(w), mine)
+    def process_batch(self, ctx, batch):
+        st = batch.states
+        used = upsert(batch, st["used"].astype(np.int64), "color")
+        st["used"] = used
+        if ctx.superstep == 0:
+            changed = np.ones(len(batch), bool)
+        else:
+            live = ranges(batch.table_offsets[:-1], used)
+            row = np.repeat(np.arange(len(batch)), used)
+            lower = batch.table["src"][live] < batch.ids[row]
+            key = np.unique(row[lower] << 32 | batch.table["color"][live[lower]])
+            row = key >> 32
+            rank = np.arange(len(key)) - np.searchsorted(row, row)
+            free = np.bincount(row[(key & 0xFFFFFFFF) == rank], minlength=len(batch))
+            changed = free != st["color"]
+            st["color"][changed] = free[changed]
+        ctx.send_many(*batch.broadcast(changed, st["color"]))
 
     def summary(self, states):
         return {"colors": int(len(np.unique(states["color"])))}

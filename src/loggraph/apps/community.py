@@ -5,25 +5,20 @@ adopts the most frequent one (smallest label id on ties). Labels are
 broadcast only when they change, after the seeding broadcast in the first
 superstep. Messages must stay individual: merging them would destroy the
 per-neighbor table.
+
+A batch upserts every inbox into the flat tables (see `table.upsert`), then
+takes each row's mode from the run lengths of its sorted (row, label) keys,
+the first longest run being the smallest label, and broadcasts the changed
+labels with one `ctx.send_many`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..csr import ranges
 from ..engine import VertexProgram
-
-
-def upsert(table: np.ndarray, used: int, src: int, value: int) -> int:
-    """Latest-wins (src -> value) update into a fixed-capacity table."""
-    for i in range(used):
-        if table["src"][i] == src:
-            table[i] = (src, value)
-            return used
-    if used < len(table):
-        table[used] = (src, value)
-        used += 1
-    return used
+from .table import upsert
 
 
 class Community(VertexProgram):
@@ -37,25 +32,27 @@ class Community(VertexProgram):
         states["label"] = np.arange(num_vertices, dtype=np.uint32)
         return states, np.ones(num_vertices, bool), []
 
-    def process(self, ctx, v, state, adj, inbox):
-        table = ctx.table
-        used = int(state["used"])
-        for i in range(len(inbox)):
-            used = upsert(table, used, int(inbox["src"][i]), int(inbox["label"][i]))
-        state["used"] = used
-        old = int(state["label"])
+    def process_batch(self, ctx, batch):
+        st = batch.states
+        used = upsert(batch, st["used"].astype(np.int64), "label")
+        st["used"] = used
         if ctx.superstep == 0:
-            for w in adj.neighbors:
-                ctx.send(int(w), old)
+            ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), st["label"]))
             return
-        if used == 0:
-            return
-        labels, counts = np.unique(table["label"][:used], return_counts=True)
-        new = int(labels[int(counts.argmax())])  # unique is ascending: ties pick smallest
-        if new != old:
-            state["label"] = new
-            for w in adj.neighbors:
-                ctx.send(int(w), new)
+        row = np.repeat(np.arange(len(batch)), used)
+        key = np.sort(row << 32 | batch.table["label"][ranges(batch.table_offsets[:-1], used)])
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(np.r_[starts, len(key)])
+        run_row = key[starts] >> 32
+        longest = np.zeros(len(batch), np.int64)
+        np.maximum.at(longest, run_row, counts)
+        modal = starts[counts == longest[run_row]]
+        rows, first = np.unique(key[modal] >> 32, return_index=True)
+        label = st["label"].copy()
+        label[rows] = key[modal[first]] & 0xFFFFFFFF
+        changed = label != st["label"]
+        st["label"] = label
+        ctx.send_many(*batch.broadcast(changed, label))
 
     def summary(self, states):
         return {"communities": int(len(np.unique(states["label"])))}

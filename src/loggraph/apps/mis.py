@@ -5,6 +5,11 @@ Undecided vertices exchange per-round hashed priorities; a vertex whose
 neighbors of a member drop out and announce that, and a vertex with no
 undecided neighbors left joins by default. Announcements must be delivered
 individually, so there is no combine.
+
+A batch handles its undecided rows as columns: the best (priority, src) per
+row is the maximum priority, then the maximum src among the records that
+hold it; notes are counted with `bincount`. Every announcement goes out
+with one `ctx.send_many`, in row order.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..seeds import unit_float
+from ..seeds import unit_float_many
 
 UNDECIDED, IN_SET, OUT = 0, 1, 2
 PRIO, IN_NOTE, OUT_NOTE = 0, 1, 2
@@ -31,44 +36,39 @@ class Mis(VertexProgram):
         states["undecided"] = -1  # degree unknown until the first run
         return states, np.ones(num_vertices, bool), []
 
-    def _broadcast(self, ctx, adj, kind, prio=0.0):
-        for w in adj.neighbors:
-            ctx.send(int(w), kind, prio)
+    def process_batch(self, ctx, batch):
+        n, s = len(batch), ctx.superstep
+        st = batch.states
+        undecided = st["undecided"]
+        pending = st["status"] == UNDECIDED
+        fresh = pending & (undecided < 0)
+        undecided[fresh] = batch.adj.degrees[fresh]
 
-    def process(self, ctx, v, state, adj, inbox):
-        if int(state["status"]) != UNDECIDED:
-            return
-        if int(state["undecided"]) < 0:
-            state["undecided"] = len(adj)
-        in_note = False
-        decided = 0
-        best = None
-        for i in range(len(inbox)):
-            kind = int(inbox["kind"][i])
-            if kind == PRIO:
-                cand = (float(inbox["prio"][i]), int(inbox["src"][i]))
-                if best is None or cand > best:
-                    best = cand
-            else:
-                decided += 1
-                if kind == IN_NOTE:
-                    in_note = True
-        state["undecided"] = int(state["undecided"]) - decided
-        if in_note:
-            state["status"] = OUT
-            self._broadcast(ctx, adj, OUT_NOTE)
-            return
-        if int(state["undecided"]) <= 0:
-            state["status"] = IN_SET
-            return
-        s = ctx.superstep
-        if s > 0 and best is not None:
-            mine = (unit_float(self.seed, s - 1, v), v)
-            if mine > best:
-                state["status"] = IN_SET
-                self._broadcast(ctx, adj, IN_NOTE)
-                return
-        self._broadcast(ctx, adj, PRIO, unit_float(self.seed, s, v))
+        rows, msgs = batch.messages()
+        kind = msgs["kind"]
+        undecided[pending] -= np.bincount(rows[kind != PRIO], minlength=n)[pending]
+        in_note = np.bincount(rows[kind == IN_NOTE], minlength=n) > 0
+        prio = kind == PRIO
+        rows, heard, src = rows[prio], msgs["prio"][prio], msgs["src"][prio].astype(np.int64)
+        best = np.full(n, -np.inf)
+        np.maximum.at(best, rows, heard)
+        top = heard == best[rows]
+        best_src = np.full(n, -1, np.int64)
+        np.maximum.at(best_src, rows[top], src[top])
+
+        drop = pending & in_note
+        alone = pending & ~in_note & (undecided <= 0)
+        contend = pending & ~in_note & ~alone
+        join = np.zeros(n, bool)
+        if s > 0:
+            mine = unit_float_many(self.seed, s - 1, batch.ids)
+            join = contend & (best_src >= 0) & ((mine > best) | ((mine == best) & (batch.ids > best_src)))
+        st["status"][drop] = OUT
+        st["status"][alone | join] = IN_SET
+        bid = contend & ~join
+        note = np.select([drop, join], [OUT_NOTE, IN_NOTE], PRIO).astype(np.uint8)
+        value = np.where(bid, unit_float_many(self.seed, s, batch.ids), 0.0)
+        ctx.send_many(*batch.broadcast(drop | join | bid, note, value))
 
     def summary(self, states):
         return {"set_size": int((states["status"] == IN_SET).sum())}

@@ -201,6 +201,8 @@ def cmd_compare(args) -> int:
         "pages_per_shard": shard_set.page_counts,
         "rows": rows,
     }
+    for store in shard_set.stores:
+        graph.registry.drop(store, "csr")
     tmp.cleanup()
     text = json.dumps(out, sort_keys=True, indent=2)
     if args.out:

@@ -8,13 +8,15 @@ merge batched structural updates past the threshold and record the activity
 bit vector.
 
 The unit of work handed to a program is a Batch: the active vertices of one
-sorted log with their state rows, a flat-CSR adjacency and their inbox spans.
-A program either handles the whole batch with array code, sending through
-`ctx.send_many` and buffering structural updates through
-`ctx.structural_many`, or defines a per-vertex `process` that the base
-class's `process_batch` adapter calls once per vertex. Execution is deterministic
-single-threaded by default; an optional thread pool splits a batch into
-slices processed concurrently.
+sorted log with their state rows, a flat-CSR adjacency, their inbox spans
+and, for a program with per-in-neighbor tables, those tables as one flat
+entry array with per-row offsets. Every shipped app handles the whole batch
+with array code, sending through `ctx.send_many` and buffering structural
+updates through `ctx.structural_many`. A program may instead define a
+per-vertex `process` that the base class's `process_batch` adapter calls
+once per vertex, with its table row as `ctx.table`. Execution is
+deterministic single-threaded by default; an optional thread pool splits a
+batch into slices processed concurrently.
 
 Both kinds of program reach the same array mechanisms. `Context.send`
 buffers (dest, src, *payload) tuples and flushes them through
@@ -82,9 +84,11 @@ class Batch:
     """The active vertices of one sorted log, ready for a vertex program.
 
     Row i is vertex ids[i] (ascending). states[i] is its mutable state row,
-    adj row i its out-neighbors, records[starts[i]:ends[i]] its inbox in
-    arrival order (empty when it was only forced active) and tables[i] its
-    per-in-neighbor table when the program declares one.
+    adj row i its out-neighbors and records[starts[i]:ends[i]] its inbox in
+    arrival order (empty when it was only forced active). When the program
+    declares per-in-neighbor table entries, table is the rows' tables as one
+    flat, mutable entry array: row i's is table[table_offsets[i]:
+    table_offsets[i + 1]], with its in-degree as capacity.
     """
 
     ids: np.ndarray
@@ -93,7 +97,8 @@ class Batch:
     records: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    tables: list | None = None
+    table: np.ndarray | None = None
+    table_offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -103,12 +108,22 @@ class Batch:
         lens = self.ends - self.starts
         return np.repeat(np.arange(len(lens)), lens), self.records[ranges(self.starts, lens)]
 
+    def broadcast(self, rows: np.ndarray, *payload) -> tuple:
+        """Arguments for ctx.send_many that send each row in the bool mask
+        rows its payload values (per-row columns or scalars) to every
+        out-neighbor, in (row, adjacency) order."""
+        deg = np.where(rows, self.adj.degrees, 0)
+        cols = (np.repeat(np.broadcast_to(col, len(self)), deg) for col in payload)
+        return (self.adj.nbrs[np.repeat(rows, self.adj.degrees)], np.repeat(self.ids, deg), *cols)
+
     def slice(self, a: int, b: int) -> "Batch":
-        """Rows [a, b); the states stay shared with this batch."""
-        tables = self.tables[a:b] if self.tables is not None else None
+        """Rows [a, b); the states and tables stay shared with this batch."""
+        table, offsets = self.table, self.table_offsets
+        if table is not None:
+            table, offsets = table[offsets[a] : offsets[b]], offsets[a : b + 1] - offsets[a]
         return Batch(
             self.ids[a:b], self.states[a:b], self.adj.slice(a, b), self.records,
-            self.starts[a:b], self.ends[a:b], tables,
+            self.starts[a:b], self.ends[a:b], table, offsets,
         )
 
 
@@ -116,7 +131,8 @@ class VertexProgram:
     """Contract for application vertex programs.
 
     Subclasses define the wire payload, the state record, an optional
-    combine reducer and optional per-in-neighbor table entries, plus:
+    combine reducer and optional per-in-neighbor table entries
+    (aux_entry_dtype), plus:
 
       init_all(num_vertices, in_degrees) -> (states, active_bits, init_msgs)
       process_batch(ctx, batch)   or   process(ctx, v, state, adj, inbox)
@@ -125,9 +141,13 @@ class VertexProgram:
     *payload), whole columns at once, in the order a per-vertex loop would
     have sent them; it buffers structural updates with
     ctx.structural_many(ops), in the order a per-vertex loop would have
-    buffered them. The base process_batch is the generic adapter for
-    per-vertex programs: it calls process once per row in id order, with
-    ctx.vertex and ctx.table set, the state row, an AdjacencyView and the
+    buffered them. With aux_entry_dtype set, batch.table holds every row's
+    table in one flat array, row i's at batch.table_offsets[i] with its
+    in-degree as capacity; the program updates it in place, and the pages
+    covering the rows whose entries changed are written back. The base
+    process_batch is the generic adapter for per-vertex programs: it calls
+    process once per row in id order, with ctx.vertex set and ctx.table the
+    row's slice of batch.table, the state row, an AdjacencyView and the
     inbox; process sends with ctx.send(dest, *payload).
 
     combine, when set, is a function reduce(records, starts, out) applied to
@@ -153,9 +173,10 @@ class VertexProgram:
 
     def process_batch(self, ctx: "Context", batch: Batch) -> None:
         starts, ends = batch.starts.tolist(), batch.ends.tolist()
+        table, offsets = batch.table, batch.table_offsets
         for i, v in enumerate(batch.ids.tolist()):
             ctx.vertex = v
-            ctx.table = batch.tables[i] if batch.tables is not None else None
+            ctx.table = table[offsets[i] : offsets[i + 1]] if table is not None else None
             self.process(ctx, v, batch.states[i], batch.adj.view(i), batch.records[starts[i] : ends[i]])
 
     def process(self, ctx, v: int, state, adj: AdjacencyView, inbox: np.ndarray) -> None:
@@ -527,7 +548,9 @@ class Engine:
         sl = self._states.checkout(act)
         aux = self._states.checkout_aux(act) if self.program.aux_entry_dtype is not None else None
         starts, ends = slog.spans(act)
-        batch = Batch(act, sl.rows, adj, slog.records, starts, ends, aux.tables if aux is not None else None)
+        batch = Batch(act, sl.rows, adj, slog.records, starts, ends)
+        if aux is not None:
+            batch.table, batch.table_offsets = aux.entries, aux.offsets
 
         def work(part: Batch) -> None:
             ctx = Context(self, S)

@@ -2,9 +2,10 @@
 
 The same (seed, superstep, vertex, ...) tuple always maps to the same value
 on every platform, which is what makes seeded runs reproducible and lets an
-oracle replay the engine's random choices. `chain_hash_many` and
-`pick_index_many` are the column forms batch programs use: splitmix64 on
-uint64 arrays, whose wrapping multiplies give the same bits as `& _M64`.
+oracle replay the engine's random choices. `chain_hash_many`,
+`unit_float_many` and `pick_index_many` are the column forms batch programs
+use: splitmix64 on uint64 arrays, whose wrapping multiplies give the same
+bits as `& _M64`.
 """
 
 import numpy as np
@@ -63,6 +64,12 @@ def chain_hash_many(seed: int, *cols) -> np.ndarray:
     for col in cols:
         x = _mix64_many(x ^ _column(col))
     return x
+
+
+def unit_float_many(seed: int, *cols) -> np.ndarray:
+    """unit_float(seed, *row i) for every row, as float64: the hash rounded
+    to the nearest double, as Python's int-to-float conversion rounds it."""
+    return chain_hash_many(seed, *cols).astype(np.float64) / 2.0**64
 
 
 def pick_index_many(seed: int, n: np.ndarray, *cols) -> np.ndarray:

@@ -6,16 +6,17 @@ auxiliary byte-stream region sized by in-degree, addressed through per-vertex
 offsets. Checkout locates every row's (interval, page, slot) with array
 arithmetic, reads each page covering the set once in ascending order and
 hands out mutable rows; commit writes back only the pages whose rows
-actually changed.
+actually changed. Aux checkout does the same over each row's byte span and
+hands out the set's tables as one flat entry array.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 
 import numpy as np
 
+from .csr import ranges
 from .pager import PAGE_HEADER, StoreRegistry, pack_page, page_capacity
 
 
@@ -58,36 +59,46 @@ class StateSlice:
 
 
 class AuxSlice:
-    """Mutable per-vertex entry tables from the auxiliary region."""
+    """The per-in-neighbor tables of a checked-out vertex set, as one flat
+    entry array: row i's table is entries[offsets[i]:offsets[i + 1]].
 
-    def __init__(self, store: "VertexStateStore", ids: np.ndarray, tables: list, pages: dict):
+    A row's table is a byte span of its interval's aux byte stream, the
+    concatenated record regions of its aux pages. keys are the covering
+    pages' (interval, page) keys, ascending, and images those pages as
+    read. data is a copy of their regions end to end: row i's bytes are
+    data[at[i]:at[i] + nbytes[i]], and its pages keys[first[i]:first[i] +
+    npages[i]].
+    """
+
+    def __init__(self, store: "VertexStateStore", ids, offsets, keys, images, at, nbytes, first, npages):
         self._store = store
         self.ids = ids
-        self.tables = tables
-        self._orig = [t.copy() for t in tables]
-        self._pages = pages
+        self.offsets = offsets
+        self._keys = keys
+        self._images = images
+        self._data = images[:, PAGE_HEADER:].copy().reshape(-1)
+        self._index = ranges(at, nbytes)
+        self._byte_offsets = np.concatenate([[0], np.cumsum(nbytes)])
+        self._orig = self._data[self._index]
+        self.entries = self._orig.copy().view(store.aux_entry_dtype)
+        self._first = first
+        self._npages = npages
 
     def commit(self) -> None:
+        """Write back, in page order, every page covering a row whose
+        entries changed, each once."""
         st = self._store
-        dirty = set()
-        for i, v in enumerate(self.ids):
-            if self.tables[i].tobytes() == self._orig[i].tobytes():
-                continue
-            v = int(v)
-            k = st._interval_of(v)
-            pos, length = st._aux_span(k, v)
-            blob = self.tables[i].tobytes()
-            region = st.aux_region
-            p0 = pos // region
-            for p in range(p0, (pos + length - 1) // region + 1):
-                a = max(pos, p * region) - p * region
-                b = min(pos + length, (p + 1) * region) - p * region
-                src_a = p * region + a - pos
-                img = self._pages[(k, p)]
-                img[PAGE_HEADER + a : PAGE_HEADER + b] = blob[src_a : src_a + (b - a)]
-                dirty.add((k, p))
-        for k, p in sorted(dirty):
-            st.aux_stores[k].write_page(p, bytes(self._pages[(k, p)]))
+        now = self.entries.view(np.uint8)
+        diff = np.flatnonzero(now != self._orig)
+        if len(diff) == 0:
+            return
+        rows = np.unique(np.searchsorted(self._byte_offsets, diff, side="right") - 1)
+        self._data[self._index] = now
+        dirty = np.unique(ranges(self._first[rows], self._npages[rows]))
+        regions = self._data.reshape(len(self._keys), -1)
+        for q in dirty.tolist():
+            k, pid = divmod(int(self._keys[q]), st.aux_pages_per_interval)
+            st.aux_stores[k].write_page(pid, self._images[q, :PAGE_HEADER].tobytes() + regions[q].tobytes())
 
 
 class VertexStateStore:
@@ -116,24 +127,17 @@ class VertexStateStore:
         self.stores = []
         self.aux_entry_dtype = np.dtype(aux_entry_dtype) if aux_entry_dtype is not None else None
         self.aux_stores = []
-        self._aux_offsets = None  # per interval: local prefix sums (bytes)
+        # byte prefix sums of the aux tables over all vertices: vertex v's
+        # table is stream bytes [cum[v], cum[v + 1]) - cum[first vertex of
+        # its interval]; (interval, page) packs like the state pages' keys
+        self._aux_cum = None
+        self.aux_pages_per_interval = 1
         if self.aux_entry_dtype is not None:
             caps = np.asarray(aux_capacities, np.int64)
-            ew = self.aux_entry_dtype.itemsize
-            self._aux_offsets = []
-            for k in range(len(bounds) - 1):
-                lo, hi = bounds[k], bounds[k + 1]
-                off = np.zeros(hi - lo + 1, np.int64)
-                np.cumsum(caps[lo:hi] * ew, out=off[1:])
-                self._aux_offsets.append(off)
-
-    def _interval_of(self, v: int) -> int:
-        return bisect_right(self.bounds, v) - 1
-
-    def _aux_span(self, k: int, v: int) -> tuple[int, int]:
-        off = self._aux_offsets[k]
-        j = v - self.bounds[k]
-        return int(off[j]), int(off[j + 1] - off[j])
+            self._aux_cum = np.zeros(self.num_vertices + 1, np.int64)
+            np.cumsum(caps * self.aux_entry_dtype.itemsize, out=self._aux_cum[1:])
+            longest = int(np.diff(self._aux_cum[self._bounds]).max(initial=0))
+            self.aux_pages_per_interval = max(1, -(-longest // self.aux_region))
 
     @classmethod
     def create(
@@ -158,7 +162,7 @@ class VertexStateStore:
             st.stores.append(store)
             if st.aux_entry_dtype is not None:
                 aux = registry.open(os.path.join(dirpath, f"aux{k}.pages"), "state")
-                total = int(st._aux_offsets[k][-1])
+                total = int(st._aux_cum[hi] - st._aux_cum[lo])
                 npages = (total + st.aux_region - 1) // st.aux_region
                 blank = pack_page(st.page_size, b"", 0)
                 for _ in range(npages):
@@ -180,27 +184,26 @@ class VertexStateStore:
         return StateSlice(self, ids, keys, images, page_of, slots)
 
     def checkout_aux(self, ids: np.ndarray) -> AuxSlice:
+        """The aux tables of ids, flat; each page covering one of them is
+        read once, in ascending (interval, page) order."""
         ids = np.asarray(ids, np.int64)
-        pages: dict[tuple[int, int], bytearray] = {}
-        tables = []
-        region = self.aux_region
-        for v in ids:
-            v = int(v)
-            k = self._interval_of(v)
-            pos, length = self._aux_span(k, v)
-            if length == 0:
-                tables.append(np.zeros(0, self.aux_entry_dtype))
-                continue
-            parts = []
-            for p in range(pos // region, (pos + length - 1) // region + 1):
-                key = (k, p)
-                if key not in pages:
-                    pages[key] = bytearray(self.aux_stores[k].read_page(p).data)
-                a = max(pos, p * region) - p * region
-                b = min(pos + length, (p + 1) * region) - p * region
-                parts.append(bytes(pages[key][PAGE_HEADER + a : PAGE_HEADER + b]))
-            tables.append(np.frombuffer(b"".join(parts), self.aux_entry_dtype).copy())
-        return AuxSlice(self, ids, tables, pages)
+        k = np.searchsorted(self._bounds, ids, side="right") - 1
+        pos = self._aux_cum[ids] - self._aux_cum[self._bounds[k]]
+        nbytes = self._aux_cum[ids + 1] - self._aux_cum[ids]
+        region, P = self.aux_region, self.aux_pages_per_interval
+        p0 = pos // region
+        npages = np.where(nbytes > 0, (pos + nbytes - 1) // region - p0 + 1, 0)
+        start_key = k * P + p0
+        keys = np.unique(ranges(start_key, npages))
+        raw = b"".join(
+            self.aux_stores[kk].read_page(p).data for kk, p in (divmod(key, P) for key in keys.tolist())
+        )
+        images = np.frombuffer(raw, np.uint8).reshape(len(keys), self.page_size)
+        first = np.searchsorted(keys, start_key)
+        at = first * region + pos - p0 * region
+        offsets = np.zeros(len(ids) + 1, np.int64)
+        np.cumsum(nbytes // self.aux_entry_dtype.itemsize, out=offsets[1:])
+        return AuxSlice(self, ids, offsets, keys, images, at, nbytes, first, npages)
 
     def close(self) -> None:
         """Close the state and aux files; they stay on disk."""

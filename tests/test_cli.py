@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def convert_g6(tmp_path, g6_file):
 
 def test_convert_skips_comments_and_counts(tmp_path, g6_file, capsys):
     out = convert_g6(tmp_path, g6_file)
-    meta = json.loads(open(os.path.join(out, "meta.json")).read())
+    meta = json.loads(Path(os.path.join(out, "meta.json")).read_text())
     assert meta["num_vertices"] == 6
     assert meta["num_edges"] == 12  # both directions
     assert meta["interval_bounds"] == [0, 3, 6]
@@ -48,10 +49,10 @@ def test_convert_relabels_sparse_ids(tmp_path, capsys):
     p.write_text("100 900\n900 5000\n")
     out = str(tmp_path / "g")
     assert main(["convert", str(p), out]) == 0
-    meta = json.loads(open(os.path.join(out, "meta.json")).read())
+    meta = json.loads(Path(os.path.join(out, "meta.json")).read_text())
     assert meta["num_vertices"] == 3
     mapping = dict(
-        tuple(map(int, line.split())) for line in open(os.path.join(out, "mapping.tsv"))
+        tuple(map(int, line.split())) for line in Path(out, "mapping.tsv").read_text().splitlines()
     )
     assert mapping == {0: 100, 1: 900, 2: 5000}
 
@@ -65,7 +66,7 @@ def test_run_bfs_levels_histogram(tmp_path, g6_file):
          "--report", report_path]
     )
     assert rc == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["summary"]["levels"] == {"0": 1, "1": 2, "2": 2, "3": 1}
     assert report["converged"] is True
 
@@ -79,7 +80,7 @@ def test_run_respects_superstep_cap(tmp_path, g6_file):
          "--report", report_path]
     )
     assert rc == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["totals"]["supersteps"] == 15
     assert report["converged"] is False
 
@@ -102,7 +103,7 @@ def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):
         )
         assert rc == 0
         paths.append(rp)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def test_run_csv_and_trace_outputs(tmp_path, g6_file):
@@ -115,7 +116,7 @@ def test_run_csv_and_trace_outputs(tmp_path, g6_file):
          "--report", str(tmp_path / "r.json"), "--csv", csv_path, "--trace", trace_path]
     )
     assert rc == 0
-    lines = open(csv_path).read().strip().splitlines()
+    lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0].startswith("superstep,active_vertices,messages_sent")
     trace = np.load(trace_path)
     assert set(trace["s0"].tolist()) == set(range(6))  # all active at superstep 0
@@ -133,7 +134,7 @@ def test_compare_all_active_single_shard_order_of_one(tmp_path, g6_file):
         ["compare", "--graph", out, "--report", rp, "--trace", tp,
          "--num-shards", "1", "--out", cp]
     ) == 0
-    comp = json.loads(open(cp).read())
+    comp = json.loads(Path(cp).read_text())
     first = comp["rows"][0]
     assert first["active_vertices"] == 6  # everything active: both sides read it all
     assert 0.2 <= first["ratio"] <= 5.0
@@ -146,9 +147,9 @@ def test_compare_rejects_mismatched_dataset(tmp_path, g6_file, capsys):
         ["run", "--graph", out, "--app", "bfs", "--source", "0",
          "--memory-budget", str(1 << 20), "--report", rp, "--trace", tp]
     )
-    report = json.loads(open(rp).read())
+    report = json.loads(Path(rp).read_text())
     report["dataset_hash"] = "deadbeef"
-    open(rp, "w").write(json.dumps(report))
+    Path(rp).write_text(json.dumps(report))
     assert main(["compare", "--graph", out, "--report", rp, "--trace", tp]) == 2
     assert "hash" in json.loads(capsys.readouterr().err)["message"]
 

@@ -322,6 +322,12 @@ def test_parallel_mode_matches_serial_for_order_free_apps(tmp_path):
     k1 = run_app(g3, KCore(k=3), cfg(max_supersteps=200), str(tmp_path / "r3"))
     k2 = run_app(g4, KCore(k=3), cfg(max_supersteps=200, parallel=4), str(tmp_path / "r4"))
     assert np.array_equal(k1.states["alive"], k2.states["alive"])
+    # each slice updates its own rows of the batch's flat tables
+    g5 = build_graph(tmp_path / "e", src, dst, 150, page_size=256)
+    g6 = build_graph(tmp_path / "f", src, dst, 150, page_size=256)
+    c1 = run_app(g5, Community(), cfg(max_supersteps=15), str(tmp_path / "r5"))
+    c2 = run_app(g6, Community(), cfg(max_supersteps=15, parallel=4), str(tmp_path / "r6"))
+    assert np.array_equal(c1.states["label"], c2.states["label"])
 
 
 class PerVertexKCore(KCore):

@@ -1,24 +1,28 @@
 """Storage knobs must not change results.
 
-PageRank (with combine on and off), BFS, random walk and k-core give
-identical final states, superstep counts, message counts and structural
-warnings at every page size, with the edge log on and off, and still match
-their oracles. K-core also gives them at every merge threshold, from
-merging each superstep to serving every deletion through the overlay. Only
-page counts may differ.
+Every app gives identical final states, superstep counts, message counts
+and structural warnings at every page size, with the edge log on and off,
+and under a memory budget so tight that the multi-log evicts and a sorted
+log takes several passes, and still matches its oracle. K-core also gives
+them at every merge threshold, from merging each superstep to serving every
+deletion through the overlay. Only page counts may differ.
 """
 
 import numpy as np
 import pytest
 
-from loggraph.apps import Bfs, KCore, PageRank, RandomWalk
+from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.engine import EngineConfig, run_app
 
 import oracles
-from util import adjacency_lists, build_graph, random_graph, small_world
+from util import adjacency_lists, build_graph, random_graph, small_world, spy_pressure
 
 N = 400
-KNOBS = [dict(page_size=page_size, edge_log=edge_log) for page_size in (256, 4096) for edge_log in (False, True)]
+# a sort budget of 409 bytes and a multi-log budget of 2 KiB on 256-byte pages
+TIGHT = dict(page_size=256, edge_log=False, memory_budget=40 << 10, sort_frac=0.01)
+KNOBS = [dict(page_size=page_size, edge_log=edge_log) for page_size in (256, 4096) for edge_log in (False, True)] + [
+    TIGHT
+]
 
 
 def run_all_knobs(tmp_path, src, dst, make_program, knobs=KNOBS, **cfg):
@@ -26,7 +30,7 @@ def run_all_knobs(tmp_path, src, dst, make_program, knobs=KNOBS, **cfg):
     for i, knob in enumerate(knobs):
         d = tmp_path / f"knob{i}"
         g = build_graph(d, src, dst, N, page_size=knob["page_size"])
-        config = EngineConfig(memory_budget=1 << 20, **knob, **cfg)
+        config = EngineConfig(**{"memory_budget": 1 << 20, **knob}, **cfg)
         results.append(run_app(g, make_program(), config, str(d / "run")))
     return results
 
@@ -38,6 +42,40 @@ def assert_knob_invariant(results):
         assert res.num_supersteps == first.num_supersteps
         assert [st.messages_sent for st in res.stats] == [st.messages_sent for st in first.stats]
         assert res.structural_warnings == first.structural_warnings
+
+
+def test_tight_knob_evicts_and_sorts_in_passes(tmp_path, monkeypatch):
+    src, dst = random_graph(N, 6, seed=45)
+    pressure = spy_pressure(monkeypatch)
+    run_all_knobs(tmp_path, src, dst, Community, [TIGHT], max_supersteps=3)
+    assert pressure["multi_pass"] > 0 and pressure["evicted"] > 0
+
+
+def test_community_invariant_across_storage_knobs(tmp_path):
+    src, dst = random_graph(N, 6, seed=45)
+    results = run_all_knobs(tmp_path, src, dst, Community, max_supersteps=15)
+    assert_knob_invariant(results)
+    labels, steps = oracles.oracle_community(adjacency_lists(src, dst, N), 15)
+    assert results[0].states["label"].tolist() == labels
+    assert results[0].num_supersteps == steps
+
+
+def test_coloring_invariant_across_storage_knobs(tmp_path):
+    src, dst = random_graph(N, 6, seed=46)
+    results = run_all_knobs(tmp_path, src, dst, Coloring, max_supersteps=15)
+    assert_knob_invariant(results)
+    colors, steps = oracles.oracle_coloring(adjacency_lists(src, dst, N), 15)
+    assert results[0].states["color"].tolist() == colors
+    assert results[0].num_supersteps == steps
+
+
+def test_mis_invariant_across_storage_knobs(tmp_path):
+    src, dst = random_graph(N, 6, seed=47)
+    results = run_all_knobs(tmp_path, src, dst, lambda: Mis(seed=13), max_supersteps=30)
+    assert_knob_invariant(results)
+    status, steps = oracles.oracle_mis(adjacency_lists(src, dst, N), 13, 30)
+    assert results[0].states["status"].tolist() == status
+    assert results[0].num_supersteps == steps
 
 
 @pytest.mark.parametrize("use_combine", [True, False])

@@ -9,7 +9,9 @@ from loggraph.pager import PAGE_HEADER, Page, PageStore, StoreRegistry, pack_pag
 
 @pytest.fixture
 def store(tmp_path):
-    return PageStore(str(tmp_path / "s.pages"), page_size=256)
+    store = PageStore(str(tmp_path / "s.pages"), page_size=256)
+    yield store
+    store.close()
 
 
 def test_read_empty_store_is_addressing_error(store):

@@ -6,8 +6,9 @@ import os
 
 import numpy as np
 
-from loggraph import csr
+from loggraph import csr, sortgroup
 from loggraph.ingest import convert_arrays
+from loggraph.multilog import MultiLog
 
 
 def both_directions(pairs):
@@ -91,3 +92,25 @@ def op_rows(*ops):
     ("del_vertex", v) tuples."""
     kinds = {"add_edge": csr.ADD_EDGE, "del_edge": csr.DEL_EDGE, "del_vertex": csr.DEL_VERTEX}
     return np.array([(kinds[op[0]], op[1], op[2] if len(op) > 2 else -1) for op in ops], np.int64).reshape(-1, 3)
+
+
+def spy_pressure(monkeypatch):
+    """Counts, over the engine runs that follow in the test, the sort plans
+    taking more than one pass ("multi_pass") and the multilog pages evicted
+    ("evicted")."""
+    seen = {"multi_pass": 0, "evicted": 0}
+    plan_fusion, evict = sortgroup.plan_fusion, MultiLog.evict_if_needed
+
+    def plan_spy(*args):
+        plans = plan_fusion(*args)
+        seen["multi_pass"] += sum(p.passes > 1 for p in plans)
+        return plans
+
+    def evict_spy(mlog):
+        evicted = evict(mlog)
+        seen["evicted"] += evicted
+        return evicted
+
+    monkeypatch.setattr(sortgroup, "plan_fusion", plan_spy)
+    monkeypatch.setattr(MultiLog, "evict_if_needed", evict_spy)
+    return seen
