@@ -11,7 +11,7 @@ A load returns an `Adjacency`: one flat CSR over the requested vertices
 (`ids`, `offsets`, `nbrs`) plus, per row, the colIdx pages it came from and
 its source (CSR, structural overlay or edge log). Row spans, page sets and
 the neighbor gather are array operations; `adj[v]` gives one vertex's
-`AdjacencyView` for the edge log and per-vertex programs.
+`AdjacencyView`, the unit the edge log stores and serves.
 
 Structural updates are int rows (kind, src, dst) of an ops array, kind one
 of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
@@ -246,10 +246,6 @@ class Partition:
         self.colidx = reg.open(os.path.join(base, f"part{k}.colidx"), "csr", create=False)
         self.cap_rp = page_capacity(graph_dir.meta.page_size, ROWPTR_WIDTH)
         self.cap_ci = page_capacity(graph_dir.meta.page_size, VID_WIDTH)
-
-    @property
-    def num_local(self) -> int:
-        return self.hi - self.lo
 
     def full_rowptr(self) -> np.ndarray:
         parts = [

@@ -1,31 +1,22 @@
 """Superstep driver.
 
 One superstep: plan log fusion from the sealed per-interval message counts,
-load and sort each fused log, extract the active vertices, fetch their state
-and adjacency (from the edge log when possible), run the vertex program,
-route its sends through the multi-log, then seal the next superstep's logs,
-merge batched structural updates past the threshold and record the activity
-bit vector.
+load and sort each fused log, take its destinations plus the forced vertices
+as the active set, fetch their state and adjacency (from the edge log when
+possible), run the vertex program on them, route its sends through the
+multi-log, then seal the next superstep's logs, merge batched structural
+updates past the threshold and record the activity bit vector.
 
-The unit of work handed to a program is a Batch: the active vertices of one
-sorted log with their state rows, a flat-CSR adjacency, their inbox spans
-and, for a program with per-in-neighbor tables, those tables as one flat
-entry array with per-row offsets. Every shipped app handles the whole batch
-with array code, sending through `ctx.send_many` and buffering structural
-updates through `ctx.structural_many`. A program may instead define a
-per-vertex `process` that the base class's `process_batch` adapter calls
-once per vertex, with its table row as `ctx.table`. Execution is
+A program sees one sorted log's active vertices at a time, as a Batch: their
+state rows, a flat-CSR adjacency, their inbox spans and, for a program with
+per-in-neighbor tables, those tables as one flat entry array with per-row
+offsets. It handles the whole batch with array code through a Context of
+two calls: `send_many` appends columns of messages to the multi-log, and
+`structural_many` buffers (kind, src, dst) structural update rows (see
+`csr`), which it files per interval for `csr.apply_ops` to apply, to fetched
+rows by the overlay and to a whole interval by the merge. Execution is
 deterministic single-threaded by default; an optional thread pool splits a
 batch into slices processed concurrently.
-
-Both kinds of program reach the same array mechanisms. `Context.send`
-buffers (dest, src, *payload) tuples and flushes them through
-`MultiLog.send_many` a block at a time and when the batch returns, which
-leaves the same log pages as sending each record on its own. Structural
-updates are (kind, src, dst) rows (see `csr`). `Context.structural_many` is
-their one buffering path (`add_edge`, `delete_edge` and `delete_vertex`
-hand it one row); it files them per interval, and `csr.apply_ops` applies
-them, to fetched rows by the overlay and to a whole interval by the merge.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ import numpy as np
 
 from . import csr as csrmod
 from . import sortgroup
-from .csr import SOURCES, Adjacency, AdjacencyView, GraphDir, ranges
+from .csr import SOURCES, Adjacency, GraphDir, ranges
 from .edgelog import EdgeLog, classify_inefficient, log_candidates
 from .errors import ConfigError, ContractViolation
 from .multilog import MultiLog, RecordFormat
@@ -135,20 +126,17 @@ class VertexProgram:
     (aux_entry_dtype), plus:
 
       init_all(num_vertices, in_degrees) -> (states, active_bits, init_msgs)
-      process_batch(ctx, batch)   or   process(ctx, v, state, adj, inbox)
+      process_batch(ctx, batch)
 
-    process_batch gets one Batch and sends with ctx.send_many(dest, src,
-    *payload), whole columns at once, in the order a per-vertex loop would
-    have sent them; it buffers structural updates with
-    ctx.structural_many(ops), in the order a per-vertex loop would have
-    buffered them. With aux_entry_dtype set, batch.table holds every row's
-    table in one flat array, row i's at batch.table_offsets[i] with its
-    in-degree as capacity; the program updates it in place, and the pages
-    covering the rows whose entries changed are written back. The base
-    process_batch is the generic adapter for per-vertex programs: it calls
-    process once per row in id order, with ctx.vertex set and ctx.table the
-    row's slice of batch.table, the state row, an AdjacencyView and the
-    inbox; process sends with ctx.send(dest, *payload).
+    process_batch gets one Batch and updates its state rows in place. It
+    sends with ctx.send_many(dest, src, *payload), whole columns at once,
+    and buffers structural updates with ctx.structural_many(ops); both keep
+    the order of their rows, so a batch's messages and updates land as if
+    each vertex had issued its own in id order. With aux_entry_dtype set,
+    batch.table holds every row's table in one flat array, row i's at
+    batch.table_offsets[i] with its in-degree as capacity; the program
+    updates it in place, and the pages covering the rows whose entries
+    changed are written back.
 
     combine, when set, is a function reduce(records, starts, out) applied to
     each sorted log: records are grouped by destination, group i starts at
@@ -157,9 +145,9 @@ class VertexProgram:
     then hold one record per destination. Set it with staticmethod so that
     it is not bound to the program instance.
 
-    Neither may keep ctx or the batch beyond the call. Messages are the only
-    way a vertex runs again next superstep; deactivation is the default.
-    Structural updates may only touch the vertices being processed.
+    A program may not keep ctx or the batch beyond the call. Messages are
+    the only way a vertex runs again next superstep; deactivation is the
+    default. Structural updates may only touch the vertices being processed.
     """
 
     name = "program"
@@ -172,14 +160,11 @@ class VertexProgram:
         raise NotImplementedError
 
     def process_batch(self, ctx: "Context", batch: Batch) -> None:
-        starts, ends = batch.starts.tolist(), batch.ends.tolist()
-        table, offsets = batch.table, batch.table_offsets
-        for i, v in enumerate(batch.ids.tolist()):
-            ctx.vertex = v
-            ctx.table = table[offsets[i] : offsets[i + 1]] if table is not None else None
-            self.process(ctx, v, batch.states[i], batch.adj.view(i), batch.records[starts[i] : ends[i]])
+        raise NotImplementedError
 
-    def process(self, ctx, v: int, state, adj: AdjacencyView, inbox: np.ndarray) -> None:
+    def process(self, *args) -> None:
+        """Never called by the engine. It survives only as the name that the
+        benchmark's clock (bench/child.py) and tracer (bench/trace.py) wrap."""
         raise NotImplementedError
 
     def summary(self, states: np.ndarray) -> dict:
@@ -241,37 +226,23 @@ class RunResult:
 
 
 class Context:
-    """The engine API handed to process_batch (and by the adapter to
-    process); valid only during the call. vertex and table are the row the
-    adapter is processing."""
+    """The engine API handed to process_batch; valid only during the call."""
 
-    __slots__ = ("_engine", "superstep", "vertex", "table", "_sends")
+    __slots__ = ("_engine", "superstep")
 
     def __init__(self, engine: "Engine", superstep: int):
         self._engine = engine
         self.superstep = superstep
-        self.vertex = -1
-        self.table = None
-        self._sends: list[tuple] = []
-
-    def send(self, dest: int, *payload) -> None:
-        """Send one message from the current vertex; buffered until a block
-        is full, the next send_many or the end of the batch."""
-        self._sends.append((dest, self.vertex, *payload))
-        if len(self._sends) == self._engine._mlog.block:
-            self.flush()
-
-    def flush(self) -> None:
-        """Hand the buffered sends to the multi-log."""
-        if self._sends:
-            records = self._engine.fmt.pack(self._sends)
-            self._sends = []
-            self._engine._mlog.send_many(records)
 
     def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
         """Send message i from src[i] to dest[i] with payload column values
-        [i], in index order; a scalar column is broadcast."""
-        self.flush()
+        [i], in index order; a scalar column is broadcast. A dest or src
+        outside [0, num_vertices) is a contract violation."""
+        n = self._engine.meta.num_vertices
+        for name, col in (("destination", dest), ("source", src)):
+            col = np.asarray(col)
+            if col.size and (col.min() < 0 or col.max() >= n):
+                raise ContractViolation(f"message {name} outside [0, {n})")
         fmt = self._engine.fmt
         records = np.empty(len(dest), fmt.dtype)
         records["dest"] = dest
@@ -280,10 +251,6 @@ class Context:
             records[name] = col
         self._engine._mlog.send_many(records)
 
-    def deactivate(self) -> None:
-        """Accepted for program-model symmetry; deactivation is the default
-        and an incoming message always reactivates."""
-
     def structural_many(self, ops) -> None:
         """Buffer structural ops, int rows (kind, src, dst) with kind one of
         csr.ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused), in row order.
@@ -291,15 +258,6 @@ class Context:
         earlier call or an earlier row, is dropped and counted in
         structural_warnings."""
         self._engine._buffer_ops(np.asarray(ops, np.int64).reshape(-1, 3))
-
-    def add_edge(self, src: int, dst: int) -> None:
-        self.structural_many([(csrmod.ADD_EDGE, src, dst)])
-
-    def delete_edge(self, src: int, dst: int) -> None:
-        self.structural_many([(csrmod.DEL_EDGE, src, dst)])
-
-    def delete_vertex(self) -> None:
-        self.structural_many([(csrmod.DEL_VERTEX, self.vertex, -1)])
 
 
 class Engine:
@@ -396,43 +354,47 @@ class Engine:
             self.program.aux_entry_dtype,
             aux_caps,
         )
-        self._mlog = MultiLog(
-            self.meta.interval_bounds,
-            self.fmt,
-            self.registry,
-            os.path.join(self.workdir, "logs"),
-            cfg.multilog_budget,
-        )
-        if cfg.edge_log:
-            self._edgelog = EdgeLog(self.registry, os.path.join(self.workdir, "edgelog"), cfg.edgelog_budget)
-        for v, payload in init_msgs:
-            self._mlog.send(int(v), int(v), *payload)
-        manifest = self._mlog.seal()
-        self._mlog.open_superstep(1)
+        try:
+            self._mlog = MultiLog(
+                self.meta.interval_bounds,
+                self.fmt,
+                self.registry,
+                os.path.join(self.workdir, "logs"),
+                cfg.multilog_budget,
+            )
+            if cfg.edge_log:
+                self._edgelog = EdgeLog(self.registry, os.path.join(self.workdir, "edgelog"), cfg.edgelog_budget)
+            for v, payload in init_msgs:
+                self._mlog.send(int(v), int(v), *payload)
+            manifest = self._mlog.seal()
+            self._mlog.open_superstep(1)
 
-        forced = np.nonzero(active_bits)[0].astype(np.int64)
-        stats_list: list[SuperstepStats] = []
-        trace: list[np.ndarray] | None = [] if cfg.record_trace else None
-        step = 0
-        while step < cfg.max_supersteps:
-            if manifest.total == 0 and len(forced) == 0:
-                break
-            st, manifest = self._run_superstep(step, manifest, forced)
-            forced = forced[:0]
-            stats_list.append(st)
-            if trace is not None:
-                trace.append(np.flatnonzero(self._last_active))
-            if on_superstep is not None:
-                on_superstep(self, st)
-            step += 1
-        for k in range(self.meta.num_intervals):
-            self._merge_interval(k)
-        final = self._states.read_all()
-        # the last sealed logs are never consumed; state files stay on disk
-        self._drop_logs(manifest)
-        self._states.close()
-        if self._edgelog is not None:
-            self._edgelog.close()
+            forced = np.nonzero(active_bits)[0].astype(np.int64)
+            stats_list: list[SuperstepStats] = []
+            trace: list[np.ndarray] | None = [] if cfg.record_trace else None
+            step = 0
+            while step < cfg.max_supersteps:
+                if manifest.total == 0 and len(forced) == 0:
+                    break
+                st, manifest = self._run_superstep(step, manifest, forced)
+                forced = forced[:0]
+                stats_list.append(st)
+                if trace is not None:
+                    trace.append(np.flatnonzero(self._last_active))
+                if on_superstep is not None:
+                    on_superstep(self, st)
+                step += 1
+            for k in range(self.meta.num_intervals):
+                self._merge_interval(k)
+            final = self._states.read_all()
+        finally:
+            # also when the program raised. Every log goes, the last sealed
+            # ones too, which are never consumed; state files stay on disk.
+            if self._mlog is not None:
+                self._mlog.close()
+            self._states.close()
+            if self._edgelog is not None:
+                self._edgelog.close()
         return RunResult(final, stats_list, trace, self.structural_warnings, self.deleted.copy(), self.program)
 
     def _run_superstep(self, S: int, manifest, forced: np.ndarray):
@@ -469,7 +431,7 @@ class Engine:
             ):
                 if self.program.combine is not None:
                     slog = sortgroup.apply_combine(slog, self.program.combine, self.fmt)
-                act = sortgroup.extract_active(slog)
+                act = slog.dests
                 forced_here = forced[(forced >= lo) & (forced < hi)]
                 if len(forced_here):
                     act = np.union1d(act, forced_here)
@@ -482,7 +444,7 @@ class Engine:
 
         manifest_next = self._mlog.seal()
         self._mlog.open_superstep(S + 2)
-        self._drop_logs(manifest)
+        self._mlog.drop(manifest)
         for k, pending in enumerate(self._pending):
             if sum(map(len, pending)) >= cfg.merge_threshold:
                 self._merge_interval(k)
@@ -514,11 +476,6 @@ class Engine:
             csr_pages_inefficient=len(self._ineff),
         )
         return st, manifest_next
-
-    def _drop_logs(self, manifest) -> None:
-        for handle in manifest.handles:
-            if handle.store is not None:
-                self.registry.drop(handle.store, "log", unlink=True)
 
     # -- batch processing -----------------------------------------------------
 
@@ -553,9 +510,7 @@ class Engine:
             batch.table, batch.table_offsets = aux.entries, aux.offsets
 
         def work(part: Batch) -> None:
-            ctx = Context(self, S)
-            self.program.process_batch(ctx, part)
-            ctx.flush()
+            self.program.process_batch(Context(self, S), part)
 
         if self.cfg.parallel > 1 and len(act) > 1:
             cuts = np.linspace(0, len(act), self.cfg.parallel + 1).astype(int).tolist()

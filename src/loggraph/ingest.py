@@ -72,31 +72,15 @@ def convert(
     if undirected:
         keep = src != dst
         src, dst = np.concatenate([src, dst[keep]]), np.concatenate([dst, src[keep]])
-    n = len(original_ids)
-    in_deg = np.bincount(dst, minlength=n).astype(np.int64) if len(dst) else np.zeros(n, np.int64)
-    bounds, indeg_sums = csr.partition_vertices(in_deg, record_size, sort_budget)
-
     with open(input_path, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    meta = csr.GraphMeta(
-        num_vertices=n,
-        num_edges=len(src),
-        interval_bounds=bounds,
-        interval_indeg=indeg_sums,
-        page_size=page_size,
-        record_size=record_size,
-        dataset_hash=digest,
+    graph = convert_arrays(
+        src, dst, len(original_ids), out_dir, sort_budget, page_size, record_size, registry, dataset_hash=digest
     )
-    os.makedirs(out_dir, exist_ok=True)
-    registry = registry or StoreRegistry(page_size)
-    csr.build_partitions(src, dst, meta, registry, out_dir)
-    with open(os.path.join(out_dir, "meta.json"), "w") as f:
-        json.dump(meta.to_dict(), f, sort_keys=True, indent=1)
-    in_deg.astype(np.uint32).tofile(os.path.join(out_dir, "indeg.bin"))
     with open(os.path.join(out_dir, "mapping.tsv"), "w") as f:
         for dense, orig in enumerate(original_ids):
             f.write(f"{dense}\t{int(orig)}\n")
-    return csr.GraphDir(out_dir, registry)
+    return graph
 
 
 def convert_arrays(
@@ -110,7 +94,8 @@ def convert_arrays(
     registry: StoreRegistry | None = None,
     dataset_hash: str = "",
 ) -> csr.GraphDir:
-    """Convert in-memory dense-id edge arrays (test and library entry point)."""
+    """Convert in-memory dense-id edge arrays: part files, meta.json and
+    indeg.bin. `convert` reaches it once the ids are dense."""
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
     in_deg = np.bincount(dst, minlength=num_vertices).astype(np.int64)

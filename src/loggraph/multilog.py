@@ -12,15 +12,16 @@ pages, so each page parses on its own. Pages keep arrival order; sorting by
 destination happens once per loaded log, in the sort-and-group unit.
 
 `send_many` is the one append path: it copies arrays of wire-format records
-into the top pages. `send` is a one-record call into it, and per-vertex
-programs reach it through the engine's buffered `Context.send`.
+into the top pages; vertex programs reach it through the engine's
+`Context.send_many`, and `send` is a one-record call into it. The multi-log
+owns its log files: `drop` deletes a consumed superstep's, and `close` every
+one still open.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,11 +46,6 @@ class RecordFormat:
             return np.array(rows, self.dtype)
         except OverflowError as exc:
             raise ContractViolation(f"message does not fit the wire format: {exc}") from None
-
-
-def vid_to_interval(bounds: list[int], v: int) -> int:
-    """Interval containing v; a boundary vertex belongs to the right interval."""
-    return bisect_right(bounds, v) - 1
 
 
 @dataclass
@@ -129,6 +125,7 @@ class MultiLog:
         self.logs: list[_IntervalLog] = []
         self._resident_pages = 0
         self._lock = threading.RLock()
+        self._stores: list[PageStore] = []  # every log file not yet dropped
         self.total_appends = 0
         self.post_evict_peak = 0
         os.makedirs(log_dir, exist_ok=True)
@@ -260,6 +257,7 @@ class MultiLog:
         if log.store is None:
             path = os.path.join(self.dir, f"log_t{self.tag}_i{log.interval}.pages")
             log.store = self.registry.open(path, "log")
+            self._stores.append(log.store)
         return log.store
 
     def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
@@ -323,6 +321,19 @@ class MultiLog:
         """Seal every interval for the current tag and freeze the manifest."""
         handles = [self.seal_interval(k) for k in range(self.n_intervals)]
         return LogManifest(self.tag, handles)
+
+    def drop(self, manifest: LogManifest) -> None:
+        """Close and delete the log files of a consumed superstep."""
+        for handle in manifest.handles:
+            if handle.store is not None:
+                self._stores.remove(handle.store)
+                self.registry.drop(handle.store, "log", unlink=True)
+
+    def close(self) -> None:
+        """Close and delete every log file not yet dropped, sealed or open."""
+        for store in self._stores:
+            self.registry.drop(store, "log", unlink=True)
+        self._stores = []
 
 
 def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:

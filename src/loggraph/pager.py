@@ -135,11 +135,6 @@ class PageStore:
             self._f.write(data)
             self.pages_written += 1
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.pages_read = 0
-            self.pages_written = 0
-
     def flush(self) -> None:
         self._f.flush()
 

@@ -106,11 +106,6 @@ def check_dest_range(records: np.ndarray, lo: int, hi: int) -> None:
         raise CorruptPageError(f"record destination outside interval range [{lo}, {hi})")
 
 
-def extract_active(slog: SortedLog) -> np.ndarray:
-    """Distinct destinations, ascending: the vertices that woke up."""
-    return slog.dests
-
-
 def apply_combine(slog: SortedLog, combine, fmt: RecordFormat) -> SortedLog:
     """One record per destination, reduced by the program's combine reducer.
 

@@ -1,6 +1,6 @@
 """Community, coloring and MIS as batch programs equal their per-vertex
-forms, run through the base adapter: the same states, messages, superstep
-stats, page counts and aux table bytes, under a budget that forces
+forms, run through the test-only PerVertex base: the same states, messages,
+superstep stats, page counts and aux table bytes, under a budget that forces
 multi-pass sorts and multilog eviction.
 
 The per-vertex forms here are the reference programs: one Python loop per
@@ -16,11 +16,11 @@ from loggraph.apps import Coloring, Community, Mis
 from loggraph.apps.mis import IN_NOTE, IN_SET, OUT, OUT_NOTE, PRIO, UNDECIDED
 from loggraph.apps.table import upsert as upsert_many
 from loggraph.csr import Adjacency
-from loggraph.engine import Batch, EngineConfig, VertexProgram, run_app
+from loggraph.engine import Batch, EngineConfig, run_app
 from loggraph.multilog import RecordFormat
 from loggraph.seeds import unit_float
 
-from util import build_graph, clique_graph, random_graph, spy_pressure, star_graph
+from util import PerVertex, build_graph, clique_graph, random_graph, spy_pressure, star_graph
 
 
 def upsert(table: np.ndarray, used: int, src: int, value: int) -> int:
@@ -35,9 +35,7 @@ def upsert(table: np.ndarray, used: int, src: int, value: int) -> int:
     return used
 
 
-class PerVertexCommunity(Community):
-    process_batch = VertexProgram.process_batch
-
+class PerVertexCommunity(PerVertex, Community):
     def process(self, ctx, v, state, adj, inbox):
         table = ctx.table
         used = int(state["used"])
@@ -59,9 +57,7 @@ class PerVertexCommunity(Community):
                 ctx.send(int(w), new)
 
 
-class PerVertexColoring(Coloring):
-    process_batch = VertexProgram.process_batch
-
+class PerVertexColoring(PerVertex, Coloring):
     def process(self, ctx, v, state, adj, inbox):
         table = ctx.table
         used = int(state["used"])
@@ -81,9 +77,7 @@ class PerVertexColoring(Coloring):
             ctx.send(int(w), mine)
 
 
-class PerVertexMis(Mis):
-    process_batch = VertexProgram.process_batch
-
+class PerVertexMis(PerVertex, Mis):
     def _broadcast(self, ctx, adj, kind, prio=0.0):
         for w in adj.neighbors:
             ctx.send(int(w), kind, prio)

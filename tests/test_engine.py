@@ -8,7 +8,7 @@ from loggraph.apps import Bfs, Community, KCore, PageRank
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 from loggraph.errors import ContractViolation
 
-from util import build_graph, clique_graph, random_graph, ring_graph
+from util import PerVertex, build_graph, clique_graph, random_graph, ring_graph
 
 CFG = dict(memory_budget=1 << 20, page_size=256)
 
@@ -29,8 +29,26 @@ class NullProgram(VertexProgram):
     def init_all(self, n, indeg):
         return np.zeros(n, self.state_dtype), np.zeros(n, bool), []
 
-    def process(self, ctx, v, state, adj, inbox):
+    def process_batch(self, ctx, batch):
         raise AssertionError("must never run")
+
+
+class Scripted(VertexProgram):
+    """Vertex 0 gets one message before superstep 0; each batch is handed
+    to step(ctx, batch)."""
+
+    name = "scripted"
+    payload_fields = [("x", "<u4")]
+    state_dtype = np.dtype([("v", "<u4")])
+
+    def __init__(self, step):
+        self.step = step
+
+    def init_all(self, n, indeg):
+        return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
+
+    def process_batch(self, ctx, batch):
+        self.step(ctx, batch)
 
 
 class EchoProgram(VertexProgram):
@@ -50,8 +68,10 @@ class EchoProgram(VertexProgram):
         bits[self.active] = True
         return np.zeros(n, self.state_dtype), bits, self.msgs
 
-    def process(self, ctx, v, state, adj, inbox):
-        self.seen.append((ctx.superstep, v, [int(x) for x in inbox["x"]], [int(s) for s in inbox["src"]]))
+    def process_batch(self, ctx, batch):
+        for i, v in enumerate(batch.ids.tolist()):
+            inbox = batch.records[batch.starts[i] : batch.ends[i]]
+            self.seen.append((ctx.superstep, v, inbox["x"].tolist(), inbox["src"].tolist()))
 
 
 def test_no_init_activity_runs_zero_supersteps(tmp_path):
@@ -118,11 +138,11 @@ def test_message_arrival_reactivates_regardless_of_deactivate(tmp_path):
         def init_all(self, n, indeg):
             return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
 
-        def process(self, ctx, v, state, adj, inbox):
-            state["hits"] = int(state["hits"]) + 1
-            ctx.deactivate()  # explicitly deactivate, then message vertex 3
-            if ctx.superstep < 3 and v == 0:
-                ctx.send(0, 1)  # self-message: deactivate + message => active again
+        def process_batch(self, ctx, batch):
+            # every vertex that ran is inactive next superstep unless messaged
+            batch.states["hits"] += 1
+            if ctx.superstep < 3 and batch.ids[0] == 0:
+                ctx.send_many(np.array([0]), np.array([0]), 1)  # a self-message reactivates
 
     res = run_app(g, Pinger(), cfg(max_supersteps=10), str(tmp_path / "run"))
     assert res.states["hits"][0] == 4  # supersteps 0..3
@@ -141,24 +161,16 @@ def test_structural_overlay_visible_before_merge(tmp_path):
         def init_all(self, n, indeg):
             return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(2, (0,)), (2, (1,))]
 
-        def process(self, ctx, v, state, adj, inbox):
+        def process_batch(self, ctx, batch):
+            for i, v in enumerate(batch.ids.tolist()):
+                seen.setdefault(ctx.superstep, {})[v] = batch.adj.view(i).neighbors.tolist()
             if ctx.superstep == 0:
-                ctx.delete_edge(2, 3)
-                ctx.send(2, 9)  # run again next superstep
+                ctx.structural_many([(csr.DEL_EDGE, 2, 3)])
+                ctx.send_many(np.array([2]), np.array([2]), 9)  # run again next superstep
 
-        # no merge fires (2 ops < threshold): next fetch must overlay
+        # no merge fires (1 op < threshold): next fetch must overlay
 
-    prog = Deleter()
-    eng = Engine(g, prog, cfg(max_supersteps=2), str(tmp_path / "run"))
-
-    orig_process = prog.process
-
-    def spy(ctx, v, state, adj, inbox):
-        seen.setdefault(ctx.superstep, {})[v] = adj.neighbors.tolist()
-        return orig_process(ctx, v, state, adj, inbox)
-
-    prog.process = spy
-    eng.run()
+    Engine(g, Deleter(), cfg(max_supersteps=2), str(tmp_path / "run")).run()
     assert seen[0][2] == [1, 3]
     assert seen[1][2] == [1]  # pending delete visible through the overlay
 
@@ -175,12 +187,10 @@ def test_merge_threshold_fires_at_superstep_end(tmp_path):
         def init_all(self, n, indeg):
             return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
 
-        def process(self, ctx, v, state, adj, inbox):
+        def process_batch(self, ctx, batch):
             if ctx.superstep == 0:
-                ctx.add_edge(0, 4)
-                ctx.add_edge(0, 5)
-                ctx.add_edge(0, 6)
-                ctx.send(0, 1)
+                ctx.structural_many([(csr.ADD_EDGE, 0, 4), (csr.ADD_EDGE, 0, 5), (csr.ADD_EDGE, 0, 6)])
+                ctx.send_many(np.array([0]), np.array([0]), 1)
 
     eng = Engine(g, Adder(), cfg(max_supersteps=2, merge_threshold=3), str(tmp_path / "run"))
     spotted = {}
@@ -222,14 +232,15 @@ def test_delete_vertex_permanently_inactive(tmp_path):
         def init_all(self, n, indeg):
             return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(3, (0,)), (4, (0,))]
 
-        def process(self, ctx, v, state, adj, inbox):
-            ran.append((ctx.superstep, v))
-            if ctx.superstep == 0 and v == 3:
-                ctx.delete_vertex()
-            if v == 4:
-                ctx.send(3, 1)  # messages to the deleted vertex are dropped
-                if ctx.superstep < 2:
-                    ctx.send(4, 1)
+        def process_batch(self, ctx, batch):
+            ids = batch.ids.tolist()
+            ran.extend((ctx.superstep, v) for v in ids)
+            if ctx.superstep == 0 and 3 in ids:
+                ctx.structural_many([(csr.DEL_VERTEX, 3, -1)])
+            if 4 in ids:
+                # messages to the deleted vertex are dropped
+                dest = [3, 4] if ctx.superstep < 2 else [3]
+                ctx.send_many(np.array(dest), np.full(len(dest), 4), 1)
 
     res = run_app(g, Seppuku(), cfg(max_supersteps=5), str(tmp_path / "run"))
     assert (0, 3) in ran
@@ -263,10 +274,11 @@ def test_synchronous_delivery_exactly_one_superstep_later(tmp_path):
         def init_all(self, n, indeg):
             return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (7,))]
 
-        def process(self, ctx, v, state, adj, inbox):
-            seen.append((ctx.superstep, v, [int(x) for x in inbox["x"]]))
+        def process_batch(self, ctx, batch):
+            for i, v in enumerate(batch.ids.tolist()):
+                seen.append((ctx.superstep, v, batch.records["x"][batch.starts[i] : batch.ends[i]].tolist()))
             if ctx.superstep == 0:
-                ctx.send(1, 8)
+                ctx.send_many(np.array([1]), batch.ids[:1], 8)
 
     run_app(g, TwoHop(), cfg(max_supersteps=5), str(tmp_path / "run"))
     assert seen == [(0, 0, [7]), (1, 1, [8])]
@@ -330,11 +342,9 @@ def test_parallel_mode_matches_serial_for_order_free_apps(tmp_path):
     assert np.array_equal(c1.states["label"], c2.states["label"])
 
 
-class PerVertexKCore(KCore):
-    """K-core as a per-vertex program: through the base adapter, with one
-    ctx.delete_edge per notification and ctx.delete_vertex."""
-
-    process_batch = VertexProgram.process_batch
+class PerVertexKCore(PerVertex, KCore):
+    """K-core as a per-vertex program: through the test-only PerVertex
+    base, with one ctx.delete_edge per notification and ctx.delete_vertex."""
 
     def process(self, ctx, v, state, adj, inbox):
         if int(state["alive"]) == 0:
@@ -399,19 +409,11 @@ def test_structural_many_equals_one_call_per_op(tmp_path, one_call):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
 
-    class Editor(VertexProgram):
-        name = "editor"
-        payload_fields = [("x", "<u4")]
-        state_dtype = np.dtype([("v", "<u4")])
+    def edit(ctx, batch):
+        for ops in [OPS] if one_call else [[op] for op in OPS]:
+            ctx.structural_many(ops)
 
-        def init_all(self, n, indeg):
-            return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
-
-        def process_batch(self, ctx, batch):
-            for ops in [OPS] if one_call else [[op] for op in OPS]:
-                ctx.structural_many(ops)
-
-    res = run_app(g, Editor(), cfg(), str(tmp_path / "run"))
+    res = run_app(g, Scripted(edit), cfg(), str(tmp_path / "run"))
     assert res.structural_warnings == 2
     assert np.flatnonzero(res.deleted).tolist() == [0, 3]
     views, _ = csr.load_adjacency(g, np.arange(6))
@@ -421,40 +423,27 @@ def test_structural_many_equals_one_call_per_op(tmp_path, one_call):
 @pytest.mark.parametrize("src", [-1, 6])
 def test_structural_op_on_a_bad_vertex_is_a_contract_violation(tmp_path, src):
     g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
-
-    class Stray(VertexProgram):
-        name = "stray"
-        payload_fields = [("x", "<u4")]
-        state_dtype = np.dtype([("v", "<u4")])
-
-        def init_all(self, n, indeg):
-            return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
-
-        def process(self, ctx, v, state, adj, inbox):
-            ctx.delete_edge(src, 1)
-
+    stray = Scripted(lambda ctx, batch: ctx.structural_many([(csr.DEL_EDGE, src, 1)]))
     with pytest.raises(ContractViolation):
-        run_app(g, Stray(), cfg(), str(tmp_path / "run"))
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
 
 
 @pytest.mark.parametrize("dest", [-1, 6, 1 << 32])
 def test_send_to_a_bad_destination_is_a_contract_violation(tmp_path, dest):
-    src, dst = ring_graph(6)
-    g = build_graph(tmp_path, src, dst, 6, page_size=256)
-
-    class Stray(VertexProgram):
-        name = "stray"
-        payload_fields = [("x", "<u4")]
-        state_dtype = np.dtype([("v", "<u4")])
-
-        def init_all(self, n, indeg):
-            return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
-
-        def process(self, ctx, v, state, adj, inbox):
-            ctx.send(dest, 1)
-
+    # an int64 column is checked before it is cast to the uint32 wire
+    # field, where 1 << 32 would wrap to vertex 0
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.send_many(np.array([dest], np.int64), batch.ids, 1))
     with pytest.raises(ContractViolation):
-        run_app(g, Stray(), cfg(), str(tmp_path / "run"))
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("src", [-1, 6, (1 << 32) + 1])
+def test_send_from_a_bad_source_is_a_contract_violation(tmp_path, src):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.send_many(batch.ids, np.array([src], np.int64), 1))
+    with pytest.raises(ContractViolation):
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
 
 
 def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):
@@ -474,9 +463,9 @@ def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):
             msgs = [(v, (1,)) for v in range(n) for _ in range(40)]
             return np.zeros(n, self.state_dtype), np.ones(n, bool), msgs
 
-        def process(self, ctx, v, state, adj, inbox):
-            state["runs"] += 1
-            state["heard"] += len(inbox)
+        def process_batch(self, ctx, batch):
+            batch.states["runs"] += 1
+            batch.states["heard"] += (batch.ends - batch.starts).astype(np.uint32)
 
     res = run_app(g, Tally(), cfg(memory_budget=16 << 10, max_supersteps=1), str(tmp_path / "run"))
     assert g.meta.num_intervals == 1
@@ -493,3 +482,24 @@ def test_run_closes_its_logs_and_state_files(tmp_path):
     assert [len(g.registry._stores[klass]) for klass in ("log", "edgelog", "state")] == [0, 0, 0]
     assert os.listdir(tmp_path / "run" / "logs") == []
     assert os.listdir(tmp_path / "run" / "edgelog") == []
+
+
+def test_run_closes_its_stores_when_the_program_raises(tmp_path):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    boom = RuntimeError("boom")
+    opened = {}
+
+    def step(ctx, batch):
+        if ctx.superstep == 0:
+            ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), 1))
+            return
+        opened.update({klass: len(g.registry._stores[klass]) for klass in ("log", "state")})
+        raise boom
+
+    with pytest.raises(RuntimeError) as raised:
+        run_app(g, Scripted(step), cfg(edge_log=True), str(tmp_path / "run"))
+    assert raised.value is boom
+    assert opened["log"] > 0 and opened["state"] > 0
+    assert [len(g.registry._stores[klass]) for klass in ("log", "edgelog", "state")] == [0, 0, 0]
+    assert os.listdir(tmp_path / "run" / "logs") == []

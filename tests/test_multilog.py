@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from loggraph.multilog import (
     MultiLog,
     RecordFormat,
     read_log_records,
-    vid_to_interval,
 )
 from loggraph.pager import PAGE_HEADER, StoreRegistry
 
@@ -21,11 +22,12 @@ def make_mlog(tmp_path, bounds=(0, 3, 6), page_size=256, budget_pages=None):
     return MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), budget)
 
 
-def test_vid_to_interval_boundaries():
-    bounds = [0, 3, 6]
-    assert vid_to_interval(bounds, 0) == 0
-    assert vid_to_interval(bounds, 3) == 1  # boundary belongs to the right interval
-    assert vid_to_interval(bounds, 5) == 1
+def test_vid_to_interval_boundaries(tmp_path):
+    mlog = make_mlog(tmp_path)  # bounds [0, 3, 6]
+    for d in (0, 2, 3, 5):
+        mlog.send(d, 0, 0)
+    # a boundary vertex belongs to the right interval
+    assert [log.message_count for log in mlog.logs] == [2, 2]
 
 
 def test_capacity_from_page_size(tmp_path):
@@ -71,7 +73,26 @@ def test_routing_correctness(tmp_path):
     for k, handle in enumerate(manifest.handles):
         recs = read_log_records(handle, FMT16)
         if len(recs):
-            assert all(vid_to_interval([0, 3, 6], int(d)) == k for d in recs["dest"])
+            assert all(3 * k <= d < 3 * (k + 1) for d in recs["dest"].tolist())
+
+
+def test_drop_and_close_delete_every_log_file(tmp_path):
+    mlog = make_mlog(tmp_path, budget_pages=2)
+    mlog.send(0, 0, 1)
+    mlog.send(5, 0, 2)
+    first = mlog.seal()
+    mlog.open_superstep(1)
+    mlog.send(0, 0, 3)
+    mlog.seal()
+    mlog.open_superstep(2)
+    for i in range(3 * mlog.capacity):  # past the budget: evicts to an open log
+        mlog.send(0, 0, i)
+    assert mlog.logs[0].store is not None and not mlog.logs[0].sealed
+    mlog.drop(first)
+    assert len(mlog.registry._stores["log"]) == 2
+    mlog.close()  # the sealed second superstep and the open third
+    assert mlog.registry._stores["log"] == []
+    assert os.listdir(tmp_path / "logs") == []
 
 
 def test_evict_noop_below_budget(tmp_path):

@@ -48,15 +48,6 @@ def test_wrong_size_append_rejected(store):
         store.append_page(bytes(100))
 
 
-def test_reset_counters(store):
-    store.append_page(bytes(256))
-    store.read_page(0)
-    store.reset_counters()
-    assert (store.pages_read, store.pages_written) == (0, 0)
-    store.reset_counters()  # reset on an idle store stays zero
-    assert (store.pages_read, store.pages_written) == (0, 0)
-    store.read_page(0)
-    assert store.pages_read == 1
 
 
 def test_read_your_writes_many(store):

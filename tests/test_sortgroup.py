@@ -129,17 +129,17 @@ def test_group_index_partitions_records():
 
 def test_extract_active_dedup_sorted():
     recs = records_of([(4, 0, 0), (2, 0, 1), (4, 0, 2), (1, 0, 3)])
-    assert sortgroup.extract_active(sort_n_group(recs)).tolist() == [1, 2, 4]
+    assert sort_n_group(recs).dests.tolist() == [1, 2, 4]
 
 
 def test_extract_active_empty():
     slog = sort_n_group(np.zeros(0, FMT16.dtype))
-    assert len(sortgroup.extract_active(slog)) == 0
+    assert len(slog.dests) == 0
 
 
 def test_extract_active_single_dest_flood():
     recs = records_of([(7, 0, i) for i in range(1021)])
-    assert sortgroup.extract_active(sort_n_group(recs)).tolist() == [7]
+    assert sort_n_group(recs).dests.tolist() == [7]
 
 
 # -- combine -----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: graph builders and conversion shortcuts."""
+"""Shared test helpers: graph builders, conversion shortcuts and the
+per-vertex model the reference programs are written in."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import os
 import numpy as np
 
 from loggraph import csr, sortgroup
+from loggraph.engine import VertexProgram
 from loggraph.ingest import convert_arrays
-from loggraph.multilog import MultiLog
+from loggraph.multilog import MultiLog, RecordFormat
 
 
 def both_directions(pairs):
@@ -114,3 +116,45 @@ def spy_pressure(monkeypatch):
     monkeypatch.setattr(sortgroup, "plan_fusion", plan_spy)
     monkeypatch.setattr(MultiLog, "evict_if_needed", evict_spy)
     return seen
+
+
+class RowContext:
+    """What a per-vertex process sees of its batch's Context: the superstep,
+    its vertex and table row, and send/delete_edge/delete_vertex calls that
+    are collected in call order."""
+
+    def __init__(self, superstep: int):
+        self.superstep = superstep
+        self.vertex = -1
+        self.table = None
+        self.sends: list[tuple] = []
+        self.ops: list[tuple] = []
+
+    def send(self, dest: int, *payload) -> None:
+        self.sends.append((dest, self.vertex, *payload))
+
+    def delete_edge(self, src: int, dst: int) -> None:
+        self.ops.append((csr.DEL_EDGE, src, dst))
+
+    def delete_vertex(self) -> None:
+        self.ops.append((csr.DEL_VERTEX, self.vertex, -1))
+
+
+class PerVertex(VertexProgram):
+    """Base of the per-vertex reference programs: process(ctx, v, state,
+    adj, inbox) runs once per row in id order, then the batch's collected
+    sends go to one ctx.send_many and its structural ops to one
+    ctx.structural_many. Both keep their rows' order, so the pages come out
+    as if each call had reached the engine on its own."""
+
+    def process_batch(self, ctx, batch):
+        rows = RowContext(ctx.superstep)
+        starts, ends = batch.starts.tolist(), batch.ends.tolist()
+        table, offsets = batch.table, batch.table_offsets
+        for i, v in enumerate(batch.ids.tolist()):
+            rows.vertex = v
+            rows.table = table[offsets[i] : offsets[i + 1]] if table is not None else None
+            self.process(rows, v, batch.states[i], batch.adj.view(i), batch.records[starts[i] : ends[i]])
+        records = RecordFormat(self.payload_fields).pack(rows.sends)
+        ctx.send_many(records["dest"], records["src"], *(records[name] for name, _ in self.payload_fields or []))
+        ctx.structural_many(rows.ops)
