@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, IngestError, OversizedVertexError
+from .errors import ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
 from .pager import PAGE_HEADER, StoreRegistry, page_capacity, pack_page
 
 ROWPTR_WIDTH = 8
@@ -248,19 +248,26 @@ class Partition:
         self.cap_ci = page_capacity(graph_dir.meta.page_size, VID_WIDTH)
 
     def full_rowptr(self) -> np.ndarray:
-        parts = [
-            np.frombuffer(self.rowptr.read_page(p).records(ROWPTR_WIDTH), ROWPTR_DT)
-            for p in range(self.rowptr.num_pages)
-        ]
-        out = np.concatenate(parts) if parts else np.zeros(1, ROWPTR_DT)
-        return out.astype(np.int64)
+        """The whole rowPtr vector: hi - lo + 1 offsets."""
+        out = _read_all(self.rowptr, ROWPTR_DT).astype(np.int64)
+        if len(out) != self.hi - self.lo + 1:
+            raise CorruptPageError(f"{self.rowptr.path}: {len(out)} offsets for {self.hi - self.lo} vertices")
+        return out
 
-    def full_colidx(self) -> np.ndarray:
-        parts = [
-            np.frombuffer(self.colidx.read_page(p).records(VID_WIDTH), VID_DT)
-            for p in range(self.colidx.num_pages)
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0, VID_DT)
+    def full_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole rowPtr and colIdx vectors; colIdx holds rowPtr[-1]
+        entries."""
+        rowptr = self.full_rowptr()
+        colidx = _read_all(self.colidx, VID_DT)
+        if len(colidx) != rowptr[-1]:
+            raise CorruptPageError(f"{self.colidx.path}: {len(colidx)} entries, rowptr says {rowptr[-1]}")
+        return rowptr, colidx
+
+
+def _read_all(store, dtype: np.dtype) -> np.ndarray:
+    """Every record of a paged vector, in page order."""
+    raw = b"".join([store.read_page(p).records(dtype.itemsize) for p in range(store.num_pages)])
+    return np.frombuffer(raw, dtype)
 
 
 class GraphDir:
@@ -302,8 +309,7 @@ class GraphDir:
     def iter_partition_edges(self):
         """Yield (src, dst) arrays per interval, in interval order."""
         for part in self.partitions:
-            rp = part.full_rowptr()
-            ci = part.full_colidx()
+            rp, ci = part.full_csr()
             counts = np.diff(rp)
             src = np.repeat(np.arange(part.lo, part.hi, dtype=VID_DT), counts)
             yield src, ci
@@ -351,8 +357,6 @@ def build_partitions(
         write_records(rp_store, rowptr.tobytes(), ROWPTR_WIDTH)
         ci_store = registry.open(os.path.join(out_dir, f"part{k}.colidx"), "csr")
         write_records(ci_store, colidx.tobytes(), VID_WIDTH)
-        rp_store.flush()
-        ci_store.flush()
         # GraphDir opens the files again; drop keeps their traffic in totals()
         registry.drop(rp_store, "csr")
         registry.drop(ci_store, "csr")
@@ -367,12 +371,15 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarray:
     """Entries idx (ascending) of a paged vector; reads each page they touch
-    once, in order."""
+    once, in order. An entry past its page's record count is corrupt."""
     page = idx // cap
     first = _run_starts(page)
+    last = idx[np.roll(first, -1)] % cap  # slot of the last entry wanted per page
     buf = np.zeros(int(first.sum()) * cap, dtype)
-    for i, p in enumerate(page[first].tolist()):
+    for i, (p, need) in enumerate(zip(page[first].tolist(), last.tolist())):
         entries = np.frombuffer(store.read_page(p).records(dtype.itemsize), dtype)
+        if need >= len(entries):
+            raise CorruptPageError(f"{store.path}: page {p} holds {len(entries)} entries, entry {need} wanted")
         buf[i * cap : i * cap + len(entries)] = entries
     return buf[(np.cumsum(first) - 1) * cap + idx % cap]
 
@@ -468,7 +475,7 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     bad = dst[(dst < 0) | (dst >= meta.num_vertices)]
     if len(bad):
         raise IngestError(f"insert destination {int(bad[0])} outside [0, {meta.num_vertices})")
-    rp, old = part.full_rowptr(), part.full_colidx()
+    rp, old = part.full_csr()
     rowptr, colidx, warnings = apply_ops(np.arange(part.lo, part.hi), rp, old, ops)
 
     reg = graph.registry

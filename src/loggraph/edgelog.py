@@ -88,7 +88,6 @@ class EdgeLog:
             if self._buf_used > 0:
                 payload = bytes(self._buf[PAGE_HEADER : PAGE_HEADER + self._buf_used])
                 store.append_page(pack_page(self.page_size, payload, 0))
-            store.flush()
         self._consumable = (self._index, store)
         self._consumable_ids = np.fromiter(self._index, np.int64, len(self._index))
         self._store = None

@@ -97,7 +97,7 @@ class Batch:
     def messages(self) -> tuple[np.ndarray, np.ndarray]:
         """Every inbox record in row order, and the row each belongs to."""
         lens = self.ends - self.starts
-        return np.repeat(np.arange(len(lens)), lens), self.records[ranges(self.starts, lens)]
+        return np.repeat(np.arange(len(lens)), lens), np.take(self.records, ranges(self.starts, lens))
 
     def broadcast(self, rows: np.ndarray, *payload) -> tuple:
         """Arguments for ctx.send_many that send each row in the bool mask

@@ -31,6 +31,11 @@ from .errors import ConfigError, ContractViolation, CorruptPageError
 from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, page_capacity
 
 
+# most pages of records one send_many block covers; uncapped blocks, as
+# large as a roomy budget's free pages, ran slower and raised peak memory
+BLOCK_PAGES = 32
+
+
 class RecordFormat:
     """Wire format of one update message; payload fields are app-defined."""
 
@@ -118,8 +123,6 @@ class MultiLog:
                 f"({self.n_intervals} x {self.page_size})"
             )
         self.budget = buffer_budget
-        # records per send_many block: one page per interval
-        self.block = self.capacity * self.n_intervals
         self.watermark = int(buffer_budget * low_watermark)
         self.tag = -1
         self.logs: list[_IntervalLog] = []
@@ -148,8 +151,10 @@ class MultiLog:
         Splitting the records into several calls leaves the same page
         images, chains, counts, eviction points and peaks: eviction runs
         right after the record that pushes residency past the budget.
-        Works in blocks of one page per interval, so its temporaries stay
-        that small whatever the batch size.
+        Works in blocks of at most BLOCK_PAGES pages of records, and of no
+        more than the free pages plus one top page per interval can take:
+        its temporaries stay small whatever the batch size, and under a
+        tight budget a block that meets an eviction ends close past it.
         """
         if len(records) == 0:
             return
@@ -160,11 +165,14 @@ class MultiLog:
         with self._lock:
             done = 0
             while done < len(records):
-                done += self._append_block(records[done : done + self.block])
+                free = self.budget // self.page_size - self._resident_pages
+                block = min(free + self.n_intervals, BLOCK_PAGES) * self.capacity
+                done += self._append_block(records[done : done + block], free)
 
-    def _append_block(self, recs: np.ndarray) -> int:
+    def _append_block(self, recs: np.ndarray, free: int) -> int:
         """Append recs up to and including the first record that pushes
-        residency past the budget (evicting after it); returns how many."""
+        residency past the budget, which has free pages left (evicting
+        after it); returns how many."""
         k = np.searchsorted(self._bounds, recs["dest"], side="right") - 1
         counts = np.bincount(k, minlength=self.n_intervals)
         hit = np.flatnonzero(counts)
@@ -175,7 +183,6 @@ class MultiLog:
         cap = self.capacity
         fills = [log.fill for log in logs]
         opened = sum((f + c - 1) // cap - (f - 1) // cap for f, c in zip(fills, counts[hit].tolist()))
-        free = self.budget // self.page_size - self._resident_pages
         if opened <= free:
             self._write(recs, k)
             self._settle()
@@ -203,7 +210,7 @@ class MultiLog:
             return
         cuts = (np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist()
         for a, b in zip([0, *cuts], [*cuts, len(ks)]):
-            self._append_run(self.logs[int(ks[a])], recs[order[a:b]])
+            self._append_run(self.logs[int(ks[a])], np.take(recs, order[a:b]))
 
     def _append_run(self, log: _IntervalLog, recs: np.ndarray) -> None:
         """Copy records of one interval into its top page, closing full tops."""
@@ -313,8 +320,6 @@ class MultiLog:
                 log.top = bytearray(self.page_size)
                 log.fill = 0
             log.sealed = True
-            if log.store is not None:
-                log.store.flush()
             return LogHandle(k, log.store, list(log.chain), log.message_count)
 
     def seal(self) -> LogManifest:
@@ -339,8 +344,8 @@ class MultiLog:
 def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
     """All records of one sealed interval log, in chain order.
 
-    Reads each chain page exactly once and cross-checks the manifest's
-    message count.
+    Reads each chain page exactly once, parses the joined record regions
+    as one read-only array and cross-checks the manifest's message count.
     """
     if handle.store is None or not handle.ordinals:
         if handle.message_count != 0:
@@ -348,11 +353,8 @@ def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
                 f"interval {handle.interval}: manifest says {handle.message_count} records, log empty"
             )
         return np.zeros(0, fmt.dtype)
-    chunks = [
-        np.frombuffer(handle.store.read_page(ordinal).records(fmt.width), dtype=fmt.dtype)
-        for ordinal in handle.ordinals
-    ]
-    records = np.concatenate(chunks)
+    raw = b"".join([handle.store.read_page(ordinal).records(fmt.width) for ordinal in handle.ordinals])
+    records = np.frombuffer(raw, dtype=fmt.dtype)
     if len(records) != handle.message_count:
         raise CorruptPageError(
             f"interval {handle.interval}: manifest count {handle.message_count} "

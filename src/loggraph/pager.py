@@ -70,9 +70,12 @@ class Page:
 class PageStore:
     """A flat file of concatenated pages with read/write counters.
 
-    Appends and reads are serialized by a lock so counter updates and the
-    file offset stay consistent under concurrent callers. There is no cache
-    here on purpose: every read_page call is a counted storage access.
+    The file is unbuffered and every page moves in one positional call
+    (os.pread/os.pwrite): a written page is in the file at once, and
+    concurrent callers share no file offset. The lock guards the counters
+    and the page count; an append writes its page before the count admits
+    it. There is no cache here on purpose: every read_page call is a
+    counted storage access.
     """
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True):
@@ -82,10 +85,11 @@ class PageStore:
         self.pages_written = 0
         self._lock = threading.Lock()
         mode = "w+b" if create or not os.path.exists(path) else "r+b"
-        self._f = open(path, mode)
-        self._f.seek(0, os.SEEK_END)
-        size = self._f.tell()
+        self._f = open(path, mode, buffering=0)
+        self._fd = self._f.fileno()
+        size = os.fstat(self._fd).st_size
         if size % page_size != 0:
+            self._f.close()
             raise CorruptPageError(f"{path}: length {size} is not a page multiple")
         self._npages = size // page_size
 
@@ -97,15 +101,14 @@ class PageStore:
         return self._npages
 
     def read_page(self, page_id: int) -> Page:
+        if page_id < 0 or page_id >= self._npages:
+            raise AddressError(
+                f"{self.path}: page {page_id} out of range (store has {self._npages})"
+            )
+        data = os.pread(self._fd, self.page_size, page_id * self.page_size)
+        if len(data) != self.page_size:
+            raise CorruptPageError(f"{self.path}: short read at page {page_id}")
         with self._lock:
-            if page_id < 0 or page_id >= self._npages:
-                raise AddressError(
-                    f"{self.path}: page {page_id} out of range (store has {self._npages})"
-                )
-            self._f.seek(page_id * self.page_size)
-            data = self._f.read(self.page_size)
-            if len(data) != self.page_size:
-                raise CorruptPageError(f"{self.path}: short read at page {page_id}")
             self.pages_read += 1
         return Page(page_id, data)
 
@@ -116,8 +119,7 @@ class PageStore:
             )
         with self._lock:
             ordinal = self._npages
-            self._f.seek(ordinal * self.page_size)
-            self._f.write(data)
+            self._put(ordinal, data)
             self._npages += 1
             self.pages_written += 1
         return ordinal
@@ -128,15 +130,15 @@ class PageStore:
             raise ContractViolation(
                 f"write_page needs exactly {self.page_size} bytes, got {len(data)}"
             )
+        if page_id < 0 or page_id >= self._npages:
+            raise AddressError(f"{self.path}: page {page_id} out of range")
+        self._put(page_id, data)
         with self._lock:
-            if page_id < 0 or page_id >= self._npages:
-                raise AddressError(f"{self.path}: page {page_id} out of range")
-            self._f.seek(page_id * self.page_size)
-            self._f.write(data)
             self.pages_written += 1
 
-    def flush(self) -> None:
-        self._f.flush()
+    def _put(self, page_id: int, data: bytes) -> None:
+        if os.pwrite(self._fd, data, page_id * self.page_size) != self.page_size:
+            raise OSError(f"{self.path}: short write at page {page_id}")
 
     def close(self) -> None:
         self._f.close()

@@ -1,10 +1,12 @@
 """Sort-and-group unit: turns sealed interval logs into per-vertex inboxes.
 
 Contiguous intervals whose sealed logs fit the sort budget together are
-fused into one load. Records are stably sorted by destination (ties keep
-chain order, which is arrival order), grouped into contiguous per-vertex
-ranges, and optionally reduced by an application combine reducer (see
-`apply_combine`).
+fused into one load, which parses each interval's chain from one buffer.
+Records are sorted by destination with ties in chain order, which is
+arrival order: one uint64 key per record, dest << 32 | position, sorts in
+exactly that order. They are then grouped into contiguous per-vertex
+ranges at the runs of equal destinations, and optionally reduced by an
+application combine reducer (see `apply_combine`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptPageError
+from .errors import ContractViolation, CorruptPageError
 from .multilog import LogManifest, RecordFormat, read_log_records
 
 
@@ -85,20 +87,32 @@ def plan_fusion(counts: np.ndarray, record_width: int, sort_budget: int) -> list
 
 
 def load_log(plan: FusePlan, manifest: LogManifest, fmt: RecordFormat) -> np.ndarray:
-    """Concatenated records of the plan's intervals, in chain order."""
+    """Records of the plan's intervals, in chain order; read-only when the
+    plan has one interval (its parse buffer is not copied)."""
     chunks = [read_log_records(manifest.handles[k], fmt) for k in plan.intervals]
-    return np.concatenate(chunks) if chunks else np.zeros(0, fmt.dtype)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def sort_n_group(records: np.ndarray) -> SortedLog:
-    """Stable sort by destination and build the group index."""
-    if len(records) == 0:
+    """Sort by destination, ties in input order, and build the group index.
+
+    The sorted records are a new, writable array. A record's position
+    takes the key's low 32 bits, so 2**32 records or more are refused.
+    """
+    n = len(records)
+    if n == 0:
         e = np.zeros(0, np.int64)
-        return SortedLog(records, e, e, e)
-    records = records[np.argsort(records["dest"], kind="stable")]
-    dests, starts = np.unique(records["dest"], return_index=True)
-    ends = np.append(starts[1:], len(records))
-    return SortedLog(records, dests.astype(np.int64), starts.astype(np.int64), ends.astype(np.int64))
+        return SortedLog(records.copy(), e, e, e)
+    if n >= 1 << 32:
+        raise ContractViolation(f"{n} records overflow the 32-bit position of the sort key")
+    keys = np.sort(records["dest"].astype(np.uint64) << 32 | np.arange(n, dtype=np.uint64))
+    records = np.take(records, (keys & 0xFFFFFFFF).astype(np.intp))
+    dests = keys >> 32
+    first = np.ones(n, bool)
+    first[1:] = dests[1:] != dests[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n)
+    return SortedLog(records, dests[starts].astype(np.int64), starts, ends)
 
 
 def check_dest_range(records: np.ndarray, lo: int, hi: int) -> None:

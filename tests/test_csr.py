@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from loggraph import csr
-from loggraph.errors import ConfigError, ContractViolation, IngestError, OversizedVertexError
-from loggraph.pager import page_capacity
+from loggraph.errors import ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
+from loggraph.pager import PAGE_COUNT, page_capacity
 
 import oracles
 from util import adjacency_lists, build_graph, op_rows, ring_graph, random_graph
@@ -54,8 +54,9 @@ def test_build_single_edge(tmp_path):
     g = build_graph(tmp_path, np.array([0]), np.array([1]), 2, page_size=256, sort_budget=16, record_size=16)
     part = g.partitions[0]
     assert (part.lo, part.hi) == (0, 1)
-    assert part.full_rowptr().tolist() == [0, 1]
-    assert part.full_colidx().tolist() == [1]
+    rp, ci = part.full_csr()
+    assert rp.tolist() == [0, 1]
+    assert ci.tolist() == [1]
 
 
 def test_build_ring_adjacency_sorted_by_destination(tmp_path):
@@ -67,7 +68,7 @@ def test_build_ring_adjacency_sorted_by_destination(tmp_path):
 
 def test_build_duplicate_edges_preserved(tmp_path):
     g = build_graph(tmp_path, np.array([0, 0]), np.array([1, 1]), 2, page_size=256)
-    assert g.partitions[0].full_colidx().tolist() == [1, 1]
+    assert g.partitions[0].full_csr()[1].tolist() == [1, 1]
 
 
 def test_build_out_of_range_rejected(tmp_path):
@@ -193,10 +194,10 @@ def test_merge_delete_edge(tmp_path):
 def test_merge_empty_batch_identity(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
-    before = [(p.full_rowptr().tolist(), p.full_colidx().tolist()) for p in g.partitions]
+    before = [tuple(v.tolist() for v in p.full_csr()) for p in g.partitions]
     for k in range(g.meta.num_intervals):
         csr.merge_structural_updates(g, k, op_rows())
-    after = [(p.full_rowptr().tolist(), p.full_colidx().tolist()) for p in g.partitions]
+    after = [tuple(v.tolist() for v in p.full_csr()) for p in g.partitions]
     assert before == after
 
 
@@ -204,10 +205,10 @@ def test_merge_insert_then_delete_is_identity(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     k = g.meta.interval_of(0)
-    before = g.partitions[k].full_colidx().tolist()
+    before = g.partitions[k].full_csr()[1].tolist()
     warn = csr.merge_structural_updates(g, k, op_rows(("add_edge", 0, 3), ("del_edge", 0, 3)))
     assert warn == 0
-    assert g.partitions[k].full_colidx().tolist() == before
+    assert g.partitions[k].full_csr()[1].tolist() == before
 
 
 def test_merge_missing_delete_warns(tmp_path):
@@ -222,14 +223,14 @@ def test_merge_edge_count_invariant(tmp_path):
     g = build_graph(tmp_path, src, dst, 30, page_size=256)
     k = 0
     lo, hi = g.meta.interval_range(k)
-    old = len(g.partitions[k].full_colidx())
+    old = len(g.partitions[k].full_csr()[1])
     ops = [("add_edge", lo, (lo + 7) % 30), ("add_edge", lo, (lo + 11) % 30)]
     dels = [("del_edge", int(s), int(d)) for s, d in zip(src, dst) if lo <= s < hi][:3]
     warn = csr.merge_structural_updates(g, k, op_rows(*ops, *dels))
     rp = g.partitions[k].full_rowptr()
     assert np.all(np.diff(rp) >= 0)
     applied = len(dels) - warn
-    assert len(g.partitions[k].full_colidx()) == old + len(ops) - applied
+    assert len(g.partitions[k].full_csr()[1]) == old + len(ops) - applied
 
 
 def test_merge_rejects_out_of_range_insert(tmp_path):
@@ -262,6 +263,40 @@ def test_apply_ops_matches_the_list_reference(seed):
     want, want_warnings = oracles.apply_ops_reference(ids.tolist(), rows, ops)
     assert [got_nbrs[a:b].tolist() for a, b in zip(got_offsets[:-1], got_offsets[1:])] == want
     assert got_warnings == want_warnings
+
+
+def truncated_graph(tmp_path, n, vector):
+    """n vertices with 10 out-edges each in one interval of 256-byte pages,
+    page 0 of its rowPtr or colIdx vector claiming only 5 records."""
+    src = np.repeat(np.arange(n), 10)
+    dst = (src + np.tile(np.arange(1, 11), n)) % n
+    g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=20 * len(src))
+    assert g.meta.num_intervals == 1
+    store = getattr(g.partitions[0], vector)
+    page = bytearray(store.read_page(0).data)
+    PAGE_COUNT.pack_into(page, 0, 5)
+    store.write_page(0, bytes(page))
+    return g
+
+
+@pytest.mark.parametrize("vector, vertex", [("rowptr", 7), ("colidx", 1)])
+def test_load_adjacency_rejects_entries_past_a_page_count(tmp_path, vector, vertex):
+    # rowPtr entries 7-8 and colIdx entries 10-19 lie past the 5 left on page 0
+    g = truncated_graph(tmp_path, 10, vector)
+    with pytest.raises(CorruptPageError):
+        csr.load_adjacency(g, np.array([vertex]))
+
+
+@pytest.mark.parametrize("vector", ["rowptr", "colidx"])
+@pytest.mark.parametrize("caller", ["all_edges", "in_degrees", "merge"])
+def test_whole_vector_reads_reject_a_short_vector(tmp_path, vector, caller):
+    g = truncated_graph(tmp_path, 100, vector)
+    os.remove(os.path.join(g.path, "indeg.bin"))  # in_degrees falls back to the CSR
+    with pytest.raises(CorruptPageError):
+        if caller == "merge":
+            csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 1)))
+        else:
+            getattr(g, caller)()
 
 
 def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):

@@ -262,7 +262,9 @@ def snapshot(mlog):
         (256, 1, 2),
         (256, 4, 4),
         (256, 5, 7),
-        (1024, 3, 30),  # roomy: nothing evicts before the seal
+        (1024, 3, 30),
+        (256, 2, 64),  # roomy: blocks of 32 pages until a large batch fills it
+        (1024, 1, 96),
     ],
 )
 @pytest.mark.parametrize("seed", range(3))
@@ -278,7 +280,12 @@ def test_send_many_matches_a_loop_of_send(tmp_path, page_size, n_intervals, budg
     evicted = count_evictions(loop), count_evictions(many)
     cap = loop.capacity
     for step in range(16):
-        if step % 3 == 2:
+        if step % 8 == 7:
+            # 40-100 pages of records: crosses send_many's block boundaries,
+            # and a second such batch evicts inside a later block
+            size = cap * int(rng.integers(40, 101))
+            dest = rng.integers(0, bounds[-1], size)
+        elif step % 3 == 2:
             # one interval's records up to exactly a full top page
             k = int(rng.integers(0, n_intervals))
             size = cap - loop.logs[k].fill + cap * int(rng.integers(0, 3))

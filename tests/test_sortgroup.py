@@ -127,6 +127,49 @@ def test_group_index_partitions_records():
     assert covered == 200
 
 
+def reference_sort_n_group(records):
+    """Stable argsort by dest, grouped by np.unique: the reference order."""
+    if len(records) == 0:
+        e = np.zeros(0, np.int64)
+        return records, e, e, e
+    out = records[np.argsort(records["dest"], kind="stable")]
+    dests, starts = np.unique(out["dest"], return_index=True)
+    ends = np.append(starts[1:], len(out))
+    return out, dests.astype(np.int64), starts.astype(np.int64), ends.astype(np.int64)
+
+
+FMT17 = RecordFormat([("val", "<u8"), ("flag", "u1")])  # odd 17-byte records
+
+
+@pytest.mark.parametrize("fmt", [FMT16, FMT17])
+@pytest.mark.parametrize("n, dest_range", [(0, 1), (1, 1), (1, 1 << 32), (500, 3), (500, 40), (3000, 1 << 32)])
+def test_sort_n_group_matches_stable_argsort_reference(fmt, n, dest_range):
+    rng = np.random.default_rng(n + dest_range % 97)
+    recs = np.zeros(n, fmt.dtype)
+    recs["dest"] = rng.integers(0, dest_range, n)
+    recs["dest"][: n // 10] = 0
+    recs["dest"][n // 10 : n // 5] = min(dest_range, 1 << 32) - 1  # 2**32 - 1 among them
+    recs["dest"] = rng.permutation(recs["dest"])
+    recs["src"] = rng.integers(0, 1 << 32, n)
+    recs["val"] = np.arange(n)
+    want = reference_sort_n_group(recs)
+    got = sort_n_group(recs)
+    assert got.records.tobytes() == want[0].tobytes()
+    for a, b in zip((got.dests, got.starts, got.ends), want[1:]):
+        assert a.dtype == np.int64
+        assert a.tolist() == b.tolist()
+    assert got.records.flags.writeable
+
+
+def test_sorted_records_of_a_loaded_log_are_writable(tmp_path):
+    manifest, _ = make_sealed(tmp_path, [(3, 1, 7), (1, 1, 8), (3, 2, 9)])
+    recs = sortgroup.load_log(FusePlan([0], 48), manifest, FMT16)
+    assert not recs.flags.writeable  # parsed in place from the page bytes
+    slog = sort_n_group(recs)
+    slog.records["val"] += 1  # a program may write into its inbox records
+    assert slog.records["val"].tolist() == [9, 8, 10]
+
+
 def test_extract_active_dedup_sorted():
     recs = records_of([(4, 0, 0), (2, 0, 1), (4, 0, 2), (1, 0, 3)])
     assert sort_n_group(recs).dests.tolist() == [1, 2, 4]

@@ -1,15 +1,15 @@
 """Result digest of the benchmark workloads for one seed.
 
-    python3 tools/digest.py [ROOT]
+    python3 tools/digest.py [ROOT] [--seed N]
 
 Imports the engine and the workload definitions from the checkout at ROOT
 (default: the one holding this script), then generates, converts and runs
-each workload of `bench/workloads.py` once for seed 1. It prints one line per
-workload: supersteps, messages and a sha256 over the final states, every
-`SuperstepStats.to_dict()`, the per-class `registry.totals()` (convert and
-run) and `structural_warnings`. Two checkouts that print the same lines
-computed the same results with the same page counts; a change that alters
-pages shows up here and should say why.
+each workload of `bench/workloads.py` once for seed N (default 1). It prints
+one line per workload: supersteps, messages and a sha256 over the final
+states, every `SuperstepStats.to_dict()`, the per-class `registry.totals()`
+(convert and run) and `structural_warnings`. Two checkouts that print the
+same lines computed the same results with the same page counts; a change
+that alters pages shows up here and should say why.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-
-SEED = 1
 
 
 def digest_workload(workload, seed: int, workdir: str) -> str:
@@ -45,6 +43,7 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", nargs="?", default=str(Path(__file__).resolve().parent.parent))
+    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args = ap.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
         sys.exit(f"digest: loggraph imported from {loggraph.__file__}, not from {root}")
     for workload in WORKLOADS.values():
         with tempfile.TemporaryDirectory() as workdir:
-            print(digest_workload(workload, SEED, workdir), flush=True)
+            print(digest_workload(workload, args.seed, workdir), flush=True)
     return 0
 
 
