@@ -4,7 +4,7 @@ from .csr import Adjacency, AdjacencyView, GraphDir, GraphMeta, load_adjacency, 
 from .engine import Batch, Engine, EngineConfig, RunResult, VertexProgram, run_app
 from .ingest import convert, convert_arrays
 from .multilog import MultiLog, RecordFormat
-from .pager import Page, PageStore, StoreRegistry
+from .pager import PageStore, StoreRegistry
 from .sortgroup import SortedLog, plan_fusion
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "GraphDir",
     "GraphMeta",
     "MultiLog",
-    "Page",
     "PageStore",
     "RecordFormat",
     "RunResult",

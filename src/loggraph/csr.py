@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
-from .pager import PAGE_HEADER, StoreRegistry, page_capacity, pack_page
+from .errors import ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
+from .pager import PAGE_HEADER, StoreRegistry, page_capacity, record_counts
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -120,17 +120,9 @@ class Adjacency:
 
     @classmethod
     def empty(cls) -> "Adjacency":
-        return cls.from_rows([], [], SOURCES.index("csr"))
-
-    @classmethod
-    def from_rows(cls, ids, rows: list, source: int) -> "Adjacency":
-        """Build from per-vertex neighbor arrays, with no pages."""
-        lens = np.array([len(r) for r in rows], np.int64)
-        offsets = np.zeros(len(rows) + 1, np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        nbrs = np.concatenate(rows).astype(VID_DT) if rows else np.zeros(0, VID_DT)
-        pages = np.zeros((len(rows), 3), np.int64)
-        return cls(np.asarray(ids, np.int64), offsets, nbrs, pages, np.full(len(rows), source, np.uint8))
+        return cls(
+            np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, VID_DT), np.zeros((0, 3), np.int64), np.zeros(0, np.uint8)
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -222,18 +214,6 @@ def partition_vertices(
     return bounds, indeg_sums
 
 
-def write_records(store, raw: bytes, width: int) -> list[int]:
-    """Serialize fixed-width records into full pages; returns page ordinals."""
-    cap = page_capacity(store.page_size, width)
-    total = len(raw) // width
-    ordinals = []
-    for start in range(0, total, cap):
-        n = min(cap, total - start)
-        payload = raw[start * width : (start + n) * width]
-        ordinals.append(store.append_page(pack_page(store.page_size, payload, n)))
-    return ordinals
-
-
 class Partition:
     """Open handle on one interval's rowPtr/colIdx page files."""
 
@@ -249,7 +229,7 @@ class Partition:
 
     def full_rowptr(self) -> np.ndarray:
         """The whole rowPtr vector: hi - lo + 1 offsets."""
-        out = _read_all(self.rowptr, ROWPTR_DT).astype(np.int64)
+        out = self.rowptr.read_records(range(self.rowptr.num_pages), ROWPTR_DT).astype(np.int64)
         if len(out) != self.hi - self.lo + 1:
             raise CorruptPageError(f"{self.rowptr.path}: {len(out)} offsets for {self.hi - self.lo} vertices")
         return out
@@ -258,16 +238,10 @@ class Partition:
         """The whole rowPtr and colIdx vectors; colIdx holds rowPtr[-1]
         entries."""
         rowptr = self.full_rowptr()
-        colidx = _read_all(self.colidx, VID_DT)
+        colidx = self.colidx.read_records(range(self.colidx.num_pages), VID_DT)
         if len(colidx) != rowptr[-1]:
             raise CorruptPageError(f"{self.colidx.path}: {len(colidx)} entries, rowptr says {rowptr[-1]}")
         return rowptr, colidx
-
-
-def _read_all(store, dtype: np.dtype) -> np.ndarray:
-    """Every record of a paged vector, in page order."""
-    raw = b"".join([store.read_page(p).records(dtype.itemsize) for p in range(store.num_pages)])
-    return np.frombuffer(raw, dtype)
 
 
 class GraphDir:
@@ -282,7 +256,12 @@ class GraphDir:
             raise ContractViolation(
                 f"registry page size {self.registry.page_size} != graph {self.meta.page_size}"
             )
-        self.partitions = [Partition(self, k) for k in range(self.meta.num_intervals)]
+        try:
+            self.partitions = [Partition(self, k) for k in range(self.meta.num_intervals)]
+        except MissingStoreError:
+            if registry is None:
+                self.registry.close_all()  # only this graph's stores, and no one else can close them
+            raise
 
     def close(self) -> None:
         """Close the partition files; their traffic stays in registry.totals()."""
@@ -354,9 +333,9 @@ def build_partitions(
         colidx = dst[a:b].astype(VID_DT)
 
         rp_store = registry.open(os.path.join(out_dir, f"part{k}.rowptr"), "csr")
-        write_records(rp_store, rowptr.tobytes(), ROWPTR_WIDTH)
+        rp_store.append_records(rowptr.tobytes(), ROWPTR_WIDTH)
         ci_store = registry.open(os.path.join(out_dir, f"part{k}.colidx"), "csr")
-        write_records(ci_store, colidx.tobytes(), VID_WIDTH)
+        ci_store.append_records(colidx.tobytes(), VID_WIDTH)
         # GraphDir opens the files again; drop keeps their traffic in totals()
         registry.drop(rp_store, "csr")
         registry.drop(ci_store, "csr")
@@ -374,14 +353,15 @@ def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarr
     once, in order. An entry past its page's record count is corrupt."""
     page = idx // cap
     first = _run_starts(page)
+    pages = page[first]
+    images = store.read_pages(pages.tolist())
     last = idx[np.roll(first, -1)] % cap  # slot of the last entry wanted per page
-    buf = np.zeros(int(first.sum()) * cap, dtype)
-    for i, (p, need) in enumerate(zip(page[first].tolist(), last.tolist())):
-        entries = np.frombuffer(store.read_page(p).records(dtype.itemsize), dtype)
-        if need >= len(entries):
-            raise CorruptPageError(f"{store.path}: page {p} holds {len(entries)} entries, entry {need} wanted")
-        buf[i * cap : i * cap + len(entries)] = entries
-    return buf[(np.cumsum(first) - 1) * cap + idx % cap]
+    counts = record_counts(images)
+    short = np.flatnonzero(last >= counts)
+    if len(short):
+        i = short[0]
+        raise CorruptPageError(f"{store.path}: page {pages[i]} holds {counts[i]} entries, entry {last[i]} wanted")
+    return images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].view(dtype)[np.cumsum(first) - 1, idx % cap]
 
 
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
@@ -409,9 +389,11 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
         if len(loc) == 0:
             continue
         part = graph.partitions[k]
-        bounds = np.union1d(loc, loc + 1)
-        rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, bounds).astype(np.int64)
-        i = np.searchsorted(bounds, loc)  # loc + 1 sits at i + 1
+        # loc and loc + 1 interleaved are ascending; drop the repeats
+        both = np.stack([loc, loc + 1], 1).reshape(-1)
+        keep = _run_starts(both)
+        rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, both[keep]).astype(np.int64)
+        i = (np.cumsum(keep) - 1)[::2]  # where loc sits; loc + 1 sits at i + 1
         a, b = rp[i], rp[i + 1]
         pos = ranges(a, b - a)  # ascending: rows ascend and their spans are disjoint
         nbrs.append(_read_entries(part.colidx, part.cap_ci, VID_DT, pos))
@@ -482,9 +464,9 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     reg.drop(part.rowptr, "csr", unlink=True)
     reg.drop(part.colidx, "csr", unlink=True)
     rp_store = reg.open(os.path.join(graph.path, f"part{k}.rowptr"), "csr")
-    write_records(rp_store, rowptr.astype(ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
+    rp_store.append_records(rowptr.astype(ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
     ci_store = reg.open(os.path.join(graph.path, f"part{k}.colidx"), "csr")
-    write_records(ci_store, colidx.tobytes(), VID_WIDTH)
+    ci_store.append_records(colidx.tobytes(), VID_WIDTH)
     part.rowptr, part.colidx = rp_store, ci_store
     meta.num_edges += len(colidx) - len(old)
     return warnings

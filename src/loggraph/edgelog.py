@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .csr import SOURCES, Adjacency, AdjacencyView, VID_DT
+from .csr import SOURCES, Adjacency, AdjacencyView, VID_DT, ranges
 from .errors import CorruptPageError
 from .pager import PAGE_HEADER, StoreRegistry, pack_page
 
@@ -44,8 +44,10 @@ class EdgeLog:
     """Per-superstep sequential adjacency log with an in-memory index.
 
     Entries are `vid(4) | degree(4) | neighbors(4*deg)` packed back to back
-    across page record regions (entries may span pages). The index maps vertex -> (stream offset, length) and lives one superstep:
-    written while processing S, consumed while processing S+1.
+    across page record regions (entries may span pages). The index maps
+    vertex -> (stream offset, length) and lives one superstep: written while
+    processing S, consumed while processing S+1. At rotation it becomes the
+    readable log's ascending ids and their (offset, length) spans.
     """
 
     def __init__(self, registry: StoreRegistry, log_dir: str, budget_bytes: int):
@@ -55,8 +57,7 @@ class EdgeLog:
         self.region = self.page_size - PAGE_HEADER
         self.budget = budget_bytes
         os.makedirs(log_dir, exist_ok=True)
-        self._consumable: tuple[dict, object] | None = None
-        self._consumable_ids = np.zeros(0, np.int64)
+        self._consumable = (np.zeros(0, np.int64), np.zeros((0, 2), np.int64), None)
         self._tag = -1
         self._reset_writer()
         self.bytes_logged = 0
@@ -73,9 +74,9 @@ class EdgeLog:
 
     def begin_superstep(self, tag: int) -> None:
         """Rotate: last superstep's log becomes readable, a fresh one opens."""
-        old = self._consumable
-        if old is not None and old[1] is not None:
-            self.registry.drop(old[1], "edgelog", unlink=True)
+        old = self._consumable[2]
+        if old is not None:
+            self.registry.drop(old, "edgelog", unlink=True)
         self._finish_writer()
         self._tag = tag
         self.bytes_logged = 0
@@ -88,23 +89,18 @@ class EdgeLog:
             if self._buf_used > 0:
                 payload = bytes(self._buf[PAGE_HEADER : PAGE_HEADER + self._buf_used])
                 store.append_page(pack_page(self.page_size, payload, 0))
-        self._consumable = (self._index, store)
-        self._consumable_ids = np.fromiter(self._index, np.int64, len(self._index))
-        self._store = None
-        self._buf = bytearray(self.page_size)
-        self._buf_used = 0
-        self._index = {}
-        self._pos = 0
-        self._full = False
+        ids = np.fromiter(self._index, np.int64, len(self._index))
+        spans = np.array(list(self._index.values()), np.int64).reshape(-1, 2)
+        order = np.argsort(ids)
+        self._consumable = (ids[order], spans[order], store)
+        self._reset_writer()
 
     def close(self) -> None:
         """Drop the readable and the open log; neither is needed again."""
-        readable = self._consumable[1] if self._consumable is not None else None
-        for store in (readable, self._store):
+        for store in (self._consumable[2], self._store):
             if store is not None:
                 self.registry.drop(store, "edgelog", unlink=True)
-        self._consumable = None
-        self._consumable_ids = np.zeros(0, np.int64)
+        self._consumable = (np.zeros(0, np.int64), np.zeros((0, 2), np.int64), None)
         self._store = None
 
     def _ensure_store(self):
@@ -152,36 +148,36 @@ class EdgeLog:
 
     def indexed(self, vids) -> np.ndarray:
         """Which of the vertex ids last superstep's log can serve."""
-        return np.isin(vids, self._consumable_ids)
+        return np.isin(vids, self._consumable[0])
 
     def fetch_batch(self, vids) -> Adjacency:
-        """Serve adjacency of the ascending vids from last superstep's log;
-        each page is read once. An entry whose vertex id or degree field
-        disagrees with the index is corrupt."""
-        vids = [int(v) for v in vids]
-        if self._consumable is None:
+        """Serve adjacency of the ascending vids, all indexed, from last
+        superstep's log; reads the union of their entries' pages once. An
+        entry whose vertex id or degree field disagrees with the index is
+        corrupt."""
+        vids = np.asarray(vids, np.int64)
+        if len(vids) == 0:
             return Adjacency.empty()
-        index, store = self._consumable
-        cache: dict[int, bytes] = {}
-        rows = []
-        for v in vids:
-            pos, length = index[v]
-            p0, p1 = pos // self.region, (pos + length - 1) // self.region
-            parts = []
-            for p in range(p0, p1 + 1):
-                if p not in cache:
-                    cache[p] = store.read_page(p).region()
-                a = max(pos, p * self.region) - p * self.region
-                b = min(pos + length, (p + 1) * self.region) - p * self.region
-                parts.append(cache[p][a:b])
-            blob = b"".join(parts)
-            vid, deg = np.frombuffer(blob[:8], VID_DT).tolist()
-            if vid != v:
-                raise CorruptPageError(f"edge log index mismatch: wanted {v}, found {vid}")
-            if 8 + 4 * deg != length:
-                raise CorruptPageError(
-                    f"edge log entry of {v}: degree field {deg} disagrees with its indexed length {length}"
-                )
-            rows.append(np.frombuffer(blob[8:], VID_DT))
-        self.read_cache_peak = max(self.read_cache_peak, len(cache) * self.page_size)
-        return Adjacency.from_rows(vids, rows, SOURCES.index("edgelog"))
+        ids, spans, store = self._consumable
+        i = np.searchsorted(ids, vids)
+        if i[-1] == len(ids) or (ids[i] != vids).any():
+            raise KeyError("edge log fetch of an unindexed vertex")
+        pos, length = spans[i].T
+        p0 = pos // self.region
+        pages = np.unique(ranges(p0, (pos + length - 1) // self.region - p0 + 1))
+        self.read_cache_peak = max(self.read_cache_peak, len(pages) * self.page_size)
+        stream = store.read_pages(pages.tolist())[:, PAGE_HEADER:].reshape(-1)
+        # an entry's pages are consecutive, so it is contiguous in stream too
+        at = np.searchsorted(pages, p0) * self.region + pos - p0 * self.region
+        vid, deg = stream[ranges(at, np.full(len(at), 8))].view(VID_DT).reshape(-1, 2).T.astype(np.int64)
+        bad = np.flatnonzero(vid != vids)
+        if len(bad):
+            raise CorruptPageError(f"edge log index mismatch: wanted {vids[bad[0]]}, found {vid[bad[0]]}")
+        bad = np.flatnonzero(8 + 4 * deg != length)
+        if len(bad):
+            raise CorruptPageError(f"edge log entry of {vids[bad[0]]}: degree field {deg[bad[0]]} disagrees with its length")
+        offsets = np.zeros(len(vids) + 1, np.int64)
+        np.cumsum(deg, out=offsets[1:])
+        nbrs = stream[ranges(at + 8, length - 8)].view(VID_DT)
+        source = np.full(len(vids), SOURCES.index("edgelog"), np.uint8)
+        return Adjacency(vids, offsets, nbrs, np.zeros((len(vids), 3), np.int64), source)

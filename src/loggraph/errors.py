@@ -9,6 +9,11 @@ class CorruptPageError(RuntimeError):
     """Stored bytes do not parse back (short file, bad header, count mismatch)."""
 
 
+class MissingStoreError(FileNotFoundError):
+    """A page file opened for reading does not exist (say, a graph
+    directory whose meta.json names a deleted part file)."""
+
+
 class ContractViolation(ValueError):
     """Caller broke an API precondition (wrong buffer size, unsorted input, double seal)."""
 

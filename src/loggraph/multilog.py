@@ -353,8 +353,7 @@ def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
                 f"interval {handle.interval}: manifest says {handle.message_count} records, log empty"
             )
         return np.zeros(0, fmt.dtype)
-    raw = b"".join([handle.store.read_page(ordinal).records(fmt.width) for ordinal in handle.ordinals])
-    records = np.frombuffer(raw, dtype=fmt.dtype)
+    records = handle.store.read_records(handle.ordinals, fmt.dtype)
     if len(records) != handle.message_count:
         raise CorruptPageError(
             f"interval {handle.interval}: manifest count {handle.message_count} "

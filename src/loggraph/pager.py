@@ -9,6 +9,15 @@ can be counted exactly. A page starts with a 16-byte header:
 
 The remaining bytes are the record region. Records are fixed width per file
 and never span pages, so every page parses on its own.
+
+`PageStore` is the only code that reads pages or packs records into them:
+`read_page` returns one page's bytes, `read_pages` a batch of page images
+as one uint8 array, `read_records` the counted records of a batch of pages
+as one array (a count that overflows its page is corrupt), and
+`append_records` packs fixed-width records into appended pages. A batch
+still reads each page through one `read_page` call, the unit the
+per-class counters (and the per-layer tracer, which wraps it) count, so
+coalesced reads and page checksums have one place to go.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass
 
-from .errors import AddressError, ContractViolation, CorruptPageError
+import numpy as np
+
+from .errors import AddressError, ContractViolation, CorruptPageError, MissingStoreError
 
 PAGE_HEADER = 16
 DEFAULT_PAGE_SIZE = 16384
@@ -42,29 +52,9 @@ def pack_page(page_size: int, payload: bytes, count: int) -> bytes:
     return bytes(buf)
 
 
-@dataclass
-class Page:
-    """One page image; header fields are parsed out of the raw bytes."""
-
-    page_id: int
-    data: bytes
-
-    @property
-    def record_count(self) -> int:
-        return PAGE_COUNT.unpack_from(self.data, 0)[0]
-
-    def records(self, record_width: int) -> bytes:
-        """Record-region bytes holding exactly record_count records."""
-        n = self.record_count * record_width
-        if PAGE_HEADER + n > len(self.data):
-            raise CorruptPageError(
-                f"page {self.page_id}: record count {self.record_count} overflows page"
-            )
-        return self.data[PAGE_HEADER : PAGE_HEADER + n]
-
-    def region(self) -> bytes:
-        """The full record region, ignoring the count (byte-stream pages)."""
-        return self.data[PAGE_HEADER:]
+def record_counts(images: np.ndarray) -> np.ndarray:
+    """The header record count of each page image (rows of uint8)."""
+    return images[:, 1].astype(np.int64) | images[:, 2].astype(np.int64) << 8
 
 
 class PageStore:
@@ -84,8 +74,10 @@ class PageStore:
         self.pages_read = 0
         self.pages_written = 0
         self._lock = threading.Lock()
-        mode = "w+b" if create or not os.path.exists(path) else "r+b"
-        self._f = open(path, mode, buffering=0)
+        try:
+            self._f = open(path, "w+b" if create else "r+b", buffering=0)
+        except FileNotFoundError:
+            raise MissingStoreError(f"{path}: no such page file") from None
         self._fd = self._f.fileno()
         size = os.fstat(self._fd).st_size
         if size % page_size != 0:
@@ -93,14 +85,11 @@ class PageStore:
             raise CorruptPageError(f"{path}: length {size} is not a page multiple")
         self._npages = size // page_size
 
-    def __len__(self) -> int:
-        return self._npages
-
     @property
     def num_pages(self) -> int:
         return self._npages
 
-    def read_page(self, page_id: int) -> Page:
+    def read_page(self, page_id: int) -> bytes:
         if page_id < 0 or page_id >= self._npages:
             raise AddressError(
                 f"{self.path}: page {page_id} out of range (store has {self._npages})"
@@ -110,7 +99,26 @@ class PageStore:
             raise CorruptPageError(f"{self.path}: short read at page {page_id}")
         with self._lock:
             self.pages_read += 1
-        return Page(page_id, data)
+        return data
+
+    def read_pages(self, ids) -> np.ndarray:
+        """Images of the pages ids (a sequence), in order, as a read-only
+        uint8[len(ids), page_size]; one counted read_page call per page."""
+        raw = b"".join([self.read_page(p) for p in ids])
+        return np.frombuffer(raw, np.uint8).reshape(-1, self.page_size)
+
+    def read_records(self, ids, dtype) -> np.ndarray:
+        """The counted records of the pages ids, concatenated in order, as
+        one read-only array. A count that overflows its page is corrupt."""
+        dtype = np.dtype(dtype)
+        images = self.read_pages(ids)
+        nbytes = record_counts(images) * dtype.itemsize
+        over = np.flatnonzero(nbytes > self.page_size - PAGE_HEADER)
+        if len(over):
+            raise CorruptPageError(f"{self.path}: the record count of page {ids[over[0]]} overflows it")
+        flat = memoryview(images.reshape(-1))
+        starts = range(PAGE_HEADER, flat.nbytes, self.page_size)
+        return np.frombuffer(b"".join([flat[a : a + n] for a, n in zip(starts, nbytes.tolist())]), dtype)
 
     def append_page(self, data: bytes) -> int:
         if len(data) != self.page_size:
@@ -123,6 +131,18 @@ class PageStore:
             self._npages += 1
             self.pages_written += 1
         return ordinal
+
+    def append_records(self, raw: bytes, width: int) -> list[int]:
+        """Pack fixed-width records into full pages (the last one partial)
+        and append them; returns the page ordinals."""
+        raw = memoryview(raw)
+        cap = page_capacity(self.page_size, width)
+        total = len(raw) // width
+        ordinals = []
+        for start in range(0, total, cap):
+            n = min(cap, total - start)
+            ordinals.append(self.append_page(pack_page(self.page_size, raw[start * width : (start + n) * width], n)))
+        return ordinals
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Overwrite an existing page in place (state vectors need this)."""

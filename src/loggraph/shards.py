@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import VID_DT
-from .pager import StoreRegistry, page_capacity, pack_page
+from .pager import StoreRegistry
 
 
 @dataclass
@@ -63,8 +63,6 @@ def build_shards(
     in_deg = np.bincount(dst, minlength=num_vertices)
     num_shards = min(num_shards, max(1, num_vertices))
     bounds = balanced_dest_bounds(in_deg, num_shards)
-    width = 8
-    cap = page_capacity(registry.page_size, width)
     stores, counts, src_sets = [], [], []
     for k in range(num_shards):
         lo, hi = bounds[k], bounds[k + 1]
@@ -75,10 +73,7 @@ def build_shards(
         recs = np.empty(len(s), np.dtype([("src", "<u4"), ("dst", "<u4")]))
         recs["src"], recs["dst"] = s, d
         store = registry.open(os.path.join(out_dir, f"shard{k}.bin"), "csr")
-        raw = recs.tobytes()
-        for start in range(0, len(recs), cap):
-            nrec = min(cap, len(recs) - start)
-            store.append_page(pack_page(registry.page_size, raw[start * width : (start + nrec) * width], nrec))
+        store.append_records(recs.tobytes(), recs.itemsize)
         stores.append(store)
         counts.append(store.num_pages)
         src_sets.append(np.unique(s))

@@ -17,7 +17,16 @@ import os
 import numpy as np
 
 from .csr import ranges
-from .pager import PAGE_HEADER, StoreRegistry, pack_page, page_capacity
+from .errors import CorruptPageError
+from .pager import PAGE_HEADER, StoreRegistry, pack_page, page_capacity, record_counts
+
+
+def _read_images(stores: list, keys: np.ndarray, per_interval: int) -> np.ndarray:
+    """Images of the pages keys (ascending interval * per_interval + page),
+    in key order; each interval's pages come from its own store."""
+    k, pid = np.divmod(keys, per_interval)
+    cut = np.searchsorted(k, np.arange(len(stores) + 1))
+    return np.concatenate([s.read_pages(pid[a:b].tolist()) for s, a, b in zip(stores, cut[:-1], cut[1:])])
 
 
 class StateSlice:
@@ -154,11 +163,7 @@ class VertexStateStore:
         for k in range(len(bounds) - 1):
             lo, hi = bounds[k], bounds[k + 1]
             store = registry.open(os.path.join(dirpath, f"state{k}.pages"), "state")
-            raw = init_states[lo:hi].tobytes()
-            w = st.state_width
-            for start in range(0, hi - lo, st.cap):
-                n = min(st.cap, hi - lo - start)
-                store.append_page(pack_page(st.page_size, raw[start * w : (start + n) * w], n))
+            store.append_records(init_states[lo:hi].tobytes(), st.state_width)
             st.stores.append(store)
             if st.aux_entry_dtype is not None:
                 aux = registry.open(os.path.join(dirpath, f"aux{k}.pages"), "state")
@@ -171,16 +176,18 @@ class VertexStateStore:
         return st
 
     def checkout(self, ids: np.ndarray) -> StateSlice:
-        """State rows of ids; each page they touch is read once, in order."""
+        """State rows of ids; each page they touch is read once, in order.
+        A slot past its page's record count is corrupt."""
         ids = np.asarray(ids, np.int64)
         k = np.searchsorted(self._bounds, ids, side="right") - 1
         pid, slots = np.divmod(ids - self._bounds[k], self.cap)
         keys, page_of = np.unique(k * self.pages_per_interval + pid, return_inverse=True)
-        raw = b"".join(
-            self.stores[kk].read_page(p).data
-            for kk, p in (divmod(key, self.pages_per_interval) for key in keys.tolist())
-        )
-        images = np.frombuffer(raw, np.uint8).reshape(len(keys), self.page_size)
+        images = _read_images(self.stores, keys, self.pages_per_interval)
+        counts = record_counts(images)[page_of]
+        short = np.flatnonzero(slots >= counts)
+        if len(short):
+            i = short[0]
+            raise CorruptPageError(f"{self.stores[k[i]].path}: page {pid[i]} holds {counts[i]} states, slot {slots[i]} wanted")
         return StateSlice(self, ids, keys, images, page_of, slots)
 
     def checkout_aux(self, ids: np.ndarray) -> AuxSlice:
@@ -195,10 +202,7 @@ class VertexStateStore:
         npages = np.where(nbytes > 0, (pos + nbytes - 1) // region - p0 + 1, 0)
         start_key = k * P + p0
         keys = np.unique(ranges(start_key, npages))
-        raw = b"".join(
-            self.aux_stores[kk].read_page(p).data for kk, p in (divmod(key, P) for key in keys.tolist())
-        )
-        images = np.frombuffer(raw, np.uint8).reshape(len(keys), self.page_size)
+        images = _read_images(self.aux_stores, keys, P)
         first = np.searchsorted(keys, start_key)
         at = first * region + pos - p0 * region
         offsets = np.zeros(len(ids) + 1, np.int64)
@@ -211,15 +215,13 @@ class VertexStateStore:
             self.registry.drop(store, "state")
 
     def read_all(self) -> np.ndarray:
-        """Full state vector, one page read per stored page."""
+        """Full state vector, one page read per stored page. An interval
+        whose pages hold other than one state per vertex is corrupt."""
         out = np.zeros(self.num_vertices, self.state_dtype)
-        w = self.state_width
         for k, store in enumerate(self.stores):
             lo, hi = self.bounds[k], self.bounds[k + 1]
-            chunks = [
-                np.frombuffer(store.read_page(p).records(w), self.state_dtype)
-                for p in range(store.num_pages)
-            ]
-            if chunks:
-                out[lo:hi] = np.concatenate(chunks)
+            states = store.read_records(range(store.num_pages), self.state_dtype)
+            if len(states) != hi - lo:
+                raise CorruptPageError(f"{store.path}: {len(states)} states for {hi - lo} vertices")
+            out[lo:hi] = states
         return out

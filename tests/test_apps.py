@@ -3,13 +3,12 @@ import pytest
 
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.apps.bfs import INF_LEVEL
-from loggraph.csr import SOURCES, Adjacency
 from loggraph.engine import Batch, EngineConfig, run_app
 from loggraph.multilog import RecordFormat
 from loggraph.seeds import pick_index
 
 import oracles
-from util import adjacency_lists, build_graph, clique_graph, path_graph, random_graph, ring_graph, star_graph
+from util import adjacency, adjacency_lists, build_graph, clique_graph, path_graph, random_graph, ring_graph, star_graph
 
 
 def cfg(**kw):
@@ -263,7 +262,7 @@ def test_rw_batch_sends_in_row_then_inbox_order(superstep):
     rng = np.random.default_rng(superstep)
     ids = np.array([2, 5, 6, 9, 11])
     rows = [rng.integers(0, 20, d) for d in (3, 0, 1, 4, 2)]
-    adj = Adjacency.from_rows(ids, rows, SOURCES.index("csr"))
+    adj = adjacency(ids, rows)
     inbox = [[4, 0, 2], [7], [], [1, 5], [3, 3, 0, 9]]
     fmt = RecordFormat(RandomWalk.payload_fields)
     records = fmt.pack([(v, 0, r) for v, rs in zip(ids.tolist(), inbox) for r in rs])

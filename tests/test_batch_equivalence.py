@@ -15,12 +15,11 @@ import pytest
 from loggraph.apps import Coloring, Community, Mis
 from loggraph.apps.mis import IN_NOTE, IN_SET, OUT, OUT_NOTE, PRIO, UNDECIDED
 from loggraph.apps.table import upsert as upsert_many
-from loggraph.csr import Adjacency
 from loggraph.engine import Batch, EngineConfig, run_app
 from loggraph.multilog import RecordFormat
 from loggraph.seeds import unit_float
 
-from util import PerVertex, build_graph, clique_graph, random_graph, spy_pressure, star_graph
+from util import PerVertex, adjacency, build_graph, clique_graph, random_graph, spy_pressure, star_graph
 
 
 def upsert(table: np.ndarray, used: int, src: int, value: int) -> int:
@@ -181,7 +180,7 @@ def test_upsert_matches_record_by_record_updates():
         records["label"] = rng.integers(0, 100, len(records))
         starts = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
         ids = np.arange(n)
-        adj = Adjacency.from_rows(ids, [[]] * n, 0)
+        adj = adjacency(ids, [[]] * n)
         batch = Batch(ids, None, adj, records, starts, starts + lens, table.copy(), offsets)
 
         want = table.copy()

@@ -273,7 +273,7 @@ def truncated_graph(tmp_path, n, vector):
     g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=20 * len(src))
     assert g.meta.num_intervals == 1
     store = getattr(g.partitions[0], vector)
-    page = bytearray(store.read_page(0).data)
+    page = bytearray(store.read_page(0))
     PAGE_COUNT.pack_into(page, 0, 5)
     store.write_page(0, bytes(page))
     return g

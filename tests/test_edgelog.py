@@ -6,7 +6,7 @@ from loggraph.edgelog import EdgeLog, classify_inefficient, log_candidates
 from loggraph.errors import CorruptPageError
 from loggraph.pager import PAGE_HEADER, StoreRegistry
 
-from util import build_graph, random_graph, ring_graph
+from util import adjacency, build_graph, random_graph, ring_graph
 
 
 def view(v, nbrs, pages=((0, 0),)):
@@ -86,8 +86,8 @@ def test_index_mismatch_is_corruption(tmp_path):
     el, _ = make_log(tmp_path)
     el.maybe_log(view(1, [2, 3]), True, {(0, 0)}, dirty=False)
     el.begin_superstep(1)
-    idx, store = el._consumable
-    idx[99] = idx.pop(1)  # tamper
+    ids = el._consumable[0]
+    ids[ids == 1] = 99  # tamper: 99 indexes vertex 1's entry
     with pytest.raises(CorruptPageError):
         el.fetch_batch([99])
 
@@ -96,8 +96,8 @@ def test_degree_field_disagreeing_with_index_is_corruption(tmp_path):
     el, _ = make_log(tmp_path)
     el.maybe_log(view(7, [5, 9, 11]), True, {(0, 0)}, dirty=False)
     el.begin_superstep(1)
-    _, store = el._consumable
-    page = bytearray(store.read_page(0).data)
+    store = el._consumable[2]
+    page = bytearray(store.read_page(0))
     page[PAGE_HEADER + 4 : PAGE_HEADER + 8] = np.uint32(7).tobytes()  # degree 3 -> 7
     store.write_page(0, bytes(page))
     with pytest.raises(CorruptPageError):
@@ -119,7 +119,7 @@ def test_candidate_mask_logs_what_the_per_view_rule_logs(tmp_path, seed):
     # predicted/dirty bits, with a budget that runs out partway
     rng = np.random.default_rng(seed)
     n = 200
-    adj = csr.Adjacency.from_rows(np.arange(n), [rng.integers(0, 99, d) for d in rng.integers(0, 6, n)], 0)
+    adj = adjacency(np.arange(n), [rng.integers(0, 99, d) for d in rng.integers(0, 6, n)])
     first = rng.integers(0, 8, n)
     adj.pages = np.stack([rng.integers(0, 3, n), first, first + rng.integers(0, 3, n)], 1)
     adj.source = rng.choice(len(csr.SOURCES), n, p=[0.7, 0.15, 0.15]).astype(np.uint8)

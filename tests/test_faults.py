@@ -1,0 +1,107 @@
+"""Fault injection on the read path: a missing, truncated or corrupt file
+raises a typed error and is never silently misread."""
+
+import os
+
+import numpy as np
+import pytest
+
+from loggraph import errors
+from loggraph.csr import GraphDir
+from loggraph.errors import CorruptPageError
+from loggraph.multilog import MultiLog, RecordFormat, read_log_records
+from loggraph.pager import PAGE_COUNT, PageStore, StoreRegistry
+from loggraph.state import VertexStateStore
+
+from util import build_graph, ring_graph
+
+FMT16 = RecordFormat([("val", "<u8")])
+STATE_DT = np.dtype([("a", "<u4"), ("b", "<f8")])
+
+
+def set_count(store, page_id, count):
+    """Overwrite the header record count of one page."""
+    page = bytearray(store.read_page(page_id))
+    PAGE_COUNT.pack_into(page, 0, count)
+    store.write_page(page_id, bytes(page))
+
+
+def sealed_log(tmp_path, n):
+    """One sealed interval log of n records in 256-byte pages."""
+    mlog = MultiLog([0, 4], FMT16, StoreRegistry(256), str(tmp_path / "logs"), 64 * 256)
+    for i in range(n):
+        mlog.send(i % 4, 0, i)
+    return mlog.seal().handles[0]
+
+
+def state_store(tmp_path):
+    """50 states in intervals of 25, 9 to a 128-byte page: interval 0 holds
+    pages of 9, 9 and 7 states."""
+    init = np.zeros(50, STATE_DT)
+    init["a"] = np.arange(50)
+    return VertexStateStore.create(StoreRegistry(128), str(tmp_path / "st"), [0, 25, 50], init)
+
+
+def test_open_rejects_a_length_that_is_not_a_page_multiple(tmp_path):
+    path = str(tmp_path / "s.pages")
+    with open(path, "wb") as f:
+        f.write(bytes(256 + 100))
+    with pytest.raises(CorruptPageError, match="not a page multiple"):
+        PageStore(path, 256, create=False)
+
+
+def test_opening_a_graph_with_a_missing_part_file_creates_nothing(tmp_path):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    g.close()
+    path = os.path.join(g.path, "part0.colidx")
+    os.remove(path)
+    with pytest.raises(FileNotFoundError, match="part0.colidx") as raised:
+        GraphDir(g.path)
+    assert isinstance(raised.value, errors.MissingStoreError)
+    assert not os.path.exists(path)
+
+
+def test_a_count_overflowing_a_log_page_is_corrupt(tmp_path):
+    handle = sealed_log(tmp_path, 40)
+    set_count(handle.store, handle.ordinals[1], 0xFFFF)
+    with pytest.raises(CorruptPageError, match="overflows"):
+        read_log_records(handle, FMT16)
+
+
+@pytest.mark.parametrize("vector", ["rowptr", "colidx"])
+def test_a_count_overflowing_a_csr_page_is_corrupt(tmp_path, vector):
+    src, dst = ring_graph(100)
+    g = build_graph(tmp_path, src, dst, 100, page_size=256)
+    set_count(getattr(g.partitions[0], vector), 0, 0xFFFF)
+    with pytest.raises(CorruptPageError, match="overflows"):
+        g.all_edges()
+
+
+def test_a_count_overflowing_a_state_page_is_corrupt(tmp_path):
+    st = state_store(tmp_path)
+    set_count(st.stores[1], 2, 10)  # capacity 9
+    with pytest.raises(CorruptPageError, match="overflows"):
+        st.read_all()
+
+
+def test_a_nonzero_count_with_an_empty_chain_is_corrupt(tmp_path):
+    handle = sealed_log(tmp_path, 40)
+    handle.ordinals = []
+    with pytest.raises(CorruptPageError, match="log empty"):
+        read_log_records(handle, FMT16)
+
+
+def test_a_short_state_page_fails_a_whole_read(tmp_path):
+    st = state_store(tmp_path)
+    set_count(st.stores[0], 1, 4)  # states 9-17 on page 1; 13-17 lost
+    with pytest.raises(CorruptPageError):
+        st.read_all()
+
+
+def test_a_short_state_page_fails_a_checkout_past_its_count(tmp_path):
+    st = state_store(tmp_path)
+    set_count(st.stores[0], 1, 4)
+    assert st.checkout(np.array([12, 30])).rows["a"].tolist() == [12, 30]  # slot 3 is still counted
+    with pytest.raises(CorruptPageError):
+        st.checkout(np.array([2, 13]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loggraph.errors import AddressError, ContractViolation
-from loggraph.pager import PAGE_HEADER, Page, PageStore, StoreRegistry, pack_page, page_capacity
+from loggraph.pager import PAGE_HEADER, PageStore, StoreRegistry, pack_page, page_capacity
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def test_append_read_roundtrip(store):
     pid = store.append_page(data)
     assert pid == 0
     back = store.read_page(0)
-    assert back.data == data
+    assert back == data
 
 
 def test_sequential_reads_count(store):
@@ -57,7 +57,7 @@ def test_read_your_writes_many(store):
         images.append(img)
         assert store.append_page(img) == i
     for i, img in enumerate(images):
-        assert store.read_page(i).data == img
+        assert store.read_page(i) == img
 
 
 def test_concurrent_appends_and_reads_keep_pages_and_counts(store):
@@ -73,7 +73,7 @@ def test_concurrent_appends_and_reads_keep_pages_and_counts(store):
             img = pack_page(256, bytes([t, i % 256]) * 100, count=1)
             placed[t].append((store.append_page(img), img))
             pid, want = placed[t][i // 2]
-            if store.read_page(pid).data != want:
+            if store.read_page(pid) != want:
                 misread.append(pid)
 
     old = sys.getswitchinterval()
@@ -91,7 +91,7 @@ def test_concurrent_appends_and_reads_keep_pages_and_counts(store):
     pages = dict(pair for done in placed for pair in done)
     assert len(pages) == n_threads * per_thread == store.num_pages == store.pages_written
     assert store.pages_read == n_threads * per_thread
-    assert all(store.read_page(pid).data == img for pid, img in pages.items())
+    assert all(store.read_page(pid) == img for pid, img in pages.items())
     assert os.path.getsize(store.path) == store.num_pages * 256
 
 
@@ -104,7 +104,7 @@ def test_page_capacity_derives_from_page_size():
 def test_write_page_in_place(store):
     store.append_page(pack_page(256, b"old", 1))
     store.write_page(0, pack_page(256, b"new", 1))
-    assert store.read_page(0).data[PAGE_HEADER : PAGE_HEADER + 3] == b"new"
+    assert store.read_page(0)[PAGE_HEADER : PAGE_HEADER + 3] == b"new"
     assert store.pages_written == 2
 
 
@@ -122,7 +122,16 @@ def test_registry_totals_and_retirement(tmp_path):
     assert not os.path.exists(str(tmp_path / "b"))
 
 
-def test_page_record_region_parsing():
-    data = pack_page(128, b"\x01\x02\x03\x04" * 3, count=3)
-    p = Page(0, data)
-    assert p.records(4) == b"\x01\x02\x03\x04" * 3
+def test_page_record_region_parsing(store):
+    store.append_page(pack_page(256, b"\x01\x02\x03\x04" * 3, count=3))
+    assert store.read_records([0], "<u4").tobytes() == b"\x01\x02\x03\x04" * 3
+
+
+def test_read_pages_returns_images_in_the_given_order(store):
+    images = [pack_page(256, bytes([i]) * 10, count=i) for i in range(3)]
+    for img in images:
+        store.append_page(img)
+    got = store.read_pages([2, 0, 2])
+    assert [row.tobytes() for row in got] == [images[2], images[0], images[2]]
+    assert store.pages_read == 3
+    assert store.read_pages([]).shape == (0, 256)

@@ -1,9 +1,11 @@
 import numpy as np
 
-from loggraph.pager import StoreRegistry
+from loggraph.pager import StoreRegistry, record_counts
 from loggraph.shards import balanced_dest_bounds, build_shards, superstep_page_cost
 
 from util import random_graph, ring_graph
+
+EDGE_DT = np.dtype([("src", "<u4"), ("dst", "<u4")])
 
 
 def make_shards(tmp_path, src, dst, n, num_shards, page_size=256):
@@ -15,8 +17,7 @@ def test_single_shard_holds_all_edges_src_sorted(tmp_path):
     src, dst = ring_graph(6)
     shards, _ = make_shards(tmp_path, src, dst, 6, 1)
     assert shards.num_shards == 1
-    page = shards.stores[0].read_page(0)
-    recs = np.frombuffer(page.records(8), np.dtype([("src", "<u4"), ("dst", "<u4")]))
+    recs = shards.stores[0].read_records([0], EDGE_DT)
     assert len(recs) == 12
     assert np.all(np.diff(recs["src"].astype(int)) >= 0)
 
@@ -26,7 +27,7 @@ def test_ring_three_shards_balanced(tmp_path):
     shards, _ = make_shards(tmp_path, src, dst, 6, 3)
     assert shards.bounds == [0, 2, 4, 6]
     for k, store in enumerate(shards.stores):
-        total = sum(store.read_page(p).record_count for p in range(store.num_pages))
+        total = int(record_counts(store.read_pages(range(store.num_pages))).sum())
         assert total == 4  # 12 in-edges over 3 shards
 
 
@@ -34,8 +35,7 @@ def test_edge_lands_in_dest_range_shard(tmp_path):
     src, dst = ring_graph(6)
     shards, _ = make_shards(tmp_path, src, dst, 6, 3)
     # edge (5,0): dst 0 -> shard 0
-    page = shards.stores[0].read_page(0)
-    recs = np.frombuffer(page.records(8), np.dtype([("src", "<u4"), ("dst", "<u4")]))
+    recs = shards.stores[0].read_records([0], EDGE_DT)
     assert (5, 0) in [tuple(map(int, r)) for r in recs]
 
 
