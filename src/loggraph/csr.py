@@ -9,14 +9,18 @@ requested vertices' ranges, each page at most once per call.
 
 A load returns an `Adjacency`: one flat CSR over the requested vertices
 (`ids`, `offsets`, `nbrs`) plus, per row, the colIdx pages it came from and
-its source (CSR, structural overlay or edge log). Row spans, page sets and
-the neighbor gather are array operations; `adj[v]` gives one vertex's
-`AdjacencyView`, the unit the edge log stores and serves.
+its source (CSR, structural overlay or edge log). `load_adjacency` takes
+the colIdx page set from the rows' page spans and gathers each row's span
+as one slice of those pages' record regions, so its work follows rows and
+pages, not entries; `adj[v]` gives one vertex's `AdjacencyView`, the unit
+the edge log stores and serves.
 
 Structural updates are int rows (kind, src, dst) of an ops array, kind one
 of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
-implementation: the engine's overlay applies it to fetched rows and
-`merge_structural_updates` to a whole interval.
+implementation: the engine's overlay applies it to a fetched batch and
+`merge_structural_updates` to a whole interval. It sorts only the ops and
+merges them into rows that are already ascending, as the CSR stores them,
+and it checks that they are.
 """
 
 from __future__ import annotations
@@ -147,14 +151,6 @@ class Adjacency:
             raise KeyError(v)
         return self.view(i)
 
-    def take(self, rows: np.ndarray) -> "Adjacency":
-        """The given rows, in the given order."""
-        lens = self.degrees[rows]
-        offsets = np.zeros(len(rows) + 1, np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        nbrs = self.nbrs[ranges(self.offsets[:-1][rows], lens)]
-        return Adjacency(self.ids[rows], offsets, nbrs, self.pages[rows], self.source[rows])
-
     def slice(self, a: int, b: int) -> "Adjacency":
         """Rows [a, b) without copying the neighbors."""
         off = self.offsets[a : b + 1]
@@ -163,22 +159,23 @@ class Adjacency:
         )
 
     @staticmethod
-    def merge(*parts: "Adjacency") -> "Adjacency":
-        """The rows of all parts (disjoint vertex sets) in ascending id order."""
-        parts = [p for p in parts if len(p)]
-        if len(parts) <= 1:
-            return parts[0] if parts else Adjacency.empty()
-        lens = np.concatenate([p.degrees for p in parts])
-        offsets = np.zeros(len(lens) + 1, np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        both = Adjacency(
-            np.concatenate([p.ids for p in parts]),
+    def merge(a: "Adjacency", b: "Adjacency") -> "Adjacency":
+        """The rows of both parts (disjoint vertex sets) in ascending id
+        order: the smaller part's rows inserted into the larger one."""
+        big, small = (a, b) if len(a) >= len(b) else (b, a)
+        if len(small) == 0:
+            return big
+        at = np.searchsorted(big.ids, small.ids)
+        degrees = np.insert(big.degrees, at, small.degrees)
+        offsets = np.zeros(len(degrees) + 1, np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        return Adjacency(
+            np.insert(big.ids, at, small.ids),
             offsets,
-            np.concatenate([p.nbrs for p in parts]),
-            np.concatenate([p.pages for p in parts]),
-            np.concatenate([p.source for p in parts]),
+            np.insert(big.nbrs, np.repeat(big.offsets[at], small.degrees), small.nbrs),
+            np.insert(big.pages, at, small.pages, axis=0),
+            np.insert(big.source, at, small.source),
         )
-        return both.take(np.argsort(both.ids, kind="stable"))
 
 
 def partition_vertices(
@@ -232,6 +229,11 @@ class Partition:
         out = self.rowptr.read_records(range(self.rowptr.num_pages), ROWPTR_DT).astype(np.int64)
         if len(out) != self.hi - self.lo + 1:
             raise CorruptPageError(f"{self.rowptr.path}: {len(out)} offsets for {self.hi - self.lo} vertices")
+        back = np.flatnonzero(np.diff(out) < 0)
+        if out[0] != 0 or len(back):
+            at = back[0] + 1 if len(back) else 0
+            after = f", after {out[at - 1]}" if at else ""
+            raise CorruptPageError(f"{self.rowptr.path}: offset {at} is {out[at]}{after}")
         return out
 
     def full_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +350,60 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarray:
-    """Entries idx (ascending) of a paged vector; reads each page they touch
-    once, in order. An entry past its page's record count is corrupt."""
-    page = idx // cap
-    first = _run_starts(page)
-    pages = page[first]
+def _read_checked(store, pages: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Images of the pages (ascending), each read once, in order; last[i]
+    is the slot of the last entry wanted from pages[i], and a slot at or
+    past its page's record count is corrupt."""
     images = store.read_pages(pages.tolist())
-    last = idx[np.roll(first, -1)] % cap  # slot of the last entry wanted per page
     counts = record_counts(images)
     short = np.flatnonzero(last >= counts)
     if len(short):
         i = short[0]
         raise CorruptPageError(f"{store.path}: page {pages[i]} holds {counts[i]} entries, entry {last[i]} wanted")
+    return images
+
+
+def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarray:
+    """Entries idx (ascending) of a paged vector; reads each page they touch
+    once, in order."""
+    page = idx // cap
+    first = _run_starts(page)
+    images = _read_checked(store, page[first], idx[np.roll(first, -1)] % cap)
     return images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].view(dtype)[np.cumsum(first) - 1, idx % cap]
+
+
+def _read_spans(store, cap: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the non-empty spans [a, b) (ascending, disjoint) of a
+    paged colIdx vector, concatenated, plus the pages they touch and the
+    count of wanted entries on each. Reads each of those pages once, in
+    order.
+
+    A span's pages are consecutive in the page set, so it is one slice of
+    the pages' concatenated record regions.
+    """
+    first, end = a // cap, (b - 1) // cap + 1
+    # a span shares at most its first page with the span before it
+    after = first.copy()
+    after[1:] = np.maximum(first[1:], end[:-1])
+    pages = ranges(after, end - after)
+    bound = (pages + 1) * cap
+    last = np.minimum(b[np.searchsorted(a, bound) - 1], bound) - 1  # last wanted entry per page
+    images = _read_checked(store, pages, last - pages * cap)
+    flat = images[:, PAGE_HEADER : PAGE_HEADER + cap * VID_WIDTH].view(VID_DT).reshape(-1)
+    start = (np.searchsorted(pages, first) - first) * cap + a
+    # flat alternates runs of unwanted and wanted entries
+    runs = np.diff(np.stack([start, start + (b - a)], 1).reshape(-1), prepend=0, append=len(flat))
+    entries = flat[np.repeat(np.arange(len(runs)) % 2 == 1, runs)]
+    # wanted entries below x: the spans starting below x, less the part of
+    # the last of them at or past x
+    cum = np.concatenate([[0], np.cumsum(b - a)])
+    stops = np.concatenate([[0], b])
+
+    def below(x):
+        j = np.searchsorted(a, x)
+        return cum[j] - np.maximum(stops[j] - x, 0)
+
+    return entries, pages, below(bound) - below(bound - cap)
 
 
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
@@ -395,21 +437,27 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
         rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, both[keep]).astype(np.int64)
         i = (np.cumsum(keep) - 1)[::2]  # where loc sits; loc + 1 sits at i + 1
         a, b = rp[i], rp[i + 1]
-        pos = ranges(a, b - a)  # ascending: rows ascend and their spans are disjoint
-        nbrs.append(_read_entries(part.colidx, part.cap_ci, VID_DT, pos))
-        page = pos // part.cap_ci
-        first = np.flatnonzero(_run_starts(page))
-        count = np.diff(np.append(first, len(page))) * VID_WIDTH
-        page_stats.update(zip([(k, p) for p in page[first].tolist()], count.tolist()))
+        back = np.flatnonzero(b < a)
+        if len(back):
+            j = back[0]
+            raise CorruptPageError(
+                f"{part.rowptr.path}: the row of vertex {active[starts[k] + j]} ends at {b[j]}, before its start {a[j]}"
+            )
+        full = b > a
+        if full.any():
+            got, read, useful = _read_spans(part.colidx, part.cap_ci, a[full], b[full])
+            nbrs.append(got)
+            page_stats.update(zip([(k, p) for p in read.tolist()], (useful * VID_WIDTH).tolist()))
         first = a // part.cap_ci
-        end = np.where(b > a, (b - 1) // part.cap_ci + 1, first)
+        end = np.where(full, (b - 1) // part.cap_ci + 1, first)
         pages.append(np.stack([np.full(len(loc), k), first, end], 1))
         lens.append(b - a)
     lens = np.concatenate(lens)
     offsets = np.zeros(len(active) + 1, np.int64)
     np.cumsum(lens, out=offsets[1:])
     source = np.full(len(active), SOURCES.index("csr"), np.uint8)
-    return Adjacency(active, offsets, np.concatenate(nbrs), np.concatenate(pages), source), page_stats
+    nbrs = np.concatenate(nbrs) if nbrs else np.zeros(0, VID_DT)
+    return Adjacency(active, offsets, nbrs, np.concatenate(pages), source), page_stats
 
 
 def apply_ops(
@@ -423,29 +471,50 @@ def apply_ops(
     row, and the number of deletions that found no copy to remove. The
     engine never buffers an op on a vertex after its removal, so whether a
     deletion finds a copy does not depend on the removal.
+
+    The rows must hold ascending neighbors, as the CSR stores them; then
+    only the ops are sorted and merged in, and a row that descends is
+    corrupt.
     """
-    edits = ops[ops[:, 0] != DEL_VERTEX]
-    rows = np.concatenate([np.repeat(np.arange(len(ids)), np.diff(offsets)), np.searchsorted(ids, edits[:, 1])])
-    cols = np.concatenate([nbrs, edits[:, 2]])
+    # one int64 key (row << 32 | nbr) per entry, ascending if the rows are
+    degrees = np.diff(offsets)
+    keys = np.repeat(np.arange(len(ids), dtype=np.int64) << 32, degrees) | nbrs
+    bad = np.flatnonzero(keys[1:] < keys[:-1])
+    if len(bad):
+        row = np.searchsorted(offsets, bad[0] + 1, side="right") - 1
+        raise CorruptPageError(f"the neighbors of vertex {ids[row]} are not ascending")
+    kind = ops[:, 0]
+    cols = ops[:, 2].copy()
     cols[(cols < 0) | (cols > NO_VID)] = NO_VID  # matches no edge
-    is_del = np.concatenate([np.zeros(len(nbrs), np.int64), edits[:, 0] == DEL_EDGE])
-    # one int64 key per entry (rows stay below 2**30) sorts by (row, nbr),
-    # copies before deletions; a (row, nbr) group with d deletions loses
-    # its first d copies
-    keys = np.sort(rows << 33 | cols << 1 | is_del)
-    rows, cols, is_del = keys >> 33, keys >> 1 & NO_VID, (keys & 1).astype(bool)
-    first = np.ones(len(keys), bool)
-    first[1:] = keys[1:] >> 1 != keys[:-1] >> 1
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    dels = np.add.reduceat(keys & 1, starts)
-    copies = np.diff(np.append(starts, len(keys))) - dels
-    removed = np.zeros(len(ids), bool)
-    removed[np.searchsorted(ids, ops[ops[:, 0] == DEL_VERTEX, 1])] = True
-    keep = ~is_del & (np.arange(len(rows)) - starts[group] >= dels[group]) & ~removed[rows]
+    op_keys = np.searchsorted(ids, ops[:, 1]) << 32 | cols
+    ins = np.sort(op_keys[kind == ADD_EDGE])
+    dels = np.sort(op_keys[kind == DEL_EDGE])
+    # a (row, nbr) group with d deletions loses its first min(d, copies)
+    # copies, the stored ones before the inserted ones
+    starts = np.flatnonzero(_run_starts(dels))
+    group, d = dels[starts], np.diff(np.append(starts, len(dels)))
+    at, at_ins = np.searchsorted(keys, group), np.searchsorted(ins, group)
+    stored = np.searchsorted(keys, group, side="right") - at
+    inserted = np.searchsorted(ins, group, side="right") - at_ins
+    gone = np.minimum(d, stored)
+    warnings = int(np.maximum(d - stored - inserted, 0).sum())
+    removed = np.searchsorted(ids, ops[kind == DEL_VERTEX, 1])
+    keep = np.ones(len(keys), bool)
+    keep[ranges(at, gone)] = False
+    keep[ranges(offsets[removed], degrees[removed])] = False
+    keep_ins = np.ones(len(ins), bool)
+    keep_ins[ranges(at_ins, np.minimum(d - gone, inserted))] = False
+    dead = np.zeros(len(ids), bool)
+    dead[removed] = True
+    ins = ins[keep_ins & ~dead[ins >> 32]]
+    keys = keys[keep]
+    # a row keeps its stored entries less the cleared ones, plus its insertions
+    lost = np.bincount(group >> 32, gone, minlength=len(ids)).astype(np.int64)
+    lost[removed] = degrees[removed]
     new_offsets = np.zeros(len(ids) + 1, np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=len(ids)), out=new_offsets[1:])
-    return new_offsets, cols[keep].astype(VID_DT), int(np.maximum(dels - copies, 0).sum())
+    np.cumsum(degrees - lost + np.bincount(ins >> 32, minlength=len(ids)), out=new_offsets[1:])
+    out = np.insert(keys.astype(VID_DT), np.searchsorted(keys, ins), ins.astype(VID_DT))
+    return new_offsets, out, warnings
 
 
 def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:

@@ -13,10 +13,10 @@ per-in-neighbor tables, those tables as one flat entry array with per-row
 offsets. It handles the whole batch with array code through a Context of
 two calls: `send_many` appends columns of messages to the multi-log, and
 `structural_many` buffers (kind, src, dst) structural update rows (see
-`csr`), which it files per interval for `csr.apply_ops` to apply, to fetched
-rows by the overlay and to a whole interval by the merge. Execution is
-deterministic single-threaded by default; an optional thread pool splits a
-batch into slices processed concurrently.
+`csr`), which it files per interval for `csr.apply_ops` to apply, to a
+fetched batch by the overlay and to a whole interval by the merge.
+Execution is deterministic single-threaded by default; an optional thread
+pool splits a batch into slices processed concurrently.
 """
 
 from __future__ import annotations
@@ -315,18 +315,17 @@ class Engine:
         return np.concatenate([np.zeros((0, 3), np.int64)] + [c for k in intervals for c in self._pending[k]])
 
     def _overlay(self, adj: Adjacency) -> Adjacency:
-        """Most-current adjacency: the rows with pending structural ops get
-        them applied by csr.apply_ops and turn "overlay" rows."""
+        """Most-current adjacency: csr.apply_ops applies the pending
+        structural ops of the batch's vertices to the whole batch in place,
+        and the rows they hit turn "overlay" rows."""
         dirty = adj.ids[self._el_dirty[adj.ids]]
         ops = self._pending_ops(np.unique(self.meta.interval_of(dirty)).tolist())
         ops = ops[np.isin(ops[:, 1], dirty)]
         if len(ops) == 0:
             return adj
-        hit = np.isin(adj.ids, ops[:, 1])
-        over = adj.take(np.flatnonzero(hit))
-        over.offsets, over.nbrs, _ = csrmod.apply_ops(over.ids, over.offsets, over.nbrs, ops)
-        over.source[:] = SOURCES.index("overlay")
-        return Adjacency.merge(adj.take(np.flatnonzero(~hit)), over)
+        adj.offsets, adj.nbrs, _ = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, ops)
+        adj.source[np.isin(adj.ids, ops[:, 1])] = SOURCES.index("overlay")
+        return adj
 
     def _merge_interval(self, k: int) -> None:
         if not self._pending[k]:

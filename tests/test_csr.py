@@ -6,10 +6,10 @@ import pytest
 
 from loggraph import csr
 from loggraph.errors import ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
-from loggraph.pager import PAGE_COUNT, page_capacity
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
-from util import adjacency_lists, build_graph, op_rows, ring_graph, random_graph
+from util import adjacency_lists, both_directions, build_graph, op_rows, random_graph, ring_graph, star_graph
 
 
 def test_partition_exact_packing():
@@ -132,17 +132,56 @@ def test_page_monotonicity_and_minimality(tmp_path):
     assert pages_for([]) == 0
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_load_matches_a_per_vertex_reference(tmp_path, seed):
-    # neighbors, per-page useful bytes and pages read on random active sets,
-    # with isolated vertices and rows spanning pages
+def hub_graph(n, seed):
+    """A sparse random graph plus a few hubs wired to half of the vertices
+    each way: with 256-byte pages a hub's row spans 3 or more
+    colIdx pages and shares its end pages with its neighbors' rows."""
+    src, dst = random_graph(n, 3, seed=seed)
     rng = np.random.default_rng(seed)
+    hubs = rng.choice(n, 4, replace=False)
+    pairs = [(int(h), int(v)) for h in hubs for v in rng.choice(n, n // 2, replace=False) if v != h]
+    hs, hd = both_directions(pairs)
+    return np.concatenate([src, hs]), np.concatenate([dst, hd]), hubs
+
+
+def spy_colidx_reads(monkeypatch, g):
+    """The (interval, page) of each colIdx page read, in read order."""
+    reads = []
+    for part in g.partitions:
+        def read_page(p, part=part, read=part.colidx.read_page):
+            reads.append((part.k, p))
+            return read(p)
+
+        monkeypatch.setattr(part.colidx, "read_page", read_page)
+    return reads
+
+
+@pytest.mark.parametrize("case", list(range(4)) + ["hubs-0", "hubs-1", "one-hub", "one-vertex", "zero-degree"])
+def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
+    # neighbors, per-page useful bytes and pages read on random active sets,
+    # with isolated vertices and rows spanning pages; colIdx pages are read
+    # once each in ascending order, which is also the order of the stats
     n = 300
-    src, dst = random_graph(n, 8, seed=seed)
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        src, dst = random_graph(n, 8, seed=case)
+        active = np.unique(rng.integers(0, n, int(rng.integers(1, n))))
+    else:
+        rng = np.random.default_rng(5)
+        src, dst, hubs = hub_graph(n, seed=5)
+        degree = np.bincount(src, minlength=n)
+        active = {
+            "hubs-0": np.unique(np.append(rng.integers(0, n, 40), hubs)),
+            "hubs-1": np.unique(np.append(rng.integers(0, n, 150), hubs[:2])),
+            "one-hub": hubs[:1],
+            "one-vertex": np.flatnonzero(degree == 3)[:1],
+            "zero-degree": np.flatnonzero(degree == 0)[:5],
+        }[case]
+        assert len(active) and degree[hubs].min() > 2 * page_capacity(256, csr.VID_WIDTH)
     g = build_graph(tmp_path, src, dst, n, page_size=256)
+    assert g.meta.num_intervals > 1
     adj = adjacency_lists(src, dst, n)
-    active = np.unique(rng.integers(0, n, int(rng.integers(1, n))))
-    useful, rp_pages = {}, set()
+    useful, rp_pages, rows_on = {}, set(), {}
     for v in active.tolist():
         k = g.meta.interval_of(v)
         part = g.partitions[k]
@@ -152,10 +191,15 @@ def test_load_matches_a_per_vertex_reference(tmp_path, seed):
         for e in range(int(rp[local]), int(rp[local + 1])):
             key = (k, e // part.cap_ci)
             useful[key] = useful.get(key, 0) + csr.VID_WIDTH
+            rows_on.setdefault(key, set()).add(v)
+    if str(case).startswith("hubs"):
+        assert max(map(len, rows_on.values())) > 1  # active rows share a page
     before = g.registry.totals()["csr"][0]
+    reads = spy_colidx_reads(monkeypatch, g)
     views, stats = csr.load_adjacency(g, active)
     assert g.registry.totals()["csr"][0] - before == len(rp_pages) + len(useful)
     assert stats == useful
+    assert reads == list(stats) == sorted(useful)
     assert [views[v].neighbors.tolist() for v in active.tolist()] == [adj[v] for v in active.tolist()]
 
 
@@ -240,38 +284,115 @@ def test_merge_rejects_out_of_range_insert(tmp_path):
         csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 99)))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_apply_ops_matches_the_list_reference(seed):
-    # few distinct neighbors, so rows carry multigraph copies and many
-    # deletions miss; no op follows a removal of its vertex but another
-    # removal, as in the engine's buffer
+def random_apply_ops_case(seed, num_nbrs=5, row_len=6, num_ops=40):
+    """Ascending ids, sorted rows drawn from num_nbrs distinct neighbors (so
+    they carry multigraph copies and many deletions miss) and ops in which
+    no op follows a removal of its vertex but another removal, as in the
+    engine's buffer."""
     rng = np.random.default_rng(seed)
     ids = np.sort(rng.choice(40, size=int(rng.integers(1, 10)), replace=False))
-    rows = [sorted(rng.integers(0, 5, int(rng.integers(0, 6))).tolist()) for _ in ids]
+    rows = [sorted(rng.integers(0, num_nbrs, int(rng.integers(0, row_len))).tolist()) for _ in ids]
     ops, removed = [], set()
-    for _ in range(int(rng.integers(0, 40))):
+    for _ in range(int(rng.integers(0, num_ops))):
         u, r = int(rng.choice(ids)), rng.random()
         kind = csr.ADD_EDGE if r < 0.4 else csr.DEL_EDGE if r < 0.92 else csr.DEL_VERTEX
         if u in removed and kind != csr.DEL_VERTEX:
             continue
         if kind == csr.DEL_VERTEX:
             removed.add(u)
-        ops.append((kind, u, int(rng.integers(0, 5)) if kind != csr.DEL_VERTEX else -1))
+        ops.append((kind, u, int(rng.integers(0, num_nbrs)) if kind != csr.DEL_VERTEX else -1))
+    return ids.tolist(), rows, ops
+
+
+A, D, X = csr.ADD_EDGE, csr.DEL_EDGE, csr.DEL_VERTEX
+APPLY_OPS_CASES = {
+    **{f"long-rows-{seed}": random_apply_ops_case(seed, num_nbrs=30, row_len=400, num_ops=600) for seed in range(4)},
+    # the deletions take the stored copy and then the inserted one
+    "insert-and-delete-one-edge": ([3, 7], [[1, 2], [5]], [(A, 3, 9), (D, 3, 9), (A, 7, 5), (D, 7, 5), (D, 7, 5)]),
+    "deletions-beyond-the-copies": ([3, 7], [[1, 1, 2], [5]], [(D, 3, 1), (D, 3, 1), (D, 3, 1), (D, 7, 4), (A, 7, 4)]),
+    # 2**32 + 1 must not match neighbor 1
+    "destination-outside-uint32": ([3], [[0, 1, csr.NO_VID - 1]], [(D, 3, 1 << 32), (D, 3, (1 << 32) + 1), (D, 3, -1), (A, 3, 2)]),
+    "deletions-before-a-removal": ([3, 7], [[1, 2], [2]], [(D, 3, 1), (D, 3, 1), (A, 3, 5), (X, 3, -1), (D, 7, 2)]),
+    "empty-ops": ([2, 5, 9], [[1], [], [0, 0, 3]], []),
+    "empty-ids": ([], [], []),
+}
+
+
+@pytest.mark.parametrize("case", list(range(40)) + list(APPLY_OPS_CASES))
+def test_apply_ops_matches_the_list_reference(case):
+    ids, rows, ops = APPLY_OPS_CASES[case] if isinstance(case, str) else random_apply_ops_case(case)
     offsets = np.cumsum([0] + [len(r) for r in rows])
     nbrs = np.array([x for r in rows for x in r], csr.VID_DT)
-    got_offsets, got_nbrs, got_warnings = csr.apply_ops(ids, offsets, nbrs, np.array(ops, np.int64).reshape(-1, 3))
-    want, want_warnings = oracles.apply_ops_reference(ids.tolist(), rows, ops)
+    got_offsets, got_nbrs, got_warnings = csr.apply_ops(
+        np.array(ids, np.int64), offsets, nbrs, np.array(ops, np.int64).reshape(-1, 3)
+    )
+    want, want_warnings = oracles.apply_ops_reference(ids, rows, ops)
     assert [got_nbrs[a:b].tolist() for a, b in zip(got_offsets[:-1], got_offsets[1:])] == want
     assert got_warnings == want_warnings
 
 
+def test_apply_ops_rejects_a_row_with_descending_neighbors():
+    offsets, nbrs = np.array([0, 2, 5]), np.array([1, 4, 2, 7, 3], csr.VID_DT)
+    with pytest.raises(CorruptPageError, match="vertex 6"):
+        csr.apply_ops(np.array([5, 6]), offsets, nbrs, op_rows(("add_edge", 5, 0)))
+
+
+def random_part(ids, rng):
+    """An Adjacency over the ascending ids with random rows (some empty),
+    pages and sources."""
+    lens = rng.integers(0, 4, len(ids))
+    offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    return csr.Adjacency(
+        np.asarray(ids, np.int64),
+        offsets,
+        rng.integers(0, 1000, int(offsets[-1])).astype(csr.VID_DT),
+        rng.integers(0, 50, (len(ids), 3)),
+        rng.integers(0, len(csr.SOURCES), len(ids)).astype(np.uint8),
+    )
+
+
+def merge_reference(a, b):
+    """Concatenate both parts, then take every row in ascending id order."""
+    order = np.argsort(np.concatenate([a.ids, b.ids]), kind="stable")
+    lens = np.concatenate([a.degrees, b.degrees])[order]
+    starts = np.concatenate([a.offsets[:-1], b.offsets[:-1] + len(a.nbrs)])[order]
+    return (
+        np.concatenate([a.ids, b.ids])[order],
+        np.concatenate([[0], np.cumsum(lens)]),
+        np.concatenate([a.nbrs, b.nbrs])[csr.ranges(starts, lens)],
+        np.concatenate([a.pages, b.pages])[order],
+        np.concatenate([a.source, b.source])[order],
+    )
+
+
+@pytest.mark.parametrize("case", list(range(6)) + ["empty-left", "empty-right", "both-empty", "before", "after"])
+def test_adjacency_merge_matches_concatenate_and_sort(case):
+    rng = np.random.default_rng(case if isinstance(case, int) else len(case))
+    ids = np.sort(rng.choice(200, 60, replace=False))
+    split = {
+        "empty-left": np.zeros(60, bool),
+        "empty-right": np.ones(60, bool),
+        "both-empty": np.zeros(60, bool),
+        "before": np.arange(60) < 45,
+        "after": np.arange(60) >= 15,
+    }.get(case, rng.random(60) < rng.random())
+    right = ids[~split] if case != "both-empty" else ids[:0]
+    a, b = random_part(ids[split], rng), random_part(right, rng)
+    got = csr.Adjacency.merge(a, b)
+    for field, want in zip(("ids", "offsets", "nbrs", "pages", "source"), merge_reference(a, b)):
+        assert getattr(got, field).tolist() == want.tolist(), field
+
+
 def truncated_graph(tmp_path, n, vector):
     """n vertices with 10 out-edges each in one interval of 256-byte pages,
-    page 0 of its rowPtr or colIdx vector claiming only 5 records."""
+    page 0 of its rowPtr or colIdx vector claiming only 5 records (neither
+    when vector is None)."""
     src = np.repeat(np.arange(n), 10)
     dst = (src + np.tile(np.arange(1, 11), n)) % n
     g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=20 * len(src))
     assert g.meta.num_intervals == 1
+    if vector is None:
+        return g
     store = getattr(g.partitions[0], vector)
     page = bytearray(store.read_page(0))
     PAGE_COUNT.pack_into(page, 0, 5)
@@ -285,6 +406,58 @@ def test_load_adjacency_rejects_entries_past_a_page_count(tmp_path, vector, vert
     g = truncated_graph(tmp_path, 10, vector)
     with pytest.raises(CorruptPageError):
         csr.load_adjacency(g, np.array([vertex]))
+
+
+@pytest.mark.parametrize("count", [5, 59])
+def test_load_adjacency_rejects_a_short_page_inside_a_row(tmp_path, count):
+    # vertex 0's 200 neighbors are colIdx entries 0-199, pages 0-3 of 60
+    # entries; page 1 claims fewer, so its last entries are past its count
+    src, dst = star_graph(200)
+    g = build_graph(tmp_path, src, dst, 201, page_size=256, sort_budget=20 * len(src))
+    assert g.meta.num_intervals == 1 and g.partitions[0].cap_ci == 60
+    store = g.partitions[0].colidx
+    page = bytearray(store.read_page(1))
+    PAGE_COUNT.pack_into(page, 0, count)
+    store.write_page(1, bytes(page))
+    assert csr.load_adjacency(g, np.array([5]))[0][5].neighbors.tolist() == [0]  # page 3 is whole
+    with pytest.raises(CorruptPageError, match=f"page 1 holds {count} entries, entry 59 wanted"):
+        csr.load_adjacency(g, np.array([0]))
+
+
+def set_rowptr_entry(g, entry, value):
+    """Overwrite rowPtr entry `entry` of interval 0 with `value`."""
+    store = g.partitions[0].rowptr
+    cap = g.partitions[0].cap_rp
+    page = bytearray(store.read_page(entry // cap))
+    at = PAGE_HEADER + entry % cap * csr.ROWPTR_WIDTH
+    page[at : at + csr.ROWPTR_WIDTH] = np.array(value, csr.ROWPTR_DT).tobytes()
+    store.write_page(entry // cap, bytes(page))
+
+
+@pytest.mark.parametrize("active", [[3], [2, 3], [3, 4, 9]])
+def test_load_adjacency_rejects_a_row_ending_before_its_start(tmp_path, active):
+    # rowPtr entry 3 is 55 and entry 4 is 40, so row 3 would end before it starts
+    g = truncated_graph(tmp_path, 10, None)
+    set_rowptr_entry(g, 3, 55)
+    with pytest.raises(CorruptPageError, match="vertex 3 ends at 40"):
+        csr.load_adjacency(g, np.array(active))
+
+
+@pytest.mark.parametrize(
+    "entry, value, named",
+    [(3, 55, "offset 4 is 40, after 55"), (0, 4, "offset 0 is 4")],
+    ids=["decreasing", "not-from-zero"],
+)
+@pytest.mark.parametrize("caller", ["all_edges", "in_degrees", "merge"])
+def test_whole_vector_reads_reject_a_bad_rowptr(tmp_path, entry, value, named, caller):
+    g = truncated_graph(tmp_path, 10, None)
+    set_rowptr_entry(g, entry, value)
+    os.remove(os.path.join(g.path, "indeg.bin"))  # in_degrees falls back to the CSR
+    with pytest.raises(CorruptPageError, match=named):
+        if caller == "merge":
+            csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 1)))
+        else:
+            getattr(g, caller)()
 
 
 @pytest.mark.parametrize("vector", ["rowptr", "colidx"])

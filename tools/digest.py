@@ -1,11 +1,12 @@
 """Result digest of the benchmark workloads for one seed.
 
-    python3 tools/digest.py [ROOT] [--seed N]
+    python3 tools/digest.py [ROOT] [--seed N] [--workload NAME ...]
 
 Imports the engine and the workload definitions from the checkout at ROOT
 (default: the one holding this script), then generates, converts and runs
-each workload of `bench/workloads.py` once for seed N (default 1). It prints
-one line per workload: supersteps, messages and a sha256 over the final
+each workload of `bench/workloads.py` once for seed N (default 1); a
+repeated `--workload NAME` runs only the named ones, in the given order. It
+prints one line per workload: supersteps, messages and a sha256 over the final
 states, every `SuperstepStats.to_dict()`, the per-class `registry.totals()`
 (convert and run) and `structural_warnings`. Two checkouts that print the
 same lines computed the same results with the same page counts; a change
@@ -44,6 +45,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", nargs="?", default=str(Path(__file__).resolve().parent.parent))
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    ap.add_argument("--workload", action="append", metavar="NAME", help="run only this workload (repeatable; default all)")
     args = ap.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
@@ -52,7 +54,10 @@ def main(argv=None) -> int:
 
     if Path(loggraph.__file__).resolve().parent != root / "src" / "loggraph":
         sys.exit(f"digest: loggraph imported from {loggraph.__file__}, not from {root}")
-    for workload in WORKLOADS.values():
+    unknown = sorted(set(args.workload or ()) - set(WORKLOADS))
+    if unknown:
+        ap.error(f"unknown workload {unknown[0]}; choose from {', '.join(WORKLOADS)}")
+    for workload in [WORKLOADS[name] for name in args.workload] if args.workload else WORKLOADS.values():
         with tempfile.TemporaryDirectory() as workdir:
             print(digest_workload(workload, args.seed, workdir), flush=True)
     return 0
