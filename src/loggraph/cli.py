@@ -34,11 +34,8 @@ def _engine_config(args, meta) -> EngineConfig:
         memory_budget=args.memory_budget,
         page_size=meta.page_size,
         sort_frac=args.sort_frac,
-        multilog_frac=args.multilog_frac,
-        edgelog_frac=args.edgelog_frac,
         max_supersteps=args.max_supersteps,
         edge_log=args.edge_log,
-        parallel=args.parallel,
         seed=args.seed,
         merge_threshold=args.merge_threshold,
         record_trace=args.trace is not None,
@@ -244,11 +241,8 @@ def cmd_stats(args) -> int:
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--memory-budget", dest="memory_budget", type=int, default=1 << 30)
     p.add_argument("--sort-frac", dest="sort_frac", type=float, default=0.75)
-    p.add_argument("--multilog-frac", dest="multilog_frac", type=float, default=0.05)
-    p.add_argument("--edgelog-frac", dest="edgelog_frac", type=float, default=0.05)
     p.add_argument("--max-supersteps", dest="max_supersteps", type=int, default=15)
     p.add_argument("--edge-log", dest="edge_log", action="store_true")
-    p.add_argument("--parallel", type=int, default=0, help="worker threads (0 = deterministic)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--merge-threshold", dest="merge_threshold", type=int, default=4096)
 

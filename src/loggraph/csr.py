@@ -151,13 +151,6 @@ class Adjacency:
             raise KeyError(v)
         return self.view(i)
 
-    def slice(self, a: int, b: int) -> "Adjacency":
-        """Rows [a, b) without copying the neighbors."""
-        off = self.offsets[a : b + 1]
-        return Adjacency(
-            self.ids[a:b], off - off[0], self.nbrs[off[0] : off[-1]], self.pages[a:b], self.source[a:b]
-        )
-
     @staticmethod
     def merge(a: "Adjacency", b: "Adjacency") -> "Adjacency":
         """The rows of both parts (disjoint vertex sets) in ascending id
@@ -281,6 +274,9 @@ class GraphDir:
     def in_degrees(self) -> np.ndarray:
         p = os.path.join(self.path, "indeg.bin")
         if os.path.exists(p):
+            size, n = os.path.getsize(p), self.meta.num_vertices
+            if size != n * VID_DT.itemsize:
+                raise CorruptPageError(f"{p}: {size} bytes, not {n} in-degrees")
             return np.fromfile(p, dtype=VID_DT).astype(np.int64)
         deg = np.zeros(self.meta.num_vertices, np.int64)
         for _, dst in self.iter_partition_edges():

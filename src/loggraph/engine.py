@@ -15,16 +15,14 @@ two calls: `send_many` appends columns of messages to the multi-log, and
 `structural_many` buffers (kind, src, dst) structural update rows (see
 `csr`), which it files per interval for `csr.apply_ops` to apply, to a
 fetched batch by the overlay and to a whole interval by the merge.
-Execution is deterministic single-threaded by default; an optional thread
-pool splits a batch into slices processed concurrently.
+Execution is single-threaded, so results and message order are
+deterministic.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,19 +37,27 @@ from .pager import DEFAULT_PAGE_SIZE
 from .state import VertexStateStore
 
 
+# shares of the memory budget for the multi-log's resident pages and the
+# edge log's buffers
+MULTILOG_FRAC = 0.05
+EDGELOG_FRAC = 0.05
+
+
 @dataclass
 class EngineConfig:
     memory_budget: int = 1 << 30
     page_size: int = DEFAULT_PAGE_SIZE
     sort_frac: float = 0.75
-    multilog_frac: float = 0.05
-    edgelog_frac: float = 0.05
     max_supersteps: int = 15
     edge_log: bool = False
-    parallel: int = 0
+    parallel: int = 0  # the engine runs one thread; kept only so that 0 is accepted
     seed: int = 0
     merge_threshold: int = 4096
     record_trace: bool = False
+
+    def __post_init__(self):
+        if self.parallel != 0:
+            raise ConfigError(f"parallel={self.parallel}: the engine has no worker threads; pass 0")
 
     @property
     def sort_budget(self) -> int:
@@ -59,11 +65,11 @@ class EngineConfig:
 
     @property
     def multilog_budget(self) -> int:
-        return int(self.memory_budget * self.multilog_frac)
+        return int(self.memory_budget * MULTILOG_FRAC)
 
     @property
     def edgelog_budget(self) -> int:
-        return int(self.memory_budget * self.edgelog_frac)
+        return int(self.memory_budget * EDGELOG_FRAC)
 
     def to_dict(self) -> dict:
         """Every knob but record_trace, which only selects an output."""
@@ -106,16 +112,6 @@ class Batch:
         deg = np.where(rows, self.adj.degrees, 0)
         cols = (np.repeat(np.broadcast_to(col, len(self)), deg) for col in payload)
         return (self.adj.nbrs[np.repeat(rows, self.adj.degrees)], np.repeat(self.ids, deg), *cols)
-
-    def slice(self, a: int, b: int) -> "Batch":
-        """Rows [a, b); the states and tables stay shared with this batch."""
-        table, offsets = self.table, self.table_offsets
-        if table is not None:
-            table, offsets = table[offsets[a] : offsets[b]], offsets[a : b + 1] - offsets[a]
-        return Batch(
-            self.ids[a:b], self.states[a:b], self.adj.slice(a, b), self.records,
-            self.starts[a:b], self.ends[a:b], table, offsets,
-        )
 
 
 class VertexProgram:
@@ -237,13 +233,18 @@ class Context:
     def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
         """Send message i from src[i] to dest[i] with payload column values
         [i], in index order; a scalar column is broadcast. A dest or src
-        outside [0, num_vertices) is a contract violation."""
+        outside [0, num_vertices), or a column count other than the wire
+        format's payload fields, is a contract violation."""
         n = self._engine.meta.num_vertices
         for name, col in (("destination", dest), ("source", src)):
             col = np.asarray(col)
             if col.size and (col.min() < 0 or col.max() >= n):
                 raise ContractViolation(f"message {name} outside [0, {n})")
         fmt = self._engine.fmt
+        if len(payload) != len(fmt.payload_fields):
+            raise ContractViolation(
+                f"{len(payload)} payload columns for the {len(fmt.payload_fields)} fields of the wire format"
+            )
         records = np.empty(len(dest), fmt.dtype)
         records["dest"] = dest
         records["src"] = src
@@ -254,9 +255,10 @@ class Context:
     def structural_many(self, ops) -> None:
         """Buffer structural ops, int rows (kind, src, dst) with kind one of
         csr.ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused), in row order.
-        An op other than a removal on a vertex already removed, by an
-        earlier call or an earlier row, is dropped and counted in
-        structural_warnings."""
+        Another kind, or a src or an ADD_EDGE dst outside [0, num_vertices),
+        is a contract violation. An op other than a removal on a vertex
+        already removed, by an earlier call or an earlier row, is dropped
+        and counted in structural_warnings."""
         self._engine._buffer_ops(np.asarray(ops, np.int64).reshape(-1, 3))
 
 
@@ -280,7 +282,6 @@ class Engine:
         self._last_active = np.zeros(n, bool)  # the edge log's prediction
         # per interval: its buffered (kind, src, dst) structural op arrays, in arrival order
         self._pending: list[list[np.ndarray]] = [[] for _ in range(self.meta.num_intervals)]
-        self._ops_lock = threading.Lock()
         self._el_dirty = np.zeros(n, bool)
         self.structural_warnings = 0
         self._mlog: MultiLog | None = None
@@ -291,8 +292,15 @@ class Engine:
 
     def _buffer_ops(self, ops: np.ndarray) -> None:
         kind, src = ops[:, 0], ops[:, 1]
-        if len(ops) and (src.min() < 0 or src.max() >= self.meta.num_vertices):
-            raise ContractViolation(f"structural op on a vertex outside [0, {self.meta.num_vertices})")
+        n = self.meta.num_vertices
+        if len(ops) and (src.min() < 0 or src.max() >= n):
+            raise ContractViolation(f"structural op on a vertex outside [0, {n})")
+        bad = ~np.isin(kind, (csrmod.ADD_EDGE, csrmod.DEL_EDGE, csrmod.DEL_VERTEX))
+        if bad.any():
+            raise ContractViolation(f"structural op kind {int(kind[bad][0])} is not ADD_EDGE, DEL_EDGE or DEL_VERTEX")
+        dst = ops[kind == csrmod.ADD_EDGE, 2]
+        if len(dst) and (dst.min() < 0 or dst.max() >= n):
+            raise ContractViolation(f"edge insert to a vertex outside [0, {n})")
         removal = kind == csrmod.DEL_VERTEX
         # ops after the first removal of their vertex in this array
         after = np.zeros(len(ops), bool)
@@ -301,15 +309,14 @@ class Engine:
             removed, first = np.unique(src[at], return_index=True)
             i = np.searchsorted(removed, src).clip(max=len(removed) - 1)
             after = (removed[i] == src) & (np.arange(len(ops)) > at[first][i])
-        with self._ops_lock:
-            drop = ~removal & (self.deleted[src] | after)
-            self.structural_warnings += int(drop.sum())
-            ops = ops[~drop]
-            self.deleted[ops[ops[:, 0] == csrmod.DEL_VERTEX, 1]] = True
-            self._el_dirty[ops[:, 1]] = True
-            intervals = self.meta.interval_of(ops[:, 1])
-            for k in np.unique(intervals).tolist():
-                self._pending[k].append(ops[intervals == k])
+        drop = ~removal & (self.deleted[src] | after)
+        self.structural_warnings += int(drop.sum())
+        ops = ops[~drop]
+        self.deleted[ops[ops[:, 0] == csrmod.DEL_VERTEX, 1]] = True
+        self._el_dirty[ops[:, 1]] = True
+        intervals = self.meta.interval_of(ops[:, 1])
+        for k in np.unique(intervals).tolist():
+            self._pending[k].append(ops[intervals == k])
 
     def _pending_ops(self, intervals) -> np.ndarray:
         return np.concatenate([np.zeros((0, 3), np.int64)] + [c for k in intervals for c in self._pending[k]])
@@ -507,17 +514,7 @@ class Engine:
         batch = Batch(act, sl.rows, adj, slog.records, starts, ends)
         if aux is not None:
             batch.table, batch.table_offsets = aux.entries, aux.offsets
-
-        def work(part: Batch) -> None:
-            self.program.process_batch(Context(self, S), part)
-
-        if self.cfg.parallel > 1 and len(act) > 1:
-            cuts = np.linspace(0, len(act), self.cfg.parallel + 1).astype(int).tolist()
-            parts = [batch.slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-            with ThreadPoolExecutor(max_workers=self.cfg.parallel) as pool:
-                list(pool.map(work, parts))
-        else:
-            work(batch)
+        self.program.process_batch(Context(self, S), batch)
         el = self._edgelog
         if el is not None:
             # structural updates only touch the vertex being processed, so

@@ -21,7 +21,6 @@ one still open.
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,6 +33,9 @@ from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, page_capac
 # most pages of records one send_many block covers; uncapped blocks, as
 # large as a roomy budget's free pages, ran slower and raised peak memory
 BLOCK_PAGES = 32
+
+# an eviction flushes pages until residency is at most this share of the budget
+LOW_WATERMARK = 0.9
 
 
 class RecordFormat:
@@ -92,11 +94,7 @@ class _IntervalLog:
 
 
 class MultiLog:
-    """The multi-log buffer: one append log per vertex interval.
-
-    One lock serializes appends, eviction and sealing, so `send` and
-    `send_many` may be called from several threads.
-    """
+    """The multi-log buffer: one append log per vertex interval."""
 
     def __init__(
         self,
@@ -105,7 +103,6 @@ class MultiLog:
         registry: StoreRegistry,
         log_dir: str,
         buffer_budget: int,
-        low_watermark: float = 0.9,
     ):
         self.bounds = list(bounds)
         self._bounds = np.asarray(bounds, np.int64)
@@ -123,11 +120,10 @@ class MultiLog:
                 f"({self.n_intervals} x {self.page_size})"
             )
         self.budget = buffer_budget
-        self.watermark = int(buffer_budget * low_watermark)
+        self.watermark = int(buffer_budget * LOW_WATERMARK)
         self.tag = -1
         self.logs: list[_IntervalLog] = []
         self._resident_pages = 0
-        self._lock = threading.RLock()
         self._stores: list[PageStore] = []  # every log file not yet dropped
         self.total_appends = 0
         self.post_evict_peak = 0
@@ -162,12 +158,11 @@ class MultiLog:
             raise ContractViolation(f"record dtype {records.dtype} is not the wire format {self.fmt.dtype}")
         if int(records["dest"].max()) >= self.bounds[-1]:
             raise ContractViolation(f"destination {int(records['dest'].max())} outside vertex range")
-        with self._lock:
-            done = 0
-            while done < len(records):
-                free = self.budget // self.page_size - self._resident_pages
-                block = min(free + self.n_intervals, BLOCK_PAGES) * self.capacity
-                done += self._append_block(records[done : done + block], free)
+        done = 0
+        while done < len(records):
+            free = self.budget // self.page_size - self._resident_pages
+            block = min(free + self.n_intervals, BLOCK_PAGES) * self.capacity
+            done += self._append_block(records[done : done + block], free)
 
     def _append_block(self, recs: np.ndarray, free: int) -> int:
         """Append recs up to and including the first record that pushes
@@ -279,48 +274,46 @@ class MultiLog:
         pages; a flushed top becomes a partial page in the chain and the top
         buffer restarts empty.
         """
+        if self.resident_bytes <= self.budget:
+            return 0
         evicted = 0
-        with self._lock:
-            if self.resident_bytes <= self.budget:
-                return 0
-            while self.resident_bytes > self.watermark:
-                flushed = False
-                for log in self.logs:
-                    if log.closed:
-                        self._flush_page(log, log.closed.popleft())
-                        evicted += 1
-                        flushed = True
-                    if self.resident_bytes <= self.watermark:
-                        return evicted
-                if not flushed:
-                    break
-            while self.resident_bytes > self.watermark:
-                victim = max(self.logs, key=lambda l: l.fill)
-                if victim.fill == 0:
-                    break
-                PAGE_COUNT.pack_into(victim.top, 0, victim.fill)
-                self._flush_page(victim, victim.top)
-                victim.top = bytearray(self.page_size)
-                victim.fill = 0
-                evicted += 1
+        while self.resident_bytes > self.watermark:
+            flushed = False
+            for log in self.logs:
+                if log.closed:
+                    self._flush_page(log, log.closed.popleft())
+                    evicted += 1
+                    flushed = True
+                if self.resident_bytes <= self.watermark:
+                    return evicted
+            if not flushed:
+                break
+        while self.resident_bytes > self.watermark:
+            victim = max(self.logs, key=lambda l: l.fill)
+            if victim.fill == 0:
+                break
+            PAGE_COUNT.pack_into(victim.top, 0, victim.fill)
+            self._flush_page(victim, victim.top)
+            victim.top = bytearray(self.page_size)
+            victim.fill = 0
+            evicted += 1
         return evicted
 
     # -- seal path ----------------------------------------------------------
 
     def seal_interval(self, k: int) -> LogHandle:
         log = self.logs[k]
-        with self._lock:
-            if log.sealed:
-                raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
-            while log.closed:
-                self._flush_page(log, log.closed.popleft())
-            if log.fill > 0:
-                PAGE_COUNT.pack_into(log.top, 0, log.fill)
-                self._flush_page(log, log.top)
-                log.top = bytearray(self.page_size)
-                log.fill = 0
-            log.sealed = True
-            return LogHandle(k, log.store, list(log.chain), log.message_count)
+        if log.sealed:
+            raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
+        while log.closed:
+            self._flush_page(log, log.closed.popleft())
+        if log.fill > 0:
+            PAGE_COUNT.pack_into(log.top, 0, log.fill)
+            self._flush_page(log, log.top)
+            log.top = bytearray(self.page_size)
+            log.fill = 0
+        log.sealed = True
+        return LogHandle(k, log.store, list(log.chain), log.message_count)
 
     def seal(self) -> LogManifest:
         """Seal every interval for the current tag and freeze the manifest."""

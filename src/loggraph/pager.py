@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 
 import numpy as np
 
@@ -61,11 +60,9 @@ class PageStore:
     """A flat file of concatenated pages with read/write counters.
 
     The file is unbuffered and every page moves in one positional call
-    (os.pread/os.pwrite): a written page is in the file at once, and
-    concurrent callers share no file offset. The lock guards the counters
-    and the page count; an append writes its page before the count admits
-    it. There is no cache here on purpose: every read_page call is a
-    counted storage access.
+    (os.pread/os.pwrite), so a written page is in the file at once and no
+    call seeks. There is no cache here on purpose: every read_page call is
+    a counted storage access.
     """
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True):
@@ -73,7 +70,6 @@ class PageStore:
         self.page_size = page_size
         self.pages_read = 0
         self.pages_written = 0
-        self._lock = threading.Lock()
         try:
             self._f = open(path, "w+b" if create else "r+b", buffering=0)
         except FileNotFoundError:
@@ -97,8 +93,7 @@ class PageStore:
         data = os.pread(self._fd, self.page_size, page_id * self.page_size)
         if len(data) != self.page_size:
             raise CorruptPageError(f"{self.path}: short read at page {page_id}")
-        with self._lock:
-            self.pages_read += 1
+        self.pages_read += 1
         return data
 
     def read_pages(self, ids) -> np.ndarray:
@@ -125,11 +120,10 @@ class PageStore:
             raise ContractViolation(
                 f"append_page needs exactly {self.page_size} bytes, got {len(data)}"
             )
-        with self._lock:
-            ordinal = self._npages
-            self._put(ordinal, data)
-            self._npages += 1
-            self.pages_written += 1
+        ordinal = self._npages
+        self._put(ordinal, data)
+        self._npages += 1
+        self.pages_written += 1
         return ordinal
 
     def append_records(self, raw: bytes, width: int) -> list[int]:
@@ -153,8 +147,7 @@ class PageStore:
         if page_id < 0 or page_id >= self._npages:
             raise AddressError(f"{self.path}: page {page_id} out of range")
         self._put(page_id, data)
-        with self._lock:
-            self.pages_written += 1
+        self.pages_written += 1
 
     def _put(self, page_id: int, data: bytes) -> None:
         if os.pwrite(self._fd, data, page_id * self.page_size) != self.page_size:

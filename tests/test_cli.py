@@ -91,6 +91,13 @@ def test_run_unknown_app_fails_cleanly(tmp_path, g6_file, capsys):
         main(["run", "--graph", out, "--app", "nope"])
 
 
+@pytest.mark.parametrize("flag", ["--parallel", "--multilog-frac", "--edgelog-frac"])
+def test_run_rejects_removed_flags(tmp_path, g6_file, flag):
+    out = convert_g6(tmp_path, g6_file)
+    with pytest.raises(SystemExit):  # argparse knows no such flag
+        main(["run", "--graph", out, "--app", "bfs", flag, "2"])
+
+
 def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):
     out = convert_g6(tmp_path, g6_file)
     paths = []

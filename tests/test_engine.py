@@ -6,7 +6,7 @@ import pytest
 from loggraph import csr
 from loggraph.apps import Bfs, Community, KCore, PageRank
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
-from loggraph.errors import ContractViolation
+from loggraph.errors import ConfigError, ContractViolation
 
 from util import PerVertex, build_graph, clique_graph, random_graph, ring_graph
 
@@ -322,26 +322,6 @@ def test_storage_isolation_colidx_reads_equal_active_span_pages(tmp_path):
     assert g.registry.totals()["csr"][0] - before == want
 
 
-def test_parallel_mode_matches_serial_for_order_free_apps(tmp_path):
-    src, dst = random_graph(150, 4, seed=31)
-    g1 = build_graph(tmp_path / "a", src, dst, 150, page_size=256)
-    g2 = build_graph(tmp_path / "b", src, dst, 150, page_size=256)
-    r1 = run_app(g1, Bfs(0), cfg(max_supersteps=100), str(tmp_path / "r1"))
-    r2 = run_app(g2, Bfs(0), cfg(max_supersteps=100, parallel=4), str(tmp_path / "r2"))
-    assert np.array_equal(r1.states["level"], r2.states["level"])
-    g3 = build_graph(tmp_path / "c", src, dst, 150, page_size=256)
-    g4 = build_graph(tmp_path / "d", src, dst, 150, page_size=256)
-    k1 = run_app(g3, KCore(k=3), cfg(max_supersteps=200), str(tmp_path / "r3"))
-    k2 = run_app(g4, KCore(k=3), cfg(max_supersteps=200, parallel=4), str(tmp_path / "r4"))
-    assert np.array_equal(k1.states["alive"], k2.states["alive"])
-    # each slice updates its own rows of the batch's flat tables
-    g5 = build_graph(tmp_path / "e", src, dst, 150, page_size=256)
-    g6 = build_graph(tmp_path / "f", src, dst, 150, page_size=256)
-    c1 = run_app(g5, Community(), cfg(max_supersteps=15), str(tmp_path / "r5"))
-    c2 = run_app(g6, Community(), cfg(max_supersteps=15, parallel=4), str(tmp_path / "r6"))
-    assert np.array_equal(c1.states["label"], c2.states["label"])
-
-
 class PerVertexKCore(PerVertex, KCore):
     """K-core as a per-vertex program: through the test-only PerVertex
     base, with one ctx.delete_edge per notification and ctx.delete_vertex."""
@@ -444,6 +424,44 @@ def test_send_from_a_bad_source_is_a_contract_violation(tmp_path, src):
     stray = Scripted(lambda ctx, batch: ctx.send_many(batch.ids, np.array([src], np.int64), 1))
     with pytest.raises(ContractViolation):
         run_app(g, stray, cfg(), str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("payload", [(), (1, 2)], ids=["too-few", "too-many"])
+def test_send_with_the_wrong_number_of_payload_columns_is_a_contract_violation(tmp_path, payload):
+    # one column too few would ship uninitialised memory, one too many was ignored
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.send_many(batch.ids, batch.ids, *payload))
+    with pytest.raises(ContractViolation, match="payload columns"):
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [(7, 0, 1), (-1, 0, 1), (csr.ADD_EDGE, 0, 10**6), (csr.ADD_EDGE, 0, -5), (csr.ADD_EDGE, 0, 6)],
+    ids=["kind-7", "kind-minus-1", "insert-to-1e6", "insert-to-minus-5", "insert-to-n"],
+)
+def test_structural_op_it_cannot_apply_is_a_contract_violation(tmp_path, op):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.structural_many([op]))
+    with pytest.raises(ContractViolation):
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("dst", [3, 10**6, -5])
+def test_deleting_an_absent_edge_is_a_warning(tmp_path, dst):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.structural_many([(csr.DEL_EDGE, 0, dst)]))
+    res = run_app(g, stray, cfg(), str(tmp_path / "run"))
+    assert res.structural_warnings == 1
+    views, _ = csr.load_adjacency(g, np.arange(6))
+    assert [views[v].neighbors.tolist() for v in range(6)] == [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
+
+
+def test_a_config_asking_for_threads_is_rejected():
+    assert EngineConfig(parallel=0).to_dict()["parallel"] == 0
+    for parallel in (1, 2, -1):
+        with pytest.raises(ConfigError, match="no worker threads"):
+            EngineConfig(parallel=parallel)
 
 
 def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):

