@@ -232,9 +232,10 @@ class Context:
 
     def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
         """Send message i from src[i] to dest[i] with payload column values
-        [i], in index order; a scalar column is broadcast. A dest or src
-        outside [0, num_vertices), or a column count other than the wire
-        format's payload fields, is a contract violation."""
+        [i], in index order; a scalar src or payload column is broadcast. A
+        dest or src outside [0, num_vertices), a column count other than the
+        wire format's payload fields, or a column whose length is not
+        dest's, is a contract violation."""
         n = self._engine.meta.num_vertices
         for name, col in (("destination", dest), ("source", src)):
             col = np.asarray(col)
@@ -246,9 +247,9 @@ class Context:
                 f"{len(payload)} payload columns for the {len(fmt.payload_fields)} fields of the wire format"
             )
         records = np.empty(len(dest), fmt.dtype)
-        records["dest"] = dest
-        records["src"] = src
-        for (name, _), col in zip(fmt.payload_fields, payload):
+        for name, col in zip(records.dtype.names, (dest, src, *payload)):
+            if np.ndim(col) and len(col) != len(dest):
+                raise ContractViolation(f"column {name!r} holds {len(col)} values for {len(dest)} destinations")
             records[name] = col
         self._engine._mlog.send_many(records)
 
@@ -433,7 +434,7 @@ class Engine:
 
         for plan in plans:
             for lo, hi, slog in sortgroup.iter_plan_sorted(
-                plan, manifest, self.fmt, self.meta.interval_bounds, self.in_degrees, track
+                plan, manifest, self.fmt, self.meta.interval_bounds, self.in_degrees, track, self._mlog.release
             ):
                 if self.program.combine is not None:
                     slog = sortgroup.apply_combine(slog, self.program.combine, self.fmt)

@@ -2,10 +2,18 @@
 
 Every message is routed by destination to its vertex interval's log. Each
 interval keeps one in-memory top page receiving appends; full pages stay
-resident until the buffer budget forces an eviction (full pages are written
-out first, then the fullest tops) or until the superstep is sealed. Log
-files are per (superstep, interval), so a sealed superstep's chain is frozen
-while the next superstep's sends open fresh logs.
+resident until the buffer budget forces an eviction. Sealing a superstep
+writes nothing: an interval's resident pages become the resident tail of
+its sealed log, after the pages already on disk, and stay in the buffer's
+budget until the next superstep loads them for the last time and releases
+them. Only when the buffer needs the room are pages written: an eviction
+first spills sealed tails to their log files, page by page in chain order,
+from the log the next superstep loads last; only when no tail is left does
+it flush open pages, full pages first, then the fullest tops. So a log page
+is written only when open and carried pages together would exceed the
+budget. Log files are per (superstep, interval), so a sealed superstep's
+chain is frozen but for its spilled tail while the next superstep's sends
+open fresh logs.
 
 Record layout: dest(4) | src(4) | fixed-width payload. Records never span
 pages, so each page parses on its own. Pages keep arrival order; sorting by
@@ -14,8 +22,9 @@ destination happens once per loaded log, in the sort-and-group unit.
 `send_many` is the one append path: it copies arrays of wire-format records
 into the top pages; vertex programs reach it through the engine's
 `Context.send_many`, and `send` is a one-record call into it. The multi-log
-owns its log files: `drop` deletes a consumed superstep's, and `close` every
-one still open.
+owns its log files and tails: `release` frees the tails of logs loaded for
+the last time, `drop` deletes a consumed superstep's files, and `close`
+every file and tail still held.
 """
 
 from __future__ import annotations
@@ -57,12 +66,19 @@ class RecordFormat:
 
 @dataclass
 class LogHandle:
-    """One sealed interval log: where its pages live and how many records."""
+    """One sealed interval log: where its pages live and how many records.
+
+    Its records are those of the pages `ordinals` of `store`, then those of
+    the resident `tail` pages (each with its record count in the header),
+    in arrival order. An eviction spills the tail's first page to the end
+    of `ordinals`; `MultiLog.release` frees what is left of it.
+    """
 
     interval: int
     store: PageStore | None
     ordinals: list[int]
     message_count: int
+    tail: list[bytearray]
 
 
 @dataclass
@@ -123,7 +139,9 @@ class MultiLog:
         self.watermark = int(buffer_budget * LOW_WATERMARK)
         self.tag = -1
         self.logs: list[_IntervalLog] = []
-        self._resident_pages = 0
+        self._resident_pages = 0  # open and carried pages
+        self._carried: list[tuple[int, LogHandle]] = []  # (tag, handle) of every held tail, in seal order
+        self._carried_pages = 0
         self._stores: list[PageStore] = []  # every log file not yet dropped
         self.total_appends = 0
         self.post_evict_peak = 0
@@ -135,7 +153,7 @@ class MultiLog:
     def open_superstep(self, tag: int) -> None:
         self.tag = tag
         self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
-        self._resident_pages = 0
+        self._resident_pages = self._carried_pages
 
     def send(self, dest: int, src: int, *payload) -> None:
         """Append one record."""
@@ -237,11 +255,11 @@ class MultiLog:
         """After an append: evict when over the budget, then track the peak."""
         if self._resident_pages * self.page_size > self.budget:
             self.evict_if_needed()
-        if self.resident_bytes > self.post_evict_peak:
-            self.post_evict_peak = self.resident_bytes
+        if self.open_bytes > self.post_evict_peak:
+            self.post_evict_peak = self.open_bytes
 
     def reset_peaks(self) -> None:
-        self.post_evict_peak = self.resident_bytes
+        self.post_evict_peak = self.open_bytes
 
     def _close_top(self, log: _IntervalLog) -> None:
         # fill is the capacity here. The page stays resident (counted
@@ -253,30 +271,55 @@ class MultiLog:
 
     @property
     def resident_bytes(self) -> int:
+        """Bytes of every page in the buffer: open pages and sealed tails."""
         return self._resident_pages * self.page_size
 
-    def _store_for(self, log: _IntervalLog) -> PageStore:
-        if log.store is None:
-            path = os.path.join(self.dir, f"log_t{self.tag}_i{log.interval}.pages")
-            log.store = self.registry.open(path, "log")
-            self._stores.append(log.store)
-        return log.store
+    @property
+    def open_bytes(self) -> int:
+        """Bytes of the open superstep's resident pages, which post_evict_peak tracks."""
+        return (self._resident_pages - self._carried_pages) * self.page_size
+
+    def _open_file(self, tag: int, k: int) -> PageStore:
+        store = self.registry.open(os.path.join(self.dir, f"log_t{tag}_i{k}.pages"), "log")
+        self._stores.append(store)
+        return store
 
     def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
-        ordinal = self._store_for(log).append_page(bytes(data))
-        log.chain.append(ordinal)
+        if log.store is None:
+            log.store = self._open_file(self.tag, log.interval)
+        log.chain.append(log.store.append_page(bytes(data)))
+        self._resident_pages -= 1
+
+    def _spill_tail_page(self) -> None:
+        """Write the first tail page of the log the next superstep loads
+        last, the one whose room it would free last, to that log's file."""
+        tag, handle = self._carried[-1]
+        if handle.store is None:
+            handle.store = self._open_file(tag, handle.interval)
+        handle.ordinals.append(handle.store.append_page(bytes(handle.tail.pop(0))))
+        if not handle.tail:
+            self._carried.pop()
+        self._carried_pages -= 1
         self._resident_pages -= 1
 
     def evict_if_needed(self) -> int:
-        """Flush resident pages until the buffer is back under the watermark.
+        """Write resident pages until the buffer is back under the watermark;
+        returns how many.
 
-        Full (closed) pages go first, in arrival order, then the fullest top
-        pages; a flushed top becomes a partial page in the chain and the top
-        buffer restarts empty.
+        Sealed tails spill first. Open pages are flushed only when no tail is
+        left and they alone exceed the budget: full (closed) pages first, in
+        arrival order, then the fullest top pages; a flushed top becomes a
+        partial page in the chain and the top buffer restarts empty. So open
+        pages are flushed where, and as, they would be with no tail held.
         """
         if self.resident_bytes <= self.budget:
             return 0
         evicted = 0
+        while self._carried and self.resident_bytes > self.watermark:
+            self._spill_tail_page()
+            evicted += 1
+        if self.resident_bytes <= self.budget:
+            return evicted
         while self.resident_bytes > self.watermark:
             flushed = False
             for log in self.logs:
@@ -302,33 +345,54 @@ class MultiLog:
     # -- seal path ----------------------------------------------------------
 
     def seal_interval(self, k: int) -> LogHandle:
+        """Freeze interval k's log. Its resident pages, full ones in arrival
+        order and then the partial top, become the sealed log's tail; none
+        is written."""
         log = self.logs[k]
         if log.sealed:
             raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
-        while log.closed:
-            self._flush_page(log, log.closed.popleft())
+        tail = list(log.closed)
         if log.fill > 0:
             PAGE_COUNT.pack_into(log.top, 0, log.fill)
-            self._flush_page(log, log.top)
-            log.top = bytearray(self.page_size)
-            log.fill = 0
+            tail.append(log.top)
+        log.closed = deque()
+        log.top = bytearray()
+        log.fill = 0
         log.sealed = True
-        return LogHandle(k, log.store, list(log.chain), log.message_count)
+        handle = LogHandle(k, log.store, list(log.chain), log.message_count, tail)
+        if tail:
+            self._carried.append((self.tag, handle))
+            self._carried_pages += len(tail)
+        return handle
 
     def seal(self) -> LogManifest:
         """Seal every interval for the current tag and freeze the manifest."""
         handles = [self.seal_interval(k) for k in range(self.n_intervals)]
         return LogManifest(self.tag, handles)
 
+    def release(self, handles: list[LogHandle]) -> None:
+        """Free the resident tails of sealed logs loaded for the last time."""
+        held = {id(h) for h in handles if h.tail}
+        if not held:
+            return
+        self._carried = [(tag, h) for tag, h in self._carried if id(h) not in held]
+        for handle in handles:
+            self._carried_pages -= len(handle.tail)
+            self._resident_pages -= len(handle.tail)
+            handle.tail = []
+
     def drop(self, manifest: LogManifest) -> None:
-        """Close and delete the log files of a consumed superstep."""
+        """Free the tails and delete the log files of a consumed superstep."""
+        self.release(manifest.handles)
         for handle in manifest.handles:
             if handle.store is not None:
                 self._stores.remove(handle.store)
                 self.registry.drop(handle.store, "log", unlink=True)
 
     def close(self) -> None:
-        """Close and delete every log file not yet dropped, sealed or open."""
+        """Free every tail, and close and delete every log file not yet
+        dropped, sealed or open; a tail still held is never written."""
+        self.release([h for _, h in self._carried])
         for store in self._stores:
             self.registry.drop(store, "log", unlink=True)
         self._stores = []
@@ -337,16 +401,26 @@ class MultiLog:
 def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
     """All records of one sealed interval log, in chain order.
 
-    Reads each chain page exactly once, parses the joined record regions
-    as one read-only array and cross-checks the manifest's message count.
+    Reads each chain page on disk exactly once, parses the resident tail
+    from memory, joins both into one read-only array and cross-checks the
+    manifest's message count.
     """
-    if handle.store is None or not handle.ordinals:
+    on_disk = handle.store is not None and bool(handle.ordinals)
+    if not on_disk and not handle.tail:
         if handle.message_count != 0:
             raise CorruptPageError(
                 f"interval {handle.interval}: manifest says {handle.message_count} records, log empty"
             )
         return np.zeros(0, fmt.dtype)
-    records = handle.store.read_records(handle.ordinals, fmt.dtype)
+    w = fmt.width
+    tail = [memoryview(p)[PAGE_HEADER : PAGE_HEADER + PAGE_COUNT.unpack_from(p)[0] * w] for p in handle.tail]
+    if not on_disk:
+        records = np.frombuffer(b"".join(tail), fmt.dtype)
+    else:
+        records = handle.store.read_records(handle.ordinals, fmt.dtype)
+        if tail:
+            # one byte join: np.concatenate of structured arrays copies field by field
+            records = np.frombuffer(b"".join([records, *tail]), fmt.dtype)
     if len(records) != handle.message_count:
         raise CorruptPageError(
             f"interval {handle.interval}: manifest count {handle.message_count} "

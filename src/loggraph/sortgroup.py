@@ -1,7 +1,8 @@
 """Sort-and-group unit: turns sealed interval logs into per-vertex inboxes.
 
 Contiguous intervals whose sealed logs fit the sort budget together are
-fused into one load, which parses each interval's chain from one buffer.
+fused into one load, which parses each interval's pages on disk from one
+buffer and its resident tail from another.
 Records are sorted by destination with ties in chain order, which is
 arrival order: one uint64 key per record, dest << 32 | position, sorts in
 exactly that order. They are then grouped into contiguous per-vertex
@@ -87,10 +88,11 @@ def plan_fusion(counts: np.ndarray, record_width: int, sort_budget: int) -> list
 
 
 def load_log(plan: FusePlan, manifest: LogManifest, fmt: RecordFormat) -> np.ndarray:
-    """Records of the plan's intervals, in chain order; read-only when the
-    plan has one interval (its parse buffer is not copied)."""
+    """Records of the plan's intervals, in chain order, as one read-only
+    array; a plan of one interval's is its parse buffer, not a copy."""
     chunks = [read_log_records(manifest.handles[k], fmt) for k in plan.intervals]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    # a byte join: np.concatenate of structured arrays copies field by field
+    return chunks[0] if len(chunks) == 1 else np.frombuffer(b"".join(chunks), fmt.dtype)
 
 
 def sort_n_group(records: np.ndarray) -> SortedLog:
@@ -162,16 +164,24 @@ def iter_plan_sorted(
     bounds: list[int],
     in_degrees: np.ndarray | None = None,
     on_resident=None,
+    release=None,
 ):
     """Yield (lo, hi, SortedLog) per pass: the sorted records destined to
     [lo, hi). One pass covers the plan's vertex range; a plan whose single
     interval overflows the sort budget takes several dest-partitioned
     passes, which together cover it, an empty bucket included. Each pass
-    re-reads the chain but keeps only its own destination bucket in memory."""
+    re-reads the log but keeps only its own destination bucket in memory.
+
+    release(handles), when given, gets the plan's log handles right after
+    their last load, before that pass is yielded, so the multi-log can free
+    their resident tails before the pass's batch sends."""
     lo = bounds[plan.intervals[0]]
     hi = bounds[plan.intervals[-1] + 1]
+    handles = [manifest.handles[k] for k in plan.intervals]
     if plan.passes == 1:
         records = load_log(plan, manifest, fmt)
+        if release is not None:
+            release(handles)
         check_dest_range(records, lo, hi)
         if on_resident is not None:
             on_resident(records.nbytes)
@@ -179,8 +189,11 @@ def iter_plan_sorted(
         return
     assert len(plan.intervals) == 1
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
-    for a, b in split_dest_range(lo, hi, deg, plan.passes):
+    buckets = split_dest_range(lo, hi, deg, plan.passes)
+    for i, (a, b) in enumerate(buckets):
         records = load_log(plan, manifest, fmt)
+        if release is not None and i == len(buckets) - 1:
+            release(handles)
         check_dest_range(records, lo, hi)
         keep = (records["dest"] >= a) & (records["dest"] < b)
         bucket = records[keep]

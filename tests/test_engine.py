@@ -435,6 +435,34 @@ def test_send_with_the_wrong_number_of_payload_columns_is_a_contract_violation(t
         run_app(g, stray, cfg(), str(tmp_path / "run"))
 
 
+@pytest.mark.parametrize("short", ["src", "x"])
+def test_send_with_a_short_column_is_a_contract_violation(tmp_path, short):
+    # numpy would fail with a bare "could not broadcast" ValueError
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+
+    def send(ctx, batch):
+        cols = {"src": np.array([0, 0, 0]), "x": np.array([7, 7, 7])}
+        cols[short] = cols[short][:2]
+        ctx.send_many(np.array([1, 2, 3]), cols["src"], cols["x"])
+
+    with pytest.raises(ContractViolation, match=f"column '{short}' holds 2 values for 3 destinations"):
+        run_app(g, Scripted(send), cfg(), str(tmp_path / "run"))
+
+
+def test_a_scalar_column_is_broadcast(tmp_path):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    got = []
+
+    def step(ctx, batch):
+        if ctx.superstep == 0:
+            ctx.send_many(np.array([1, 2, 3]), 0, 9)
+        else:
+            got.extend(batch.records[["dest", "src", "x"]].tolist())
+
+    run_app(g, Scripted(step), cfg(max_supersteps=2), str(tmp_path / "run"))
+    assert got == [(1, 0, 9), (2, 0, 9), (3, 0, 9)]
+
+
 @pytest.mark.parametrize(
     "op",
     [(7, 0, 1), (-1, 0, 1), (csr.ADD_EDGE, 0, 10**6), (csr.ADD_EDGE, 0, -5), (csr.ADD_EDGE, 0, 6)],
@@ -502,21 +530,36 @@ def test_run_closes_its_logs_and_state_files(tmp_path):
     assert os.listdir(tmp_path / "run" / "edgelog") == []
 
 
+def test_a_capped_run_writes_no_log_page_for_messages_that_fit_the_buffer(tmp_path):
+    # the last superstep's messages stay sealed tails and are dropped unread
+    src, dst = random_graph(200, 4, seed=17)
+    g = build_graph(tmp_path, src, dst, 200, page_size=256)
+    res = run_app(g, PageRank(), cfg(max_supersteps=3), str(tmp_path / "run"))
+    assert res.num_supersteps == 3 and res.stats[-1].messages_sent > 0
+    assert res.stats[-1].writes["log"] == 0
+    assert g.registry.totals()["log"] == (0, 0)
+    assert os.listdir(tmp_path / "run" / "logs") == []
+
+
 def test_run_closes_its_stores_when_the_program_raises(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     boom = RuntimeError("boom")
     opened = {}
+    # the multi-log gets one 20-record page per interval, so superstep 0's
+    # seven pages to vertex 1 are flushed to a log file
+    memory_budget = g.meta.num_intervals * 256 * 20
 
     def step(ctx, batch):
         if ctx.superstep == 0:
             ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), 1))
+            ctx.send_many(np.ones(7 * 20, np.int64), batch.ids[0], 1)
             return
         opened.update({klass: len(g.registry._stores[klass]) for klass in ("log", "state")})
         raise boom
 
     with pytest.raises(RuntimeError) as raised:
-        run_app(g, Scripted(step), cfg(edge_log=True), str(tmp_path / "run"))
+        run_app(g, Scripted(step), cfg(edge_log=True, memory_budget=memory_budget), str(tmp_path / "run"))
     assert raised.value is boom
     assert opened["log"] > 0 and opened["state"] > 0
     assert [len(g.registry._stores[klass]) for klass in ("log", "edgelog", "state")] == [0, 0, 0]

@@ -15,7 +15,7 @@ from loggraph.multilog import MultiLog, RecordFormat, read_log_records
 from loggraph.pager import PAGE_COUNT, PageStore, StoreRegistry
 from loggraph.state import VertexStateStore
 
-from util import build_graph, ring_graph
+from util import build_graph, ring_graph, spill_tails
 
 FMT16 = RecordFormat([("val", "<u8")])
 STATE_DT = np.dtype([("a", "<u4"), ("b", "<f8")])
@@ -29,11 +29,13 @@ def set_count(store, page_id, count):
 
 
 def sealed_log(tmp_path, n):
-    """One sealed interval log of n records in 256-byte pages."""
+    """One sealed interval log of n records in 256-byte pages, all on disk."""
     mlog = MultiLog([0, 4], FMT16, StoreRegistry(256), str(tmp_path / "logs"), 64 * 256)
     for i in range(n):
         mlog.send(i % 4, 0, i)
-    return mlog.seal().handles[0]
+    handle = mlog.seal().handles[0]
+    spill_tails(mlog)
+    return handle
 
 
 def state_store(tmp_path):

@@ -12,6 +12,8 @@ from loggraph.multilog import (
 )
 from loggraph.pager import PAGE_HEADER, StoreRegistry, record_counts
 
+from util import spill_tails
+
 FMT16 = RecordFormat([("val", "<u8")])  # 4+4+8 = 16-byte records
 
 
@@ -55,13 +57,16 @@ def test_overflow_closes_page_capacity_plus_one(tmp_path):
 
 
 def test_two_intervals_two_chains(tmp_path):
-    mlog = make_mlog(tmp_path)
+    mlog = make_mlog(tmp_path, budget_pages=2)
     mlog.send(0, 0, 1)
     mlog.send(5, 0, 2)
     manifest = mlog.seal()
+    spill_tails(mlog)  # both one-page tails go to their own files
     assert manifest.handles[0].message_count == 1
     assert manifest.handles[1].message_count == 1
     assert manifest.handles[0].store is not manifest.handles[1].store
+    assert [os.path.basename(h.store.path) for h in manifest.handles] == ["log_t0_i0.pages", "log_t0_i1.pages"]
+    assert [read_log_records(h, FMT16)["val"].tolist() for h in manifest.handles] == [[1], [2]]
 
 
 def test_routing_correctness(tmp_path):
@@ -156,6 +161,7 @@ def test_seal_partial_top_page_record_count(tmp_path):
     for i in range(5):
         mlog.send(0, i, i)
     handle = mlog.seal_interval(0)
+    spill_tails(mlog)
     assert record_counts(handle.store.read_pages(handle.ordinals[:1])).tolist() == [5]
     recs = read_log_records(handle, FMT16)
     assert recs["val"].tolist() == [0, 1, 2, 3, 4]
@@ -196,6 +202,7 @@ def test_flushed_page_keeps_arrival_order(tmp_path):
     for d in [5, 2, 2, 1]:
         mlog.send(d, 0, 0)
     handle = mlog.seal_interval(0)
+    spill_tails(mlog)
     recs = handle.store.read_records([0], FMT16.dtype)
     assert recs["dest"].tolist() == [2, 2, 1]  # interval 0 only, arrival order
 
@@ -232,6 +239,88 @@ def test_memory_bound_after_evictions(tmp_path):
         mlog.send(int(d), 0, 0)
         assert mlog.post_evict_peak <= mlog.budget
     assert mlog.resident_bytes <= mlog.budget
+
+
+# -- sealed tails ---------------------------------------------------------------
+
+def test_seal_writes_nothing_and_loads_the_tail_from_memory(tmp_path):
+    mlog = make_mlog(tmp_path)
+    cap = mlog.capacity
+    for i in range(2 * cap + 3):
+        mlog.send(0, 0, i)
+    handle = mlog.seal_interval(0)
+    assert mlog.registry.totals()["log"] == (0, 0) and handle.store is None
+    assert [record_counts(np.frombuffer(bytes(p), np.uint8)[None])[0] for p in handle.tail] == [cap, cap, 3]
+    assert read_log_records(handle, FMT16)["val"].tolist() == list(range(2 * cap + 3))
+    assert mlog.registry.totals()["log"] == (0, 0)
+
+
+def test_tails_spill_before_any_open_page_in_chain_order(tmp_path):
+    mlog = make_mlog(tmp_path, budget_pages=4)  # bounds (0, 3, 6); watermark 3 pages
+    cap = mlog.capacity
+    for i in range(2 * cap + 3):  # interval 0: two full pages and a partial top
+        mlog.send(0, 0, i)
+    mlog.send(5, 0, 99)  # interval 1: one partial top
+    first, second = mlog.seal().handles
+    assert [len(first.tail), len(second.tail)] == [3, 1]
+    mlog.open_superstep(1)
+    mlog.send(3, 0, 0)  # a fifth page: spill down to the watermark, tails only
+    assert (first.ordinals, second.ordinals) == ([0], [0])  # the log loaded last goes first
+    assert len(first.tail) == 2 and not second.tail
+    assert mlog.resident_bytes == 3 * 256
+    for i in range(1, 2 * cap + 1):  # a third open page, with two closed ones resident
+        mlog.send(3, 0, i)
+    assert first.ordinals == [0, 1, 2] and not first.tail
+    assert not mlog.logs[1].chain and len(mlog.logs[1].closed) == 2  # no open page written yet
+    for i in range(2 * cap + 1, 4 * cap + 1):  # past the budget with no tail left
+        mlog.send(3, 0, i)
+    assert mlog.logs[1].chain  # now open pages go, by the rule without tails
+    assert first.store.read_records(first.ordinals, FMT16.dtype)["val"].tolist() == list(range(2 * cap + 3))
+    assert second.store.read_records(second.ordinals, FMT16.dtype)["val"].tolist() == [99]
+    assert [os.path.basename(h.store.path) for h in (first, second)] == ["log_t0_i0.pages", "log_t0_i1.pages"]
+
+
+def test_open_and_carried_pages_stay_within_the_budget(tmp_path):
+    # the tails of the superstep being consumed are held while the next one
+    # sends, and released one log at a time as if loaded: after every send
+    # open and carried pages together fit the budget, and no record is lost
+    mlog = make_mlog(tmp_path, bounds=(0, 2, 4, 6), budget_pages=5)
+    rng = np.random.default_rng(5)
+    carried, sent = None, []
+    for tag in range(5):
+        dests = rng.integers(0, 6, int(rng.integers(50, 400)))
+        for i, d in enumerate(dests.tolist()):
+            mlog.send(d, tag, i)
+            assert mlog.resident_bytes <= mlog.budget
+            if carried is not None and i % 40 == 39 and i // 40 < 3:
+                mlog.release([carried.handles[i // 40]])
+        sealed = mlog.seal()
+        assert mlog.resident_bytes <= mlog.budget
+        got = [(int(r["dest"]), int(r["src"]), int(r["val"])) for h in sealed.handles for r in read_log_records(h, FMT16)]
+        assert sorted(got) == sorted((d, tag, i) for i, d in enumerate(dests.tolist()))
+        mlog.open_superstep(tag + 1)
+        if carried is not None:
+            mlog.drop(carried)
+        carried = sealed
+    mlog.drop(carried)
+    assert (mlog._resident_pages, mlog._carried_pages, mlog._carried) == (0, 0, [])
+    assert mlog.registry._stores["log"] == []
+
+
+def test_drop_and_close_free_every_tail(tmp_path):
+    mlog = make_mlog(tmp_path)
+    mlog.send(0, 0, 1)
+    mlog.send(5, 0, 2)
+    manifest = mlog.seal()
+    mlog.open_superstep(1)
+    assert mlog._resident_pages == 2
+    mlog.drop(manifest)
+    assert mlog._resident_pages == 0 and all(not h.tail for h in manifest.handles)
+    mlog.send(0, 0, 3)
+    last = mlog.seal()
+    mlog.close()  # a tail still held at the end is never written
+    assert mlog._resident_pages == 0 and not last.handles[0].tail
+    assert mlog.registry.totals()["log"] == (0, 0)
 
 
 # -- send_many: page-exact with a loop of send ----------------------------------

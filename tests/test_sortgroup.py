@@ -6,6 +6,8 @@ from loggraph.multilog import MultiLog, RecordFormat
 from loggraph.pager import StoreRegistry
 from loggraph.sortgroup import FusePlan, apply_combine, plan_fusion, sort_n_group
 
+from util import spill_tails
+
 FMT16 = RecordFormat([("val", "<u8")])
 
 
@@ -56,12 +58,16 @@ def test_fusion_safety_estimates_within_budget():
 
 # -- load_log ----------------------------------------------------------------
 
-def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256):
+def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256, spill=False):
+    """Seal the sends; with spill, their tails then go to disk."""
     reg = StoreRegistry(page_size)
     mlog = MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), 64 * page_size)
     for d, s, v in sends:
         mlog.send(d, s, v)
-    return mlog.seal(), reg
+    manifest = mlog.seal()
+    if spill:
+        spill_tails(mlog)
+    return manifest, reg
 
 
 def test_load_empty_chain(tmp_path):
@@ -74,7 +80,7 @@ def test_load_empty_chain(tmp_path):
 def test_load_counts_pages_exactly_once(tmp_path):
     cap = (256 - 16) // 16
     n = 2 * cap + 5  # 2 full pages + 1 partial
-    manifest, reg = make_sealed(tmp_path, [(0, 1, i) for i in range(n)])
+    manifest, reg = make_sealed(tmp_path, [(0, 1, i) for i in range(n)], spill=True)
     before = reg.totals()["log"][0]
     recs = sortgroup.load_log(FusePlan([0], n * 16), manifest, FMT16)
     assert len(recs) == n
@@ -83,7 +89,7 @@ def test_load_counts_pages_exactly_once(tmp_path):
 
 
 def test_load_fused_intervals_concatenates(tmp_path):
-    manifest, reg = make_sealed(tmp_path, [(0, 1, 10), (5, 1, 20)])
+    manifest, reg = make_sealed(tmp_path, [(0, 1, 10), (5, 1, 20)], spill=True)
     before = reg.totals()["log"][0]
     recs = sortgroup.load_log(FusePlan([0, 1], 32), manifest, FMT16)
     assert reg.totals()["log"][0] - before == 2
@@ -264,3 +270,31 @@ def test_multi_pass_bucketing_equals_single_pass(tmp_path):
     got = np.concatenate([slog.records for _, _, slog in parts])
     assert got.tobytes() == want.records.tobytes()
     assert max(peak) < whole.nbytes  # each pass held strictly less than the full log
+
+
+def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
+    # the batches of the first two passes send enough to spill part of the
+    # 27-page tail the later passes still load; the last pass releases it
+    rng = np.random.default_rng(13)
+    sends = [(int(d), 0, int(v)) for d, v in zip(rng.integers(0, 8, 400), rng.integers(0, 99, 400))]
+    reg = StoreRegistry(256)
+    mlog = MultiLog([0, 8], FMT16, reg, str(tmp_path / "logs"), 30 * 256)
+    for d, s, v in sends:
+        mlog.send(d, s, v)
+    manifest = mlog.seal()
+    handle = manifest.handles[0]
+    want = sort_n_group(sortgroup.load_log(FusePlan([0], 400 * 16), manifest, FMT16))
+    mlog.open_superstep(1)
+    plan = FusePlan([0], 400 * 16, passes=3)
+    indeg = np.bincount([d for d, _, _ in sends], minlength=8)
+    parts, held = [], []
+    for _, _, slog in sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, None, mlog.release):
+        parts.append(slog.records)
+        held.append((len(handle.ordinals), len(handle.tail)))
+        mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))  # this pass's batch sends
+    assert held[0] == (0, 27)
+    assert 0 < held[1][0] < 27 and held[1][1] == 27 - held[1][0]  # the second pass loaded both parts
+    assert held[1][0] < held[2][0] < 27 and held[2][1] == 0  # the last load, then the release
+    assert mlog._carried_pages == 0
+    got = np.concatenate(parts)
+    assert got.tobytes() == want.records.tobytes()

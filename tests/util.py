@@ -70,6 +70,15 @@ def small_world(n, k, p, seed):
     return both_directions(sorted(edges))
 
 
+def spill_tails(mlog: MultiLog) -> None:
+    """Open the next superstep and fill the multi-log's whole budget with
+    records to vertex 0: the sends spill every sealed tail to its log file
+    and flush no open page."""
+    mlog.open_superstep(mlog.tag + 1)
+    mlog.send_many(np.zeros(mlog.budget // mlog.page_size * mlog.capacity, mlog.fmt.dtype))
+    assert mlog._carried_pages == 0
+
+
 def build_graph(tmpdir, src, dst, n, page_size=1024, sort_budget=None, record_size=20, name="g"):
     """Convert edge arrays into a GraphDir under tmpdir."""
     if sort_budget is None:

@@ -6,11 +6,20 @@ Imports the engine and the workload definitions from the checkout at ROOT
 (default: the one holding this script), then generates, converts and runs
 each workload of `bench/workloads.py` once for seed N (default 1); a
 repeated `--workload NAME` runs only the named ones, in the given order. It
-prints one line per workload: supersteps, messages and a sha256 over the final
-states, every `SuperstepStats.to_dict()`, the per-class `registry.totals()`
-(convert and run) and `structural_warnings`. Two checkouts that print the
-same lines computed the same results with the same page counts; a change
-that alters pages shows up here and should say why.
+prints one line per workload with two sha256 digests:
+
+- `results=` covers what the app computed: the final states, each
+  superstep's number, active vertices and messages sent, and
+  `structural_warnings`;
+- `pages=` covers how the engine stored it: the rest of every
+  `SuperstepStats.to_dict()` (pages read and written per class, memory
+  peaks, edge-log counters) and the per-class `registry.totals()` of
+  convert and run, whose sums it also prints as `pages_read` and
+  `pages_written`.
+
+Two checkouts that print the same lines computed the same results with the
+same page counts. A change that moves pages but keeps results changes only
+`pages=`, and should say why.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+# the SuperstepStats.to_dict() keys that the results= digest covers
+RESULT_FIELDS = ("superstep", "active_vertices", "messages_sent")
+
 
 def digest_workload(workload, seed: int, workdir: str) -> str:
     # imported here: main first puts ROOT's sources on the path
@@ -31,14 +43,24 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
     src, dst = workload.make_graph(seed)
     graph = convert_arrays(src, dst, workload.num_vertices(), f"{workdir}/graph", **workload.convert_args())
     result = Engine(graph, workload.program(seed), workload.config(seed), f"{workdir}/run").run()
-    h = hashlib.sha256(result.states.tobytes())
+    results = hashlib.sha256(result.states.tobytes())
+    pages = hashlib.sha256()
     for st in result.stats:
-        h.update(json.dumps(st.to_dict(), sort_keys=True).encode())
-    h.update(json.dumps(graph.registry.totals(), sort_keys=True).encode())
-    h.update(str(result.structural_warnings).encode())
+        stats = st.to_dict()
+        computed = {key: stats.pop(key) for key in RESULT_FIELDS}
+        results.update(json.dumps(computed, sort_keys=True).encode())
+        pages.update(json.dumps(stats, sort_keys=True).encode())
+    results.update(str(result.structural_warnings).encode())
+    totals = graph.registry.totals()
+    pages.update(json.dumps(totals, sort_keys=True).encode())
     graph.registry.close_all()
     messages = sum(st.messages_sent for st in result.stats)
-    return f"{workload.name} supersteps={result.num_supersteps} messages={messages} sha256={h.hexdigest()}"
+    read = sum(r for r, _ in totals.values())
+    written = sum(w for _, w in totals.values())
+    return (
+        f"{workload.name} supersteps={result.num_supersteps} messages={messages} "
+        f"results={results.hexdigest()} pages={pages.hexdigest()} pages_read={read} pages_written={written}"
+    )
 
 
 def main(argv=None) -> int:
