@@ -1,30 +1,33 @@
 """Per-interval append logs for inter-vertex messages.
 
 Every message is routed by destination to its vertex interval's log. Each
-interval keeps one in-memory top page receiving appends; full pages stay
-resident until the buffer budget forces an eviction. Sealing a superstep
-writes nothing: an interval's resident pages become the resident tail of
-its sealed log, after the pages already on disk, and stay in the buffer's
-budget until the next superstep loads them for the last time and releases
-them. Only when the buffer needs the room are pages written: an eviction
-first spills sealed tails to their log files, page by page in chain order,
-from the log the next superstep loads last; only when no tail is left does
-it flush open pages, full pages first, then the fullest tops. So a log page
-is written only when open and carried pages together would exceed the
-budget. Log files are per (superstep, interval), so a sealed superstep's
-chain is frozen but for its spilled tail while the next superstep's sends
-open fresh logs.
+interval keeps one in-memory top page receiving appends; a page closes as
+soon as it is full and stays resident until the buffer budget forces it
+out. Sealing a superstep writes nothing: an interval's resident pages
+become the resident tail of its sealed log, after the pages already on
+disk, and stay in the buffer's budget until the next superstep loads them
+for the last time and releases them. A page is written only when opening
+a new one would take residency past the budget, and then exactly as many
+pages as the overflow: first sealed tails, spilled to their log files page
+by page in chain order from the log the next superstep loads last; then
+closed pages, oldest first in the order they closed across all intervals.
+The budget holds at least one top page per interval, so a buffer over
+budget with no tail left always holds a closed page, and a top page is
+never written before its log is sealed. Log files are per (superstep,
+interval), so a sealed superstep's chain is frozen but for its spilled
+tail while the next superstep's sends open fresh logs.
 
 Record layout: dest(4) | src(4) | fixed-width payload. Records never span
 pages, so each page parses on its own. Pages keep arrival order; sorting by
 destination happens once per loaded log, in the sort-and-group unit.
 
 `send_many` is the one append path: it copies arrays of wire-format records
-into the top pages; vertex programs reach it through the engine's
-`Context.send_many`, and `send` is a one-record call into it. The multi-log
-owns its log files and tails: `release` frees the tails of logs loaded for
-the last time, `drop` deletes a consumed superstep's files, and `close`
-every file and tail still held.
+into the top pages, and packs the whole pages between an interval's first
+top and its last with `pager.pack_pages`; vertex programs reach it through
+the engine's `Context.send_many`, and `send` is a one-record call into it.
+The multi-log owns its log files and tails: `release` frees the tails of
+logs loaded for the last time, `drop` deletes a consumed superstep's files,
+and `close` every file and tail still held.
 """
 
 from __future__ import annotations
@@ -36,15 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, CorruptPageError
-from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, page_capacity
+from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages, page_capacity
 
 
 # most pages of records one send_many block covers; uncapped blocks, as
 # large as a roomy budget's free pages, ran slower and raised peak memory
 BLOCK_PAGES = 32
-
-# an eviction flushes pages until residency is at most this share of the budget
-LOW_WATERMARK = 0.9
 
 
 class RecordFormat:
@@ -123,6 +123,7 @@ class MultiLog:
         self.bounds = list(bounds)
         self._bounds = np.asarray(bounds, np.int64)
         self.n_intervals = len(bounds) - 1
+        self._k_dtype = np.min_scalar_type(self.n_intervals)
         self.fmt = fmt
         self.registry = registry
         self.dir = log_dir
@@ -136,9 +137,9 @@ class MultiLog:
                 f"({self.n_intervals} x {self.page_size})"
             )
         self.budget = buffer_budget
-        self.watermark = int(buffer_budget * LOW_WATERMARK)
         self.tag = -1
         self.logs: list[_IntervalLog] = []
+        self._closed: deque[_IntervalLog] = deque()  # the log of each closed open page, oldest first
         self._resident_pages = 0  # open and carried pages
         self._carried: list[tuple[int, LogHandle]] = []  # (tag, handle) of every held tail, in seal order
         self._carried_pages = 0
@@ -153,6 +154,7 @@ class MultiLog:
     def open_superstep(self, tag: int) -> None:
         self.tag = tag
         self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
+        self._closed = deque()
         self._resident_pages = self._carried_pages
 
     def send(self, dest: int, src: int, *payload) -> None:
@@ -163,12 +165,11 @@ class MultiLog:
         """Append wire-format records (fmt.dtype) in arrival order.
 
         Splitting the records into several calls leaves the same page
-        images, chains, counts, eviction points and peaks: eviction runs
-        right after the record that pushes residency past the budget.
-        Works in blocks of at most BLOCK_PAGES pages of records, and of no
-        more than the free pages plus one top page per interval can take:
-        its temporaries stay small whatever the batch size, and under a
-        tight budget a block that meets an eviction ends close past it.
+        images, chains, counts, eviction points and peaks: each page
+        opening past the budget writes one page that was resident before
+        the record that opens it. Works in blocks of at most BLOCK_PAGES
+        pages of records: its temporaries stay small whatever the batch
+        size, and a block evicts once, before it appends.
         """
         if len(records) == 0:
             return
@@ -178,96 +179,89 @@ class MultiLog:
             raise ContractViolation(f"destination {int(records['dest'].max())} outside vertex range")
         done = 0
         while done < len(records):
-            free = self.budget // self.page_size - self._resident_pages
-            block = min(free + self.n_intervals, BLOCK_PAGES) * self.capacity
-            done += self._append_block(records[done : done + block], free)
+            # page openings a block may make: into free pages, or in place
+            # of a tail or a closed page held before the block
+            room = self.budget // self.page_size - self._resident_pages + self._carried_pages + len(self._closed)
+            block = min(room + self.n_intervals, BLOCK_PAGES) * self.capacity
+            done += self._append_block(records[done : done + block], room)
 
-    def _append_block(self, recs: np.ndarray, free: int) -> int:
-        """Append recs up to and including the first record that pushes
-        residency past the budget, which has free pages left (evicting
-        after it); returns how many."""
-        k = np.searchsorted(self._bounds, recs["dest"], side="right") - 1
+    def _append_block(self, recs: np.ndarray, room: int) -> int:
+        """Append recs up to, not including, the record of their page
+        opening number room + 1, whose victim would be a page the block
+        closes; first writes the pages that the block's openings force past
+        the budget. Returns how many records it appended."""
+        # a narrow dtype lets the stable argsort below run as a radix sort
+        k = (np.searchsorted(self._bounds, recs["dest"], side="right") - 1).astype(self._k_dtype)
         counts = np.bincount(k, minlength=self.n_intervals)
         hit = np.flatnonzero(counts)
         logs = [self.logs[j] for j in hit.tolist()]
         for log in logs:
             self._check_open(log)
-        # a record opens a page when it lands at fill % capacity == 0
-        cap = self.capacity
-        fills = [log.fill for log in logs]
-        opened = sum((f + c - 1) // cap - (f - 1) // cap for f, c in zip(fills, counts[hit].tolist()))
-        if opened <= free:
-            self._write(recs, k)
-            self._settle()
-            return len(recs)
-        order = np.argsort(k, kind="stable")
-        group_start = np.cumsum(counts) - counts
-        slot = np.arange(len(recs)) + np.repeat(np.array(fills) - group_start[hit], counts[hit])
-        opens = np.empty(len(recs), bool)
-        opens[order] = slot % cap == 0
-        t = int(np.flatnonzero(opens)[free])
-        self._write(recs[:t], k[:t])
-        self._settle()
-        self._write(recs[t : t + 1], k[t : t + 1])
-        self._settle()
-        return t + 1
-
-    def _write(self, recs: np.ndarray, k: np.ndarray) -> None:
-        """Append recs to the logs of their intervals k, in arrival order."""
-        if len(recs) == 0:
-            return
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        if ks[0] == ks[-1]:
-            self._append_run(self.logs[int(ks[0])], recs)
-            return
-        cuts = (np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist()
-        for a, b in zip([0, *cuts], [*cuts, len(ks)]):
-            self._append_run(self.logs[int(ks[a])], np.take(recs, order[a:b]))
+        # a record opens a page where it lands at slot 0 and closes one at
+        # slot cap - 1; opens and closes hold those records' indices
+        cap, n = self.capacity, len(recs)
+        if len(logs) == 1:
+            fill = logs[0].fill
+            opens, closes = np.arange(-fill % cap, n, cap), np.arange(cap - 1 - fill, n, cap)
+        else:
+            order = np.argsort(k, kind="stable")
+            ends = np.cumsum(counts[hit]).tolist()
+            opens, closes = np.zeros(n, bool), np.zeros(n, bool)
+            for log, a, b in zip(logs, [0, *ends[:-1]], ends):
+                group = order[a:b]
+                opens[group[-log.fill % cap :: cap]] = True
+                closes[group[cap - 1 - log.fill :: cap]] = True
+            opens, closes = np.flatnonzero(opens), np.flatnonzero(closes)
+        t = int(opens[room]) if len(opens) > room else n
+        opened = min(len(opens), room)
+        self.evict_if_needed(opened)
+        if len(logs) == 1:
+            self._append_run(logs[0], recs[:t])
+        else:
+            if t < n:
+                order = order[order < t]
+                ends = np.cumsum(np.bincount(k[:t], minlength=self.n_intervals)[hit]).tolist()
+            for log, a, b in zip(logs, [0, *ends[:-1]], ends):
+                if b > a:
+                    self._append_run(log, np.take(recs, order[a:b]))
+        self._resident_pages += opened
+        self._closed.extend([self.logs[j] for j in k[closes[closes < t]].tolist()])
+        if self.open_bytes > self.post_evict_peak:
+            self.post_evict_peak = self.open_bytes
+        return t
 
     def _append_run(self, log: _IntervalLog, recs: np.ndarray) -> None:
-        """Copy records of one interval into its top page, closing full tops."""
-        w = self.fmt.width
+        """Append one interval's records in arrival order: complete its top
+        page, pack the whole pages after it, and start the next top with
+        the rest."""
+        w, cap, n = self.fmt.width, self.capacity, len(recs)
         raw = memoryview(np.ascontiguousarray(recs).view(np.uint8))
-        done = 0
-        while done < len(recs):
-            if log.fill == self.capacity:
-                self._close_top(log)
-            take = min(self.capacity - log.fill, len(recs) - done)
-            off = PAGE_HEADER + log.fill * w
-            log.top[off : off + take * w] = raw[done * w : (done + take) * w]
-            self._appended(log, take)
-            done += take
+        head = min(n, -log.fill % cap)
+        whole = (n - head) // cap * cap
+        self._fill_top(log, raw[: head * w])
+        # a bytearray per page: holding rows of the packed array raised peak RSS
+        log.closed.extend(map(bytearray, pack_pages(raw[head * w : (head + whole) * w], w, self.page_size)))
+        self._fill_top(log, raw[(head + whole) * w :])
+        log.message_count += n
+        self.total_appends += n
+
+    def _fill_top(self, log: _IntervalLog, raw: memoryview) -> None:
+        """Copy whole records into log's top page, closing it once full."""
+        off = PAGE_HEADER + log.fill * self.fmt.width
+        log.top[off : off + len(raw)] = raw
+        log.fill += len(raw) // self.fmt.width
+        if log.fill == self.capacity:
+            PAGE_COUNT.pack_into(log.top, 0, log.fill)
+            log.closed.append(log.top)
+            log.top = bytearray(self.page_size)
+            log.fill = 0
 
     def _check_open(self, log: _IntervalLog) -> None:
         if log.sealed:
             raise ContractViolation(f"interval {log.interval} already sealed for tag {self.tag}")
 
-    def _appended(self, log: _IntervalLog, n: int) -> None:
-        """Count n records just written into log's top page."""
-        if log.fill == 0:
-            self._resident_pages += 1  # the top page turns resident
-        log.fill += n
-        log.message_count += n
-        self.total_appends += n
-
-    def _settle(self) -> None:
-        """After an append: evict when over the budget, then track the peak."""
-        if self._resident_pages * self.page_size > self.budget:
-            self.evict_if_needed()
-        if self.open_bytes > self.post_evict_peak:
-            self.post_evict_peak = self.open_bytes
-
     def reset_peaks(self) -> None:
         self.post_evict_peak = self.open_bytes
-
-    def _close_top(self, log: _IntervalLog) -> None:
-        # fill is the capacity here. The page stays resident (counted
-        # already as a nonempty top), just reclassified.
-        PAGE_COUNT.pack_into(log.top, 0, log.fill)
-        log.closed.append(log.top)
-        log.top = bytearray(self.page_size)
-        log.fill = 0
 
     @property
     def resident_bytes(self) -> int:
@@ -302,55 +296,38 @@ class MultiLog:
         self._carried_pages -= 1
         self._resident_pages -= 1
 
-    def evict_if_needed(self) -> int:
-        """Write resident pages until the buffer is back under the watermark;
-        returns how many.
+    def evict_if_needed(self, incoming: int = 0) -> int:
+        """Write the resident pages that residency plus `incoming` page
+        openings about to be made force past the budget; returns how many.
 
-        Sealed tails spill first. Open pages are flushed only when no tail is
-        left and they alone exceed the budget: full (closed) pages first, in
-        arrival order, then the fullest top pages; a flushed top becomes a
-        partial page in the chain and the top buffer restarts empty. So open
-        pages are flushed where, and as, they would be with no tail held.
+        Exactly that overflow goes, so after an eviction the openings fill
+        the buffer to its budget. Sealed tails spill first; then closed
+        pages are flushed, oldest first in the order they closed across all
+        intervals, each to the end of its log's chain. Top pages are never
+        written: the budget holds one per interval, so with incoming 0 the
+        tails and closed pages always cover the overflow, and send_many
+        passes no more openings than they cover.
         """
-        if self.resident_bytes <= self.budget:
-            return 0
-        evicted = 0
-        while self._carried and self.resident_bytes > self.watermark:
-            self._spill_tail_page()
-            evicted += 1
-        if self.resident_bytes <= self.budget:
-            return evicted
-        while self.resident_bytes > self.watermark:
-            flushed = False
-            for log in self.logs:
-                if log.closed:
-                    self._flush_page(log, log.closed.popleft())
-                    evicted += 1
-                    flushed = True
-                if self.resident_bytes <= self.watermark:
-                    return evicted
-            if not flushed:
-                break
-        while self.resident_bytes > self.watermark:
-            victim = max(self.logs, key=lambda l: l.fill)
-            if victim.fill == 0:
-                break
-            PAGE_COUNT.pack_into(victim.top, 0, victim.fill)
-            self._flush_page(victim, victim.top)
-            victim.top = bytearray(self.page_size)
-            victim.fill = 0
-            evicted += 1
-        return evicted
+        excess = self._resident_pages + incoming - self.budget // self.page_size
+        for _ in range(excess):
+            if self._carried:
+                self._spill_tail_page()
+            else:
+                log = self._closed.popleft()
+                self._flush_page(log, log.closed.popleft())
+        return max(excess, 0)
 
     # -- seal path ----------------------------------------------------------
 
     def seal_interval(self, k: int) -> LogHandle:
-        """Freeze interval k's log. Its resident pages, full ones in arrival
-        order and then the partial top, become the sealed log's tail; none
-        is written."""
+        """Freeze interval k's log. Its resident pages, closed ones in
+        arrival order and then the partial top, become the sealed log's
+        tail; none is written."""
         log = self.logs[k]
         if log.sealed:
             raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
+        if log.closed:
+            self._closed = deque(other for other in self._closed if other is not log)
         tail = list(log.closed)
         if log.fill > 0:
             PAGE_COUNT.pack_into(log.top, 0, log.fill)

@@ -14,7 +14,8 @@ and never span pages, so every page parses on its own.
 `read_page` returns one page's bytes, `read_pages` a batch of page images
 as one uint8 array, `read_records` the counted records of a batch of pages
 as one array (a count that overflows its page is corrupt), and
-`append_records` packs fixed-width records into appended pages. A batch
+`append_records` appends fixed-width records packed by `pack_pages`, the
+one whole-page packer, which the multi-log shares. A batch
 still reads each page through one `read_page` call, the unit the
 per-class counters (and the per-layer tracer, which wraps it) count, so
 coalesced reads and page checksums have one place to go.
@@ -49,6 +50,22 @@ def pack_page(page_size: int, payload: bytes, count: int) -> bytes:
     PAGE_COUNT.pack_into(buf, 0, count)
     buf[PAGE_HEADER : PAGE_HEADER + len(payload)] = payload
     return bytes(buf)
+
+
+def pack_pages(raw, width: int, page_size: int) -> np.ndarray:
+    """Pack fixed-width records (a bytes-like of whole records) into page
+    images with one array copy: every page full but the last, each with its
+    record count in the header. Returns uint8[pages, page_size]."""
+    cap = page_capacity(page_size, width)
+    data = np.frombuffer(raw, np.uint8)
+    full, rest = divmod(len(data) // width, cap)
+    pages = np.zeros((full + (rest > 0), page_size), np.uint8)
+    pages[:full, PAGE_HEADER : PAGE_HEADER + cap * width] = data[: full * cap * width].reshape(full, cap * width)
+    pages[:, 1], pages[:, 2] = cap & 0xFF, cap >> 8
+    if rest:
+        pages[full, PAGE_HEADER : PAGE_HEADER + rest * width] = data[full * cap * width : (full * cap + rest) * width]
+        PAGE_COUNT.pack_into(pages[full], 0, rest)
+    return pages
 
 
 def record_counts(images: np.ndarray) -> np.ndarray:
@@ -129,14 +146,7 @@ class PageStore:
     def append_records(self, raw: bytes, width: int) -> list[int]:
         """Pack fixed-width records into full pages (the last one partial)
         and append them; returns the page ordinals."""
-        raw = memoryview(raw)
-        cap = page_capacity(self.page_size, width)
-        total = len(raw) // width
-        ordinals = []
-        for start in range(0, total, cap):
-            n = min(cap, total - start)
-            ordinals.append(self.append_page(pack_page(self.page_size, raw[start * width : (start + n) * width], n)))
-        return ordinals
+        return [self.append_page(page) for page in pack_pages(raw, width, self.page_size)]
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Overwrite an existing page in place (state vectors need this)."""

@@ -1,4 +1,5 @@
 import os
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def make_mlog(tmp_path, bounds=(0, 3, 6), page_size=256, budget_pages=None):
     n_int = len(bounds) - 1
     budget = (budget_pages if budget_pages is not None else 4 * n_int) * page_size
     return MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), budget)
+
+
+def send_run(mlog, dest, vals):
+    """Send one record to dest per value, as one send_many call."""
+    vals = list(vals)
+    recs = np.zeros(len(vals), FMT16.dtype)
+    recs["dest"], recs["val"] = dest, vals
+    mlog.send_many(recs)
 
 
 def test_vid_to_interval_boundaries(tmp_path):
@@ -106,39 +115,79 @@ def test_evict_noop_below_budget(tmp_path):
     assert mlog.evict_if_needed() == 0
 
 
-def test_evict_flushes_full_pages_then_tops_to_watermark(tmp_path):
-    # budget: 4 pages across 2 intervals; overfill interval 0 with closed pages
-    mlog = make_mlog(tmp_path, bounds=(0, 3, 6), budget_pages=4)
+def test_evict_flushes_closed_pages_oldest_first_down_to_the_budget(tmp_path):
+    # budget: 4 pages across 2 intervals (bounds 0, 3, 6)
+    mlog = make_mlog(tmp_path, budget_pages=4)
     cap = mlog.capacity
-    for i in range(3 * cap + 1):  # 3 closed pages + 1 record in top
-        mlog.send(0, 0, i)
-    mlog.send(5, 0, 0)
-    # send() auto-evicts on overflow; residency must sit at/below the watermark
-    assert mlog.resident_bytes <= int(0.9 * mlog.budget)
-    manifest = mlog.seal()
-    recs = read_log_records(manifest.handles[0], FMT16)
-    assert recs["val"].tolist() == list(range(3 * cap + 1))  # order survives eviction
+    evicted = count_evictions(mlog)
+    mlog.send(5, 0, 99)
+    (tail,) = [h for h in mlog.seal().handles if h.tail]
+    mlog.open_superstep(1)
+    send_run(mlog, 5, range(cap))  # interval 1 closes its first page,
+    send_run(mlog, 0, range(cap))  # then interval 0,
+    send_run(mlog, 5, range(cap, 2 * cap))  # then interval 1 again
+    assert (mlog._resident_pages, evicted[0]) == (4, 0)
+    mlog.send(0, 0, cap)  # a fifth page: the tail spills, no open page goes
+    assert (tail.ordinals, tail.tail) == ([0], [])
+    assert (mlog.logs[0].chain, mlog.logs[1].chain, mlog._resident_pages) == ([], [], 4)
+    mlog.send(5, 0, 2 * cap)  # the oldest closed page goes: interval 1's first
+    assert (mlog.logs[0].chain, mlog.logs[1].chain, mlog._resident_pages) == ([], [0], 4)
+    send_run(mlog, 0, range(cap + 1, 2 * cap))  # closes a top, opens nothing
+    assert (evicted[0], mlog._resident_pages) == (2, 4)
+    mlog.send(0, 0, 2 * cap)  # now interval 0's first closed page is the oldest
+    assert (mlog.logs[0].chain, mlog.logs[1].chain, mlog._resident_pages) == ([0], [0], 4)
+    assert evicted[0] == 3
+    first, second = mlog.seal().handles
+    assert first.store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
+    assert second.store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
+    assert read_log_records(first, FMT16)["val"].tolist() == list(range(2 * cap + 1))  # order survives
+    assert read_log_records(second, FMT16)["val"].tolist() == list(range(2 * cap + 1))
 
 
-def test_adversarial_spray_evicts_to_watermark(tmp_path):
-    # fill 64 intervals under a loose budget, then shrink it to 64 pages and
-    # evict: full pages go first, then the fullest tops, down to 90%
+def test_adversarial_spray_evicts_exactly_to_the_budget(tmp_path):
+    # 64 intervals under a loose budget: 8 one-page tails, then one closed
+    # page per interval, closed from the last interval to the first, and a
+    # one-record top everywhere. Shrinking the budget and evicting writes
+    # exactly the overflow: tails first, from the log sealed last, then the
+    # closed pages in the order they closed, whatever their interval
     mlog = make_mlog(tmp_path, bounds=tuple(range(0, 65)), budget_pages=256, page_size=256)
     cap = mlog.capacity
+    for k in range(8):
+        mlog.send(k, 0, 0)
+    tails = mlog.seal().handles[:8]
+    mlog.open_superstep(1)
+    for k in reversed(range(64)):
+        send_run(mlog, k, range(cap))
     for k in range(64):
-        for i in range(cap):
-            mlog.send(k, 0, i)
-    assert mlog.resident_bytes == 64 * 256  # all tops full
-    for k in range(64):
-        mlog.send(k, 0, 99)  # one more record everywhere: 64 closed + 64 tops
-    assert mlog.resident_bytes == 128 * 256
-    mlog.budget = 64 * 256
-    mlog.watermark = int(0.9 * mlog.budget)
-    evicted = mlog.evict_if_needed()
-    assert mlog.resident_bytes // 256 <= 58  # watermark arithmetic on 64 pages
-    assert evicted == 128 - mlog.resident_bytes // 256
-    # closed pages were flushed before any top: no closed pages remain
-    assert all(not log.closed for log in mlog.logs)
+        mlog.send(k, 0, cap)
+    assert mlog._resident_pages == 8 + 128
+    mlog.budget = 133 * 256
+    assert mlog.evict_if_needed() == 3
+    assert [len(h.ordinals) for h in tails] == [0] * 5 + [1] * 3
+    assert mlog._resident_pages == 133 and all(not log.chain for log in mlog.logs)
+    mlog.budget = 96 * 256
+    assert mlog.evict_if_needed() == 37
+    assert [len(h.ordinals) for h in tails] == [1] * 8 and mlog._carried_pages == 0
+    assert mlog._resident_pages == 96
+    # the 32 pages that closed first went: those of intervals 63 down to 32
+    assert [len(log.chain) for log in mlog.logs] == [0] * 32 + [1] * 32
+    assert [len(log.closed) for log in mlog.logs] == [1] * 32 + [0] * 32
+    assert mlog.evict_if_needed() == 0
+
+
+def test_a_sealed_interval_leaves_the_eviction_order(tmp_path):
+    # interval 0's closed pages are the oldest, then become its tail; once
+    # the tail has spilled, the oldest page left to flush is interval 1's
+    mlog = make_mlog(tmp_path, budget_pages=4)  # bounds (0, 3, 6)
+    cap = mlog.capacity
+    send_run(mlog, 0, range(2 * cap))
+    mlog.send(5, 0, 0)
+    handle = mlog.seal_interval(0)
+    assert len(handle.tail) == 2 and mlog._resident_pages == 3
+    send_run(mlog, 5, range(1, 4 * cap + 1))  # three openings past the budget
+    assert handle.ordinals == [0, 1] and not handle.tail
+    assert mlog.logs[1].chain == [0] and mlog._resident_pages == 4
+    assert mlog.logs[1].store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
 
 
 def test_budget_below_one_page_per_interval_rejected(tmp_path):
@@ -256,27 +305,27 @@ def test_seal_writes_nothing_and_loads_the_tail_from_memory(tmp_path):
 
 
 def test_tails_spill_before_any_open_page_in_chain_order(tmp_path):
-    mlog = make_mlog(tmp_path, budget_pages=4)  # bounds (0, 3, 6); watermark 3 pages
+    mlog = make_mlog(tmp_path, budget_pages=4)  # bounds (0, 3, 6)
     cap = mlog.capacity
-    for i in range(2 * cap + 3):  # interval 0: two full pages and a partial top
-        mlog.send(0, 0, i)
+    send_run(mlog, 0, range(2 * cap + 3))  # interval 0: two full pages and a partial top
     mlog.send(5, 0, 99)  # interval 1: one partial top
     first, second = mlog.seal().handles
     assert [len(first.tail), len(second.tail)] == [3, 1]
     mlog.open_superstep(1)
-    mlog.send(3, 0, 0)  # a fifth page: spill down to the watermark, tails only
-    assert (first.ordinals, second.ordinals) == ([0], [0])  # the log loaded last goes first
-    assert len(first.tail) == 2 and not second.tail
-    assert mlog.resident_bytes == 3 * 256
-    for i in range(1, 2 * cap + 1):  # a third open page, with two closed ones resident
-        mlog.send(3, 0, i)
-    assert first.ordinals == [0, 1, 2] and not first.tail
+    mlog.send(3, 0, 0)  # a fifth page: exactly one tail page spills, from the log loaded last
+    assert (first.ordinals, second.ordinals) == ([], [0])
+    assert len(first.tail) == 3 and not second.tail
+    assert mlog._resident_pages == 4
+    send_run(mlog, 3, range(1, 2 * cap + 1))  # two more openings: two tail pages, in chain order
+    assert first.ordinals == [0, 1] and len(first.tail) == 1
     assert not mlog.logs[1].chain and len(mlog.logs[1].closed) == 2  # no open page written yet
-    for i in range(2 * cap + 1, 4 * cap + 1):  # past the budget with no tail left
-        mlog.send(3, 0, i)
-    assert mlog.logs[1].chain  # now open pages go, by the rule without tails
+    assert mlog._resident_pages == 4
+    send_run(mlog, 3, range(2 * cap + 1, 4 * cap + 1))  # two more: the last tail page, then the oldest closed page
+    assert first.ordinals == [0, 1, 2] and not first.tail
+    assert mlog.logs[1].chain == [0] and mlog._resident_pages == 4
     assert first.store.read_records(first.ordinals, FMT16.dtype)["val"].tolist() == list(range(2 * cap + 3))
     assert second.store.read_records(second.ordinals, FMT16.dtype)["val"].tolist() == [99]
+    assert mlog.logs[1].store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
     assert [os.path.basename(h.store.path) for h in (first, second)] == ["log_t0_i0.pages", "log_t0_i1.pages"]
 
 
@@ -307,6 +356,95 @@ def test_open_and_carried_pages_stay_within_the_budget(tmp_path):
     assert mlog.registry._stores["log"] == []
 
 
+class PageCountModel:
+    """Page counts of the exact eviction rule, one record at a time. A
+    record landing on an empty top opens a page; an opening past the budget
+    writes one page: a tail page of the last sealed log still held, else the
+    oldest closed page. Pages are counts here, never contents."""
+
+    def __init__(self, n_intervals, cap, budget_pages):
+        self.cap, self.budget = cap, budget_pages
+        self.fill = [0] * n_intervals
+        self.closed = deque()  # the interval of each closed page, oldest first
+        self.tails = []  # [key, pages] of each held tail, in seal order
+        self.open = self.written = 0
+
+    @property
+    def resident(self):
+        return self.open + sum(pages for _, pages in self.tails)
+
+    def send(self, k):
+        if self.fill[k] == 0:
+            if self.resident == self.budget:
+                self.written += 1
+                if self.tails:
+                    self.tails[-1][1] -= 1
+                    if self.tails[-1][1] == 0:
+                        self.tails.pop()
+                else:
+                    self.closed.popleft()
+                    self.open -= 1
+            self.open += 1
+        self.fill[k] = (self.fill[k] + 1) % self.cap
+        if self.fill[k] == 0:
+            self.closed.append(k)
+
+    def seal(self, tag):
+        for k, fill in enumerate(self.fill):
+            pages = self.closed.count(k) + (fill > 0)
+            if pages:
+                self.tails.append([(tag, k), pages])
+        self.fill = [0] * len(self.fill)
+        self.closed.clear()
+        self.open = 0
+
+    def release(self, keys):
+        self.tails = [t for t in self.tails if t[0] not in keys]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evictions_write_exactly_the_forced_overflow(tmp_path, seed):
+    # random send streams over several supersteps, with the carried tails
+    # released one log at a time mid-stream as if loaded: every call that
+    # evicts leaves residency at the budget, and the log pages written are
+    # the openings the model finds past the budget
+    rng = np.random.default_rng(seed)
+    n_int = int(rng.integers(1, 5))
+    bounds = list(range(0, 3 * n_int + 1, 3))
+    budget_pages = n_int + int(rng.integers(0, 6))
+    mlog = make_mlog(tmp_path, bounds=bounds, budget_pages=budget_pages)
+    evicted = count_evictions(mlog)
+    model = PageCountModel(n_int, mlog.capacity, budget_pages)
+    carried = None
+    for tag in range(6):
+        held = [h for h in carried.handles if h.tail] if carried is not None else []
+        for _ in range(int(rng.integers(1, 10))):
+            size = int(rng.integers(0, 3 * mlog.capacity * n_int))
+            recs = np.zeros(size, FMT16.dtype)
+            recs["dest"] = rng.integers(0, bounds[-1], size)
+            before = evicted[0]
+            mlog.send_many(recs)
+            for d in recs["dest"].tolist():
+                model.send(d // 3)
+            if evicted[0] > before:
+                assert mlog._resident_pages == budget_pages
+            assert mlog._resident_pages == model.resident
+            assert mlog.registry.totals()["log"][1] == model.written == evicted[0]
+            if held and rng.random() < 0.5:
+                handle = held.pop(int(rng.integers(0, len(held))))
+                mlog.release([handle])
+                model.release({(tag - 1, handle.interval)})
+        sealed = mlog.seal()
+        model.seal(tag)
+        assert [len(h.tail) for h in sealed.handles if h.tail] == [p for (t, _), p in model.tails if t == tag]
+        mlog.open_superstep(tag + 1)
+        if carried is not None:
+            mlog.drop(carried)
+            model.release({(tag - 1, k) for k in range(n_int)})
+        carried = sealed
+    assert model.written > 0
+
+
 def test_drop_and_close_free_every_tail(tmp_path):
     mlog = make_mlog(tmp_path)
     mlog.send(0, 0, 1)
@@ -332,8 +470,8 @@ def count_evictions(mlog):
     total = [0]
     inner = mlog.evict_if_needed
 
-    def evict():
-        n = inner()
+    def evict(*args):
+        n = inner(*args)
         total[0] += n
         return n
 

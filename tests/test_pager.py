@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loggraph.errors import AddressError, ContractViolation
-from loggraph.pager import PAGE_HEADER, PageStore, StoreRegistry, pack_page, page_capacity
+from loggraph.pager import PAGE_HEADER, PageStore, StoreRegistry, pack_page, pack_pages, page_capacity, record_counts
 
 
 @pytest.fixture
@@ -100,3 +100,20 @@ def test_read_pages_returns_images_in_the_given_order(store):
     assert [row.tobytes() for row in got] == [images[2], images[0], images[2]]
     assert store.pages_read == 3
     assert store.read_pages([]).shape == (0, 256)
+
+
+@pytest.mark.parametrize("records", [0, 1, 14, 15, 16, 45, 47])
+def test_pack_pages_matches_one_pack_page_per_page(store, records):
+    # 16-byte records, 15 to a 256-byte page: empty, partial, exactly full
+    # and several pages with and without a partial last one
+    raw = np.random.default_rng(records).bytes(16 * records)
+    want = [pack_page(256, raw[a * 16 : min(a + 15, records) * 16], min(15, records - a)) for a in range(0, records, 15)]
+    pages = pack_pages(raw, 16, 256)
+    assert pages.shape == (len(want), 256) and [p.tobytes() for p in pages] == want
+    assert store.append_records(raw, 16) == list(range(len(want)))
+    assert store.read_pages(range(len(want))).tobytes() == b"".join(want)
+
+
+def test_pack_pages_counts_past_one_byte():
+    pages = pack_pages(bytes(2 * 700), 2, 1040)  # 512 two-byte records a page
+    assert record_counts(pages).tolist() == [512, 188]

@@ -127,8 +127,8 @@ def spy_pressure(monkeypatch):
         seen["multi_pass"] += sum(p.passes > 1 for p in plans)
         return plans
 
-    def evict_spy(mlog):
-        evicted = evict(mlog)
+    def evict_spy(mlog, *args):
+        evicted = evict(mlog, *args)
         seen["evicted"] += evicted
         return evicted
 
