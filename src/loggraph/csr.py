@@ -8,12 +8,11 @@ carry no values. Adjacency loads touch only the pages that overlap the
 requested vertices' ranges, each page at most once per call.
 
 A load returns an `Adjacency`: one flat CSR over the requested vertices
-(`ids`, `offsets`, `nbrs`) plus, per row, the colIdx pages it came from and
-its source (CSR, structural overlay or edge log). `load_adjacency` takes
-the colIdx page set from the rows' page spans and gathers each row's span
-as one slice of those pages' record regions, so its work follows rows and
-pages, not entries; `adj[v]` gives one vertex's `AdjacencyView`, the unit
-the edge log stores and serves.
+(`ids`, `offsets`, `nbrs`) plus, per row, the span of colIdx pages it was
+read from, which the edge log's candidate rule reads. `load_adjacency`
+takes the colIdx page set from the rows' page spans and gathers each row's
+span as one slice of those pages' record regions, so its work follows rows
+and pages, not entries.
 
 Structural updates are int rows (kind, src, dst) of an ops array, kind one
 of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
@@ -80,19 +79,14 @@ class GraphMeta:
 
 @dataclass
 class AdjacencyView:
-    """Out-neighbors of one vertex, plus the colIdx pages they came from."""
+    """Out-neighbors of one vertex."""
 
     vertex_id: int
     neighbors: np.ndarray
-    colidx_pages: tuple = ()
-    source: str = "csr"
 
     def __len__(self) -> int:
         return len(self.neighbors)
 
-
-# where an adjacency row came from; Adjacency.source holds indexes into this
-SOURCES = ("csr", "overlay", "edgelog")
 
 # kinds of structural op, the first column of an ops array
 ADD_EDGE, DEL_EDGE, DEL_VERTEX = range(3)
@@ -113,20 +107,17 @@ class Adjacency:
     Row i is vertex ids[i] (ascending); its neighbors are
     nbrs[offsets[i]:offsets[i + 1]]. pages[i] = (interval, first, end) names
     the colIdx pages [first, end) the row was read from (first == end when
-    none), and source[i] indexes SOURCES.
+    none: an empty row, or one served by the edge log).
     """
 
     ids: np.ndarray
     offsets: np.ndarray
     nbrs: np.ndarray
     pages: np.ndarray
-    source: np.ndarray
 
     @classmethod
     def empty(cls) -> "Adjacency":
-        return cls(
-            np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, VID_DT), np.zeros((0, 3), np.int64), np.zeros(0, np.uint8)
-        )
+        return cls(np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, VID_DT), np.zeros((0, 3), np.int64))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -137,19 +128,7 @@ class Adjacency:
 
     def view(self, i: int) -> AdjacencyView:
         """Row i as a per-vertex view."""
-        k, first, end = self.pages[i].tolist()
-        return AdjacencyView(
-            int(self.ids[i]),
-            self.nbrs[self.offsets[i] : self.offsets[i + 1]],
-            tuple((k, p) for p in range(first, end)),
-            SOURCES[self.source[i]],
-        )
-
-    def __getitem__(self, v: int) -> AdjacencyView:
-        i = int(np.searchsorted(self.ids, v))
-        if i == len(self.ids) or self.ids[i] != v:
-            raise KeyError(v)
-        return self.view(i)
+        return AdjacencyView(int(self.ids[i]), self.nbrs[self.offsets[i] : self.offsets[i + 1]])
 
     @staticmethod
     def merge(a: "Adjacency", b: "Adjacency") -> "Adjacency":
@@ -167,7 +146,6 @@ class Adjacency:
             offsets,
             np.insert(big.nbrs, np.repeat(big.offsets[at], small.degrees), small.nbrs),
             np.insert(big.pages, at, small.pages, axis=0),
-            np.insert(big.source, at, small.source),
         )
 
 
@@ -451,9 +429,8 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
     lens = np.concatenate(lens)
     offsets = np.zeros(len(active) + 1, np.int64)
     np.cumsum(lens, out=offsets[1:])
-    source = np.full(len(active), SOURCES.index("csr"), np.uint8)
     nbrs = np.concatenate(nbrs) if nbrs else np.zeros(0, VID_DT)
-    return Adjacency(active, offsets, nbrs, np.concatenate(pages), source), page_stats
+    return Adjacency(active, offsets, nbrs, np.concatenate(pages)), page_stats
 
 
 def apply_ops(

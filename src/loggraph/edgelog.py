@@ -2,11 +2,12 @@
 
 While a vertex is processed, its out-edges are already in memory. If the
 vertex looks likely to be active again next superstep (it was active in the
-previous one) and its adjacency sits on poorly utilized graph pages, the
-adjacency is appended to a sequential per-superstep edge log. Next
-superstep those vertices are served from the dense log pages instead of
-sparse CSR pages. The log never changes results; it only trades duplicate
-bytes for fewer page reads.
+previous one) and its adjacency sits on poorly utilized graph pages (the
+rule is `log_candidates`), the adjacency is appended to a sequential
+per-superstep edge log while its budget lasts. Next superstep those
+vertices are served from the dense log pages instead of sparse CSR pages.
+The log never changes results; it only trades duplicate bytes for fewer
+page reads.
 """
 
 from __future__ import annotations
@@ -15,29 +16,28 @@ import os
 
 import numpy as np
 
-from .csr import SOURCES, Adjacency, AdjacencyView, VID_DT, ranges
+from .csr import Adjacency, AdjacencyView, VID_DT, ranges
 from .errors import CorruptPageError
 from .pager import PAGE_HEADER, StoreRegistry, pack_page
 
 INEFFICIENT_THRESHOLD = 0.10
 
 
-def classify_inefficient(useful_bytes: int, page_size: int) -> bool:
-    """True for accessed pages using more than nothing but less than the cut."""
-    return 0 < useful_bytes < INEFFICIENT_THRESHOLD * page_size
+def inefficient(usage: np.ndarray, page_size: int) -> np.ndarray:
+    """Mask of the pages whose useful bytes are more than nothing but less
+    than INEFFICIENT_THRESHOLD of a page."""
+    return (usage > 0) & (usage < INEFFICIENT_THRESHOLD * page_size)
 
 
-def log_candidates(
-    adj: Adjacency, predicted: np.ndarray, dirty: np.ndarray, inefficient_pages: set
-) -> np.ndarray:
-    """The rows of adj that `EdgeLog.maybe_log` would log with room left in
-    the budget: predicted, clean, read from the CSR and touching one of the
-    inefficient (interval, colIdx page) keys. predicted and dirty are per
-    row."""
-    keys = np.sort(np.fromiter((k << 32 | p for k, p in inefficient_pages), np.int64, len(inefficient_pages)))
-    k, first, end = adj.pages.T
-    touches = np.searchsorted(keys, k << 32 | end) > np.searchsorted(keys, k << 32 | first)
-    return predicted & ~dirty & (adj.source == SOURCES.index("csr")) & touches
+def log_candidates(pages, predicted, dirty, usage, base, page_size: int) -> np.ndarray:
+    """Mask of the rows to log: predicted active, clean, and with a colIdx
+    page span pages[i] = (interval, first, end) covering an inefficient
+    page. usage holds the useful bytes of every colIdx page, interval k's
+    at base[k]:base[k + 1]. Edge-log rows have empty spans and overlay rows
+    are dirty, so only rows read from the CSR qualify."""
+    below = np.concatenate([[0], np.cumsum(inefficient(usage, page_size))])
+    k, first, end = pages.T
+    return predicted & ~dirty & (below[base[k] + end] > below[base[k] + first])
 
 
 class EdgeLog:
@@ -109,12 +109,10 @@ class EdgeLog:
             self._store = self.registry.open(path, "edgelog")
         return self._store
 
-    def maybe_log(self, view: AdjacencyView, predicted: bool, inefficient_pages: set, dirty: bool) -> bool:
-        """Log the adjacency iff the vertex is predicted active and touches an
-        inefficiently used page; drops silently once the budget is spent."""
-        if not predicted or dirty or self._full or view.source != "csr":
-            return False
-        if not any(p in inefficient_pages for p in view.colidx_pages):
+    def maybe_log(self, view: AdjacencyView) -> bool:
+        """Log the adjacency unless it would take the log past its budget;
+        from the first row that would, log nothing more this superstep."""
+        if self._full:
             return False
         deg = len(view.neighbors)
         entry_len = 8 + 4 * deg
@@ -179,5 +177,4 @@ class EdgeLog:
         offsets = np.zeros(len(vids) + 1, np.int64)
         np.cumsum(deg, out=offsets[1:])
         nbrs = stream[ranges(at + 8, length - 8)].view(VID_DT)
-        source = np.full(len(vids), SOURCES.index("edgelog"), np.uint8)
-        return Adjacency(vids, offsets, nbrs, np.zeros((len(vids), 3), np.int64), source)
+        return Adjacency(vids, offsets, nbrs, np.zeros((len(vids), 3), np.int64))

@@ -5,7 +5,8 @@ load and sort each fused log, take its destinations plus the forced vertices
 as the active set, fetch their state and adjacency (from the edge log when
 possible), run the vertex program on them, route its sends through the
 multi-log, then seal the next superstep's logs, merge batched structural
-updates past the threshold and record the activity bit vector.
+updates past the threshold and record the activity bit vector. After a
+batch ran, the rows `edgelog.log_candidates` picks go to the edge log.
 
 A program sees one sorted log's active vertices at a time, as a Batch: their
 state rows, a flat-CSR adjacency, their inbox spans and, for a program with
@@ -24,13 +25,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
 from . import csr as csrmod
 from . import sortgroup
-from .csr import SOURCES, Adjacency, GraphDir, ranges
-from .edgelog import EdgeLog, classify_inefficient, log_candidates
+from .csr import Adjacency, GraphDir, ranges
+from .edgelog import EdgeLog, inefficient, log_candidates
 from .errors import ConfigError, ContractViolation
 from .multilog import MultiLog, RecordFormat
 from .pager import DEFAULT_PAGE_SIZE
@@ -58,6 +60,10 @@ class EngineConfig:
     def __post_init__(self):
         if self.parallel != 0:
             raise ConfigError(f"parallel={self.parallel}: the engine has no worker threads; pass 0")
+        if not 0 < self.sort_frac <= 1:
+            raise ConfigError(f"sort_frac={self.sort_frac}: the sort's share of the memory budget must be in (0, 1]")
+        if self.memory_budget <= 0:
+            raise ConfigError(f"memory_budget={self.memory_budget}: the budget must be positive")
 
     @property
     def sort_budget(self) -> int:
@@ -324,15 +330,13 @@ class Engine:
 
     def _overlay(self, adj: Adjacency) -> Adjacency:
         """Most-current adjacency: csr.apply_ops applies the pending
-        structural ops of the batch's vertices to the whole batch in place,
-        and the rows they hit turn "overlay" rows."""
+        structural ops of the batch's vertices to the whole batch in place."""
         dirty = adj.ids[self._el_dirty[adj.ids]]
         ops = self._pending_ops(np.unique(self.meta.interval_of(dirty)).tolist())
         ops = ops[np.isin(ops[:, 1], dirty)]
         if len(ops) == 0:
             return adj
         adj.offsets, adj.nbrs, _ = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, ops)
-        adj.source[np.isin(adj.ids, ops[:, 1])] = SOURCES.index("overlay")
         return adj
 
     def _merge_interval(self, k: int) -> None:
@@ -414,8 +418,9 @@ class Engine:
         if self._edgelog is not None:
             self._edgelog.begin_superstep(S)
         predicted = self._last_active
-        self._ineff: set = set()
-        self._page_usage: dict = {}
+        # useful colIdx bytes per page fetched this superstep; merges run only at its end
+        self._page_base = np.cumsum([0] + [part.colidx.num_pages for part in self.graph.partitions])
+        self._usage = np.zeros(self._page_base[-1], np.int64)
 
         plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget)
         covered = {k for p in plans for k in p.intervals}
@@ -479,8 +484,8 @@ class Engine:
             edgelog_served=served_from_log,
             edgelog_logged=self._edgelog.logged_vertices if self._edgelog else 0,
             edgelog_read_peak=self._edgelog.read_cache_peak if self._edgelog else 0,
-            csr_pages_accessed=len(self._page_usage),
-            csr_pages_inefficient=len(self._ineff),
+            csr_pages_accessed=int(np.count_nonzero(self._usage)),
+            csr_pages_inefficient=int(np.count_nonzero(inefficient(self._usage, cfg.page_size))),
         )
         return st, manifest_next
 
@@ -490,17 +495,10 @@ class Engine:
         """Flat CSR over act: from the edge log where it holds a clean copy,
         otherwise from the CSR with pending structural updates overlaid."""
         el = self._edgelog
-        if el is not None:
-            from_log = el.indexed(act) & ~self._el_dirty[act]
-        else:
-            from_log = np.zeros(len(act), bool)
+        from_log = el.indexed(act) & ~self._el_dirty[act] if el is not None else np.zeros(len(act), bool)
         adj, pstats = csrmod.load_adjacency(self.graph, act[~from_log])
-        for key, useful in pstats.items():
-            self._page_usage[key] = self._page_usage.get(key, 0) + useful
-            if classify_inefficient(self._page_usage[key], self.cfg.page_size):
-                self._ineff.add(key)
-            else:
-                self._ineff.discard(key)
+        k, p = np.fromiter(chain.from_iterable(pstats), np.int64, 2 * len(pstats)).reshape(-1, 2).T
+        self._usage[self._page_base[k] + p] += np.fromiter(pstats.values(), np.int64, len(pstats))
         adj = self._overlay(adj)
         served = int(from_log.sum())
         if served:
@@ -521,9 +519,11 @@ class Engine:
             # structural updates only touch the vertex being processed, so
             # logging after the batch sees the same dirty bits as after each;
             # candidates are logged in act order until the budget runs out
-            candidates = log_candidates(adj, predicted[act], self._el_dirty[act], self._ineff)
+            candidates = log_candidates(
+                adj.pages, predicted[act], self._el_dirty[act], self._usage, self._page_base, self.cfg.page_size
+            )
             for i in np.flatnonzero(candidates).tolist():
-                el.maybe_log(adj.view(i), True, self._ineff, False)
+                el.maybe_log(adj.view(i))
         sl.commit()
         if aux is not None:
             aux.commit()

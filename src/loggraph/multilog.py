@@ -121,9 +121,10 @@ class MultiLog:
         buffer_budget: int,
     ):
         self.bounds = list(bounds)
-        self._bounds = np.asarray(bounds, np.int64)
         self.n_intervals = len(bounds) - 1
-        self._k_dtype = np.min_scalar_type(self.n_intervals)
+        # each vertex's interval; a narrow dtype lets _append_block's stable argsort radix sort
+        k_dtype = np.min_scalar_type(self.n_intervals)
+        self._interval_of = np.repeat(np.arange(self.n_intervals, dtype=k_dtype), np.diff(bounds))
         self.fmt = fmt
         self.registry = registry
         self.dir = log_dir
@@ -190,8 +191,7 @@ class MultiLog:
         opening number room + 1, whose victim would be a page the block
         closes; first writes the pages that the block's openings force past
         the budget. Returns how many records it appended."""
-        # a narrow dtype lets the stable argsort below run as a radix sort
-        k = (np.searchsorted(self._bounds, recs["dest"], side="right") - 1).astype(self._k_dtype)
+        k = np.take(self._interval_of, recs["dest"])
         counts = np.bincount(k, minlength=self.n_intervals)
         hit = np.flatnonzero(counts)
         logs = [self.logs[j] for j in hit.tolist()]

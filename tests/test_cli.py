@@ -71,6 +71,13 @@ def test_run_bfs_levels_histogram(tmp_path, g6_file):
     assert report["converged"] is True
 
 
+def test_run_with_a_zero_sort_share_prints_a_config_error(tmp_path, g6_file, capsys):
+    out = convert_g6(tmp_path, g6_file)
+    assert main(["run", "--graph", out, "--app", "bfs", "--source", "0", "--sort-frac", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "sort_frac=0.0" in err["message"]
+
+
 def test_run_respects_superstep_cap(tmp_path, g6_file):
     out = convert_g6(tmp_path, g6_file)
     report_path = str(tmp_path / "report.json")

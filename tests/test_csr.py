@@ -9,7 +9,7 @@ from loggraph.errors import ConfigError, ContractViolation, CorruptPageError, In
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
-from util import adjacency_lists, both_directions, build_graph, op_rows, random_graph, ring_graph, star_graph
+from util import adjacency_lists, both_directions, build_graph, op_rows, random_graph, ring_graph, rows_of, star_graph
 
 
 def test_partition_exact_packing():
@@ -62,8 +62,8 @@ def test_build_single_edge(tmp_path):
 def test_build_ring_adjacency_sorted_by_destination(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
-    views, _ = csr.load_adjacency(g, np.array([2]))
-    assert views[2].neighbors.tolist() == [1, 3]
+    adj, _ = csr.load_adjacency(g, np.array([2]))
+    assert rows_of(adj) == {2: [1, 3]}
 
 
 def test_build_duplicate_edges_preserved(tmp_path):
@@ -200,7 +200,7 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
     assert g.registry.totals()["csr"][0] - before == len(rp_pages) + len(useful)
     assert stats == useful
     assert reads == list(stats) == sorted(useful)
-    assert [views[v].neighbors.tolist() for v in active.tolist()] == [adj[v] for v in active.tolist()]
+    assert rows_of(views) == {v: adj[v] for v in active.tolist()}
 
 
 def test_converted_graph_holds_one_store_per_file(tmp_path):
@@ -231,8 +231,8 @@ def test_merge_delete_edge(tmp_path):
     k = g.meta.interval_of(2)
     warn = csr.merge_structural_updates(g, k, op_rows(("del_edge", 2, 3)))
     assert warn == 0
-    views, _ = csr.load_adjacency(g, np.array([2]))
-    assert views[2].neighbors.tolist() == [1]
+    adj, _ = csr.load_adjacency(g, np.array([2]))
+    assert rows_of(adj) == {2: [1]}
 
 
 def test_merge_empty_batch_identity(tmp_path):
@@ -338,8 +338,8 @@ def test_apply_ops_rejects_a_row_with_descending_neighbors():
 
 
 def random_part(ids, rng):
-    """An Adjacency over the ascending ids with random rows (some empty),
-    pages and sources."""
+    """An Adjacency over the ascending ids with random rows (some empty) and
+    pages."""
     lens = rng.integers(0, 4, len(ids))
     offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
     return csr.Adjacency(
@@ -347,7 +347,6 @@ def random_part(ids, rng):
         offsets,
         rng.integers(0, 1000, int(offsets[-1])).astype(csr.VID_DT),
         rng.integers(0, 50, (len(ids), 3)),
-        rng.integers(0, len(csr.SOURCES), len(ids)).astype(np.uint8),
     )
 
 
@@ -361,7 +360,6 @@ def merge_reference(a, b):
         np.concatenate([[0], np.cumsum(lens)]),
         np.concatenate([a.nbrs, b.nbrs])[csr.ranges(starts, lens)],
         np.concatenate([a.pages, b.pages])[order],
-        np.concatenate([a.source, b.source])[order],
     )
 
 
@@ -379,7 +377,7 @@ def test_adjacency_merge_matches_concatenate_and_sort(case):
     right = ids[~split] if case != "both-empty" else ids[:0]
     a, b = random_part(ids[split], rng), random_part(right, rng)
     got = csr.Adjacency.merge(a, b)
-    for field, want in zip(("ids", "offsets", "nbrs", "pages", "source"), merge_reference(a, b)):
+    for field, want in zip(("ids", "offsets", "nbrs", "pages"), merge_reference(a, b)):
         assert getattr(got, field).tolist() == want.tolist(), field
 
 
@@ -419,7 +417,7 @@ def test_load_adjacency_rejects_a_short_page_inside_a_row(tmp_path, count):
     page = bytearray(store.read_page(1))
     PAGE_COUNT.pack_into(page, 0, count)
     store.write_page(1, bytes(page))
-    assert csr.load_adjacency(g, np.array([5]))[0][5].neighbors.tolist() == [0]  # page 3 is whole
+    assert rows_of(csr.load_adjacency(g, np.array([5]))[0]) == {5: [0]}  # page 3 is whole
     with pytest.raises(CorruptPageError, match=f"page 1 holds {count} entries, entry 59 wanted"):
         csr.load_adjacency(g, np.array([0]))
 

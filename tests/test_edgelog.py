@@ -2,31 +2,39 @@ import numpy as np
 import pytest
 
 from loggraph import csr
-from loggraph.edgelog import EdgeLog, classify_inefficient, log_candidates
+from loggraph.edgelog import INEFFICIENT_THRESHOLD, EdgeLog, inefficient, log_candidates
 from loggraph.errors import CorruptPageError
 from loggraph.pager import PAGE_HEADER, StoreRegistry
 
-from util import adjacency, build_graph, random_graph, ring_graph
+from util import adjacency, build_graph, random_graph, ring_graph, rows_of
 
 
-def view(v, nbrs, pages=((0, 0),)):
-    return csr.AdjacencyView(v, np.array(nbrs, np.uint32), tuple(pages), "csr")
+def view(v, nbrs):
+    return csr.AdjacencyView(v, np.array(nbrs, np.uint32))
+
+
+def candidates(usage, page_size=16000, predicted=True, dirty=False):
+    """log_candidates for one row spanning the single page of one interval."""
+    pages, usage, base = np.array([[0, 0, 1]]), np.array([usage]), np.array([0, 1])
+    return bool(log_candidates(pages, np.array([predicted]), np.array([dirty]), usage, base, page_size)[0])
 
 
 # -- page classification --------------------------------------------------------
 
 def test_classify_untouched_page_not_inefficient():
-    assert classify_inefficient(0, 16384) is False
+    assert inefficient(np.array([0]), 16384).tolist() == [False]
+    assert not candidates(0)
 
 
 def test_classify_below_threshold():
-    assert classify_inefficient(int(0.05 * 16384), 16384) is True
+    assert inefficient(np.array([int(0.05 * 16384)]), 16384).tolist() == [True]
+    assert candidates(int(0.05 * 16384), 16384)
 
 
 def test_classify_boundary_exact_threshold_is_efficient():
     # 1600/16000 is exactly the 10% cut: strict less-than keeps it efficient
-    assert classify_inefficient(1600, 16000) is False
-    assert classify_inefficient(1599, 16000) is True
+    assert inefficient(np.array([1600, 1599]), 16000).tolist() == [False, True]
+    assert not candidates(1600) and candidates(1599)
 
 
 # -- logging + fetch ------------------------------------------------------------
@@ -38,53 +46,64 @@ def make_log(tmp_path, budget=1 << 16, page_size=256):
     return el, reg
 
 
-def test_predicted_inactive_not_logged(tmp_path):
-    el, _ = make_log(tmp_path)
-    assert el.maybe_log(view(1, [2, 3]), predicted=False, inefficient_pages={(0, 0)}, dirty=False) is False
-    assert el.bytes_logged == 0
+def test_predicted_inactive_not_logged():
+    assert candidates(1599) and not candidates(1599, predicted=False)
 
 
-def test_efficient_page_not_logged(tmp_path):
-    el, _ = make_log(tmp_path)
-    assert el.maybe_log(view(1, [2, 3]), True, inefficient_pages=set(), dirty=False) is False
+def test_efficient_page_not_logged():
+    # rows over pages 0-1, 1-2 and 3 of one interval; only page 2 is inefficient
+    usage = np.array([8000, 16000, 100, 4000])
+    pages = np.array([[0, 0, 2], [0, 1, 3], [0, 3, 4]])
+    got = log_candidates(pages, np.ones(3, bool), np.zeros(3, bool), usage, np.array([0, 4]), 16000)
+    assert got.tolist() == [False, True, False]
 
 
 def test_logged_entry_roundtrip(tmp_path):
     el, _ = make_log(tmp_path)
     nbrs = [5, 9, 11, 40]
-    assert el.maybe_log(view(7, nbrs), True, {(0, 0)}, dirty=False) is True
+    assert el.maybe_log(view(7, nbrs)) is True
     el.begin_superstep(1)  # rotate: entry becomes readable
     assert el.indexed(7)
     got = el.fetch_batch([7])
-    assert got[7].neighbors.tolist() == nbrs
-    assert got[7].source == "edgelog"
+    assert rows_of(got) == {7: nbrs}
+    assert got.pages.tolist() == [[0, 0, 0]]  # no colIdx page: never a candidate again
+
+
+def test_edge_log_rows_are_never_candidates(tmp_path):
+    el, _ = make_log(tmp_path)
+    el.maybe_log(view(2, [5, 6]))
+    el.begin_superstep(1)
+    csr_rows = adjacency([1, 3], [[4], [7]])
+    csr_rows.pages = np.array([[0, 0, 1], [0, 0, 1]])
+    adj = csr.Adjacency.merge(csr_rows, el.fetch_batch([2]))
+    got = log_candidates(adj.pages, np.ones(3, bool), np.zeros(3, bool), np.array([4]), np.array([0, 1]), 256)
+    assert adj.ids.tolist() == [1, 2, 3] and got.tolist() == [True, False, True]
 
 
 def test_entries_span_pages(tmp_path):
     el, reg = make_log(tmp_path, page_size=128)  # region 112 bytes
     big = list(range(100, 160))  # 8 + 240 bytes, spans 3 pages
-    assert el.maybe_log(view(3, big), True, {(0, 0)}, dirty=False)
+    assert el.maybe_log(view(3, big))
     el.begin_superstep(1)
-    assert el.fetch_batch([3])[3].neighbors.tolist() == big
+    assert rows_of(el.fetch_batch([3])) == {3: big}
 
 
 def test_budget_exhaustion_stops_logging(tmp_path):
     el, _ = make_log(tmp_path, budget=100)
-    assert el.maybe_log(view(1, list(range(20))), True, {(0, 0)}, dirty=False)  # 88 bytes
-    assert not el.maybe_log(view(2, [1, 2]), True, {(0, 0)}, dirty=False)  # would cross 100
-    assert not el.maybe_log(view(3, []), True, {(0, 0)}, dirty=False)  # stopped for the superstep
+    assert el.maybe_log(view(1, list(range(20))))  # 88 bytes
+    assert not el.maybe_log(view(2, [1, 2]))  # would cross 100
+    assert not el.maybe_log(view(3, []))  # stopped for the superstep
     el.begin_superstep(1)
     assert el.indexed(1) and not el.indexed(2)
 
 
-def test_dirty_vertex_not_logged_and_not_served(tmp_path):
-    el, _ = make_log(tmp_path)
-    assert not el.maybe_log(view(1, [2]), True, {(0, 0)}, dirty=True)
+def test_dirty_vertex_not_logged_and_not_served():
+    assert candidates(1599) and not candidates(1599, dirty=True)
 
 
 def test_index_mismatch_is_corruption(tmp_path):
     el, _ = make_log(tmp_path)
-    el.maybe_log(view(1, [2, 3]), True, {(0, 0)}, dirty=False)
+    el.maybe_log(view(1, [2, 3]))
     el.begin_superstep(1)
     ids = el._consumable[0]
     ids[ids == 1] = 99  # tamper: 99 indexes vertex 1's entry
@@ -94,7 +113,7 @@ def test_index_mismatch_is_corruption(tmp_path):
 
 def test_degree_field_disagreeing_with_index_is_corruption(tmp_path):
     el, _ = make_log(tmp_path)
-    el.maybe_log(view(7, [5, 9, 11]), True, {(0, 0)}, dirty=False)
+    el.maybe_log(view(7, [5, 9, 11]))
     el.begin_superstep(1)
     store = el._consumable[2]
     page = bytearray(store.read_page(0))
@@ -106,47 +125,113 @@ def test_degree_field_disagreeing_with_index_is_corruption(tmp_path):
 
 def test_consumed_log_discarded_after_rotation(tmp_path):
     el, reg = make_log(tmp_path)
-    el.maybe_log(view(1, [2]), True, {(0, 0)}, dirty=False)
+    el.maybe_log(view(1, [2]))
     el.begin_superstep(1)
     assert el.indexed(1)
     el.begin_superstep(2)  # superstep-1 log replaces it; old file unlinked
     assert not el.indexed(1)
 
 
+def reference_candidates(usage, ineff, pstats, rows, page_size):
+    """The per-page rule the array predicate replaced: after each fetch, a
+    Python loop adds each fetched page's useful bytes to the (interval,
+    page) -> bytes dict usage and files the page in or out of the set
+    ineff; then a row is a candidate when it is predicted, clean, read from
+    the CSR and one of its colIdx pages is in ineff."""
+    for key, useful in pstats.items():
+        usage[key] = usage.get(key, 0) + useful
+        if 0 < usage[key] < INEFFICIENT_THRESHOLD * page_size:
+            ineff.add(key)
+        else:
+            ineff.discard(key)
+    return [
+        predicted and not dirty and source == "csr" and any((k, p) in ineff for p in range(first, end))
+        for (k, first, end), source, predicted, dirty in rows
+    ]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_candidate_mask_logs_what_the_per_view_rule_logs(tmp_path, seed):
-    # random rows, colIdx page spans, sources, inefficient pages and
-    # predicted/dirty bits, with a budget that runs out partway
+    # a superstep of random batches: the useful bytes of the colIdx pages
+    # each fetched, then rows with page spans, sources and predicted/dirty
+    # bits; an edge-log row has an empty span and an overlay row is dirty
     rng = np.random.default_rng(seed)
-    n = 200
-    adj = adjacency(np.arange(n), [rng.integers(0, 99, d) for d in rng.integers(0, 6, n)])
-    first = rng.integers(0, 8, n)
-    adj.pages = np.stack([rng.integers(0, 3, n), first, first + rng.integers(0, 3, n)], 1)
-    adj.source = rng.choice(len(csr.SOURCES), n, p=[0.7, 0.15, 0.15]).astype(np.uint8)
-    ineff = set(zip(rng.integers(0, 3, 15).tolist(), rng.integers(0, 10, 15).tolist()))
-    predicted, dirty = rng.random(n) < 0.7, rng.random(n) < 0.2
+    page_size, n = 256, 60
+    num_pages = rng.integers(0, 10, 3)
+    base = np.concatenate([[0], np.cumsum(num_pages)])
+    usage, ref_usage, ref_ineff, picked = np.zeros(base[-1], np.int64), {}, set(), []
+    for batch in range(5):
+        flat = np.flatnonzero(rng.random(base[-1]) < 0.4)
+        k = np.searchsorted(base, flat, side="right") - 1
+        pstats = {(int(j), int(f - base[j])): 4 * int(rng.integers(1, 9)) for j, f in zip(k, flat)}
+        for (j, p), useful in pstats.items():
+            usage[base[j] + p] += useful
 
-    views = [adj.view(i) for i in range(n)]
-    rule = [
-        bool(predicted[i]) and not dirty[i] and v.source == "csr" and any(p in ineff for p in v.colidx_pages)
-        for i, v in enumerate(views)
-    ]
-    assert log_candidates(adj, predicted, dirty, ineff).tolist() == rule
+        adj = adjacency(batch * n + np.arange(n), [rng.integers(0, 99, d) for d in rng.integers(0, 6, n)])
+        k = rng.integers(0, 3, n)
+        first = rng.integers(0, num_pages[k] + 1)
+        adj.pages = np.stack([k, first, rng.integers(first, num_pages[k] + 1)], 1)
+        source = rng.choice(["csr", "overlay", "edgelog"], n, p=[0.7, 0.15, 0.15])
+        adj.pages[source == "edgelog"] = 0
+        predicted, dirty = rng.random(n) < 0.7, (rng.random(n) < 0.2) | (source == "overlay")
 
-    budget = sum(8 + 4 * len(v) for v, hit in zip(views, rule) if hit) // 2
-    old, _ = make_log(tmp_path / "old", budget)
-    new, _ = make_log(tmp_path / "new", budget)
-    logged = [i for i in range(n) if old.maybe_log(views[i], bool(predicted[i]), ineff, bool(dirty[i]))]
-    candidates = np.flatnonzero(log_candidates(adj, predicted, dirty, ineff)).tolist()
-    assert [i for i in candidates if new.maybe_log(views[i], True, ineff, False)] == logged
-    assert 0 < len(logged) < sum(rule)
-    assert new.bytes_logged == old.bytes_logged
+        rows = zip(adj.pages.tolist(), source, predicted.tolist(), dirty.tolist())
+        want = reference_candidates(ref_usage, ref_ineff, pstats, rows, page_size)
+        got = log_candidates(adj.pages, predicted, dirty, usage, base, page_size)
+        assert got.tolist() == want
+        picked += [adj.view(i) for i in np.flatnonzero(got)]
+    assert np.count_nonzero(usage) == len(ref_usage)
+    assert np.count_nonzero(inefficient(usage, page_size)) == len(ref_ineff)
+
+    # logged in order until the first entry that would pass the budget
+    sizes = np.cumsum([8 + 4 * len(v) for v in picked])
+    el, _ = make_log(tmp_path, budget=int(sizes[-1]) // 2)
+    logged = [v.vertex_id for v in picked if el.maybe_log(v)]
+    assert logged == [v.vertex_id for v in picked[: np.searchsorted(sizes, el.budget, side="right")]]
+    assert 0 < len(logged) < len(picked) and el.bytes_logged == sizes[len(logged) - 1]
+
+
+def test_engine_adds_up_page_usage_over_the_batches_of_a_superstep(tmp_path, monkeypatch):
+    # one interval, each vertex forced and sent 45 self-messages: the
+    # superstep runs in 4 destination passes whose fetches share colIdx
+    # pages, each page's last share inefficient on its own, the sum not
+    from loggraph.engine import EngineConfig, VertexProgram, run_app
+
+    class Forced(VertexProgram):
+        payload_fields = [("x", "<u4")]
+
+        def init_all(self, n, indeg):
+            return np.zeros(n, self.state_dtype), np.ones(n, bool), [(v, (1,)) for v in range(n) for _ in range(45)]
+
+        def process_batch(self, ctx, batch):
+            pass
+
+    n = 80
+    src = np.repeat(np.arange(n), 3)
+    g = build_graph(tmp_path, src, (src + np.tile([1, 2, 3], n)) % n, n, page_size=256, sort_budget=1 << 20)
+    fetched, load = [], csr.load_adjacency
+
+    def spy(graph, active):
+        adj, pstats = load(graph, active)
+        fetched.append(pstats)
+        return adj, pstats
+
+    monkeypatch.setattr(csr, "load_adjacency", spy)
+    cfg = EngineConfig(memory_budget=16 << 10, page_size=256, max_supersteps=1, edge_log=True)
+    (st,) = run_app(g, Forced(), cfg, str(tmp_path / "run")).stats
+
+    usage, ineff = {}, set()
+    for pstats in fetched:
+        reference_candidates(usage, ineff, pstats, [], 256)
+    assert (st.csr_pages_accessed, st.csr_pages_inefficient) == (len(usage), len(ineff))
+    last = {key: useful for pstats in fetched for key, useful in pstats.items()}
+    assert len(fetched) == 4 and not ineff and inefficient(np.array(list(last.values())), 256).sum() == 3
 
 
 def test_indexed_answers_for_an_array_of_ids(tmp_path):
     el, _ = make_log(tmp_path)
     for v in (9, 2, 5):
-        el.maybe_log(view(v, [1]), True, {(0, 0)}, dirty=False)
+        el.maybe_log(view(v, [1]))
     assert el.indexed(np.arange(10)).tolist() == [False] * 10  # not readable before the rotation
     el.begin_superstep(1)
     assert np.flatnonzero(el.indexed(np.arange(10))).tolist() == [2, 5, 9]
@@ -188,18 +273,21 @@ def test_savings_shared_page_reduces_csr_reads(tmp_path):
     el = EdgeLog(g.registry, str(tmp_path / "el"), 1 << 16)
     el.begin_superstep(0)
     active = np.arange(0, 8)
-    views, stats = csr.load_adjacency(g, active)
-    ineff = {k for k, u in stats.items() if classify_inefficient(u, 256)}
-    assert len(ineff) >= 2
-    logged = [v for v in active if el.maybe_log(views[int(v)], True, ineff, False)]
+    adj, stats = csr.load_adjacency(g, active)
+    base = np.cumsum([0] + [part.colidx.num_pages for part in g.partitions])
+    usage = np.zeros(base[-1], np.int64)
+    for (k, p), useful in stats.items():
+        usage[base[k] + p] = useful
+    assert np.count_nonzero(inefficient(usage, 256)) >= 2
+    rows = log_candidates(adj.pages, np.ones(len(adj), bool), np.zeros(len(adj), bool), usage, base, 256)
+    logged = [int(adj.ids[i]) for i in np.flatnonzero(rows) if el.maybe_log(adj.view(i))]
     assert len(logged) >= 2
     el.begin_superstep(1)
 
     csr_before = g.registry.totals()["csr"][0]
     got = el.fetch_batch(logged)
     el_reads = g.registry.totals()["edgelog"][0]
-    for v in logged:
-        assert got[v].neighbors.tolist() == views[v].neighbors.tolist()
+    assert rows_of(got) == {v: rows_of(adj)[v] for v in logged}
     # k entries share one edge-log page; CSR would have needed k colidx pages
     assert g.registry.totals()["csr"][0] == csr_before
     assert el_reads <= 1 + (len(logged) * 16 + 8 * len(logged) * 4) // 240

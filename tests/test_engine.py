@@ -8,7 +8,7 @@ from loggraph.apps import Bfs, Community, KCore, PageRank
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 from loggraph.errors import ConfigError, ContractViolation
 
-from util import PerVertex, build_graph, clique_graph, random_graph, ring_graph
+from util import PerVertex, build_graph, clique_graph, random_graph, ring_graph, rows_of
 
 CFG = dict(memory_budget=1 << 20, page_size=256)
 
@@ -201,8 +201,8 @@ def test_merge_threshold_fires_at_superstep_end(tmp_path):
 
     eng.run(on_superstep=snap)
     assert spotted[0] == []  # threshold reached -> merged at superstep end
-    views, _ = csr.load_adjacency(g, np.array([0]))
-    assert views[0].neighbors.tolist() == [1, 4, 5, 6, 7]
+    adj, _ = csr.load_adjacency(g, np.array([0]))
+    assert rows_of(adj) == {0: [1, 4, 5, 6, 7]}
 
 
 def test_default_merge_threshold_is_4096():
@@ -396,8 +396,8 @@ def test_structural_many_equals_one_call_per_op(tmp_path, one_call):
     res = run_app(g, Scripted(edit), cfg(), str(tmp_path / "run"))
     assert res.structural_warnings == 2
     assert np.flatnonzero(res.deleted).tolist() == [0, 3]
-    views, _ = csr.load_adjacency(g, np.arange(6))
-    assert [views[v].neighbors.tolist() for v in range(6)] == [[], [0, 2], [1, 3, 4], [], [5], [0, 4]]
+    adj, _ = csr.load_adjacency(g, np.arange(6))
+    assert list(rows_of(adj).values()) == [[], [0, 2], [1, 3, 4], [], [5], [0, 4]]
 
 
 @pytest.mark.parametrize("src", [-1, 6])
@@ -481,8 +481,8 @@ def test_deleting_an_absent_edge_is_a_warning(tmp_path, dst):
     stray = Scripted(lambda ctx, batch: ctx.structural_many([(csr.DEL_EDGE, 0, dst)]))
     res = run_app(g, stray, cfg(), str(tmp_path / "run"))
     assert res.structural_warnings == 1
-    views, _ = csr.load_adjacency(g, np.arange(6))
-    assert [views[v].neighbors.tolist() for v in range(6)] == [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
+    adj, _ = csr.load_adjacency(g, np.arange(6))
+    assert list(rows_of(adj).values()) == [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
 
 
 def test_a_config_asking_for_threads_is_rejected():
@@ -490,6 +490,16 @@ def test_a_config_asking_for_threads_is_rejected():
     for parallel in (1, 2, -1):
         with pytest.raises(ConfigError, match="no worker threads"):
             EngineConfig(parallel=parallel)
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [("sort_frac", 0), ("sort_frac", -0.5), ("sort_frac", 1.5), ("memory_budget", 0), ("memory_budget", -1)],
+)
+def test_a_config_with_a_bad_sort_share_or_budget_is_rejected(knob, value):
+    with pytest.raises(ConfigError, match=f"{knob}={value}"):
+        EngineConfig(**{knob: value})
+    assert EngineConfig(sort_frac=1).sort_budget == EngineConfig().memory_budget
 
 
 def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):

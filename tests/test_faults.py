@@ -1,6 +1,7 @@
 """Fault injection on the read path: a missing, truncated or corrupt file
 raises a typed error and is never silently misread."""
 
+import json
 import os
 
 import numpy as np
@@ -54,16 +55,27 @@ def test_open_rejects_a_length_that_is_not_a_page_multiple(tmp_path):
         PageStore(path, 256, create=False)
 
 
-def test_opening_a_graph_with_a_missing_part_file_creates_nothing(tmp_path):
+@pytest.mark.parametrize("damage", ["removed-colidx", "extra-interval"])
+def test_opening_a_graph_with_a_missing_part_file_creates_nothing(tmp_path, damage):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     g.close()
-    path = os.path.join(g.path, "part0.colidx")
-    os.remove(path)
-    with pytest.raises(FileNotFoundError, match="part0.colidx") as raised:
+    if damage == "removed-colidx":
+        path = os.path.join(g.path, "part0.colidx")
+        os.remove(path)
+    else:
+        # meta.json names one interval past the part files
+        k = g.meta.num_intervals
+        g.meta.interval_bounds.append(6)
+        g.meta.interval_indeg.append(0)
+        with open(os.path.join(g.path, "meta.json"), "w") as f:
+            json.dump(g.meta.to_dict(), f)
+        path = os.path.join(g.path, f"part{k}.rowptr")
+    before = sorted(os.listdir(g.path))
+    with pytest.raises(FileNotFoundError, match=os.path.basename(path)) as raised:
         GraphDir(g.path)
     assert isinstance(raised.value, errors.MissingStoreError)
-    assert not os.path.exists(path)
+    assert sorted(os.listdir(g.path)) == before
 
 
 def test_a_count_overflowing_a_log_page_is_corrupt(tmp_path):

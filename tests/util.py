@@ -99,13 +99,17 @@ def adjacency_lists(src, dst, n):
 
 
 def adjacency(ids, rows):
-    """A CSR-sourced Adjacency over the ascending ids with the given
-    neighbor rows and no pages."""
+    """An Adjacency over the ascending ids with the given neighbor rows and
+    no pages."""
     lens = [len(r) for r in rows]
     offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
     nbrs = np.concatenate([np.asarray(r, np.int64) for r in rows] + [np.zeros(0, np.int64)]).astype(csr.VID_DT)
-    source = np.full(len(rows), csr.SOURCES.index("csr"), np.uint8)
-    return csr.Adjacency(np.asarray(ids, np.int64), offsets, nbrs, np.zeros((len(rows), 3), np.int64), source)
+    return csr.Adjacency(np.asarray(ids, np.int64), offsets, nbrs, np.zeros((len(rows), 3), np.int64))
+
+
+def rows_of(adj):
+    """An Adjacency's neighbor lists by vertex id."""
+    return {int(adj.ids[i]): adj.view(i).neighbors.tolist() for i in range(len(adj))}
 
 
 def op_rows(*ops):
