@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..csr import ranges
 from ..engine import VertexProgram
+from ..pager import ranges
 from .table import upsert
 
 

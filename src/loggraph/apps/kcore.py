@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..csr import DEL_EDGE, DEL_VERTEX, ranges
+from ..csr import DEL_EDGE, DEL_VERTEX
 from ..engine import VertexProgram
+from ..pager import ranges
 
 
 class KCore(VertexProgram):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..csr import ranges
+from ..pager import ranges
 
 
 def upsert(batch, used: np.ndarray, field: str) -> np.ndarray:

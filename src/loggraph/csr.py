@@ -10,9 +10,11 @@ requested vertices' ranges, each page at most once per call.
 A load returns an `Adjacency`: one flat CSR over the requested vertices
 (`ids`, `offsets`, `nbrs`) plus, per row, the span of colIdx pages it was
 read from, which the edge log's candidate rule reads. `load_adjacency`
-takes the colIdx page set from the rows' page spans and gathers each row's
-span as one slice of those pages' record regions, so its work follows rows
-and pages, not entries.
+makes two `PageStore.read_spans` calls per interval: rowPtr as the spans
+[v, v + 2) of the requested rows, then colIdx as the spans [rowPtr[v],
+rowPtr[v + 1]) of the non-empty ones. It keeps the wanted runs of the colIdx
+pages' record slots and counts the useful bytes of each page from the spans,
+so its work follows rows and pages.
 
 Structural updates are int rows (kind, src, dst) of an ops array, kind one
 of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
@@ -31,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
-from .pager import PAGE_HEADER, StoreRegistry, page_capacity, record_counts
+from .pager import StoreRegistry, page_capacity, ranges
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -92,12 +94,6 @@ class AdjacencyView:
 ADD_EDGE, DEL_EDGE, DEL_VERTEX = range(3)
 # no vertex has this id: ids are uint32 and below num_vertices
 NO_VID = (1 << 32) - 1
-
-
-def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenation of the index ranges [starts[i], starts[i] + lens[i])."""
-    ends = np.cumsum(lens)
-    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
 
 
 @dataclass
@@ -324,62 +320,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _read_checked(store, pages: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Images of the pages (ascending), each read once, in order; last[i]
-    is the slot of the last entry wanted from pages[i], and a slot at or
-    past its page's record count is corrupt."""
-    images = store.read_pages(pages.tolist())
-    counts = record_counts(images)
-    short = np.flatnonzero(last >= counts)
-    if len(short):
-        i = short[0]
-        raise CorruptPageError(f"{store.path}: page {pages[i]} holds {counts[i]} entries, entry {last[i]} wanted")
-    return images
-
-
-def _read_entries(store, cap: int, dtype: np.dtype, idx: np.ndarray) -> np.ndarray:
-    """Entries idx (ascending) of a paged vector; reads each page they touch
-    once, in order."""
-    page = idx // cap
-    first = _run_starts(page)
-    images = _read_checked(store, page[first], idx[np.roll(first, -1)] % cap)
-    return images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].view(dtype)[np.cumsum(first) - 1, idx % cap]
-
-
-def _read_spans(store, cap: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of the non-empty spans [a, b) (ascending, disjoint) of a
-    paged colIdx vector, concatenated, plus the pages they touch and the
-    count of wanted entries on each. Reads each of those pages once, in
-    order.
-
-    A span's pages are consecutive in the page set, so it is one slice of
-    the pages' concatenated record regions.
-    """
-    first, end = a // cap, (b - 1) // cap + 1
-    # a span shares at most its first page with the span before it
-    after = first.copy()
-    after[1:] = np.maximum(first[1:], end[:-1])
-    pages = ranges(after, end - after)
-    bound = (pages + 1) * cap
-    last = np.minimum(b[np.searchsorted(a, bound) - 1], bound) - 1  # last wanted entry per page
-    images = _read_checked(store, pages, last - pages * cap)
-    flat = images[:, PAGE_HEADER : PAGE_HEADER + cap * VID_WIDTH].view(VID_DT).reshape(-1)
-    start = (np.searchsorted(pages, first) - first) * cap + a
-    # flat alternates runs of unwanted and wanted entries
-    runs = np.diff(np.stack([start, start + (b - a)], 1).reshape(-1), prepend=0, append=len(flat))
-    entries = flat[np.repeat(np.arange(len(runs)) % 2 == 1, runs)]
-    # wanted entries below x: the spans starting below x, less the part of
-    # the last of them at or past x
-    cum = np.concatenate([[0], np.cumsum(b - a)])
-    stops = np.concatenate([[0], b])
-
-    def below(x):
-        j = np.searchsorted(a, x)
-        return cum[j] - np.maximum(stops[j] - x, 0)
-
-    return entries, pages, below(bound) - below(bound - cap)
-
-
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
     """Adjacency for exactly the active vertices (sorted ascending).
 
@@ -405,23 +345,33 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
         if len(loc) == 0:
             continue
         part = graph.partitions[k]
-        # loc and loc + 1 interleaved are ascending; drop the repeats
-        both = np.stack([loc, loc + 1], 1).reshape(-1)
-        keep = _run_starts(both)
-        rp = _read_entries(part.rowptr, part.cap_rp, ROWPTR_DT, both[keep]).astype(np.int64)
-        i = (np.cumsum(keep) - 1)[::2]  # where loc sits; loc + 1 sits at i + 1
-        a, b = rp[i], rp[i + 1]
+        _, _, rp, at = part.rowptr.read_spans(loc, loc + 2, ROWPTR_DT)
+        a, b = rp[at].astype(np.int64), rp[at + 1].astype(np.int64)
         back = np.flatnonzero(b < a)
         if len(back):
             j = back[0]
             raise CorruptPageError(
                 f"{part.rowptr.path}: the row of vertex {active[starts[k] + j]} ends at {b[j]}, before its start {a[j]}"
             )
+        # read_spans needs the rows ascending, so one starting inside the row before it is corrupt
+        inside = np.flatnonzero(a[1:] < b[:-1])
+        if len(inside):
+            j = starts[k] + inside[0]
+            raise CorruptPageError(
+                f"{part.rowptr.path}: the row of vertex {active[j + 1]} starts inside the row of vertex {active[j]}"
+            )
         full = b > a
-        if full.any():
-            got, read, useful = _read_spans(part.colidx, part.cap_ci, a[full], b[full])
-            nbrs.append(got)
-            page_stats.update(zip([(k, p) for p in read.tolist()], (useful * VID_WIDTH).tolist()))
+        n = (b - a)[full]
+        read, _, ci, at = part.colidx.read_spans(a[full], b[full], VID_DT)
+        # ci alternates runs of unwanted and wanted entries
+        runs = np.diff(np.stack([at, at + n], 1).reshape(-1), prepend=0, append=len(ci))
+        nbrs.append(ci[np.repeat(np.arange(len(runs)) % 2 == 1, runs)])
+        # wanted entries below each page bound: those of the spans starting
+        # below it, less the part of the last of them at or past it
+        bound = np.arange(len(read) + 1) * part.cap_ci
+        j = np.searchsorted(at, bound)
+        useful = np.diff(np.append(0, np.cumsum(n))[j] - np.maximum(np.append(0, at + n)[j] - bound, 0))
+        page_stats.update(zip([(k, p) for p in read.tolist()], (useful * VID_WIDTH).tolist()))
         first = a // part.cap_ci
         end = np.where(full, (b - 1) // part.cap_ci + 1, first)
         pages.append(np.stack([np.full(len(loc), k), first, end], 1))

@@ -16,9 +16,9 @@ import os
 
 import numpy as np
 
-from .csr import Adjacency, AdjacencyView, VID_DT, ranges
+from .csr import Adjacency, AdjacencyView, VID_DT
 from .errors import CorruptPageError
-from .pager import PAGE_HEADER, StoreRegistry, pack_page
+from .pager import PAGE_HEADER, StoreRegistry, pack_page, ranges
 
 INEFFICIENT_THRESHOLD = 0.10
 

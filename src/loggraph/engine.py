@@ -31,11 +31,11 @@ import numpy as np
 
 from . import csr as csrmod
 from . import sortgroup
-from .csr import Adjacency, GraphDir, ranges
+from .csr import Adjacency, GraphDir
 from .edgelog import EdgeLog, inefficient, log_candidates
 from .errors import ConfigError, ContractViolation
 from .multilog import MultiLog, RecordFormat
-from .pager import DEFAULT_PAGE_SIZE
+from .pager import DEFAULT_PAGE_SIZE, ranges
 from .state import VertexStateStore
 
 
@@ -282,6 +282,10 @@ class Engine:
                 f"engine page size {config.page_size} != converted graph page size {self.meta.page_size}"
             )
         self.fmt = RecordFormat(program.payload_fields)
+        if config.sort_budget < self.fmt.width:
+            raise ConfigError(
+                f"sort budget of {config.sort_budget} bytes (memory_budget x sort_frac) holds no {self.fmt.width}-byte record"
+            )
         self.registry = graph.registry
         n = self.meta.num_vertices
         self.in_degrees = graph.in_degrees()

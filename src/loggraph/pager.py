@@ -13,8 +13,10 @@ and never span pages, so every page parses on its own.
 `PageStore` is the only code that reads pages or packs records into them:
 `read_page` returns one page's bytes, `read_pages` a batch of page images
 as one uint8 array, `read_records` the counted records of a batch of pages
-as one array (a count that overflows its page is corrupt), and
-`append_records` appends fixed-width records packed by `pack_pages`, the
+as one array (a count that overflows its page is corrupt), `read_spans` the
+pages covering ascending spans of a fixed-width vector (CSR rowPtr and
+colIdx rows, vertex state rows and in-neighbour tables all read through it),
+and `append_records` appends fixed-width records packed by `pack_pages`, the
 one whole-page packer, which the multi-log shares. A batch
 still reads each page through one `read_page` call, the unit the
 per-class counters (and the per-layer tracer, which wraps it) count, so
@@ -66,6 +68,19 @@ def pack_pages(raw, width: int, page_size: int) -> np.ndarray:
         pages[full, PAGE_HEADER : PAGE_HEADER + rest * width] = data[full * cap * width : (full * cap + rest) * width]
         PAGE_COUNT.pack_into(pages[full], 0, rest)
     return pages
+
+
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+
+
+def cover(first: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The distinct ids of the ranges [first[i], end[i]), ascending: those
+    where more ranges have started than ended."""
+    n = int(end.max(initial=0)) + 1
+    return np.flatnonzero(np.cumsum(np.bincount(first, minlength=n) - np.bincount(end, minlength=n)))
 
 
 def record_counts(images: np.ndarray) -> np.ndarray:
@@ -131,6 +146,39 @@ class PageStore:
         flat = memoryview(images.reshape(-1))
         starts = range(PAGE_HEADER, flat.nbytes, self.page_size)
         return np.frombuffer(b"".join([flat[a : a + n] for a, n in zip(starts, nbytes.tolist())]), dtype)
+
+    def read_spans(self, starts: np.ndarray, ends: np.ndarray, dtype):
+        """The pages covering the entry spans [starts[i], ends[i]) of a vector
+        of dtype records, page_capacity to a page; starts and ends are each
+        ascending, and spans may overlap or be empty.
+
+        Reads each covering page once, in ascending order. A span past the
+        last page is an address error, and a page whose record count does
+        not reach its last wanted entry is corrupt.
+        Returns (pages, images, slots, at): the page ids, their images as
+        read, one writable flat copy of their record slots (capacity per
+        page) and each span's offset into it, so span i is
+        slots[at[i]:at[i] + ends[i] - starts[i]].
+        """
+        dtype = np.dtype(dtype)
+        cap = page_capacity(self.page_size, dtype.itemsize)
+        first = starts // cap
+        end = np.where(ends > starts, (ends - 1) // cap + 1, first)
+        if end.max(initial=0) > self._npages:
+            raise AddressError(f"{self.path}: entry {ends.max() - 1} wanted from a store of {self._npages} pages")
+        pages = cover(first, end)
+        images = self.read_pages(pages.tolist())
+        # the last span starting below a page's end wants the most of it
+        base = pages * cap
+        wanted = np.minimum(ends[np.searchsorted(starts, base + cap) - 1] - base, cap)
+        counts = record_counts(images)
+        short = np.flatnonzero(wanted > counts)
+        if len(short):
+            i = short[0]
+            raise CorruptPageError(f"{self.path}: page {pages[i]} holds {counts[i]} entries, entry {wanted[i] - 1} wanted")
+        slots = images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].copy().view(dtype).reshape(-1)
+        at = (np.searchsorted(pages, first) - first) * cap + starts
+        return pages, images, slots, at
 
     def append_page(self, data: bytes) -> int:
         if len(data) != self.page_size:

@@ -78,6 +78,18 @@ def test_run_with_a_zero_sort_share_prints_a_config_error(tmp_path, g6_file, cap
     assert err["error"] == "ConfigError" and "sort_frac=0.0" in err["message"]
 
 
+def test_run_with_a_sort_budget_below_one_record_prints_a_config_error(tmp_path, capsys):
+    edges = tmp_path / "triangle.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    out = str(tmp_path / "graph")
+    assert main(["convert", str(edges), out, "--budget", "96", "--page-size", "256"]) == 0
+    capsys.readouterr()
+    argv = ["run", "--graph", out, "--app", "bfs", "--source", "0", "--memory-budget", "10000", "--sort-frac", "0.00001"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "sort budget of 0 bytes" in err["message"]
+
+
 def test_run_respects_superstep_cap(tmp_path, g6_file):
     out = convert_g6(tmp_path, g6_file)
     report_path = str(tmp_path / "report.json")

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from loggraph import csr
+from loggraph import csr, pager
 from loggraph.errors import ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
@@ -358,7 +358,7 @@ def merge_reference(a, b):
     return (
         np.concatenate([a.ids, b.ids])[order],
         np.concatenate([[0], np.cumsum(lens)]),
-        np.concatenate([a.nbrs, b.nbrs])[csr.ranges(starts, lens)],
+        np.concatenate([a.nbrs, b.nbrs])[pager.ranges(starts, lens)],
         np.concatenate([a.pages, b.pages])[order],
     )
 
@@ -438,6 +438,18 @@ def test_load_adjacency_rejects_a_row_ending_before_its_start(tmp_path, active):
     g = truncated_graph(tmp_path, 10, None)
     set_rowptr_entry(g, 3, 55)
     with pytest.raises(CorruptPageError, match="vertex 3 ends at 40"):
+        csr.load_adjacency(g, np.array(active))
+
+
+@pytest.mark.parametrize(
+    "active, named",
+    [([2, 4], "vertex 4 starts inside the row of vertex 2"), ([1, 2, 5], "vertex 5 starts inside the row of vertex 2")],
+)
+def test_load_adjacency_rejects_rows_that_overlap(tmp_path, active, named):
+    # rowPtr entry 3 is 55: row 2 is entries [20, 55), past the starts of rows 4 and 5
+    g = truncated_graph(tmp_path, 10, None)
+    set_rowptr_entry(g, 3, 55)
+    with pytest.raises(CorruptPageError, match=named):
         csr.load_adjacency(g, np.array(active))
 
 

@@ -502,6 +502,17 @@ def test_a_config_with_a_bad_sort_share_or_budget_is_rejected(knob, value):
     assert EngineConfig(sort_frac=1).sort_budget == EngineConfig().memory_budget
 
 
+def test_a_sort_budget_below_one_record_is_rejected(tmp_path):
+    g = build_graph(tmp_path, *ring_graph(3), 3, page_size=256)
+    # 10000 x 0.00001 rounds down to a budget of 0 bytes
+    with pytest.raises(ConfigError, match="sort budget of 0 bytes"):
+        Engine(g, Bfs(0), cfg(memory_budget=10000, sort_frac=0.00001), str(tmp_path / "run"))
+    width = Engine(g, Bfs(0), cfg(), str(tmp_path / "ok")).fmt.width
+    with pytest.raises(ConfigError, match=f"holds no {width}-byte record"):
+        Engine(g, Bfs(0), cfg(memory_budget=width - 1, sort_frac=1), str(tmp_path / "run"))
+    Engine(g, Bfs(0), cfg(memory_budget=width, sort_frac=1), str(tmp_path / "run"))
+
+
 def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):
     # one interval whose superstep-0 log overflows the sort budget: every
     # vertex is forced and sent 40 self-messages, so the plan takes several

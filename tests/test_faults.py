@@ -123,6 +123,18 @@ def test_a_short_state_page_fails_a_checkout_past_its_count(tmp_path):
         st.checkout(np.array([2, 13]))
 
 
+def test_a_short_aux_page_fails_a_checkout_of_a_table_on_it(tmp_path):
+    # tables of 3 8-byte entries, 14 entries to a 128-byte page: vertex 5's
+    # table is entries 15-17 (slots 1-3 of page 1), vertex 6's 18-20
+    init = np.zeros(50, STATE_DT)
+    aux_dt = np.dtype([("src", "<u4"), ("val", "<u4")])
+    st = VertexStateStore.create(StoreRegistry(128), str(tmp_path / "st"), [0, 25, 50], init, aux_dt, np.full(50, 3))
+    set_count(st.aux_stores[0], 1, 4)
+    assert len(st.checkout_aux(np.array([5, 30])).entries) == 6
+    with pytest.raises(CorruptPageError, match="page 1 holds 4 entries, entry 6 wanted"):
+        st.checkout_aux(np.array([6]))
+
+
 @pytest.mark.parametrize("change", [-4, 4, 2], ids=["one-entry-short", "one-entry-long", "half-entry-long"])
 def test_an_indeg_file_of_the_wrong_length_is_corrupt(tmp_path, change):
     g = build_graph(tmp_path, *ring_graph(50), 50, page_size=256)

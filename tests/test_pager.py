@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from loggraph.errors import AddressError, ContractViolation
-from loggraph.pager import PAGE_HEADER, PageStore, StoreRegistry, pack_page, pack_pages, page_capacity, record_counts
+from loggraph.errors import AddressError, ContractViolation, CorruptPageError
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_page, pack_pages, page_capacity, record_counts
 
 
 @pytest.fixture
@@ -117,3 +117,62 @@ def test_pack_pages_matches_one_pack_page_per_page(store, records):
 def test_pack_pages_counts_past_one_byte():
     pages = pack_pages(bytes(2 * 700), 2, 1040)  # 512 two-byte records a page
     assert record_counts(pages).tolist() == [512, 188]
+
+
+def vector(store, n):
+    """Store the 8-byte records 0..n-1, 30 to a 256-byte page."""
+    store.append_records(np.arange(n, dtype="<u8").tobytes(), 8)
+
+
+def spans(store, starts, ends):
+    """read_spans of [starts[i], ends[i]) over 8-byte records: the page ids
+    and each span's entries."""
+    pages, images, slots, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
+    assert [row.tobytes() for row in images] == [store.read_page(p) for p in pages.tolist()]
+    return pages.tolist(), [slots[a : a + e - s].tolist() for a, s, e in zip(at, starts, ends)]
+
+
+def test_read_spans_serves_overlapping_spans(store):
+    # the rowPtr shape: [v, v + 2) for ascending v; [29, 31) and [59, 61)
+    # end on the page after the one they start on
+    vector(store, 100)
+    rows = [3, 4, 29, 30, 59]
+    assert spans(store, rows, [v + 2 for v in rows]) == ([0, 1, 2], [[v, v + 1] for v in rows])
+
+
+def test_read_spans_serves_spans_sharing_a_page_and_spans_crossing_pages(store):
+    vector(store, 100)
+    starts, ends = [0, 5, 12, 25, 95, 97], [2, 9, 13, 95, 95, 100]
+    pages, got = spans(store, starts, ends)
+    assert pages == [0, 1, 2, 3]
+    assert got == [list(range(a, b)) for a, b in zip(starts, ends)]
+
+
+def test_read_spans_reads_each_covering_page_once_in_ascending_order(store, monkeypatch):
+    vector(store, 200)
+    seen = []
+    read = PageStore.read_page
+    monkeypatch.setattr(PageStore, "read_page", lambda s, p: seen.append(p) or read(s, p))
+    pages, _, slots, _ = store.read_spans(np.array([0, 1, 20, 100, 170, 175]), np.array([2, 2, 95, 100, 175, 200]), "<u8")
+    assert seen == pages.tolist() == [0, 1, 2, 3, 5, 6] and store.pages_read == 6
+    slots[0] = 7  # a copy: the caller may patch it and write pages back
+    assert store.read_spans(np.array([50]), np.array([50]), "<u8")[0].tolist() == []
+    assert store.pages_read == 6  # an empty span reads nothing
+
+
+def test_read_spans_rejects_a_span_past_the_last_page_before_reading(store):
+    vector(store, 100)  # pages 0-3
+    for end in (121, 10**15):
+        with pytest.raises(AddressError, match=f"entry {end - 1} wanted from a store of 4 pages"):
+            store.read_spans(np.array([0, 5]), np.array([2, end]), "<u8")
+    assert store.pages_read == 0
+
+
+def test_read_spans_rejects_a_page_whose_count_misses_a_wanted_entry(store):
+    vector(store, 100)
+    page = bytearray(store.read_page(1))  # entries 30-59
+    PAGE_COUNT.pack_into(page, 0, 5)
+    store.write_page(1, bytes(page))
+    assert spans(store, [31], [35])[1] == [[31, 32, 33, 34]]  # slots 1-4 are still counted
+    with pytest.raises(CorruptPageError, match="page 1 holds 5 entries, entry 9 wanted"):
+        store.read_spans(np.array([2, 31, 36]), np.array([4, 34, 40]), "<u8")
