@@ -37,7 +37,6 @@ def _engine_config(args, meta) -> EngineConfig:
         max_supersteps=args.max_supersteps,
         edge_log=args.edge_log,
         seed=args.seed,
-        merge_threshold=args.merge_threshold,
         record_trace=args.trace is not None,
     )
 
@@ -244,7 +243,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-supersteps", dest="max_supersteps", type=int, default=15)
     p.add_argument("--edge-log", dest="edge_log", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--merge-threshold", dest="merge_threshold", type=int, default=4096)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -18,10 +18,14 @@ so its work follows rows and pages.
 
 Structural updates are int rows (kind, src, dst) of an ops array, kind one
 of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
-implementation: the engine's overlay applies it to a fetched batch and
-`merge_structural_updates` to a whole interval. It sorts only the ops and
-merges them into rows that are already ascending, as the CSR stores them,
-and it checks that they are.
+implementation, and it applies them in arrival order: a deletion removes
+only a copy that the stored rows or an earlier insertion left. So a run of
+ops applied in one batch, or split into consecutive batches, leaves the
+same rows and warnings, and when the engine merges its pending ops cannot
+change a result. The engine's overlay applies them to a fetched batch, and
+`merge_structural_updates` to a whole interval, rewriting its files. It
+sorts only the ops and merges them into rows that are already ascending, as
+the CSR stores them, and it checks that they are.
 """
 
 from __future__ import annotations
@@ -193,9 +197,7 @@ class Partition:
 
     def full_rowptr(self) -> np.ndarray:
         """The whole rowPtr vector: hi - lo + 1 offsets."""
-        out = self.rowptr.read_records(range(self.rowptr.num_pages), ROWPTR_DT).astype(np.int64)
-        if len(out) != self.hi - self.lo + 1:
-            raise CorruptPageError(f"{self.rowptr.path}: {len(out)} offsets for {self.hi - self.lo} vertices")
+        out = self.rowptr.read_vector(self.hi - self.lo + 1, ROWPTR_DT).astype(np.int64)
         back = np.flatnonzero(np.diff(out) < 0)
         if out[0] != 0 or len(back):
             at = back[0] + 1 if len(back) else 0
@@ -207,10 +209,7 @@ class Partition:
         """The whole rowPtr and colIdx vectors; colIdx holds rowPtr[-1]
         entries."""
         rowptr = self.full_rowptr()
-        colidx = self.colidx.read_records(range(self.colidx.num_pages), VID_DT)
-        if len(colidx) != rowptr[-1]:
-            raise CorruptPageError(f"{self.colidx.path}: {len(colidx)} entries, rowptr says {rowptr[-1]}")
-        return rowptr, colidx
+        return rowptr, self.colidx.read_vector(int(rowptr[-1]), VID_DT)
 
 
 class GraphDir:
@@ -386,18 +385,23 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
 def apply_ops(
     ids: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, ops: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Apply one batch of structural ops to the CSR rows of the ascending ids.
+    """Apply structural ops to the CSR rows of the ascending ids, in arrival
+    (row) order.
 
-    Every op's src must be one of ids. All insertions land first, then each
-    deletion removes one copy of its edge; a row with a vertex removal ends
-    empty. Returns the new (offsets, nbrs), neighbors ascending within a
-    row, and the number of deletions that found no copy to remove. The
-    engine never buffers an op on a vertex after its removal, so whether a
-    deletion finds a copy does not depend on the removal.
+    Every op's src must be one of ids. The ops on one edge act in arrival
+    order from its stored copies: an insertion adds a copy, and a deletion
+    removes a copy that exists at that point, stored or inserted earlier, or
+    else counts a warning. A row with a vertex removal ends empty; the
+    engine never buffers an op on a vertex after its removal. Returns the
+    new (offsets, nbrs), neighbors ascending within a row, and the number of
+    deletions that found no copy to remove.
 
-    The rows must hold ascending neighbors, as the CSR stores them; then
-    only the ops are sorted and merged in, and a row that descends is
-    corrupt.
+    An edge's copies are its stored count plus the running sum of +1 per
+    insertion and -1 per deletion, floored at 0. So once the ops are sorted
+    by edge, stably, the minimum of that sum over each edge's ops gives both
+    its warnings (how far the sum falls below 0) and its final count. The
+    rows must hold ascending neighbors, as the CSR stores them; then only
+    the ops are sorted and merged in, and a row that descends is corrupt.
     """
     # one int64 key (row << 32 | nbr) per entry, ascending if the rows are
     degrees = np.diff(offsets)
@@ -407,37 +411,39 @@ def apply_ops(
         row = np.searchsorted(offsets, bad[0] + 1, side="right") - 1
         raise CorruptPageError(f"the neighbors of vertex {ids[row]} are not ascending")
     kind = ops[:, 0]
-    cols = ops[:, 2].copy()
+    edge = kind != DEL_VERTEX
+    cols = ops[edge, 2].copy()
     cols[(cols < 0) | (cols > NO_VID)] = NO_VID  # matches no edge
-    op_keys = np.searchsorted(ids, ops[:, 1]) << 32 | cols
-    ins = np.sort(op_keys[kind == ADD_EDGE])
-    dels = np.sort(op_keys[kind == DEL_EDGE])
-    # a (row, nbr) group with d deletions loses its first min(d, copies)
-    # copies, the stored ones before the inserted ones
-    starts = np.flatnonzero(_run_starts(dels))
-    group, d = dels[starts], np.diff(np.append(starts, len(dels)))
-    at, at_ins = np.searchsorted(keys, group), np.searchsorted(ins, group)
+    op_keys = np.searchsorted(ids, ops[edge, 1]) << 32 | cols
+    order = np.argsort(op_keys, kind="stable")
+    op_keys = op_keys[order]
+    steps = np.where(kind[edge][order] == ADD_EDGE, 1, -1)
+    starts = np.flatnonzero(_run_starts(op_keys))
+    group = op_keys[starts]
+    at = np.searchsorted(keys, group)
     stored = np.searchsorted(keys, group, side="right") - at
-    inserted = np.searchsorted(ins, group, side="right") - at_ins
-    gone = np.minimum(d, stored)
-    warnings = int(np.maximum(d - stored - inserted, 0).sum())
-    removed = np.searchsorted(ids, ops[kind == DEL_VERTEX, 1])
+    # the copies after each op as if never floored: the stored ones plus the
+    # steps of the group so far
+    lens = np.diff(np.append(starts, len(op_keys)))
+    run = np.cumsum(steps)
+    level = run + np.repeat(stored - (run - steps)[starts], lens)
+    short = np.maximum(-np.minimum.reduceat(level, starts), 0)
+    copies = level[starts + lens - 1] + short
+    # a touched edge's stored copies give way to its final ones, and rows of
+    # removed vertices end empty
+    removed = np.searchsorted(ids, ops[~edge, 1])
+    copies[np.isin(group >> 32, removed)] = 0
     keep = np.ones(len(keys), bool)
-    keep[ranges(at, gone)] = False
+    keep[ranges(at, stored)] = False
     keep[ranges(offsets[removed], degrees[removed])] = False
-    keep_ins = np.ones(len(ins), bool)
-    keep_ins[ranges(at_ins, np.minimum(d - gone, inserted))] = False
-    dead = np.zeros(len(ids), bool)
-    dead[removed] = True
-    ins = ins[keep_ins & ~dead[ins >> 32]]
     keys = keys[keep]
-    # a row keeps its stored entries less the cleared ones, plus its insertions
-    lost = np.bincount(group >> 32, gone, minlength=len(ids)).astype(np.int64)
-    lost[removed] = degrees[removed]
+    ins = np.repeat(group, copies)
+    kept = degrees - np.bincount(group >> 32, stored, minlength=len(ids)).astype(np.int64)
+    kept[removed] = 0
     new_offsets = np.zeros(len(ids) + 1, np.int64)
-    np.cumsum(degrees - lost + np.bincount(ins >> 32, minlength=len(ids)), out=new_offsets[1:])
+    np.cumsum(kept + np.bincount(group >> 32, copies, minlength=len(ids)).astype(np.int64), out=new_offsets[1:])
     out = np.insert(keys.astype(VID_DT), np.searchsorted(keys, ins), ins.astype(VID_DT))
-    return new_offsets, out, warnings
+    return new_offsets, out, int(short.sum())
 
 
 def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:

@@ -4,9 +4,10 @@ One superstep: plan log fusion from the sealed per-interval message counts,
 load and sort each fused log, take its destinations plus the forced vertices
 as the active set, fetch their state and adjacency (from the edge log when
 possible), run the vertex program on them, route its sends through the
-multi-log, then seal the next superstep's logs, merge batched structural
-updates past the threshold and record the activity bit vector. After a
-batch ran, the rows `edgelog.log_candidates` picks go to the edge log.
+multi-log, then seal the next superstep's logs, merge pending structural
+updates if their budget share overflows and record the activity bit vector.
+After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
+log.
 
 A program sees one sorted log's active vertices at a time, as a Batch: their
 state rows, a flat-CSR adjacency, their inbox spans and, for a program with
@@ -14,8 +15,18 @@ per-in-neighbor tables, those tables as one flat entry array with per-row
 offsets. It handles the whole batch with array code through a Context of
 two calls: `send_many` appends columns of messages to the multi-log, and
 `structural_many` buffers (kind, src, dst) structural update rows (see
-`csr`), which it files per interval for `csr.apply_ops` to apply, to a
-fetched batch by the overlay and to a whole interval by the merge.
+`csr`).
+
+Structural updates are logged, not written in place. A vertex removal only
+sets the vertex's bit in `Engine.deleted`: a removed vertex is never fetched
+again. An edge op is filed under its source's interval, packed as an
+`EDGE_OP` record, in arrival order. A fetched batch sees its rows with the
+pending ops overlaid by `csr.apply_ops`, which applies each edge's ops in
+arrival order, so when an interval's ops are merged into its CSR files does
+not change what any superstep sees. The pending edge ops get
+`STRUCTURAL_FRAC` of the memory budget: at the end of a superstep, while
+their bytes exceed it, the interval holding the most of them is merged. At
+the end of the run every interval with a pending op or removal is merged.
 Execution is single-threaded, so results and message order are
 deterministic.
 """
@@ -39,10 +50,15 @@ from .pager import DEFAULT_PAGE_SIZE, ranges
 from .state import VertexStateStore
 
 
-# shares of the memory budget for the multi-log's resident pages and the
-# edge log's buffers
+# shares of the memory budget for the multi-log's resident pages, the edge
+# log's buffers and the pending structural edge ops; they fit beside the
+# default sort_frac of 0.75
 MULTILOG_FRAC = 0.05
 EDGELOG_FRAC = 0.05
+STRUCTURAL_FRAC = 0.10
+
+# a pending edge op: its edge, and whether it inserts or deletes a copy
+EDGE_OP = np.dtype([("src", "<u4"), ("dst", "<u4"), ("add", "?")])
 
 
 @dataclass
@@ -54,7 +70,6 @@ class EngineConfig:
     edge_log: bool = False
     parallel: int = 0  # the engine runs one thread; kept only so that 0 is accepted
     seed: int = 0
-    merge_threshold: int = 4096
     record_trace: bool = False
 
     def __post_init__(self):
@@ -76,6 +91,10 @@ class EngineConfig:
     @property
     def edgelog_budget(self) -> int:
         return int(self.memory_budget * EDGELOG_FRAC)
+
+    @property
+    def structural_budget(self) -> int:
+        return int(self.memory_budget * STRUCTURAL_FRAC)
 
     def to_dict(self) -> dict:
         """Every knob but record_trace, which only selects an output."""
@@ -265,7 +284,14 @@ class Context:
         Another kind, or a src or an ADD_EDGE dst outside [0, num_vertices),
         is a contract violation. An op other than a removal on a vertex
         already removed, by an earlier call or an earlier row, is dropped
-        and counted in structural_warnings."""
+        and counted in structural_warnings.
+
+        The ops of each edge take effect in arrival order, across calls and
+        supersteps: a deletion removes a copy that the stored graph or an
+        earlier insertion left, or else counts a structural warning. Every
+        later fetch sees them at once, whether or not the engine has merged
+        them into the CSR files yet; it merges only when their share of the
+        memory budget overflows, and at the end of the run."""
         self._engine._buffer_ops(np.asarray(ops, np.int64).reshape(-1, 3))
 
 
@@ -291,8 +317,11 @@ class Engine:
         self.in_degrees = graph.in_degrees()
         self.deleted = np.zeros(n, bool)
         self._last_active = np.zeros(n, bool)  # the edge log's prediction
-        # per interval: its buffered (kind, src, dst) structural op arrays, in arrival order
+        # per interval: its pending EDGE_OP arrays in arrival order, their
+        # bytes, and whether it holds a removal not merged yet
         self._pending: list[list[np.ndarray]] = [[] for _ in range(self.meta.num_intervals)]
+        self._pending_bytes = np.zeros(self.meta.num_intervals, np.int64)
+        self._removals = np.zeros(self.meta.num_intervals, bool)
         self._el_dirty = np.zeros(n, bool)
         self.structural_warnings = 0
         self._mlog: MultiLog | None = None
@@ -322,32 +351,44 @@ class Engine:
             after = (removed[i] == src) & (np.arange(len(ops)) > at[first][i])
         drop = ~removal & (self.deleted[src] | after)
         self.structural_warnings += int(drop.sum())
-        ops = ops[~drop]
-        self.deleted[ops[ops[:, 0] == csrmod.DEL_VERTEX, 1]] = True
-        self._el_dirty[ops[:, 1]] = True
-        intervals = self.meta.interval_of(ops[:, 1])
+        self._el_dirty[src[~drop]] = True
+        self.deleted[src[removal]] = True
+        self._removals[self.meta.interval_of(src[removal])] = True
+        rows = ops[~drop & ~removal]
+        edge = np.zeros(len(rows), EDGE_OP)
+        edge["src"], edge["add"] = rows[:, 1], rows[:, 0] == csrmod.ADD_EDGE
+        # a deletion's dst outside the graph matches no edge, and neither does NO_VID
+        edge["dst"] = np.where((rows[:, 2] >= 0) & (rows[:, 2] < n), rows[:, 2], csrmod.NO_VID)
+        intervals = self.meta.interval_of(edge["src"])
         for k in np.unique(intervals).tolist():
-            self._pending[k].append(ops[intervals == k])
-
-    def _pending_ops(self, intervals) -> np.ndarray:
-        return np.concatenate([np.zeros((0, 3), np.int64)] + [c for k in intervals for c in self._pending[k]])
+            self._pending[k].append(edge[intervals == k])
+            self._pending_bytes[k] += self._pending[k][-1].nbytes
 
     def _overlay(self, adj: Adjacency) -> Adjacency:
-        """Most-current adjacency: csr.apply_ops applies the pending
-        structural ops of the batch's vertices to the whole batch in place."""
+        """Most-current adjacency: csr.apply_ops applies the pending edge
+        ops of the batch's vertices to the whole batch in place. The batch
+        holds no removed vertex, so no removal applies."""
         dirty = adj.ids[self._el_dirty[adj.ids]]
-        ops = self._pending_ops(np.unique(self.meta.interval_of(dirty)).tolist())
-        ops = ops[np.isin(ops[:, 1], dirty)]
-        if len(ops) == 0:
+        pending = [c for k in np.unique(self.meta.interval_of(dirty)).tolist() for c in self._pending[k]]
+        if not pending:
             return adj
-        adj.offsets, adj.nbrs, _ = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, ops)
+        edge = np.concatenate(pending)
+        # dirty is ascending: keep the ops whose src is one of it
+        edge = edge[dirty[np.searchsorted(dirty, edge["src"]).clip(max=len(dirty) - 1)] == edge["src"]]
+        if len(edge):
+            adj.offsets, adj.nbrs, _ = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, _op_rows(edge))
         return adj
 
     def _merge_interval(self, k: int) -> None:
-        if not self._pending[k]:
-            return
-        self.structural_warnings += csrmod.merge_structural_updates(self.graph, k, self._pending_ops([k]))
+        """Merge interval k's pending edge ops, then a removal of each of its
+        removed vertices (a row merged empty before stays empty)."""
+        lo, hi = self.meta.interval_range(k)
+        removed = lo + np.flatnonzero(self.deleted[lo:hi])
+        ops = _op_rows(np.concatenate([np.zeros(0, EDGE_OP)] + self._pending[k]), removed)
+        self.structural_warnings += csrmod.merge_structural_updates(self.graph, k, ops)
         self._pending[k] = []
+        self._pending_bytes[k] = 0
+        self._removals[k] = False
 
     # -- run loop -------------------------------------------------------------
 
@@ -399,7 +440,7 @@ class Engine:
                 if on_superstep is not None:
                     on_superstep(self, st)
                 step += 1
-            for k in range(self.meta.num_intervals):
+            for k in np.flatnonzero((self._pending_bytes > 0) | self._removals).tolist():
                 self._merge_interval(k)
             final = self._states.read_all()
         finally:
@@ -461,9 +502,8 @@ class Engine:
         manifest_next = self._mlog.seal()
         self._mlog.open_superstep(S + 2)
         self._mlog.drop(manifest)
-        for k, pending in enumerate(self._pending):
-            if sum(map(len, pending)) >= cfg.merge_threshold:
-                self._merge_interval(k)
+        while self._pending_bytes.sum() > cfg.structural_budget:
+            self._merge_interval(int(self._pending_bytes.argmax()))
         self._last_active = active_bits
 
         delta = self.registry.totals()
@@ -532,6 +572,15 @@ class Engine:
         if aux is not None:
             aux.commit()
         return served
+
+
+def _op_rows(edge: np.ndarray, removed=()) -> np.ndarray:
+    """`csr.apply_ops` rows: the EDGE_OP records in order, then a removal of
+    each vertex in removed."""
+    removed = np.asarray(removed, np.int64)
+    kind = np.append(np.where(edge["add"], csrmod.ADD_EDGE, csrmod.DEL_EDGE), np.full(len(removed), csrmod.DEL_VERTEX))
+    dst = np.append(edge["dst"], np.full(len(removed), -1))
+    return np.stack([kind, np.append(edge["src"], removed), dst], 1).astype(np.int64)
 
 
 def run_app(graph: GraphDir, program: VertexProgram, config: EngineConfig, workdir: str) -> RunResult:

@@ -16,11 +16,12 @@ as one uint8 array, `read_records` the counted records of a batch of pages
 as one array (a count that overflows its page is corrupt), `read_spans` the
 pages covering ascending spans of a fixed-width vector (CSR rowPtr and
 colIdx rows, vertex state rows and in-neighbour tables all read through it),
-and `append_records` appends fixed-width records packed by `pack_pages`, the
-one whole-page packer, which the multi-log shares. A batch
-still reads each page through one `read_page` call, the unit the
-per-class counters (and the per-layer tracer, which wraps it) count, so
-coalesced reads and page checksums have one place to go.
+`read_vector` a whole vector as the one span [0, n), and `append_records`
+appends fixed-width records packed by `pack_pages`, the one whole-page
+packer, which the multi-log shares. A batch still reads each page through
+one `read_page` call, the unit the per-class counters (and the per-layer
+tracer, which wraps it) count, so coalesced reads and page checksums have
+one place to go.
 """
 
 from __future__ import annotations
@@ -179,6 +180,24 @@ class PageStore:
         slots = images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].copy().view(dtype).reshape(-1)
         at = (np.searchsorted(pages, first) - first) * cap + starts
         return pages, images, slots, at
+
+    def read_vector(self, n: int, dtype) -> np.ndarray:
+        """The whole vector of n dtype records as one writable array, read as
+        the one span [0, n) through `read_spans`, so a page holding fewer
+        records than its share is corrupt. The file must hold the vector as
+        `pack_pages` lays it out and nothing more: a page count other than
+        the vector's, or a page count of records past its share, is corrupt
+        too."""
+        dtype = np.dtype(dtype)
+        cap = page_capacity(self.page_size, dtype.itemsize)
+        need = -(-n // cap)
+        if self._npages != need:
+            raise CorruptPageError(f"{self.path}: {self._npages} pages for {n} records, not {need}")
+        _, images, slots, _ = self.read_spans(np.zeros(1, np.int64), np.full(1, n, np.int64), dtype)
+        over = np.flatnonzero(record_counts(images) > np.minimum(n - np.arange(need) * cap, cap))
+        if len(over):
+            raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
+        return slots[:n]
 
     def append_page(self, data: bytes) -> int:
         if len(data) != self.page_size:

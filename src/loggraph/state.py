@@ -20,7 +20,6 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CorruptPageError
 from .pager import PAGE_HEADER, StoreRegistry, cover, page_capacity, ranges
 
 
@@ -179,13 +178,11 @@ class VertexStateStore:
             self.registry.drop(store, "state")
 
     def read_all(self) -> np.ndarray:
-        """Full state vector, one page read per stored page. An interval
-        whose pages hold other than one state per vertex is corrupt."""
+        """Full state vector, each interval's file read whole through
+        `PageStore.read_vector`, so a page holding other than its share of
+        the interval's states is corrupt."""
         out = np.zeros(self.num_vertices, self.state_dtype)
         for k, store in enumerate(self.stores):
             lo, hi = self.bounds[k], self.bounds[k + 1]
-            states = store.read_records(range(store.num_pages), self.state_dtype)
-            if len(states) != hi - lo:
-                raise CorruptPageError(f"{store.path}: {len(states)} states for {hi - lo} vertices")
-            out[lo:hi] = states
+            out[lo:hi] = store.read_vector(hi - lo, self.state_dtype)
         return out

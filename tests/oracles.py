@@ -241,18 +241,17 @@ def oracle_randomwalk(adj, n, steps_budget, stride, seed, max_supersteps):
 
 
 def apply_ops_reference(ids, rows, ops):
-    """Structural op batch semantics over neighbor lists: every insertion is
-    appended first, then each deletion removes one copy in arrival order (a
-    miss counts a warning) and a vertex removal empties its row. Returns
-    the sorted rows and the warning count."""
+    """Structural op semantics over neighbor lists, one op at a time in
+    arrival order: an insertion appends a copy, a deletion removes one copy
+    present at that point (a miss counts a warning) and a vertex removal
+    empties its row. Returns the sorted rows and the warning count."""
     pos = {v: i for i, v in enumerate(ids)}
     adj = [list(r) for r in rows]
+    warnings = 0
     for kind, u, v in ops:
         if kind == ADD_EDGE:
             adj[pos[u]].append(v)
-    warnings = 0
-    for kind, u, v in ops:
-        if kind == DEL_EDGE:
+        elif kind == DEL_EDGE:
             try:
                 adj[pos[u]].remove(v)
             except ValueError:

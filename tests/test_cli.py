@@ -69,6 +69,10 @@ def test_run_bfs_levels_histogram(tmp_path, g6_file):
     report = json.loads(Path(report_path).read_text())
     assert report["summary"]["levels"] == {"0": 1, "1": 2, "2": 2, "3": 1}
     assert report["converged"] is True
+    # the structural budget is a share of memory_budget, not a knob of its own
+    assert sorted(report["engine"]) == [
+        "edge_log", "max_supersteps", "memory_budget", "page_size", "parallel", "seed", "sort_frac"
+    ]
 
 
 def test_run_with_a_zero_sort_share_prints_a_config_error(tmp_path, g6_file, capsys):
@@ -110,11 +114,12 @@ def test_run_unknown_app_fails_cleanly(tmp_path, g6_file, capsys):
         main(["run", "--graph", out, "--app", "nope"])
 
 
-@pytest.mark.parametrize("flag", ["--parallel", "--multilog-frac", "--edgelog-frac"])
+@pytest.mark.parametrize("flag", ["--parallel", "--multilog-frac", "--edgelog-frac", "--merge-threshold"])
 def test_run_rejects_removed_flags(tmp_path, g6_file, flag):
     out = convert_g6(tmp_path, g6_file)
-    with pytest.raises(SystemExit):  # argparse knows no such flag
-        main(["run", "--graph", out, "--app", "bfs", flag, "2"])
+    with pytest.raises(SystemExit) as raised:  # argparse knows no such flag
+        main(["run", "--graph", out, "--app", "bfs", flag, "5"])
+    assert raised.value.code == 2
 
 
 def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):

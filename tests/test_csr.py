@@ -331,6 +331,26 @@ def test_apply_ops_matches_the_list_reference(case):
     assert got_warnings == want_warnings
 
 
+@pytest.mark.parametrize(
+    "row, ops, want, warnings",
+    [
+        # the deletion meets no copy; the insertion after it lands
+        ([1, 7], [(D, 0, 4), (A, 0, 4)], [1, 4, 7], 1),
+        # the deletion removes the copy inserted before it
+        ([1, 7], [(A, 0, 4), (D, 0, 4)], [1, 7], 0),
+        # each deletion meets no copy, and a later insertion lands
+        ([1, 7], [(D, 0, 4), (D, 0, 4), (A, 0, 4)], [1, 4, 7], 2),
+        # three stored copies: two deletions leave one, the insertion adds one
+        ([1, 4, 4, 4, 7], [(D, 0, 4), (D, 0, 4), (A, 0, 4)], [1, 4, 4, 7], 0),
+    ],
+    ids=["delete-then-insert", "insert-then-delete", "two-misses-then-insert", "stored-duplicates"],
+)
+def test_apply_ops_acts_in_arrival_order(row, ops, want, warnings):
+    offsets, got, warned = csr.apply_ops(np.array([0]), np.array([0, len(row)]), np.array(row, csr.VID_DT), np.array(ops))
+    assert got.tolist() == want and offsets.tolist() == [0, len(want)]
+    assert warned == warnings
+
+
 def test_apply_ops_rejects_a_row_with_descending_neighbors():
     offsets, nbrs = np.array([0, 2, 5]), np.array([1, 4, 2, 7, 3], csr.VID_DT)
     with pytest.raises(CorruptPageError, match="vertex 6"):

@@ -5,7 +5,16 @@ import pytest
 
 from loggraph import csr
 from loggraph.apps import Bfs, Community, KCore, PageRank
-from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
+from loggraph.engine import (
+    EDGE_OP,
+    EDGELOG_FRAC,
+    MULTILOG_FRAC,
+    STRUCTURAL_FRAC,
+    Engine,
+    EngineConfig,
+    VertexProgram,
+    run_app,
+)
 from loggraph.errors import ConfigError, ContractViolation
 
 from util import PerVertex, build_graph, clique_graph, random_graph, ring_graph, rows_of
@@ -168,16 +177,25 @@ def test_structural_overlay_visible_before_merge(tmp_path):
                 ctx.structural_many([(csr.DEL_EDGE, 2, 3)])
                 ctx.send_many(np.array([2]), np.array([2]), 9)  # run again next superstep
 
-        # no merge fires (1 op < threshold): next fetch must overlay
+        # 9 bytes of pending ops fit the budget's share: the next fetch must overlay
 
     Engine(g, Deleter(), cfg(max_supersteps=2), str(tmp_path / "run")).run()
     assert seen[0][2] == [1, 3]
     assert seen[1][2] == [1]  # pending delete visible through the overlay
 
 
-def test_merge_threshold_fires_at_superstep_end(tmp_path):
+def tight_budget(g):
+    """The smallest memory budget whose multi-log share holds the one page
+    per interval it needs; its structural share is 512 bytes per interval."""
+    return g.meta.num_intervals * 256 * 20
+
+
+@pytest.mark.parametrize("tight", [True, False], ids=["tight", "roomy"])
+def test_an_overflowing_structural_share_merges_at_superstep_end(tmp_path, tight):
     src, dst = ring_graph(8)
     g = build_graph(tmp_path, src, dst, 8, page_size=256)
+    config = cfg(max_supersteps=2, memory_budget=tight_budget(g) if tight else 1 << 20)
+    copies = cfg(memory_budget=tight_budget(g)).structural_budget // EDGE_OP.itemsize // 3 + 1
 
     class Adder(VertexProgram):
         name = "adder"
@@ -189,24 +207,56 @@ def test_merge_threshold_fires_at_superstep_end(tmp_path):
 
         def process_batch(self, ctx, batch):
             if ctx.superstep == 0:
-                ctx.structural_many([(csr.ADD_EDGE, 0, 4), (csr.ADD_EDGE, 0, 5), (csr.ADD_EDGE, 0, 6)])
+                # past the tight share
+                ctx.structural_many([(csr.ADD_EDGE, 0, v) for v in (4, 5, 6) for _ in range(copies)])
                 ctx.send_many(np.array([0]), np.array([0]), 1)
 
-    eng = Engine(g, Adder(), cfg(max_supersteps=2, merge_threshold=3), str(tmp_path / "run"))
-    spotted = {}
+    on_disk = {}
 
     def snap(engine, st):
-        k = engine.meta.interval_of(0)
-        spotted[st.superstep] = list(engine._pending[k])
+        # load_adjacency reads the CSR files, with no overlay
+        on_disk[st.superstep] = rows_of(csr.load_adjacency(engine.graph, np.array([0]))[0])[0]
 
-    eng.run(on_superstep=snap)
-    assert spotted[0] == []  # threshold reached -> merged at superstep end
-    adj, _ = csr.load_adjacency(g, np.array([0]))
-    assert rows_of(adj) == {0: [1, 4, 5, 6, 7]}
+    Engine(g, Adder(), config, str(tmp_path / "run")).run(on_superstep=snap)
+    merged = [1] + [4] * copies + [5] * copies + [6] * copies + [7]
+    assert on_disk[0] == (merged if tight else [1, 7])
+    assert rows_of(csr.load_adjacency(g, np.array([0]))[0]) == {0: merged}  # the run's end merges the rest
 
 
-def test_default_merge_threshold_is_4096():
-    assert EngineConfig().merge_threshold == 4096
+def test_the_interval_with_the_most_pending_bytes_merges_first(tmp_path):
+    src, dst = ring_graph(8)
+    g = build_graph(tmp_path, src, dst, 8, page_size=256)
+    share = cfg(memory_budget=tight_budget(g)).structural_budget
+    # vertex 5's ops alone overflow the share; vertex 0's, in a lower interval, fit in it
+    few, many = share // EDGE_OP.itemsize // 4, share // EDGE_OP.itemsize + 1
+    assert g.meta.interval_of(0) < g.meta.interval_of(5)
+
+    class TwoAdders(VertexProgram):
+        name = "two-adders"
+        payload_fields = [("x", "<u4")]
+        state_dtype = np.dtype([("v", "<u4")])
+
+        def init_all(self, n, indeg):
+            return np.zeros(n, self.state_dtype), np.isin(np.arange(n), [0, 5]), []
+
+        def process_batch(self, ctx, batch):
+            for v in batch.ids.tolist():
+                ctx.structural_many([(csr.ADD_EDGE, v, 2)] * (few if v == 0 else many))
+
+    pending = {}
+
+    def snap(engine, st):
+        pending.update((v, int(engine._pending_bytes[engine.meta.interval_of(v)])) for v in (0, 5))
+
+    Engine(g, TwoAdders(), cfg(max_supersteps=1, memory_budget=tight_budget(g)), str(tmp_path / "run")).run(on_superstep=snap)
+    assert pending == {0: few * EDGE_OP.itemsize, 5: 0}
+
+
+def test_structural_share_is_a_tenth_of_the_budget():
+    c = EngineConfig()
+    assert c.structural_budget == int(0.10 * (1 << 30))
+    # it fits beside the sort's, the multi-log's and the edge log's shares
+    assert c.sort_frac + MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC <= 1
 
 
 def test_engine_default_budget_and_splits():
@@ -352,6 +402,7 @@ def directed_graph(n, m, seed):
     ids=["undirected", "directed"],
 )
 def test_per_vertex_kcore_through_the_adapter_matches_the_batch_kcore(tmp_path, make_graph, warned):
+    # the structural share of a 1 MiB budget holds every pending op, so
     # every deletion is served through the overlay until the final merge;
     # on the directed multigraph a notified vertex often has no edge back
     # to delete, which is a structural warning
@@ -359,7 +410,7 @@ def test_per_vertex_kcore_through_the_adapter_matches_the_batch_kcore(tmp_path, 
     runs = []
     for i, prog in enumerate((KCore(k=4), PerVertexKCore(k=4))):
         g = build_graph(tmp_path / f"g{i}", src, dst, 300, page_size=256)
-        res = run_app(g, prog, cfg(max_supersteps=500, merge_threshold=10**9), str(tmp_path / f"r{i}"))
+        res = run_app(g, prog, cfg(max_supersteps=500), str(tmp_path / f"r{i}"))
         runs.append((res, g.all_edges()))
     (batch, batch_edges), (adapter, adapter_edges) = runs
     assert batch.states.tobytes() == adapter.states.tobytes()

@@ -115,6 +115,31 @@ def test_a_short_state_page_fails_a_whole_read(tmp_path):
         st.read_all()
 
 
+def test_page_counts_that_still_sum_to_the_interval_fail_a_whole_read(tmp_path):
+    # one state moved from page 0 to page 2: the total is still 25, but
+    # states 8-24 would shift down one slot
+    st = state_store(tmp_path)
+    set_count(st.stores[0], 0, 8)
+    set_count(st.stores[0], 2, 8)
+    with pytest.raises(CorruptPageError, match="page 0 holds 8 entries, entry 8 wanted"):
+        st.read_all()
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [("last-count", "page 2 overflows the 25-record vector"), ("extra-page", "4 pages for 25 records, not 3")],
+    ids=["last-count", "extra-page"],
+)
+def test_a_state_file_holding_more_than_its_interval_fails_a_whole_read(tmp_path, damage, named):
+    st = state_store(tmp_path)
+    if damage == "last-count":
+        set_count(st.stores[0], 2, 8)  # capacity 9, so only the vector's length rules it out
+    else:
+        st.stores[0].append_page(bytes(128))
+    with pytest.raises(CorruptPageError, match=named):
+        st.read_all()
+
+
 def test_a_short_state_page_fails_a_checkout_past_its_count(tmp_path):
     st = state_store(tmp_path)
     set_count(st.stores[0], 1, 4)

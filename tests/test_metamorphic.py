@@ -3,19 +3,21 @@
 Every app gives identical final states, superstep counts, message counts
 and structural warnings at every page size, with the edge log on and off,
 and under a memory budget so tight that the multi-log evicts and a sorted
-log takes several passes, and still matches its oracle. K-core also gives
-them at every merge threshold, from merging each superstep to serving every
-deletion through the overlay. Only page counts may differ.
+log takes several passes, and still matches its oracle. Structural updates
+also give them at every memory budget, from one whose structural share
+forces merges mid-run to one that serves every update through the overlay
+until the run's end. Only page counts may differ.
 """
 
 import numpy as np
 import pytest
 
+from loggraph import csr
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
-from loggraph.engine import EngineConfig, run_app
+from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 
 import oracles
-from util import adjacency_lists, build_graph, random_graph, small_world, spy_pressure
+from util import adjacency_lists, build_graph, random_graph, ring_graph, rows_of, small_world, spy_pressure
 
 N = 400
 # a sort budget of 409 bytes and a multi-log budget of 2 KiB on 256-byte pages
@@ -106,8 +108,8 @@ def test_randomwalk_invariant_across_storage_knobs(tmp_path):
 
 
 def test_kcore_invariant_across_storage_knobs_with_overlay(tmp_path):
-    # the default merge threshold is never reached here, so every deletion
-    # after the first superstep is served through the structural overlay
+    # only the tight budget's structural share overflows mid-run; at the
+    # others every deletion is served through the overlay until the run's end
     src, dst = random_graph(N, 5, seed=43)
     results = run_all_knobs(tmp_path, src, dst, lambda: KCore(k=4), max_supersteps=500)
     assert_knob_invariant(results)
@@ -116,17 +118,70 @@ def test_kcore_invariant_across_storage_knobs_with_overlay(tmp_path):
     assert np.array_equal(results[0].states["alive"].astype(bool), want)
 
 
-def test_kcore_invariant_across_merge_thresholds(tmp_path):
-    # the rewired lattice peels over several supersteps, and a vertex told
-    # of a second dead neighbor must already see the edge it deleted for
-    # the first: merged at threshold 1, through the overlay at 10**9
-    src, dst = small_world(N, 4, 0.3, seed=1)
+def test_kcore_invariant_across_structural_budgets(tmp_path, monkeypatch):
+    # the smallest budget whose multi-log holds a page for each of the 7
+    # intervals: its structural share of 3,584 bytes overflows mid-run, and
+    # a 1 MiB budget's never does
+    src, dst = random_graph(N, 5, seed=43)
+    tight = 7 * 256 * 20
     knobs = [
-        dict(page_size=256, edge_log=edge_log, merge_threshold=threshold)
-        for threshold in (1, 4096, 10**9)
-        for edge_log in (False, True)
+        dict(page_size=256, edge_log=edge_log, memory_budget=budget) for budget in (tight, 1 << 20) for edge_log in (False, True)
     ]
-    results = run_all_knobs(tmp_path, src, dst, lambda: KCore(k=3), knobs, max_supersteps=500)
+    merges = []
+    merge = csr.merge_structural_updates
+    monkeypatch.setattr(csr, "merge_structural_updates", lambda g, k, ops: merges.append(g.path) or merge(g, k, ops))
+    results = run_all_knobs(tmp_path, src, dst, lambda: KCore(k=4), knobs, max_supersteps=500)
     assert_knob_invariant(results)
-    want = oracles.oracle_kcore(adjacency_lists(src, dst, N), 3)
+    want = oracles.oracle_kcore(adjacency_lists(src, dst, N), 4)
     assert np.array_equal(results[0].states["alive"].astype(bool), want)
+    # an interval merged twice merged mid-run; the run's end merges each at most once
+    per_run = [merges.count(str(tmp_path / f"knob{i}" / "g")) for i in range(len(knobs))]
+    assert min(per_run[:2]) > 7 >= max(per_run[2:])
+
+
+class RingProbe(VertexProgram):
+    """On an 8-vertex ring, vertex 0 deletes the absent edge 0->4 at
+    superstep 0, padded with pairs of ops that insert and delete 0->2 in
+    turn, and inserts 0->4 at superstep 1. It records its row at each
+    superstep."""
+
+    name = "ring-probe"
+    payload_fields = [("x", "<u4")]
+    state_dtype = np.dtype([("v", "<u4")])
+
+    def __init__(self, pad):
+        self.pad = pad
+        self.rows = {}
+
+    def init_all(self, n, indeg):
+        return np.zeros(n, self.state_dtype), np.zeros(n, bool), [(0, (0,))]
+
+    def process_batch(self, ctx, batch):
+        self.rows[ctx.superstep] = rows_of(batch.adj)[0]
+        if ctx.superstep == 0:
+            ctx.structural_many([(csr.DEL_EDGE, 0, 4)] + [(csr.ADD_EDGE, 0, 2), (csr.DEL_EDGE, 0, 2)] * self.pad)
+        elif ctx.superstep == 1:
+            ctx.structural_many([(csr.ADD_EDGE, 0, 4)])
+        ctx.send_many(np.array([0]), np.array([0]), 0)
+
+
+def test_a_deletion_only_cancels_copies_that_precede_it_at_every_budget(tmp_path):
+    # the deletion of the absent 0->4 warns; the later insertion lands, so
+    # superstep 2 and the final CSR see 0->4 whether the deletion was merged
+    # after superstep 0 or both ops wait for the run's end
+    src, dst = ring_graph(8)
+    seen = []
+    for budget in ("tight", "roomy"):
+        g = build_graph(tmp_path / budget, src, dst, 8, page_size=256)
+        # the smallest budget whose multi-log holds a page per interval
+        tight = g.meta.num_intervals * 256 * 20
+        # 18 bytes a pair: superstep 0's ops overflow the tight share
+        probe = RingProbe(pad=EngineConfig(memory_budget=tight).structural_budget // 18 + 1)
+        config = EngineConfig(memory_budget=tight if budget == "tight" else 1 << 20, page_size=256, max_supersteps=3)
+        pending = []
+        res = Engine(g, probe, config, str(tmp_path / budget / "run")).run(
+            on_superstep=lambda eng, st: pending.append(int(eng._pending_bytes.sum()))
+        )
+        assert (pending[0] == 0) == (budget == "tight")
+        seen.append((probe.rows[2], rows_of(csr.load_adjacency(g, np.array([0]))[0]), res.structural_warnings))
+    assert seen[0] == seen[1] == ([1, 4, 7], {0: [1, 4, 7]}, 1)

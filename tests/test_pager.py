@@ -176,3 +176,13 @@ def test_read_spans_rejects_a_page_whose_count_misses_a_wanted_entry(store):
     assert spans(store, [31], [35])[1] == [[31, 32, 33, 34]]  # slots 1-4 are still counted
     with pytest.raises(CorruptPageError, match="page 1 holds 5 entries, entry 9 wanted"):
         store.read_spans(np.array([2, 31, 36]), np.array([4, 34, 40]), "<u8")
+
+
+@pytest.mark.parametrize("n", [0, 29, 30, 31, 100])
+def test_read_vector_reads_a_whole_vector_once(store, n):
+    vector(store, n)  # 30 entries to a page
+    got = store.read_vector(n, "<u8")
+    assert got.tolist() == list(range(n)) and store.pages_read == store.num_pages
+    got[:1] = 7  # a copy
+    with pytest.raises(CorruptPageError, match=f"{store.num_pages} pages for {n + 30} records"):
+        store.read_vector(n + 30, "<u8")
