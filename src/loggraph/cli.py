@@ -62,13 +62,10 @@ def _app_kwargs(args) -> dict:
 
 
 def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, meta) -> dict:
-    reads_total: dict = {}
-    writes_total: dict = {}
-    for st in result.stats:
-        for c, v in st.reads.items():
-            reads_total[c] = reads_total.get(c, 0) + v
-        for c, v in st.writes.items():
-            writes_total[c] = writes_total.get(c, 0) + v
+    """The run's JSON report. Its totals count the pages of the whole run,
+    also those moved outside any superstep: the state file's creation, the
+    run-end merges, the final state read and the write-back of dirty
+    pages."""
     return {
         "app": app_name,
         "app_args": dict(sorted(app_kwargs.items())),
@@ -83,8 +80,8 @@ def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, met
         "totals": {
             "supersteps": len(result.stats),
             "messages_sent": sum(st.messages_sent for st in result.stats),
-            "reads": dict(sorted(reads_total.items())),
-            "writes": dict(sorted(writes_total.items())),
+            "reads": dict(sorted(result.reads.items())),
+            "writes": dict(sorted(result.writes.items())),
         },
         "converged": len(result.stats) < cfg.max_supersteps,
         "structural_warnings": result.structural_warnings,
@@ -144,6 +141,7 @@ def _write_csv(path: str, stats) -> None:
             ["superstep", "active_vertices", "messages_sent"]
             + [f"reads_{c}" for c in classes]
             + [f"writes_{c}" for c in classes]
+            + [f"hits_{c}" for c in classes]
             + ["runtime_s"]
         )
         for st in stats:
@@ -151,6 +149,7 @@ def _write_csv(path: str, stats) -> None:
                 [st.superstep, st.active_vertices, st.messages_sent]
                 + [st.reads.get(c, 0) for c in classes]
                 + [st.writes.get(c, 0) for c in classes]
+                + [st.hits.get(c, 0) for c in classes]
                 + [f"{st.runtime:.6f}"]
             )
 
@@ -179,9 +178,9 @@ def cmd_compare(args) -> int:
             continue
         active = trace[key]
         engine_pages = sum(st["reads"].get(c, 0) for c in ENGINE_READ_CLASSES)
-        if len(active) == 0 or engine_pages == 0:
-            continue  # 0/0 row: nothing moved on either side
         shard_pages = shards.superstep_page_cost(shard_set, active)
+        if shard_pages == 0 and engine_pages == 0:
+            continue  # 0/0 row: nothing moved on either side
         rows.append(
             {
                 "superstep": s,
@@ -189,7 +188,8 @@ def cmd_compare(args) -> int:
                 "active_fraction": len(active) / n,
                 "shard_pages": int(shard_pages),
                 "engine_pages": int(engine_pages),
-                "ratio": shard_pages / engine_pages,
+                # None when the engine read nothing, its pages all resident
+                "ratio": shard_pages / engine_pages if engine_pages else None,
             }
         )
     out = {

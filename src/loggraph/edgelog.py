@@ -164,7 +164,7 @@ class EdgeLog:
         p0 = pos // self.region
         pages = np.unique(ranges(p0, (pos + length - 1) // self.region - p0 + 1))
         self.read_cache_peak = max(self.read_cache_peak, len(pages) * self.page_size)
-        stream = store.read_pages(pages.tolist())[:, PAGE_HEADER:].reshape(-1)
+        stream = store.read_pages(pages)[:, PAGE_HEADER:].reshape(-1)
         # an entry's pages are consecutive, so it is contiguous in stream too
         at = np.searchsorted(pages, p0) * self.region + pos - p0 * self.region
         vid, deg = stream[ranges(at, np.full(len(at), 8))].view(VID_DT).reshape(-1, 2).T.astype(np.int64)

@@ -29,13 +29,23 @@ their bytes exceed it, the interval holding the most of them is merged. At
 the end of the run every interval with a pending op or removal is merged.
 Execution is single-threaded, so results and message order are
 deterministic.
+
+Pages stay in memory across supersteps while the pager's one ledger has
+room: a run gives its graph's registry `RESIDENT_FRAC` of the memory
+budget, and every page of any class read or written after that is kept
+until the budget is full (see `pager`). A kept page is never read from
+storage again, and a kept state page that commits change is written once,
+when the run ends. At its end, also when the program raised, the run
+writes every dirty page, releases every resident page, CSR pages included,
+and sets the budget back to 0. `RunResult.reads` and `writes` count the
+whole run's pages, those end writes included.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -51,11 +61,12 @@ from .state import VertexStateStore
 
 
 # shares of the memory budget for the multi-log's resident pages, the edge
-# log's buffers and the pending structural edge ops; they fit beside the
-# default sort_frac of 0.75
+# log's buffers, the pending structural edge ops and the pager's ledger of
+# resident pages; with the default sort_frac of 0.75 they sum to 1.0
 MULTILOG_FRAC = 0.05
 EDGELOG_FRAC = 0.05
 STRUCTURAL_FRAC = 0.10
+RESIDENT_FRAC = 0.05
 
 # a pending edge op: its edge, and whether it inserts or deletes a copy
 EDGE_OP = np.dtype([("src", "<u4"), ("dst", "<u4"), ("add", "?")])
@@ -95,6 +106,10 @@ class EngineConfig:
     @property
     def structural_budget(self) -> int:
         return int(self.memory_budget * STRUCTURAL_FRAC)
+
+    @property
+    def resident_budget(self) -> int:
+        return int(self.memory_budget * RESIDENT_FRAC)
 
     def to_dict(self) -> dict:
         """Every knob but record_trace, which only selects an output."""
@@ -209,6 +224,7 @@ class SuperstepStats:
     edgelog_read_peak: int = 0
     csr_pages_accessed: int = 0
     csr_pages_inefficient: int = 0
+    hits: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -217,6 +233,7 @@ class SuperstepStats:
             "messages_sent": self.messages_sent,
             "reads": dict(sorted(self.reads.items())),
             "writes": dict(sorted(self.writes.items())),
+            "hits": dict(sorted(self.hits.items())),
             "prediction_accuracy": self.prediction_accuracy,
             "sort_resident_peak": self.sort_resident_peak,
             "multilog_resident_peak": self.multilog_resident_peak,
@@ -231,12 +248,18 @@ class SuperstepStats:
 
 @dataclass
 class RunResult:
+    """A run's final states and stats. reads and writes are the pages read
+    and written per class over the whole run, from the state file's creation
+    to the last write-back, which the supersteps' own counts leave out."""
+
     states: np.ndarray
     stats: list[SuperstepStats]
     trace: list[np.ndarray] | None
     structural_warnings: int
     deleted: np.ndarray
     program: VertexProgram
+    reads: dict
+    writes: dict
 
     @property
     def num_supersteps(self) -> int:
@@ -402,15 +425,17 @@ class Engine:
         n = self.meta.num_vertices
         states, active_bits, init_msgs = self.program.init_all(n, self.in_degrees)
         aux_caps = self.in_degrees if self.program.aux_entry_dtype is not None else None
-        self._states = VertexStateStore.create(
-            self.registry,
-            os.path.join(self.workdir, "state"),
-            self.meta.interval_bounds,
-            states,
-            self.program.aux_entry_dtype,
-            aux_caps,
-        )
+        base = self.registry.totals()
+        self.registry.budget = cfg.resident_budget
         try:
+            self._states = VertexStateStore.create(
+                self.registry,
+                os.path.join(self.workdir, "state"),
+                self.meta.interval_bounds,
+                states,
+                self.program.aux_entry_dtype,
+                aux_caps,
+            )
             self._mlog = MultiLog(
                 self.meta.interval_bounds,
                 self.fmt,
@@ -445,18 +470,33 @@ class Engine:
             final = self._states.read_all()
         finally:
             # also when the program raised. Every log goes, the last sealed
-            # ones too, which are never consumed; state files stay on disk.
+            # ones too, which are never consumed; state files stay on disk,
+            # with their dirty pages written. Then no page stays resident,
+            # so a later run on the same graph starts from storage.
             if self._mlog is not None:
                 self._mlog.close()
-            self._states.close()
+            if self._states is not None:
+                self._states.close()
             if self._edgelog is not None:
                 self._edgelog.close()
-        return RunResult(final, stats_list, trace, self.structural_warnings, self.deleted.copy(), self.program)
+            self.registry.release_all()
+            self.registry.budget = 0
+        end = self.registry.totals()
+        return RunResult(
+            final,
+            stats_list,
+            trace,
+            self.structural_warnings,
+            self.deleted.copy(),
+            self.program,
+            reads={c: end[c][0] - base[c][0] for c in end},
+            writes={c: end[c][1] - base[c][1] for c in end},
+        )
 
     def _run_superstep(self, S: int, manifest, forced: np.ndarray):
         cfg = self.cfg
         t0 = time.perf_counter()
-        base = self.registry.totals()
+        base = self.registry.counts()
         base_sends = self._mlog.total_appends
         self._mlog.reset_peaks()
         self._sort_peak = 0
@@ -506,20 +546,17 @@ class Engine:
             self._merge_interval(int(self._pending_bytes.argmax()))
         self._last_active = active_bits
 
-        delta = self.registry.totals()
-        reads = {c: delta[c][0] - base[c][0] for c in delta}
-        writes = {c: delta[c][1] - base[c][1] for c in delta}
+        delta = {c: [a - b for a, b in zip(now, base[c])] for c, now in self.registry.counts().items()}
         if S > 0 and active_count:
-            hits = int(np.count_nonzero(predicted & active_bits))
-            accuracy = hits / active_count
+            accuracy = int(np.count_nonzero(predicted & active_bits)) / active_count
         else:
             accuracy = None
         st = SuperstepStats(
             superstep=S,
             active_vertices=active_count,
             messages_sent=self._mlog.total_appends - base_sends,
-            reads=reads,
-            writes=writes,
+            reads={c: d[0] for c, d in delta.items()},
+            writes={c: d[1] for c, d in delta.items()},
             runtime=time.perf_counter() - t0,
             prediction_accuracy=accuracy,
             sort_resident_peak=self._sort_peak,
@@ -530,6 +567,7 @@ class Engine:
             edgelog_read_peak=self._edgelog.read_cache_peak if self._edgelog else 0,
             csr_pages_accessed=int(np.count_nonzero(self._usage)),
             csr_pages_inefficient=int(np.count_nonzero(inefficient(self._usage, cfg.page_size))),
+            hits={c: d[2] for c, d in delta.items()},
         )
         return st, manifest_next
 

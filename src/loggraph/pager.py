@@ -1,4 +1,4 @@
-"""Page-granular storage backend.
+"""Page-granular storage backend and its one resident-page ledger.
 
 Every read and write goes through fixed-size pages so that storage traffic
 can be counted exactly. A page starts with a 16-byte header:
@@ -10,18 +10,32 @@ can be counted exactly. A page starts with a 16-byte header:
 The remaining bytes are the record region. Records are fixed width per file
 and never span pages, so every page parses on its own.
 
-`PageStore` is the only code that reads pages or packs records into them:
-`read_page` returns one page's bytes, `read_pages` a batch of page images
-as one uint8 array, `read_records` the counted records of a batch of pages
-as one array (a count that overflows its page is corrupt), `read_spans` the
-pages covering ascending spans of a fixed-width vector (CSR rowPtr and
-colIdx rows, vertex state rows and in-neighbour tables all read through it),
-`read_vector` a whole vector as the one span [0, n), and `append_records`
-appends fixed-width records packed by `pack_pages`, the one whole-page
-packer, which the multi-log shares. A batch still reads each page through
-one `read_page` call, the unit the per-class counters (and the per-layer
-tracer, which wraps it) count, so coalesced reads and page checksums have
-one place to go.
+`PageStore` is the only code that reads or writes pages or packs records
+into them: `read_pages` returns a batch of page images as one uint8 array,
+`read_records` the counted records of a batch of pages as one array (a
+count that overflows its page is corrupt), `read_spans` the pages covering
+ascending spans of a fixed-width vector (CSR rowPtr and colIdx rows, vertex
+state rows and in-neighbour tables all read through it), `read_vector` a
+whole vector as the one span [0, n), `append_records` appends fixed-width
+records packed by `pack_pages`, the one whole-page packer, which the
+multi-log shares, and `write_back` overwrites pages.
+
+The stores of one `StoreRegistry` share one ledger of resident pages: a
+store keeps a copy of a page after the page's first read or append while
+the registry's byte budget has room, and serves later reads of it from
+memory. Nothing is ever evicted to make room; a full ledger admits nothing
+more until a released or dropped store frees some. The engine scans the
+same pages every superstep, and under a cyclic scan a fixed resident set
+gets as many hits per pass as it holds pages, where LRU keeps nothing
+useful. `write_back` updates a resident page in memory and marks it dirty;
+dirty pages are written, in page order, when their store is released,
+closed or dropped, unless a drop deletes the file. The budget is 0 unless
+set, so outside an engine run no page is resident.
+
+`read_page`, `append_page` and `write_page` are the counted storage
+accesses (the per-layer tracer wraps them); a resident hit skips them and
+is counted apart, so coalesced reads and page checksums have one place to
+go.
 """
 
 from __future__ import annotations
@@ -90,19 +104,23 @@ def record_counts(images: np.ndarray) -> np.ndarray:
 
 
 class PageStore:
-    """A flat file of concatenated pages with read/write counters.
+    """A flat file of concatenated pages with read, write and hit counters.
 
-    The file is unbuffered and every page moves in one positional call
-    (os.pread/os.pwrite), so a written page is in the file at once and no
-    call seeks. There is no cache here on purpose: every read_page call is
-    a counted storage access.
+    The file is unbuffered and every storage access moves one page in one
+    positional call (os.pread/os.pwrite), so no call seeks. The store's
+    resident pages are its share of the registry's one ledger (see the
+    module doc), with no eviction order of their own; a store opened
+    without a registry keeps none. A page is newer in memory than in the
+    file only while `write_back` has left it dirty.
     """
 
-    def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True):
+    def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True, registry=None):
         self.path = path
         self.page_size = page_size
         self.pages_read = 0
         self.pages_written = 0
+        self.pages_hit = 0
+        self._registry = registry
         try:
             self._f = open(path, "w+b" if create else "r+b", buffering=0)
         except FileNotFoundError:
@@ -113,12 +131,28 @@ class PageStore:
             self._f.close()
             raise CorruptPageError(f"{path}: length {size} is not a page multiple")
         self._npages = size // page_size
+        # per page, with room for appends: its row of _frames, or -1 when it
+        # is not resident, and whether that row is newer than the file
+        self._slot = np.full(self._npages + 64, -1, np.int64)
+        self._dirty = np.zeros(len(self._slot), bool)
+        self._frames = np.zeros((0, page_size), np.uint8)
+        self._held = 0
 
     @property
     def num_pages(self) -> int:
         return self._npages
 
+    @property
+    def resident_bytes(self) -> int:
+        return self._held * self.page_size
+
+    def _room(self) -> int:
+        """Pages the ledger may still admit."""
+        reg = self._registry
+        return (reg.budget - reg.resident) // self.page_size if reg is not None else 0
+
     def read_page(self, page_id: int) -> bytes:
+        """One counted storage read; it bypasses the ledger."""
         if page_id < 0 or page_id >= self._npages:
             raise AddressError(
                 f"{self.path}: page {page_id} out of range (store has {self._npages})"
@@ -131,9 +165,42 @@ class PageStore:
 
     def read_pages(self, ids) -> np.ndarray:
         """Images of the pages ids (a sequence), in order, as a read-only
-        uint8[len(ids), page_size]; one counted read_page call per page."""
-        raw = b"".join([self.read_page(p) for p in ids])
-        return np.frombuffer(raw, np.uint8).reshape(-1, self.page_size)
+        uint8[len(ids), page_size] that no later write changes. A resident
+        page is a hit; any other is one counted read_page call, and is
+        admitted to the ledger while it has room."""
+        ids = np.asarray(ids, np.int64).reshape(-1)
+        if self._held:
+            if len(ids) and (ids.min() < 0 or ids.max() >= self._npages):
+                bad = ids[(ids < 0) | (ids >= self._npages)][0]
+                raise AddressError(f"{self.path}: page {bad} out of range (store has {self._npages})")
+            slot = self._slot[ids]
+            frames = self._frames
+            parts = [frames[s].tobytes() if s >= 0 else self.read_page(p) for p, s in zip(ids.tolist(), slot.tolist())]
+            miss = np.flatnonzero(slot < 0)
+        else:
+            parts = [self.read_page(p) for p in ids.tolist()]
+            miss = np.arange(len(ids))
+        # one bytes object per page, then one join: no batch allocates a
+        # large buffer more than once, which costs page faults in a short run
+        images = np.frombuffer(b"".join(parts), np.uint8).reshape(-1, self.page_size)
+        self.pages_hit += len(ids) - len(miss)
+        if self._room() > 0:
+            self._admit(ids[miss], images[miss])
+        return images
+
+    def _admit(self, ids: np.ndarray, images: np.ndarray) -> None:
+        """Keep copies of the pages ids, none of them resident, with images
+        their rows, in the given order while the ledger has room."""
+        take = np.sort(np.unique(ids, return_index=True)[1])[: self._room()]
+        held = self._held + len(take)
+        if held > len(self._frames):
+            frames = np.empty((max(held, 2 * len(self._frames)), self.page_size), np.uint8)
+            frames[: self._held] = self._frames[: self._held]
+            self._frames = frames
+        self._frames[self._held : held] = images[take]
+        self._slot[ids[take]] = np.arange(self._held, held)
+        self._registry.resident += (held - self._held) * self.page_size
+        self._held = held
 
     def read_records(self, ids, dtype) -> np.ndarray:
         """The counted records of the pages ids, concatenated in order, as
@@ -168,7 +235,7 @@ class PageStore:
         if end.max(initial=0) > self._npages:
             raise AddressError(f"{self.path}: entry {ends.max() - 1} wanted from a store of {self._npages} pages")
         pages = cover(first, end)
-        images = self.read_pages(pages.tolist())
+        images = self.read_pages(pages)
         # the last span starting below a page's end wants the most of it
         base = pages * cap
         wanted = np.minimum(ends[np.searchsorted(starts, base + cap) - 1] - base, cap)
@@ -199,7 +266,9 @@ class PageStore:
             raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
         return slots[:n]
 
-    def append_page(self, data: bytes) -> int:
+    def append_page(self, data) -> int:
+        """Append one page image: one counted storage write. Its copy is
+        admitted to the ledger while it has room."""
         if len(data) != self.page_size:
             raise ContractViolation(
                 f"append_page needs exactly {self.page_size} bytes, got {len(data)}"
@@ -208,6 +277,11 @@ class PageStore:
         self._put(ordinal, data)
         self._npages += 1
         self.pages_written += 1
+        if ordinal == len(self._slot):
+            self._slot = np.append(self._slot, np.full(ordinal, -1))
+            self._dirty = np.append(self._dirty, np.zeros(ordinal, bool))
+        if self._room() > 0:
+            self._admit(np.array([ordinal]), np.frombuffer(data, np.uint8).reshape(1, -1))
         return ordinal
 
     def append_records(self, raw: bytes, width: int) -> list[int]:
@@ -215,8 +289,22 @@ class PageStore:
         and append them; returns the page ordinals."""
         return [self.append_page(page) for page in pack_pages(raw, width, self.page_size)]
 
-    def write_page(self, page_id: int, data: bytes) -> None:
-        """Overwrite an existing page in place (state vectors need this)."""
+    def write_back(self, page_id: int, data) -> None:
+        """Overwrite page page_id with the image data: a resident page is
+        updated in memory and marked dirty, any other is written at once
+        through write_page. So no page is written more often than by writing
+        every one through."""
+        if not (0 <= page_id < self._npages and self._slot[page_id] >= 0):
+            self.write_page(page_id, data)
+            return
+        if len(data) != self.page_size:
+            raise ContractViolation(f"write_back needs exactly {self.page_size} bytes, got {len(data)}")
+        self._frames[self._slot[page_id]] = np.frombuffer(data, np.uint8)
+        self._dirty[page_id] = True
+
+    def write_page(self, page_id: int, data) -> None:
+        """Overwrite an existing page in place: one counted storage write; it
+        bypasses the ledger."""
         if len(data) != self.page_size:
             raise ContractViolation(
                 f"write_page needs exactly {self.page_size} bytes, got {len(data)}"
@@ -226,52 +314,88 @@ class PageStore:
         self._put(page_id, data)
         self.pages_written += 1
 
-    def _put(self, page_id: int, data: bytes) -> None:
+    def _put(self, page_id: int, data) -> None:
         if os.pwrite(self._fd, data, page_id * self.page_size) != self.page_size:
             raise OSError(f"{self.path}: short write at page {page_id}")
 
+    def release(self, flush: bool = True) -> None:
+        """Give every resident page back to the ledger, after writing the
+        dirty ones in page order, unless flush is False (the file is about
+        to be deleted)."""
+        if flush:
+            for page_id in np.flatnonzero(self._dirty).tolist():
+                self.write_page(page_id, self._frames[self._slot[page_id]])
+        if self._registry is not None:
+            self._registry.resident -= self.resident_bytes
+        self._slot[:] = -1
+        self._dirty[:] = False
+        self._frames = np.zeros((0, self.page_size), np.uint8)
+        self._held = 0
+
     def close(self) -> None:
+        """Release the resident pages, writing the dirty ones, and close the
+        file."""
+        self.release()
         self._f.close()
 
 
 class StoreRegistry:
-    """Opens PageStores tagged with a traffic class (csr/log/edgelog/state).
+    """Opens PageStores tagged with a traffic class (csr/log/edgelog/state)
+    and keeps their one resident-page ledger: `budget` bytes of resident
+    copies may be held, and `resident` are.
 
-    The engine diffs totals() snapshots at superstep boundaries to split page
-    counts per class without resetting the per-store counters.
+    The engine diffs counts() snapshots at superstep boundaries to split
+    page counts per class without resetting the per-store counters.
     """
 
     CLASSES = ("csr", "log", "edgelog", "state")
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
         self.page_size = page_size
+        self.budget = 0
+        self.resident = 0
         self._stores: dict[str, list[PageStore]] = {c: [] for c in self.CLASSES}
-        self._retired_reads: dict[str, int] = {}
-        self._retired_writes: dict[str, int] = {}
+        # reads, writes and hits of the dropped stores, per class
+        self._retired = {c: (0, 0, 0) for c in self.CLASSES}
 
     def open(self, path: str, klass: str, create: bool = True) -> PageStore:
-        store = PageStore(path, self.page_size, create=create)
+        store = PageStore(path, self.page_size, create=create, registry=self)
         self._stores[klass].append(store)
         return store
 
     def drop(self, store: PageStore, klass: str, unlink: bool = False) -> None:
+        """Close a store, writing its dirty pages unless unlink deletes its
+        file; its traffic stays in the totals."""
         self._stores[klass].remove(store)
-        # keep the dropped store's traffic in the totals
-        self._retired_reads[klass] = self._retired_reads.get(klass, 0) + store.pages_read
-        self._retired_writes[klass] = self._retired_writes.get(klass, 0) + store.pages_written
+        store.release(flush=not unlink)
+        self._retired[klass] = tuple(a + b for a, b in zip(self._retired[klass], _counts(store)))
         store.close()
         if unlink:
             os.unlink(store.path)
 
+    def counts(self) -> dict[str, tuple[int, int, int]]:
+        """Per class: pages read from storage, pages written to it, and
+        page reads served from the ledger."""
+        return {
+            klass: tuple(map(sum, zip(self._retired[klass], *map(_counts, stores))))
+            for klass, stores in self._stores.items()
+        }
+
     def totals(self) -> dict[str, tuple[int, int]]:
-        out = {}
-        for klass, stores in self._stores.items():
-            r = sum(s.pages_read for s in stores) + self._retired_reads.get(klass, 0)
-            w = sum(s.pages_written for s in stores) + self._retired_writes.get(klass, 0)
-            out[klass] = (r, w)
-        return out
+        """Pages read and written per class, from storage."""
+        return {klass: (r, w) for klass, (r, w, _) in self.counts().items()}
+
+    def release_all(self) -> None:
+        """Release every open store's resident pages, writing the dirty ones."""
+        for stores in self._stores.values():
+            for s in stores:
+                s.release()
 
     def close_all(self) -> None:
         for stores in self._stores.values():
             for s in stores:
                 s.close()
+
+
+def _counts(store: PageStore) -> tuple[int, int, int]:
+    return store.pages_read, store.pages_written, store.pages_hit

@@ -9,7 +9,8 @@ color tables) also get aux tables, with caps[v] the in-degree of v.
 Checkout reads each page covering the rows of a vertex set once, in
 ascending order, through `PageStore.read_spans`, and hands out the rows as
 one flat entry array; commit writes back only the pages covering rows whose
-entries changed.
+entries changed, through `PageStore.write_back`, which holds a resident
+page's change in memory until the store is closed.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class StateSlice:
         self.entries = self.rows = self._voids[index].view(slots.dtype)
 
     def commit(self) -> None:
-        """Write back, in page order, every page covering a row whose
-        entries changed, each once."""
+        """Write back, in page order through `PageStore.write_back`, every
+        page covering a row whose entries changed, each once."""
         width = self._voids.itemsize
         word = np.dtype(f"u{math.gcd(width, 8)}")  # entries compare a word column at a time
         now = self.entries.view(word).reshape(-1, width // word.itemsize)
@@ -68,7 +69,7 @@ class StateSlice:
         tail = bytes(page_size - PAGE_HEADER - cap * width)
         for j in dirty.tolist():
             image = self._heads[j].tobytes() + regions[j].tobytes() + tail
-            self._stores[self._store_of[j]].write_page(int(self._pages[j]), image)
+            self._stores[self._store_of[j]].write_back(int(self._pages[j]), image)
 
 
 class AuxSlice(StateSlice):

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loggraph.cli import main
+from loggraph.apps import KCore
+from loggraph.cli import build_report, main
+from loggraph.engine import EngineConfig, run_app
 
-from util import ring_graph
+from util import build_graph, random_graph, ring_graph
 
 G6_LINES = "\n".join(f"{u} {v}" for u, v in [(i, (i + 1) % 6) for i in range(6)])
 
@@ -135,6 +137,9 @@ def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):
         assert rc == 0
         paths.append(rp)
     assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+    # the resident hits are part of what stays identical
+    report = json.loads(Path(paths[0]).read_text())
+    assert sum(st["hits"]["csr"] for st in report["supersteps"]) > 0
 
 
 def test_run_csv_and_trace_outputs(tmp_path, g6_file):
@@ -149,6 +154,10 @@ def test_run_csv_and_trace_outputs(tmp_path, g6_file):
     assert rc == 0
     lines = Path(csv_path).read_text().strip().splitlines()
     assert lines[0].startswith("superstep,active_vertices,messages_sent")
+    header = lines[0].split(",")
+    assert [h for h in header if h.startswith("hits_")] == ["hits_csr", "hits_log", "hits_edgelog", "hits_state"]
+    hits_csr = header.index("hits_csr")
+    assert [int(line.split(",")[hits_csr]) > 0 for line in lines[1:3]] == [False, True]
     trace = np.load(trace_path)
     assert set(trace["s0"].tolist()) == set(range(6))  # all active at superstep 0
 
@@ -169,6 +178,39 @@ def test_compare_all_active_single_shard_order_of_one(tmp_path, g6_file):
     first = comp["rows"][0]
     assert first["active_vertices"] == 6  # everything active: both sides read it all
     assert 0.2 <= first["ratio"] <= 5.0
+
+
+def test_compare_keeps_supersteps_whose_engine_pages_are_all_resident(tmp_path, g6_file):
+    # after superstep 0 the engine reads nothing from storage, while the
+    # shard engine still reads its shard every superstep
+    out = convert_g6(tmp_path, g6_file)
+    rp, tp, cp = (str(tmp_path / p) for p in ("r.json", "t.npz", "c.json"))
+    assert main(
+        ["run", "--graph", out, "--app", "pagerank",
+         "--memory-budget", str(1 << 20), "--max-supersteps", "4",
+         "--report", rp, "--trace", tp]
+    ) == 0
+    assert main(["compare", "--graph", out, "--report", rp, "--trace", tp, "--num-shards", "1", "--out", cp]) == 0
+    rows = json.loads(Path(cp).read_text())["rows"]
+    assert [row["superstep"] for row in rows] == [0, 1, 2, 3]
+    assert rows[0]["ratio"] > 0
+    assert all(row["engine_pages"] == 0 and row["shard_pages"] > 0 and row["ratio"] is None for row in rows[1:])
+
+
+def test_report_totals_count_the_pages_moved_outside_supersteps(tmp_path):
+    # a 1 MiB budget's structural share holds every k-core deletion, so the
+    # CSR is merged, and written, only at the run's end
+    src, dst = random_graph(200, 5, seed=43)
+    g = build_graph(tmp_path / "g", src, dst, 200, page_size=256)
+    config = EngineConfig(memory_budget=1 << 20, page_size=256, max_supersteps=500)
+    before = g.registry.totals()
+    result = run_app(g, KCore(k=4), config, str(tmp_path / "run"))
+    after = g.registry.totals()
+    totals = build_report(result, config, "kcore", {"k": 4}, g.meta)["totals"]
+    assert totals["reads"] == {c: after[c][0] - before[c][0] for c in after}
+    assert totals["writes"] == {c: after[c][1] - before[c][1] for c in after}
+    assert totals["writes"]["csr"] > 0 and sum(st.writes["csr"] for st in result.stats) == 0
+    assert totals["writes"]["state"] > sum(st.writes["state"] for st in result.stats)
 
 
 def test_compare_rejects_mismatched_dataset(tmp_path, g6_file, capsys):

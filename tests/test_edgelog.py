@@ -239,10 +239,15 @@ def test_indexed_answers_for_an_array_of_ids(tmp_path):
     assert not el.indexed(np.arange(10)).any()
 
 
-def test_transparency_on_engine_run(tmp_path):
-    """Edge log on vs off never changes results (MIS-style scattered access)."""
+def test_transparency_on_engine_run(tmp_path, monkeypatch):
+    """Edge log on vs off never changes results (MIS-style scattered access),
+    and the log saves csr reads of its own: with no resident pages, which
+    would hold this whole graph and leave the log nothing to save."""
+    from loggraph import engine
     from loggraph.apps import Mis
     from loggraph.engine import EngineConfig, run_app
+
+    monkeypatch.setattr(engine, "RESIDENT_FRAC", 0)
 
     src, dst = random_graph(3000, 3, seed=2)
     g1 = build_graph(tmp_path / "a", src, dst, 3000, page_size=256)

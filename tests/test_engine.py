@@ -9,6 +9,7 @@ from loggraph.engine import (
     EDGE_OP,
     EDGELOG_FRAC,
     MULTILOG_FRAC,
+    RESIDENT_FRAC,
     STRUCTURAL_FRAC,
     Engine,
     EngineConfig,
@@ -257,6 +258,28 @@ def test_structural_share_is_a_tenth_of_the_budget():
     assert c.structural_budget == int(0.10 * (1 << 30))
     # it fits beside the sort's, the multi-log's and the edge log's shares
     assert c.sort_frac + MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC <= 1
+
+
+def test_the_budget_shares_sum_to_one():
+    c = EngineConfig()
+    assert c.resident_budget == int(0.05 * (1 << 30))
+    assert c.sort_frac + MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC + RESIDENT_FRAC == pytest.approx(1)
+
+
+def test_pages_stay_resident_across_supersteps_and_are_released_at_the_end(tmp_path):
+    src, dst = random_graph(200, 4, seed=17)
+    g = build_graph(tmp_path, src, dst, 200, page_size=256)
+    csr_pages = sum(part.rowptr.num_pages + part.colidx.num_pages for part in g.partitions)
+    for trial in range(2):
+        res = run_app(g, PageRank(), cfg(max_supersteps=4), str(tmp_path / f"run{trial}"))
+        assert (g.registry.resident, g.registry.budget) == (0, 0)
+        # each run reads the graph from storage once, then from memory
+        assert [st.reads["csr"] for st in res.stats] == [csr_pages, 0, 0, 0]
+        assert [st.hits["csr"] for st in res.stats] == [0] + [csr_pages] * 3
+        state_pages = res.stats[0].hits["state"]
+        assert state_pages > 0 and [st.reads["state"] for st in res.stats] == [0] * 4
+        # state pages are written when created and once more at the end
+        assert sum(st.writes["state"] for st in res.stats) == 0 and res.writes["state"] == 2 * state_pages
 
 
 def test_engine_default_budget_and_splits():

@@ -1,5 +1,6 @@
 """Fault injection on the read path: a missing, truncated or corrupt file
-raises a typed error and is never silently misread."""
+raises a typed error and is never silently misread, and no resident page
+hides a change to the file under it."""
 
 import json
 import os
@@ -7,16 +8,16 @@ import os
 import numpy as np
 import pytest
 
-from loggraph import errors
+from loggraph import csr, errors
 from loggraph.apps import Bfs, Community, PageRank
 from loggraph.csr import GraphDir
-from loggraph.engine import EngineConfig, run_app
+from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 from loggraph.errors import CorruptPageError
 from loggraph.multilog import MultiLog, RecordFormat, read_log_records
 from loggraph.pager import PAGE_COUNT, PageStore, StoreRegistry
 from loggraph.state import VertexStateStore
 
-from util import build_graph, ring_graph, spill_tails
+from util import build_graph, op_rows, ring_graph, rows_of, spill_tails
 
 FMT16 = RecordFormat([("val", "<u8")])
 STATE_DT = np.dtype([("a", "<u4"), ("b", "<f8")])
@@ -174,3 +175,65 @@ def test_an_indeg_file_of_the_wrong_length_is_corrupt(tmp_path, change):
     for i, app in enumerate((PageRank(), Bfs(0), Community())):
         with pytest.raises(CorruptPageError, match="in-degrees"):
             run_app(g, app, EngineConfig(page_size=256), str(tmp_path / f"run{i}"))
+
+
+def test_a_page_corrupted_between_two_runs_is_caught_on_its_first_read(tmp_path):
+    # the first run holds every page resident; its end releases them, so
+    # the second run reads the damaged page from storage
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    config = EngineConfig(memory_budget=1 << 20, page_size=256, max_supersteps=3)
+    first = run_app(g, PageRank(), config, str(tmp_path / "run1"))
+    assert sum(first.stats[-1].hits.values()) > 0
+    set_count(g.partitions[0].rowptr, 0, 0)
+    with pytest.raises(CorruptPageError, match="holds 0 entries"):
+        run_app(g, PageRank(), config, str(tmp_path / "run2"))
+    assert (g.registry.resident, g.registry.budget) == (0, 0)
+
+
+def test_rows_fetched_after_a_merge_are_the_merged_ones(tmp_path):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    g.registry.budget = 1 << 20
+    assert rows_of(csr.load_adjacency(g, np.arange(6))[0])[0] == [1, 5]
+    old = (g.partitions[0].rowptr, g.partitions[0].colidx)
+    assert min(store.resident_bytes for store in old) > 0
+    csr.merge_structural_updates(g, 0, op_rows(("del_edge", 0, 1), ("add_edge", 0, 3)))
+    assert [store.resident_bytes for store in old] == [0, 0]
+    assert rows_of(csr.load_adjacency(g, np.arange(6))[0])[0] == [3, 5]
+    assert g.registry.resident == sum(store.resident_bytes for store in g.registry._stores["csr"])
+
+
+class RaiseAtOne(VertexProgram):
+    """Every vertex sets its state to 7 and messages itself at superstep 0;
+    the program raises at superstep 1."""
+
+    name = "raise-at-one"
+    payload_fields = [("x", "<u4")]
+    state_dtype = np.dtype([("v", "<u4")])
+
+    def init_all(self, n, indeg):
+        return np.zeros(n, self.state_dtype), np.ones(n, bool), []
+
+    def process_batch(self, ctx, batch):
+        if ctx.superstep == 1:
+            raise RuntimeError("boom")
+        batch.states["v"] = 7
+        ctx.send_many(batch.ids, batch.ids, 0)
+
+
+def test_a_program_that_raises_leaves_its_state_written_and_nothing_resident(tmp_path):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    config = EngineConfig(memory_budget=1 << 20, page_size=256)
+    steps = []
+    with pytest.raises(RuntimeError, match="boom"):
+        Engine(g, RaiseAtOne(), config, str(tmp_path / "run")).run(on_superstep=lambda _eng, st: steps.append(st))
+    assert (g.registry.resident, g.registry.budget) == (0, 0)
+    # superstep 0's commits were held in memory; the run's end wrote them
+    assert steps[0].writes["state"] == 0
+    for k in range(g.meta.num_intervals):
+        lo, hi = g.meta.interval_range(k)
+        store = PageStore(str(tmp_path / "run" / "state" / f"state{k}.pages"), 256, create=False)
+        assert store.read_vector(hi - lo, RaiseAtOne.state_dtype)["v"].tolist() == [7] * (hi - lo)
+        store.close()

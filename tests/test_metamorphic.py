@@ -6,13 +6,14 @@ and under a memory budget so tight that the multi-log evicts and a sorted
 log takes several passes, and still matches its oracle. Structural updates
 also give them at every memory budget, from one whose structural share
 forces merges mid-run to one that serves every update through the overlay
-until the run's end. Only page counts may differ.
+until the run's end, and with the pager's resident pages on and off. Only
+page counts may differ, and resident pages never add a read or a write.
 """
 
 import numpy as np
 import pytest
 
-from loggraph import csr
+from loggraph import csr, engine
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 
@@ -137,6 +138,42 @@ def test_kcore_invariant_across_structural_budgets(tmp_path, monkeypatch):
     # an interval merged twice merged mid-run; the run's end merges each at most once
     per_run = [merges.count(str(tmp_path / f"knob{i}" / "g")) for i in range(len(knobs))]
     assert min(per_run[:2]) > 7 >= max(per_run[2:])
+
+
+# a 1 MiB budget's ledger holds the graphs below whole on 256-byte pages and
+# fills up on 4 KiB ones, where the edge log is on
+LEDGER_KNOBS = [KNOBS[0], KNOBS[3]]
+
+
+@pytest.mark.parametrize(
+    "make_program, degree, cap, knobs",
+    [
+        (lambda: Bfs(0), 3, 100, LEDGER_KNOBS),
+        (Coloring, 6, 15, LEDGER_KNOBS),
+        (Community, 6, 15, LEDGER_KNOBS),
+        # the tight budget also merges k-core's deletions mid-run
+        (lambda: KCore(k=4), 5, 500, LEDGER_KNOBS + [TIGHT]),
+        (lambda: Mis(seed=13), 6, 30, LEDGER_KNOBS),
+        (PageRank, 6, 12, LEDGER_KNOBS),
+        (lambda: RandomWalk(steps=12, stride=3, seed=3), 4, 40, LEDGER_KNOBS),
+    ],
+    ids=["bfs", "coloring", "community", "kcore", "mis", "pagerank", "randomwalk"],
+)
+def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, make_program, degree, cap, knobs):
+    src, dst = random_graph(N, degree, seed=48)
+    share = engine.RESIDENT_FRAC
+    for i, knob in enumerate(knobs):
+        runs = []
+        for frac in (share, 0):
+            monkeypatch.setattr(engine, "RESIDENT_FRAC", frac)
+            runs += run_all_knobs(tmp_path / f"frac{frac}" / f"knob{i}", src, dst, make_program, [knob], max_supersteps=cap)
+        assert_knob_invariant(runs)
+        on, off = runs
+        for klass in off.reads:
+            assert on.reads[klass] <= off.reads[klass] and on.writes[klass] <= off.writes[klass], (knob, klass)
+        assert sum(on.reads.values()) < sum(off.reads.values()), knob
+        hits = [sum(h for st in run.stats for h in st.hits.values()) for run in runs]
+        assert hits[0] > 0 and hits[1] == 0
 
 
 class RingProbe(VertexProgram):

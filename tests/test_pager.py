@@ -186,3 +186,113 @@ def test_read_vector_reads_a_whole_vector_once(store, n):
     got[:1] = 7  # a copy
     with pytest.raises(CorruptPageError, match=f"{store.num_pages} pages for {n + 30} records"):
         store.read_vector(n + 30, "<u8")
+
+
+def ledger(tmp_path, pages, budget_pages, page_size=128):
+    """A registry whose ledger holds budget_pages pages, and a csr store of
+    `pages` pages, appended before the budget was set: none is resident."""
+    reg = StoreRegistry(page_size=page_size)
+    store = reg.open(str(tmp_path / "s.pages"), "csr")
+    images = [pack_page(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
+    for image in images:
+        store.append_page(image)
+    reg.budget = budget_pages * page_size
+    return reg, store, images
+
+
+def test_the_ledger_is_empty_without_a_budget(tmp_path):
+    reg, store, _ = ledger(tmp_path, 3, 0)
+    store.read_pages([0, 1, 2])
+    store.read_pages([0, 1, 2])
+    assert (store.pages_read, store.pages_hit, reg.resident) == (6, 0, 0)
+
+
+def test_a_read_page_stays_resident_while_the_budget_has_room(tmp_path):
+    reg, store, images = ledger(tmp_path, 3, 2)
+    store.read_pages([2, 0, 2, 1])  # 2 and 0 fill the ledger; 2 is read twice
+    assert (store.pages_read, store.pages_hit, reg.resident) == (4, 0, 2 * 128)
+    got = store.read_pages([0, 1, 2])
+    assert [row.tobytes() for row in got] == images
+    assert (store.pages_read, store.pages_hit) == (5, 2)
+    assert reg.counts()["csr"] == (5, 3, 2) and reg.totals()["csr"] == (5, 3)
+
+
+def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
+    reg = StoreRegistry(page_size=128)
+    reg.budget = 2 * 128
+    store = reg.open(str(tmp_path / "s.pages"), "log")
+    images = [pack_page(128, bytes([i + 1]) * 8, 8) for i in range(3)]
+    assert [store.append_page(image) for image in images] == [0, 1, 2]
+    assert [row.tobytes() for row in store.read_pages([0, 1, 2])] == images
+    assert (store.pages_written, store.pages_read, store.pages_hit) == (3, 1, 2)
+
+
+def test_a_full_ledger_evicts_nothing_until_a_dropped_store_frees_room(tmp_path):
+    reg, store, _ = ledger(tmp_path, 2, 1)
+    other = reg.open(str(tmp_path / "o.pages"), "state")
+    store.read_pages([0])
+    other.append_page(bytes(128))  # no room: written, not admitted
+    other.read_pages([0])
+    store.read_pages([1, 0])  # 1 is not admitted over 0
+    assert (store.pages_read, store.pages_hit, other.pages_read) == (2, 1, 1)
+    reg.drop(store, "csr")
+    assert reg.resident == 0
+    other.read_pages([0])
+    other.read_pages([0])
+    assert (other.pages_read, other.pages_hit, reg.resident) == (2, 1, 128)
+
+
+def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path):
+    reg, store, images = ledger(tmp_path, 2, 1)
+    store.read_pages([0, 1])  # 0 is resident, 1 is not
+    new = [pack_page(128, b"new", 3), pack_page(128, b"newer", 5)]
+    written = store.pages_written
+    store.write_back(0, new[0])
+    store.write_back(1, new[1])
+    store.write_back(0, new[1])
+    assert store.pages_written == written + 1
+    on_disk = PageStore(store.path, 128, create=False)
+    assert on_disk.read_page(0) == images[0] and on_disk.read_page(1) == new[1]
+    assert store.read_pages([0]).tobytes() == new[1]  # read your writes, from memory
+    with pytest.raises(ContractViolation):
+        store.write_back(0, bytes(100))
+    reg.drop(store, "csr")
+    assert reg.totals()["csr"][1] == written + 2  # the dirty page once, at the drop
+    assert on_disk.read_page(0) == new[1]
+    on_disk.close()
+
+
+def test_dirty_pages_are_written_in_page_order(tmp_path, monkeypatch):
+    reg, store, _ = ledger(tmp_path, 3, 3)
+    store.read_pages([0, 1, 2])
+    order = []
+    write_page = PageStore.write_page
+    monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append(p) or write_page(s, p, data))
+    for page_id in (2, 0, 1):
+        store.write_back(page_id, bytes(128))
+    assert order == []
+    reg.release_all()
+    assert order == [0, 1, 2] and reg.resident == 0
+    store.read_pages([1])
+    assert store.pages_read == 4  # released pages come from storage again...
+    assert reg.resident == 128  # ...and are admitted again
+
+
+def test_a_drop_that_deletes_the_file_discards_its_dirty_pages(tmp_path):
+    reg, store, _ = ledger(tmp_path, 2, 2)
+    store.read_pages([0, 1])
+    written = store.pages_written
+    store.write_back(0, bytes(128))
+    store.write_back(1, bytes(128))
+    reg.drop(store, "csr", unlink=True)
+    assert reg.totals()["csr"][1] == written and reg.resident == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_read_pages_and_write_back_reject_a_page_out_of_range(tmp_path, bad):
+    reg, store, _ = ledger(tmp_path, 3, 3)
+    store.read_pages([0, 1, 2])
+    with pytest.raises(AddressError):
+        store.read_pages([0, bad])
+    with pytest.raises(AddressError):
+        store.write_back(bad, bytes(128))
