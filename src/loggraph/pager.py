@@ -169,17 +169,13 @@ class PageStore:
         page is a hit; any other is one counted read_page call, and is
         admitted to the ledger while it has room."""
         ids = np.asarray(ids, np.int64).reshape(-1)
-        if self._held:
-            if len(ids) and (ids.min() < 0 or ids.max() >= self._npages):
-                bad = ids[(ids < 0) | (ids >= self._npages)][0]
-                raise AddressError(f"{self.path}: page {bad} out of range (store has {self._npages})")
-            slot = self._slot[ids]
-            frames = self._frames
-            parts = [frames[s].tobytes() if s >= 0 else self.read_page(p) for p, s in zip(ids.tolist(), slot.tolist())]
-            miss = np.flatnonzero(slot < 0)
-        else:
-            parts = [self.read_page(p) for p in ids.tolist()]
-            miss = np.arange(len(ids))
+        if len(ids) and (ids.min() < 0 or ids.max() >= self._npages):
+            bad = ids[(ids < 0) | (ids >= self._npages)][0]
+            raise AddressError(f"{self.path}: page {bad} out of range (store has {self._npages})")
+        slot = self._slot[ids]
+        frames = self._frames
+        parts = [frames[s].tobytes() if s >= 0 else self.read_page(p) for p, s in zip(ids.tolist(), slot.tolist())]
+        miss = np.flatnonzero(slot < 0)
         # one bytes object per page, then one join: no batch allocates a
         # large buffer more than once, which costs page faults in a short run
         images = np.frombuffer(b"".join(parts), np.uint8).reshape(-1, self.page_size)
@@ -303,8 +299,9 @@ class PageStore:
         self._dirty[page_id] = True
 
     def write_page(self, page_id: int, data) -> None:
-        """Overwrite an existing page in place: one counted storage write; it
-        bypasses the ledger."""
+        """Overwrite an existing page in place: one counted storage write. A
+        resident copy takes the same image and is no longer dirty, so the
+        ledger never serves or flushes an image older than the file's."""
         if len(data) != self.page_size:
             raise ContractViolation(
                 f"write_page needs exactly {self.page_size} bytes, got {len(data)}"
@@ -313,6 +310,9 @@ class PageStore:
             raise AddressError(f"{self.path}: page {page_id} out of range")
         self._put(page_id, data)
         self.pages_written += 1
+        if self._slot[page_id] >= 0:
+            self._frames[self._slot[page_id]] = np.frombuffer(data, np.uint8)
+            self._dirty[page_id] = False
 
     def _put(self, page_id: int, data) -> None:
         if os.pwrite(self._fd, data, page_id * self.page_size) != self.page_size:

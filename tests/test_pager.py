@@ -262,6 +262,23 @@ def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path
     on_disk.close()
 
 
+def test_write_page_on_a_resident_page_updates_its_copy(tmp_path):
+    reg, store, _ = ledger(tmp_path, 2, 2)
+    store.read_pages([0, 1])
+    new = [pack_page(128, b"dirty", 5), pack_page(128, b"direct", 6)]
+    store.write_back(0, new[0])  # resident and dirty
+    store.write_page(0, new[1])
+    store.write_page(1, new[1])
+    written = store.pages_written
+    assert store.read_pages([0, 1]).tobytes() == new[1] * 2
+    assert store.pages_read == 2  # both served from memory
+    reg.drop(store, "csr")
+    assert reg.totals()["csr"][1] == written  # no stale dirty copy is flushed
+    on_disk = PageStore(store.path, 128, create=False)
+    assert on_disk.read_page(0) == new[1] and on_disk.read_page(1) == new[1]
+    on_disk.close()
+
+
 def test_dirty_pages_are_written_in_page_order(tmp_path, monkeypatch):
     reg, store, _ = ledger(tmp_path, 3, 3)
     store.read_pages([0, 1, 2])
