@@ -142,7 +142,8 @@ def _write_csv(path: str, stats) -> None:
             + [f"reads_{c}" for c in classes]
             + [f"writes_{c}" for c in classes]
             + [f"hits_{c}" for c in classes]
-            + ["runtime_s"]
+            + [f"evicted_{c}" for c in classes]
+            + ["resident_peak", "runtime_s"]
         )
         for st in stats:
             w.writerow(
@@ -150,7 +151,8 @@ def _write_csv(path: str, stats) -> None:
                 + [st.reads.get(c, 0) for c in classes]
                 + [st.writes.get(c, 0) for c in classes]
                 + [st.hits.get(c, 0) for c in classes]
-                + [f"{st.runtime:.6f}"]
+                + [st.evicted.get(c, 0) for c in classes]
+                + [st.resident_peak, f"{st.runtime:.6f}"]
             )
 
 

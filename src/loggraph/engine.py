@@ -31,14 +31,20 @@ Execution is single-threaded, so results and message order are
 deterministic.
 
 Pages stay in memory across supersteps while the pager's one ledger has
-room: a run gives its graph's registry `RESIDENT_FRAC` of the memory
-budget, and every page of any class read or written after that is kept
-until the budget is full (see `pager`). A kept page is never read from
-storage again, and a kept state page that commits change is written once,
-when the run ends. At its end, also when the program raised, the run
-writes every dirty page, releases every resident page, CSR pages included,
-and sets the budget back to 0. `RunResult.reads` and `writes` count the
-whole run's pages, those end writes included.
+room. The ledger gets what the memory budget leaves after the multi-log's,
+the edge log's and the structural shares and the sort's need
+(`ledger_budget`). The run sets it when it starts, with no sort need, so
+the state file's pages are admitted as it is created; each superstep sets
+it again after planning its fusion, from the largest one-pass plan, or the
+whole sort budget when a plan takes several passes. A budget that shrinks
+gives back the newest-admitted pages first, and every page of any class
+read or written is kept while the budget has room (see `pager`). A kept
+page is never read from storage again, and a kept state page that commits
+change is written once, when it is given back. At its end, also when the
+program raised, the run sets the budget to 0, which writes every dirty
+page and releases every resident page, CSR pages included.
+`RunResult.reads` and `writes` count the whole run's pages, those end
+writes included.
 """
 
 from __future__ import annotations
@@ -61,12 +67,11 @@ from .state import VertexStateStore
 
 
 # shares of the memory budget for the multi-log's resident pages, the edge
-# log's buffers, the pending structural edge ops and the pager's ledger of
-# resident pages; with the default sort_frac of 0.75 they sum to 1.0
+# log's buffers and the pending structural edge ops; with the default
+# sort_frac of 0.75 they leave the pager's ledger at least 5%
 MULTILOG_FRAC = 0.05
 EDGELOG_FRAC = 0.05
 STRUCTURAL_FRAC = 0.10
-RESIDENT_FRAC = 0.05
 
 # a pending edge op: its edge, and whether it inserts or deletes a copy
 EDGE_OP = np.dtype([("src", "<u4"), ("dst", "<u4"), ("add", "?")])
@@ -107,13 +112,16 @@ class EngineConfig:
     def structural_budget(self) -> int:
         return int(self.memory_budget * STRUCTURAL_FRAC)
 
-    @property
-    def resident_budget(self) -> int:
-        return int(self.memory_budget * RESIDENT_FRAC)
-
     def to_dict(self) -> dict:
         """Every knob but record_trace, which only selects an output."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_trace"}
+
+
+def ledger_budget(cfg: EngineConfig, sort_need: int) -> int:
+    """The pager ledger's bytes: the memory budget less the multi-log's, the
+    edge log's and the structural shares and sort_need, the sort's bytes."""
+    fixed = cfg.multilog_budget + cfg.edgelog_budget + cfg.structural_budget
+    return max(cfg.memory_budget - fixed - sort_need, 0)
 
 
 @dataclass
@@ -225,6 +233,8 @@ class SuperstepStats:
     csr_pages_accessed: int = 0
     csr_pages_inefficient: int = 0
     hits: dict = field(default_factory=dict)
+    resident_peak: int = 0
+    evicted: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -234,8 +244,10 @@ class SuperstepStats:
             "reads": dict(sorted(self.reads.items())),
             "writes": dict(sorted(self.writes.items())),
             "hits": dict(sorted(self.hits.items())),
+            "evicted": dict(sorted(self.evicted.items())),
             "prediction_accuracy": self.prediction_accuracy,
             "sort_resident_peak": self.sort_resident_peak,
+            "resident_peak": self.resident_peak,
             "multilog_resident_peak": self.multilog_resident_peak,
             "edgelog_bytes": self.edgelog_bytes,
             "edgelog_served": self.edgelog_served,
@@ -426,7 +438,7 @@ class Engine:
         states, active_bits, init_msgs = self.program.init_all(n, self.in_degrees)
         aux_caps = self.in_degrees if self.program.aux_entry_dtype is not None else None
         base = self.registry.totals()
-        self.registry.budget = cfg.resident_budget
+        self.registry.set_budget(ledger_budget(cfg, 0))
         try:
             self._states = VertexStateStore.create(
                 self.registry,
@@ -479,8 +491,7 @@ class Engine:
                 self._states.close()
             if self._edgelog is not None:
                 self._edgelog.close()
-            self.registry.release_all()
-            self.registry.budget = 0
+            self.registry.set_budget(0)
         end = self.registry.totals()
         return RunResult(
             final,
@@ -497,6 +508,7 @@ class Engine:
         cfg = self.cfg
         t0 = time.perf_counter()
         base = self.registry.counts()
+        base_evicted = dict(self.registry.evicted)
         base_sends = self._mlog.total_appends
         self._mlog.reset_peaks()
         self._sort_peak = 0
@@ -513,6 +525,13 @@ class Engine:
             for k in sorted(set(np.unique(self.meta.interval_of(forced)).tolist()) - covered):
                 plans.append(sortgroup.FusePlan([k], 0))
             plans.sort(key=lambda p: p.intervals[0])
+        # the sort holds its largest load, or its whole share while a log
+        # too large for it is read in several passes
+        if any(p.passes > 1 for p in plans):
+            sort_need = cfg.sort_budget
+        else:
+            sort_need = max((p.est_bytes for p in plans), default=0)
+        self.registry.set_budget(ledger_budget(cfg, sort_need))
 
         n = self.meta.num_vertices
         active_bits = np.zeros(n, bool)
@@ -568,6 +587,8 @@ class Engine:
             csr_pages_accessed=int(np.count_nonzero(self._usage)),
             csr_pages_inefficient=int(np.count_nonzero(inefficient(self._usage, cfg.page_size))),
             hits={c: d[2] for c, d in delta.items()},
+            resident_peak=self.registry.resident_peak,
+            evicted={c: n - base_evicted[c] for c, n in self.registry.evicted.items()},
         )
         return st, manifest_next
 

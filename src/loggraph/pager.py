@@ -23,14 +23,16 @@ multi-log shares, and `write_back` overwrites pages.
 The stores of one `StoreRegistry` share one ledger of resident pages: a
 store keeps a copy of a page after the page's first read or append while
 the registry's byte budget has room, and serves later reads of it from
-memory. Nothing is ever evicted to make room; a full ledger admits nothing
-more until a released or dropped store frees some. The engine scans the
-same pages every superstep, and under a cyclic scan a fixed resident set
-gets as many hits per pass as it holds pages, where LRU keeps nothing
-useful. `write_back` updates a resident page in memory and marks it dirty;
-dirty pages are written, in page order, when their store is released,
-closed or dropped, unless a drop deletes the file. The budget is 0 unless
-set, so outside an engine run no page is resident.
+memory. Admission never evicts; only `StoreRegistry.set_budget` does, when
+it shrinks the budget below the resident bytes: it gives back the
+newest-admitted pages first, across all stores. The engine scans the same
+pages every superstep, and under a cyclic scan a fixed resident set gets as
+many hits per pass as it holds pages, where LRU keeps nothing useful; so
+the pages admitted first, that fixed set, are the last to go. `write_back`
+updates a resident page in memory and marks it dirty; a dirty page is
+written, once and in page order within its store, when it is given back,
+released, closed or dropped, unless a drop deletes the file. The budget is
+0 unless set, so outside an engine run no page is resident.
 
 `read_page`, `append_page` and `write_page` are the counted storage
 accesses (the per-layer tracer wraps them); a resident hit skips them and
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import os
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -109,9 +112,11 @@ class PageStore:
     The file is unbuffered and every storage access moves one page in one
     positional call (os.pread/os.pwrite), so no call seeks. The store's
     resident pages are its share of the registry's one ledger (see the
-    module doc), with no eviction order of their own; a store opened
-    without a registry keeps none. A page is newer in memory than in the
-    file only while `write_back` has left it dirty.
+    module doc); a store opened without a registry keeps none. It holds
+    them as immutable page images, its frames, in admission order, each with
+    the registry's admission number, so what a shrinking budget takes back
+    is always a suffix of them. A page is newer in memory than in the file
+    only while `write_back` has left it dirty.
     """
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True, registry=None):
@@ -131,12 +136,12 @@ class PageStore:
             self._f.close()
             raise CorruptPageError(f"{path}: length {size} is not a page multiple")
         self._npages = size // page_size
-        # per page, with room for appends: its row of _frames, or -1 when it
-        # is not resident, and whether that row is newer than the file
+        # per page, with room for appends: its index in _frames, or -1 when
+        # it is not resident, and whether that frame is newer than the file
         self._slot = np.full(self._npages + 64, -1, np.int64)
         self._dirty = np.zeros(len(self._slot), bool)
-        self._frames = np.zeros((0, page_size), np.uint8)
-        self._held = 0
+        self._frames: list[bytes] = []
+        self._admitted: list[int] = []
 
     @property
     def num_pages(self) -> int:
@@ -144,7 +149,7 @@ class PageStore:
 
     @property
     def resident_bytes(self) -> int:
-        return self._held * self.page_size
+        return len(self._frames) * self.page_size
 
     def _room(self) -> int:
         """Pages the ledger may still admit."""
@@ -174,29 +179,30 @@ class PageStore:
             raise AddressError(f"{self.path}: page {bad} out of range (store has {self._npages})")
         slot = self._slot[ids]
         frames = self._frames
-        parts = [frames[s].tobytes() if s >= 0 else self.read_page(p) for p, s in zip(ids.tolist(), slot.tolist())]
+        parts = [frames[s] if s >= 0 else self.read_page(p) for p, s in zip(ids.tolist(), slot.tolist())]
         miss = np.flatnonzero(slot < 0)
         # one bytes object per page, then one join: no batch allocates a
         # large buffer more than once, which costs page faults in a short run
         images = np.frombuffer(b"".join(parts), np.uint8).reshape(-1, self.page_size)
         self.pages_hit += len(ids) - len(miss)
-        if self._room() > 0:
-            self._admit(ids[miss], images[miss])
+        room = self._room()
+        if room > 0:
+            # the first copy of each missed page, in the order read
+            take = miss[np.sort(np.unique(ids[miss], return_index=True)[1])[:room]]
+            self._admit(ids[take], [parts[i] for i in take.tolist()])
         return images
 
-    def _admit(self, ids: np.ndarray, images: np.ndarray) -> None:
-        """Keep copies of the pages ids, none of them resident, with images
-        their rows, in the given order while the ledger has room."""
-        take = np.sort(np.unique(ids, return_index=True)[1])[: self._room()]
-        held = self._held + len(take)
-        if held > len(self._frames):
-            frames = np.empty((max(held, 2 * len(self._frames)), self.page_size), np.uint8)
-            frames[: self._held] = self._frames[: self._held]
-            self._frames = frames
-        self._frames[self._held : held] = images[take]
-        self._slot[ids[take]] = np.arange(self._held, held)
-        self._registry.resident += (held - self._held) * self.page_size
-        self._held = held
+    def _admit(self, ids, images: list[bytes]) -> None:
+        """Keep the images of the pages ids (one id, or an array of distinct
+        ones), none of them resident, as the ledger's newest admissions."""
+        reg, n, row = self._registry, len(images), len(self._frames)
+        # an append admits one page, which a scalar store keeps O(1)
+        self._slot[ids] = row if n == 1 else np.arange(row, row + n)
+        self._frames += images
+        self._admitted += range(reg.admissions, reg.admissions + n)
+        reg.admissions += n
+        reg.resident += n * self.page_size
+        reg.resident_peak = max(reg.resident_peak, reg.resident)
 
     def read_records(self, ids, dtype) -> np.ndarray:
         """The counted records of the pages ids, concatenated in order, as
@@ -277,7 +283,7 @@ class PageStore:
             self._slot = np.append(self._slot, np.full(ordinal, -1))
             self._dirty = np.append(self._dirty, np.zeros(ordinal, bool))
         if self._room() > 0:
-            self._admit(np.array([ordinal]), np.frombuffer(data, np.uint8).reshape(1, -1))
+            self._admit(ordinal, [bytes(data)])
         return ordinal
 
     def append_records(self, raw: bytes, width: int) -> list[int]:
@@ -295,7 +301,7 @@ class PageStore:
             return
         if len(data) != self.page_size:
             raise ContractViolation(f"write_back needs exactly {self.page_size} bytes, got {len(data)}")
-        self._frames[self._slot[page_id]] = np.frombuffer(data, np.uint8)
+        self._frames[self._slot[page_id]] = bytes(data)
         self._dirty[page_id] = True
 
     def write_page(self, page_id: int, data) -> None:
@@ -311,26 +317,33 @@ class PageStore:
         self._put(page_id, data)
         self.pages_written += 1
         if self._slot[page_id] >= 0:
-            self._frames[self._slot[page_id]] = np.frombuffer(data, np.uint8)
+            self._frames[self._slot[page_id]] = bytes(data)
             self._dirty[page_id] = False
 
     def _put(self, page_id: int, data) -> None:
         if os.pwrite(self._fd, data, page_id * self.page_size) != self.page_size:
             raise OSError(f"{self.path}: short write at page {page_id}")
 
-    def release(self, flush: bool = True) -> None:
-        """Give every resident page back to the ledger, after writing the
-        dirty ones in page order, unless flush is False (the file is about
-        to be deleted)."""
+    def admitted(self) -> list[int]:
+        """The admission numbers of the resident pages, ascending."""
+        return self._admitted
+
+    def release(self, flush: bool = True, keep: int = 0) -> int:
+        """Give the resident pages after the first keep admitted back to the
+        ledger, after writing the dirty ones in page order, unless flush is
+        False (the file is about to be deleted). Returns how many went."""
+        if keep >= len(self._frames):
+            return 0
+        pages = np.flatnonzero(self._slot[: self._npages] >= keep)
         if flush:
-            for page_id in np.flatnonzero(self._dirty).tolist():
+            for page_id in pages[self._dirty[pages]].tolist():
                 self.write_page(page_id, self._frames[self._slot[page_id]])
         if self._registry is not None:
-            self._registry.resident -= self.resident_bytes
-        self._slot[:] = -1
-        self._dirty[:] = False
-        self._frames = np.zeros((0, self.page_size), np.uint8)
-        self._held = 0
+            self._registry.resident -= len(pages) * self.page_size
+        self._slot[pages] = -1
+        self._dirty[pages] = False
+        del self._frames[keep:], self._admitted[keep:]
+        return len(pages)
 
     def close(self) -> None:
         """Release the resident pages, writing the dirty ones, and close the
@@ -342,7 +355,10 @@ class PageStore:
 class StoreRegistry:
     """Opens PageStores tagged with a traffic class (csr/log/edgelog/state)
     and keeps their one resident-page ledger: `budget` bytes of resident
-    copies may be held, and `resident` are.
+    copies may be held, and `resident` are. `resident_peak` is the most
+    held since the budget was last set, `evicted` the pages per class that
+    shrinking budgets gave back, and `admissions` counts the admissions so
+    far, which numbers them.
 
     The engine diffs counts() snapshots at superstep boundaries to split
     page counts per class without resetting the per-store counters.
@@ -354,6 +370,9 @@ class StoreRegistry:
         self.page_size = page_size
         self.budget = 0
         self.resident = 0
+        self.resident_peak = 0
+        self.admissions = 0
+        self.evicted = {c: 0 for c in self.CLASSES}
         self._stores: dict[str, list[PageStore]] = {c: [] for c in self.CLASSES}
         # reads, writes and hits of the dropped stores, per class
         self._retired = {c: (0, 0, 0) for c in self.CLASSES}
@@ -385,11 +404,22 @@ class StoreRegistry:
         """Pages read and written per class, from storage."""
         return {klass: (r, w) for klass, (r, w, _) in self.counts().items()}
 
-    def release_all(self) -> None:
-        """Release every open store's resident pages, writing the dirty ones."""
-        for stores in self._stores.values():
-            for s in stores:
-                s.release()
+    def set_budget(self, nbytes: int) -> None:
+        """Set the ledger's budget to nbytes. While more is resident, the
+        newest-admitted pages, across all stores, are given back: a dirty
+        one is written, a clean one dropped. The resident peak restarts from
+        what stays."""
+        self.budget = nbytes
+        excess = -(-(self.resident - nbytes) // self.page_size)
+        if excess > 0:
+            # every admission number at or past the excess-th newest goes
+            held = (s.admitted() for stores in self._stores.values() for s in stores)
+            newest = np.fromiter(chain.from_iterable(held), np.int64)
+            cut = np.partition(newest, len(newest) - excess)[len(newest) - excess]
+            for klass, stores in self._stores.items():
+                for s in stores:
+                    self.evicted[klass] += s.release(keep=int(np.searchsorted(s.admitted(), cut)))
+        self.resident_peak = self.resident
 
     def close_all(self) -> None:
         for stores in self._stores.values():

@@ -125,21 +125,32 @@ def test_run_rejects_removed_flags(tmp_path, g6_file, flag):
 
 
 def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):
-    out = convert_g6(tmp_path, g6_file)
-    paths = []
-    for trial in range(2):
-        rp = str(tmp_path / f"report{trial}.json")
-        rc = main(
-            ["run", "--graph", out, "--app", "mis", "--seed", "9",
-             "--memory-budget", str(1 << 20), "--max-supersteps", "30",
-             "--report", rp]
-        )
-        assert rc == 0
-        paths.append(rp)
-    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
-    # the resident hits are part of what stays identical
-    report = json.loads(Path(paths[0]).read_text())
-    assert sum(st["hits"]["csr"] for st in report["supersteps"]) > 0
+    # the ring at 1 MiB, and a 400-vertex graph in 13 intervals at the
+    # smallest budget whose multi-log holds a page per interval
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in zip(*random_graph(400, 4, seed=5))))
+    assert main(["convert", str(edges), str(tmp_path / "tight"), "--budget", "2000", "--page-size", "256"]) == 0
+    cases = [(convert_g6(tmp_path, g6_file), 1 << 20), (str(tmp_path / "tight"), 13 * 256 * 20)]
+    reports = []
+    for i, (out, budget) in enumerate(cases):
+        paths = []
+        for trial in range(2):
+            rp = str(tmp_path / f"report{i}-{trial}.json")
+            rc = main(
+                ["run", "--graph", out, "--app", "mis", "--seed", "9",
+                 "--memory-budget", str(budget), "--max-supersteps", "30",
+                 "--report", rp]
+            )
+            assert rc == 0
+            paths.append(rp)
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+        reports.append(json.loads(Path(paths[0]).read_text())["supersteps"])
+    # the resident hits, the ledger's peak and the pages a shrinking budget
+    # gave back are part of what stays identical
+    roomy, tight = reports
+    assert sum(st["hits"]["csr"] for st in roomy) > 0
+    assert min(st["resident_peak"] for st in roomy + tight) > 0
+    assert sum(st["evicted"]["csr"] + st["evicted"]["state"] for st in tight) > 0
 
 
 def test_run_csv_and_trace_outputs(tmp_path, g6_file):
@@ -156,6 +167,8 @@ def test_run_csv_and_trace_outputs(tmp_path, g6_file):
     assert lines[0].startswith("superstep,active_vertices,messages_sent")
     header = lines[0].split(",")
     assert [h for h in header if h.startswith("hits_")] == ["hits_csr", "hits_log", "hits_edgelog", "hits_state"]
+    assert [h for h in header if h.startswith("evicted_")] == ["evicted_csr", "evicted_log", "evicted_edgelog", "evicted_state"]
+    assert int(lines[1].split(",")[header.index("resident_peak")]) > 0
     hits_csr = header.index("hits_csr")
     assert [int(line.split(",")[hits_csr]) > 0 for line in lines[1:3]] == [False, True]
     trace = np.load(trace_path)

@@ -247,7 +247,7 @@ def test_transparency_on_engine_run(tmp_path, monkeypatch):
     from loggraph.apps import Mis
     from loggraph.engine import EngineConfig, run_app
 
-    monkeypatch.setattr(engine, "RESIDENT_FRAC", 0)
+    monkeypatch.setattr(engine, "ledger_budget", lambda cfg, sort_need: 0)
 
     src, dst = random_graph(3000, 3, seed=2)
     g1 = build_graph(tmp_path / "a", src, dst, 3000, page_size=256)

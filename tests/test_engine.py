@@ -3,17 +3,17 @@ import os
 import numpy as np
 import pytest
 
-from loggraph import csr
+from loggraph import csr, engine
 from loggraph.apps import Bfs, Community, KCore, PageRank
 from loggraph.engine import (
     EDGE_OP,
     EDGELOG_FRAC,
     MULTILOG_FRAC,
-    RESIDENT_FRAC,
     STRUCTURAL_FRAC,
     Engine,
     EngineConfig,
     VertexProgram,
+    ledger_budget,
     run_app,
 )
 from loggraph.errors import ConfigError, ContractViolation
@@ -262,8 +262,12 @@ def test_structural_share_is_a_tenth_of_the_budget():
 
 def test_the_budget_shares_sum_to_one():
     c = EngineConfig()
-    assert c.resident_budget == int(0.05 * (1 << 30))
-    assert c.sort_frac + MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC + RESIDENT_FRAC == pytest.approx(1)
+    fixed = MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC
+    # the ledger gets the rest: 5% when the sort takes its whole share
+    assert ledger_budget(c, c.sort_budget) == pytest.approx(0.05 * (1 << 30), abs=3)
+    assert c.sort_frac + fixed + ledger_budget(c, c.sort_budget) / c.memory_budget == pytest.approx(1)
+    assert ledger_budget(c, 0) == pytest.approx((1 - fixed) * (1 << 30), abs=3)
+    assert ledger_budget(c, c.memory_budget) == 0
 
 
 def test_pages_stay_resident_across_supersteps_and_are_released_at_the_end(tmp_path):
@@ -280,6 +284,44 @@ def test_pages_stay_resident_across_supersteps_and_are_released_at_the_end(tmp_p
         assert state_pages > 0 and [st.reads["state"] for st in res.stats] == [0] * 4
         # state pages are written when created and once more at the end
         assert sum(st.writes["state"] for st in res.stats) == 0 and res.writes["state"] == 2 * state_pages
+
+
+class Swell(VertexProgram):
+    """Every vertex starts active, and each one that runs sends superstep + 1
+    messages along each out-edge, so the message volume grows every
+    superstep."""
+
+    name = "swell"
+    payload_fields = [("x", "<u4")]
+    state_dtype = np.dtype([("v", "<u4")])
+
+    def init_all(self, n, indeg):
+        return np.zeros(n, self.state_dtype), np.ones(n, bool), []
+
+    def process_batch(self, ctx, batch):
+        batch.states["v"] += 1
+        for _ in range(ctx.superstep + 1):
+            ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), ctx.superstep))
+
+
+def test_the_ledger_and_the_sort_stay_inside_the_memory_budget_as_messages_grow(tmp_path, monkeypatch):
+    src, dst = random_graph(400, 4, seed=5)
+    g = build_graph(tmp_path, src, dst, 400, page_size=256)
+    # the smallest budget whose multi-log holds a page per interval; the
+    # last supersteps' logs overflow the sort budget and take several passes
+    config = cfg(memory_budget=g.meta.num_intervals * 256 * 20, max_supersteps=11)
+    res = run_app(g, Swell(), config, str(tmp_path / "run"))
+    assert np.all(np.diff([st.messages_sent for st in res.stats]) > 0) and res.num_supersteps == 11
+    fixed = config.multilog_budget + config.edgelog_budget + config.structural_budget
+    for st in res.stats:
+        assert st.resident_peak + st.sort_resident_peak + fixed <= config.memory_budget, st.superstep
+    # the sort's growing need made the ledger give pages back
+    assert sum(sum(st.evicted.values()) for st in res.stats) > 0
+    assert (g.registry.resident, g.registry.budget) == (0, 0)
+    # pages given back dirty mid-run were written: no ledger, same states
+    monkeypatch.setattr(engine, "ledger_budget", lambda cfg, sort_need: 0)
+    off = run_app(g, Swell(), config, str(tmp_path / "off"))
+    assert off.states.tobytes() == res.states.tobytes()
 
 
 def test_engine_default_budget_and_splits():

@@ -140,9 +140,10 @@ def test_kcore_invariant_across_structural_budgets(tmp_path, monkeypatch):
     assert min(per_run[:2]) > 7 >= max(per_run[2:])
 
 
-# a 1 MiB budget's ledger holds the graphs below whole on 256-byte pages and
-# fills up on 4 KiB ones, where the edge log is on
-LEDGER_KNOBS = [KNOBS[0], KNOBS[3]]
+# a 1 MiB budget's ledger holds the graphs below whole; at 64 KiB the sort's
+# need makes it give pages back on coloring, community, MIS and PageRank
+SHRINKING = dict(page_size=256, edge_log=True, memory_budget=64 << 10)
+LEDGER_KNOBS = [KNOBS[0], KNOBS[3], SHRINKING]
 
 
 @pytest.mark.parametrize(
@@ -161,12 +162,12 @@ LEDGER_KNOBS = [KNOBS[0], KNOBS[3]]
 )
 def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, make_program, degree, cap, knobs):
     src, dst = random_graph(N, degree, seed=48)
-    share = engine.RESIDENT_FRAC
+    budget = engine.ledger_budget
     for i, knob in enumerate(knobs):
         runs = []
-        for frac in (share, 0):
-            monkeypatch.setattr(engine, "RESIDENT_FRAC", frac)
-            runs += run_all_knobs(tmp_path / f"frac{frac}" / f"knob{i}", src, dst, make_program, [knob], max_supersteps=cap)
+        for side, ledger in (("on", budget), ("off", lambda cfg, sort_need: 0)):
+            monkeypatch.setattr(engine, "ledger_budget", ledger)
+            runs += run_all_knobs(tmp_path / side / f"knob{i}", src, dst, make_program, [knob], max_supersteps=cap)
         assert_knob_invariant(runs)
         on, off = runs
         for klass in off.reads:

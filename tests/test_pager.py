@@ -196,7 +196,7 @@ def ledger(tmp_path, pages, budget_pages, page_size=128):
     images = [pack_page(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
     for image in images:
         store.append_page(image)
-    reg.budget = budget_pages * page_size
+    reg.set_budget(budget_pages * page_size)
     return reg, store, images
 
 
@@ -219,7 +219,7 @@ def test_a_read_page_stays_resident_while_the_budget_has_room(tmp_path):
 
 def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
     reg = StoreRegistry(page_size=128)
-    reg.budget = 2 * 128
+    reg.set_budget(2 * 128)
     store = reg.open(str(tmp_path / "s.pages"), "log")
     images = [pack_page(128, bytes([i + 1]) * 8, 8) for i in range(3)]
     assert [store.append_page(image) for image in images] == [0, 1, 2]
@@ -288,11 +288,57 @@ def test_dirty_pages_are_written_in_page_order(tmp_path, monkeypatch):
     for page_id in (2, 0, 1):
         store.write_back(page_id, bytes(128))
     assert order == []
-    reg.release_all()
+    reg.set_budget(0)
     assert order == [0, 1, 2] and reg.resident == 0
+    reg.set_budget(3 * 128)
     store.read_pages([1])
     assert store.pages_read == 4  # released pages come from storage again...
     assert reg.resident == 128  # ...and are admitted again
+
+
+def test_a_shrinking_budget_gives_back_the_newest_admitted_pages_first(tmp_path):
+    reg, store, images = ledger(tmp_path, 4, 6)
+    other = reg.open(str(tmp_path / "o.pages"), "state")
+    store.read_pages([0])  # admissions, oldest first: csr 0, state 0, csr 2,
+    other.append_page(images[0])  # csr 1, state 1, csr 3
+    store.read_pages([2, 1])
+    other.append_page(images[1])
+    store.read_pages([3])
+    assert reg.resident == reg.resident_peak == 6 * 128
+    reg.set_budget(3 * 128 + 5)  # a partial page holds no page
+    assert reg.evicted == {"csr": 2, "log": 0, "edgelog": 0, "state": 1}
+    assert (reg.resident, reg.resident_peak) == (3 * 128, 3 * 128)
+    read = (store.pages_read, other.pages_read)
+    store.read_pages([0, 2])
+    other.read_pages([0])
+    assert (store.pages_read, other.pages_read) == read  # the oldest three stayed
+    store.read_pages([1, 3])
+    other.read_pages([1])
+    assert (store.pages_read, other.pages_read) == (read[0] + 2, read[1] + 1)
+    assert reg.resident == 3 * 128  # a full ledger admits nothing
+
+
+def test_a_given_back_dirty_page_is_written_once_and_a_clean_one_never(tmp_path, monkeypatch):
+    reg, store, images = ledger(tmp_path, 4, 4)
+    store.read_pages([0, 1, 2, 3])
+    new = [pack_page(128, bytes([9, i]), 2) for i in range(4)]
+    for page_id in (3, 0, 2):
+        store.write_back(page_id, new[page_id])
+    order = []
+    write_page = PageStore.write_page
+    monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append(p) or write_page(s, p, data))
+    reg.set_budget(128)  # gives back 3, 2 and the clean 1; 0 stays dirty
+    assert order == [2, 3] and reg.resident == 128
+    reg.set_budget(0)
+    assert order == [2, 3, 0] and reg.resident == reg.resident_peak == store.resident_bytes == 0
+    # what was given back is read from storage, as written, and admitted
+    # again once the budget grows
+    reg.set_budget(4 * 128)
+    want = [new[0], images[1], new[2], new[3]]
+    assert [row.tobytes() for row in store.read_pages([0, 1, 2, 3])] == want
+    assert store.pages_read == 8 and reg.resident == reg.resident_peak == 4 * 128
+    assert [row.tobytes() for row in store.read_pages([0, 1, 2, 3])] == want
+    assert store.pages_read == 8 and order == [2, 3, 0]
 
 
 def test_a_drop_that_deletes_the_file_discards_its_dirty_pages(tmp_path):
