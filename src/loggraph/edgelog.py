@@ -88,7 +88,7 @@ class EdgeLog:
         if store is not None:
             if self._buf_used > 0:
                 payload = bytes(self._buf[PAGE_HEADER : PAGE_HEADER + self._buf_used])
-                store.append_page(pack_page(self.page_size, payload, 0))
+                store.append(pack_page(self.page_size, payload, 0))
         ids = np.fromiter(self._index, np.int64, len(self._index))
         spans = np.array(list(self._index.values()), np.int64).reshape(-1, 2)
         order = np.argsort(ids)
@@ -138,7 +138,7 @@ class EdgeLog:
             off += take
             self._pos += take
             if self._buf_used == self.region:
-                store.append_page(bytes(self._buf))
+                store.append(self._buf)
                 self._buf = bytearray(self.page_size)
                 self._buf_used = 0
 

@@ -39,10 +39,14 @@ it again after planning its fusion, from the largest one-pass plan, or the
 whole sort budget when a plan takes several passes. A budget that shrinks
 gives back the newest-admitted pages first, and every page of any class
 read or written is kept while the budget has room (see `pager`). A kept
-page is never read from storage again, and a kept state page that commits
-change is written once, when it is given back. At its end, also when the
-program raised, the run sets the budget to 0, which writes every dirty
-page and releases every resident page, CSR pages included.
+page is never read from storage again. A page the run appends while the
+budget has room (state and aux pages as they are created, log and edge-log
+pages, merged CSR pages) is kept unwritten, and a kept state page that
+commits change is updated in memory; each is written once, when it is
+given back, and a log or edge-log page consumed and deleted first is never
+written. At its end, also when the program raised, the run sets the budget
+to 0, which writes every dirty page and releases every resident page, CSR
+pages included.
 `RunResult.reads` and `writes` count the whole run's pages, those end
 writes included.
 """

@@ -3,19 +3,22 @@
 Every message is routed by destination to its vertex interval's log. Each
 interval keeps one in-memory top page receiving appends; a page closes as
 soon as it is full and stays resident until the buffer budget forces it
-out. Sealing a superstep writes nothing: an interval's resident pages
-become the resident tail of its sealed log, after the pages already on
-disk, and stay in the buffer's budget until the next superstep loads them
-for the last time and releases them. A page is written only when opening
-a new one would take residency past the budget, and then exactly as many
-pages as the overflow: first sealed tails, spilled to their log files page
-by page in chain order from the log the next superstep loads last; then
-closed pages, oldest first in the order they closed across all intervals.
-The budget holds at least one top page per interval, so a buffer over
-budget with no tail left always holds a closed page, and a top page is
-never written before its log is sealed. Log files are per (superstep,
-interval), so a sealed superstep's chain is frozen but for its spilled
-tail while the next superstep's sends open fresh logs.
+out. Sealing a superstep hands nothing to the pager: an interval's
+resident pages become the resident tail of its sealed log, after the pages
+already handed over, and stay in the buffer's budget until the next
+superstep loads them for the last time and releases them. A page is handed
+to the pager only when opening a new one would take residency past the
+budget, and then exactly as many pages as the overflow: first sealed
+tails, spilled to their log files page by page in chain order from the log
+the next superstep loads last; then closed pages, oldest first in the
+order they closed across all intervals. The pager appends them
+write-behind (see `pager`), so a handed-over page reaches storage only if
+the pager's ledger has no room for it or gives it back before the log file
+is deleted. The budget holds at least one top page per interval, so a
+buffer over budget with no tail left always holds a closed page, and a top
+page is never handed over before its log is sealed. Log files are per
+(superstep, interval), so a sealed superstep's chain is frozen but for its
+spilled tail while the next superstep's sends open fresh logs.
 
 Record layout: dest(4) | src(4) | fixed-width payload. Records never span
 pages, so each page parses on its own. Pages keep arrival order; sorting by
@@ -167,7 +170,7 @@ class MultiLog:
 
         Splitting the records into several calls leaves the same page
         images, chains, counts, eviction points and peaks: each page
-        opening past the budget writes one page that was resident before
+        opening past the budget evicts one page that was resident before
         the record that opens it. Works in blocks of at most BLOCK_PAGES
         pages of records: its temporaries stay small whatever the batch
         size, and a block evicts once, before it appends.
@@ -189,7 +192,7 @@ class MultiLog:
     def _append_block(self, recs: np.ndarray, room: int) -> int:
         """Append recs up to, not including, the record of their page
         opening number room + 1, whose victim would be a page the block
-        closes; first writes the pages that the block's openings force past
+        closes; first evicts the pages that the block's openings force past
         the budget. Returns how many records it appended."""
         k = np.take(self._interval_of, recs["dest"])
         counts = np.bincount(k, minlength=self.n_intervals)
@@ -281,30 +284,31 @@ class MultiLog:
     def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
         if log.store is None:
             log.store = self._open_file(self.tag, log.interval)
-        log.chain.append(log.store.append_page(bytes(data)))
+        log.chain.append(log.store.append(data))
         self._resident_pages -= 1
 
     def _spill_tail_page(self) -> None:
-        """Write the first tail page of the log the next superstep loads
+        """Append the first tail page of the log the next superstep loads
         last, the one whose room it would free last, to that log's file."""
         tag, handle = self._carried[-1]
         if handle.store is None:
             handle.store = self._open_file(tag, handle.interval)
-        handle.ordinals.append(handle.store.append_page(bytes(handle.tail.pop(0))))
+        handle.ordinals.append(handle.store.append(handle.tail.pop(0)))
         if not handle.tail:
             self._carried.pop()
         self._carried_pages -= 1
         self._resident_pages -= 1
 
     def evict_if_needed(self, incoming: int = 0) -> int:
-        """Write the resident pages that residency plus `incoming` page
-        openings about to be made force past the budget; returns how many.
+        """Hand the pager the resident pages that residency plus `incoming`
+        page openings about to be made force past the budget; returns how
+        many.
 
         Exactly that overflow goes, so after an eviction the openings fill
         the buffer to its budget. Sealed tails spill first; then closed
         pages are flushed, oldest first in the order they closed across all
         intervals, each to the end of its log's chain. Top pages are never
-        written: the budget holds one per interval, so with incoming 0 the
+        evicted: the budget holds one per interval, so with incoming 0 the
         tails and closed pages always cover the overflow, and send_many
         passes no more openings than they cover.
         """
@@ -322,7 +326,7 @@ class MultiLog:
     def seal_interval(self, k: int) -> LogHandle:
         """Freeze interval k's log. Its resident pages, closed ones in
         arrival order and then the partial top, become the sealed log's
-        tail; none is written."""
+        tail; none is handed to the pager."""
         log = self.logs[k]
         if log.sealed:
             raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")

@@ -16,9 +16,10 @@ into them: `read_pages` returns a batch of page images as one uint8 array,
 count that overflows its page is corrupt), `read_spans` the pages covering
 ascending spans of a fixed-width vector (CSR rowPtr and colIdx rows, vertex
 state rows and in-neighbour tables all read through it), `read_vector` a
-whole vector as the one span [0, n), `append_records` appends fixed-width
-records packed by `pack_pages`, the one whole-page packer, which the
-multi-log shares, and `write_back` overwrites pages.
+whole vector as the one span [0, n), `append` appends a page image and
+`append_records` fixed-width records packed by `pack_pages`, the one
+whole-page packer, which the multi-log shares, and `write_back` overwrites
+pages.
 
 The stores of one `StoreRegistry` share one ledger of resident pages: a
 store keeps a copy of a page after the page's first read or append while
@@ -28,16 +29,23 @@ it shrinks the budget below the resident bytes: it gives back the
 newest-admitted pages first, across all stores. The engine scans the same
 pages every superstep, and under a cyclic scan a fixed resident set gets as
 many hits per pass as it holds pages, where LRU keeps nothing useful; so
-the pages admitted first, that fixed set, are the last to go. `write_back`
-updates a resident page in memory and marks it dirty; a dirty page is
-written, once and in page order within its store, when it is given back,
-released, closed or dropped, unless a drop deletes the file. The budget is
-0 unless set, so outside an engine run no page is resident.
+the pages admitted first, that fixed set, are the last to go.
+
+Appends are write-behind: while the budget has room, `append` admits the
+new page dirty and writes nothing, and with no room it writes the page at
+once. `write_back` updates a resident page in memory and marks it dirty.
+A dirty page is written, once and in page order within its store, when it
+is given back, released, closed or dropped, unless a drop deletes the file.
+So an appended page costs at most one storage write, and a log page
+consumed before its file is deleted costs none; until it is written the
+file may lack it. The budget is 0 unless set, so outside an engine run no
+page is resident and every append is written at once.
 
 `read_page`, `append_page` and `write_page` are the counted storage
-accesses (the per-layer tracer wraps them); a resident hit skips them and
-is counted apart, so coalesced reads and page checksums have one place to
-go.
+accesses (the per-layer tracer wraps them and counts each call as one
+page); a resident hit skips them and is counted apart, and a deferred
+append reaches storage through `write_page`, so coalesced reads and page
+checksums have one place to go.
 """
 
 from __future__ import annotations
@@ -115,8 +123,9 @@ class PageStore:
     module doc); a store opened without a registry keeps none. It holds
     them as immutable page images, its frames, in admission order, each with
     the registry's admission number, so what a shrinking budget takes back
-    is always a suffix of them. A page is newer in memory than in the file
-    only while `write_back` has left it dirty.
+    is always a suffix of them. A page is newer in memory than in the file,
+    or missing from it, only while it is dirty: appended by `append` or
+    updated by `write_back`, and not yet given back.
     """
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True, registry=None):
@@ -268,28 +277,44 @@ class PageStore:
             raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
         return slots[:n]
 
+    def append(self, data) -> int:
+        """Append one page image, write-behind: while the ledger has room
+        the page is admitted dirty and not written, so it reaches storage
+        once, when it is given back, or never if its file is deleted first;
+        with no room it is one counted append_page. Returns its ordinal."""
+        if self._room() <= 0:
+            return self.append_page(data)
+        if len(data) != self.page_size:
+            raise ContractViolation(f"append needs exactly {self.page_size} bytes, got {len(data)}")
+        ordinal = self._extend()
+        self._admit(ordinal, [bytes(data)])
+        self._dirty[ordinal] = True
+        return ordinal
+
     def append_page(self, data) -> int:
-        """Append one page image: one counted storage write. Its copy is
-        admitted to the ledger while it has room."""
+        """Append one page image: one counted storage write, which `append`
+        makes when the ledger has no room for the page."""
         if len(data) != self.page_size:
             raise ContractViolation(
                 f"append_page needs exactly {self.page_size} bytes, got {len(data)}"
             )
-        ordinal = self._npages
-        self._put(ordinal, data)
-        self._npages += 1
+        self._put(self._npages, data)
         self.pages_written += 1
+        return self._extend()
+
+    def _extend(self) -> int:
+        """Add one page to the store's end; returns its ordinal."""
+        ordinal = self._npages
+        self._npages += 1
         if ordinal == len(self._slot):
             self._slot = np.append(self._slot, np.full(ordinal, -1))
             self._dirty = np.append(self._dirty, np.zeros(ordinal, bool))
-        if self._room() > 0:
-            self._admit(ordinal, [bytes(data)])
         return ordinal
 
     def append_records(self, raw: bytes, width: int) -> list[int]:
         """Pack fixed-width records into full pages (the last one partial)
-        and append them; returns the page ordinals."""
-        return [self.append_page(page) for page in pack_pages(raw, width, self.page_size)]
+        and append them through `append`; returns the page ordinals."""
+        return [self.append(page) for page in pack_pages(raw, width, self.page_size)]
 
     def write_back(self, page_id: int, data) -> None:
         """Overwrite page page_id with the image data: a resident page is

@@ -7,7 +7,8 @@ log takes several passes, and still matches its oracle. Structural updates
 also give them at every memory budget, from one whose structural share
 forces merges mid-run to one that serves every update through the overlay
 until the run's end, and with the pager's resident pages on and off. Only
-page counts may differ, and resident pages never add a read or a write.
+page counts may differ, resident pages never add a read or a write, and
+the files a run leaves on disk are byte-identical with them on and off.
 """
 
 import numpy as np
@@ -18,7 +19,17 @@ from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, Random
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 
 import oracles
-from util import adjacency_lists, build_graph, random_graph, ring_graph, rows_of, small_world, spy_pressure
+from util import (
+    adjacency_lists,
+    build_graph,
+    files_under,
+    random_graph,
+    ring_graph,
+    rows_of,
+    small_world,
+    spy_given_back,
+    spy_pressure,
+)
 
 N = 400
 # a sort budget of 409 bytes and a multi-log budget of 2 KiB on 256-byte pages
@@ -141,33 +152,38 @@ def test_kcore_invariant_across_structural_budgets(tmp_path, monkeypatch):
 
 
 # a 1 MiB budget's ledger holds the graphs below whole; at 64 KiB the sort's
-# need makes it give pages back on coloring, community, MIS and PageRank
+# need makes it give pages back on coloring, community, MIS and PageRank,
+# appended log, state and aux pages among them
 SHRINKING = dict(page_size=256, edge_log=True, memory_budget=64 << 10)
 LEDGER_KNOBS = [KNOBS[0], KNOBS[3], SHRINKING]
 
 
 @pytest.mark.parametrize(
-    "make_program, degree, cap, knobs",
+    "make_program, degree, cap, knobs, gives_back",
     [
-        (lambda: Bfs(0), 3, 100, LEDGER_KNOBS),
-        (Coloring, 6, 15, LEDGER_KNOBS),
-        (Community, 6, 15, LEDGER_KNOBS),
+        (lambda: Bfs(0), 3, 100, LEDGER_KNOBS, False),
+        (Coloring, 6, 15, LEDGER_KNOBS, True),
+        (Community, 6, 15, LEDGER_KNOBS, True),
         # the tight budget also merges k-core's deletions mid-run
-        (lambda: KCore(k=4), 5, 500, LEDGER_KNOBS + [TIGHT]),
-        (lambda: Mis(seed=13), 6, 30, LEDGER_KNOBS),
-        (PageRank, 6, 12, LEDGER_KNOBS),
-        (lambda: RandomWalk(steps=12, stride=3, seed=3), 4, 40, LEDGER_KNOBS),
+        (lambda: KCore(k=4), 5, 500, LEDGER_KNOBS + [TIGHT], False),
+        (lambda: Mis(seed=13), 6, 30, LEDGER_KNOBS, True),
+        (PageRank, 6, 12, LEDGER_KNOBS, True),
+        (lambda: RandomWalk(steps=12, stride=3, seed=3), 4, 40, LEDGER_KNOBS, False),
     ],
     ids=["bfs", "coloring", "community", "kcore", "mis", "pagerank", "randomwalk"],
 )
-def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, make_program, degree, cap, knobs):
+def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, make_program, degree, cap, knobs, gives_back):
     src, dst = random_graph(N, degree, seed=48)
     budget = engine.ledger_budget
+    spy = spy_given_back(monkeypatch)
     for i, knob in enumerate(knobs):
         runs = []
         for side, ledger in (("on", budget), ("off", lambda cfg, sort_need: 0)):
             monkeypatch.setattr(engine, "ledger_budget", ledger)
+            spy["given_back"] = 0
             runs += run_all_knobs(tmp_path / side / f"knob{i}", src, dst, make_program, [knob], max_supersteps=cap)
+            if side == "on" and gives_back and knob is SHRINKING:
+                assert spy["given_back"] > 0, knob
         assert_knob_invariant(runs)
         on, off = runs
         for klass in off.reads:
@@ -175,6 +191,11 @@ def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, 
         assert sum(on.reads.values()) < sum(off.reads.values()), knob
         hits = [sum(h for st in run.stats for h in st.hits.values()) for run in runs]
         assert hits[0] > 0 and hits[1] == 0
+        # every CSR, state and aux file a run leaves reached storage whole,
+        # the appended pages the ledger kept included
+        on_disk = [files_under(tmp_path / side / f"knob{i}") for side in ("on", "off")]
+        assert any("aux" in path for path in on_disk[1]) == (make_program().aux_entry_dtype is not None)
+        assert on_disk[0] == on_disk[1], knob
 
 
 class RingProbe(VertexProgram):

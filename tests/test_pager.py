@@ -222,16 +222,100 @@ def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
     reg.set_budget(2 * 128)
     store = reg.open(str(tmp_path / "s.pages"), "log")
     images = [pack_page(128, bytes([i + 1]) * 8, 8) for i in range(3)]
-    assert [store.append_page(image) for image in images] == [0, 1, 2]
+    assert [store.append(image) for image in images] == [0, 1, 2]
     assert [row.tobytes() for row in store.read_pages([0, 1, 2])] == images
-    assert (store.pages_written, store.pages_read, store.pages_hit) == (3, 1, 2)
+    assert (store.pages_written, store.pages_read, store.pages_hit) == (1, 1, 2)
+    reg.drop(store, "log", unlink=True)
+
+
+def appended(tmp_path, pages, budget_pages, klass="state", page_size=128):
+    """A registry whose ledger holds budget_pages pages, and a store of
+    `pages` pages appended through PageStore.append."""
+    reg = StoreRegistry(page_size=page_size)
+    reg.set_budget(budget_pages * page_size)
+    store = reg.open(str(tmp_path / "a.pages"), klass)
+    images = [pack_page(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
+    assert [store.append(image) for image in images] == list(range(pages))
+    return reg, store, images
+
+
+def test_an_append_with_room_is_neither_written_nor_counted(tmp_path):
+    reg, store, images = appended(tmp_path, 2, 2)
+    assert (store.num_pages, store.pages_written, reg.totals()["state"]) == (2, 0, (0, 0))
+    assert os.path.getsize(store.path) == 0 and reg.resident == 2 * 128
+    assert [row.tobytes() for row in store.read_pages([1, 0])] == images[::-1]
+    assert (store.pages_read, store.pages_hit) == (0, 2)
+    with pytest.raises(ContractViolation):
+        store.append(bytes(100))
+    reg.drop(store, "state", unlink=True)
+
+
+def test_an_append_with_no_room_is_written_at_once(tmp_path, monkeypatch):
+    calls = []
+    append_page = PageStore.append_page
+    monkeypatch.setattr(PageStore, "append_page", lambda s, data: calls.append(len(data)) or append_page(s, data))
+    reg, store, images = appended(tmp_path, 3, 1)  # page 0 fills the ledger
+    assert calls == [128, 128] and store.pages_written == 2 and reg.resident == 128
+    on_disk = PageStore(store.path, 128, create=False)
+    assert [on_disk.read_page(p) for p in (1, 2)] == images[1:]
+    on_disk.close()
+    assert [row.tobytes() for row in store.read_pages([0, 1, 2])] == images
+    assert (store.pages_read, store.pages_hit) == (2, 1)
+    reg.drop(store, "state", unlink=True)
+
+
+def test_a_shrinking_budget_writes_appended_pages_once_in_page_order(tmp_path, monkeypatch):
+    reg, store, images = appended(tmp_path, 4, 4)
+    order = []
+    write_page = PageStore.write_page
+    monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append(p) or write_page(s, p, data))
+    reg.set_budget(2 * 128)  # gives back the newest two
+    assert order == [2, 3] and store.pages_written == 2 and reg.evicted["state"] == 2
+    assert [row.tobytes() for row in store.read_pages([0, 1, 2, 3])] == images
+    assert (store.pages_read, store.pages_hit) == (2, 2)  # what went back is read from storage
+    reg.set_budget(0)
+    assert order == [2, 3, 0, 1] and store.pages_written == 4 == reg.totals()["state"][1]
+    reg.drop(store, "state")
+    assert order == [2, 3, 0, 1]
+
+
+def test_a_drop_that_deletes_the_file_writes_no_appended_page(tmp_path, monkeypatch):
+    reg, store, _ = appended(tmp_path, 3, 3, klass="log")
+    monkeypatch.setattr(PageStore, "write_page", lambda *_: pytest.fail("a deleted page was written"))
+    reg.drop(store, "log", unlink=True)
+    assert reg.totals()["log"] == (0, 0) and reg.resident == 0 and not os.path.exists(store.path)
+
+
+def test_an_appended_page_that_write_back_updates_is_written_once_with_the_newest_image(tmp_path):
+    reg, store, images = appended(tmp_path, 2, 2)
+    new = [pack_page(128, b"new", 3), pack_page(128, b"newer", 5)]
+    store.write_back(1, new[0])
+    store.write_back(1, new[1])
+    assert store.pages_written == 0 and store.read_pages([1]).tobytes() == new[1]
+    reg.drop(store, "state")
+    assert reg.totals()["state"][1] == 2  # each page once, at the drop
+    on_disk = PageStore(store.path, 128, create=False)
+    assert [on_disk.read_page(p) for p in (0, 1)] == [images[0], new[1]]
+    on_disk.close()
+
+
+def test_a_closed_store_holds_every_appended_page(tmp_path):
+    # pages 0 and 1 wait in the ledger while 2 to 4 are written at once
+    reg, store, images = appended(tmp_path, 5, 2)
+    assert store.pages_written == 3
+    store.close()
+    assert store.pages_written == 5 and reg.resident == 0
+    assert os.path.getsize(store.path) == store.num_pages * 128
+    again = PageStore(store.path, 128, create=False)
+    assert again.num_pages == 5 and [row.tobytes() for row in again.read_pages(range(5))] == images
+    again.close()
 
 
 def test_a_full_ledger_evicts_nothing_until_a_dropped_store_frees_room(tmp_path):
     reg, store, _ = ledger(tmp_path, 2, 1)
     other = reg.open(str(tmp_path / "o.pages"), "state")
     store.read_pages([0])
-    other.append_page(bytes(128))  # no room: written, not admitted
+    other.append(bytes(128))  # no room: written, not admitted
     other.read_pages([0])
     store.read_pages([1, 0])  # 1 is not admitted over 0
     assert (store.pages_read, store.pages_hit, other.pages_read) == (2, 1, 1)
@@ -300,9 +384,9 @@ def test_a_shrinking_budget_gives_back_the_newest_admitted_pages_first(tmp_path)
     reg, store, images = ledger(tmp_path, 4, 6)
     other = reg.open(str(tmp_path / "o.pages"), "state")
     store.read_pages([0])  # admissions, oldest first: csr 0, state 0, csr 2,
-    other.append_page(images[0])  # csr 1, state 1, csr 3
+    other.append(images[0])  # csr 1, state 1, csr 3
     store.read_pages([2, 1])
-    other.append_page(images[1])
+    other.append(images[1])
     store.read_pages([3])
     assert reg.resident == reg.resident_peak == 6 * 128
     reg.set_budget(3 * 128 + 5)  # a partial page holds no page

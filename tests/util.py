@@ -11,6 +11,7 @@ from loggraph import csr, sortgroup
 from loggraph.engine import VertexProgram
 from loggraph.ingest import convert_arrays
 from loggraph.multilog import MultiLog, RecordFormat
+from loggraph.pager import PageStore, StoreRegistry
 
 
 def both_directions(pairs):
@@ -139,6 +140,51 @@ def spy_pressure(monkeypatch):
     monkeypatch.setattr(sortgroup, "plan_fusion", plan_spy)
     monkeypatch.setattr(MultiLog, "evict_if_needed", evict_spy)
     return seen
+
+
+def spy_given_back(monkeypatch):
+    """Counts, over the engine runs that follow in the test, the appended
+    pages that the pager kept unwritten and that a StoreRegistry.set_budget
+    to a budget above 0 then wrote: pages given back mid-run, not at its end."""
+    seen = {"given_back": 0}
+    deferred = set()  # (path, page) of each append that wrote nothing
+    inside = []  # the budget of each set_budget call under way
+    append, write_page, set_budget = PageStore.append, PageStore.write_page, StoreRegistry.set_budget
+
+    def append_spy(store, data):
+        written = store.pages_written
+        ordinal = append(store, data)
+        if store.pages_written == written:
+            deferred.add((store.path, ordinal))
+        return ordinal
+
+    def write_spy(store, page_id, data):
+        if (store.path, page_id) in deferred and inside and inside[-1] > 0:
+            seen["given_back"] += 1
+        return write_page(store, page_id, data)
+
+    def budget_spy(registry, nbytes):
+        inside.append(nbytes)
+        try:
+            set_budget(registry, nbytes)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(PageStore, "append", append_spy)
+    monkeypatch.setattr(PageStore, "write_page", write_spy)
+    monkeypatch.setattr(StoreRegistry, "set_budget", budget_spy)
+    return seen
+
+
+def files_under(root):
+    """The bytes of every file under root, by path relative to it."""
+    out = {}
+    for dirpath, _, names in os.walk(str(root)):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, str(root))] = f.read()
+    return out
 
 
 class RowContext:
