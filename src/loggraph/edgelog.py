@@ -7,7 +7,8 @@ rule is `log_candidates`), the adjacency is appended to a sequential
 per-superstep edge log while its budget lasts. Next superstep those
 vertices are served from the dense log pages instead of sparse CSR pages.
 The log never changes results; it only trades duplicate bytes for fewer
-page reads.
+page reads. Its pages live in the pager's ledger; the one write buffer is
+held apart from it (`StoreRegistry.hold`).
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class EdgeLog:
         self.bytes_logged = 0
         self.read_cache_peak = 0
         self.logged_vertices = 0
+        # the write buffer is the log's one page outside the pager's ledger
+        registry.hold("edgelog", self.page_size)
 
     def _reset_writer(self) -> None:
         self._store = None
@@ -102,6 +105,7 @@ class EdgeLog:
                 self.registry.drop(store, "edgelog", unlink=True)
         self._consumable = (np.zeros(0, np.int64), np.zeros((0, 2), np.int64), None)
         self._store = None
+        self.registry.hold("edgelog", 0)
 
     def _ensure_store(self):
         if self._store is None:

@@ -23,7 +23,7 @@ again. An edge op is filed under its source's interval, packed as an
 `EDGE_OP` record, in arrival order. A fetched batch sees its rows with the
 pending ops overlaid by `csr.apply_ops`, which applies each edge's ops in
 arrival order, so when an interval's ops are merged into its CSR files does
-not change what any superstep sees. The pending edge ops get
+not change what any superstep sees. The pending edge ops are capped at
 `STRUCTURAL_FRAC` of the memory budget: at the end of a superstep, while
 their bytes exceed it, the interval holding the most of them is merged. At
 the end of the run every interval with a pending op or removal is merged.
@@ -31,22 +31,25 @@ Execution is single-threaded, so results and message order are
 deterministic.
 
 Pages stay in memory across supersteps while the pager's one ledger has
-room. The ledger gets what the memory budget leaves after the multi-log's,
-the edge log's and the structural shares and the sort's need
-(`ledger_budget`). The run sets it when it starts, with no sort need, so
-the state file's pages are admitted as it is created; each superstep sets
-it again after planning its fusion, from the largest one-pass plan, or the
-whole sort budget when a plan takes several passes. A budget that shrinks
-gives back the newest-admitted pages first, and every page of any class
-read or written is kept while the budget has room (see `pager`). A kept
-page is never read from storage again. A page the run appends while the
-budget has room (state and aux pages as they are created, log and edge-log
-pages, merged CSR pages) is kept unwritten, and a kept state page that
-commits change is updated in memory; each is written once, when it is
-given back, and a log or edge-log page consumed and deleted first is never
-written. At its end, also when the program raised, the run sets the budget
-to 0, which writes every dirty page and releases every resident page, CSR
-pages included.
+room. The run sets the registry's budget to the whole memory budget when it
+starts and to 0 when it ends; in between, every other holder of memory
+reports what it holds through `StoreRegistry.hold`, and the ledger gets the
+rest: the sort its need each superstep, after planning its fusion (the
+largest one-pass plan, or the whole sort budget when a plan takes several
+passes), the pending edge ops their bytes as they are buffered and merged,
+the multi-log its open pages and sealed tails, and the edge log its write
+buffer. The shares of the memory budget (`MULTILOG_FRAC`, `EDGELOG_FRAC`,
+`STRUCTURAL_FRAC`) are caps on those holders, not reservations: memory a
+holder does not use is the ledger's. A hold that grows gives back the
+newest-admitted pages first, and every page of any class read or written is
+kept while the ledger has room (see `pager`). A kept page is never read from
+storage again. A page the run appends while the ledger has room (state and
+aux pages as they are created, log and edge-log pages, merged CSR pages) is
+kept unwritten, and a kept state page that commits change is updated in
+memory; each is written once, when it is given back, and a log or edge-log
+page consumed and deleted first is never written. At its end, also when the
+program raised, the run sets the budget to 0, which writes every dirty page
+and releases every resident page, CSR pages included.
 `RunResult.reads` and `writes` count the whole run's pages, those end
 writes included.
 """
@@ -70,9 +73,10 @@ from .pager import DEFAULT_PAGE_SIZE, ranges
 from .state import VertexStateStore
 
 
-# shares of the memory budget for the multi-log's resident pages, the edge
-# log's buffers and the pending structural edge ops; with the default
-# sort_frac of 0.75 they leave the pager's ledger at least 5%
+# caps, as shares of the memory budget: the multi-log's resident pages (its
+# eviction point), the edge-log bytes written per superstep and the pending
+# structural edge ops (their merge trigger); none is held back from the
+# pager's ledger, which gets what the holders do not hold
 MULTILOG_FRAC = 0.05
 EDGELOG_FRAC = 0.05
 STRUCTURAL_FRAC = 0.10
@@ -106,26 +110,24 @@ class EngineConfig:
 
     @property
     def multilog_budget(self) -> int:
+        """Most bytes of pages the multi-log keeps resident; past it, it evicts."""
         return int(self.memory_budget * MULTILOG_FRAC)
 
     @property
     def edgelog_budget(self) -> int:
+        """Most bytes the edge log writes per superstep. It caps the log's
+        size, not a memory reservation: the log's pages live in the
+        pager's ledger, and only its one write buffer is held apart."""
         return int(self.memory_budget * EDGELOG_FRAC)
 
     @property
     def structural_budget(self) -> int:
+        """Pending edge-op bytes past which a superstep's end merges."""
         return int(self.memory_budget * STRUCTURAL_FRAC)
 
     def to_dict(self) -> dict:
         """Every knob but record_trace, which only selects an output."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_trace"}
-
-
-def ledger_budget(cfg: EngineConfig, sort_need: int) -> int:
-    """The pager ledger's bytes: the memory budget less the multi-log's, the
-    edge log's and the structural shares and sort_need, the sort's bytes."""
-    fixed = cfg.multilog_budget + cfg.edgelog_budget + cfg.structural_budget
-    return max(cfg.memory_budget - fixed - sort_need, 0)
 
 
 @dataclass
@@ -402,6 +404,7 @@ class Engine:
         for k in np.unique(intervals).tolist():
             self._pending[k].append(edge[intervals == k])
             self._pending_bytes[k] += self._pending[k][-1].nbytes
+        self.registry.hold("structural", int(self._pending_bytes.sum()))
 
     def _overlay(self, adj: Adjacency) -> Adjacency:
         """Most-current adjacency: csr.apply_ops applies the pending edge
@@ -428,6 +431,7 @@ class Engine:
         self._pending[k] = []
         self._pending_bytes[k] = 0
         self._removals[k] = False
+        self.registry.hold("structural", int(self._pending_bytes.sum()))
 
     # -- run loop -------------------------------------------------------------
 
@@ -442,7 +446,7 @@ class Engine:
         states, active_bits, init_msgs = self.program.init_all(n, self.in_degrees)
         aux_caps = self.in_degrees if self.program.aux_entry_dtype is not None else None
         base = self.registry.totals()
-        self.registry.set_budget(ledger_budget(cfg, 0))
+        self.registry.set_budget(cfg.memory_budget)
         try:
             self._states = VertexStateStore.create(
                 self.registry,
@@ -514,6 +518,7 @@ class Engine:
         base = self.registry.counts()
         base_evicted = dict(self.registry.evicted)
         base_sends = self._mlog.total_appends
+        self.registry.restart_peak()
         self._mlog.reset_peaks()
         self._sort_peak = 0
         if self._edgelog is not None:
@@ -535,7 +540,7 @@ class Engine:
             sort_need = cfg.sort_budget
         else:
             sort_need = max((p.est_bytes for p in plans), default=0)
-        self.registry.set_budget(ledger_budget(cfg, sort_need))
+        self.registry.hold("sort", sort_need)
 
         n = self.meta.num_vertices
         active_bits = np.zeros(n, bool)

@@ -31,6 +31,11 @@ the engine's `Context.send_many`, and `send` is a one-record call into it.
 The multi-log owns its log files and tails: `release` frees the tails of
 logs loaded for the last time, `drop` deletes a consumed superstep's files,
 and `close` every file and tail still held.
+
+Its resident pages are memory the pager's ledger may not use: it reports
+their bytes to `StoreRegistry.hold` before a block opens pages, so the
+ledger makes room first, and again after `release` (which `drop` and
+`close` call) frees tails.
 """
 
 from __future__ import annotations
@@ -218,6 +223,8 @@ class MultiLog:
         t = int(opens[room]) if len(opens) > room else n
         opened = min(len(opens), room)
         self.evict_if_needed(opened)
+        # the ledger gives back room before the pages open, not after
+        self.registry.hold("multilog", (self._resident_pages + opened) * self.page_size)
         if len(logs) == 1:
             self._append_run(logs[0], recs[:t])
         else:
@@ -361,6 +368,7 @@ class MultiLog:
             self._carried_pages -= len(handle.tail)
             self._resident_pages -= len(handle.tail)
             handle.tail = []
+        self.registry.hold("multilog", self.resident_bytes)
 
     def drop(self, manifest: LogManifest) -> None:
         """Free the tails and delete the log files of a consumed superstep."""

@@ -21,17 +21,20 @@ whole vector as the one span [0, n), `append` appends a page image and
 whole-page packer, which the multi-log shares, and `write_back` overwrites
 pages.
 
-The stores of one `StoreRegistry` share one ledger of resident pages: a
-store keeps a copy of a page after the page's first read or append while
-the registry's byte budget has room, and serves later reads of it from
-memory. Admission never evicts; only `StoreRegistry.set_budget` does, when
-it shrinks the budget below the resident bytes: it gives back the
-newest-admitted pages first, across all stores. The engine scans the same
-pages every superstep, and under a cyclic scan a fixed resident set gets as
-many hits per pass as it holds pages, where LRU keeps nothing useful; so
-the pages admitted first, that fixed set, are the last to go.
+The stores of one `StoreRegistry` share one ledger of resident pages under
+one memory budget. The other holders of memory report what they hold
+through `StoreRegistry.hold`, and the ledger's room is the budget less
+those holds and less its resident pages: a store keeps a copy of a page
+after the page's first read or append while there is room, and serves
+later reads of it from memory. Admission never evicts; a budget set lower
+(`StoreRegistry.set_budget`) or a hold that grows does, when the resident
+pages no longer fit: it gives back the newest-admitted pages first, across
+all stores. The engine scans the same pages every superstep, and under a
+cyclic scan a fixed resident set gets as many hits per pass as it holds
+pages, where LRU keeps nothing useful; so the pages admitted first, that
+fixed set, are the last to go.
 
-Appends are write-behind: while the budget has room, `append` admits the
+Appends are write-behind: while the ledger has room, `append` admits the
 new page dirty and writes nothing, and with no room it writes the page at
 once. `write_back` updates a resident page in memory and marks it dirty.
 A dirty page is written, once and in page order within its store, when it
@@ -163,7 +166,7 @@ class PageStore:
     def _room(self) -> int:
         """Pages the ledger may still admit."""
         reg = self._registry
-        return (reg.budget - reg.resident) // self.page_size if reg is not None else 0
+        return (reg.budget - reg.held - reg.resident) // self.page_size if reg is not None else 0
 
     def read_page(self, page_id: int) -> bytes:
         """One counted storage read; it bypasses the ledger."""
@@ -379,11 +382,16 @@ class PageStore:
 
 class StoreRegistry:
     """Opens PageStores tagged with a traffic class (csr/log/edgelog/state)
-    and keeps their one resident-page ledger: `budget` bytes of resident
-    copies may be held, and `resident` are. `resident_peak` is the most
-    held since the budget was last set, `evicted` the pages per class that
-    shrinking budgets gave back, and `admissions` counts the admissions so
-    far, which numbers them.
+    and keeps their one resident-page ledger under one memory budget.
+
+    `budget` is every byte the run may hold in memory. The other holders
+    (the sort, the multi-log, the pending structural ops, the edge log's
+    write buffer) report what they hold through `hold`, and `held` is the
+    sum of `holds`; the ledger's room is the budget less `held` and less
+    the `resident` bytes of its pages. `resident_peak` is the most resident
+    since the budget was set or `restart_peak` was called, `evicted` the
+    pages per class that a shrinking budget or a growing hold gave back,
+    and `admissions` counts the admissions so far, which numbers them.
 
     The engine diffs counts() snapshots at superstep boundaries to split
     page counts per class without resetting the per-store counters.
@@ -394,6 +402,7 @@ class StoreRegistry:
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
         self.page_size = page_size
         self.budget = 0
+        self.holds: dict[str, int] = {}
         self.resident = 0
         self.resident_peak = 0
         self.admissions = 0
@@ -401,6 +410,11 @@ class StoreRegistry:
         self._stores: dict[str, list[PageStore]] = {c: [] for c in self.CLASSES}
         # reads, writes and hits of the dropped stores, per class
         self._retired = {c: (0, 0, 0) for c in self.CLASSES}
+
+    @property
+    def held(self) -> int:
+        """Bytes the holders hold, outside the ledger."""
+        return sum(self.holds.values())
 
     def open(self, path: str, klass: str, create: bool = True) -> PageStore:
         store = PageStore(path, self.page_size, create=create, registry=self)
@@ -430,21 +444,48 @@ class StoreRegistry:
         return {klass: (r, w) for klass, (r, w, _) in self.counts().items()}
 
     def set_budget(self, nbytes: int) -> None:
-        """Set the ledger's budget to nbytes. While more is resident, the
-        newest-admitted pages, across all stores, are given back: a dirty
-        one is written, a clean one dropped. The resident peak restarts from
-        what stays."""
+        """Set the budget to nbytes and give back what no longer fits (see
+        `_give_back`); the resident peak restarts from what stays. A budget
+        of 0 turns the ledger off: every hold is forgotten and every page
+        given back."""
         self.budget = nbytes
-        excess = -(-(self.resident - nbytes) // self.page_size)
-        if excess > 0:
-            # every admission number at or past the excess-th newest goes
-            held = (s.admitted() for stores in self._stores.values() for s in stores)
-            newest = np.fromiter(chain.from_iterable(held), np.int64)
-            cut = np.partition(newest, len(newest) - excess)[len(newest) - excess]
-            for klass, stores in self._stores.items():
-                for s in stores:
-                    self.evicted[klass] += s.release(keep=int(np.searchsorted(s.admitted(), cut)))
+        if nbytes == 0:
+            self.holds = {}
+        self._give_back()
         self.resident_peak = self.resident
+
+    def hold(self, holder: str, nbytes: int) -> None:
+        """Record that holder now holds nbytes of the budget, outside the
+        ledger, and give back the pages that no longer fit (see
+        `_give_back`). A hold after which the resident pages still fit
+        touches no store, and one that shrinks admits nothing by itself.
+        While the budget is 0 a hold does nothing."""
+        if nbytes < 0:
+            raise ContractViolation(f"{holder} holds {nbytes} bytes")
+        if self.budget == 0:
+            return
+        self.holds[holder] = nbytes
+        self._give_back()
+
+    def restart_peak(self) -> None:
+        """Restart resident_peak from the bytes resident now."""
+        self.resident_peak = self.resident
+
+    def _give_back(self) -> None:
+        """While the resident pages exceed the budget less the holds, give
+        back the newest-admitted ones, across all stores: a dirty one is
+        written, a clean one dropped."""
+        excess = -(-(self.resident + self.held - self.budget) // self.page_size)
+        if excess <= 0 or self.resident == 0:
+            return
+        # every admission number at or past the excess-th newest goes
+        admitted = (s.admitted() for stores in self._stores.values() for s in stores)
+        newest = np.fromiter(chain.from_iterable(admitted), np.int64)
+        excess = min(excess, len(newest))
+        cut = np.partition(newest, len(newest) - excess)[len(newest) - excess]
+        for klass, stores in self._stores.items():
+            for s in stores:
+                self.evicted[klass] += s.release(keep=int(np.searchsorted(s.admitted(), cut)))
 
     def close_all(self) -> None:
         for stores in self._stores.values():

@@ -6,7 +6,7 @@ from loggraph.edgelog import INEFFICIENT_THRESHOLD, EdgeLog, inefficient, log_ca
 from loggraph.errors import CorruptPageError
 from loggraph.pager import PAGE_HEADER, StoreRegistry
 
-from util import adjacency, build_graph, random_graph, ring_graph, rows_of
+from util import adjacency, build_graph, ledger_off, random_graph, ring_graph, rows_of
 
 
 def view(v, nbrs):
@@ -243,11 +243,10 @@ def test_transparency_on_engine_run(tmp_path, monkeypatch):
     """Edge log on vs off never changes results (MIS-style scattered access),
     and the log saves csr reads of its own: with no resident pages, which
     would hold this whole graph and leave the log nothing to save."""
-    from loggraph import engine
     from loggraph.apps import Mis
     from loggraph.engine import EngineConfig, run_app
 
-    monkeypatch.setattr(engine, "ledger_budget", lambda cfg, sort_need: 0)
+    ledger_off(monkeypatch)
 
     src, dst = random_graph(3000, 3, seed=2)
     g1 = build_graph(tmp_path / "a", src, dst, 3000, page_size=256)

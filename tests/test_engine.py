@@ -13,12 +13,23 @@ from loggraph.engine import (
     Engine,
     EngineConfig,
     VertexProgram,
-    ledger_budget,
     run_app,
 )
 from loggraph.errors import ConfigError, ContractViolation
 
-from util import PerVertex, build_graph, clique_graph, random_graph, ring_graph, rows_of
+from loggraph.pager import StoreRegistry
+
+from util import (
+    PerVertex,
+    both_directions,
+    build_graph,
+    clique_graph,
+    ledger_off,
+    random_graph,
+    ring_graph,
+    rows_of,
+    spy_ledger,
+)
 
 CFG = dict(memory_budget=1 << 20, page_size=256)
 
@@ -260,14 +271,27 @@ def test_structural_share_is_a_tenth_of_the_budget():
     assert c.sort_frac + MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC <= 1
 
 
-def test_the_budget_shares_sum_to_one():
-    c = EngineConfig()
-    fixed = MULTILOG_FRAC + EDGELOG_FRAC + STRUCTURAL_FRAC
-    # the ledger gets the rest: 5% when the sort takes its whole share
-    assert ledger_budget(c, c.sort_budget) == pytest.approx(0.05 * (1 << 30), abs=3)
-    assert c.sort_frac + fixed + ledger_budget(c, c.sort_budget) / c.memory_budget == pytest.approx(1)
-    assert ledger_budget(c, 0) == pytest.approx((1 - fixed) * (1 << 30), abs=3)
-    assert ledger_budget(c, c.memory_budget) == 0
+def test_the_budget_shares_sum_to_one(tmp_path):
+    # the ledger's budget is the whole memory budget, and the sort, the
+    # multi-log, the pending edge ops and the edge log hold what they report:
+    # resident pages, holds and the ledger's free room make up the budget
+    src, dst = random_graph(400, 6, seed=5)
+    g = build_graph(tmp_path, src, dst, 400, page_size=256)
+    config = cfg(edge_log=True, max_supersteps=6)
+    seen = []
+
+    def snap(eng, st):
+        reg = eng.registry
+        assert reg.budget == config.memory_budget and reg.held == sum(reg.holds.values())
+        assert reg.resident + reg.held <= config.memory_budget
+        assert reg.holds["multilog"] == eng._mlog.resident_bytes <= config.multilog_budget
+        assert reg.holds.get("structural", 0) == eng._pending_bytes.sum()
+        assert reg.holds["edgelog"] == 256 and reg.holds["sort"] <= config.sort_budget
+        seen.append(dict(reg.holds))
+
+    Engine(g, KCore(k=4), config, str(tmp_path / "run")).run(on_superstep=snap)
+    assert all(max(h[holder] for h in seen) > 0 for holder in ("sort", "multilog", "structural"))
+    assert (g.registry.resident, g.registry.budget, g.registry.held, g.registry.holds) == (0, 0, 0, {})
 
 
 def test_pages_stay_resident_across_supersteps_and_are_released_at_the_end(tmp_path):
@@ -310,18 +334,66 @@ def test_the_ledger_and_the_sort_stay_inside_the_memory_budget_as_messages_grow(
     # the smallest budget whose multi-log holds a page per interval; the
     # last supersteps' logs overflow the sort budget and take several passes
     config = cfg(memory_budget=g.meta.num_intervals * 256 * 20, max_supersteps=11)
+    spy = spy_ledger(monkeypatch)  # resident pages fit in the budget less the holds
     res = run_app(g, Swell(), config, str(tmp_path / "run"))
     assert np.all(np.diff([st.messages_sent for st in res.stats]) > 0) and res.num_supersteps == 11
-    fixed = config.multilog_budget + config.edgelog_budget + config.structural_budget
-    for st in res.stats:
-        assert st.resident_peak + st.sort_resident_peak + fixed <= config.memory_budget, st.superstep
+    assert spy["calls"] > 0
     # the sort's growing need made the ledger give pages back
-    assert sum(sum(st.evicted.values()) for st in res.stats) > 0
+    assert sum(sum(st.evicted.values()) for st in res.stats) > 0 and spy["gave_back"] > 0
     assert (g.registry.resident, g.registry.budget) == (0, 0)
     # pages given back dirty mid-run were written: no ledger, same states
-    monkeypatch.setattr(engine, "ledger_budget", lambda cfg, sort_need: 0)
+    ledger_off(monkeypatch)
     off = run_app(g, Swell(), config, str(tmp_path / "off"))
     assert off.states.tobytes() == res.states.tobytes()
+
+
+def test_a_hold_that_gives_pages_back_keeps_the_superstep_peak(tmp_path, monkeypatch):
+    src, dst = random_graph(400, 4, seed=5)
+    g = build_graph(tmp_path, src, dst, 400, page_size=256)
+    config = cfg(memory_budget=g.meta.num_intervals * 256 * 20, max_supersteps=11)
+    before = []  # this superstep's resident bytes before each hold that gave pages back
+    hold = StoreRegistry.hold
+
+    def hold_spy(reg, holder, nbytes):
+        resident = reg.resident
+        hold(reg, holder, nbytes)
+        if reg.resident < resident:
+            before.append(resident)
+
+    peaks = []
+
+    def snap(eng, st):
+        peaks.append((st.resident_peak, max(before, default=0)))
+        before.clear()
+
+    monkeypatch.setattr(StoreRegistry, "hold", hold_spy)
+    Engine(g, Swell(), config, str(tmp_path / "run")).run(on_superstep=snap)
+    assert any(gave > 0 for _, gave in peaks)
+    assert all(peak >= gave for peak, gave in peaks), peaks
+
+
+def test_pages_the_holders_leave_room_for_are_read_once(tmp_path):
+    # 2,400 vertices and 100 edges on distinct ones: state and rowPtr pages
+    # outweigh the messages, which stay in the multi-log. Graph and state
+    # exceed 80% of the budget less the sort's need, the most a ledger that
+    # reserved every fixed share could hold, but fit beside what the sort
+    # and the multi-log hold
+    n, pairs = 2400, 100
+    ids = np.random.default_rng(5).permutation(n)[: 2 * pairs].reshape(2, -1)
+    src, dst = both_directions(list(zip(ids[0].tolist(), ids[1].tolist())))
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    csr_pages = sum(part.rowptr.num_pages + part.colidx.num_pages for part in g.partitions)
+    config = cfg(memory_budget=72 << 10, max_supersteps=4)
+    holds = []
+    res = Engine(g, PageRank(), config, str(tmp_path / "run")).run(
+        on_superstep=lambda eng, st: holds.append(dict(eng.registry.holds))
+    )
+    graph_bytes = (csr_pages + res.writes["state"]) * 256
+    sort_need = max(h["sort"] for h in holds)
+    assert graph_bytes > 0.80 * config.memory_budget - sort_need > 0
+    assert all(graph_bytes <= config.memory_budget - sum(h.values()) for h in holds)
+    assert [st.reads["csr"] for st in res.stats] == [csr_pages, 0, 0, 0]
+    assert all(st.hits["csr"] > 0 for st in res.stats[1:])
 
 
 def test_engine_default_budget_and_splits():

@@ -14,7 +14,7 @@ the files a run leaves on disk are byte-identical with them on and off.
 import numpy as np
 import pytest
 
-from loggraph import csr, engine
+from loggraph import csr
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 
@@ -23,11 +23,13 @@ from util import (
     adjacency_lists,
     build_graph,
     files_under,
+    ledger_off,
     random_graph,
     ring_graph,
     rows_of,
     small_world,
     spy_given_back,
+    spy_ledger,
     spy_pressure,
 )
 
@@ -174,14 +176,16 @@ LEDGER_KNOBS = [KNOBS[0], KNOBS[3], SHRINKING]
 )
 def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, make_program, degree, cap, knobs, gives_back):
     src, dst = random_graph(N, degree, seed=48)
-    budget = engine.ledger_budget
     spy = spy_given_back(monkeypatch)
+    ledger = spy_ledger(monkeypatch)  # the ledger stays inside the budget less the holds
     for i, knob in enumerate(knobs):
         runs = []
-        for side, ledger in (("on", budget), ("off", lambda cfg, sort_need: 0)):
-            monkeypatch.setattr(engine, "ledger_budget", ledger)
-            spy["given_back"] = 0
-            runs += run_all_knobs(tmp_path / side / f"knob{i}", src, dst, make_program, [knob], max_supersteps=cap)
+        for side in ("on", "off"):
+            with monkeypatch.context() as switch:
+                if side == "off":
+                    ledger_off(switch)
+                spy["given_back"] = 0
+                runs += run_all_knobs(tmp_path / side / f"knob{i}", src, dst, make_program, [knob], max_supersteps=cap)
             if side == "on" and gives_back and knob is SHRINKING:
                 assert spy["given_back"] > 0, knob
         assert_knob_invariant(runs)
@@ -196,6 +200,7 @@ def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, 
         on_disk = [files_under(tmp_path / side / f"knob{i}") for side in ("on", "off")]
         assert any("aux" in path for path in on_disk[1]) == (make_program().aux_entry_dtype is not None)
         assert on_disk[0] == on_disk[1], knob
+    assert ledger["calls"] > 0
 
 
 class RingProbe(VertexProgram):

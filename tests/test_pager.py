@@ -443,3 +443,82 @@ def test_read_pages_and_write_back_reject_a_page_out_of_range(tmp_path, bad):
         store.read_pages([0, bad])
     with pytest.raises(AddressError):
         store.write_back(bad, bytes(128))
+
+
+def test_a_growing_hold_gives_back_the_newest_pages_across_stores(tmp_path, monkeypatch):
+    reg, store, images = ledger(tmp_path, 4, 6)
+    other = reg.open(str(tmp_path / "o.pages"), "state")
+    store.read_pages([0])  # admissions, oldest first: csr 0, state 0, csr 2,
+    other.append(images[0])  # csr 1, state 1, csr 3
+    store.read_pages([2, 1])
+    other.append(images[1])
+    store.read_pages([3])
+    for page_id in (3, 1, 2):
+        store.write_back(page_id, images[0])
+    order = []
+    write_page = PageStore.write_page
+    monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append((s.path, p)) or write_page(s, p, data))
+    reg.hold("sort", 2 * 128 + 5)  # a partial page takes a whole one back
+    assert reg.evicted == {"csr": 2, "log": 0, "edgelog": 0, "state": 1}
+    # the dirty csr 1 and 3 once, in page order, then the appended state 1
+    assert order == [(store.path, 1), (store.path, 3), (other.path, 1)]
+    assert (reg.resident, reg.held, reg.holds) == (3 * 128, 2 * 128 + 5, {"sort": 2 * 128 + 5})
+    read = (store.pages_read, other.pages_read)
+    store.read_pages([0, 2])
+    other.read_pages([0])
+    assert (store.pages_read, other.pages_read) == read  # the oldest three stayed
+    reg.hold("multilog", 128)
+    assert reg.evicted["csr"] == 3 and reg.resident == 2 * 128 and reg.held == 3 * 128 + 5
+    assert order[3:] == [(store.path, 2)]
+    reg.set_budget(0)  # the appended state 0 is dirty, csr 0 clean
+    assert order[4:] == [(other.path, 0)] and reg.resident == 0
+
+
+def test_a_shrinking_hold_reopens_room_but_admits_nothing_by_itself(tmp_path):
+    reg, store, _ = ledger(tmp_path, 4, 4)
+    store.read_pages([0, 1, 2, 3])
+    reg.hold("sort", 3 * 128)
+    assert reg.resident == 128
+    reg.hold("sort", 128)
+    assert reg.resident == 128 and reg.evicted["csr"] == 3
+    store.read_pages([1, 2, 3])  # two pages of room: 1 and 2 are admitted
+    assert reg.resident == 3 * 128 and store.pages_read == 7
+    store.read_pages([1, 2, 3])
+    assert store.pages_read == 8 and store.pages_hit == 2
+
+
+def test_holds_do_nothing_while_the_budget_is_0(tmp_path):
+    reg, store, _ = ledger(tmp_path, 3, 0)
+    reg.hold("multilog", 5 * 128)
+    assert (reg.held, reg.holds) == (0, {})
+    reg.set_budget(3 * 128)
+    store.read_pages([0, 1, 2])  # no hold from before the budget takes room
+    assert reg.resident == 3 * 128
+    reg.hold("sort", 128)
+    reg.set_budget(0)  # a budget of 0 forgets every hold
+    assert (reg.resident, reg.held, reg.holds) == (0, 0, {})
+    reg.set_budget(3 * 128)
+    store.read_pages([0, 1, 2])
+    assert reg.resident == 3 * 128
+
+
+def test_a_negative_hold_is_a_contract_violation(tmp_path):
+    reg, _, _ = ledger(tmp_path, 1, 1)
+    with pytest.raises(ContractViolation, match="sort holds -1 bytes"):
+        reg.hold("sort", -1)
+    assert reg.held == 0
+
+
+def test_a_hold_that_leaves_room_touches_no_store(tmp_path, monkeypatch):
+    # the multi-log reports its bytes once per send block
+    reg, store, _ = ledger(tmp_path, 4, 4)
+    store.read_pages([0, 1, 2])
+    reg.hold("multilog", 128)  # the ledger is full
+    with monkeypatch.context() as patch:
+        patch.setattr(PageStore, "admitted", lambda s: pytest.fail("a hold with room looked at the stores"))
+        patch.setattr(PageStore, "release", lambda s, **kw: pytest.fail("a hold with room released pages"))
+        for _ in range(1000):
+            reg.hold("multilog", 128)
+            reg.hold("sort", 0)
+        reg.hold("multilog", 0)
+    assert (reg.resident, reg.held) == (3 * 128, 0)

@@ -144,12 +144,14 @@ def spy_pressure(monkeypatch):
 
 def spy_given_back(monkeypatch):
     """Counts, over the engine runs that follow in the test, the appended
-    pages that the pager kept unwritten and that a StoreRegistry.set_budget
-    to a budget above 0 then wrote: pages given back mid-run, not at its end."""
+    pages that the pager kept unwritten and that a StoreRegistry.hold, or a
+    StoreRegistry.set_budget to a budget above 0, then wrote: pages given
+    back mid-run, not at its end."""
     seen = {"given_back": 0}
     deferred = set()  # (path, page) of each append that wrote nothing
-    inside = []  # the budget of each set_budget call under way
-    append, write_page, set_budget = PageStore.append, PageStore.write_page, StoreRegistry.set_budget
+    inside = []  # the budget of each hold or set_budget call under way
+    append, write_page = PageStore.append, PageStore.write_page
+    hold, set_budget = StoreRegistry.hold, StoreRegistry.set_budget
 
     def append_spy(store, data):
         written = store.pages_written
@@ -163,17 +165,54 @@ def spy_given_back(monkeypatch):
             seen["given_back"] += 1
         return write_page(store, page_id, data)
 
-    def budget_spy(registry, nbytes):
-        inside.append(nbytes)
+    def under(budget, call, *args):
+        inside.append(budget)
         try:
-            set_budget(registry, nbytes)
+            call(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(PageStore, "append", append_spy)
     monkeypatch.setattr(PageStore, "write_page", write_spy)
+    monkeypatch.setattr(StoreRegistry, "hold", lambda reg, holder, nbytes: under(reg.budget, hold, reg, holder, nbytes))
+    monkeypatch.setattr(StoreRegistry, "set_budget", lambda reg, nbytes: under(nbytes, set_budget, reg, nbytes))
+    return seen
+
+
+def spy_ledger(monkeypatch):
+    """Checks, after every StoreRegistry.hold and set_budget call of the
+    engine runs that follow in the test, that the ledger's resident pages
+    fit in the budget less the sum of the holds. Counts the calls ("calls")
+    and the holds that gave pages back ("gave_back")."""
+    seen = {"calls": 0, "gave_back": 0}
+    hold, set_budget = StoreRegistry.hold, StoreRegistry.set_budget
+
+    def check(reg):
+        seen["calls"] += 1
+        room = max(reg.budget - sum(reg.holds.values()), 0)
+        assert reg.resident <= room, f"{reg.resident} bytes resident, {room} free of holds"
+
+    def hold_spy(reg, holder, nbytes):
+        resident = reg.resident
+        hold(reg, holder, nbytes)
+        seen["gave_back"] += reg.resident < resident
+        check(reg)
+
+    def budget_spy(reg, nbytes):
+        set_budget(reg, nbytes)
+        check(reg)
+
+    monkeypatch.setattr(StoreRegistry, "hold", hold_spy)
     monkeypatch.setattr(StoreRegistry, "set_budget", budget_spy)
     return seen
+
+
+def ledger_off(monkeypatch):
+    """Keeps the pager's ledger off in the engine runs that follow: every
+    StoreRegistry.set_budget sets 0, so no page stays resident, every append
+    is written at once and every hold does nothing."""
+    set_budget = StoreRegistry.set_budget
+    monkeypatch.setattr(StoreRegistry, "set_budget", lambda reg, nbytes: set_budget(reg, 0))
 
 
 def files_under(root):
