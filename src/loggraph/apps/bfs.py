@@ -1,7 +1,8 @@
 """Breadth-first search: levels are hop counts from the source.
 
 A batch takes each row's smallest inbox level and broadcasts level + 1 from
-the rows whose level improved."""
+the rows whose level improved. The combiner already keeps each destination's
+smallest level, so an inbox holds one record."""
 
 from __future__ import annotations
 
@@ -12,15 +13,11 @@ from ..engine import VertexProgram
 INF_LEVEL = 0xFFFFFFFF
 
 
-def _reduce(records, starts, out):
-    out["level"] = np.minimum.reduceat(records["level"], starts)
-
-
 class Bfs(VertexProgram):
     name = "bfs"
     payload_fields = [("level", "<u4")]
     state_dtype = np.dtype([("level", "<u4")])
-    combine = staticmethod(_reduce)
+    combine = {"level": np.minimum}
 
     def __init__(self, source: int = 0):
         self.source = source
@@ -36,7 +33,7 @@ class Bfs(VertexProgram):
     def process_batch(self, ctx, batch):
         rows, msgs = batch.messages()
         new = np.full(len(batch), INF_LEVEL, np.uint32)
-        np.minimum.at(new, rows, msgs["level"])
+        np.minimum.at(new, rows, np.ascontiguousarray(msgs["level"]))
         level = batch.states["level"]
         improved = new < level  # a row with an empty inbox keeps INF_LEVEL
         level[improved] = new[improved]

@@ -1,4 +1,4 @@
-"""Delta-push PageRank with a sum combine.
+"""Delta-push PageRank with a sum combiner.
 
 Each processed vertex folds the incoming rank changes, accumulates them into
 its rank, and pushes alpha * change / out_degree to every neighbor. A batch
@@ -7,6 +7,10 @@ of every row's share over the flat adjacency. The
 activation flag rides along in the payload when the folded change exceeds
 the threshold; delivery itself is what reactivates a vertex, so the flag is
 informational on the synchronous path.
+
+The combiner sums a destination's changes and keeps the largest activation
+flag, so each inbox holds one record; with use_combine=False the
+scatter-add folds every message, in arrival order.
 """
 
 from __future__ import annotations
@@ -16,16 +20,11 @@ import numpy as np
 from ..engine import VertexProgram
 
 
-def _reduce(records, starts, out):
-    out["change"] = np.add.reduceat(records["change"], starts)
-    out["activate"] = np.maximum.reduceat(records["activate"], starts)
-
-
 class PageRank(VertexProgram):
     name = "pagerank"
     payload_fields = [("change", "<f8"), ("activate", "u1")]
     state_dtype = np.dtype([("rank", "<f8"), ("change", "<f8")])
-    combine = staticmethod(_reduce)
+    combine = {"change": np.add, "activate": np.maximum}
 
     def __init__(self, alpha: float = 0.85, threshold: float = 0.4, use_combine: bool = True):
         self.alpha = alpha
@@ -42,7 +41,7 @@ class PageRank(VertexProgram):
         rows, msgs = batch.messages()
         st = batch.states
         total = st["change"].copy()
-        np.add.at(total, rows, msgs["change"])  # in index order: arrival-order sums
+        np.add.at(total, rows, np.ascontiguousarray(msgs["change"]))  # in index order: arrival-order sums
         st["change"] = 0.0
         st["rank"] += total
         deg = batch.adj.degrees

@@ -1,11 +1,13 @@
 """Superstep driver.
 
 One superstep: plan log fusion from the sealed per-interval message counts,
-load and sort each fused log, take its destinations plus the forced vertices
-as the active set, fetch their state and adjacency (from the edge log when
-possible), run the vertex program on them, route its sends through the
-multi-log, then seal the next superstep's logs, merge pending structural
-updates if their budget share overflows and record the activity bit vector.
+load each fused log and sort it, or scatter it into one record per
+destination when the program has a combiner, take its destinations plus the
+forced vertices as the active set, fetch their state and adjacency (from the
+edge log when possible), run the vertex program on them, route its sends
+through the multi-log, then seal the next superstep's logs, merge pending
+structural updates if their budget share overflows and record the activity
+bit vector.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
 log.
 
@@ -36,13 +38,14 @@ starts and to 0 when it ends; in between, every other holder of memory
 reports what it holds through `StoreRegistry.hold`, and the ledger gets the
 rest: the sort its need each superstep, after planning its fusion (the
 largest one-pass plan, or the whole sort budget when a plan takes several
-passes), the pending edge ops their bytes as they are buffered and merged,
-the multi-log its open pages and sealed tails, and the edge log its write
-buffer. The shares of the memory budget (`MULTILOG_FRAC`, `EDGELOG_FRAC`,
-`STRUCTURAL_FRAC`) are caps on those holders, not reservations: memory a
-holder does not use is the ledger's. A hold that grows gives back the
-newest-admitted pages first, and every page of any class read or written is
-kept while the ledger has room (see `pager`). A kept page is never read from
+passes; with a combiner, the largest plan's records and their scatter,
+`sortgroup.combine_bytes`), the pending edge ops their bytes as they are
+buffered and merged, the multi-log its open pages and sealed tails, and the
+edge log its write buffer. The shares of the memory budget (`MULTILOG_FRAC`,
+`EDGELOG_FRAC`, `STRUCTURAL_FRAC`) are caps on those holders, not
+reservations: memory a holder does not use is the ledger's. A hold that
+grows gives back the newest-admitted pages first, and every page of any
+class read or written is kept while the ledger has room (see `pager`). A kept page is never read from
 storage again. A page the run appends while the ledger has room (state and
 aux pages as they are created, log and edge-log pages, merged CSR pages) is
 kept unwritten, and a kept state page that commits change is updated in
@@ -172,7 +175,7 @@ class VertexProgram:
     """Contract for application vertex programs.
 
     Subclasses define the wire payload, the state record, an optional
-    combine reducer and optional per-in-neighbor table entries
+    combiner and optional per-in-neighbor table entries
     (aux_entry_dtype), plus:
 
       init_all(num_vertices, in_degrees) -> (states, active_bits, init_msgs)
@@ -188,12 +191,12 @@ class VertexProgram:
     updates it in place, and the pages covering the rows whose entries
     changed are written back.
 
-    combine, when set, is a function reduce(records, starts, out) applied to
-    each sorted log: records are grouped by destination, group i starts at
-    starts[i], and it must fill out's payload fields with one associative,
-    commutative reduction per group (numpy reduceat kernels fit). Inboxes
-    then hold one record per destination. Set it with staticmethod so that
-    it is not bound to the program instance.
+    combine, when set, maps every payload field to the ufunc that reduces
+    it: np.add, np.minimum or np.maximum (`sortgroup.check_combine`; the
+    engine refuses anything else when it is built). Inboxes then hold one
+    record per destination, its fields reduced over the destination's
+    messages in no defined order (a float sum adds in arrival order) and
+    src the smallest sender, and nothing is sorted.
 
     A program may not keep ctx or the batch beyond the call. Messages are
     the only way a vertex runs again next superstep; deactivation is the
@@ -349,6 +352,8 @@ class Engine:
                 f"engine page size {config.page_size} != converted graph page size {self.meta.page_size}"
             )
         self.fmt = RecordFormat(program.payload_fields)
+        if program.combine is not None:
+            sortgroup.check_combine(program.combine, self.fmt)
         if config.sort_budget < self.fmt.width:
             raise ConfigError(
                 f"sort budget of {config.sort_budget} bytes (memory_budget x sort_frac) holds no {self.fmt.width}-byte record"
@@ -535,8 +540,12 @@ class Engine:
                 plans.append(sortgroup.FusePlan([k], 0))
             plans.sort(key=lambda p: p.intervals[0])
         # the sort holds its largest load, or its whole share while a log
-        # too large for it is read in several passes
-        if any(p.passes > 1 for p in plans):
+        # too large for it is read in several passes; a combiner's scatter
+        # holds its largest plan's records and dense columns
+        if self.program.combine is not None:
+            bounds = self.meta.interval_bounds
+            sort_need = max((sortgroup.combine_bytes(p, bounds, self.fmt) for p in plans), default=0)
+        elif any(p.passes > 1 for p in plans):
             sort_need = cfg.sort_budget
         else:
             sort_need = max((p.est_bytes for p in plans), default=0)
@@ -552,10 +561,15 @@ class Engine:
 
         for plan in plans:
             for lo, hi, slog in sortgroup.iter_plan_sorted(
-                plan, manifest, self.fmt, self.meta.interval_bounds, self.in_degrees, track, self._mlog.release
+                plan,
+                manifest,
+                self.fmt,
+                self.meta.interval_bounds,
+                self.in_degrees,
+                track,
+                self._mlog.release,
+                self.program.combine,
             ):
-                if self.program.combine is not None:
-                    slog = sortgroup.apply_combine(slog, self.program.combine, self.fmt)
                 act = slog.dests
                 forced_here = forced[(forced >= lo) & (forced < hi)]
                 if len(forced_here):

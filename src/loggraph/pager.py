@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left
 from itertools import chain
 
 import numpy as np
@@ -478,14 +479,15 @@ class StoreRegistry:
         excess = -(-(self.resident + self.held - self.budget) // self.page_size)
         if excess <= 0 or self.resident == 0:
             return
-        # every admission number at or past the excess-th newest goes
-        admitted = (s.admitted() for stores in self._stores.values() for s in stores)
-        newest = np.fromiter(chain.from_iterable(admitted), np.int64)
+        # every admission number at or past the excess-th newest goes; each
+        # store's list is ascending, so only its last excess can be among them
+        tails = (s.admitted()[-excess:] for stores in self._stores.values() for s in stores)
+        newest = np.fromiter(chain.from_iterable(tails), np.int64)
         excess = min(excess, len(newest))
-        cut = np.partition(newest, len(newest) - excess)[len(newest) - excess]
+        cut = int(np.partition(newest, len(newest) - excess)[len(newest) - excess])
         for klass, stores in self._stores.items():
             for s in stores:
-                self.evicted[klass] += s.release(keep=int(np.searchsorted(s.admitted(), cut)))
+                self.evicted[klass] += s.release(keep=bisect_left(s.admitted(), cut))
 
     def close_all(self) -> None:
         for stores in self._stores.values():

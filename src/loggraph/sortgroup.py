@@ -3,17 +3,21 @@
 Contiguous intervals whose sealed logs fit the sort budget together are
 fused into one load, which parses each interval's pages on disk from one
 buffer and its resident tail from another.
-Records are sorted by destination with ties in chain order, which is
-arrival order: one uint64 key per record, dest << 32 | position, sorts in
-exactly that order. They are then grouped into contiguous per-vertex
-ranges at the runs of equal destinations, and optionally reduced by an
-application combine reducer (see `apply_combine`).
+Without a combiner, records are sorted by destination with ties in chain
+order, which is arrival order: one uint64 key per record, dest << 32 |
+position, sorts in exactly that order. They are then grouped into
+contiguous per-vertex ranges at the runs of equal destinations.
+With a combiner (one ufunc per payload field) the order within a
+destination carries no meaning, so nothing is sorted: `apply_combine`
+scatters each column into a dense array over the pass's destination range
+and reads one record per destination back, ascending.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -122,24 +126,100 @@ def check_dest_range(records: np.ndarray, lo: int, hi: int) -> None:
         raise CorruptPageError(f"record destination outside interval range [{lo}, {hi})")
 
 
-def apply_combine(slog: SortedLog, combine, fmt: RecordFormat) -> SortedLog:
-    """One record per destination, reduced by the program's combine reducer.
+# the ufuncs a combiner may name, each with its identity (see _identity)
+COMBINE_UFUNCS = (np.add, np.minimum, np.maximum)
 
-    combine(records, starts, out) fills the payload fields of `out` (one row
-    per group, dest and src already set) from the grouped `records`, where
-    group i starts at starts[i]; numpy `reduceat` kernels fit this shape.
-    The surviving src is the smallest contributor (informational only).
-    """
-    k = len(slog.dests)
-    if k == 0 or len(slog.records) == k:
-        idx = np.arange(k, dtype=np.int64)
-        return SortedLog(slog.records, slog.dests, idx, idx + 1)
-    out = np.zeros(k, fmt.dtype)
-    out["dest"] = slog.dests
-    out["src"] = np.minimum.reduceat(slog.records["src"], slog.starts)
-    combine(slog.records, slog.starts, out)
-    idx = np.arange(k, dtype=np.int64)
-    return SortedLog(out, slog.dests, idx, idx + 1)
+
+def check_combine(combine: dict, fmt: RecordFormat) -> None:
+    """A combiner maps each integer or float payload field of the wire
+    format to one of np.add, np.minimum and np.maximum; anything else is a
+    contract violation."""
+    names = [name for name, _ in fmt.payload_fields]
+    if not isinstance(combine, dict):
+        raise ContractViolation(f"combine must map payload fields to ufuncs, got {type(combine).__name__}")
+    for name, ufunc in combine.items():
+        if name not in names:
+            raise ContractViolation(f"combine names {name!r}, which is not a payload field of {names}")
+        if not any(ufunc is u for u in COMBINE_UFUNCS):
+            raise ContractViolation(f"combine of {name!r} is {ufunc!r}; only np.add, np.minimum and np.maximum combine")
+        if fmt.dtype[name].kind not in "iuf":
+            raise ContractViolation(f"combine of {name!r}: a {fmt.dtype[name]} field does not combine")
+    missing = [name for name in names if name not in combine]
+    if missing:
+        raise ContractViolation(f"combine names no ufunc for the payload field {missing[0]!r}")
+
+
+def _identity(ufunc, dtype: np.dtype):
+    if ufunc is np.add:
+        return 0
+    lowest = ufunc is np.maximum
+    if dtype.kind == "f":
+        return -np.inf if lowest else np.inf
+    info = np.iinfo(dtype)
+    return info.min if lowest else info.max
+
+
+def _scatter(ufunc, index: np.ndarray, col: np.ndarray, span: int) -> np.ndarray:
+    """col reduced by ufunc into a dense array over [0, span) at index."""
+    if ufunc is np.add and col.dtype.kind == "f":
+        return np.bincount(index, weights=col, minlength=span)
+    dense = np.full(span, _identity(ufunc, col.dtype), col.dtype)
+    ufunc.at(dense, index, col)
+    return dense
+
+
+def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: RecordFormat) -> SortedLog:
+    """One record per destination of [lo, hi) that got any, ascending, each
+    payload field reduced by the combiner's ufunc (see `check_combine`) and
+    src the smallest contributor (informational only). Every dest must lie
+    in [lo, hi) (`check_dest_range`).
+
+    Nothing is sorted: each column is scattered into a dense array over
+    [lo, hi), one column at a time, with np.bincount for a float sum and
+    ufunc.at otherwise, and read back at the destinations hit. A float sum
+    adds in record order. `combine_bytes` bounds what this allocates."""
+    if len(records) == 0:
+        e = np.zeros(0, np.int64)
+        return SortedLog(np.zeros(0, fmt.dtype), e, e, e)
+    span = hi - lo
+    index = records["dest"].astype(np.intp)
+    index -= lo
+    hit = np.zeros(span, bool)
+    hit[index] = True
+    at = np.flatnonzero(hit)
+    dests = at + lo
+    out = np.empty(len(at), fmt.dtype)
+    out["dest"] = dests
+    # ufunc.at and bincount take their fast paths on contiguous columns only
+    for name, ufunc in chain([("src", np.minimum)], combine.items()):
+        out[name] = _scatter(ufunc, index, np.ascontiguousarray(records[name]), span)[at]
+    idx = np.arange(len(at), dtype=np.int64)
+    return SortedLog(out, dests, idx, idx + 1)
+
+
+# what a scatter allocates whatever its size: array headers, and the
+# iterator of ufunc.at, which tracemalloc puts at 5.2 KB on numpy 2.4
+SCATTER_FIXED_BYTES = 8 << 10
+
+
+def combine_bytes(plan: FusePlan, bounds: list[int], fmt: RecordFormat) -> int:
+    """Most bytes a combiner's pass over plan holds: its n loaded records,
+    and what `apply_combine` allocates for them over the plan's destination
+    span: the per-record intp index and one contiguous column, the hit mask
+    and one dense column, the combined records with their destination
+    indices and one gathered column, and SCATTER_FIXED_BYTES. A pass of a
+    multi-pass plan also holds the whole log, its bucket mask and the
+    previous pass's combined records."""
+    n = plan.est_bytes // fmt.width
+    if n == 0:
+        return 0
+    span = bounds[plan.intervals[-1] + 1] - bounds[plan.intervals[0]]
+    k = min(n, span)
+    f = max(8, *(fmt.dtype[name].itemsize for name in fmt.dtype.names[1:]))
+    held = plan.est_bytes + n * (8 + f) + span * (1 + f) + k * (fmt.width + 3 * f) + SCATTER_FIXED_BYTES
+    if plan.passes > 1:
+        held += plan.est_bytes + n + k * fmt.width
+    return held
 
 
 def split_dest_range(lo: int, hi: int, in_degrees: np.ndarray, passes: int) -> list[tuple[int, int]]:
@@ -165,12 +245,15 @@ def iter_plan_sorted(
     in_degrees: np.ndarray | None = None,
     on_resident=None,
     release=None,
+    combine: dict | None = None,
 ):
-    """Yield (lo, hi, SortedLog) per pass: the sorted records destined to
-    [lo, hi). One pass covers the plan's vertex range; a plan whose single
-    interval overflows the sort budget takes several dest-partitioned
-    passes, which together cover it, an empty bucket included. Each pass
-    re-reads the log but keeps only its own destination bucket in memory.
+    """Yield (lo, hi, SortedLog) per pass: the records destined to [lo, hi),
+    sorted and grouped, or with a combiner one combined record per
+    destination (`apply_combine`). One pass covers the plan's vertex range;
+    a plan whose single interval overflows the sort budget takes several
+    dest-partitioned passes, which together cover it, an empty bucket
+    included. Each pass re-reads the log but keeps only its own destination
+    bucket in memory.
 
     release(handles), when given, gets the plan's log handles right after
     their last load, before that pass is yielded, so the multi-log can free
@@ -178,14 +261,18 @@ def iter_plan_sorted(
     lo = bounds[plan.intervals[0]]
     hi = bounds[plan.intervals[-1] + 1]
     handles = [manifest.handles[k] for k in plan.intervals]
+
+    def group(records, a, b):
+        if on_resident is not None:
+            on_resident(records.nbytes)
+        return sort_n_group(records) if combine is None else apply_combine(records, a, b, combine, fmt)
+
     if plan.passes == 1:
         records = load_log(plan, manifest, fmt)
         if release is not None:
             release(handles)
         check_dest_range(records, lo, hi)
-        if on_resident is not None:
-            on_resident(records.nbytes)
-        yield lo, hi, sort_n_group(records)
+        yield lo, hi, group(records, lo, hi)
         return
     assert len(plan.intervals) == 1
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
@@ -196,7 +283,4 @@ def iter_plan_sorted(
             release(handles)
         check_dest_range(records, lo, hi)
         keep = (records["dest"] >= a) & (records["dest"] < b)
-        bucket = records[keep]
-        if on_resident is not None:
-            on_resident(bucket.nbytes)
-        yield a, b, sort_n_group(bucket)
+        yield a, b, group(records[keep], a, b)

@@ -522,3 +522,49 @@ def test_a_hold_that_leaves_room_touches_no_store(tmp_path, monkeypatch):
             reg.hold("sort", 0)
         reg.hold("multilog", 0)
     assert (reg.resident, reg.held) == (3 * 128, 0)
+
+
+def test_holds_give_back_the_pages_a_brute_force_ranking_of_every_admission_picks(tmp_path):
+    # reads and appends interleave admissions across three stores; before
+    # each hold, rank every resident page by admission number: the hold
+    # gives back exactly the newest ones that no longer fit
+    rng = np.random.default_rng(21)
+    reg = StoreRegistry(page_size=128)
+    stores = {klass: reg.open(str(tmp_path / f"{klass}.pages"), klass) for klass in ("csr", "state", "log")}
+    image = pack_page(128, bytes(8), 8)
+    for s in stores.values():
+        for _ in range(30):
+            s.append_page(image)
+    reg.set_budget(48 * 128)
+    gave = 0
+    for step in range(300):
+        s = list(stores.values())[rng.integers(3)]
+        if rng.random() < 0.3:
+            s.append(image)
+        else:
+            s.read_pages(rng.integers(0, s.num_pages, rng.integers(1, 5)))
+        if step % 3:
+            continue
+        resident = sorted(
+            (s._admitted[s._slot[p]], klass, p)
+            for klass, s in stores.items()
+            for p in np.flatnonzero(s._slot[: s.num_pages] >= 0).tolist()
+        )
+        nbytes = int(rng.integers(0, 40)) * 128 + int(rng.integers(0, 2)) * 5
+        holds = dict(reg.holds, sort=nbytes)
+        excess = max(0, -(-(reg.resident + sum(holds.values()) - reg.budget) // 128))
+        keep = resident[: len(resident) - excess]
+        evicted = dict(reg.evicted)
+        reg.hold("sort", nbytes)
+        got = sorted(
+            (s._admitted[s._slot[p]], klass, p)
+            for klass, s in stores.items()
+            for p in np.flatnonzero(s._slot[: s.num_pages] >= 0).tolist()
+        )
+        assert got == keep
+        for klass in stores:
+            went = sum(1 for _, k, _ in resident[len(keep) :] if k == klass)
+            assert reg.evicted[klass] - evicted[klass] == went
+        gave += len(resident) - len(keep)
+    assert gave > 50
+    reg.close_all()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loggraph import sortgroup
+from loggraph.errors import ContractViolation, CorruptPageError
 from loggraph.multilog import MultiLog, RecordFormat
 from loggraph.pager import StoreRegistry
 from loggraph.sortgroup import FusePlan, apply_combine, plan_fusion, sort_n_group
@@ -99,8 +100,6 @@ def test_load_fused_intervals_concatenates(tmp_path):
 def test_load_detects_manifest_mismatch(tmp_path):
     manifest, _ = make_sealed(tmp_path, [(0, 1, 1)])
     manifest.handles[0].message_count = 99
-    from loggraph.errors import CorruptPageError
-
     with pytest.raises(CorruptPageError):
         sortgroup.load_log(FusePlan([0], 99 * 16), manifest, FMT16)
 
@@ -194,11 +193,9 @@ def test_extract_active_single_dest_flood():
 # -- combine -----------------------------------------------------------------
 
 PR_FMT = RecordFormat([("change", "<f8"), ("activate", "u1")])
-
-
-def _pr_reduce(records, starts, out):
-    out["change"] = np.add.reduceat(records["change"], starts)
-    out["activate"] = np.maximum.reduceat(records["activate"], starts)
+PR_COMBINE = {"change": np.add, "activate": np.maximum}
+BFS_FMT = RecordFormat([("level", "<u4")])
+BFS_COMBINE = {"level": np.minimum}
 
 
 def pr_records(triples, activate=()):
@@ -209,26 +206,24 @@ def pr_records(triples, activate=()):
 
 
 def test_combine_folds_changes():
-    slog = sort_n_group(pr_records([(3, 5, 0.10), (3, 2, 0.25), (3, 9, 0.05)]))
-    out = apply_combine(slog, _pr_reduce, PR_FMT)
+    out = apply_combine(pr_records([(3, 5, 0.10), (3, 2, 0.25), (3, 9, 0.05)]), 0, 8, PR_COMBINE, PR_FMT)
     assert len(out.records) == 1
     assert out.records["change"][0] == pytest.approx(0.40, abs=1e-12)
     assert out.records["src"][0] == 2  # smallest contributing src
 
 
 def test_combine_single_record_identity():
-    slog = sort_n_group(pr_records([(3, 5, 0.5), (4, 1, 0.25)]))
-    out = apply_combine(slog, _pr_reduce, PR_FMT)
-    assert out.records.tobytes() == slog.records.tobytes()
+    recs = pr_records([(3, 5, 0.5), (4, 1, 0.25)])
+    out = apply_combine(recs, 0, 5, PR_COMBINE, PR_FMT)
+    assert out.records.tobytes() == sort_n_group(recs).records.tobytes()
 
 
 def test_combine_scalar_and_vectorized_agree():
-    # the vectorized reducer against a plain per-group loop
+    # the scatter against a plain per-group loop
     rng = np.random.default_rng(9)
     trips = [(int(d), int(s), float(c)) for d, s, c in zip(rng.integers(0, 6, 200), rng.integers(0, 30, 200), rng.random(200))]
     flags = rng.integers(0, 2, 200)
-    slog = sort_n_group(pr_records(trips, flags))
-    out = apply_combine(slog, _pr_reduce, PR_FMT)
+    out = apply_combine(pr_records(trips, flags), 0, 6, PR_COMBINE, PR_FMT)
     dests = sorted({d for d, _, _ in trips})
     assert out.records["dest"].tolist() == dests
     for i, d in enumerate(dests):
@@ -238,6 +233,71 @@ def test_combine_scalar_and_vectorized_agree():
         assert out.records["activate"][i] == max(flags[j] for j in group)
     assert np.array_equal(out.starts, np.arange(len(dests)))
     assert np.array_equal(out.ends, np.arange(len(dests)) + 1)
+
+
+def reference_combine(records, combine):
+    """Stable sort by dest, then one reduceat per field: the reduction the
+    scatter replaces."""
+    slog = sort_n_group(records)
+    out = slog.records[slog.starts]
+    out["src"] = np.minimum.reduceat(slog.records["src"], slog.starts)
+    for name, ufunc in combine.items():
+        out[name] = ufunc.reduceat(slog.records[name], slog.starts)
+    return out
+
+
+@pytest.mark.parametrize("n, lo, span", [(1, 0, 1), (300, 0, 10), (2000, 7, 50), (2000, 1000, 20_000), (500, (1 << 32) - 40, 40)])
+def test_combine_matches_a_stable_sort_and_reduceat_reference(n, lo, span):
+    rng = np.random.default_rng(n + span)
+    pr = np.zeros(n, PR_FMT.dtype)
+    pr["dest"] = lo + rng.integers(0, span, n)
+    pr["src"] = rng.integers(0, 1 << 32, n)
+    pr["change"] = rng.random(n) * 10.0 ** rng.integers(-6, 3, n)
+    pr["activate"] = rng.integers(0, 2, n)
+    bfs = np.zeros(n, BFS_FMT.dtype)
+    bfs["dest"], bfs["src"] = pr["dest"], pr["src"]
+    bfs["level"] = rng.integers(0, 1 << 32, n)
+    bfs["level"][::7] = 0xFFFFFFFF  # the level an unreached vertex holds
+    for recs, fmt, combine in ((pr, PR_FMT, PR_COMBINE), (bfs, BFS_FMT, BFS_COMBINE)):
+        want = reference_combine(recs, combine)
+        got = apply_combine(recs, lo, lo + span, combine, fmt)
+        assert got.dests.dtype == np.int64 and got.dests.tolist() == want["dest"].tolist()
+        assert np.all(np.diff(got.dests) > 0)
+        assert got.starts.tolist() == list(range(len(want))) and got.ends.tolist() == list(range(1, len(want) + 1))
+        for name in fmt.dtype.names:
+            if name == "change":
+                assert np.allclose(got.records[name], want[name], rtol=0, atol=1e-12)
+            else:
+                assert got.records[name].tolist() == want[name].tolist()
+
+
+def test_combine_of_an_empty_pass_is_empty():
+    got = apply_combine(np.zeros(0, PR_FMT.dtype), 5, 9, PR_COMBINE, PR_FMT)
+    assert got.records.dtype == PR_FMT.dtype and len(got.records) == 0
+    for col in (got.dests, got.starts, got.ends):
+        assert col.dtype == np.int64 and len(col) == 0
+    assert len(got.inbox(6)) == 0
+
+
+@pytest.mark.parametrize(
+    "combine, match",
+    [
+        ({"val": np.multiply}, "only np.add, np.minimum and np.maximum"),
+        ({"val": np.add, "other": np.add}, "'other', which is not a payload field"),
+        ({"val": np.add, "src": np.minimum}, "'src', which is not a payload field"),
+        ({}, "no ufunc for the payload field 'val'"),
+        (lambda records, starts, out: None, "must map payload fields to ufuncs"),
+    ],
+)
+def test_a_combiner_other_than_add_min_or_max_per_payload_field_is_a_contract_violation(combine, match):
+    with pytest.raises(ContractViolation, match=match):
+        sortgroup.check_combine(combine, FMT16)
+    sortgroup.check_combine({"val": np.minimum}, FMT16)
+
+
+def test_a_payload_field_that_is_not_an_integer_or_a_float_does_not_combine():
+    with pytest.raises(ContractViolation, match="a bool field does not combine"):
+        sortgroup.check_combine({"flag": np.maximum}, RecordFormat([("flag", "?")]))
 
 
 def test_no_combine_preserves_multiset(tmp_path):
@@ -298,3 +358,34 @@ def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
     assert mlog._carried_pages == 0
     got = np.concatenate(parts)
     assert got.tobytes() == want.records.tobytes()
+
+
+def test_a_multi_pass_combiner_plan_equals_its_single_pass(tmp_path):
+    rng = np.random.default_rng(13)
+    sends = [(int(d), int(s), int(v)) for d, s, v in zip(rng.integers(0, 8, 400), rng.integers(0, 50, 400), rng.integers(0, 99, 400))]
+    manifest, _ = make_sealed(tmp_path, sends, bounds=(0, 8))
+    indeg = np.bincount([d for d, _, _ in sends], minlength=8)
+    combine = {"val": np.add}
+
+    def combined(passes):
+        plan = FusePlan([0], 400 * 16, passes=passes)
+        return list(sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, combine=combine))
+
+    (whole,) = combined(1)
+    parts = combined(3)
+    assert len(parts) == 3
+    assert [(a, b) for a, b, _ in parts] == [(a, b) for a, b in sortgroup.split_dest_range(0, 8, indeg, 3)]
+    assert np.concatenate([slog.records for _, _, slog in parts]).tobytes() == whole[2].records.tobytes()
+    assert np.concatenate([slog.dests for _, _, slog in parts]).tolist() == whole[2].dests.tolist() == list(range(8))
+    for d in range(8):
+        group = [(s, v) for dd, s, v in sends if dd == d]
+        assert whole[2].inbox(d)[["src", "val"]].tolist() == [(min(s for s, _ in group), sum(v for _, v in group))]
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+def test_a_destination_out_of_range_fails_loudly_on_the_combiner_path(tmp_path, passes):
+    # interval 0's log holds dest 3, but the bounds say the interval is [0, 2)
+    manifest, _ = make_sealed(tmp_path, [(1, 0, 5), (3, 0, 6)])
+    plan = FusePlan([0], 32, passes=passes)
+    with pytest.raises(CorruptPageError, match="outside interval range"):
+        list(sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 2, 8], combine={"val": np.add}))
