@@ -38,14 +38,13 @@ starts and to 0 when it ends; in between, every other holder of memory
 reports what it holds through `StoreRegistry.hold`, and the ledger gets the
 rest: the sort its need each superstep, after planning its fusion (the
 largest one-pass plan, or the whole sort budget when a plan takes several
-passes; with a combiner, the largest plan's records and their scatter,
-`sortgroup.combine_bytes`), the pending edge ops their bytes as they are
-buffered and merged, the multi-log its open pages and sealed tails, and the
-edge log its write buffer. The shares of the memory budget (`MULTILOG_FRAC`,
-`EDGELOG_FRAC`, `STRUCTURAL_FRAC`) are caps on those holders, not
-reservations: memory a holder does not use is the ledger's. A hold that
-grows gives back the newest-admitted pages first, and every page of any
-class read or written is kept while the ledger has room (see `pager`). A kept page is never read from
+passes), the pending edge ops their bytes as they are buffered and merged,
+the multi-log its open pages and sealed tails, and the edge log its write
+buffer. The shares of the memory budget (`MULTILOG_FRAC`, `EDGELOG_FRAC`,
+`STRUCTURAL_FRAC`) are caps on those holders, not reservations: memory a
+holder does not use is the ledger's. A hold that grows gives back the
+newest-admitted pages first, and every page of any class read or written is
+kept while the ledger has room (see `pager`). A kept page is never read from
 storage again. A page the run appends while the ledger has room (state and
 aux pages as they are created, log and edge-log pages, merged CSR pages) is
 kept unwritten, and a kept state page that commits change is updated in
@@ -196,7 +195,7 @@ class VertexProgram:
     engine refuses anything else when it is built). Inboxes then hold one
     record per destination, its fields reduced over the destination's
     messages in no defined order (a float sum adds in arrival order) and
-    src the smallest sender, and nothing is sorted.
+    src the smallest sender; the records are not sorted.
 
     A program may not keep ctx or the batch beyond the call. Messages are
     the only way a vertex runs again next superstep; deactivation is the
@@ -539,13 +538,9 @@ class Engine:
             for k in sorted(set(np.unique(self.meta.interval_of(forced)).tolist()) - covered):
                 plans.append(sortgroup.FusePlan([k], 0))
             plans.sort(key=lambda p: p.intervals[0])
-        # the sort holds its largest load, or its whole share while a log
-        # too large for it is read in several passes; a combiner's scatter
-        # holds its largest plan's records and dense columns
-        if self.program.combine is not None:
-            bounds = self.meta.interval_bounds
-            sort_need = max((sortgroup.combine_bytes(p, bounds, self.fmt) for p in plans), default=0)
-        elif any(p.passes > 1 for p in plans):
+        # the sort, or a combiner's scatter, holds its largest load, or its
+        # whole share while a log too large for it is read in several passes
+        if any(p.passes > 1 for p in plans):
             sort_need = cfg.sort_budget
         else:
             sort_need = max((p.est_bytes for p in plans), default=0)

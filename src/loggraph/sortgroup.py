@@ -8,9 +8,11 @@ order, which is arrival order: one uint64 key per record, dest << 32 |
 position, sorts in exactly that order. They are then grouped into
 contiguous per-vertex ranges at the runs of equal destinations.
 With a combiner (one ufunc per payload field) the order within a
-destination carries no meaning, so nothing is sorted: `apply_combine`
-scatters each column into a dense array over the pass's destination range
-and reads one record per destination back, ascending.
+destination carries no meaning, so the records are not sorted:
+`apply_combine` numbers the pass's destinations, scatters each column into
+one slot per destination and reads one record per destination back,
+ascending. Its memory grows with the records, not with the vertex range the
+pass covers.
 """
 
 from __future__ import annotations
@@ -159,13 +161,19 @@ def _identity(ufunc, dtype: np.dtype):
     return info.min if lowest else info.max
 
 
-def _scatter(ufunc, index: np.ndarray, col: np.ndarray, span: int) -> np.ndarray:
-    """col reduced by ufunc into a dense array over [0, span) at index."""
+def _scatter(ufunc, index: np.ndarray, col: np.ndarray, slots: int) -> np.ndarray:
+    """col reduced by ufunc into a dense array over [0, slots) at index."""
     if ufunc is np.add and col.dtype.kind == "f":
-        return np.bincount(index, weights=col, minlength=span)
-    dense = np.full(span, _identity(ufunc, col.dtype), col.dtype)
+        return np.bincount(index, weights=col, minlength=slots)
+    dense = np.full(slots, _identity(ufunc, col.dtype), col.dtype)
     ufunc.at(dense, index, col)
     return dense
+
+
+# a pass whose destination range is at most this many times its record
+# count is scattered over the whole range; a sparser one numbers its
+# distinct destinations first (see apply_combine)
+DENSE_SPAN_PER_RECORD = 4
 
 
 def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: RecordFormat) -> SortedLog:
@@ -174,52 +182,36 @@ def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: Rec
     src the smallest contributor (informational only). Every dest must lie
     in [lo, hi) (`check_dest_range`).
 
-    Nothing is sorted: each column is scattered into a dense array over
-    [lo, hi), one column at a time, with np.bincount for a float sum and
-    ufunc.at otherwise, and read back at the destinations hit. A float sum
-    adds in record order. `combine_bytes` bounds what this allocates."""
-    if len(records) == 0:
+    The records are not sorted: each column is scattered into one slot per
+    destination, one column at a time, with np.bincount for a float sum and
+    ufunc.at otherwise, so a float sum adds in record order. When [lo, hi)
+    is at most DENSE_SPAN_PER_RECORD times the record count, the slots are
+    the whole range and the destinations hit are read back from a mask;
+    otherwise np.unique numbers the distinct destinations, so that what a
+    pass allocates grows with its records, not with its range. Both give
+    the same records."""
+    n = len(records)
+    if n == 0:
         e = np.zeros(0, np.int64)
         return SortedLog(np.zeros(0, fmt.dtype), e, e, e)
-    span = hi - lo
-    index = records["dest"].astype(np.intp)
-    index -= lo
-    hit = np.zeros(span, bool)
-    hit[index] = True
-    at = np.flatnonzero(hit)
-    dests = at + lo
-    out = np.empty(len(at), fmt.dtype)
+    if hi - lo <= DENSE_SPAN_PER_RECORD * n:
+        index = records["dest"].astype(np.intp)
+        index -= lo
+        hit = np.zeros(hi - lo, bool)
+        hit[index] = True
+        at = np.flatnonzero(hit)
+        dests, slots = at + lo, hi - lo
+    else:
+        dests, index = np.unique(records["dest"], return_inverse=True)
+        dests, at, slots = dests.astype(np.int64), None, len(dests)
+    out = np.empty(len(dests), fmt.dtype)
     out["dest"] = dests
     # ufunc.at and bincount take their fast paths on contiguous columns only
     for name, ufunc in chain([("src", np.minimum)], combine.items()):
-        out[name] = _scatter(ufunc, index, np.ascontiguousarray(records[name]), span)[at]
-    idx = np.arange(len(at), dtype=np.int64)
+        col = _scatter(ufunc, index, np.ascontiguousarray(records[name]), slots)
+        out[name] = col if at is None else col[at]
+    idx = np.arange(len(dests), dtype=np.int64)
     return SortedLog(out, dests, idx, idx + 1)
-
-
-# what a scatter allocates whatever its size: array headers, and the
-# iterator of ufunc.at, which tracemalloc puts at 5.2 KB on numpy 2.4
-SCATTER_FIXED_BYTES = 8 << 10
-
-
-def combine_bytes(plan: FusePlan, bounds: list[int], fmt: RecordFormat) -> int:
-    """Most bytes a combiner's pass over plan holds: its n loaded records,
-    and what `apply_combine` allocates for them over the plan's destination
-    span: the per-record intp index and one contiguous column, the hit mask
-    and one dense column, the combined records with their destination
-    indices and one gathered column, and SCATTER_FIXED_BYTES. A pass of a
-    multi-pass plan also holds the whole log, its bucket mask and the
-    previous pass's combined records."""
-    n = plan.est_bytes // fmt.width
-    if n == 0:
-        return 0
-    span = bounds[plan.intervals[-1] + 1] - bounds[plan.intervals[0]]
-    k = min(n, span)
-    f = max(8, *(fmt.dtype[name].itemsize for name in fmt.dtype.names[1:]))
-    held = plan.est_bytes + n * (8 + f) + span * (1 + f) + k * (fmt.width + 3 * f) + SCATTER_FIXED_BYTES
-    if plan.passes > 1:
-        held += plan.est_bytes + n + k * fmt.width
-    return held
 
 
 def split_dest_range(lo: int, hi: int, in_degrees: np.ndarray, passes: int) -> list[tuple[int, int]]:

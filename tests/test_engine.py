@@ -378,14 +378,13 @@ def test_pages_the_holders_leave_room_for_are_read_once(tmp_path):
     # outweigh the messages, which stay in the multi-log. Graph and state
     # exceed 80% of the budget less the sort's need, the most a ledger that
     # reserved every fixed share could hold, but fit beside what the sort
-    # and the multi-log hold. The combiner's dense columns over all 2,400
-    # vertices are most of the sort's need
+    # and the multi-log hold
     n, pairs = 2400, 100
     ids = np.random.default_rng(5).permutation(n)[: 2 * pairs].reshape(2, -1)
     src, dst = both_directions(list(zip(ids[0].tolist(), ids[1].tolist())))
     g = build_graph(tmp_path, src, dst, n, page_size=256)
     csr_pages = sum(part.rowptr.num_pages + part.colidx.num_pages for part in g.partitions)
-    config = cfg(memory_budget=120 << 10, max_supersteps=4)
+    config = cfg(memory_budget=72 << 10, max_supersteps=4)
     holds = []
     res = Engine(g, PageRank(), config, str(tmp_path / "run")).run(
         on_superstep=lambda eng, st: holds.append(dict(eng.registry.holds))
@@ -715,13 +714,14 @@ def test_a_combiner_the_scatter_cannot_run_is_refused_when_the_engine_is_built(t
         Engine(g, program, cfg(), str(tmp_path / "run"))
 
 
-@pytest.mark.parametrize("one_interval", [False, True])
-def test_the_sort_hold_covers_what_the_scatter_holds(tmp_path, monkeypatch, one_interval):
-    # PageRank's passes, each measured with tracemalloc: the loaded records
-    # plus the peak the scatter allocates fit in that superstep's sort hold.
-    # On one interval at an 8 KiB budget every log takes several passes
-    src, dst = random_graph(400, 6, seed=5)
-    g = build_graph(tmp_path, src, dst, 400, page_size=256, sort_budget=1 << 20 if one_interval else None)
+def test_a_sparse_combiner_pass_over_empty_intervals_holds_its_records_not_its_range(tmp_path, monkeypatch):
+    # BFS from 0 on a 20,000-vertex ring: each superstep's few messages land
+    # in the first and the last interval, so one plan fuses them across the
+    # empty ones between. The scatter, measured with tracemalloc, allocates
+    # a few times its records, where slots over the whole range would take
+    # over 100 KB, and the sort hold is the records' bytes
+    n = 20_000
+    g = build_graph(tmp_path, *ring_graph(n), n, page_size=256)
     holds, seen = [], []
     hold, apply_combine = StoreRegistry.hold, sortgroup.apply_combine
 
@@ -730,25 +730,24 @@ def test_the_sort_hold_covers_what_the_scatter_holds(tmp_path, monkeypatch, one_
             holds.append(nbytes)
         hold(reg, holder, nbytes)
 
-    def combine_spy(records, *args):
+    def combine_spy(records, lo, hi, *args):
         tracemalloc.start()
         try:
-            out = apply_combine(records, *args)
+            out = apply_combine(records, lo, hi, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if len(records):  # an empty pass allocates only empty arrays
-            seen.append((holds[-1], records.nbytes + peak))
+        seen.append((records.nbytes, hi - lo, peak, holds[-1]))
         return out
 
     monkeypatch.setattr(StoreRegistry, "hold", hold_spy)
     monkeypatch.setattr(sortgroup, "apply_combine", combine_spy)
-    config = cfg(memory_budget=8 << 10 if one_interval else 1 << 20, max_supersteps=4)
-    res = run_app(g, PageRank(), config, str(tmp_path / "run"))
-    assert (g.meta.num_intervals == 1) == one_interval
-    # the log of every superstep after the first is combined, in several passes on one interval
-    assert len(seen) >= (res.num_supersteps - 1) * (3 if one_interval else 1)
-    assert all(hold >= held for hold, held in seen), seen
+    res = run_app(g, Bfs(0), cfg(max_supersteps=6), str(tmp_path / "run"))
+    assert g.meta.num_intervals > 2
+    assert len(seen) == res.num_supersteps
+    # after the source's own message, every pass covers nearly every vertex
+    assert all(span > 1000 * nbytes // 12 for nbytes, span, _, _ in seen[1:]), seen
+    assert all(peak <= 8 * nbytes + (8 << 10) and hold == nbytes for nbytes, _, peak, hold in seen), seen
 
 
 def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):

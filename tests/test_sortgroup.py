@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,43 @@ def test_combine_of_an_empty_pass_is_empty():
     for col in (got.dests, got.starts, got.ends):
         assert col.dtype == np.int64 and len(col) == 0
     assert len(got.inbox(6)) == 0
+
+
+def random_pr_records(n, lo, span, seed):
+    rng = np.random.default_rng(seed)
+    recs = np.zeros(n, PR_FMT.dtype)
+    recs["dest"] = lo + rng.integers(0, span, n)
+    recs["src"] = rng.integers(0, 1 << 32, n)
+    recs["change"] = rng.random(n)
+    recs["activate"] = rng.integers(0, 2, n)
+    return recs
+
+
+@pytest.mark.parametrize("span", [1_000, 5_000, 100_000])
+def test_slots_over_the_range_and_numbered_destinations_combine_alike(monkeypatch, span):
+    # both add a float sum in record order, so they agree to the bit
+    recs = random_pr_records(5_000, 30, span, span)
+    monkeypatch.setattr(sortgroup, "DENSE_SPAN_PER_RECORD", 0)
+    numbered = apply_combine(recs, 30, 30 + span, PR_COMBINE, PR_FMT)
+    monkeypatch.setattr(sortgroup, "DENSE_SPAN_PER_RECORD", 1 << 40)
+    dense = apply_combine(recs, 30, 30 + span, PR_COMBINE, PR_FMT)
+    assert numbered.records.tobytes() == dense.records.tobytes()
+    assert numbered.dests.tolist() == dense.dests.tolist()
+
+
+@pytest.mark.parametrize("n, span", [(2, 10_000_000), (100, 10_000_000), (5_000, 5_000), (5_000, 20_000), (5_000, 10_000_000)])
+def test_a_combiner_pass_allocates_with_its_records_not_its_range(n, span):
+    # a few records over a wide range, as when a plan fuses two intervals
+    # far apart, allocate about what as many records over a narrow one do;
+    # slots over ten million vertices would take over 40 MB
+    recs = random_pr_records(n, 0, span, n)
+    tracemalloc.start()
+    try:
+        apply_combine(recs, 0, span, PR_COMBINE, PR_FMT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * recs.nbytes + (8 << 10)
 
 
 @pytest.mark.parametrize(
