@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -133,7 +134,8 @@ class Adjacency:
     @staticmethod
     def merge(a: "Adjacency", b: "Adjacency") -> "Adjacency":
         """The rows of both parts (disjoint vertex sets) in ascending id
-        order: the smaller part's rows inserted into the larger one."""
+        order: the smaller part's rows spliced into the larger one, its
+        neighbours joined in one copy of the runs between them."""
         big, small = (a, b) if len(a) >= len(b) else (b, a)
         if len(small) == 0:
             return big
@@ -141,10 +143,13 @@ class Adjacency:
         degrees = np.insert(big.degrees, at, small.degrees)
         offsets = np.zeros(len(degrees) + 1, np.int64)
         np.cumsum(degrees, out=offsets[1:])
+        cuts = big.offsets[at].tolist()
+        runs = np.split(big.nbrs, cuts)
+        rows = np.split(small.nbrs, small.offsets[1:-1].tolist())
         return Adjacency(
             np.insert(big.ids, at, small.ids),
             offsets,
-            np.insert(big.nbrs, np.repeat(big.offsets[at], small.degrees), small.nbrs),
+            np.concatenate([*chain.from_iterable(zip(runs, rows)), runs[-1]]),
             np.insert(big.pages, at, small.pages, axis=0),
         )
 
@@ -253,7 +258,7 @@ class GraphDir:
             return np.fromfile(p, dtype=VID_DT).astype(np.int64)
         deg = np.zeros(self.meta.num_vertices, np.int64)
         for _, dst in self.iter_partition_edges():
-            np.add.at(deg, dst, 1)
+            deg += np.bincount(dst, minlength=len(deg))
         return deg
 
     def iter_partition_edges(self):

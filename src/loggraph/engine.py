@@ -7,7 +7,10 @@ forced vertices as the active set, fetch their state and adjacency (from the
 edge log when possible), run the vertex program on them, route its sends
 through the multi-log, then seal the next superstep's logs, merge pending
 structural updates if their budget share overflows and record the activity
-bit vector.
+bit vector. With a combiner, the multi-log folds an interval's sends into
+one accumulator per superstep when they are dense enough and it fits (see
+`multilog`), and logs one record per destination at seal; `messages_sent`
+counts sends either way.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
 log.
 
@@ -39,19 +42,20 @@ reports what it holds through `StoreRegistry.hold`, and the ledger gets the
 rest: the sort its need each superstep, after planning its fusion (the
 largest one-pass plan, or the whole sort budget when a plan takes several
 passes), the pending edge ops their bytes as they are buffered and merged,
-the multi-log its open pages and sealed tails, and the edge log its write
-buffer. The shares of the memory budget (`MULTILOG_FRAC`, `EDGELOG_FRAC`,
-`STRUCTURAL_FRAC`) are caps on those holders, not reservations: memory a
-holder does not use is the ledger's. A hold that grows gives back the
-newest-admitted pages first, and every page of any class read or written is
-kept while the ledger has room (see `pager`). A kept page is never read from
-storage again. A page the run appends while the ledger has room (state and
-aux pages as they are created, log and edge-log pages, merged CSR pages) is
-kept unwritten, and a kept state page that commits change is updated in
-memory; each is written once, when it is given back, and a log or edge-log
-page consumed and deleted first is never written. At its end, also when the
-program raised, the run sets the budget to 0, which writes every dirty page
-and releases every resident page, CSR pages included.
+the multi-log its open pages, sealed tails and accumulators, and the edge
+log its write buffer. The shares of the memory budget (`MULTILOG_FRAC`,
+`EDGELOG_FRAC`, `STRUCTURAL_FRAC`) are caps on those holders, not
+reservations: memory a holder does not use is the ledger's. A hold that
+grows gives back the newest-admitted pages first, and every page of any
+class read or written is kept while the ledger has room (see `pager`). A
+kept page is never read from storage again. A page the run appends while
+the ledger has room (state and aux pages as they are created, log and
+edge-log pages, merged CSR pages) is kept unwritten, and a kept state page
+that commits change is updated in memory; each is written once, when it is
+given back, and a log or edge-log page consumed and deleted first is never
+written. At its end, also when the program raised, the run sets the budget
+to 0, which writes every dirty page and releases every resident page, CSR
+pages included.
 `RunResult.reads` and `writes` count the whole run's pages, those end
 writes included.
 """
@@ -194,8 +198,13 @@ class VertexProgram:
     it: np.add, np.minimum or np.maximum (`sortgroup.check_combine`; the
     engine refuses anything else when it is built). Inboxes then hold one
     record per destination, its fields reduced over the destination's
-    messages in no defined order (a float sum adds in arrival order) and
-    src the smallest sender; the records are not sorted.
+    messages (a float sum adds in arrival order, in float64) and src the
+    smallest sender; the records are not sorted. The reduction runs at the
+    sender, into one accumulator per interval, when the interval's first
+    send of a superstep is dense enough over its vertices and the
+    accumulator fits the multi-log's budget, and at the receiver otherwise;
+    both fold through `multilog.fold` from the same identity in arrival
+    order, so the inbox is the same to the bit.
 
     A program may not keep ctx or the batch beyond the call. Messages are
     the only way a vertex runs again next superstep; deactivation is the
@@ -314,12 +323,11 @@ class Context:
             raise ContractViolation(
                 f"{len(payload)} payload columns for the {len(fmt.payload_fields)} fields of the wire format"
             )
-        records = np.empty(len(dest), fmt.dtype)
-        for name, col in zip(records.dtype.names, (dest, src, *payload)):
+        columns = (dest, src, *payload)
+        for name, col in zip(fmt.dtype.names, columns):
             if np.ndim(col) and len(col) != len(dest):
                 raise ContractViolation(f"column {name!r} holds {len(col)} values for {len(dest)} destinations")
-            records[name] = col
-        self._engine._mlog.send_many(records)
+        self._engine._mlog.send_columns(columns)
 
     def structural_many(self, ops) -> None:
         """Buffer structural ops, int rows (kind, src, dst) with kind one of
@@ -466,6 +474,7 @@ class Engine:
                 self.registry,
                 os.path.join(self.workdir, "logs"),
                 cfg.multilog_budget,
+                self.program.combine,
             )
             if cfg.edge_log:
                 self._edgelog = EdgeLog(self.registry, os.path.join(self.workdir, "edgelog"), cfg.edgelog_budget)

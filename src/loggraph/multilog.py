@@ -21,21 +21,44 @@ page is never handed over before its log is sealed. Log files are per
 spilled tail while the next superstep's sends open fresh logs.
 
 Record layout: dest(4) | src(4) | fixed-width payload. Records never span
-pages, so each page parses on its own. Pages keep arrival order; sorting by
-destination happens once per loaded log, in the sort-and-group unit.
+pages, so each page parses on its own. Pages keep arrival order; the
+sort-and-group unit orders a loaded log by destination, or combines it.
 
-`send_many` is the one append path: it copies arrays of wire-format records
-into the top pages, and packs the whole pages between an interval's first
-top and its last with `pager.pack_pages`; vertex programs reach it through
-the engine's `Context.send_many`, and `send` is a one-record call into it.
-The multi-log owns its log files and tails: `release` frees the tails of
-logs loaded for the last time, `drop` deletes a consumed superstep's files,
-and `close` every file and tail still held.
+Combining at the sender. With a combiner (one ufunc per payload field, see
+`sortgroup.check_combine`), an interval's log of one superstep is either
+raw records or one dense accumulator over its vertices [lo, hi), chosen at
+the interval's first send of the superstep and kept until its seal. It
+accumulates when that first call carries at least (hi - lo) /
+DENSE_SPAN_PER_RECORD of its messages, the density at which the receiver's
+`sortgroup.apply_combine` scatters over the whole range too, so a sparse
+frontier stays raw and what it holds grows with its messages; and when the
+accumulator's bytes fit the budget beside the resident pages and one top
+page per interval. An accumulator's bytes come out of the pages the budget
+holds, and are reported to the ledger with them. Its sends are folded in,
+column by column, with no record built: each column is first cast to its
+wire dtype, then `fold` folds it, a float sum in float64 and any other field
+in its wire dtype, src by its minimum. At seal the destinations it hit
+become the interval's log, one record per destination in ascending order,
+appended through the same path as raw records. `apply_combine` folds a raw
+log with the same `fold`, from the same identity in arrival order, so both
+give the same bits, and on one record per destination it is the identity.
+Mixing raw records and a partial sum in one interval would break that,
+hence the choice for the whole superstep. A log's `message_count` is its
+records; `total_appends` counts sends.
 
-Its resident pages are memory the pager's ledger may not use: it reports
-their bytes to `StoreRegistry.hold` before a block opens pages, so the
-ledger makes room first, and again after `release` (which `drop` and
-`close` call) frees tails.
+`send_many` appends arrays of wire-format records: it copies them into the
+top pages, and packs the whole pages between an interval's first top and
+its last with `pager.pack_pages`; `send_columns` takes one column per wire
+field, as vertex programs send through the engine's `Context.send_many`,
+and `send` is a one-record call. The multi-log owns its log files and
+tails: `release` frees the tails of logs loaded for the last time, `drop`
+deletes a consumed superstep's files, and `close` every file and tail still
+held.
+
+Its resident pages and accumulators are memory the pager's ledger may not
+use: it reports their bytes to `StoreRegistry.hold` before a block opens
+pages or an accumulator is made, so the ledger makes room first, and again
+after `release` (which `drop` and `close` call) frees tails.
 """
 
 from __future__ import annotations
@@ -53,6 +76,88 @@ from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages
 # most pages of records one send_many block covers; uncapped blocks, as
 # large as a roomy budget's free pages, ran slower and raised peak memory
 BLOCK_PAGES = 32
+
+# a range of vertices at most this many times the messages folded over it
+# is folded into slots over the whole range (an accumulator, or
+# sortgroup.apply_combine's dense slots); a sparser one is not
+DENSE_SPAN_PER_RECORD = 4
+
+
+def fresh_slots(ufunc, dtype: np.dtype, n: int) -> np.ndarray:
+    """n slots holding ufunc's identity, in the dtype `fold` keeps for a
+    field of dtype: float64 for a float sum, dtype itself otherwise."""
+    if ufunc is np.add:
+        return np.zeros(n, np.float64 if dtype.kind == "f" else dtype)
+    lowest = ufunc is np.maximum
+    if dtype.kind == "f":
+        return np.full(n, -np.inf if lowest else np.inf, dtype)
+    info = np.iinfo(dtype)
+    return np.full(n, info.min if lowest else info.max, dtype)
+
+
+def fold(ufunc, index: np.ndarray, col: np.ndarray, slots) -> np.ndarray:
+    """Fold col into slots at index by ufunc, one value at a time in index
+    order, and return the slots: an array a fold made, or a count of fresh
+    ones (`fresh_slots`). Both the multi-log's accumulators and
+    `sortgroup.apply_combine` fold through here, so a column folded in
+    pieces, in order, into the same slots gives the bits of one fold over
+    it whole. A float sum is kept in float64: fresh slots take np.bincount,
+    which adds each weight in order to a float64 0.0 as ufunc.at does."""
+    if not isinstance(slots, np.ndarray):
+        if ufunc is np.add and col.dtype.kind == "f":
+            return np.bincount(index, weights=col, minlength=slots)
+        slots = fresh_slots(ufunc, col.dtype, slots)
+    ufunc.at(slots, index, col)
+    return slots
+
+
+def _as_wire(col, dtype: np.dtype, n: int) -> np.ndarray:
+    """n values of col (one per message, or a scalar for all) cast to dtype
+    as a record array's field assignment casts them."""
+    if isinstance(col, np.ndarray) and col.dtype == dtype and col.shape == (n,):
+        return col
+    out = np.empty(n, dtype)
+    out[...] = col
+    return out
+
+
+class _Accumulator:
+    """An interval's sends of one superstep, folded: per vertex of [lo, hi)
+    whether any message reached it, and src and each payload field folded
+    by its ufunc (src by np.minimum) into slots from `fresh_slots`."""
+
+    __slots__ = ("lo", "hit", "slots", "ufuncs")
+
+    def __init__(self, lo: int, hi: int, combine: dict, fmt: RecordFormat):
+        self.lo = lo
+        self.ufuncs = {"src": np.minimum, **combine}
+        self.hit = np.zeros(hi - lo, bool)
+        self.slots = {name: fresh_slots(u, fmt.dtype[name], hi - lo) for name, u in self.ufuncs.items()}
+
+    @property
+    def nbytes(self) -> int:
+        return self.hit.nbytes + sum(slots.nbytes for slots in self.slots.values())
+
+    def fold(self, cols: dict) -> None:
+        """Fold columns of messages into the slots: dest, of an integer
+        dtype, then src and the payload fields in their wire dtypes."""
+        index = np.asarray(cols["dest"], np.intp)
+        if self.lo:
+            index = index - self.lo
+        self.hit[index] = True
+        for name, ufunc in self.ufuncs.items():
+            slots = self.slots[name]
+            # ufunc.at takes its fast path on a contiguous column of the slots' dtype
+            fold(ufunc, index, np.ascontiguousarray(cols[name], slots.dtype), slots)
+
+    def records(self, fmt: RecordFormat) -> np.ndarray:
+        """One record per vertex hit, ascending, each slot cast to its wire dtype."""
+        at = np.flatnonzero(self.hit)
+        out = np.empty(len(at), fmt.dtype)
+        out["dest"] = at + self.lo
+        for name, slots in self.slots.items():
+            out[name] = slots[at]
+        return out
 
 
 class RecordFormat:
@@ -104,7 +209,7 @@ class LogManifest:
 
 
 class _IntervalLog:
-    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed")
+    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed", "acc")
 
     def __init__(self, interval: int, page_size: int):
         self.interval = interval
@@ -115,6 +220,7 @@ class _IntervalLog:
         self.chain: list[int] = []
         self.message_count = 0
         self.sealed = False
+        self.acc: _Accumulator | None = None
 
 
 class MultiLog:
@@ -127,6 +233,7 @@ class MultiLog:
         registry: StoreRegistry,
         log_dir: str,
         buffer_budget: int,
+        combine: dict | None = None,
     ):
         self.bounds = list(bounds)
         self.n_intervals = len(bounds) - 1
@@ -146,6 +253,10 @@ class MultiLog:
                 f"({self.n_intervals} x {self.page_size})"
             )
         self.budget = buffer_budget
+        self.combine = combine
+        # bytes an accumulator holds per vertex
+        self._acc_width = _Accumulator(0, 1, combine, fmt).nbytes if combine is not None else 0
+        self._acc_bytes = 0  # of the open superstep's accumulators
         self.tag = -1
         self.logs: list[_IntervalLog] = []
         self._closed: deque[_IntervalLog] = deque()  # the log of each closed open page, oldest first
@@ -167,11 +278,13 @@ class MultiLog:
         self._resident_pages = self._carried_pages
 
     def send(self, dest: int, src: int, *payload) -> None:
-        """Append one record."""
+        """Send one message."""
         self.send_many(self.fmt.pack([(dest, src, *payload)]))
 
     def send_many(self, records: np.ndarray) -> None:
-        """Append wire-format records (fmt.dtype) in arrival order.
+        """Send wire-format records (fmt.dtype) in arrival order: append
+        them, or with a combiner fold those of accumulating intervals (see
+        the module doc).
 
         Splitting the records into several calls leaves the same page
         images, chains, counts, eviction points and peaks: each page
@@ -184,13 +297,106 @@ class MultiLog:
             return
         if records.dtype != self.fmt.dtype:
             raise ContractViolation(f"record dtype {records.dtype} is not the wire format {self.fmt.dtype}")
-        if int(records["dest"].max()) >= self.bounds[-1]:
-            raise ContractViolation(f"destination {int(records['dest'].max())} outside vertex range")
+        self._check_dests(records["dest"])
+        if self.combine is None:
+            self._append(records)
+        else:
+            self._send_combined({name: records[name] for name in self.fmt.dtype.names})
+        self.total_appends += len(records)
+
+    def send_columns(self, columns) -> None:
+        """Send messages given as one column per wire field, dest first,
+        each an array of one value per message or a scalar for all; message
+        i is the values [i], in index order. A column is cast to its field's
+        dtype as a record array's field assignment casts it. Without a
+        combiner it is `send_many` of those records; with one, the messages
+        of accumulating intervals are folded straight from the columns."""
+        n = len(columns[0])
+        if n == 0:
+            return
+        names = self.fmt.dtype.names
+        if self.combine is None:
+            records = np.empty(n, self.fmt.dtype)
+            for name, col in zip(names, columns):
+                records[name] = col
+            self.send_many(records)
+            return
+        dest = np.asarray(columns[0])
+        # an integer dest in range needs no cast to index by
+        if dest.dtype.kind not in "iu" or int(dest.min()) < 0:
+            dest = _as_wire(dest, self.fmt.dtype["dest"], n)
+        self._check_dests(dest)
+        cols = {name: _as_wire(col, self.fmt.dtype[name], n) for name, col in zip(names[1:], columns[1:])}
+        self._send_combined({"dest": dest, **cols})
+        self.total_appends += n
+
+    def _check_dests(self, dest: np.ndarray) -> None:
+        if int(dest.max()) >= self.bounds[-1]:
+            raise ContractViolation(f"destination {int(dest.max())} outside vertex range")
+
+    def _send_combined(self, cols: dict) -> None:
+        """With a combiner: choose raw records or an accumulator for each
+        interval this call is the first to reach this superstep, then fold
+        the messages of accumulating intervals and append the others'."""
+        dest = cols["dest"]
+        first, last = self._interval_of[[dest.min(), dest.max()]].tolist()
+        if first == last:
+            k, counts, hit = None, {first: len(dest)}, [first]
+        else:
+            k = np.take(self._interval_of, dest)
+            counts = np.bincount(k, minlength=self.n_intervals)
+            hit = np.flatnonzero(counts).tolist()
+        for j in hit:
+            log = self.logs[j]
+            self._check_open(log)
+            if log.acc is None and log.message_count == 0:
+                self._choose(log, int(counts[j]))
+        folding = [j for j in hit if self.logs[j].acc is not None]
+        if len(folding) < len(hit):
+            keep = np.isin(k, folding) if folding else None
+            raw = cols if keep is None else {name: col[~keep] for name, col in cols.items()}
+            records = np.empty(len(raw["dest"]), self.fmt.dtype)
+            for name, col in raw.items():
+                records[name] = col
+            self._append(records)
+            if keep is None:
+                return
+            k, cols = k[keep], {name: col[keep] for name, col in cols.items()}
+        if len(folding) == 1:
+            self.logs[folding[0]].acc.fold(cols)
+            return
+        # each interval's messages in arrival order
+        order = np.argsort(k, kind="stable")
+        ends = np.cumsum(np.bincount(k, minlength=self.n_intervals)[folding]).tolist()
+        for j, a, b in zip(folding, [0, *ends[:-1]], ends):
+            part = order[a:b]
+            self.logs[j].acc.fold({name: col[part] for name, col in cols.items()})
+
+    def _choose(self, log: _IntervalLog, count: int) -> None:
+        """Make log accumulate when its first send of the superstep carries
+        count messages, if they are dense enough over its range and its
+        accumulator fits the budget beside the resident pages and one top
+        page per interval; otherwise it stays raw."""
+        lo, hi = self.bounds[log.interval], self.bounds[log.interval + 1]
+        if hi - lo > DENSE_SPAN_PER_RECORD * count:
+            return
+        nbytes = (hi - lo) * self._acc_width
+        pages = max(self._resident_pages, self.n_intervals)
+        if self._acc_bytes + nbytes + pages * self.page_size > self.budget:
+            return
+        self._acc_bytes += nbytes
+        # the ledger gives back room before the accumulator is made
+        self.registry.hold("multilog", self.held_bytes)
+        log.acc = _Accumulator(lo, hi, self.combine, self.fmt)
+        self.post_evict_peak = max(self.post_evict_peak, self.open_bytes)
+
+    def _append(self, records: np.ndarray) -> None:
+        """Append records in arrival order, block by block (see send_many)."""
         done = 0
         while done < len(records):
             # page openings a block may make: into free pages, or in place
             # of a tail or a closed page held before the block
-            room = self.budget // self.page_size - self._resident_pages + self._carried_pages + len(self._closed)
+            room = self._page_budget - self._resident_pages + self._carried_pages + len(self._closed)
             block = min(room + self.n_intervals, BLOCK_PAGES) * self.capacity
             done += self._append_block(records[done : done + block], room)
 
@@ -224,7 +430,7 @@ class MultiLog:
         opened = min(len(opens), room)
         self.evict_if_needed(opened)
         # the ledger gives back room before the pages open, not after
-        self.registry.hold("multilog", (self._resident_pages + opened) * self.page_size)
+        self.registry.hold("multilog", self.held_bytes + opened * self.page_size)
         if len(logs) == 1:
             self._append_run(logs[0], recs[:t])
         else:
@@ -253,7 +459,6 @@ class MultiLog:
         log.closed.extend(map(bytearray, pack_pages(raw[head * w : (head + whole) * w], w, self.page_size)))
         self._fill_top(log, raw[(head + whole) * w :])
         log.message_count += n
-        self.total_appends += n
 
     def _fill_top(self, log: _IntervalLog, raw: memoryview) -> None:
         """Copy whole records into log's top page, closing it once full."""
@@ -279,9 +484,20 @@ class MultiLog:
         return self._resident_pages * self.page_size
 
     @property
+    def held_bytes(self) -> int:
+        """Bytes the buffer holds: its pages and accumulators."""
+        return self.resident_bytes + self._acc_bytes
+
+    @property
     def open_bytes(self) -> int:
-        """Bytes of the open superstep's resident pages, which post_evict_peak tracks."""
-        return (self._resident_pages - self._carried_pages) * self.page_size
+        """Bytes of the open superstep's resident pages and accumulators,
+        which post_evict_peak tracks."""
+        return (self._resident_pages - self._carried_pages) * self.page_size + self._acc_bytes
+
+    @property
+    def _page_budget(self) -> int:
+        """Pages the buffer may hold: its budget less its accumulators."""
+        return (self.budget - self._acc_bytes) // self.page_size
 
     def _open_file(self, tag: int, k: int) -> PageStore:
         store = self.registry.open(os.path.join(self.dir, f"log_t{tag}_i{k}.pages"), "log")
@@ -319,7 +535,7 @@ class MultiLog:
         tails and closed pages always cover the overflow, and send_many
         passes no more openings than they cover.
         """
-        excess = self._resident_pages + incoming - self.budget // self.page_size
+        excess = self._resident_pages + incoming - self._page_budget
         for _ in range(excess):
             if self._carried:
                 self._spill_tail_page()
@@ -331,12 +547,19 @@ class MultiLog:
     # -- seal path ----------------------------------------------------------
 
     def seal_interval(self, k: int) -> LogHandle:
-        """Freeze interval k's log. Its resident pages, closed ones in
-        arrival order and then the partial top, become the sealed log's
-        tail; none is handed to the pager."""
+        """Freeze interval k's log. An accumulator's hit destinations are
+        first appended, one record each in ascending order, and its bytes
+        freed. The log's resident pages, closed ones in arrival order and
+        then the partial top, become the sealed log's tail; none is handed
+        to the pager."""
         log = self.logs[k]
         if log.sealed:
             raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
+        if log.acc is not None:
+            records = log.acc.records(self.fmt)
+            self._acc_bytes -= log.acc.nbytes
+            log.acc = None
+            self._append(records)
         if log.closed:
             self._closed = deque(other for other in self._closed if other is not log)
         tail = list(log.closed)
@@ -368,7 +591,7 @@ class MultiLog:
             self._carried_pages -= len(handle.tail)
             self._resident_pages -= len(handle.tail)
             handle.tail = []
-        self.registry.hold("multilog", self.resident_bytes)
+        self.registry.hold("multilog", self.held_bytes)
 
     def drop(self, manifest: LogManifest) -> None:
         """Free the tails and delete the log files of a consumed superstep."""
@@ -381,7 +604,11 @@ class MultiLog:
     def close(self) -> None:
         """Free every tail, and close and delete every log file not yet
         dropped, sealed or open; a tail still held is never written."""
+        for log in self.logs:
+            log.acc = None
+        self._acc_bytes = 0
         self.release([h for _, h in self._carried])
+        self.registry.hold("multilog", self.held_bytes)
         for store in self._stores:
             self.registry.drop(store, "log", unlink=True)
         self._stores = []

@@ -9,10 +9,14 @@ position, sorts in exactly that order. They are then grouped into
 contiguous per-vertex ranges at the runs of equal destinations.
 With a combiner (one ufunc per payload field) the order within a
 destination carries no meaning, so the records are not sorted:
-`apply_combine` numbers the pass's destinations, scatters each column into
-one slot per destination and reads one record per destination back,
-ascending. Its memory grows with the records, not with the vertex range the
-pass covers.
+`apply_combine` numbers the pass's destinations, folds each column into
+one slot per destination with `multilog.fold` and reads one record per
+destination back, ascending. Its memory grows with the records, not with
+the vertex range the pass covers. A sender that folded an interval's sends
+into an accumulator (see `multilog`) already logged one record per
+destination, folded by the same `fold` from the same identity in arrival
+order; on such a log apply_combine is the identity, so a pass gives the
+same bits whether its intervals were logged raw or accumulated.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ContractViolation, CorruptPageError
-from .multilog import LogManifest, RecordFormat, read_log_records
+from .multilog import DENSE_SPAN_PER_RECORD, LogManifest, RecordFormat, fold, read_log_records
 
 
 @dataclass
@@ -128,7 +132,7 @@ def check_dest_range(records: np.ndarray, lo: int, hi: int) -> None:
         raise CorruptPageError(f"record destination outside interval range [{lo}, {hi})")
 
 
-# the ufuncs a combiner may name, each with its identity (see _identity)
+# the ufuncs a combiner may name, each with its identity (see multilog.fresh_slots)
 COMBINE_UFUNCS = (np.add, np.minimum, np.maximum)
 
 
@@ -151,45 +155,20 @@ def check_combine(combine: dict, fmt: RecordFormat) -> None:
         raise ContractViolation(f"combine names no ufunc for the payload field {missing[0]!r}")
 
 
-def _identity(ufunc, dtype: np.dtype):
-    if ufunc is np.add:
-        return 0
-    lowest = ufunc is np.maximum
-    if dtype.kind == "f":
-        return -np.inf if lowest else np.inf
-    info = np.iinfo(dtype)
-    return info.min if lowest else info.max
-
-
-def _scatter(ufunc, index: np.ndarray, col: np.ndarray, slots: int) -> np.ndarray:
-    """col reduced by ufunc into a dense array over [0, slots) at index."""
-    if ufunc is np.add and col.dtype.kind == "f":
-        return np.bincount(index, weights=col, minlength=slots)
-    dense = np.full(slots, _identity(ufunc, col.dtype), col.dtype)
-    ufunc.at(dense, index, col)
-    return dense
-
-
-# a pass whose destination range is at most this many times its record
-# count is scattered over the whole range; a sparser one numbers its
-# distinct destinations first (see apply_combine)
-DENSE_SPAN_PER_RECORD = 4
-
-
 def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: RecordFormat) -> SortedLog:
     """One record per destination of [lo, hi) that got any, ascending, each
     payload field reduced by the combiner's ufunc (see `check_combine`) and
     src the smallest contributor (informational only). Every dest must lie
     in [lo, hi) (`check_dest_range`).
 
-    The records are not sorted: each column is scattered into one slot per
-    destination, one column at a time, with np.bincount for a float sum and
-    ufunc.at otherwise, so a float sum adds in record order. When [lo, hi)
-    is at most DENSE_SPAN_PER_RECORD times the record count, the slots are
-    the whole range and the destinations hit are read back from a mask;
-    otherwise np.unique numbers the distinct destinations, so that what a
-    pass allocates grows with its records, not with its range. Both give
-    the same records."""
+    The records are not sorted: each column is folded into one slot per
+    destination, one column at a time, by `multilog.fold`, so a float sum
+    adds in record order, in float64. When [lo, hi) is at most
+    DENSE_SPAN_PER_RECORD times the record count, the slots are the whole
+    range and the destinations hit are read back from a mask; otherwise
+    np.unique numbers the distinct destinations, so that what a pass
+    allocates grows with its records, not with its range. Both give the
+    same records."""
     n = len(records)
     if n == 0:
         e = np.zeros(0, np.int64)
@@ -208,7 +187,7 @@ def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: Rec
     out["dest"] = dests
     # ufunc.at and bincount take their fast paths on contiguous columns only
     for name, ufunc in chain([("src", np.minimum)], combine.items()):
-        col = _scatter(ufunc, index, np.ascontiguousarray(records[name]), slots)
+        col = fold(ufunc, index, np.ascontiguousarray(records[name]), slots)
         out[name] = col if at is None else col[at]
     idx = np.arange(len(dests), dtype=np.int64)
     return SortedLog(out, dests, idx, idx + 1)

@@ -401,6 +401,39 @@ def test_adjacency_merge_matches_concatenate_and_sort(case):
         assert getattr(got, field).tolist() == want.tolist(), field
 
 
+def rows_by_id(adj):
+    return {int(v): adj.nbrs[adj.offsets[i] : adj.offsets[i + 1]].tolist() for i, v in enumerate(adj.ids)}
+
+
+@pytest.mark.parametrize(
+    "small_ids",
+    [
+        [0, 1, 2],  # before every row of the larger part
+        [97, 98, 99],  # after every row
+        [41, 42, 43, 44],  # adjacent: one insertion point for all
+        [0, 41, 42, 99],  # front, adjacent pair and end at once
+        [50],
+    ],
+)
+def test_adjacency_merge_splices_each_row_where_its_id_goes(small_ids):
+    # the larger part holds every third id from 3 to 96, and its rows are
+    # long, so its neighbours are cut between insertion points
+    rng = np.random.default_rng(len(small_ids))
+    big_ids = [v for v in range(3, 97, 3) if v not in small_ids]
+    big = random_part(big_ids, rng)
+    big.nbrs = rng.integers(0, 1000, len(big.nbrs) * 5).astype(csr.VID_DT)
+    big.offsets = big.offsets * 5
+    small = random_part(small_ids, rng)
+    rows = {**rows_by_id(big), **rows_by_id(small)}
+    pages = {int(v): p.tolist() for part in (big, small) for v, p in zip(part.ids, part.pages)}
+    for a, b in ((big, small), (small, big)):
+        got = csr.Adjacency.merge(a, b)
+        assert got.ids.tolist() == sorted(rows)
+        assert rows_by_id(got) == rows
+        assert got.offsets[-1] == len(got.nbrs) and got.nbrs.dtype == csr.VID_DT
+        assert [p.tolist() for p in got.pages] == [pages[v] for v in sorted(rows)]
+
+
 def truncated_graph(tmp_path, n, vector):
     """n vertices with 10 out-edges each in one interval of 256-byte pages,
     page 0 of its rowPtr or colIdx vector claiming only 5 records (neither

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loggraph import csr, engine, sortgroup
+from loggraph import csr, engine, multilog, sortgroup
 from loggraph.apps import Bfs, Community, KCore, PageRank
 from loggraph.engine import (
     EDGE_OP,
@@ -397,6 +397,54 @@ def test_pages_the_holders_leave_room_for_are_read_once(tmp_path):
     assert all(st.hits["csr"] > 0 for st in res.stats[1:])
 
 
+@pytest.mark.parametrize("memory_budget", [40 << 10, 64 << 10, 1 << 20])
+def test_accumulators_stay_inside_the_multilog_hold(tmp_path, monkeypatch, memory_budget):
+    # at every fold and every hold, the multi-log's hold covers its pages
+    # and the arrays its accumulators hold, and stays inside its budget;
+    # and the ledger fits in the budget less the holds
+    src, dst = random_graph(400, 6, seed=41)
+    g = build_graph(tmp_path, src, dst, 400, page_size=256)
+    ledger = spy_ledger(monkeypatch)
+    mlogs, folds = [], []
+    init, fold, hold = multilog.MultiLog.__init__, multilog._Accumulator.fold, StoreRegistry.hold
+
+    def check():
+        for mlog in mlogs:
+            held = sum(log.acc.nbytes for log in mlog.logs if log.acc is not None)
+            assert held + mlog.resident_bytes <= mlog.registry.holds.get("multilog", 0) <= mlog.budget
+
+    def init_spy(mlog, *args):
+        init(mlog, *args)
+        mlogs.append(mlog)
+
+    def fold_spy(acc, cols):
+        fold(acc, cols)
+        folds.append(len(cols["dest"]))
+        check()
+
+    def hold_spy(reg, holder, nbytes):
+        hold(reg, holder, nbytes)
+        if reg.budget:
+            check()
+
+    logged, seal = [], multilog.MultiLog.seal
+
+    def seal_spy(mlog):
+        manifest = seal(mlog)
+        logged.append(manifest.total)
+        return manifest
+
+    monkeypatch.setattr(multilog.MultiLog, "__init__", init_spy)
+    monkeypatch.setattr(multilog.MultiLog, "seal", seal_spy)
+    monkeypatch.setattr(multilog._Accumulator, "fold", fold_spy)
+    monkeypatch.setattr(StoreRegistry, "hold", hold_spy)
+    res = run_app(g, PageRank(), cfg(memory_budget=memory_budget, max_supersteps=8), str(tmp_path / "run"))
+    assert folds and ledger["calls"] > 0
+    # messages_sent counts sends; a log counts the records they fold into
+    sent = sum(st.messages_sent for st in res.stats)
+    assert sent >= sum(folds) and sum(logged) < sent
+
+
 def test_engine_default_budget_and_splits():
     c = EngineConfig()
     assert c.memory_budget == 1 << 30
@@ -740,9 +788,22 @@ def test_a_sparse_combiner_pass_over_empty_intervals_holds_its_records_not_its_r
         seen.append((records.nbytes, hi - lo, peak, holds[-1]))
         return out
 
+    # the frontier's message to an interval of 3,333 vertices is too sparse
+    # to fold at the sender, so it is logged raw; only the 2-vertex last
+    # interval may fold, into 2 slots
+    chosen = []
+    choose = multilog.MultiLog._choose
+
+    def choose_spy(mlog, log, count):
+        choose(mlog, log, count)
+        chosen.append((mlog.bounds[log.interval + 1] - mlog.bounds[log.interval], log.acc is not None))
+
+    monkeypatch.setattr(multilog.MultiLog, "_choose", choose_spy)
     monkeypatch.setattr(StoreRegistry, "hold", hold_spy)
     monkeypatch.setattr(sortgroup, "apply_combine", combine_spy)
     res = run_app(g, Bfs(0), cfg(max_supersteps=6), str(tmp_path / "run"))
+    assert any(span > 1000 for span, _ in chosen)
+    assert all(span <= 2 for span, folded in chosen if folded), chosen
     assert g.meta.num_intervals > 2
     assert len(seen) == res.num_supersteps
     # after the source's own message, every pass covers nearly every vertex

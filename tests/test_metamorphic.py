@@ -14,7 +14,7 @@ the files a run leaves on disk are byte-identical with them on and off.
 import numpy as np
 import pytest
 
-from loggraph import csr
+from loggraph import csr, multilog
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
 
@@ -103,6 +103,28 @@ def test_pagerank_invariant_across_storage_knobs(tmp_path, use_combine):
     assert np.allclose(results[0].states["rank"], want, atol=1e-9)
 
 
+def test_a_superstep_that_folds_some_intervals_and_logs_others_raw_changes_no_result(tmp_path, monkeypatch):
+    # at the tight budget only the smallest interval's accumulator fits
+    # beside a top page per interval, so the other intervals' messages are
+    # logged raw in the same superstep; at 1 MiB every interval folds
+    src, dst = random_graph(N, 6, seed=41)
+    seen = []
+    seal = multilog.MultiLog.seal
+
+    def seal_spy(mlog):
+        folded = [log.acc is not None for log in mlog.logs]
+        raw = [log.message_count > 0 for log in mlog.logs]
+        seen.append((mlog.budget, mlog.tag, folded, raw))
+        return seal(mlog)
+
+    monkeypatch.setattr(multilog.MultiLog, "seal", seal_spy)
+    results = run_all_knobs(tmp_path, src, dst, PageRank, [KNOBS[0], TIGHT, KNOBS[3]], max_supersteps=12)
+    assert_knob_invariant(results)
+    tight, roomy = (EngineConfig(memory_budget=b).multilog_budget for b in (TIGHT["memory_budget"], 1 << 20))
+    assert any(any(folded) and any(raw) for budget, _, folded, raw in seen if budget == tight)
+    assert all(all(folded) for budget, tag, folded, _ in seen if budget == roomy and tag == 1)
+
+
 def test_bfs_invariant_across_storage_knobs(tmp_path):
     src, dst = random_graph(N, 3, seed=42)
     results = run_all_knobs(tmp_path, src, dst, lambda: Bfs(0), max_supersteps=100)
@@ -169,10 +191,13 @@ LEDGER_KNOBS = [KNOBS[0], KNOBS[3], SHRINKING]
         # the tight budget also merges k-core's deletions mid-run
         (lambda: KCore(k=4), 5, 500, LEDGER_KNOBS + [TIGHT], False),
         (lambda: Mis(seed=13), 6, 30, LEDGER_KNOBS, True),
+        # a combining PageRank folds only the intervals whose accumulators
+        # fit beside the multi-log's pages; the rest still log raw records
         (PageRank, 6, 12, LEDGER_KNOBS, True),
+        (lambda: PageRank(use_combine=False), 6, 12, LEDGER_KNOBS, True),
         (lambda: RandomWalk(steps=12, stride=3, seed=3), 4, 40, LEDGER_KNOBS, False),
     ],
-    ids=["bfs", "coloring", "community", "kcore", "mis", "pagerank", "randomwalk"],
+    ids=["bfs", "coloring", "community", "kcore", "mis", "pagerank", "pagerank-raw", "randomwalk"],
 )
 def test_resident_pages_change_no_result_and_add_no_page(tmp_path, monkeypatch, make_program, degree, cap, knobs, gives_back):
     src, dst = random_graph(N, degree, seed=48)

@@ -556,3 +556,178 @@ def test_send_many_rejects_bad_records(tmp_path):
     mlog.seal()
     with pytest.raises(ContractViolation):
         mlog.send_many(recs[:1])
+
+
+# -- combining at the sender ----------------------------------------------------
+
+PR_FMT = RecordFormat([("change", "<f8"), ("activate", "u1")])
+PR_COMBINE = {"change": np.add, "activate": np.maximum}
+# a float32 sum fed float64 columns, integer sums that wrap, and integer and
+# float minima and maxima
+MIXED_FMT = RecordFormat(
+    [("f32", "<f4"), ("u8sum", "u1"), ("i16sum", "<i2"), ("umin", "<u4"), ("imax", "<i8"), ("fmin", "<f8"), ("fmax", "<f4")]
+)
+MIXED_COMBINE = {
+    "f32": np.add,
+    "u8sum": np.add,
+    "i16sum": np.add,
+    "umin": np.minimum,
+    "imax": np.maximum,
+    "fmin": np.minimum,
+    "fmax": np.maximum,
+}
+
+
+def program_columns(fmt, n, span, rng):
+    """Columns as a vertex program sends them: int64 ids, float64 floats
+    (-0.0 among them, and some destinations sent only -0.0), int64 ints
+    that overflow a narrow field's sum."""
+    dest = rng.integers(0, span, n)
+    cols = [dest, rng.integers(0, 1 << 32, n)]
+    for name, _ in fmt.payload_fields:
+        kind = fmt.dtype[name].kind
+        if kind == "f":
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            col[rng.random(n) < 0.2] = -0.0
+            col[dest % 7 == 3] = -0.0
+        else:
+            info = np.iinfo(fmt.dtype[name])
+            col = rng.integers(info.min, int(info.max) + 1, n)
+        cols.append(col)
+    return cols
+
+
+def send_in_cuts(mlog, cols, rng):
+    """Send the columns in random cuts, through send_columns and, now and
+    then, as records through send_many."""
+    n = len(cols[0])
+    cuts = np.sort(rng.integers(0, n + 1, rng.integers(0, 8)))
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        part = [c[a:b] for c in cols]
+        if rng.random() < 0.3:
+            recs = np.empty(b - a, mlog.fmt.dtype)
+            for name, col in zip(mlog.fmt.dtype.names, part):
+                recs[name] = col
+            mlog.send_many(recs)
+        else:
+            mlog.send_columns(part)
+
+
+@pytest.mark.parametrize("fmt, combine", [(PR_FMT, PR_COMBINE), (MIXED_FMT, MIXED_COMBINE)], ids=["pagerank", "mixed"])
+@pytest.mark.parametrize("seed", range(6))
+def test_the_sender_fold_gives_the_bits_of_apply_combine_over_the_raw_log(tmp_path, fmt, combine, seed):
+    from loggraph.sortgroup import apply_combine
+
+    rng = np.random.default_rng(seed)
+    bounds = [0, 40, 100, 101, 160]
+    n = int(rng.integers(200, 2000))
+    cols = program_columns(fmt, n, bounds[-1], rng)
+
+    def run(name, comb):
+        reg = StoreRegistry(256)
+        mlog = MultiLog(bounds, fmt, reg, str(tmp_path / name), 64 << 10, comb)
+        send_in_cuts(mlog, cols, np.random.default_rng(seed + 100))
+        sends = mlog.total_appends
+        logs = [read_log_records(h, fmt) for h in mlog.seal().handles]
+        mlog.close()
+        return logs, sends
+
+    raw, raw_sends = run("raw", None)
+    folded, folded_sends = run("folded", combine)
+    assert raw_sends == folded_sends == n
+    for k, (r, f) in enumerate(zip(raw, folded)):
+        lo, hi = bounds[k], bounds[k + 1]
+        want = apply_combine(r, lo, hi, combine, fmt).records
+        # each interval's messages were dense enough to accumulate
+        assert len(f) == len(np.unique(r["dest"])) < len(r)
+        assert f.tobytes() == want.tobytes(), k
+        # on one record per destination the receiver's fold is the identity
+        assert apply_combine(f, lo, hi, combine, fmt).records.tobytes() == f.tobytes()
+
+
+def test_a_negative_zero_sum_leaves_the_sender_as_it_leaves_the_receiver(tmp_path):
+    from loggraph.sortgroup import apply_combine
+
+    reg = StoreRegistry(256)
+    mlog = MultiLog([0, 2], PR_FMT, reg, str(tmp_path / "logs"), 4 << 10, PR_COMBINE)
+    mlog.send_columns([np.array([0, 1, 1]), np.array([5, 9, 3]), np.array([-0.0, -0.0, -0.0]), 0])
+    (handle,) = mlog.seal().handles
+    got = read_log_records(handle, PR_FMT)
+    raw = np.zeros(3, PR_FMT.dtype)
+    raw["dest"], raw["src"], raw["change"] = [0, 1, 1], [5, 9, 3], -0.0
+    assert got.tobytes() == apply_combine(raw, 0, 2, PR_COMBINE, PR_FMT).records.tobytes()
+    assert got["src"].tolist() == [5, 3] and not np.signbit(got["change"]).any()
+    mlog.close()
+
+
+def test_an_interval_keeps_its_first_choice_until_its_seal(tmp_path):
+    # interval 0's first call is dense and interval 1's sparse: later sparse
+    # sends to 0 still fold, later dense sends to 1 stay raw
+    reg = StoreRegistry(256)
+    mlog = MultiLog([0, 40, 80], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
+    mlog.send_columns([np.r_[np.arange(10), 50], 0, 1.0, 0])
+    mlog.send_columns([np.r_[np.zeros(3, int), np.arange(40, 80)], 1, 2.0, 1])
+    assert mlog.logs[0].acc is not None and mlog.logs[1].acc is None
+    counts = [h.message_count for h in mlog.seal().handles]
+    assert counts == [10, 41] and mlog.total_appends == 11 + 43
+    mlog.close()
+
+
+def test_an_accumulator_that_does_not_fit_leaves_its_interval_raw(tmp_path):
+    from loggraph.sortgroup import apply_combine
+
+    # a 14-byte accumulator over 64 vertices takes 896 bytes; a budget of
+    # six 256-byte pages holds one beside a top page per interval, not two
+    bounds = [0, 64, 128]
+    rng = np.random.default_rng(3)
+    cols = program_columns(PR_FMT, 600, 128, rng)
+    logs = {}
+    for budget in (6 * 256, 64 << 10):
+        reg = StoreRegistry(256)
+        reg.set_budget(1 << 20)  # so that holds are kept
+        mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / str(budget)), budget, PR_COMBINE)
+        mlog.send_columns(cols)
+        logs[budget] = [log.acc is not None for log in mlog.logs]
+        assert reg.holds["multilog"] <= budget
+        combined = []
+        for k, h in enumerate(mlog.seal().handles):
+            combined.append(apply_combine(read_log_records(h, PR_FMT), bounds[k], bounds[k + 1], PR_COMBINE, PR_FMT))
+        logs[budget, "records"] = [c.records.tobytes() for c in combined]
+        mlog.close()
+        assert reg.holds["multilog"] == 0
+        reg.set_budget(0)
+    assert logs[6 * 256] == [True, False] and logs[64 << 10] == [True, True]
+    assert logs[6 * 256, "records"] == logs[64 << 10, "records"]
+
+
+def test_accumulators_come_out_of_the_pages_the_budget_holds(tmp_path):
+    # a 13-byte accumulator over 100 vertices in an 8-page budget: 1,300
+    # bytes leave room for 2 pages of interval 1's records, so the third
+    # page evicts, and the hold counts both
+    reg = StoreRegistry(256)
+    reg.set_budget(1 << 20)  # so that holds are kept
+    bounds = [0, 100, 200]
+    mlog = MultiLog(bounds, FMT16, reg, str(tmp_path / "logs"), 8 * 256, {"val": np.add})
+    mlog.send_columns([np.arange(100), 7, np.arange(100)])
+    assert mlog.logs[0].acc is not None and mlog._page_budget == 2
+    assert reg.holds["multilog"] == 1300
+    evicted = count_evictions(mlog)
+    cap = mlog.capacity
+    mlog.send_columns([np.full(2 * cap + 1, 150), 1, 1])  # 2 * cap + 1 records open 3 pages
+    assert evicted[0] == 1 and mlog._resident_pages == 2
+    assert reg.holds["multilog"] == 2 * 256 + 1300
+    handles = mlog.seal().handles
+    assert [h.message_count for h in handles] == [100, 2 * cap + 1]
+    assert read_log_records(handles[0], FMT16)["val"].tolist() == list(range(100))
+    mlog.close()
+    reg.set_budget(0)
+
+
+@pytest.mark.parametrize("dest", [-1, 80, 1 << 32])
+def test_a_combining_send_to_a_bad_destination_is_a_contract_violation(tmp_path, dest):
+    reg = StoreRegistry(256)
+    mlog = MultiLog([0, 40, 80], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
+    with pytest.raises(ContractViolation, match="outside vertex range"):
+        mlog.send_columns([np.r_[np.arange(40), dest], 0, 1.0, 0])
+    assert mlog.total_appends == 0 and all(log.acc is None for log in mlog.logs)
+    mlog.close()
