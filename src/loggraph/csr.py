@@ -258,7 +258,7 @@ class GraphDir:
             return np.fromfile(p, dtype=VID_DT).astype(np.int64)
         deg = np.zeros(self.meta.num_vertices, np.int64)
         for _, dst in self.iter_partition_edges():
-            deg += np.bincount(dst, minlength=len(deg))
+            np.add.at(deg, dst, 1)
         return deg
 
     def iter_partition_edges(self):

@@ -8,9 +8,9 @@ edge log when possible), run the vertex program on them, route its sends
 through the multi-log, then seal the next superstep's logs, merge pending
 structural updates if their budget share overflows and record the activity
 bit vector. With a combiner, the multi-log folds an interval's sends into
-one accumulator per superstep when they are dense enough and it fits (see
-`multilog`), and logs one record per destination at seal; `messages_sent`
-counts sends either way.
+one accumulator per superstep once their records would outgrow it, if it
+fits (see `multilog`), and logs one record per destination at seal;
+`messages_sent` counts sends either way.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
 log.
 
@@ -200,11 +200,11 @@ class VertexProgram:
     record per destination, its fields reduced over the destination's
     messages (a float sum adds in arrival order, in float64) and src the
     smallest sender; the records are not sorted. The reduction runs at the
-    sender, into one accumulator per interval, when the interval's first
-    send of a superstep is dense enough over its vertices and the
-    accumulator fits the multi-log's budget, and at the receiver otherwise;
-    both fold through `multilog.fold` from the same identity in arrival
-    order, so the inbox is the same to the bit.
+    sender, into one accumulator per interval, from the send at which the
+    interval's messages of a superstep would take more bytes as records
+    than the accumulator, if it fits the multi-log's budget, and at the
+    receiver otherwise; both fold through `multilog.fold` from the same
+    identity in arrival order, so the inbox is the same to the bit.
 
     A program may not keep ctx or the batch beyond the call. Messages are
     the only way a vertex runs again next superstep; deactivation is the

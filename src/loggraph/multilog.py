@@ -3,7 +3,8 @@
 Every message is routed by destination to its vertex interval's log. Each
 interval keeps one in-memory top page receiving appends; a page closes as
 soon as it is full and stays resident until the buffer budget forces it
-out. Sealing a superstep hands nothing to the pager: an interval's
+out. Sealing a superstep hands nothing to the pager (but the pages that
+appending its accumulators' records forces out, see below): an interval's
 resident pages become the resident tail of its sealed log, after the pages
 already handed over, and stay in the buffer's budget until the next
 superstep loads them for the last time and releases them. A page is handed
@@ -26,25 +27,33 @@ sort-and-group unit orders a loaded log by destination, or combines it.
 
 Combining at the sender. With a combiner (one ufunc per payload field, see
 `sortgroup.check_combine`), an interval's log of one superstep is either
-raw records or one dense accumulator over its vertices [lo, hi), chosen at
-the interval's first send of the superstep and kept until its seal. It
-accumulates when that first call carries at least (hi - lo) /
-DENSE_SPAN_PER_RECORD of its messages, the density at which the receiver's
-`sortgroup.apply_combine` scatters over the whole range too, so a sparse
-frontier stays raw and what it holds grows with its messages; and when the
-accumulator's bytes fit the budget beside the resident pages and one top
-page per interval. An accumulator's bytes come out of the pages the budget
-holds, and are reported to the ledger with them. Its sends are folded in,
-column by column, with no record built: each column is first cast to its
-wire dtype, then `fold` folds it, a float sum in float64 and any other field
-in its wire dtype, src by its minimum. At seal the destinations it hit
-become the interval's log, one record per destination in ascending order,
-appended through the same path as raw records. `apply_combine` folds a raw
-log with the same `fold`, from the same identity in arrival order, so both
-give the same bits, and on one record per destination it is the identity.
-Mixing raw records and a partial sum in one interval would break that,
-hence the choice for the whole superstep. A log's `message_count` is its
-records; `total_appends` counts sends.
+raw records or one dense accumulator over its vertices [lo, hi), kept from
+the send that chooses it until its seal. A raw interval turns into an
+accumulator at the send that brings its messages of the superstep to at
+least the accumulator's bytes as records ((hi - lo) * accumulator width <=
+messages * record width), if none of its pages was handed to the pager and
+the accumulator fits the budget beside the resident pages, or if more, one
+top page per interval and a full block of pages for the raw intervals'
+appends. Below that point the records take less memory and about as long
+to log, load and combine; from about one message per vertex up the
+accumulator is the faster too. Its records so far are folded in from its
+resident pages, in arrival order, and the pages freed. So the choice
+does not depend on how the sends are cut into calls unless the budget
+hands pages over or refuses the accumulator; a sparse frontier stays raw
+and what it holds grows with its messages. An accumulator's bytes come
+out of the pages the budget holds, and are reported to the ledger with
+them. Its sends are folded in, column by column, with no record built:
+each column is first cast to its wire dtype, then `fold` folds it, a float
+sum in float64 and any other field in its wire dtype, src by its minimum.
+`seal` first appends each accumulator's hit destinations, one record per
+destination in ascending order, through the same path as raw records, so
+the eviction this may force takes closed pages as any send's does.
+`apply_combine` folds a raw log with the same `fold`, from the same
+identity in arrival order, so both give the same bits, and on one record
+per destination it is the identity. Mixing raw records and a partial sum
+in one interval's log would break that, hence one or the other for the
+whole superstep. A log's `message_count` is its records; `total_appends`
+counts sends.
 
 `send_many` appends arrays of wire-format records: it copies them into the
 top pages, and packs the whole pages between an interval's first top and
@@ -76,11 +85,6 @@ from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages
 # most pages of records one send_many block covers; uncapped blocks, as
 # large as a roomy budget's free pages, ran slower and raised peak memory
 BLOCK_PAGES = 32
-
-# a range of vertices at most this many times the messages folded over it
-# is folded into slots over the whole range (an accumulator, or
-# sortgroup.apply_combine's dense slots); a sparser one is not
-DENSE_SPAN_PER_RECORD = 4
 
 
 def fresh_slots(ufunc, dtype: np.dtype, n: int) -> np.ndarray:
@@ -256,6 +260,7 @@ class MultiLog:
         self.combine = combine
         # bytes an accumulator holds per vertex
         self._acc_width = _Accumulator(0, 1, combine, fmt).nbytes if combine is not None else 0
+        self._min_acc_bytes = min(np.diff(bounds).tolist(), default=0) * self._acc_width
         self._acc_bytes = 0  # of the open superstep's accumulators
         self.tag = -1
         self.logs: list[_IntervalLog] = []
@@ -301,7 +306,7 @@ class MultiLog:
         if self.combine is None:
             self._append(records)
         else:
-            self._send_combined({name: records[name] for name in self.fmt.dtype.names})
+            self._send_combined(records["dest"], records)
         self.total_appends += len(records)
 
     def send_columns(self, columns) -> None:
@@ -314,31 +319,55 @@ class MultiLog:
         n = len(columns[0])
         if n == 0:
             return
-        names = self.fmt.dtype.names
         if self.combine is None:
-            records = np.empty(n, self.fmt.dtype)
-            for name, col in zip(names, columns):
-                records[name] = col
-            self.send_many(records)
+            self.send_many(self._records(columns, None))
             return
         dest = np.asarray(columns[0])
         # an integer dest in range needs no cast to index by
         if dest.dtype.kind not in "iu" or int(dest.min()) < 0:
             dest = _as_wire(dest, self.fmt.dtype["dest"], n)
         self._check_dests(dest)
-        cols = {name: _as_wire(col, self.fmt.dtype[name], n) for name, col in zip(names[1:], columns[1:])}
-        self._send_combined({"dest": dest, **cols})
+        self._send_combined(dest, (dest, *columns[1:]))
         self.total_appends += n
 
     def _check_dests(self, dest: np.ndarray) -> None:
         if int(dest.max()) >= self.bounds[-1]:
             raise ContractViolation(f"destination {int(dest.max())} outside vertex range")
 
-    def _send_combined(self, cols: dict) -> None:
-        """With a combiner: choose raw records or an accumulator for each
-        interval this call is the first to reach this superstep, then fold
-        the messages of accumulating intervals and append the others'."""
-        dest = cols["dest"]
+    def _records(self, msgs, sel) -> np.ndarray:
+        """Wire-format records of the messages msgs (records, or columns
+        as send_columns takes them) that sel selects (None for all)."""
+        if isinstance(msgs, np.ndarray):
+            return msgs if sel is None else msgs[sel]
+        n = len(msgs[0]) if sel is None else np.count_nonzero(sel)
+        records = np.empty(n, self.fmt.dtype)
+        for name, col in zip(self.fmt.dtype.names, msgs):
+            records[name] = col if sel is None or not np.ndim(col) else col[sel]
+        return records
+
+    def _columns(self, msgs, sel) -> dict:
+        """The messages sel selects as one column per wire field, each
+        payload column cast to its wire dtype (see `send_columns`)."""
+        names = self.fmt.dtype.names
+        if isinstance(msgs, np.ndarray):
+            return {name: msgs[name] if sel is None else msgs[name][sel] for name in names}
+        dest = msgs[0] if sel is None else msgs[0][sel]
+        cols = {"dest": dest}
+        for name, col in zip(names[1:], msgs[1:]):
+            part = col if sel is None or not np.ndim(col) else col[sel]
+            cols[name] = _as_wire(part, self.fmt.dtype[name], len(dest))
+        return cols
+
+    def _send_combined(self, dest: np.ndarray, msgs) -> None:
+        """With a combiner: let each raw interval the messages reach turn
+        into an accumulator if they take it past the point (see `_choose`),
+        then fold the messages of accumulating intervals and append the
+        others' as records. msgs are records, or columns as send_columns
+        takes them, dest first."""
+        if not self._acc_bytes and not self._fits(self._min_acc_bytes):
+            # no interval accumulates, nor can this call make one
+            self._append(self._records(msgs, None))
+            return
         first, last = self._interval_of[[dest.min(), dest.max()]].tolist()
         if first == last:
             k, counts, hit = None, {first: len(dest)}, [first]
@@ -349,19 +378,18 @@ class MultiLog:
         for j in hit:
             log = self.logs[j]
             self._check_open(log)
-            if log.acc is None and log.message_count == 0:
+            if log.acc is None and not log.chain:
                 self._choose(log, int(counts[j]))
         folding = [j for j in hit if self.logs[j].acc is not None]
+        if not folding:
+            self._append(self._records(msgs, None))
+            return
+        keep = None
         if len(folding) < len(hit):
-            keep = np.isin(k, folding) if folding else None
-            raw = cols if keep is None else {name: col[~keep] for name, col in cols.items()}
-            records = np.empty(len(raw["dest"]), self.fmt.dtype)
-            for name, col in raw.items():
-                records[name] = col
-            self._append(records)
-            if keep is None:
-                return
-            k, cols = k[keep], {name: col[keep] for name, col in cols.items()}
+            keep = np.isin(k, folding)
+            self._append(self._records(msgs, ~keep))
+            k = k[keep]
+        cols = self._columns(msgs, keep)
         if len(folding) == 1:
             self.logs[folding[0]].acc.fold(cols)
             return
@@ -373,22 +401,47 @@ class MultiLog:
             self.logs[j].acc.fold({name: col[part] for name, col in cols.items()})
 
     def _choose(self, log: _IntervalLog, count: int) -> None:
-        """Make log accumulate when its first send of the superstep carries
-        count messages, if they are dense enough over its range and its
-        accumulator fits the budget beside the resident pages and one top
-        page per interval; otherwise it stays raw."""
+        """Turn raw log into an accumulator if count more messages bring its
+        records of the superstep to the accumulator's bytes, and the
+        accumulators fit the budget beside the resident pages or, if more,
+        one top page per interval and a full block (BLOCK_PAGES) for the
+        raw intervals' appends; its records so far are folded in and their
+        pages freed. log has handed no page to the pager."""
         lo, hi = self.bounds[log.interval], self.bounds[log.interval + 1]
-        if hi - lo > DENSE_SPAN_PER_RECORD * count:
-            return
         nbytes = (hi - lo) * self._acc_width
-        pages = max(self._resident_pages, self.n_intervals)
-        if self._acc_bytes + nbytes + pages * self.page_size > self.budget:
+        if (log.message_count + count) * self.fmt.width < nbytes:
+            return
+        if not self._fits(nbytes):
             return
         self._acc_bytes += nbytes
         # the ledger gives back room before the accumulator is made
         self.registry.hold("multilog", self.held_bytes)
         log.acc = _Accumulator(lo, hi, self.combine, self.fmt)
         self.post_evict_peak = max(self.post_evict_peak, self.open_bytes)
+        if log.message_count == 0:
+            return
+        w = self.fmt.width
+        # closed pages are full; the top holds the rest, in arrival order
+        body = [memoryview(page)[PAGE_HEADER : PAGE_HEADER + self.capacity * w] for page in log.closed]
+        body.append(memoryview(log.top)[PAGE_HEADER : PAGE_HEADER + log.fill * w])
+        records = np.frombuffer(b"".join(body), self.fmt.dtype)
+        log.acc.fold({name: records[name] for name in self.fmt.dtype.names})
+        if log.closed:
+            self._closed = deque(other for other in self._closed if other is not log)
+        self._resident_pages -= len(log.closed) + (log.fill > 0)
+        log.closed = deque()
+        log.top = bytearray(self.page_size)
+        log.fill = 0
+        log.message_count = 0
+        self.registry.hold("multilog", self.held_bytes)
+
+    def _fits(self, nbytes: int) -> bool:
+        """Whether an accumulator of nbytes fits beside the others and the
+        resident pages or, if more, a top page per interval and a full block."""
+        # accumulators that shrink the raw intervals' blocks cost more in
+        # blocks than they save in records
+        pages = max(self._resident_pages, self.n_intervals + BLOCK_PAGES)
+        return self._acc_bytes + nbytes + pages * self.page_size <= self.budget
 
     def _append(self, records: np.ndarray) -> None:
         """Append records in arrival order, block by block (see send_many)."""
@@ -548,18 +601,13 @@ class MultiLog:
 
     def seal_interval(self, k: int) -> LogHandle:
         """Freeze interval k's log. An accumulator's hit destinations are
-        first appended, one record each in ascending order, and its bytes
-        freed. The log's resident pages, closed ones in arrival order and
-        then the partial top, become the sealed log's tail; none is handed
-        to the pager."""
+        first appended (`_log_accumulated`). The log's resident pages,
+        closed ones in arrival order and then the partial top, become the
+        sealed log's tail; none is handed to the pager."""
         log = self.logs[k]
         if log.sealed:
             raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
-        if log.acc is not None:
-            records = log.acc.records(self.fmt)
-            self._acc_bytes -= log.acc.nbytes
-            log.acc = None
-            self._append(records)
+        self._log_accumulated(log)
         if log.closed:
             self._closed = deque(other for other in self._closed if other is not log)
         tail = list(log.closed)
@@ -576,8 +624,23 @@ class MultiLog:
             self._carried_pages += len(tail)
         return handle
 
+    def _log_accumulated(self, log: _IntervalLog) -> None:
+        """Append an accumulating log's hit destinations, one record each in
+        ascending order, and free its accumulator."""
+        if log.acc is None:
+            return
+        records = log.acc.records(self.fmt)
+        self._acc_bytes -= log.acc.nbytes
+        log.acc = None
+        self._append(records)
+
     def seal(self) -> LogManifest:
-        """Seal every interval for the current tag and freeze the manifest."""
+        """Seal every interval for the current tag and freeze the manifest.
+        The accumulators' records are appended first, while no interval is
+        sealed, so a page they force out is a closed page, oldest first, as
+        for any send, and never the tail of an interval sealed before."""
+        for log in self.logs:
+            self._log_accumulated(log)
         handles = [self.seal_interval(k) for k in range(self.n_intervals)]
         return LogManifest(self.tag, handles)
 

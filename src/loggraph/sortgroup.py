@@ -28,7 +28,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import ContractViolation, CorruptPageError
-from .multilog import DENSE_SPAN_PER_RECORD, LogManifest, RecordFormat, fold, read_log_records
+from .multilog import LogManifest, RecordFormat, fold, read_log_records
+
+
+# a pass whose destination range is at most this many times its record
+# count is scattered over the whole range; a sparser one numbers its
+# distinct destinations first (see apply_combine)
+DENSE_SPAN_PER_RECORD = 4
 
 
 @dataclass

@@ -397,7 +397,7 @@ def test_pages_the_holders_leave_room_for_are_read_once(tmp_path):
     assert all(st.hits["csr"] > 0 for st in res.stats[1:])
 
 
-@pytest.mark.parametrize("memory_budget", [40 << 10, 64 << 10, 1 << 20])
+@pytest.mark.parametrize("memory_budget", [200 << 10, 256 << 10, 1 << 20])
 def test_accumulators_stay_inside_the_multilog_hold(tmp_path, monkeypatch, memory_budget):
     # at every fold and every hold, the multi-log's hold covers its pages
     # and the arrays its accumulators hold, and stays inside its budget;
@@ -788,9 +788,9 @@ def test_a_sparse_combiner_pass_over_empty_intervals_holds_its_records_not_its_r
         seen.append((records.nbytes, hi - lo, peak, holds[-1]))
         return out
 
-    # the frontier's message to an interval of 3,333 vertices is too sparse
-    # to fold at the sender, so it is logged raw; only the 2-vertex last
-    # interval may fold, into 2 slots
+    # the frontier's messages to an interval of 3,333 vertices take far
+    # fewer bytes as records than its accumulator would, so they are logged
+    # raw; only the 2-vertex last interval may fold, into 2 slots
     chosen = []
     choose = multilog.MultiLog._choose
 

@@ -104,25 +104,38 @@ def test_pagerank_invariant_across_storage_knobs(tmp_path, use_combine):
 
 
 def test_a_superstep_that_folds_some_intervals_and_logs_others_raw_changes_no_result(tmp_path, monkeypatch):
-    # at the tight budget only the smallest interval's accumulator fits
-    # beside a top page per interval, so the other intervals' messages are
-    # logged raw in the same superstep; at 1 MiB every interval folds
+    # at 256 KiB on 256-byte pages only some intervals' accumulators fit
+    # beside a top page per interval and a full block, so the others'
+    # messages are logged raw in the same superstep; its sort budget cuts
+    # the sends into passes, so an interval may log raw records before it
+    # turns into an accumulator. At 1 MiB every interval folds, and on
+    # 4 KiB pages or at the tight budget none does
     src, dst = random_graph(N, 6, seed=41)
-    seen = []
-    seal = multilog.MultiLog.seal
+    mixed = dict(page_size=256, edge_log=False, memory_budget=256 << 10, sort_frac=0.01)
+    seen, turned = [], []
+    seal, choose = multilog.MultiLog.seal, multilog.MultiLog._choose
 
     def seal_spy(mlog):
         folded = [log.acc is not None for log in mlog.logs]
         raw = [log.message_count > 0 for log in mlog.logs]
-        seen.append((mlog.budget, mlog.tag, folded, raw))
+        seen.append((mlog.budget, mlog.page_size, mlog.tag, folded, raw))
         return seal(mlog)
 
+    def choose_spy(mlog, log, count):
+        logged = log.message_count
+        choose(mlog, log, count)
+        if log.acc is not None and logged:
+            turned.append(mlog.budget)
+
     monkeypatch.setattr(multilog.MultiLog, "seal", seal_spy)
-    results = run_all_knobs(tmp_path, src, dst, PageRank, [KNOBS[0], TIGHT, KNOBS[3]], max_supersteps=12)
+    monkeypatch.setattr(multilog.MultiLog, "_choose", choose_spy)
+    results = run_all_knobs(tmp_path, src, dst, PageRank, [KNOBS[0], mixed, TIGHT, KNOBS[3]], max_supersteps=12)
     assert_knob_invariant(results)
-    tight, roomy = (EngineConfig(memory_budget=b).multilog_budget for b in (TIGHT["memory_budget"], 1 << 20))
-    assert any(any(folded) and any(raw) for budget, _, folded, raw in seen if budget == tight)
-    assert all(all(folded) for budget, tag, folded, _ in seen if budget == roomy and tag == 1)
+    some, roomy = (EngineConfig(memory_budget=b).multilog_budget for b in (mixed["memory_budget"], 1 << 20))
+    assert any(any(folded) and any(raw) for budget, _, _, folded, raw in seen if budget == some)
+    assert some in turned
+    assert all(all(folded) for budget, size, tag, folded, _ in seen if (budget, size, tag) == (roomy, 256, 1))
+    assert not any(any(folded) for budget, size, _, folded, _ in seen if budget != some and (budget, size) != (roomy, 256))
 
 
 def test_bfs_invariant_across_storage_knobs(tmp_path):

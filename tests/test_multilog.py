@@ -11,7 +11,7 @@ from loggraph.multilog import (
     RecordFormat,
     read_log_records,
 )
-from loggraph.pager import PAGE_HEADER, StoreRegistry, record_counts
+from loggraph.pager import PAGE_HEADER, StoreRegistry, page_capacity, record_counts
 
 from util import spill_tails
 
@@ -649,7 +649,7 @@ def test_a_negative_zero_sum_leaves_the_sender_as_it_leaves_the_receiver(tmp_pat
     from loggraph.sortgroup import apply_combine
 
     reg = StoreRegistry(256)
-    mlog = MultiLog([0, 2], PR_FMT, reg, str(tmp_path / "logs"), 4 << 10, PR_COMBINE)
+    mlog = MultiLog([0, 2], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
     mlog.send_columns([np.array([0, 1, 1]), np.array([5, 9, 3]), np.array([-0.0, -0.0, -0.0]), 0])
     (handle,) = mlog.seal().handles
     got = read_log_records(handle, PR_FMT)
@@ -660,67 +660,158 @@ def test_a_negative_zero_sum_leaves_the_sender_as_it_leaves_the_receiver(tmp_pat
     mlog.close()
 
 
-def test_an_interval_keeps_its_first_choice_until_its_seal(tmp_path):
-    # interval 0's first call is dense and interval 1's sparse: later sparse
-    # sends to 0 still fold, later dense sends to 1 stay raw
+def combined_logs(mlog, fmt, combine):
+    """Seal mlog and combine each interval's log as the receiver does."""
+    from loggraph.sortgroup import apply_combine
+
+    bounds = mlog.bounds
+    handles = mlog.seal().handles
+    return [
+        apply_combine(read_log_records(h, fmt), bounds[k], bounds[k + 1], combine, fmt).records.tobytes()
+        for k, h in enumerate(handles)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_raw_interval_turns_into_an_accumulator_once_its_records_outgrow_it(tmp_path, seed):
+    # a 14-byte accumulator over 40 vertices takes 560 bytes: 33 records of
+    # 17 bytes outgrow it, 32 do not. Interval 0 gets 33 messages, interval
+    # 1 gets 32, in one order cut at random into calls: interval 0 ends as
+    # an accumulator whatever the cuts, its raw records so far folded in and
+    # their pages freed, and interval 1 stays raw
+    rng = np.random.default_rng(seed)
+    dest = rng.permutation(np.r_[rng.integers(0, 40, 33), rng.integers(40, 80, 32)])
+    cols = [dest, rng.integers(0, 1000, 65), rng.standard_normal(65), rng.integers(0, 2, 65)]
+    got = {}
+    for name, comb in (("raw", None), ("folded", PR_COMBINE)):
+        reg = StoreRegistry(256)
+        mlog = MultiLog([0, 40, 80], PR_FMT, reg, str(tmp_path / name), 16 << 10, comb)
+        send_in_cuts(mlog, cols, np.random.default_rng(seed + 50))
+        if comb is not None:
+            assert [log.acc is not None for log in mlog.logs] == [True, False]
+            assert mlog.logs[0].message_count == 0 and not mlog.logs[0].closed
+            assert mlog._resident_pages == len(mlog.logs[1].closed) + (mlog.logs[1].fill > 0)
+        got[name] = combined_logs(mlog, PR_FMT, PR_COMBINE)
+        mlog.close()
+    assert got["folded"] == got["raw"]
+
+
+def test_the_turn_folds_the_records_logged_so_far_and_frees_their_pages(tmp_path):
     reg = StoreRegistry(256)
+    reg.set_budget(1 << 20)  # so that holds are kept
     mlog = MultiLog([0, 40, 80], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
-    mlog.send_columns([np.r_[np.arange(10), 50], 0, 1.0, 0])
-    mlog.send_columns([np.r_[np.zeros(3, int), np.arange(40, 80)], 1, 2.0, 1])
-    assert mlog.logs[0].acc is not None and mlog.logs[1].acc is None
-    counts = [h.message_count for h in mlog.seal().handles]
-    assert counts == [10, 41] and mlog.total_appends == 11 + 43
+    mlog.send_columns([np.arange(20) % 40, 3, 1.0, 0])
+    assert mlog.logs[0].acc is None and mlog.logs[0].message_count == 20
+    assert mlog._resident_pages == 2 and reg.holds["multilog"] == 2 * 256
+    mlog.send_columns([np.arange(20, 33), 2, 0.5, 1])
+    assert mlog.logs[0].acc is not None and mlog._resident_pages == 0
+    assert reg.holds["multilog"] == 40 * 14 and mlog.post_evict_peak == 2 * 256 + 40 * 14
+    (records, _) = [read_log_records(h, PR_FMT) for h in mlog.seal().handles]
+    assert records["dest"].tolist() == list(range(33))
+    assert records["src"].tolist() == [3] * 20 + [2] * 13
+    assert records["change"].tolist() == [1.0] * 20 + [0.5] * 13
     mlog.close()
+    reg.set_budget(0)
+
+
+def test_an_interval_with_a_page_handed_to_the_pager_stays_raw(tmp_path):
+    # interval 2 is too wide to accumulate. Its pages fill the buffer, so
+    # interval 0's messages pass the point with no room for its 140-byte
+    # accumulator, and its first page is handed to the pager. Interval 1's
+    # 28-byte accumulator fits the 100 bytes past the last whole page and
+    # frees a page; then interval 0's accumulator would fit too, but it
+    # stays raw: its records in the pager cannot be folded in
+    cap = page_capacity(256, PR_FMT.width)
+    bounds = [0, 10, 12, 1 << 20]
+    sends = [np.full(40 * cap, 50), np.arange(cap) % 10, np.full(40 * cap, 50), [10], [11], [3]]
+    got = {}
+    for name, comb in (("raw", None), ("folded", PR_COMBINE)):
+        reg = StoreRegistry(256)
+        mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / name), 40 * 256 + 100, comb)
+        for dest in sends[:-1]:
+            mlog.send_columns([np.asarray(dest), 1, 1.0, 0])
+        if comb is not None:
+            assert mlog.logs[0].chain and mlog.logs[1].acc is not None
+            assert mlog._fits(10 * mlog._acc_width)
+        mlog.send_columns([np.asarray(sends[-1]), 1, 1.0, 0])
+        assert mlog.logs[0].acc is None
+        got[name] = combined_logs(mlog, PR_FMT, PR_COMBINE)
+        mlog.close()
+    assert got["folded"] == got["raw"]
 
 
 def test_an_accumulator_that_does_not_fit_leaves_its_interval_raw(tmp_path):
-    from loggraph.sortgroup import apply_combine
-
     # a 14-byte accumulator over 64 vertices takes 896 bytes; a budget of
-    # six 256-byte pages holds one beside a top page per interval, not two
+    # 38 256-byte pages holds one beside a top page per interval and a full
+    # block of 32 pages, not two
     bounds = [0, 64, 128]
     rng = np.random.default_rng(3)
     cols = program_columns(PR_FMT, 600, 128, rng)
     logs = {}
-    for budget in (6 * 256, 64 << 10):
+    for budget in (38 * 256, 64 << 10):
         reg = StoreRegistry(256)
         reg.set_budget(1 << 20)  # so that holds are kept
         mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / str(budget)), budget, PR_COMBINE)
         mlog.send_columns(cols)
         logs[budget] = [log.acc is not None for log in mlog.logs]
         assert reg.holds["multilog"] <= budget
-        combined = []
-        for k, h in enumerate(mlog.seal().handles):
-            combined.append(apply_combine(read_log_records(h, PR_FMT), bounds[k], bounds[k + 1], PR_COMBINE, PR_FMT))
-        logs[budget, "records"] = [c.records.tobytes() for c in combined]
+        logs[budget, "records"] = combined_logs(mlog, PR_FMT, PR_COMBINE)
         mlog.close()
         assert reg.holds["multilog"] == 0
         reg.set_budget(0)
-    assert logs[6 * 256] == [True, False] and logs[64 << 10] == [True, True]
-    assert logs[6 * 256, "records"] == logs[64 << 10, "records"]
+    assert logs[38 * 256] == [True, False] and logs[64 << 10] == [True, True]
+    assert logs[38 * 256, "records"] == logs[64 << 10, "records"]
 
 
 def test_accumulators_come_out_of_the_pages_the_budget_holds(tmp_path):
-    # a 13-byte accumulator over 100 vertices in an 8-page budget: 1,300
-    # bytes leave room for 2 pages of interval 1's records, so the third
+    # a 13-byte accumulator over 100 vertices in a 40-page budget: 1,300
+    # bytes leave room for 34 pages of interval 1's records, so the 35th
     # page evicts, and the hold counts both
     reg = StoreRegistry(256)
     reg.set_budget(1 << 20)  # so that holds are kept
-    bounds = [0, 100, 200]
-    mlog = MultiLog(bounds, FMT16, reg, str(tmp_path / "logs"), 8 * 256, {"val": np.add})
+    bounds = [0, 100, 1 << 20]
+    mlog = MultiLog(bounds, FMT16, reg, str(tmp_path / "logs"), 40 * 256, {"val": np.add})
     mlog.send_columns([np.arange(100), 7, np.arange(100)])
-    assert mlog.logs[0].acc is not None and mlog._page_budget == 2
+    assert mlog.logs[0].acc is not None and mlog._page_budget == 34
     assert reg.holds["multilog"] == 1300
     evicted = count_evictions(mlog)
     cap = mlog.capacity
-    mlog.send_columns([np.full(2 * cap + 1, 150), 1, 1])  # 2 * cap + 1 records open 3 pages
-    assert evicted[0] == 1 and mlog._resident_pages == 2
-    assert reg.holds["multilog"] == 2 * 256 + 1300
+    mlog.send_columns([np.full(34 * cap + 1, 150), 1, 1])  # 34 * cap + 1 records open 35 pages
+    assert evicted[0] == 1 and mlog._resident_pages == 34
+    assert reg.holds["multilog"] == 34 * 256 + 1300
     handles = mlog.seal().handles
-    assert [h.message_count for h in handles] == [100, 2 * cap + 1]
+    assert [h.message_count for h in handles] == [100, 34 * cap + 1]
     assert read_log_records(handles[0], FMT16)["val"].tolist() == list(range(100))
     mlog.close()
     reg.set_budget(0)
+
+
+def test_sealing_an_accumulator_evicts_the_oldest_closed_pages_not_a_sealed_tail(tmp_path):
+    # interval 1 folds 200 vertices into 2,800 bytes, leaving 36 of 47
+    # pages. Interval 2's 18 pages close first, then interval 0's 18, so
+    # the buffer is full. At seal interval 1's 200 records open 15 pages
+    # where the accumulator freed 11: 4 pages go, the 4 oldest closed ones,
+    # all interval 2's. Interval 0 is loaded first in the next superstep
+    # and keeps its pages resident: no tail of an interval sealed before
+    # interval 1 is spilled
+    reg = StoreRegistry(256)
+    bounds = [0, 40, 240, 280]
+    mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / "logs"), 47 * 256, PR_COMBINE)
+    cap = mlog.capacity
+    mlog.send_columns([np.arange(40, 240), 9, 1.0, 1])
+    assert mlog.logs[1].acc is not None and mlog._page_budget == 36
+    mlog.send_columns([240 + np.arange(18 * cap) % 40, 1, 1.0, 0])
+    mlog.send_columns([np.arange(18 * cap) % 40, 1, 1.0, 0])
+    assert [log.acc is not None for log in mlog.logs] == [False, True, False]
+    assert mlog._resident_pages == 36
+    evicted = count_evictions(mlog)
+    handles = mlog.seal().handles
+    assert evicted[0] == 4
+    assert [len(h.ordinals) for h in handles] == [0, 0, 4]
+    assert [len(h.tail) for h in handles] == [18, -(-200 // cap), 14]
+    assert [h.message_count for h in handles] == [18 * cap, 200, 18 * cap]
+    assert read_log_records(handles[2], PR_FMT)["dest"].tolist() == (240 + np.arange(18 * cap) % 40).tolist()
+    mlog.close()
 
 
 @pytest.mark.parametrize("dest", [-1, 80, 1 << 32])
