@@ -23,9 +23,10 @@ only a copy that the stored rows or an earlier insertion left. So a run of
 ops applied in one batch, or split into consecutive batches, leaves the
 same rows and warnings, and when the engine merges its pending ops cannot
 change a result. The engine's overlay applies them to a fetched batch, and
-`merge_structural_updates` to a whole interval, rewriting its files. It
-sorts only the ops and merges them into rows that are already ascending, as
-the CSR stores them, and it checks that they are.
+`merge_structural_updates` to a whole interval, rewriting its files and
+the graph's edge counts in meta.json and indeg.bin. It sorts only the ops
+and merges them into rows that are already ascending, as the CSR stores
+them, and it checks that they are.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
-from .pager import StoreRegistry, page_capacity, ranges
+from .pager import StoreRegistry, page_capacity, ranges, run_starts
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -69,6 +70,11 @@ class GraphMeta:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def save(self, graph_path: str) -> None:
+        """Write meta.json into the graph directory."""
+        with open(os.path.join(graph_path, "meta.json"), "w") as f:
+            json.dump(self.to_dict(), f, sort_keys=True, indent=1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphMeta":
@@ -317,13 +323,6 @@ def build_partitions(
         registry.drop(ci_store, "csr")
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a run of equal values starts."""
-    first = np.ones(len(values), bool)
-    first[1:] = values[1:] != values[:-1]
-    return first
-
-
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
     """Adjacency for exactly the active vertices (sorted ascending).
 
@@ -389,7 +388,7 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
 
 def apply_ops(
     ids: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, ops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """Apply structural ops to the CSR rows of the ascending ids, in arrival
     (row) order.
 
@@ -398,8 +397,10 @@ def apply_ops(
     removes a copy that exists at that point, stored or inserted earlier, or
     else counts a warning. A row with a vertex removal ends empty; the
     engine never buffers an op on a vertex after its removal. Returns the
-    new (offsets, nbrs), neighbors ascending within a row, and the number of
-    deletions that found no copy to remove.
+    new (offsets, nbrs), neighbors ascending within a row, the number of
+    deletions that found no copy to remove, and the neighbors of the entries
+    removed and of those inserted, which differ from the old rows' as the
+    new rows' do.
 
     An edge's copies are its stored count plus the running sum of +1 per
     insertion and -1 per deletion, floored at 0. So once the ops are sorted
@@ -423,7 +424,7 @@ def apply_ops(
     order = np.argsort(op_keys, kind="stable")
     op_keys = op_keys[order]
     steps = np.where(kind[edge][order] == ADD_EDGE, 1, -1)
-    starts = np.flatnonzero(_run_starts(op_keys))
+    starts = np.flatnonzero(run_starts(op_keys))
     group = op_keys[starts]
     at = np.searchsorted(keys, group)
     stored = np.searchsorted(keys, group, side="right") - at
@@ -441,19 +442,22 @@ def apply_ops(
     keep = np.ones(len(keys), bool)
     keep[ranges(at, stored)] = False
     keep[ranges(offsets[removed], degrees[removed])] = False
+    gone = nbrs[~keep]
     keys = keys[keep]
     ins = np.repeat(group, copies)
     kept = degrees - np.bincount(group >> 32, stored, minlength=len(ids)).astype(np.int64)
     kept[removed] = 0
     new_offsets = np.zeros(len(ids) + 1, np.int64)
     np.cumsum(kept + np.bincount(group >> 32, copies, minlength=len(ids)).astype(np.int64), out=new_offsets[1:])
-    out = np.insert(keys.astype(VID_DT), np.searchsorted(keys, ins), ins.astype(VID_DT))
-    return new_offsets, out, int(short.sum())
+    added = ins.astype(VID_DT)
+    out = np.insert(keys.astype(VID_DT), np.searchsorted(keys, ins), added)
+    return new_offsets, out, int(short.sum()), gone, added
 
 
 def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     """Rewrite interval k's CSR vectors applying one batch of structural ops
-    (see `apply_ops`); returns the count of deletions of absent edges."""
+    (see `apply_ops`), and meta.json and indeg.bin to match; returns the
+    count of deletions of absent edges."""
     meta = graph.meta
     part = graph.partitions[k]
     dst = ops[ops[:, 0] == ADD_EDGE, 2]
@@ -461,7 +465,7 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     if len(bad):
         raise IngestError(f"insert destination {int(bad[0])} outside [0, {meta.num_vertices})")
     rp, old = part.full_csr()
-    rowptr, colidx, warnings = apply_ops(np.arange(part.lo, part.hi), rp, old, ops)
+    rowptr, colidx, warnings, gone, ins = apply_ops(np.arange(part.lo, part.hi), rp, old, ops)
 
     reg = graph.registry
     reg.drop(part.rowptr, "csr", unlink=True)
@@ -471,5 +475,14 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     ci_store = reg.open(os.path.join(graph.path, f"part{k}.colidx"), "csr")
     ci_store.append_records(colidx.tobytes(), VID_WIDTH)
     part.rowptr, part.colidx = rp_store, ci_store
+    n = meta.num_vertices
+    change = np.bincount(ins, minlength=n) - np.bincount(gone, minlength=n)
+    below = np.concatenate([[0], np.cumsum(change)])[meta.interval_bounds]
+    meta.interval_indeg = (np.array(meta.interval_indeg) + np.diff(below)).tolist()
     meta.num_edges += len(colidx) - len(old)
+    meta.save(graph.path)
+    path = os.path.join(graph.path, "indeg.bin")
+    # without indeg.bin, in_degrees counts the rewritten CSR itself
+    if os.path.exists(path):
+        (graph.in_degrees() + change).astype(VID_DT).tofile(path)
     return warnings

@@ -19,7 +19,7 @@ import numpy as np
 
 from .csr import Adjacency, AdjacencyView, VID_DT
 from .errors import CorruptPageError
-from .pager import PAGE_HEADER, StoreRegistry, pack_page, ranges
+from .pager import PAGE_HEADER, StoreRegistry, ranges
 
 INEFFICIENT_THRESHOLD = 0.10
 
@@ -90,8 +90,8 @@ class EdgeLog:
         store = self._store
         if store is not None:
             if self._buf_used > 0:
-                payload = bytes(self._buf[PAGE_HEADER : PAGE_HEADER + self._buf_used])
-                store.append(pack_page(self.page_size, payload, 0))
+                # a stream page's count stays 0 and its unused tail zero
+                store.append(self._buf)
         ids = np.fromiter(self._index, np.int64, len(self._index))
         spans = np.array(list(self._index.values()), np.int64).reshape(-1, 2)
         order = np.argsort(ids)

@@ -1,15 +1,16 @@
 """Superstep driver.
 
 One superstep: plan log fusion from the sealed per-interval message counts,
-load each fused log and sort it, or scatter it into one record per
-destination when the program has a combiner, take its destinations plus the
-forced vertices as the active set, fetch their state and adjacency (from the
-edge log when possible), run the vertex program on them, route its sends
+load each fused log and sort it, or fold it into one record per destination
+when the program has a combiner, take its destinations plus the forced
+vertices as the active set, fetch their state and adjacency (from the edge
+log when possible), run the vertex program on them, route its sends
 through the multi-log, then seal the next superstep's logs, merge pending
 structural updates if their budget share overflows and record the activity
 bit vector. With a combiner, the multi-log folds an interval's sends into
 one accumulator per superstep once their records would outgrow it, if it
-fits (see `multilog`), and logs one record per destination at seal;
+fits (see `multilog`), and logs one record per destination at seal; the
+receiver folds a raw log into the same kind of `multilog.Accumulator`.
 `messages_sent` counts sends either way.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
 log.
@@ -74,7 +75,7 @@ from . import sortgroup
 from .csr import Adjacency, GraphDir
 from .edgelog import EdgeLog, inefficient, log_candidates
 from .errors import ConfigError, ContractViolation
-from .multilog import MultiLog, RecordFormat
+from .multilog import MultiLog, RecordFormat, check_combine
 from .pager import DEFAULT_PAGE_SIZE, ranges
 from .state import VertexStateStore
 
@@ -195,7 +196,7 @@ class VertexProgram:
     changed are written back.
 
     combine, when set, maps every payload field to the ufunc that reduces
-    it: np.add, np.minimum or np.maximum (`sortgroup.check_combine`; the
+    it: np.add, np.minimum or np.maximum (`multilog.check_combine`; the
     engine refuses anything else when it is built). Inboxes then hold one
     record per destination, its fields reduced over the destination's
     messages (a float sum adds in arrival order, in float64) and src the
@@ -203,8 +204,8 @@ class VertexProgram:
     sender, into one accumulator per interval, from the send at which the
     interval's messages of a superstep would take more bytes as records
     than the accumulator, if it fits the multi-log's budget, and at the
-    receiver otherwise; both fold through `multilog.fold` from the same
-    identity in arrival order, so the inbox is the same to the bit.
+    receiver otherwise; both fold into a `multilog.Accumulator` from the
+    same identity in arrival order, so the inbox is the same to the bit.
 
     A program may not keep ctx or the batch beyond the call. Messages are
     the only way a vertex runs again next superstep; deactivation is the
@@ -360,7 +361,7 @@ class Engine:
             )
         self.fmt = RecordFormat(program.payload_fields)
         if program.combine is not None:
-            sortgroup.check_combine(program.combine, self.fmt)
+            check_combine(program.combine, self.fmt)
         if config.sort_budget < self.fmt.width:
             raise ConfigError(
                 f"sort budget of {config.sort_budget} bytes (memory_budget x sort_frac) holds no {self.fmt.width}-byte record"
@@ -430,7 +431,7 @@ class Engine:
         # dirty is ascending: keep the ops whose src is one of it
         edge = edge[dirty[np.searchsorted(dirty, edge["src"]).clip(max=len(dirty) - 1)] == edge["src"]]
         if len(edge):
-            adj.offsets, adj.nbrs, _ = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, _op_rows(edge))
+            adj.offsets, adj.nbrs = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, _op_rows(edge))[:2]
         return adj
 
     def _merge_interval(self, k: int) -> None:

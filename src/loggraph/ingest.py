@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import numpy as np
@@ -112,7 +111,6 @@ def convert_arrays(
     os.makedirs(out_dir, exist_ok=True)
     registry = registry or StoreRegistry(page_size)
     csr.build_partitions(src, dst, meta, registry, out_dir)
-    with open(os.path.join(out_dir, "meta.json"), "w") as f:
-        json.dump(meta.to_dict(), f, sort_keys=True, indent=1)
+    meta.save(out_dir)
     in_deg.astype(np.uint32).tofile(os.path.join(out_dir, "indeg.bin"))
     return csr.GraphDir(out_dir, registry)

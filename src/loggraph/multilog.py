@@ -26,43 +26,43 @@ pages, so each page parses on its own. Pages keep arrival order; the
 sort-and-group unit orders a loaded log by destination, or combines it.
 
 Combining at the sender. With a combiner (one ufunc per payload field, see
-`sortgroup.check_combine`), an interval's log of one superstep is either
-raw records or one dense accumulator over its vertices [lo, hi), kept from
-the send that chooses it until its seal. A raw interval turns into an
-accumulator at the send that brings its messages of the superstep to at
-least the accumulator's bytes as records ((hi - lo) * accumulator width <=
-messages * record width), if none of its pages was handed to the pager and
-the accumulator fits the budget beside the resident pages, or if more, one
-top page per interval and a full block of pages for the raw intervals'
+`check_combine`), an interval's log of one superstep is either raw records
+or one dense `Accumulator` over its vertices [lo, hi), kept from the send
+that chooses it until its seal. A raw interval turns into an accumulator
+at the send that brings its messages of the superstep to at least the
+accumulator's bytes as records ((hi - lo) * accumulator width <= messages
+* record width), if none of its pages was handed to the pager and the
+accumulator fits the budget beside the resident pages, or if more, one top
+page per interval and a full block of pages for the raw intervals'
 appends. Below that point the records take less memory and about as long
 to log, load and combine; from about one message per vertex up the
-accumulator is the faster too. Its records so far are folded in from its
-resident pages, in arrival order, and the pages freed. So the choice
-does not depend on how the sends are cut into calls unless the budget
-hands pages over or refuses the accumulator; a sparse frontier stays raw
-and what it holds grows with its messages. An accumulator's bytes come
-out of the pages the budget holds, and are reported to the ledger with
-them. Its sends are folded in, column by column, with no record built:
-each column is first cast to its wire dtype, then `fold` folds it, a float
-sum in float64 and any other field in its wire dtype, src by its minimum.
-`seal` first appends each accumulator's hit destinations, one record per
-destination in ascending order, through the same path as raw records, so
-the eviction this may force takes closed pages as any send's does.
-`apply_combine` folds a raw log with the same `fold`, from the same
-identity in arrival order, so both give the same bits, and on one record
-per destination it is the identity. Mixing raw records and a partial sum
-in one interval's log would break that, hence one or the other for the
-whole superstep. A log's `message_count` is its records; `total_appends`
-counts sends.
+accumulator is the faster too. Its records so far are read back from its
+resident pages by `read_log_records`, folded in in arrival order, and the
+pages freed. So the choice does not depend on how the sends are cut into
+calls unless the budget hands pages over or refuses the accumulator; a
+sparse frontier stays raw and what it holds grows with its messages. An
+accumulator's bytes come out of the pages the budget holds, and are
+reported to the ledger with them. Its sends are folded in, column by
+column, with no record built: each column is first cast to its wire
+dtype, then folded, a float sum in float64 and any other field in its
+wire dtype, src by its minimum. `seal` first appends each accumulator's
+hit destinations, one record per destination in ascending order, through
+the same path as raw records, so the eviction this may force takes closed
+pages as any send's does. `sortgroup.apply_combine` folds a raw log into
+an `Accumulator` too, from the same identity in arrival order, so both
+give the same bits, and on one record per destination it is the identity.
+Mixing raw records and a partial sum in one interval's log would break
+that, hence one or the other for the whole superstep. A log's
+`message_count` is its records; `total_appends` counts sends.
 
-`send_many` appends arrays of wire-format records: it copies them into the
-top pages, and packs the whole pages between an interval's first top and
-its last with `pager.pack_pages`; `send_columns` takes one column per wire
-field, as vertex programs send through the engine's `Context.send_many`,
-and `send` is a one-record call. The multi-log owns its log files and
-tails: `release` frees the tails of logs loaded for the last time, `drop`
-deletes a consumed superstep's files, and `close` every file and tail still
-held.
+`send_columns` is the one send path. It takes one column per wire field,
+as vertex programs send through the engine's `Context.send_many`, copies
+the records into the top pages, and packs the whole pages between an
+interval's first top and its last with `pager.pack_pages`; `send_many`
+sends an array of wire-format records as its columns, and `send` one
+record. The multi-log owns its log files and tails: `release` frees the
+tails of logs loaded for the last time, `drop` deletes a consumed
+superstep's files, and `close` every file and tail still held.
 
 Its resident pages and accumulators are memory the pager's ledger may not
 use: it reports their bytes to `StoreRegistry.hold` before a block opens
@@ -87,32 +87,27 @@ from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages
 BLOCK_PAGES = 32
 
 
-def fresh_slots(ufunc, dtype: np.dtype, n: int) -> np.ndarray:
-    """n slots holding ufunc's identity, in the dtype `fold` keeps for a
-    field of dtype: float64 for a float sum, dtype itself otherwise."""
-    if ufunc is np.add:
-        return np.zeros(n, np.float64 if dtype.kind == "f" else dtype)
-    lowest = ufunc is np.maximum
-    if dtype.kind == "f":
-        return np.full(n, -np.inf if lowest else np.inf, dtype)
-    info = np.iinfo(dtype)
-    return np.full(n, info.min if lowest else info.max, dtype)
+# the ufuncs a combiner may name, each with its identity (see Accumulator)
+COMBINE_UFUNCS = (np.add, np.minimum, np.maximum)
 
 
-def fold(ufunc, index: np.ndarray, col: np.ndarray, slots) -> np.ndarray:
-    """Fold col into slots at index by ufunc, one value at a time in index
-    order, and return the slots: an array a fold made, or a count of fresh
-    ones (`fresh_slots`). Both the multi-log's accumulators and
-    `sortgroup.apply_combine` fold through here, so a column folded in
-    pieces, in order, into the same slots gives the bits of one fold over
-    it whole. A float sum is kept in float64: fresh slots take np.bincount,
-    which adds each weight in order to a float64 0.0 as ufunc.at does."""
-    if not isinstance(slots, np.ndarray):
-        if ufunc is np.add and col.dtype.kind == "f":
-            return np.bincount(index, weights=col, minlength=slots)
-        slots = fresh_slots(ufunc, col.dtype, slots)
-    ufunc.at(slots, index, col)
-    return slots
+def check_combine(combine: dict, fmt: RecordFormat) -> None:
+    """A combiner maps each integer or float payload field of the wire
+    format to one of np.add, np.minimum and np.maximum; anything else is a
+    contract violation."""
+    names = [name for name, _ in fmt.payload_fields]
+    if not isinstance(combine, dict):
+        raise ContractViolation(f"combine must map payload fields to ufuncs, got {type(combine).__name__}")
+    for name, ufunc in combine.items():
+        if name not in names:
+            raise ContractViolation(f"combine names {name!r}, which is not a payload field of {names}")
+        if not any(ufunc is u for u in COMBINE_UFUNCS):
+            raise ContractViolation(f"combine of {name!r} is {ufunc!r}; only np.add, np.minimum and np.maximum combine")
+        if fmt.dtype[name].kind not in "iuf":
+            raise ContractViolation(f"combine of {name!r}: a {fmt.dtype[name]} field does not combine")
+    missing = [name for name in names if name not in combine]
+    if missing:
+        raise ContractViolation(f"combine names no ufunc for the payload field {missing[0]!r}")
 
 
 def _as_wire(col, dtype: np.dtype, n: int) -> np.ndarray:
@@ -125,40 +120,61 @@ def _as_wire(col, dtype: np.dtype, n: int) -> np.ndarray:
     return out
 
 
-class _Accumulator:
-    """An interval's sends of one superstep, folded: per vertex of [lo, hi)
-    whether any message reached it, and src and each payload field folded
-    by its ufunc (src by np.minimum) into slots from `fresh_slots`."""
+def _fresh_slots(ufunc, dtype: np.dtype, n: int) -> np.ndarray:
+    """n slots holding ufunc's identity, in the dtype an Accumulator folds
+    a field of dtype in: float64 for a float sum, dtype itself otherwise."""
+    if ufunc is np.add:
+        return np.zeros(n, np.float64 if dtype.kind == "f" else dtype)
+    lowest = ufunc is np.maximum
+    if dtype.kind == "f":
+        return np.full(n, -np.inf if lowest else np.inf, dtype)
+    info = np.iinfo(dtype)
+    return np.full(n, info.min if lowest else info.max, dtype)
 
-    __slots__ = ("lo", "hit", "slots", "ufuncs")
+
+class Accumulator:
+    """The one combiner fold: messages folded into the slots of the
+    destinations [lo, hi), per slot whether any message reached it, and src
+    and each payload field folded by its ufunc (src by np.minimum) from the
+    ufunc's identity. The multi-log's accumulators and
+    `sortgroup.apply_combine` both fold here, one value at a time in message
+    order, so columns folded in pieces, in order, give the bits of one fold
+    over them whole; a float sum is kept in float64."""
+
+    __slots__ = ("lo", "dtype", "hit", "slots", "ufuncs")
 
     def __init__(self, lo: int, hi: int, combine: dict, fmt: RecordFormat):
         self.lo = lo
+        self.dtype = fmt.dtype
         self.ufuncs = {"src": np.minimum, **combine}
         self.hit = np.zeros(hi - lo, bool)
-        self.slots = {name: fresh_slots(u, fmt.dtype[name], hi - lo) for name, u in self.ufuncs.items()}
+        self.slots = {name: _fresh_slots(u, fmt.dtype[name], hi - lo) for name, u in self.ufuncs.items()}
 
     @property
     def nbytes(self) -> int:
         return self.hit.nbytes + sum(slots.nbytes for slots in self.slots.values())
 
-    def fold(self, cols: dict) -> None:
-        """Fold columns of messages into the slots: dest, of an integer
-        dtype, then src and the payload fields in their wire dtypes."""
-        index = np.asarray(cols["dest"], np.intp)
-        if self.lo:
-            index = index - self.lo
+    def fold(self, cols, index: np.ndarray | None = None) -> None:
+        """Fold messages into the slots: cols maps each wire field to its
+        column (a dict, or a record array), src and the payload fields in
+        their wire dtypes. Each message goes into the slot index gives it,
+        by default its dest (an integer column) less lo."""
+        if index is None:
+            index = np.asarray(cols["dest"], np.intp)
+            if self.lo:
+                index = index - self.lo
         self.hit[index] = True
         for name, ufunc in self.ufuncs.items():
             slots = self.slots[name]
             # ufunc.at takes its fast path on a contiguous column of the slots' dtype
-            fold(ufunc, index, np.ascontiguousarray(cols[name], slots.dtype), slots)
+            ufunc.at(slots, index, np.ascontiguousarray(cols[name], slots.dtype))
 
-    def records(self, fmt: RecordFormat) -> np.ndarray:
-        """One record per vertex hit, ascending, each slot cast to its wire dtype."""
+    def records(self, dests: np.ndarray | None = None) -> np.ndarray:
+        """One record per slot hit, in slot order, each slot cast to its wire
+        dtype; a slot's dest is dests[slot], by default lo + slot."""
         at = np.flatnonzero(self.hit)
-        out = np.empty(len(at), fmt.dtype)
-        out["dest"] = at + self.lo
+        out = np.empty(len(at), self.dtype)
+        out["dest"] = at + self.lo if dests is None else dests[at]
         for name, slots in self.slots.items():
             out[name] = slots[at]
         return out
@@ -224,7 +240,7 @@ class _IntervalLog:
         self.chain: list[int] = []
         self.message_count = 0
         self.sealed = False
-        self.acc: _Accumulator | None = None
+        self.acc: Accumulator | None = None
 
 
 class MultiLog:
@@ -259,7 +275,7 @@ class MultiLog:
         self.budget = buffer_budget
         self.combine = combine
         # bytes an accumulator holds per vertex
-        self._acc_width = _Accumulator(0, 1, combine, fmt).nbytes if combine is not None else 0
+        self._acc_width = Accumulator(0, 1, combine, fmt).nbytes if combine is not None else 0
         self._min_acc_bytes = min(np.diff(bounds).tolist(), default=0) * self._acc_width
         self._acc_bytes = 0  # of the open superstep's accumulators
         self.tag = -1
@@ -287,87 +303,69 @@ class MultiLog:
         self.send_many(self.fmt.pack([(dest, src, *payload)]))
 
     def send_many(self, records: np.ndarray) -> None:
-        """Send wire-format records (fmt.dtype) in arrival order: append
-        them, or with a combiner fold those of accumulating intervals (see
-        the module doc).
-
-        Splitting the records into several calls leaves the same page
-        images, chains, counts, eviction points and peaks: each page
-        opening past the budget evicts one page that was resident before
-        the record that opens it. Works in blocks of at most BLOCK_PAGES
-        pages of records: its temporaries stay small whatever the batch
-        size, and a block evicts once, before it appends.
-        """
-        if len(records) == 0:
-            return
+        """Send wire-format records (fmt.dtype) in arrival order, as their
+        columns (see `send_columns`)."""
         if records.dtype != self.fmt.dtype:
             raise ContractViolation(f"record dtype {records.dtype} is not the wire format {self.fmt.dtype}")
-        self._check_dests(records["dest"])
-        if self.combine is None:
-            self._append(records)
-        else:
-            self._send_combined(records["dest"], records)
-        self.total_appends += len(records)
+        self.send_columns([records[name] for name in self.fmt.dtype.names])
 
     def send_columns(self, columns) -> None:
         """Send messages given as one column per wire field, dest first,
         each an array of one value per message or a scalar for all; message
         i is the values [i], in index order. A column is cast to its field's
-        dtype as a record array's field assignment casts it. Without a
-        combiner it is `send_many` of those records; with one, the messages
-        of accumulating intervals are folded straight from the columns."""
+        dtype as a record array's field assignment casts it. The messages are
+        appended as records or, with a combiner, those of accumulating
+        intervals folded straight from the columns (see the module doc).
+
+        Splitting the messages into several calls leaves the same page
+        images, chains, counts, eviction points and peaks: each page
+        opening past the budget evicts one page that was resident before
+        the record that opens it. Appends in blocks of at most BLOCK_PAGES
+        pages of records: its temporaries stay small whatever the batch
+        size, and a block evicts once, before it appends.
+        """
         n = len(columns[0])
         if n == 0:
-            return
-        if self.combine is None:
-            self.send_many(self._records(columns, None))
             return
         dest = np.asarray(columns[0])
         # an integer dest in range needs no cast to index by
         if dest.dtype.kind not in "iu" or int(dest.min()) < 0:
             dest = _as_wire(dest, self.fmt.dtype["dest"], n)
-        self._check_dests(dest)
-        self._send_combined(dest, (dest, *columns[1:]))
-        self.total_appends += n
-
-    def _check_dests(self, dest: np.ndarray) -> None:
         if int(dest.max()) >= self.bounds[-1]:
             raise ContractViolation(f"destination {int(dest.max())} outside vertex range")
+        columns = (dest, *columns[1:])
+        if self.combine is None:
+            self._append(self._records(columns))
+        else:
+            self._send_combined(columns)
+        self.total_appends += n
 
-    def _records(self, msgs, sel) -> np.ndarray:
-        """Wire-format records of the messages msgs (records, or columns
-        as send_columns takes them) that sel selects (None for all)."""
-        if isinstance(msgs, np.ndarray):
-            return msgs if sel is None else msgs[sel]
-        n = len(msgs[0]) if sel is None else np.count_nonzero(sel)
-        records = np.empty(n, self.fmt.dtype)
-        for name, col in zip(self.fmt.dtype.names, msgs):
-            records[name] = col if sel is None or not np.ndim(col) else col[sel]
+    def _records(self, columns) -> np.ndarray:
+        """Wire-format records of messages given as send_columns takes them."""
+        records = np.empty(len(columns[0]), self.fmt.dtype)
+        for name, col in zip(self.fmt.dtype.names, columns):
+            records[name] = col
         return records
 
-    def _columns(self, msgs, sel) -> dict:
-        """The messages sel selects as one column per wire field, each
-        payload column cast to its wire dtype (see `send_columns`)."""
-        names = self.fmt.dtype.names
-        if isinstance(msgs, np.ndarray):
-            return {name: msgs[name] if sel is None else msgs[name][sel] for name in names}
-        dest = msgs[0] if sel is None else msgs[0][sel]
-        cols = {"dest": dest}
-        for name, col in zip(names[1:], msgs[1:]):
-            part = col if sel is None or not np.ndim(col) else col[sel]
-            cols[name] = _as_wire(part, self.fmt.dtype[name], len(dest))
+    def _columns(self, columns) -> dict:
+        """Messages given as send_columns takes them, as one column per wire
+        field, each payload column cast to its wire dtype."""
+        cols = {"dest": columns[0]}
+        for name, col in zip(self.fmt.dtype.names[1:], columns[1:]):
+            cols[name] = _as_wire(col, self.fmt.dtype[name], len(columns[0]))
         return cols
 
-    def _send_combined(self, dest: np.ndarray, msgs) -> None:
+    def _send_combined(self, columns) -> None:
         """With a combiner: let each raw interval the messages reach turn
         into an accumulator if they take it past the point (see `_choose`),
         then fold the messages of accumulating intervals and append the
-        others' as records. msgs are records, or columns as send_columns
-        takes them, dest first."""
+        others' as records. columns are as send_columns takes them, dest
+        an integer array."""
         if not self._acc_bytes and not self._fits(self._min_acc_bytes):
             # no interval accumulates, nor can this call make one
-            self._append(self._records(msgs, None))
+            self._append(self._records(columns))
             return
+        dest = columns[0]
         first, last = self._interval_of[[dest.min(), dest.max()]].tolist()
         if first == last:
             k, counts, hit = None, {first: len(dest)}, [first]
@@ -382,14 +380,14 @@ class MultiLog:
                 self._choose(log, int(counts[j]))
         folding = [j for j in hit if self.logs[j].acc is not None]
         if not folding:
-            self._append(self._records(msgs, None))
+            self._append(self._records(columns))
             return
-        keep = None
         if len(folding) < len(hit):
             keep = np.isin(k, folding)
-            self._append(self._records(msgs, ~keep))
+            self._append(self._records([col[~keep] if np.ndim(col) else col for col in columns]))
+            columns = [col[keep] if np.ndim(col) else col for col in columns]
             k = k[keep]
-        cols = self._columns(msgs, keep)
+        cols = self._columns(columns)
         if len(folding) == 1:
             self.logs[folding[0]].acc.fold(cols)
             return
@@ -416,24 +414,30 @@ class MultiLog:
         self._acc_bytes += nbytes
         # the ledger gives back room before the accumulator is made
         self.registry.hold("multilog", self.held_bytes)
-        log.acc = _Accumulator(lo, hi, self.combine, self.fmt)
+        log.acc = Accumulator(lo, hi, self.combine, self.fmt)
         self.post_evict_peak = max(self.post_evict_peak, self.open_bytes)
         if log.message_count == 0:
             return
-        w = self.fmt.width
-        # closed pages are full; the top holds the rest, in arrival order
-        body = [memoryview(page)[PAGE_HEADER : PAGE_HEADER + self.capacity * w] for page in log.closed]
-        body.append(memoryview(log.top)[PAGE_HEADER : PAGE_HEADER + log.fill * w])
-        records = np.frombuffer(b"".join(body), self.fmt.dtype)
-        log.acc.fold({name: records[name] for name in self.fmt.dtype.names})
+        pages = self._take_pages(log)
+        records = read_log_records(LogHandle(log.interval, None, [], log.message_count, pages), self.fmt)
+        log.acc.fold(records)
+        self._resident_pages -= len(pages)
+        log.message_count = 0
+        self.registry.hold("multilog", self.held_bytes)
+
+    def _take_pages(self, log: _IntervalLog) -> list[bytearray]:
+        """Take log's resident pages out of its open log: the closed ones in
+        arrival order, then the top, if not empty, with its record count."""
         if log.closed:
             self._closed = deque(other for other in self._closed if other is not log)
-        self._resident_pages -= len(log.closed) + (log.fill > 0)
+        pages = list(log.closed)
+        if log.fill > 0:
+            PAGE_COUNT.pack_into(log.top, 0, log.fill)
+            pages.append(log.top)
         log.closed = deque()
         log.top = bytearray(self.page_size)
         log.fill = 0
-        log.message_count = 0
-        self.registry.hold("multilog", self.held_bytes)
+        return pages
 
     def _fits(self, nbytes: int) -> bool:
         """Whether an accumulator of nbytes fits beside the others and the
@@ -608,15 +612,8 @@ class MultiLog:
         if log.sealed:
             raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
         self._log_accumulated(log)
-        if log.closed:
-            self._closed = deque(other for other in self._closed if other is not log)
-        tail = list(log.closed)
-        if log.fill > 0:
-            PAGE_COUNT.pack_into(log.top, 0, log.fill)
-            tail.append(log.top)
-        log.closed = deque()
+        tail = self._take_pages(log)
         log.top = bytearray()
-        log.fill = 0
         log.sealed = True
         handle = LogHandle(k, log.store, list(log.chain), log.message_count, tail)
         if tail:
@@ -629,7 +626,7 @@ class MultiLog:
         ascending order, and free its accumulator."""
         if log.acc is None:
             return
-        records = log.acc.records(self.fmt)
+        records = log.acc.records()
         self._acc_bytes -= log.acc.nbytes
         log.acc = None
         self._append(records)

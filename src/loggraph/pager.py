@@ -74,16 +74,6 @@ def page_capacity(page_size: int, record_width: int) -> int:
     return (page_size - PAGE_HEADER) // record_width
 
 
-def pack_page(page_size: int, payload: bytes, count: int) -> bytes:
-    """Assemble a full page image from a record-region payload."""
-    if len(payload) > page_size - PAGE_HEADER:
-        raise ContractViolation(f"payload of {len(payload)} bytes exceeds record region")
-    buf = bytearray(page_size)
-    PAGE_COUNT.pack_into(buf, 0, count)
-    buf[PAGE_HEADER : PAGE_HEADER + len(payload)] = payload
-    return bytes(buf)
-
-
 def pack_pages(raw, width: int, page_size: int) -> np.ndarray:
     """Pack fixed-width records (a bytes-like of whole records) into page
     images with one array copy: every page full but the last, each with its
@@ -111,6 +101,13 @@ def cover(first: np.ndarray, end: np.ndarray) -> np.ndarray:
     where more ranges have started than ended."""
     n = int(end.max(initial=0)) + 1
     return np.flatnonzero(np.cumsum(np.bincount(first, minlength=n) - np.bincount(end, minlength=n)))
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts."""
+    first = np.ones(len(values), bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
 
 
 def record_counts(images: np.ndarray) -> np.ndarray:

@@ -7,28 +7,28 @@ Without a combiner, records are sorted by destination with ties in chain
 order, which is arrival order: one uint64 key per record, dest << 32 |
 position, sorts in exactly that order. They are then grouped into
 contiguous per-vertex ranges at the runs of equal destinations.
-With a combiner (one ufunc per payload field) the order within a
-destination carries no meaning, so the records are not sorted:
-`apply_combine` numbers the pass's destinations, folds each column into
-one slot per destination with `multilog.fold` and reads one record per
-destination back, ascending. Its memory grows with the records, not with
-the vertex range the pass covers. A sender that folded an interval's sends
-into an accumulator (see `multilog`) already logged one record per
-destination, folded by the same `fold` from the same identity in arrival
-order; on such a log apply_combine is the identity, so a pass gives the
-same bits whether its intervals were logged raw or accumulated.
+With a combiner (one ufunc per payload field, see
+`multilog.check_combine`) the order within a destination carries no
+meaning, so the records are not sorted: `apply_combine` folds the pass's
+columns into one `multilog.Accumulator`, the fold the sender's
+accumulators use, over the pass's range or, for a sparse pass, over its
+numbered destinations, and reads one record per destination back,
+ascending. A sender that folded an interval's sends into an accumulator
+already logged one record per destination, folded from the same identity
+in arrival order; on such a log apply_combine is the identity, so a pass
+gives the same bits whether its intervals were logged raw or accumulated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ContractViolation, CorruptPageError
-from .multilog import LogManifest, RecordFormat, fold, read_log_records
+from .multilog import Accumulator, LogManifest, RecordFormat, read_log_records
+from .pager import run_starts
 
 
 # a pass whose destination range is at most this many times its record
@@ -126,9 +126,7 @@ def sort_n_group(records: np.ndarray) -> SortedLog:
     keys = np.sort(records["dest"].astype(np.uint64) << 32 | np.arange(n, dtype=np.uint64))
     records = np.take(records, (keys & 0xFFFFFFFF).astype(np.intp))
     dests = keys >> 32
-    first = np.ones(n, bool)
-    first[1:] = dests[1:] != dests[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(run_starts(dests))
     ends = np.append(starts[1:], n)
     return SortedLog(records, dests[starts].astype(np.int64), starts, ends)
 
@@ -138,65 +136,31 @@ def check_dest_range(records: np.ndarray, lo: int, hi: int) -> None:
         raise CorruptPageError(f"record destination outside interval range [{lo}, {hi})")
 
 
-# the ufuncs a combiner may name, each with its identity (see multilog.fresh_slots)
-COMBINE_UFUNCS = (np.add, np.minimum, np.maximum)
-
-
-def check_combine(combine: dict, fmt: RecordFormat) -> None:
-    """A combiner maps each integer or float payload field of the wire
-    format to one of np.add, np.minimum and np.maximum; anything else is a
-    contract violation."""
-    names = [name for name, _ in fmt.payload_fields]
-    if not isinstance(combine, dict):
-        raise ContractViolation(f"combine must map payload fields to ufuncs, got {type(combine).__name__}")
-    for name, ufunc in combine.items():
-        if name not in names:
-            raise ContractViolation(f"combine names {name!r}, which is not a payload field of {names}")
-        if not any(ufunc is u for u in COMBINE_UFUNCS):
-            raise ContractViolation(f"combine of {name!r} is {ufunc!r}; only np.add, np.minimum and np.maximum combine")
-        if fmt.dtype[name].kind not in "iuf":
-            raise ContractViolation(f"combine of {name!r}: a {fmt.dtype[name]} field does not combine")
-    missing = [name for name in names if name not in combine]
-    if missing:
-        raise ContractViolation(f"combine names no ufunc for the payload field {missing[0]!r}")
-
-
 def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: RecordFormat) -> SortedLog:
     """One record per destination of [lo, hi) that got any, ascending, each
-    payload field reduced by the combiner's ufunc (see `check_combine`) and
+    payload field reduced by the combiner's ufunc (`multilog.check_combine`) and
     src the smallest contributor (informational only). Every dest must lie
     in [lo, hi) (`check_dest_range`).
 
-    The records are not sorted: each column is folded into one slot per
-    destination, one column at a time, by `multilog.fold`, so a float sum
-    adds in record order, in float64. When [lo, hi) is at most
-    DENSE_SPAN_PER_RECORD times the record count, the slots are the whole
-    range and the destinations hit are read back from a mask; otherwise
-    np.unique numbers the distinct destinations, so that what a pass
-    allocates grows with its records, not with its range. Both give the
-    same records."""
-    n = len(records)
-    if n == 0:
+    The records are not sorted: their columns are folded into one
+    `multilog.Accumulator`, so a float sum adds in record order, in
+    float64. When [lo, hi) is at most DENSE_SPAN_PER_RECORD times the record
+    count, its slots are the whole range; otherwise np.unique numbers the
+    distinct destinations and each record folds into its destination's
+    number, so that what a pass allocates grows with its records, not with
+    its range. Both give the same records."""
+    if len(records) == 0:
         e = np.zeros(0, np.int64)
         return SortedLog(np.zeros(0, fmt.dtype), e, e, e)
-    if hi - lo <= DENSE_SPAN_PER_RECORD * n:
-        index = records["dest"].astype(np.intp)
-        index -= lo
-        hit = np.zeros(hi - lo, bool)
-        hit[index] = True
-        at = np.flatnonzero(hit)
-        dests, slots = at + lo, hi - lo
+    if hi - lo <= DENSE_SPAN_PER_RECORD * len(records):
+        acc, index, dests = Accumulator(lo, hi, combine, fmt), None, None
     else:
         dests, index = np.unique(records["dest"], return_inverse=True)
-        dests, at, slots = dests.astype(np.int64), None, len(dests)
-    out = np.empty(len(dests), fmt.dtype)
-    out["dest"] = dests
-    # ufunc.at and bincount take their fast paths on contiguous columns only
-    for name, ufunc in chain([("src", np.minimum)], combine.items()):
-        col = fold(ufunc, index, np.ascontiguousarray(records[name]), slots)
-        out[name] = col if at is None else col[at]
-    idx = np.arange(len(dests), dtype=np.int64)
-    return SortedLog(out, dests, idx, idx + 1)
+        acc = Accumulator(0, len(dests), combine, fmt)
+    acc.fold(records, index)
+    out = acc.records(dests)
+    idx = np.arange(len(out), dtype=np.int64)
+    return SortedLog(out, out["dest"].astype(np.int64), idx, idx + 1)
 
 
 def split_dest_range(lo: int, hi: int, in_degrees: np.ndarray, passes: int) -> list[tuple[int, int]]:

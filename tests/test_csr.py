@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -323,12 +324,15 @@ def test_apply_ops_matches_the_list_reference(case):
     ids, rows, ops = APPLY_OPS_CASES[case] if isinstance(case, str) else random_apply_ops_case(case)
     offsets = np.cumsum([0] + [len(r) for r in rows])
     nbrs = np.array([x for r in rows for x in r], csr.VID_DT)
-    got_offsets, got_nbrs, got_warnings = csr.apply_ops(
+    got_offsets, got_nbrs, got_warnings, gone, added = csr.apply_ops(
         np.array(ids, np.int64), offsets, nbrs, np.array(ops, np.int64).reshape(-1, 3)
     )
     want, want_warnings = oracles.apply_ops_reference(ids, rows, ops)
     assert [got_nbrs[a:b].tolist() for a, b in zip(got_offsets[:-1], got_offsets[1:])] == want
     assert got_warnings == want_warnings
+    # the entries removed and inserted change each neighbor's count as the
+    # new rows do, which the merge's in-degrees rely on
+    assert Counter(got_nbrs.tolist()) + Counter(gone.tolist()) == Counter(nbrs.tolist()) + Counter(added.tolist())
 
 
 @pytest.mark.parametrize(
@@ -346,7 +350,7 @@ def test_apply_ops_matches_the_list_reference(case):
     ids=["delete-then-insert", "insert-then-delete", "two-misses-then-insert", "stored-duplicates"],
 )
 def test_apply_ops_acts_in_arrival_order(row, ops, want, warnings):
-    offsets, got, warned = csr.apply_ops(np.array([0]), np.array([0, len(row)]), np.array(row, csr.VID_DT), np.array(ops))
+    offsets, got, warned, _, _ = csr.apply_ops(np.array([0]), np.array([0, len(row)]), np.array(row, csr.VID_DT), np.array(ops))
     assert got.tolist() == want and offsets.tolist() == [0, len(want)]
     assert warned == warnings
 

@@ -406,7 +406,7 @@ def test_accumulators_stay_inside_the_multilog_hold(tmp_path, monkeypatch, memor
     g = build_graph(tmp_path, src, dst, 400, page_size=256)
     ledger = spy_ledger(monkeypatch)
     mlogs, folds = [], []
-    init, fold, hold = multilog.MultiLog.__init__, multilog._Accumulator.fold, StoreRegistry.hold
+    init, fold, hold = multilog.MultiLog.__init__, multilog.Accumulator.fold, StoreRegistry.hold
 
     def check():
         for mlog in mlogs:
@@ -417,10 +417,13 @@ def test_accumulators_stay_inside_the_multilog_hold(tmp_path, monkeypatch, memor
         init(mlog, *args)
         mlogs.append(mlog)
 
-    def fold_spy(acc, cols):
-        fold(acc, cols)
-        folds.append(len(cols["dest"]))
-        check()
+    def fold_spy(acc, cols, index=None):
+        fold(acc, cols, index)
+        # apply_combine folds into accumulators of its own; count only the
+        # multi-log's
+        if any(log.acc is acc for mlog in mlogs for log in mlog.logs):
+            folds.append(len(cols["dest"]))
+            check()
 
     def hold_spy(reg, holder, nbytes):
         hold(reg, holder, nbytes)
@@ -436,7 +439,7 @@ def test_accumulators_stay_inside_the_multilog_hold(tmp_path, monkeypatch, memor
 
     monkeypatch.setattr(multilog.MultiLog, "__init__", init_spy)
     monkeypatch.setattr(multilog.MultiLog, "seal", seal_spy)
-    monkeypatch.setattr(multilog._Accumulator, "fold", fold_spy)
+    monkeypatch.setattr(multilog.Accumulator, "fold", fold_spy)
     monkeypatch.setattr(StoreRegistry, "hold", hold_spy)
     res = run_app(g, PageRank(), cfg(memory_budget=memory_budget, max_supersteps=8), str(tmp_path / "run"))
     assert folds and ledger["calls"] > 0
@@ -453,6 +456,25 @@ def test_engine_default_budget_and_splits():
     assert c.edgelog_budget == int(0.05 * (1 << 30))
     assert c.max_supersteps == 15
     assert c.page_size == 16384
+
+
+def test_a_graph_reopened_after_merges_has_the_merged_edge_counts(tmp_path):
+    # KCore deletes the edges of the vertices it peels, and the run merges
+    # them into the CSR files; meta.json and indeg.bin must follow, or a
+    # later run on the graph sizes its tables from stale in-degrees
+    n = 200
+    src, dst = random_graph(n, 6, seed=3)
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    run_app(g, KCore(k=3), cfg(max_supersteps=500), str(tmp_path / "run"))
+    with csr.GraphDir(g.path) as again:
+        s, d = again.all_edges()
+        assert 0 < len(s) < len(src)
+        want = np.bincount(d, minlength=n)
+        assert again.meta.num_edges == g.meta.num_edges == len(s)
+        assert np.array_equal(again.in_degrees(), want)
+        bounds = again.meta.interval_bounds
+        assert again.meta.interval_indeg == [int(want[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+        assert again.meta.interval_indeg == g.meta.interval_indeg
 
 
 def test_delete_vertex_permanently_inactive(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from loggraph.errors import AddressError, ContractViolation, CorruptPageError
-from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_page, pack_pages, page_capacity, record_counts
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages, page_capacity, record_counts
+
+from util import page_image
 
 
 @pytest.fixture
@@ -21,7 +23,7 @@ def test_read_empty_store_is_addressing_error(store):
 
 def test_append_read_roundtrip(store):
     payload = bytes(range(200))
-    data = pack_page(256, payload, count=5)
+    data = page_image(256, payload, count=5)
     pid = store.append_page(data)
     assert pid == 0
     back = store.read_page(0)
@@ -29,7 +31,7 @@ def test_append_read_roundtrip(store):
 
 
 def test_sequential_reads_count(store):
-    store.append_page(pack_page(256, b"x", 1))
+    store.append_page(page_image(256, b"x", 1))
     for _ in range(3):
         store.read_page(0)
     assert store.pages_read == 3
@@ -51,7 +53,7 @@ def test_read_your_writes_many(store):
     rng = np.random.default_rng(0)
     images = []
     for i in range(10):
-        img = pack_page(256, rng.bytes(240), count=i)
+        img = page_image(256, rng.bytes(240), count=i)
         images.append(img)
         assert store.append_page(img) == i
     for i, img in enumerate(images):
@@ -67,8 +69,8 @@ def test_page_capacity_derives_from_page_size():
 
 
 def test_write_page_in_place(store):
-    store.append_page(pack_page(256, b"old", 1))
-    store.write_page(0, pack_page(256, b"new", 1))
+    store.append_page(page_image(256, b"old", 1))
+    store.write_page(0, page_image(256, b"new", 1))
     assert store.read_page(0)[PAGE_HEADER : PAGE_HEADER + 3] == b"new"
     assert store.pages_written == 2
 
@@ -88,12 +90,12 @@ def test_registry_totals_and_retirement(tmp_path):
 
 
 def test_page_record_region_parsing(store):
-    store.append_page(pack_page(256, b"\x01\x02\x03\x04" * 3, count=3))
+    store.append_page(page_image(256, b"\x01\x02\x03\x04" * 3, count=3))
     assert store.read_records([0], "<u4").tobytes() == b"\x01\x02\x03\x04" * 3
 
 
 def test_read_pages_returns_images_in_the_given_order(store):
-    images = [pack_page(256, bytes([i]) * 10, count=i) for i in range(3)]
+    images = [page_image(256, bytes([i]) * 10, count=i) for i in range(3)]
     for img in images:
         store.append_page(img)
     got = store.read_pages([2, 0, 2])
@@ -107,7 +109,7 @@ def test_pack_pages_matches_one_pack_page_per_page(store, records):
     # 16-byte records, 15 to a 256-byte page: empty, partial, exactly full
     # and several pages with and without a partial last one
     raw = np.random.default_rng(records).bytes(16 * records)
-    want = [pack_page(256, raw[a * 16 : min(a + 15, records) * 16], min(15, records - a)) for a in range(0, records, 15)]
+    want = [page_image(256, raw[a * 16 : min(a + 15, records) * 16], min(15, records - a)) for a in range(0, records, 15)]
     pages = pack_pages(raw, 16, 256)
     assert pages.shape == (len(want), 256) and [p.tobytes() for p in pages] == want
     assert store.append_records(raw, 16) == list(range(len(want)))
@@ -193,7 +195,7 @@ def ledger(tmp_path, pages, budget_pages, page_size=128):
     `pages` pages, appended before the budget was set: none is resident."""
     reg = StoreRegistry(page_size=page_size)
     store = reg.open(str(tmp_path / "s.pages"), "csr")
-    images = [pack_page(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
+    images = [page_image(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
     for image in images:
         store.append_page(image)
     reg.set_budget(budget_pages * page_size)
@@ -221,7 +223,7 @@ def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
     reg = StoreRegistry(page_size=128)
     reg.set_budget(2 * 128)
     store = reg.open(str(tmp_path / "s.pages"), "log")
-    images = [pack_page(128, bytes([i + 1]) * 8, 8) for i in range(3)]
+    images = [page_image(128, bytes([i + 1]) * 8, 8) for i in range(3)]
     assert [store.append(image) for image in images] == [0, 1, 2]
     assert [row.tobytes() for row in store.read_pages([0, 1, 2])] == images
     assert (store.pages_written, store.pages_read, store.pages_hit) == (1, 1, 2)
@@ -234,7 +236,7 @@ def appended(tmp_path, pages, budget_pages, klass="state", page_size=128):
     reg = StoreRegistry(page_size=page_size)
     reg.set_budget(budget_pages * page_size)
     store = reg.open(str(tmp_path / "a.pages"), klass)
-    images = [pack_page(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
+    images = [page_image(page_size, bytes([i + 1]) * 8, 8) for i in range(pages)]
     assert [store.append(image) for image in images] == list(range(pages))
     return reg, store, images
 
@@ -288,7 +290,7 @@ def test_a_drop_that_deletes_the_file_writes_no_appended_page(tmp_path, monkeypa
 
 def test_an_appended_page_that_write_back_updates_is_written_once_with_the_newest_image(tmp_path):
     reg, store, images = appended(tmp_path, 2, 2)
-    new = [pack_page(128, b"new", 3), pack_page(128, b"newer", 5)]
+    new = [page_image(128, b"new", 3), page_image(128, b"newer", 5)]
     store.write_back(1, new[0])
     store.write_back(1, new[1])
     assert store.pages_written == 0 and store.read_pages([1]).tobytes() == new[1]
@@ -329,7 +331,7 @@ def test_a_full_ledger_evicts_nothing_until_a_dropped_store_frees_room(tmp_path)
 def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path):
     reg, store, images = ledger(tmp_path, 2, 1)
     store.read_pages([0, 1])  # 0 is resident, 1 is not
-    new = [pack_page(128, b"new", 3), pack_page(128, b"newer", 5)]
+    new = [page_image(128, b"new", 3), page_image(128, b"newer", 5)]
     written = store.pages_written
     store.write_back(0, new[0])
     store.write_back(1, new[1])
@@ -349,7 +351,7 @@ def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path
 def test_write_page_on_a_resident_page_updates_its_copy(tmp_path):
     reg, store, _ = ledger(tmp_path, 2, 2)
     store.read_pages([0, 1])
-    new = [pack_page(128, b"dirty", 5), pack_page(128, b"direct", 6)]
+    new = [page_image(128, b"dirty", 5), page_image(128, b"direct", 6)]
     store.write_back(0, new[0])  # resident and dirty
     store.write_page(0, new[1])
     store.write_page(1, new[1])
@@ -405,7 +407,7 @@ def test_a_shrinking_budget_gives_back_the_newest_admitted_pages_first(tmp_path)
 def test_a_given_back_dirty_page_is_written_once_and_a_clean_one_never(tmp_path, monkeypatch):
     reg, store, images = ledger(tmp_path, 4, 4)
     store.read_pages([0, 1, 2, 3])
-    new = [pack_page(128, bytes([9, i]), 2) for i in range(4)]
+    new = [page_image(128, bytes([9, i]), 2) for i in range(4)]
     for page_id in (3, 0, 2):
         store.write_back(page_id, new[page_id])
     order = []
@@ -531,7 +533,7 @@ def test_holds_give_back_the_pages_a_brute_force_ranking_of_every_admission_pick
     rng = np.random.default_rng(21)
     reg = StoreRegistry(page_size=128)
     stores = {klass: reg.open(str(tmp_path / f"{klass}.pages"), klass) for klass in ("csr", "state", "log")}
-    image = pack_page(128, bytes(8), 8)
+    image = page_image(128, bytes(8), 8)
     for s in stores.values():
         for _ in range(30):
             s.append_page(image)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loggraph import sortgroup
+from loggraph import multilog, sortgroup
 from loggraph.errors import ContractViolation, CorruptPageError
 from loggraph.multilog import MultiLog, RecordFormat
 from loggraph.pager import StoreRegistry
@@ -330,13 +330,13 @@ def test_a_combiner_pass_allocates_with_its_records_not_its_range(n, span):
 )
 def test_a_combiner_other_than_add_min_or_max_per_payload_field_is_a_contract_violation(combine, match):
     with pytest.raises(ContractViolation, match=match):
-        sortgroup.check_combine(combine, FMT16)
-    sortgroup.check_combine({"val": np.minimum}, FMT16)
+        multilog.check_combine(combine, FMT16)
+    multilog.check_combine({"val": np.minimum}, FMT16)
 
 
 def test_a_payload_field_that_is_not_an_integer_or_a_float_does_not_combine():
     with pytest.raises(ContractViolation, match="a bool field does not combine"):
-        sortgroup.check_combine({"flag": np.maximum}, RecordFormat([("flag", "?")]))
+        multilog.check_combine({"flag": np.maximum}, RecordFormat([("flag", "?")]))
 
 
 def test_no_combine_preserves_multiset(tmp_path):

@@ -11,7 +11,7 @@ from loggraph import csr, sortgroup
 from loggraph.engine import VertexProgram
 from loggraph.ingest import convert_arrays
 from loggraph.multilog import MultiLog, RecordFormat
-from loggraph.pager import PageStore, StoreRegistry
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry
 
 
 def both_directions(pairs):
@@ -69,6 +69,15 @@ def small_world(n, k, p, seed):
             if b != a:
                 edges.add((min(a, b), max(a, b)))
     return both_directions(sorted(edges))
+
+
+def page_image(page_size, payload, count):
+    """A raw page image: count in the header, payload at the start of the
+    record region, zeros after it."""
+    page = bytearray(page_size)
+    PAGE_COUNT.pack_into(page, 0, count)
+    page[PAGE_HEADER : PAGE_HEADER + len(payload)] = payload
+    return bytes(page)
 
 
 def spill_tails(mlog: MultiLog) -> None:
