@@ -8,7 +8,8 @@ adjacency views already reflect earlier rounds.
 A batch buffers, for each live row in id order, one DEL_EDGE per inbox
 record and then a DEL_VERTEX when the row dies, all through one
 `ctx.structural_many`. Each dying row notifies its neighbors in adjacency
-order, except the ones that notified it.
+order, except the ones that notified it; only the dying rows' neighbors
+are read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class KCore(VertexProgram):
         # a dying row notifies its neighbors, except the ones that notified it
         deg = adj.degrees[dying]
         senders = np.repeat(dying, deg)
-        nbrs = adj.nbrs[ranges(adj.offsets[dying], deg)]
+        nbrs = adj.take(ranges(adj.offsets[dying], deg))
         notified_us = np.isin(senders << 32 | nbrs, rows << 32 | notifiers)
         ctx.send_many(nbrs[~notified_us], batch.ids[senders[~notified_us]])
 

@@ -47,7 +47,7 @@ class PageRank(VertexProgram):
         deg = batch.adj.degrees
         share = self.alpha * total / np.maximum(deg, 1)
         flag = (total > self.threshold).astype(np.uint8)
-        ctx.send_many(batch.adj.nbrs, np.repeat(batch.ids, deg), np.repeat(share, deg), np.repeat(flag, deg))
+        ctx.send_many(batch.adj.take(), np.repeat(batch.ids, deg), np.repeat(share, deg), np.repeat(flag, deg))
 
     def summary(self, states):
         r = states["rank"]

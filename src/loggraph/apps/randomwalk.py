@@ -6,6 +6,8 @@ to a uniform neighbor, picked by a deterministic hash of (seed, superstep,
 vertex, walker index), where a walker's index is its position in the
 vertex's inbox. Superstep 0 seeds one walker at each source. Walkers are
 sent in (row, index) order, the order a per-vertex loop would send them.
+Only the picked neighbor entries are read (`Adjacency.take`), not the
+walkers' whole rows.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class RandomWalk(VertexProgram):
         rows, j, remaining, deg = rows[hop], j[hop], remaining[hop], deg[hop]
         v = batch.ids[rows]
         pick = pick_index_many(self.seed, deg, ctx.superstep, v, j)
-        ctx.send_many(batch.adj.nbrs[batch.adj.offsets[rows] + pick], v, remaining - 1)
+        ctx.send_many(batch.adj.take(batch.adj.offsets[rows] + pick), v, remaining - 1)
 
     def summary(self, states):
         return {

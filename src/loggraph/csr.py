@@ -5,16 +5,21 @@ interval's worst-case inbox (one record per in-edge) fits the in-memory sort
 budget. Each interval stores its vertices' out-edges as two paged vectors:
 rowPtr (8-byte local offsets) and colIdx (4-byte destination ids). Edges
 carry no values. Adjacency loads touch only the pages that overlap the
-requested vertices' ranges, each page at most once per call.
+requested vertices' ranges, and only the colIdx pages holding the entries
+a vertex program uses.
 
-A load returns an `Adjacency`: one flat CSR over the requested vertices
-(`ids`, `offsets`, `nbrs`) plus, per row, the span of colIdx pages it was
-read from, which the edge log's candidate rule reads. `load_adjacency`
-makes two `PageStore.read_spans` calls per interval: rowPtr as the spans
-[v, v + 2) of the requested rows, then colIdx as the spans [rowPtr[v],
-rowPtr[v + 1]) of the non-empty ones. It keeps the wanted runs of the colIdx
-pages' record slots and counts the useful bytes of each page from the spans,
-so its work follows rows and pages.
+A load has two steps. At fetch, `load_adjacency` reads only rowPtr, with
+one `PageStore.read_spans` call per interval over the spans [v, v + 2) of
+the requested rows. That gives an `Adjacency`: the rows' degrees as one
+flat CSR's `offsets`, and per row the span of colIdx pages it covers, which
+the edge log's candidate rule reads together with the useful bytes of each
+of those pages, counted from the spans. The neighbor entries are read on
+demand: `Adjacency.take` reads, through `read_spans` over the runs of
+wanted entries, only the colIdx pages that hold them, each at most once per
+Adjacency. A program that uses every row (PageRank) takes them all; a
+random walk takes one picked entry per walker. Rows that are already in
+memory, served by the edge log or overlaid with pending structural
+updates, are held in the same Adjacency.
 
 Structural updates are int rows (kind, src, dst) of an ops array, kind one
 of ADD_EDGE, DEL_EDGE and DEL_VERTEX (dst unused). `apply_ops` is their one
@@ -34,12 +39,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
-from .pager import StoreRegistry, page_capacity, ranges, run_starts
+from .errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
+from .pager import StoreRegistry, cover, page_capacity, ranges, record_counts, run_starts
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -90,15 +94,24 @@ class GraphMeta:
         return cls(**d)
 
 
-@dataclass
 class AdjacencyView:
-    """Out-neighbors of one vertex."""
+    """Out-neighbors of one vertex. The view of an Adjacency row has the
+    row's degree at once and reads its neighbors when first asked for."""
 
-    vertex_id: int
-    neighbors: np.ndarray
+    def __init__(self, vertex_id: int, neighbors: np.ndarray | None = None, adj: "Adjacency | None" = None, row: int = 0):
+        self.vertex_id = vertex_id
+        self._neighbors = neighbors
+        self._adj = adj
+        self._span = adj.offsets[row : row + 2].tolist() if adj is not None else None
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        if self._neighbors is None:
+            self._neighbors = self._adj.take(np.arange(*self._span))
+        return self._neighbors
 
     def __len__(self) -> int:
-        return len(self.neighbors)
+        return len(self._neighbors) if self._neighbors is not None else self._span[1] - self._span[0]
 
 
 # kinds of structural op, the first column of an ops array
@@ -107,20 +120,45 @@ ADD_EDGE, DEL_EDGE, DEL_VERTEX = range(3)
 NO_VID = (1 << 32) - 1
 
 
-@dataclass
-class Adjacency:
-    """Out-neighbors of a batch of vertices as one flat CSR.
+# the high half of an entry's address in an Adjacency: 0 for an entry held
+# in memory, 1 + the interval for one in that interval's colIdx vector
+ADDR_SHIFT = 32
+LOW = (1 << ADDR_SHIFT) - 1
+# a first take of an interval that wants at least one in DENSE_SLOTS of
+# the slots of the pages it reads copies them all and slices its spans out;
+# a sparser one gathers its entries from the page images
+DENSE_SLOTS = 8
 
-    Row i is vertex ids[i] (ascending); its neighbors are
-    nbrs[offsets[i]:offsets[i + 1]]. pages[i] = (interval, first, end) names
-    the colIdx pages [first, end) the row was read from (first == end when
-    none: an empty row, or one served by the edge log).
+
+class Adjacency:
+    """Out-neighbors of a batch of vertices as one flat CSR, read on demand.
+
+    Row i is vertex ids[i] (ascending); its neighbors are the flat entries
+    [offsets[i], offsets[i + 1]), which `take` returns. pages[i] =
+    (interval, first, end) names the colIdx pages [first, end) the row
+    spans (first == end when none: an empty row, or one served by the edge
+    log).
+
+    A row is held in memory (every row of an Adjacency built from arrays,
+    and the rows given to `put`) or stored: then its entries stay in its
+    interval's colIdx file until a `take` wants them. A take reads, through
+    `PageStore.read_spans` over the runs of wanted entries, only the pages
+    holding them that no earlier take of this Adjacency read, and keeps
+    them for later takes, so no page is read twice.
     """
 
-    ids: np.ndarray
-    offsets: np.ndarray
-    nbrs: np.ndarray
-    pages: np.ndarray
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, pages: np.ndarray):
+        """Held rows: row i's neighbors are nbrs[offsets[i]:offsets[i + 1]]."""
+        self.ids = ids
+        self.offsets = offsets
+        self.pages = pages
+        self._held = np.asarray(nbrs, VID_DT)
+        # the address of each row's first entry (see ADDR_SHIFT)
+        self._first = np.asarray(offsets[:-1], np.int64)
+        self._colidx: dict = {}  # interval -> its colIdx PageStore
+        # interval -> the colIdx pages read so far (ascending), their
+        # record slots (a row of page capacity each) and record counts
+        self._read: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def empty(cls) -> "Adjacency":
@@ -134,30 +172,128 @@ class Adjacency:
         return np.diff(self.offsets)
 
     def view(self, i: int) -> AdjacencyView:
-        """Row i as a per-vertex view."""
-        return AdjacencyView(int(self.ids[i]), self.nbrs[self.offsets[i] : self.offsets[i + 1]])
+        """Row i as a per-vertex view; its neighbors are read when used."""
+        return AdjacencyView(int(self.ids[i]), adj=self, row=i)
 
-    @staticmethod
-    def merge(a: "Adjacency", b: "Adjacency") -> "Adjacency":
-        """The rows of both parts (disjoint vertex sets) in ascending id
-        order: the smaller part's rows spliced into the larger one, its
-        neighbours joined in one copy of the runs between them."""
-        big, small = (a, b) if len(a) >= len(b) else (b, a)
-        if len(small) == 0:
-            return big
-        at = np.searchsorted(big.ids, small.ids)
-        degrees = np.insert(big.degrees, at, small.degrees)
-        offsets = np.zeros(len(degrees) + 1, np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        cuts = big.offsets[at].tolist()
-        runs = np.split(big.nbrs, cuts)
-        rows = np.split(small.nbrs, small.offsets[1:-1].tolist())
-        return Adjacency(
-            np.insert(big.ids, at, small.ids),
-            offsets,
-            np.concatenate([*chain.from_iterable(zip(runs, rows)), runs[-1]]),
-            np.insert(big.pages, at, small.pages, axis=0),
-        )
+    def views(self, rows: np.ndarray) -> list[AdjacencyView]:
+        """Views of the given rows, their neighbors read in one take."""
+        deg = self.degrees[rows]
+        nbrs = self.take(ranges(self.offsets[rows], deg))
+        ends = np.cumsum(deg).tolist()
+        return [AdjacencyView(v, nbrs[e - d : e]) for v, d, e in zip(self.ids[rows].tolist(), deg.tolist(), ends)]
+
+    def loaded(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the given rows have their neighbors in memory: held
+        rows, and stored rows whose every colIdx page a take has read."""
+        part = (self._first[rows] >> ADDR_SHIFT) - 1
+        out = part < 0
+        for k, (have, _, _) in self._read.items():
+            at = part == k
+            _, first, end = self.pages[rows[at]].T
+            out[at] = np.searchsorted(have, end) - np.searchsorted(have, first) == end - first
+        return out
+
+    def take(self, at: np.ndarray | None = None) -> np.ndarray:
+        """The neighbor entries at the flat positions at, in its order and
+        with repeats, or, with no positions, every row's in row order."""
+        if at is None and not len(self._held):
+            # no entry held: the rows of each interval, in interval order
+            part, deg = self._first >> ADDR_SHIFT, self.degrees
+            blocks = []
+            for k in self._colidx:
+                rows = (part == k + 1) & (deg > 0)
+                first = self._first[rows] & LOW
+                blocks.append(self._entries(k, first, first + deg[rows]))
+            return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0, VID_DT), *blocks])
+        if at is None:
+            addr = ranges(self._first, self.degrees)
+        else:
+            at = np.asarray(at, np.int64)
+            total = int(self.offsets[-1])
+            if len(at) and (at.min() < 0 or at.max() >= total):
+                raise ContractViolation(f"neighbor entry outside the batch's [0, {total})")
+            row = np.searchsorted(self.offsets, at, side="right") - 1
+            addr = at + (self._first - self.offsets[:-1])[row]
+        if (addr[1:] >= addr[:-1]).all():
+            order = None
+        else:
+            order = np.argsort(addr, kind="stable")
+            addr = addr[order]
+        out = np.empty(len(addr), VID_DT)
+        # addr ascends, so the held entries come first and then each
+        # interval's, in interval order
+        bounds = np.searchsorted(addr, np.arange(max(self._colidx, default=-1) + 3) << ADDR_SHIFT).tolist()
+        out[: bounds[1]] = self._held[addr[: bounds[1]]]
+        for k in self._colidx:
+            a, b = bounds[k + 1], bounds[k + 2]
+            if b > a:
+                # each wanted entry its own span; a repeat overlaps its first
+                want = addr[a:b] & LOW
+                out[a:b] = self._entries(k, want, want + 1)
+        if order is None:
+            return out
+        unsorted = np.empty_like(out)
+        unsorted[order] = out
+        return unsorted
+
+    def _entries(self, k: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The entries of the non-empty spans [starts[i], ends[i]) of
+        interval k's colIdx vector, concatenated; starts and ends each
+        ascend, and a span overlaps another only if they are equal."""
+        if len(starts) == 0:
+            return np.zeros(0, VID_DT)
+        store = self._colidx[k]
+        cap = page_capacity(store.page_size, VID_WIDTH)
+        if k not in self._read:
+            # one span per run of adjacent spans
+            cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
+            starts, ends = starts[np.append(0, cut)], ends[np.append(cut, len(ends)) - 1]
+            lens = ends - starts
+            pages, images, slots, at = store.read_spans(starts, ends, VID_DT)
+            self._read[k] = pages, slots, record_counts(images)
+            wanted = int(lens.sum())
+            if wanted * DENSE_SLOTS < slots.size:
+                return slots[np.divmod(at if wanted == len(at) else ranges(at, lens), cap)]
+            # most slots are wanted: copy them all and take the spans
+            flat = slots.copy().reshape(-1)
+            return flat[at[0] : at[0] + lens[0]] if len(at) == 1 else flat[ranges(at, lens)]
+        have, slots, counts = self._read[k]
+        want = ranges(starts, ends - starts)
+        page = want // cap
+        new = have[np.searchsorted(have, page).clip(max=len(have) - 1)] != page
+        if new.any():
+            got, images, more, _ = store.read_spans(want[new], want[new] + 1, VID_DT)
+            order = np.argsort(np.concatenate([have, got]))
+            have, slots, counts = (np.concatenate(pair)[order] for pair in ((have, got), (slots, more), (counts, record_counts(images))))
+            self._read[k] = have, slots, counts
+        i = np.searchsorted(have, page)
+        slot = want - page * cap
+        # a page read by an earlier take was checked only for what it wanted
+        short = np.flatnonzero(slot >= counts[i])
+        if len(short):
+            j = short[0]
+            raise CorruptPageError(f"{store.path}: page {page[j]} holds {counts[i[j]]} entries, entry {slot[j]} wanted")
+        return slots[i, slot]
+
+    def put(self, rows: "Adjacency") -> None:
+        """Hold the rows of another Adjacency in memory, read whole, with
+        their page spans: each replaces its vertex's row or joins the batch
+        in id order."""
+        if len(rows) == 0:
+            return
+        merged = np.sort(np.concatenate([self.ids, rows.ids]))
+        merged = merged[run_starts(merged)]
+        old, new = np.searchsorted(merged, self.ids), np.searchsorted(merged, rows.ids)
+        degrees = np.zeros(len(merged), np.int64)
+        degrees[old], degrees[new] = self.degrees, rows.degrees
+        first = np.zeros(len(merged), np.int64)
+        first[old], first[new] = self._first, len(self._held) + rows.offsets[:-1]
+        pages = np.zeros((len(merged), 3), np.int64)
+        pages[old], pages[new] = self.pages, rows.pages
+        self.ids, self.pages, self._first = merged, pages, first
+        self.offsets = np.zeros(len(merged) + 1, np.int64)
+        np.cumsum(degrees, out=self.offsets[1:])
+        self._held = np.concatenate([self._held, rows.take()])
 
 
 def partition_vertices(
@@ -175,21 +311,15 @@ def partition_vertices(
     if n and weights[worst] > sort_memory_budget:
         raise OversizedVertexError(worst, int(weights[worst]), sort_memory_budget)
 
+    # each interval ends before the first vertex whose prefix sum of
+    # weights, from the interval's start, passes the budget
+    prefix = np.concatenate([[0], np.cumsum(weights)])
     bounds = [0]
-    cur = 0
-    for v in range(n):
-        w = int(weights[v])
-        if cur + w > sort_memory_budget:
-            bounds.append(v)
-            cur = w
-        else:
-            cur += w
-    bounds.append(n)
+    while bounds[-1] < n:
+        bounds.append(int(np.searchsorted(prefix, prefix[bounds[-1]] + sort_memory_budget, side="right")) - 1)
     if n == 0:
         bounds = [0, 0]
-    indeg_sums = [
-        int(in_degrees[bounds[k] : bounds[k + 1]].sum()) for k in range(len(bounds) - 1)
-    ]
+    indeg_sums = np.diff(np.concatenate([[0], np.cumsum(in_degrees)])[bounds]).tolist()
     return bounds, indeg_sums
 
 
@@ -302,8 +432,16 @@ def build_partitions(
         bad = src[(src < 0) | (src >= n)]
         bad = bad if len(bad) else dst[(dst < 0) | (dst >= n)]
         raise IngestError(f"vertex id {int(bad[0])} outside [0, {n})")
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # one key per edge, ascending by source and then destination, built and
+    # split with one more array than the edges (ids are non-negative, so an
+    # int64 id is the same bits as a uint64 one)
+    key = src.astype(np.uint64)
+    key <<= np.uint64(32)
+    key |= dst.view(np.uint64)
+    key.sort()
+    dst = (key & np.uint64(NO_VID)).view(np.int64)
+    key >>= np.uint64(32)
+    src = key.view(np.int64)
 
     for k in range(meta.num_intervals):
         lo, hi = meta.interval_range(k)
@@ -324,11 +462,13 @@ def build_partitions(
 
 
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
-    """Adjacency for exactly the active vertices (sorted ascending).
+    """Adjacency for exactly the active vertices (sorted ascending), their
+    rows stored: their neighbors are read only when `Adjacency.take` wants
+    them.
 
-    Reads only the rowPtr and colIdx pages overlapping the active
-    vertices' ranges, each distinct page once per call. Also returns per
-    colIdx page useful-byte counts for the edge-log optimizer:
+    Reads only the rowPtr pages overlapping the active vertices' entries,
+    each distinct page once per call. Also returns, for the edge-log
+    optimizer, the useful bytes of each colIdx page the rows span:
     (interval, ordinal) -> bytes of active-vertex entries on that page.
     """
     active = np.asarray(active, np.int64)
@@ -340,7 +480,7 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
     if active[0] < 0 or active[-1] >= meta.num_vertices:
         raise ContractViolation("active vertex id out of range")
 
-    lens, nbrs, pages = [], [], []
+    lens, firsts, pages, stores = [], [], [], {}
     page_stats: dict[tuple[int, int], int] = {}
     starts = np.searchsorted(active, meta.interval_bounds)
     for k in range(meta.num_intervals):
@@ -349,6 +489,7 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
             continue
         part = graph.partitions[k]
         _, _, rp, at = part.rowptr.read_spans(loc, loc + 2, ROWPTR_DT)
+        rp = rp.reshape(-1)
         a, b = rp[at].astype(np.int64), rp[at + 1].astype(np.int64)
         back = np.flatnonzero(b < a)
         if len(back):
@@ -364,26 +505,30 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
                 f"{part.rowptr.path}: the row of vertex {active[j + 1]} starts inside the row of vertex {active[j]}"
             )
         full = b > a
-        n = (b - a)[full]
-        read, _, ci, at = part.colidx.read_spans(a[full], b[full], VID_DT)
-        # ci alternates runs of unwanted and wanted entries
-        runs = np.diff(np.stack([at, at + n], 1).reshape(-1), prepend=0, append=len(ci))
-        nbrs.append(ci[np.repeat(np.arange(len(runs)) % 2 == 1, runs)])
+        first = a // part.cap_ci
+        end = np.where(full, (b - 1) // part.cap_ci + 1, first)
+        if end.max() > part.colidx.num_pages:
+            raise AddressError(f"{part.colidx.path}: entry {b.max() - 1} wanted from a store of {part.colidx.num_pages} pages")
+        # the colIdx pages the rows cover, and each non-empty row's offset
+        # into their record slots, as `PageStore.read_spans` would read them
+        n, a_full, first_full = (b - a)[full], a[full], first[full]
+        read = cover(first_full, end[full])
+        at = (np.searchsorted(read, first_full) - first_full) * part.cap_ci + a_full
         # wanted entries below each page bound: those of the spans starting
         # below it, less the part of the last of them at or past it
         bound = np.arange(len(read) + 1) * part.cap_ci
         j = np.searchsorted(at, bound)
         useful = np.diff(np.append(0, np.cumsum(n))[j] - np.maximum(np.append(0, at + n)[j] - bound, 0))
         page_stats.update(zip([(k, p) for p in read.tolist()], (useful * VID_WIDTH).tolist()))
-        first = a // part.cap_ci
-        end = np.where(full, (b - 1) // part.cap_ci + 1, first)
         pages.append(np.stack([np.full(len(loc), k), first, end], 1))
         lens.append(b - a)
-    lens = np.concatenate(lens)
+        firsts.append(a + ((k + 1) << ADDR_SHIFT))
+        stores[k] = part.colidx
     offsets = np.zeros(len(active) + 1, np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    nbrs = np.concatenate(nbrs) if nbrs else np.zeros(0, VID_DT)
-    return Adjacency(active, offsets, nbrs, np.concatenate(pages)), page_stats
+    np.cumsum(np.concatenate(lens), out=offsets[1:])
+    adj = Adjacency(active, offsets, np.zeros(0, VID_DT), np.concatenate(pages))
+    adj._first, adj._colidx = np.concatenate(firsts), stores
+    return adj, page_stats
 
 
 def apply_ops(

@@ -1,6 +1,7 @@
 """Edge-log optimizer: adjacency logging for predicted-active vertices.
 
-While a vertex is processed, its out-edges are already in memory. If the
+After a batch ran, the out-edges its program read are in memory (a
+program reads only the neighbors it uses, see `csr.Adjacency`). If such a
 vertex looks likely to be active again next superstep (it was active in the
 previous one) and its adjacency sits on poorly utilized graph pages (the
 rule is `log_candidates`), the adjacency is appended to a sequential

@@ -13,15 +13,17 @@ fits (see `multilog`), and logs one record per destination at seal; the
 receiver folds a raw log into the same kind of `multilog.Accumulator`.
 `messages_sent` counts sends either way.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
-log.
+log, if the batch has read them: logging reads no page.
 
 A program sees one sorted log's active vertices at a time, as a Batch: their
 state rows, a flat-CSR adjacency, their inbox spans and, for a program with
 per-in-neighbor tables, those tables as one flat entry array with per-row
-offsets. It handles the whole batch with array code through a Context of
-two calls: `send_many` appends columns of messages to the multi-log, and
-`structural_many` buffers (kind, src, dst) structural update rows (see
-`csr`).
+offsets. Fetching a batch reads only its rows' degrees (rowPtr); the program
+reads the neighbors it uses through `Adjacency.take` or `Batch.broadcast`,
+which read only the colIdx pages holding them (see `csr`). It handles the
+whole batch with array code through a Context of two calls: `send_many`
+appends columns of messages to the multi-log, and `structural_many` buffers
+(kind, src, dst) structural update rows (see `csr`).
 
 Structural updates are logged, not written in place. A vertex removal only
 sets the vertex's bit in `Engine.deleted`: a removed vertex is never fetched
@@ -143,10 +145,15 @@ class Batch:
 
     Row i is vertex ids[i] (ascending). states[i] is its mutable state row,
     adj row i its out-neighbors and records[starts[i]:ends[i]] its inbox in
-    arrival order (empty when it was only forced active). When the program
-    declares per-in-neighbor table entries, table is the rows' tables as one
-    flat, mutable entry array: row i's is table[table_offsets[i]:
-    table_offsets[i + 1]], with its in-degree as capacity.
+    arrival order (empty when it was only forced active). adj holds the
+    rows' degrees (adj.degrees, adj.offsets); their neighbors are read on
+    demand, only those a program asks for: adj.take(at) returns the entries
+    at flat positions at (adj.offsets[i] + j is row i's j-th neighbor),
+    adj.take() every row's, and broadcast the rows it sends from. When the
+    program declares per-in-neighbor table entries, table is the rows'
+    tables as one flat, mutable entry array: row i's is
+    table[table_offsets[i]:table_offsets[i + 1]], with its in-degree as
+    capacity.
     """
 
     ids: np.ndarray
@@ -169,10 +176,12 @@ class Batch:
     def broadcast(self, rows: np.ndarray, *payload) -> tuple:
         """Arguments for ctx.send_many that send each row in the bool mask
         rows its payload values (per-row columns or scalars) to every
-        out-neighbor, in (row, adjacency) order."""
+        out-neighbor, in (row, adjacency) order; only those rows'
+        neighbors are read."""
         deg = np.where(rows, self.adj.degrees, 0)
         cols = (np.repeat(np.broadcast_to(col, len(self)), deg) for col in payload)
-        return (self.adj.nbrs[np.repeat(rows, self.adj.degrees)], np.repeat(self.ids, deg), *cols)
+        at = None if rows.all() else ranges(self.adj.offsets[:-1][rows], deg[rows])
+        return (self.adj.take(at), np.repeat(self.ids, deg), *cols)
 
 
 class VertexProgram:
@@ -186,10 +195,13 @@ class VertexProgram:
       process_batch(ctx, batch)
 
     process_batch gets one Batch and updates its state rows in place. It
-    sends with ctx.send_many(dest, src, *payload), whole columns at once,
-    and buffers structural updates with ctx.structural_many(ops); both keep
-    the order of their rows, so a batch's messages and updates land as if
-    each vertex had issued its own in id order. With aux_entry_dtype set,
+    reads the neighbors it uses through batch.adj.take or batch.broadcast,
+    never whole rows it does not use: a take reads only the colIdx pages
+    holding the wanted entries. It sends with ctx.send_many(dest, src,
+    *payload), whole columns at once, and buffers structural updates with
+    ctx.structural_many(ops); both keep the order of their rows, so a
+    batch's messages and updates land as if each vertex had issued its own
+    in id order. With aux_entry_dtype set,
     batch.table holds every row's table in one flat array, row i's at
     batch.table_offsets[i] with its in-degree as capacity; the program
     updates it in place, and the pages covering the rows whose entries
@@ -419,20 +431,26 @@ class Engine:
             self._pending_bytes[k] += self._pending[k][-1].nbytes
         self.registry.hold("structural", int(self._pending_bytes.sum()))
 
-    def _overlay(self, adj: Adjacency) -> Adjacency:
-        """Most-current adjacency: csr.apply_ops applies the pending edge
-        ops of the batch's vertices to the whole batch in place. The batch
-        holds no removed vertex, so no removal applies."""
+    def _overlay(self, adj: Adjacency) -> None:
+        """Most-current adjacency: the rows of the batch's vertices with
+        pending edge ops are read whole, csr.apply_ops applies the ops, and
+        the batch holds the new rows in memory. The batch holds no removed
+        vertex, so no removal applies."""
         dirty = adj.ids[self._el_dirty[adj.ids]]
         pending = [c for k in np.unique(self.meta.interval_of(dirty)).tolist() for c in self._pending[k]]
         if not pending:
-            return adj
+            return
         edge = np.concatenate(pending)
         # dirty is ascending: keep the ops whose src is one of it
         edge = edge[dirty[np.searchsorted(dirty, edge["src"]).clip(max=len(dirty) - 1)] == edge["src"]]
         if len(edge):
-            adj.offsets, adj.nbrs = csrmod.apply_ops(adj.ids, adj.offsets, adj.nbrs, _op_rows(edge))[:2]
-        return adj
+            rows = np.searchsorted(adj.ids, np.unique(edge["src"]))
+            deg = adj.degrees[rows]
+            offsets = np.zeros(len(rows) + 1, np.int64)
+            np.cumsum(deg, out=offsets[1:])
+            nbrs = adj.take(ranges(adj.offsets[rows], deg))
+            offsets, nbrs = csrmod.apply_ops(adj.ids[rows], offsets, nbrs, _op_rows(edge))[:2]
+            adj.put(Adjacency(adj.ids[rows], offsets, nbrs, adj.pages[rows]))
 
     def _merge_interval(self, k: int) -> None:
         """Merge interval k's pending edge ops, then a removal of each of its
@@ -624,16 +642,17 @@ class Engine:
 
     def _fetch_adjacency(self, act: np.ndarray) -> tuple[Adjacency, int]:
         """Flat CSR over act: from the edge log where it holds a clean copy,
-        otherwise from the CSR with pending structural updates overlaid."""
+        otherwise from the CSR with pending structural updates overlaid.
+        Rows from the CSR without pending ops are read when taken."""
         el = self._edgelog
         from_log = el.indexed(act) & ~self._el_dirty[act] if el is not None else np.zeros(len(act), bool)
         adj, pstats = csrmod.load_adjacency(self.graph, act[~from_log])
         k, p = np.fromiter(chain.from_iterable(pstats), np.int64, 2 * len(pstats)).reshape(-1, 2).T
         self._usage[self._page_base[k] + p] += np.fromiter(pstats.values(), np.int64, len(pstats))
-        adj = self._overlay(adj)
+        self._overlay(adj)
         served = int(from_log.sum())
         if served:
-            adj = Adjacency.merge(adj, el.fetch_batch(act[from_log]))
+            adj.put(el.fetch_batch(act[from_log]))
         return adj, served
 
     def _process_batch(self, S: int, act: np.ndarray, slog, predicted: np.ndarray) -> int:
@@ -649,12 +668,15 @@ class Engine:
         if el is not None:
             # structural updates only touch the vertex being processed, so
             # logging after the batch sees the same dirty bits as after each;
-            # candidates are logged in act order until the budget runs out
+            # only rows the batch has read are logged, so logging reads no
+            # page, and candidates are logged in act order until the budget
+            # runs out
             candidates = log_candidates(
                 adj.pages, predicted[act], self._el_dirty[act], self._usage, self._page_base, self.cfg.page_size
             )
-            for i in np.flatnonzero(candidates).tolist():
-                el.maybe_log(adj.view(i))
+            candidates = np.flatnonzero(candidates)
+            for view in adj.views(candidates[adj.loaded(candidates)]):
+                el.maybe_log(view)
         sl.commit()
         if aux is not None:
             aux.commit()

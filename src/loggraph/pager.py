@@ -236,9 +236,11 @@ class PageStore:
         last page is an address error, and a page whose record count does
         not reach its last wanted entry is corrupt.
         Returns (pages, images, slots, at): the page ids, their images as
-        read, one writable flat copy of their record slots (capacity per
-        page) and each span's offset into it, so span i is
-        slots[at[i]:at[i] + ends[i] - starts[i]].
+        read, their record slots as a read-only [pages, capacity] view of
+        the images, which copies nothing, and each span's offset into the
+        slots taken row after row, so span i is slots.reshape(-1)[at[i]:
+        at[i] + ends[i] - starts[i]] and its first entry slots[divmod(at[i],
+        capacity)].
         """
         dtype = np.dtype(dtype)
         cap = page_capacity(self.page_size, dtype.itemsize)
@@ -256,7 +258,7 @@ class PageStore:
         if len(short):
             i = short[0]
             raise CorruptPageError(f"{self.path}: page {pages[i]} holds {counts[i]} entries, entry {wanted[i] - 1} wanted")
-        slots = images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].copy().view(dtype).reshape(-1)
+        slots = images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].view(dtype)
         at = (np.searchsorted(pages, first) - first) * cap + starts
         return pages, images, slots, at
 
@@ -276,7 +278,7 @@ class PageStore:
         over = np.flatnonzero(record_counts(images) > np.minimum(n - np.arange(need) * cap, cap))
         if len(over):
             raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
-        return slots[:n]
+        return slots.copy().reshape(-1)[:n]
 
     def append(self, data) -> int:
         """Append one page image, write-behind: while the ledger has room

@@ -147,7 +147,7 @@ class VertexStateStore:
         ends = starts + lens
         reads = [store.read_spans(starts[a:b], ends[a:b], dtype) for store, a, b in zip(stores, cut[:-1], cut[1:])]
         pages, images, slots, at = zip(*reads)
-        shift = np.cumsum([0] + [len(s) for s in slots])
+        shift = np.cumsum([0] + [s.size for s in slots])
         at = np.concatenate(at) + np.repeat(shift[:-1], [len(a) for a in at])
         offsets = np.zeros(len(ids) + 1, np.int64)
         np.cumsum(lens, out=offsets[1:])
@@ -159,7 +159,7 @@ class VertexStateStore:
             np.concatenate(pages),
             np.concatenate([image[:, :PAGE_HEADER] for image in images]),
             # a byte join: np.concatenate of structured arrays copies field by field
-            np.concatenate([s.view(np.uint8) for s in slots]).view(dtype),
+            np.concatenate([s.view(np.uint8) for s in slots]).reshape(-1).view(dtype),
             at if caps is None else ranges(at, lens),
         )
 

@@ -10,7 +10,7 @@ from loggraph.errors import ConfigError, ContractViolation, CorruptPageError, In
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
-from util import adjacency_lists, both_directions, build_graph, op_rows, random_graph, ring_graph, rows_of, star_graph
+from util import adjacency, adjacency_lists, both_directions, build_graph, op_rows, random_graph, ring_graph, rows_of, star_graph
 
 
 def test_partition_exact_packing():
@@ -41,6 +41,37 @@ def test_partition_ring_by_prefix_sum_oracle():
     expect.append(6)
     bounds, _ = csr.partition_vertices(indeg, record, budget)
     assert bounds == expect == [0, 3, 6]
+
+
+def greedy_partition(in_degrees, record, budget):
+    """The per-vertex loop partition_vertices replaced: a vertex whose
+    weight would take the open interval past the budget opens the next."""
+    bounds, used = [0], 0
+    for v, d in enumerate(in_degrees.tolist()):
+        w = max(d, 1) * record
+        if used + w > budget:
+            bounds.append(v)
+            used = w
+        else:
+            used += w
+    return bounds + [len(in_degrees)] if len(in_degrees) else [0, 0]
+
+
+def test_partition_matches_the_greedy_loop():
+    # random degree vectors (empty ones, zeros, one vertex filling its
+    # interval) and a skewed one like an R-MAT graph's in-degrees
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(0, 200))
+        indeg = rng.integers(0, int(rng.integers(1, 40)), n) * (rng.random(n) < rng.random())
+        budget = int(rng.integers(max(indeg.max(initial=0), 1), 6 * max(indeg.max(initial=0), 1) + 1)) * 16
+        cases.append((indeg, budget))
+    cases.append((np.minimum(rng.zipf(1.7, 1 << 16), 5000), 3 << 20))
+    for indeg, budget in cases:
+        bounds, sums = csr.partition_vertices(indeg, 16, budget)
+        assert bounds == greedy_partition(indeg, 16, budget)
+        assert sums == [int(indeg[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
 
 
 def test_partition_zero_degree_consumes_slack():
@@ -94,7 +125,7 @@ def test_load_all_active_reads_every_page_once(tmp_path):
     g = build_graph(tmp_path, src, dst, 50, page_size=256)
     total_pages = sum(p.rowptr.num_pages + p.colidx.num_pages for p in g.partitions)
     before = g.registry.totals()["csr"][0]
-    csr.load_adjacency(g, np.arange(50))
+    csr.load_adjacency(g, np.arange(50))[0].take()
     assert g.registry.totals()["csr"][0] - before == total_pages
 
 
@@ -103,6 +134,7 @@ def test_load_single_vertex_page_span(tmp_path):
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     before = g.registry.totals()["csr"][0]
     views, stats = csr.load_adjacency(g, np.array([2]))
+    views.take()
     # adjacency fits one colidx page; rowptr entries 2,3 share one page
     assert g.registry.totals()["csr"][0] - before == 2
     assert sum(stats.values()) == 2 * 4  # two useful neighbor entries
@@ -121,7 +153,7 @@ def test_page_monotonicity_and_minimality(tmp_path):
 
     def pages_for(active):
         before = g.registry.totals()["csr"][0]
-        csr.load_adjacency(g, np.asarray(active, np.int64))
+        csr.load_adjacency(g, np.asarray(active, np.int64))[0].take()
         return g.registry.totals()["csr"][0] - before
 
     rng = np.random.default_rng(0)
@@ -198,6 +230,7 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
     before = g.registry.totals()["csr"][0]
     reads = spy_colidx_reads(monkeypatch, g)
     views, stats = csr.load_adjacency(g, active)
+    views.take()
     assert g.registry.totals()["csr"][0] - before == len(rp_pages) + len(useful)
     assert stats == useful
     assert reads == list(stats) == sorted(useful)
@@ -378,11 +411,11 @@ def merge_reference(a, b):
     """Concatenate both parts, then take every row in ascending id order."""
     order = np.argsort(np.concatenate([a.ids, b.ids]), kind="stable")
     lens = np.concatenate([a.degrees, b.degrees])[order]
-    starts = np.concatenate([a.offsets[:-1], b.offsets[:-1] + len(a.nbrs)])[order]
+    starts = np.concatenate([a.offsets[:-1], b.offsets[:-1] + a.offsets[-1]])[order]
     return (
         np.concatenate([a.ids, b.ids])[order],
         np.concatenate([[0], np.cumsum(lens)]),
-        np.concatenate([a.nbrs, b.nbrs])[pager.ranges(starts, lens)],
+        np.concatenate([a.take(), b.take()])[pager.ranges(starts, lens)],
         np.concatenate([a.pages, b.pages])[order],
     )
 
@@ -399,14 +432,17 @@ def test_adjacency_merge_matches_concatenate_and_sort(case):
         "after": np.arange(60) >= 15,
     }.get(case, rng.random(60) < rng.random())
     right = ids[~split] if case != "both-empty" else ids[:0]
+    # put holds the rows of b in a: the merge of two parts
     a, b = random_part(ids[split], rng), random_part(right, rng)
-    got = csr.Adjacency.merge(a, b)
-    for field, want in zip(("ids", "offsets", "nbrs", "pages"), merge_reference(a, b)):
-        assert getattr(got, field).tolist() == want.tolist(), field
+    want = merge_reference(a, b)
+    a.put(b)
+    for field, got, want in zip(("ids", "offsets", "nbrs", "pages"), (a.ids, a.offsets, a.take(), a.pages), want):
+        assert got.tolist() == want.tolist(), field
 
 
 def rows_by_id(adj):
-    return {int(v): adj.nbrs[adj.offsets[i] : adj.offsets[i + 1]].tolist() for i, v in enumerate(adj.ids)}
+    nbrs = adj.take()
+    return {int(v): nbrs[adj.offsets[i] : adj.offsets[i + 1]].tolist() for i, v in enumerate(adj.ids)}
 
 
 @pytest.mark.parametrize(
@@ -422,19 +458,21 @@ def rows_by_id(adj):
 def test_adjacency_merge_splices_each_row_where_its_id_goes(small_ids):
     # the larger part holds every third id from 3 to 96, and its rows are
     # long, so its neighbours are cut between insertion points
-    rng = np.random.default_rng(len(small_ids))
-    big_ids = [v for v in range(3, 97, 3) if v not in small_ids]
-    big = random_part(big_ids, rng)
-    big.nbrs = rng.integers(0, 1000, len(big.nbrs) * 5).astype(csr.VID_DT)
-    big.offsets = big.offsets * 5
-    small = random_part(small_ids, rng)
+    def parts():
+        rng = np.random.default_rng(len(small_ids))
+        big = random_part([v for v in range(3, 97, 3) if v not in small_ids], rng)
+        long_rows = csr.Adjacency(big.ids, big.offsets * 5, rng.integers(0, 1000, big.offsets[-1] * 5), big.pages)
+        return long_rows, random_part(small_ids, rng)
+
+    big, small = parts()
     rows = {**rows_by_id(big), **rows_by_id(small)}
     pages = {int(v): p.tolist() for part in (big, small) for v, p in zip(part.ids, part.pages)}
-    for a, b in ((big, small), (small, big)):
-        got = csr.Adjacency.merge(a, b)
+    for order in ((0, 1), (1, 0)):
+        got, b = (parts()[i] for i in order)
+        got.put(b)
         assert got.ids.tolist() == sorted(rows)
         assert rows_by_id(got) == rows
-        assert got.offsets[-1] == len(got.nbrs) and got.nbrs.dtype == csr.VID_DT
+        assert got.offsets[-1] == len(got.take()) and got.take().dtype == csr.VID_DT
         assert [p.tolist() for p in got.pages] == [pages[v] for v in sorted(rows)]
 
 
@@ -460,7 +498,7 @@ def test_load_adjacency_rejects_entries_past_a_page_count(tmp_path, vector, vert
     # rowPtr entries 7-8 and colIdx entries 10-19 lie past the 5 left on page 0
     g = truncated_graph(tmp_path, 10, vector)
     with pytest.raises(CorruptPageError):
-        csr.load_adjacency(g, np.array([vertex]))
+        csr.load_adjacency(g, np.array([vertex]))[0].take()
 
 
 @pytest.mark.parametrize("count", [5, 59])
@@ -476,7 +514,77 @@ def test_load_adjacency_rejects_a_short_page_inside_a_row(tmp_path, count):
     store.write_page(1, bytes(page))
     assert rows_of(csr.load_adjacency(g, np.array([5]))[0]) == {5: [0]}  # page 3 is whole
     with pytest.raises(CorruptPageError, match=f"page 1 holds {count} entries, entry 59 wanted"):
-        csr.load_adjacency(g, np.array([0]))
+        csr.load_adjacency(g, np.array([0]))[0].take()
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "page-kept"])
+def test_a_pick_past_a_page_count_is_corrupt(tmp_path, read_first):
+    # vertex 0's 200 neighbors are colIdx entries 0-199, 60 to a page; page
+    # 1 claims 30, so entries 90-119 are past its count. The page is checked
+    # when a take reads it, and again when a later take finds it kept
+    src, dst = star_graph(200)
+    g = build_graph(tmp_path, src, dst, 201, page_size=256, sort_budget=20 * len(src))
+    store = g.partitions[0].colidx
+    page = bytearray(store.read_page(1))
+    PAGE_COUNT.pack_into(page, 0, 30)
+    store.write_page(1, bytes(page))
+    adj, _ = csr.load_adjacency(g, np.array([0]))
+    assert adj.take(np.array([5, 130])).tolist() == [6, 131]  # pages 0 and 2 are whole
+    if read_first:
+        assert adj.take(np.array([89, 61])).tolist() == [90, 62]  # within page 1's count
+    with pytest.raises(CorruptPageError, match="page 1 holds 30 entries, entry 40 wanted"):
+        adj.take(np.array([100]))
+
+
+@pytest.mark.parametrize("order", ["picks-first", "all-first"])
+def test_take_over_edge_log_overlaid_and_stored_rows_matches_the_flat_csr(tmp_path, order):
+    # one batch holding rows read from the CSR on demand, rows overlaid in
+    # memory and rows served by the edge log: positions in any order, with
+    # repeats, and every row, before or after the other take
+    from loggraph.edgelog import EdgeLog
+
+    n = 300
+    src, dst = random_graph(n, 8, seed=4)
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    assert g.meta.num_intervals > 1
+    lists = adjacency_lists(src, dst, n)
+    rng = np.random.default_rng(5)
+    stored = np.unique(rng.integers(0, n, 80))
+    adj, _ = csr.load_adjacency(g, stored)
+    overlaid = {int(v): sorted(rng.integers(0, n, int(rng.integers(0, 12))).tolist()) for v in stored[::5]}
+    adj.put(adjacency(list(overlaid), list(overlaid.values())))
+    el = EdgeLog(g.registry, str(tmp_path / "el"), 1 << 16)
+    el.begin_superstep(0)
+    logged = np.setdiff1d(np.arange(n), stored)[::11]
+    for v in logged.tolist():
+        assert el.maybe_log(csr.AdjacencyView(v, np.array(lists[v], csr.VID_DT)))
+    el.begin_superstep(1)
+    adj.put(el.fetch_batch(logged))
+    el.close()
+
+    rows = {**{v: lists[v] for v in stored.tolist()}, **overlaid, **{v: lists[v] for v in logged.tolist()}}
+    assert adj.ids.tolist() == sorted(rows)
+    flat = np.array([w for v in sorted(rows) for w in rows[v]], np.int64)
+    assert adj.offsets[-1] == len(flat)
+    at = rng.integers(0, len(flat), 400)
+    takes = [lambda: adj.take(at).tolist() == flat[at].tolist(), lambda: adj.take().tolist() == flat.tolist()]
+    for take in takes if order == "picks-first" else takes[::-1]:
+        assert take()
+
+
+def test_take_of_every_row_skips_rows_overlaid_empty(tmp_path):
+    # rows held empty among stored ones hold no entry, so every row is
+    # still taken interval by interval
+    n = 300
+    src, dst = random_graph(n, 8, seed=4)
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    assert g.meta.num_intervals > 1
+    lists = adjacency_lists(src, dst, n)
+    stored = np.arange(0, n, 3)
+    adj, _ = csr.load_adjacency(g, stored)
+    emptied = stored[::4]
+    adj.put(adjacency(emptied, [[] for _ in emptied]))
+    assert adj.take().tolist() == [w for v in stored.tolist() if v % 12 for w in lists[v]]
 
 
 def set_rowptr_entry(g, entry, value):

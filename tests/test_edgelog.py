@@ -75,7 +75,8 @@ def test_edge_log_rows_are_never_candidates(tmp_path):
     el.begin_superstep(1)
     csr_rows = adjacency([1, 3], [[4], [7]])
     csr_rows.pages = np.array([[0, 0, 1], [0, 0, 1]])
-    adj = csr.Adjacency.merge(csr_rows, el.fetch_batch([2]))
+    adj = csr_rows
+    adj.put(el.fetch_batch([2]))
     got = log_candidates(adj.pages, np.ones(3, bool), np.zeros(3, bool), np.array([4]), np.array([0, 1]), 256)
     assert adj.ids.tolist() == [1, 2, 3] and got.tolist() == [True, False, True]
 
@@ -296,3 +297,64 @@ def test_savings_shared_page_reduces_csr_reads(tmp_path):
     assert g.registry.totals()["csr"][0] == csr_before
     assert el_reads <= 1 + (len(logged) * 16 + 8 * len(logged) * 4) // 240
     assert len(logged) - 1 >= el_reads  # saving >= k-1 versus k sparse pages
+
+
+def test_a_walk_batch_reads_only_the_pages_of_its_picks_each_once(tmp_path, monkeypatch):
+    """With no ledger room every page a batch wants is a storage read. A
+    random walk's batch reads only the colIdx pages that hold its walkers'
+    picked entries, each at most once, and the rows the edge log then logs
+    (on those pages) cost no read of their own."""
+    from loggraph.apps import RandomWalk
+    from loggraph.engine import EngineConfig, run_app
+
+    ledger_off(monkeypatch)
+    n = 3000
+    src, dst = random_graph(n, 6, seed=11)
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    rowptr = [part.full_rowptr() for part in g.partitions]
+    cap = g.partitions[0].cap_ci
+    batches = []  # per batch: its Adjacency, the pages its takes want, the pages read
+
+    take, views, logging = csr.Adjacency.take, csr.Adjacency.views, []
+
+    def spy_take(adj, at=None):
+        if not batches or batches[-1][0] is not adj:
+            batches.append((adj, set(), []))
+        if logging:  # the rows the edge log logs are not picks
+            return take(adj, at)
+        at = np.arange(adj.offsets[-1]) if at is None else np.asarray(at)
+        row = np.searchsorted(adj.offsets, at, side="right") - 1
+        k, first, end = adj.pages[row].T
+        stored = first < end  # an edge-log row has no colIdx page span
+        for j, r, p in zip(k[stored].tolist(), row[stored].tolist(), at[stored].tolist()):
+            local = int(adj.ids[r]) - g.partitions[j].lo
+            batches[-1][1].add((j, int(rowptr[j][local] + p - adj.offsets[r]) // cap))
+        return take(adj, at)
+
+    def spy_views(adj, rows):
+        logging.append(True)
+        try:
+            return views(adj, rows)
+        finally:
+            logging.pop()
+
+    monkeypatch.setattr(csr.Adjacency, "take", spy_take)
+    monkeypatch.setattr(csr.Adjacency, "views", spy_views)
+    for part in g.partitions:
+        def read_page(p, part=part, read=part.colidx.read_page):
+            batches[-1][2].append((part.k, p))
+            return read(p)
+
+        monkeypatch.setattr(part.colidx, "read_page", read_page)
+    cfg = EngineConfig(memory_budget=1 << 20, page_size=256, max_supersteps=12, edge_log=True)
+    res = run_app(g, RandomWalk(steps=10, stride=3, seed=4), cfg, str(tmp_path / "run"))
+
+    assert sum(st.edgelog_logged for st in res.stats) > 0 and sum(st.edgelog_served for st in res.stats) > 0
+    assert sum(len(reads) for _, _, reads in batches) > 0
+    spanned = 0
+    for adj, wanted, reads in batches:
+        assert len(reads) == len(set(reads))  # no page read twice in a batch
+        assert set(reads) <= wanted  # only pages holding picked entries
+        spanned += len({(k, p) for k, a, b in adj.pages.tolist() for p in range(a, b)})
+    assert sum(len(reads) for _, _, reads in batches) < spanned  # rows are not read whole
+

@@ -576,7 +576,7 @@ def test_storage_isolation_colidx_reads_equal_active_span_pages(tmp_path):
     active = [3, 40, 77, 111]
     want = expected_pages(active)
     before = g.registry.totals()["csr"][0]
-    csr.load_adjacency(g, np.array(active, np.int64))
+    csr.load_adjacency(g, np.array(active, np.int64))[0].take()
     assert g.registry.totals()["csr"][0] - before == want
 
 

@@ -131,7 +131,8 @@ def spans(store, starts, ends):
     and each span's entries."""
     pages, images, slots, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
     assert [row.tobytes() for row in images] == [store.read_page(p) for p in pages.tolist()]
-    return pages.tolist(), [slots[a : a + e - s].tolist() for a, s, e in zip(at, starts, ends)]
+    flat = slots.reshape(-1)
+    return pages.tolist(), [flat[a : a + e - s].tolist() for a, s, e in zip(at, starts, ends)]
 
 
 def test_read_spans_serves_overlapping_spans(store):
@@ -157,7 +158,7 @@ def test_read_spans_reads_each_covering_page_once_in_ascending_order(store, monk
     monkeypatch.setattr(PageStore, "read_page", lambda s, p: seen.append(p) or read(s, p))
     pages, _, slots, _ = store.read_spans(np.array([0, 1, 20, 100, 170, 175]), np.array([2, 2, 95, 100, 175, 200]), "<u8")
     assert seen == pages.tolist() == [0, 1, 2, 3, 5, 6] and store.pages_read == 6
-    slots[0] = 7  # a copy: the caller may patch it and write pages back
+    assert not slots.flags.writeable  # a view of the images: the slots are not copied
     assert store.read_spans(np.array([50]), np.array([50]), "<u8")[0].tolist() == []
     assert store.pages_read == 6  # an empty span reads nothing
 
