@@ -94,24 +94,15 @@ class GraphMeta:
         return cls(**d)
 
 
+@dataclass
 class AdjacencyView:
-    """Out-neighbors of one vertex. The view of an Adjacency row has the
-    row's degree at once and reads its neighbors when first asked for."""
+    """Out-neighbors of one vertex."""
 
-    def __init__(self, vertex_id: int, neighbors: np.ndarray | None = None, adj: "Adjacency | None" = None, row: int = 0):
-        self.vertex_id = vertex_id
-        self._neighbors = neighbors
-        self._adj = adj
-        self._span = adj.offsets[row : row + 2].tolist() if adj is not None else None
-
-    @property
-    def neighbors(self) -> np.ndarray:
-        if self._neighbors is None:
-            self._neighbors = self._adj.take(np.arange(*self._span))
-        return self._neighbors
+    vertex_id: int
+    neighbors: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._neighbors) if self._neighbors is not None else self._span[1] - self._span[0]
+        return len(self.neighbors)
 
 
 # kinds of structural op, the first column of an ops array
@@ -124,9 +115,10 @@ NO_VID = (1 << 32) - 1
 # in memory, 1 + the interval for one in that interval's colIdx vector
 ADDR_SHIFT = 32
 LOW = (1 << ADDR_SHIFT) - 1
-# a first take of an interval that wants at least one in DENSE_SLOTS of
-# the slots of the pages it reads copies them all and slices its spans out;
-# a sparser one gathers its entries from the page images
+# a first take of an interval that wants fewer than one in DENSE_SLOTS of
+# the slots of the pages it reads gathers its entries from the page images;
+# a denser one copies the slots once and slices its runs out of the copy
+# (a random walk's picks are sparse, PageRank's whole rows dense)
 DENSE_SLOTS = 8
 
 
@@ -172,8 +164,8 @@ class Adjacency:
         return np.diff(self.offsets)
 
     def view(self, i: int) -> AdjacencyView:
-        """Row i as a per-vertex view; its neighbors are read when used."""
-        return AdjacencyView(int(self.ids[i]), adj=self, row=i)
+        """Row i as a per-vertex view."""
+        return self.views(np.array([i]))[0]
 
     def views(self, rows: np.ndarray) -> list[AdjacencyView]:
         """Views of the given rows, their neighbors read in one take."""
@@ -196,44 +188,38 @@ class Adjacency:
     def take(self, at: np.ndarray | None = None) -> np.ndarray:
         """The neighbor entries at the flat positions at, in its order and
         with repeats, or, with no positions, every row's in row order."""
-        if at is None and not len(self._held):
-            # no entry held: the rows of each interval, in interval order
-            part, deg = self._first >> ADDR_SHIFT, self.degrees
-            blocks = []
-            for k in self._colidx:
-                rows = (part == k + 1) & (deg > 0)
-                first = self._first[rows] & LOW
-                blocks.append(self._entries(k, first, first + deg[rows]))
-            return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0, VID_DT), *blocks])
         if at is None:
-            addr = ranges(self._first, self.degrees)
+            # one span per non-empty row
+            full = self.degrees > 0
+            addr, lens = self._first[full], self.degrees[full]
         else:
             at = np.asarray(at, np.int64)
             total = int(self.offsets[-1])
             if len(at) and (at.min() < 0 or at.max() >= total):
                 raise ContractViolation(f"neighbor entry outside the batch's [0, {total})")
             row = np.searchsorted(self.offsets, at, side="right") - 1
-            addr = at + (self._first - self.offsets[:-1])[row]
-        if (addr[1:] >= addr[:-1]).all():
-            order = None
-        else:
+            # one span per entry; a repeat equals its first
+            addr, lens = at + (self._first - self.offsets[:-1])[row], np.ones(len(at), np.int64)
+        order = None
+        if (addr[1:] < addr[:-1]).any():
             order = np.argsort(addr, kind="stable")
-            addr = addr[order]
-        out = np.empty(len(addr), VID_DT)
-        # addr ascends, so the held entries come first and then each
+            # where each span's entries go in the answer
+            dest = ranges((np.cumsum(lens) - lens)[order], lens[order])
+            addr, lens = addr[order], lens[order]
+        # addr ascends, so the held spans come first and then each
         # interval's, in interval order
         bounds = np.searchsorted(addr, np.arange(max(self._colidx, default=-1) + 3) << ADDR_SHIFT).tolist()
-        out[: bounds[1]] = self._held[addr[: bounds[1]]]
+        blocks = [self._held[ranges(addr[: bounds[1]], lens[: bounds[1]])]] if bounds[1] else []
         for k in self._colidx:
             a, b = bounds[k + 1], bounds[k + 2]
             if b > a:
-                # each wanted entry its own span; a repeat overlaps its first
-                want = addr[a:b] & LOW
-                out[a:b] = self._entries(k, want, want + 1)
+                start = addr[a:b] & LOW
+                blocks.append(self._entries(k, start, start + lens[a:b]))
+        out = blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0, VID_DT), *blocks])
         if order is None:
             return out
         unsorted = np.empty_like(out)
-        unsorted[order] = out
+        unsorted[dest] = out
         return unsorted
 
     def _entries(self, k: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -251,10 +237,9 @@ class Adjacency:
             lens = ends - starts
             pages, images, slots, at = store.read_spans(starts, ends, VID_DT)
             self._read[k] = pages, slots, record_counts(images)
-            wanted = int(lens.sum())
-            if wanted * DENSE_SLOTS < slots.size:
-                return slots[np.divmod(at if wanted == len(at) else ranges(at, lens), cap)]
-            # most slots are wanted: copy them all and take the spans
+            if lens.sum() * DENSE_SLOTS < slots.size:
+                return slots[np.divmod(ranges(at, lens), cap)]
+            # most slots are wanted: copy them all and slice the runs out
             flat = slots.copy().reshape(-1)
             return flat[at[0] : at[0] + lens[0]] if len(at) == 1 else flat[ranges(at, lens)]
         have, slots, counts = self._read[k]

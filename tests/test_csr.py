@@ -573,8 +573,8 @@ def test_take_over_edge_log_overlaid_and_stored_rows_matches_the_flat_csr(tmp_pa
 
 
 def test_take_of_every_row_skips_rows_overlaid_empty(tmp_path):
-    # rows held empty among stored ones hold no entry, so every row is
-    # still taken interval by interval
+    # rows held empty among stored ones hold no entry, and a take of every
+    # row leaves them out
     n = 300
     src, dst = random_graph(n, 8, seed=4)
     g = build_graph(tmp_path, src, dst, n, page_size=256)
@@ -585,6 +585,20 @@ def test_take_of_every_row_skips_rows_overlaid_empty(tmp_path):
     emptied = stored[::4]
     adj.put(adjacency(emptied, [[] for _ in emptied]))
     assert adj.take().tolist() == [w for v in stored.tolist() if v % 12 for w in lists[v]]
+
+
+def test_a_take_answers_with_its_own_entries(tmp_path):
+    # every row of one interval is one run of colIdx entries; writing to a
+    # take's answer does not change what a later take returns
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256, sort_budget=20 * len(src))
+    assert g.meta.num_intervals == 1
+    adj, _ = csr.load_adjacency(g, np.arange(6))
+    nbrs = adj.take()
+    want = [w for r in adjacency_lists(src, dst, 6) for w in r]
+    assert nbrs.tolist() == want
+    nbrs += 1
+    assert adj.take(np.arange(len(want))).tolist() == adj.take().tolist() == want
 
 
 def set_rowptr_entry(g, entry, value):

@@ -257,12 +257,32 @@ class RowContext:
         self.ops.append((csr.DEL_VERTEX, self.vertex, -1))
 
 
+class RowView:
+    """Row i of an Adjacency as a per-vertex view that has its degree at
+    once and takes its neighbors when first asked for, so a reference
+    program reads only the rows it uses, as the batch programs do."""
+
+    def __init__(self, adj, i):
+        self.vertex_id = int(adj.ids[i])
+        self._adj, self._span = adj, adj.offsets[i : i + 2].tolist()
+        self._neighbors = None
+
+    @property
+    def neighbors(self):
+        if self._neighbors is None:
+            self._neighbors = self._adj.take(np.arange(*self._span))
+        return self._neighbors
+
+    def __len__(self):
+        return self._span[1] - self._span[0]
+
+
 class PerVertex(VertexProgram):
     """Base of the per-vertex reference programs: process(ctx, v, state,
-    adj, inbox) runs once per row in id order, then the batch's collected
-    sends go to one ctx.send_many and its structural ops to one
-    ctx.structural_many. Both keep their rows' order, so the pages come out
-    as if each call had reached the engine on its own."""
+    adj, inbox) runs once per row in id order, adj a RowView, then the
+    batch's collected sends go to one ctx.send_many and its structural ops
+    to one ctx.structural_many. Both keep their rows' order, so the pages
+    come out as if each call had reached the engine on its own."""
 
     def process_batch(self, ctx, batch):
         rows = RowContext(ctx.superstep)
@@ -271,7 +291,7 @@ class PerVertex(VertexProgram):
         for i, v in enumerate(batch.ids.tolist()):
             rows.vertex = v
             rows.table = table[offsets[i] : offsets[i + 1]] if table is not None else None
-            self.process(rows, v, batch.states[i], batch.adj.view(i), batch.records[starts[i] : ends[i]])
+            self.process(rows, v, batch.states[i], RowView(batch.adj, i), batch.records[starts[i] : ends[i]])
         records = RecordFormat(self.payload_fields).pack(rows.sends)
         ctx.send_many(records["dest"], records["src"], *(records[name] for name, _ in self.payload_fields or []))
         ctx.structural_many(rows.ops)
