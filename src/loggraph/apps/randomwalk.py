@@ -34,7 +34,6 @@ class RandomWalk(VertexProgram):
 
     def init_all(self, num_vertices, in_degrees):
         stride = self.stride or default_stride(num_vertices)
-        self._stride = stride
         states = np.zeros(num_vertices, self.state_dtype)
         active = np.zeros(num_vertices, bool)
         active[::stride] = True

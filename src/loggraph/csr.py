@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
-from .pager import StoreRegistry, cover, page_capacity, ranges, record_counts, run_starts
+from .pager import StoreRegistry, cover, page_capacity, ranges, run_starts
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -235,8 +235,8 @@ class Adjacency:
             cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
             starts, ends = starts[np.append(0, cut)], ends[np.append(cut, len(ends)) - 1]
             lens = ends - starts
-            pages, images, slots, at = store.read_spans(starts, ends, VID_DT)
-            self._read[k] = pages, slots, record_counts(images)
+            pages, counts, slots, at = store.read_spans(starts, ends, VID_DT)
+            self._read[k] = pages, slots, counts
             if lens.sum() * DENSE_SLOTS < slots.size:
                 return slots[np.divmod(ranges(at, lens), cap)]
             # most slots are wanted: copy them all and slice the runs out
@@ -247,9 +247,9 @@ class Adjacency:
         page = want // cap
         new = have[np.searchsorted(have, page).clip(max=len(have) - 1)] != page
         if new.any():
-            got, images, more, _ = store.read_spans(want[new], want[new] + 1, VID_DT)
+            got, got_counts, more, _ = store.read_spans(want[new], want[new] + 1, VID_DT)
             order = np.argsort(np.concatenate([have, got]))
-            have, slots, counts = (np.concatenate(pair)[order] for pair in ((have, got), (slots, more), (counts, record_counts(images))))
+            have, slots, counts = (np.concatenate(pair)[order] for pair in ((have, got), (slots, more), (counts, got_counts)))
             self._read[k] = have, slots, counts
         i = np.searchsorted(have, page)
         slot = want - page * cap

@@ -18,9 +18,9 @@ import os
 
 import numpy as np
 
-from .csr import Adjacency, AdjacencyView, VID_DT
-from .errors import CorruptPageError
-from .pager import PAGE_HEADER, StoreRegistry, ranges
+from .csr import VID_DT, VID_WIDTH, Adjacency, AdjacencyView
+from .errors import ContractViolation, CorruptPageError
+from .pager import StoreRegistry, page_capacity, ranges
 
 INEFFICIENT_THRESHOLD = 0.10
 
@@ -45,18 +45,20 @@ def log_candidates(pages, predicted, dirty, usage, base, page_size: int) -> np.n
 class EdgeLog:
     """Per-superstep sequential adjacency log with an in-memory index.
 
-    Entries are `vid(4) | degree(4) | neighbors(4*deg)` packed back to back
-    across page record regions (entries may span pages). The index maps
-    vertex -> (stream offset, length) and lives one superstep: written while
-    processing S, consumed while processing S+1. At rotation it becomes the
-    readable log's ascending ids and their (offset, length) spans.
+    Entries are `vid | degree | neighbors` as uint32 records of one vector,
+    appended back to back through `PageStore.append_records` (an entry may
+    span pages), so every page carries its record count and a fetch reads
+    them through `PageStore.read_spans`, which checks it. The index maps
+    vertex -> (first record, records) and lives one superstep: written
+    while processing S, consumed while processing S+1. At rotation it
+    becomes the readable log's ascending ids and their spans.
     """
 
     def __init__(self, registry: StoreRegistry, log_dir: str, budget_bytes: int):
         self.registry = registry
         self.dir = log_dir
         self.page_size = registry.page_size
-        self.region = self.page_size - PAGE_HEADER
+        self.cap = page_capacity(self.page_size, VID_WIDTH)
         self.budget = budget_bytes
         os.makedirs(log_dir, exist_ok=True)
         self._consumable = (np.zeros(0, np.int64), np.zeros((0, 2), np.int64), None)
@@ -70,8 +72,7 @@ class EdgeLog:
 
     def _reset_writer(self) -> None:
         self._store = None
-        self._buf = bytearray(self.page_size)
-        self._buf_used = 0
+        self._buf = bytearray()
         self._pos = 0
         self._index: dict[int, tuple[int, int]] = {}
         self._full = False
@@ -90,9 +91,7 @@ class EdgeLog:
     def _finish_writer(self) -> None:
         store = self._store
         if store is not None:
-            if self._buf_used > 0:
-                # a stream page's count stays 0 and its unused tail zero
-                store.append(self._buf)
+            store.append_records(self._buf, VID_WIDTH)
         ids = np.fromiter(self._index, np.int64, len(self._index))
         spans = np.array(list(self._index.values()), np.int64).reshape(-1, 2)
         order = np.argsort(ids)
@@ -116,36 +115,25 @@ class EdgeLog:
 
     def maybe_log(self, view: AdjacencyView) -> bool:
         """Log the adjacency unless it would take the log past its budget;
-        from the first row that would, log nothing more this superstep."""
+        from the first row that would, log nothing more this superstep.
+        Every page the entry fills is appended at once."""
         if self._full:
             return False
-        deg = len(view.neighbors)
-        entry_len = 8 + 4 * deg
-        if self.bytes_logged + entry_len > self.budget:
+        n = 2 + len(view.neighbors)  # records: vid, degree, neighbors
+        if self.bytes_logged + n * VID_WIDTH > self.budget:
             self._full = True
             return False
-        head = np.array([view.vertex_id, deg], VID_DT).tobytes()
-        blob = head + view.neighbors.astype(VID_DT).tobytes()
-        self._index[view.vertex_id] = (self._pos, entry_len)
-        self._append_stream(blob)
-        self.bytes_logged += entry_len
+        store = self._ensure_store()
+        self._index[view.vertex_id] = (self._pos, n)
+        self._buf += np.array([view.vertex_id, n - 2], VID_DT).tobytes() + view.neighbors.astype(VID_DT).tobytes()
+        self._pos += n
+        whole = len(self._buf) // (self.cap * VID_WIDTH) * self.cap * VID_WIDTH
+        if whole:
+            store.append_records(self._buf[:whole], VID_WIDTH)
+            del self._buf[:whole]
+        self.bytes_logged += n * VID_WIDTH
         self.logged_vertices += 1
         return True
-
-    def _append_stream(self, blob: bytes) -> None:
-        store = self._ensure_store()
-        off = 0
-        while off < len(blob):
-            space = self.region - self._buf_used
-            take = min(space, len(blob) - off)
-            self._buf[PAGE_HEADER + self._buf_used : PAGE_HEADER + self._buf_used + take] = blob[off : off + take]
-            self._buf_used += take
-            off += take
-            self._pos += take
-            if self._buf_used == self.region:
-                store.append(self._buf)
-                self._buf = bytearray(self.page_size)
-                self._buf_used = 0
 
     # -- read side -----------------------------------------------------------
 
@@ -155,31 +143,33 @@ class EdgeLog:
 
     def fetch_batch(self, vids) -> Adjacency:
         """Serve adjacency of the ascending vids, all indexed, from last
-        superstep's log; reads the union of their entries' pages once. An
-        entry whose vertex id or degree field disagrees with the index is
-        corrupt."""
+        superstep's log; reads the union of their entries' pages once. A
+        vertex the log does not index is a contract violation; a page whose
+        count misses an entry, or an entry whose vertex id or degree field
+        disagrees with the index, is corrupt."""
         vids = np.asarray(vids, np.int64)
         if len(vids) == 0:
             return Adjacency.empty()
         ids, spans, store = self._consumable
         i = np.searchsorted(ids, vids)
         if i[-1] == len(ids) or (ids[i] != vids).any():
-            raise KeyError("edge log fetch of an unindexed vertex")
+            raise ContractViolation("edge log fetch of an unindexed vertex")
         pos, length = spans[i].T
-        p0 = pos // self.region
-        pages = np.unique(ranges(p0, (pos + length - 1) // self.region - p0 + 1))
+        # read_spans wants ascending spans, so the entries in the order logged
+        order = np.argsort(pos)
+        pages, _, slots, at = store.read_spans(pos[order], (pos + length)[order], VID_DT)
+        at = at[np.argsort(order)]
         self.read_cache_peak = max(self.read_cache_peak, len(pages) * self.page_size)
-        stream = store.read_pages(pages)[:, PAGE_HEADER:].reshape(-1)
-        # an entry's pages are consecutive, so it is contiguous in stream too
-        at = np.searchsorted(pages, p0) * self.region + pos - p0 * self.region
-        vid, deg = stream[ranges(at, np.full(len(at), 8))].view(VID_DT).reshape(-1, 2).T.astype(np.int64)
+        # entries span pages, so gather from the slots taken row after row
+        flat = slots.reshape(-1)
+        vid, deg = flat[ranges(at, np.full(len(at), 2))].reshape(-1, 2).T.astype(np.int64)
         bad = np.flatnonzero(vid != vids)
         if len(bad):
             raise CorruptPageError(f"edge log index mismatch: wanted {vids[bad[0]]}, found {vid[bad[0]]}")
-        bad = np.flatnonzero(8 + 4 * deg != length)
+        bad = np.flatnonzero(2 + deg != length)
         if len(bad):
             raise CorruptPageError(f"edge log entry of {vids[bad[0]]}: degree field {deg[bad[0]]} disagrees with its length")
         offsets = np.zeros(len(vids) + 1, np.int64)
         np.cumsum(deg, out=offsets[1:])
-        nbrs = stream[ranges(at + 8, length - 8)].view(VID_DT)
+        nbrs = flat[ranges(at + 2, length - 2)]
         return Adjacency(vids, offsets, nbrs, np.zeros((len(vids), 3), np.int64))

@@ -267,25 +267,8 @@ class SuperstepStats:
     evicted: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "superstep": self.superstep,
-            "active_vertices": self.active_vertices,
-            "messages_sent": self.messages_sent,
-            "reads": dict(sorted(self.reads.items())),
-            "writes": dict(sorted(self.writes.items())),
-            "hits": dict(sorted(self.hits.items())),
-            "evicted": dict(sorted(self.evicted.items())),
-            "prediction_accuracy": self.prediction_accuracy,
-            "sort_resident_peak": self.sort_resident_peak,
-            "resident_peak": self.resident_peak,
-            "multilog_resident_peak": self.multilog_resident_peak,
-            "edgelog_bytes": self.edgelog_bytes,
-            "edgelog_served": self.edgelog_served,
-            "edgelog_logged": self.edgelog_logged,
-            "edgelog_read_peak": self.edgelog_read_peak,
-            "csr_pages_accessed": self.csr_pages_accessed,
-            "csr_pages_inefficient": self.csr_pages_inefficient,
-        }
+        """Every field but runtime, which differs from run to run."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runtime"}
 
 
 @dataclass

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, CorruptPageError
-from .pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages, page_capacity
+from .pager import PageStore, StoreRegistry, fill_page, pack_pages, page_capacity, page_records
 
 
 # most pages of records one send_many block covers; uncapped blocks, as
@@ -427,12 +427,11 @@ class MultiLog:
 
     def _take_pages(self, log: _IntervalLog) -> list[bytearray]:
         """Take log's resident pages out of its open log: the closed ones in
-        arrival order, then the top, if not empty, with its record count."""
+        arrival order, then the top, if not empty."""
         if log.closed:
             self._closed = deque(other for other in self._closed if other is not log)
         pages = list(log.closed)
         if log.fill > 0:
-            PAGE_COUNT.pack_into(log.top, 0, log.fill)
             pages.append(log.top)
         log.closed = deque()
         log.top = bytearray(self.page_size)
@@ -518,12 +517,10 @@ class MultiLog:
         log.message_count += n
 
     def _fill_top(self, log: _IntervalLog, raw: memoryview) -> None:
-        """Copy whole records into log's top page, closing it once full."""
-        off = PAGE_HEADER + log.fill * self.fmt.width
-        log.top[off : off + len(raw)] = raw
-        log.fill += len(raw) // self.fmt.width
+        """Copy whole records into log's top page, which keeps its record
+        count (`pager.fill_page`), closing it once full."""
+        log.fill = fill_page(log.top, log.fill, raw, self.fmt.width)
         if log.fill == self.capacity:
-            PAGE_COUNT.pack_into(log.top, 0, log.fill)
             log.closed.append(log.top)
             log.top = bytearray(self.page_size)
             log.fill = 0
@@ -678,8 +675,9 @@ def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
     """All records of one sealed interval log, in chain order.
 
     Reads each chain page on disk exactly once, parses the resident tail
-    from memory, joins both into one read-only array and cross-checks the
-    manifest's message count.
+    from memory with the pager's one records parser (`pager.page_records`),
+    joins both into one read-only array and cross-checks the manifest's
+    message count.
     """
     on_disk = handle.store is not None and bool(handle.ordinals)
     if not on_disk and not handle.tail:
@@ -688,15 +686,11 @@ def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
                 f"interval {handle.interval}: manifest says {handle.message_count} records, log empty"
             )
         return np.zeros(0, fmt.dtype)
-    w = fmt.width
-    tail = [memoryview(p)[PAGE_HEADER : PAGE_HEADER + PAGE_COUNT.unpack_from(p)[0] * w] for p in handle.tail]
-    if not on_disk:
-        records = np.frombuffer(b"".join(tail), fmt.dtype)
-    else:
-        records = handle.store.read_records(handle.ordinals, fmt.dtype)
-        if tail:
-            # one byte join: np.concatenate of structured arrays copies field by field
-            records = np.frombuffer(b"".join([records, *tail]), fmt.dtype)
+    records = page_records(handle.tail, fmt.dtype, f"interval {handle.interval} tail", range(len(handle.tail)))
+    if on_disk:
+        chain = handle.store.read_records(handle.ordinals, fmt.dtype)
+        # one byte join: np.concatenate of structured arrays copies field by field
+        records = np.frombuffer(b"".join([chain, records]), fmt.dtype) if len(records) else chain
     if len(records) != handle.message_count:
         raise CorruptPageError(
             f"interval {handle.interval}: manifest count {handle.message_count} "

@@ -10,16 +10,21 @@ can be counted exactly. A page starts with a 16-byte header:
 The remaining bytes are the record region. Records are fixed width per file
 and never span pages, so every page parses on its own.
 
-`PageStore` is the only code that reads or writes pages or packs records
-into them: `read_pages` returns a batch of page images as one uint8 array,
-`read_records` the counted records of a batch of pages as one array (a
-count that overflows its page is corrupt), `read_spans` the pages covering
-ascending spans of a fixed-width vector (CSR rowPtr and colIdx rows, vertex
-state rows and in-neighbour tables all read through it), `read_vector` a
-whole vector as the one span [0, n), `append` appends a page image and
-`append_records` fixed-width records packed by `pack_pages`, the one
-whole-page packer, which the multi-log shares, and `write_back` overwrites
-pages.
+`PageStore` and the layout helpers here are the only code that reads or
+writes pages or knows their layout. The store: `read_pages` returns a
+batch of page images as one uint8 array, `read_records` the counted
+records of a batch of pages as one array, `read_spans` the record slots
+and counts of the pages covering ascending spans of a fixed-width vector
+(CSR rows, state rows, aux tables and edge-log entries all read through
+it), `read_vector` a whole vector as the one span [0, n), `append` appends
+a page image, `append_records` fixed-width records, and `write_back`
+overwrites pages. The helpers: `pack_pages` packs records into whole pages
+and `page_images` builds pages from their record regions and counts (a
+state commit); `fill_page` copies records into a page in place (the
+multi-log's top pages); `record_counts` reads the counts of an array of
+images, and `page_records` parses the counted records of a list of pages,
+for `read_records` and the multi-log's resident tails. A count that
+overflows its page is corrupt.
 
 The stores of one `StoreRegistry` share one ledger of resident pages under
 one memory budget. The other holders of memory report what they hold
@@ -88,6 +93,36 @@ def pack_pages(raw, width: int, page_size: int) -> np.ndarray:
         pages[full, PAGE_HEADER : PAGE_HEADER + rest * width] = data[full * cap * width : (full * cap + rest) * width]
         PAGE_COUNT.pack_into(pages[full], 0, rest)
     return pages
+
+
+def page_images(regions, counts, page_size: int) -> list[bytes]:
+    """Page images, one bytes object each: page i with record count
+    counts[i], record region regions[i] (a bytes-like at most a region
+    long) and zeros after it."""
+    pad = bytes(PAGE_HEADER - PAGE_COUNT.size)
+    return [b"".join((PAGE_COUNT.pack(c), pad, r, bytes(page_size - PAGE_HEADER - len(r)))) for r, c in zip(regions, counts)]
+
+
+def fill_page(page: bytearray, fill: int, raw, width: int) -> int:
+    """Copy the whole records raw into the page image page after its first
+    fill records, in place, and set its record count; returns the count."""
+    off = PAGE_HEADER + fill * width
+    page[off : off + len(raw)] = raw
+    fill += len(raw) // width
+    PAGE_COUNT.pack_into(page, 0, fill)
+    return fill
+
+
+def page_records(pages: list, dtype, where: str, ids) -> np.ndarray:
+    """The counted records of the page images pages (a list of page
+    buffers), concatenated in order as one read-only array. A count that
+    overflows its page is corrupt; the error names page ids[i] of where."""
+    dtype = np.dtype(dtype)
+    nbytes = [(p[1] | p[2] << 8) * dtype.itemsize for p in pages]
+    over = [i for i, (p, n) in enumerate(zip(pages, nbytes)) if n > len(p) - PAGE_HEADER]
+    if over:
+        raise CorruptPageError(f"{where}: the record count of page {ids[over[0]]} overflows it")
+    return np.frombuffer(b"".join([memoryview(p)[PAGE_HEADER : PAGE_HEADER + n] for p, n in zip(pages, nbytes)]), dtype)
 
 
 def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -179,10 +214,17 @@ class PageStore:
         return data
 
     def read_pages(self, ids) -> np.ndarray:
-        """Images of the pages ids (a sequence), in order, as a read-only
-        uint8[len(ids), page_size] that no later write changes. A resident
-        page is a hit; any other is one counted read_page call, and is
-        admitted to the ledger while it has room."""
+        """Images of the pages ids (a sequence), in order, as one read-only
+        uint8[len(ids), page_size] that no later write changes (see
+        `_fetch`)."""
+        # one bytes object per page, then one join: no batch allocates a
+        # large buffer more than once, which costs page faults in a short run
+        return np.frombuffer(b"".join(self._fetch(ids)), np.uint8).reshape(-1, self.page_size)
+
+    def _fetch(self, ids) -> list[bytes]:
+        """Images of the pages ids, in order, one bytes object each. A
+        resident page is a hit; any other is one counted read_page call, and
+        is admitted to the ledger while it has room."""
         ids = np.asarray(ids, np.int64).reshape(-1)
         if len(ids) and (ids.min() < 0 or ids.max() >= self._npages):
             bad = ids[(ids < 0) | (ids >= self._npages)][0]
@@ -191,16 +233,13 @@ class PageStore:
         frames = self._frames
         parts = [frames[s] if s >= 0 else self.read_page(p) for p, s in zip(ids.tolist(), slot.tolist())]
         miss = np.flatnonzero(slot < 0)
-        # one bytes object per page, then one join: no batch allocates a
-        # large buffer more than once, which costs page faults in a short run
-        images = np.frombuffer(b"".join(parts), np.uint8).reshape(-1, self.page_size)
         self.pages_hit += len(ids) - len(miss)
         room = self._room()
         if room > 0:
             # the first copy of each missed page, in the order read
             take = miss[np.sort(np.unique(ids[miss], return_index=True)[1])[:room]]
             self._admit(ids[take], [parts[i] for i in take.tolist()])
-        return images
+        return parts
 
     def _admit(self, ids, images: list[bytes]) -> None:
         """Keep the images of the pages ids (one id, or an array of distinct
@@ -216,16 +255,8 @@ class PageStore:
 
     def read_records(self, ids, dtype) -> np.ndarray:
         """The counted records of the pages ids, concatenated in order, as
-        one read-only array. A count that overflows its page is corrupt."""
-        dtype = np.dtype(dtype)
-        images = self.read_pages(ids)
-        nbytes = record_counts(images) * dtype.itemsize
-        over = np.flatnonzero(nbytes > self.page_size - PAGE_HEADER)
-        if len(over):
-            raise CorruptPageError(f"{self.path}: the record count of page {ids[over[0]]} overflows it")
-        flat = memoryview(images.reshape(-1))
-        starts = range(PAGE_HEADER, flat.nbytes, self.page_size)
-        return np.frombuffer(b"".join([flat[a : a + n] for a, n in zip(starts, nbytes.tolist())]), dtype)
+        one read-only array, parsed by `page_records`."""
+        return page_records(self._fetch(ids), dtype, self.path, ids)
 
     def read_spans(self, starts: np.ndarray, ends: np.ndarray, dtype):
         """The pages covering the entry spans [starts[i], ends[i]) of a vector
@@ -235,9 +266,9 @@ class PageStore:
         Reads each covering page once, in ascending order. A span past the
         last page is an address error, and a page whose record count does
         not reach its last wanted entry is corrupt.
-        Returns (pages, images, slots, at): the page ids, their images as
-        read, their record slots as a read-only [pages, capacity] view of
-        the images, which copies nothing, and each span's offset into the
+        Returns (pages, counts, slots, at): the page ids, their record
+        counts, their record slots as a read-only [pages, capacity] view of
+        the images read, which copies nothing, and each span's offset into the
         slots taken row after row, so span i is slots.reshape(-1)[at[i]:
         at[i] + ends[i] - starts[i]] and its first entry slots[divmod(at[i],
         capacity)].
@@ -260,7 +291,7 @@ class PageStore:
             raise CorruptPageError(f"{self.path}: page {pages[i]} holds {counts[i]} entries, entry {wanted[i] - 1} wanted")
         slots = images[:, PAGE_HEADER : PAGE_HEADER + cap * dtype.itemsize].view(dtype)
         at = (np.searchsorted(pages, first) - first) * cap + starts
-        return pages, images, slots, at
+        return pages, counts, slots, at
 
     def read_vector(self, n: int, dtype) -> np.ndarray:
         """The whole vector of n dtype records as one writable array, read as
@@ -274,8 +305,8 @@ class PageStore:
         need = -(-n // cap)
         if self._npages != need:
             raise CorruptPageError(f"{self.path}: {self._npages} pages for {n} records, not {need}")
-        _, images, slots, _ = self.read_spans(np.zeros(1, np.int64), np.full(1, n, np.int64), dtype)
-        over = np.flatnonzero(record_counts(images) > np.minimum(n - np.arange(need) * cap, cap))
+        _, counts, slots, _ = self.read_spans(np.zeros(1, np.int64), np.full(1, n, np.int64), dtype)
+        over = np.flatnonzero(counts > np.minimum(n - np.arange(need) * cap, cap))
         if len(over):
             raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
         return slots.copy().reshape(-1)[:n]

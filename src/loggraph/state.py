@@ -8,8 +8,9 @@ color tables) also get aux tables, with caps[v] the in-degree of v.
 
 Checkout reads each page covering the rows of a vertex set once, in
 ascending order, through `PageStore.read_spans`, and hands out the rows as
-one flat entry array; commit writes back only the pages covering rows whose
-entries changed, through `PageStore.write_back`, which holds a resident
+one flat entry array; commit builds the whole images of only the pages
+covering rows whose entries changed, in one `pager.page_images` call, and
+writes them back through `PageStore.write_back`, which holds a resident
 page's change in memory until the store is closed.
 """
 
@@ -21,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pager import PAGE_HEADER, StoreRegistry, cover, page_capacity, ranges
+from .pager import StoreRegistry, cover, page_capacity, page_images, ranges
 
 
 class StateSlice:
@@ -30,28 +31,28 @@ class StateSlice:
     is entries.
 
     pages[j] is the id of checked-out page j in stores[store_of[j]], and
-    heads[j] its header as read; slots holds their record slots end to
-    end, page_capacity to a page, with row i's entries at
+    record_counts[j] its record count as read; slots holds their record
+    slots end to end, page_capacity to a page, with row i's entries at
     slots[index[offsets[i]:offsets[i + 1]]]. Commit patches slots and
-    writes pages back from it, each with its header and a zero tail, as
-    `pack_pages` lays them out.
+    writes back the whole images of the pages it changed.
     """
 
-    def __init__(self, stores, ids, offsets, store_of, pages, heads, slots, index):
+    def __init__(self, stores, ids, offsets, store_of, pages, record_counts, slots, index):
         self._stores = stores
         self.ids = ids
         self.offsets = offsets
         self._store_of = store_of
         self._pages = pages
-        self._heads = heads
+        self.record_counts = record_counts
         # the slots as opaque void items: whole entries move fastest so
         self._voids = slots.view(np.dtype((np.void, slots.itemsize)))
         self._index = index
         self.entries = self.rows = self._voids[index].view(slots.dtype)
 
     def commit(self) -> None:
-        """Write back, in page order through `PageStore.write_back`, every
-        page covering a row whose entries changed, each once."""
+        """Write back, in page order through `PageStore.write_back`, the
+        image of every page covering a row whose entries changed, each once;
+        the images are built in one `page_images` call."""
         width = self._voids.itemsize
         word = np.dtype(f"u{math.gcd(width, 8)}")  # entries compare a word column at a time
         now = self.entries.view(word).reshape(-1, width // word.itemsize)
@@ -66,9 +67,8 @@ class StateSlice:
         first = self._index[self.offsets[rows]] // cap
         dirty = cover(first, self._index[self.offsets[rows + 1] - 1] // cap + 1)
         regions = self._voids.view(np.uint8).reshape(len(self._pages), -1)
-        tail = bytes(page_size - PAGE_HEADER - cap * width)
-        for j in dirty.tolist():
-            image = self._heads[j].tobytes() + regions[j].tobytes() + tail
+        images = page_images([regions[j] for j in dirty.tolist()], self.record_counts[dirty].tolist(), page_size)
+        for j, image in zip(dirty.tolist(), images):
             self._stores[self._store_of[j]].write_back(int(self._pages[j]), image)
 
 
@@ -98,7 +98,6 @@ class VertexStateStore:
         self.state_dtype = np.dtype(state_dtype)
         self.state_width = self.state_dtype.itemsize
         self.page_size = registry.page_size
-        self.cap = page_capacity(self.page_size, self.state_width)
         self.stores = []
         self.aux_entry_dtype = np.dtype(aux_entry_dtype) if aux_entry_dtype is not None else None
         self.aux_stores = []
@@ -146,7 +145,7 @@ class VertexStateStore:
         starts = start[ids]
         ends = starts + lens
         reads = [store.read_spans(starts[a:b], ends[a:b], dtype) for store, a, b in zip(stores, cut[:-1], cut[1:])]
-        pages, images, slots, at = zip(*reads)
+        pages, counts, slots, at = zip(*reads)
         shift = np.cumsum([0] + [s.size for s in slots])
         at = np.concatenate(at) + np.repeat(shift[:-1], [len(a) for a in at])
         offsets = np.zeros(len(ids) + 1, np.int64)
@@ -157,7 +156,7 @@ class VertexStateStore:
             offsets,
             np.repeat(np.arange(len(stores)), [len(p) for p in pages]),
             np.concatenate(pages),
-            np.concatenate([image[:, :PAGE_HEADER] for image in images]),
+            np.concatenate(counts),
             # a byte join: np.concatenate of structured arrays copies field by field
             np.concatenate([s.view(np.uint8) for s in slots]).reshape(-1).view(dtype),
             at if caps is None else ranges(at, lens),

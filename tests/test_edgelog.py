@@ -3,8 +3,8 @@ import pytest
 
 from loggraph import csr
 from loggraph.edgelog import INEFFICIENT_THRESHOLD, EdgeLog, inefficient, log_candidates
-from loggraph.errors import CorruptPageError
-from loggraph.pager import PAGE_HEADER, StoreRegistry
+from loggraph.errors import ContractViolation, CorruptPageError
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, StoreRegistry
 
 from util import adjacency, build_graph, ledger_off, random_graph, ring_graph, rows_of
 
@@ -122,6 +122,29 @@ def test_degree_field_disagreeing_with_index_is_corruption(tmp_path):
     store.write_page(0, bytes(page))
     with pytest.raises(CorruptPageError):
         el.fetch_batch([7])
+
+
+def test_a_page_whose_count_misses_an_entry_is_corruption(tmp_path):
+    el, _ = make_log(tmp_path)
+    el.maybe_log(view(1, [2, 3]))  # records 0-3
+    el.maybe_log(view(7, [5, 9, 11]))  # records 4-8
+    el.begin_superstep(1)
+    store = el._consumable[2]
+    page = bytearray(store.read_page(0))
+    PAGE_COUNT.pack_into(page, 0, 6)  # 9 -> 6: cuts vertex 7's entry
+    store.write_page(0, bytes(page))
+    assert rows_of(el.fetch_batch([1])) == {1: [2, 3]}
+    with pytest.raises(CorruptPageError, match="page 0 holds 6 entries, entry 8 wanted"):
+        el.fetch_batch([1, 7])
+
+
+def test_fetch_of_an_unindexed_vertex_is_a_contract_violation(tmp_path):
+    el, _ = make_log(tmp_path)
+    el.maybe_log(view(3, [1]))
+    el.begin_superstep(1)
+    for vids in ([4], [2, 3], [3, 4]):
+        with pytest.raises(ContractViolation, match="unindexed vertex"):
+            el.fetch_batch(vids)
 
 
 def test_consumed_log_discarded_after_rotation(tmp_path):

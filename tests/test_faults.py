@@ -86,6 +86,18 @@ def test_a_count_overflowing_a_log_page_is_corrupt(tmp_path):
         read_log_records(handle, FMT16)
 
 
+def test_a_count_overflowing_a_resident_tail_page_is_corrupt(tmp_path):
+    # the tail is parsed by the parser that reads the pages on disk
+    mlog = MultiLog([0, 4], FMT16, StoreRegistry(256), str(tmp_path / "logs"), 64 * 256)
+    for i in range(40):
+        mlog.send(i % 4, 0, i)
+    handle = mlog.seal().handles[0]
+    PAGE_COUNT.pack_into(handle.tail[1], 0, 0xFFFF)
+    with pytest.raises(CorruptPageError, match="interval 0 tail: the record count of page 1 overflows it"):
+        read_log_records(handle, FMT16)
+    mlog.close()
+
+
 @pytest.mark.parametrize("vector", ["rowptr", "colidx"])
 def test_a_count_overflowing_a_csr_page_is_corrupt(tmp_path, vector):
     src, dst = ring_graph(100)

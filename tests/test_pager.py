@@ -129,8 +129,10 @@ def vector(store, n):
 def spans(store, starts, ends):
     """read_spans of [starts[i], ends[i]) over 8-byte records: the page ids
     and each span's entries."""
-    pages, images, slots, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
-    assert [row.tobytes() for row in images] == [store.read_page(p) for p in pages.tolist()]
+    pages, counts, slots, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
+    images = np.frombuffer(b"".join(store.read_page(p) for p in pages.tolist()), np.uint8).reshape(-1, 256)
+    assert counts.tolist() == record_counts(images).tolist()
+    assert slots.tobytes() == images[:, PAGE_HEADER : PAGE_HEADER + slots.shape[1] * 8].tobytes()
     flat = slots.reshape(-1)
     return pages.tolist(), [flat[a : a + e - s].tolist() for a, s, e in zip(at, starts, ends)]
 

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 
-from loggraph.pager import PageStore, StoreRegistry
+from loggraph.pager import PageStore, StoreRegistry, pack_pages, page_capacity
 from loggraph.state import VertexStateStore
 
 DT = np.dtype([("a", "<u4"), ("b", "<f8")])
@@ -43,7 +43,7 @@ def test_commit_without_changes_writes_nothing(tmp_path):
 
 def test_checkout_pages_read_once_per_call(tmp_path):
     st, reg = make_store(tmp_path)
-    cap = st.cap
+    cap = page_capacity(st.page_size, st.state_width)
     before = reg.totals()["state"][0]
     st.checkout(np.arange(min(cap, 25)))  # all in the first page of interval 0
     assert reg.totals()["state"][0] - before == 1
@@ -106,6 +106,11 @@ def test_aux_spans_cross_pages(tmp_path):
     back = st.checkout_aux(np.arange(50))
     for i in range(50):
         assert (table(back, i)["val"] == i).all()
+    # every page written back is laid out as the packer lays it out
+    for k, store in enumerate(st.aux_stores):
+        want = np.zeros(25 * 9, AUX_DT)
+        want["val"] = np.repeat(np.arange(25 * k, 25 * k + 25), 9)
+        assert store.read_pages(range(store.num_pages)).tobytes() == pack_pages(want.tobytes(), 8, 128).tobytes()
 
 
 def test_aux_checkout_reads_each_covering_page_once_in_order(tmp_path, monkeypatch):
