@@ -61,11 +61,12 @@ def _app_kwargs(args) -> dict:
     return kw
 
 
-def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, meta) -> dict:
+def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, graph: GraphDir) -> dict:
     """The run's JSON report. Its totals count the pages of the whole run,
     also those moved outside any superstep: the state file's creation, the
     run-end merges, the final state read and the write-back of dirty
     pages."""
+    meta = graph.meta
     return {
         "app": app_name,
         "app_args": dict(sorted(app_kwargs.items())),
@@ -73,7 +74,7 @@ def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, met
         "dataset_hash": meta.dataset_hash,
         "graph": {
             "num_vertices": meta.num_vertices,
-            "num_edges": meta.num_edges,
+            "num_edges": graph.num_edges,
             "num_intervals": meta.num_intervals,
         },
         "supersteps": [st.to_dict() for st in result.stats],
@@ -98,8 +99,8 @@ def cmd_convert(args) -> int:
         record_size=args.record_size,
         undirected=args.undirected,
     ) as graph:
-        meta = graph.meta
-    print(json.dumps({"out": args.out, **meta.to_dict()}, sort_keys=True, indent=2))
+        info = {"out": args.out, **graph.meta.to_dict(), "num_edges": graph.num_edges}
+    print(json.dumps(info, sort_keys=True, indent=2))
     return 0
 
 
@@ -118,7 +119,7 @@ def cmd_run(args) -> int:
         finally:
             if tmp is not None:
                 tmp.cleanup()
-    report = build_report(result, cfg, args.app, kwargs, graph.meta)
+    report = build_report(result, cfg, args.app, kwargs, graph)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.report:
         with open(args.report, "w") as f:
@@ -211,6 +212,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _spread(values: np.ndarray) -> dict:
+    if len(values) == 0:
+        return {"min": 0, "max": 0, "mean": 0.0}
+    return {"min": int(values.min()), "max": int(values.max()), "mean": float(values.mean())}
+
+
 def cmd_stats(args) -> int:
     with GraphDir(args.graph) as graph:
         indeg = graph.in_degrees()
@@ -222,18 +229,10 @@ def cmd_stats(args) -> int:
             rp = part.full_rowptr()
             outdeg[part.lo : part.hi] = np.diff(rp)
     info = {
-        "meta": graph.meta.to_dict(),
+        "meta": {**graph.meta.to_dict(), "num_edges": int(indeg.sum())},
         "pages": pages,
-        "out_degree": {
-            "min": int(outdeg.min()) if len(outdeg) else 0,
-            "max": int(outdeg.max()) if len(outdeg) else 0,
-            "mean": float(outdeg.mean()) if len(outdeg) else 0.0,
-        },
-        "in_degree": {
-            "min": int(indeg.min()) if len(indeg) else 0,
-            "max": int(indeg.max()) if len(indeg) else 0,
-            "mean": float(indeg.mean()) if len(indeg) else 0.0,
-        },
+        "out_degree": _spread(outdeg),
+        "in_degree": _spread(indeg),
     }
     print(json.dumps(info, sort_keys=True, indent=2))
     return 0

@@ -28,8 +28,8 @@ only a copy that the stored rows or an earlier insertion left. So a run of
 ops applied in one batch, or split into consecutive batches, leaves the
 same rows and warnings, and when the engine merges its pending ops cannot
 change a result. The engine's overlay applies them to a fetched batch, and
-`merge_structural_updates` to a whole interval, rewriting its files and
-the graph's edge counts in meta.json and indeg.bin. It sorts only the ops
+`merge_structural_updates` to a whole interval, rewriting its two files
+and indeg.bin; meta.json does not change. It sorts only the ops
 and merges them into rows that are already ascending, as the CSR stores
 them, and it checks that they are.
 """
@@ -49,14 +49,13 @@ ROWPTR_WIDTH = 8
 VID_WIDTH = 4
 ROWPTR_DT = np.dtype("<u8")
 VID_DT = np.dtype("<u4")
+INDEG_FILE = "indeg.bin"
 
 
 @dataclass
 class GraphMeta:
     num_vertices: int
-    num_edges: int
     interval_bounds: list[int]
-    interval_indeg: list[int]
     page_size: int
     record_size: int = 16
     dataset_hash: str = ""
@@ -281,14 +280,10 @@ class Adjacency:
         self._held = np.concatenate([self._held, rows.take()])
 
 
-def partition_vertices(
-    in_degrees: np.ndarray, update_record_size: int, sort_memory_budget: int
-) -> tuple[list[int], list[int]]:
-    """Greedy left-to-right packing of vertices into intervals.
-
-    Every vertex consumes at least one record of slack so empty intervals
-    never form. Returns (interval_bounds, per-interval in-degree sums).
-    """
+def partition_vertices(in_degrees: np.ndarray, update_record_size: int, sort_memory_budget: int) -> list[int]:
+    """Greedy left-to-right packing of vertices into intervals; returns the
+    interval bounds. Every vertex consumes at least one record of slack so
+    empty intervals never form."""
     in_degrees = np.asarray(in_degrees, dtype=np.int64)
     n = len(in_degrees)
     weights = np.maximum(in_degrees, 1) * update_record_size
@@ -302,10 +297,26 @@ def partition_vertices(
     bounds = [0]
     while bounds[-1] < n:
         bounds.append(int(np.searchsorted(prefix, prefix[bounds[-1]] + sort_memory_budget, side="right")) - 1)
-    if n == 0:
-        bounds = [0, 0]
-    indeg_sums = np.diff(np.concatenate([[0], np.cumsum(in_degrees)])[bounds]).tolist()
-    return bounds, indeg_sums
+    return bounds if n else [0, 0]
+
+
+def part_path(graph_path: str, k: int, vector: str) -> str:
+    """The file of interval k's "rowptr" or "colidx" vector."""
+    return os.path.join(graph_path, f"part{k}.{vector}")
+
+
+def write_interval(registry: StoreRegistry, graph_path: str, k: int, rowptr: np.ndarray, colidx: np.ndarray):
+    """Write interval k's rowPtr and colIdx files; returns their stores, open."""
+    rp_store = registry.open(part_path(graph_path, k, "rowptr"), "csr")
+    rp_store.append_records(np.asarray(rowptr, ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
+    ci_store = registry.open(part_path(graph_path, k, "colidx"), "csr")
+    ci_store.append_records(np.asarray(colidx, VID_DT).tobytes(), VID_WIDTH)
+    return rp_store, ci_store
+
+
+def write_in_degrees(graph_path: str, in_degrees: np.ndarray) -> None:
+    """Write indeg.bin: every vertex's in-degree as uint32."""
+    np.asarray(in_degrees).astype(VID_DT).tofile(os.path.join(graph_path, INDEG_FILE))
 
 
 class Partition:
@@ -315,10 +326,8 @@ class Partition:
         self.k = k
         self.lo, self.hi = graph_dir.meta.interval_range(k)
         reg = graph_dir.registry
-        base = graph_dir.path
-        self.rowptr = reg.open(os.path.join(base, f"part{k}.rowptr"), "csr", create=False)
-        self.colidx = reg.open(os.path.join(base, f"part{k}.colidx"), "csr", create=False)
-        self.cap_rp = page_capacity(graph_dir.meta.page_size, ROWPTR_WIDTH)
+        self.rowptr = reg.open(part_path(graph_dir.path, k, "rowptr"), "csr", create=False)
+        self.colidx = reg.open(part_path(graph_dir.path, k, "colidx"), "csr", create=False)
         self.cap_ci = page_capacity(graph_dir.meta.page_size, VID_WIDTH)
 
     def full_rowptr(self) -> np.ndarray:
@@ -339,7 +348,9 @@ class Partition:
 
 
 class GraphDir:
-    """A converted graph on disk: meta.json plus per-interval part files."""
+    """A converted graph on disk: meta.json, written once at convert, each
+    interval's two files (`write_interval`) and indeg.bin, whose sum is the
+    edge count (`write_in_degrees`). A missing one is a `MissingStoreError`."""
 
     def __init__(self, path: str, registry: StoreRegistry | None = None):
         self.path = path
@@ -350,6 +361,7 @@ class GraphDir:
             raise ContractViolation(
                 f"registry page size {self.registry.page_size} != graph {self.meta.page_size}"
             )
+        self._indeg_file()
         try:
             self.partitions = [Partition(self, k) for k in range(self.meta.num_intervals)]
         except MissingStoreError:
@@ -370,33 +382,31 @@ class GraphDir:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def in_degrees(self) -> np.ndarray:
-        p = os.path.join(self.path, "indeg.bin")
-        if os.path.exists(p):
-            size, n = os.path.getsize(p), self.meta.num_vertices
-            if size != n * VID_DT.itemsize:
-                raise CorruptPageError(f"{p}: {size} bytes, not {n} in-degrees")
-            return np.fromfile(p, dtype=VID_DT).astype(np.int64)
-        deg = np.zeros(self.meta.num_vertices, np.int64)
-        for _, dst in self.iter_partition_edges():
-            np.add.at(deg, dst, 1)
-        return deg
+    def _indeg_file(self) -> str:
+        """The path of indeg.bin, checked to hold one in-degree per vertex."""
+        path, n = os.path.join(self.path, INDEG_FILE), self.meta.num_vertices
+        try:
+            size = os.path.getsize(path)
+        except FileNotFoundError:
+            raise MissingStoreError(f"{path}: no in-degree file") from None
+        if size != n * VID_DT.itemsize:
+            raise CorruptPageError(f"{path}: {size} bytes, not {n} in-degrees")
+        return path
 
-    def iter_partition_edges(self):
-        """Yield (src, dst) arrays per interval, in interval order."""
-        for part in self.partitions:
-            rp, ci = part.full_csr()
-            counts = np.diff(rp)
-            src = np.repeat(np.arange(part.lo, part.hi, dtype=VID_DT), counts)
-            yield src, ci
+    def in_degrees(self) -> np.ndarray:
+        return np.fromfile(self._indeg_file(), dtype=VID_DT).astype(np.int64)
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.in_degrees().sum())
 
     def all_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        srcs, dsts = [], []
-        for s, d in self.iter_partition_edges():
-            srcs.append(s)
-            dsts.append(d)
-        if not srcs:
-            return np.zeros(0, VID_DT), np.zeros(0, VID_DT)
+        """Every edge as (src, dst) arrays, in interval order."""
+        srcs, dsts = [np.zeros(0, VID_DT)], [np.zeros(0, VID_DT)]
+        for part in self.partitions:
+            rp, ci = part.full_csr()
+            srcs.append(np.repeat(np.arange(part.lo, part.hi, dtype=VID_DT), np.diff(rp)))
+            dsts.append(ci)
         return np.concatenate(srcs), np.concatenate(dsts)
 
 
@@ -435,15 +445,9 @@ def build_partitions(
         counts = np.bincount(loc_src, minlength=hi - lo)
         rowptr = np.zeros(hi - lo + 1, ROWPTR_DT)
         np.cumsum(counts, out=rowptr[1:])
-        colidx = dst[a:b].astype(VID_DT)
-
-        rp_store = registry.open(os.path.join(out_dir, f"part{k}.rowptr"), "csr")
-        rp_store.append_records(rowptr.tobytes(), ROWPTR_WIDTH)
-        ci_store = registry.open(os.path.join(out_dir, f"part{k}.colidx"), "csr")
-        ci_store.append_records(colidx.tobytes(), VID_WIDTH)
         # GraphDir opens the files again; drop keeps their traffic in totals()
-        registry.drop(rp_store, "csr")
-        registry.drop(ci_store, "csr")
+        for store in write_interval(registry, out_dir, k, rowptr, dst[a:b]):
+            registry.drop(store, "csr")
 
 
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
@@ -586,33 +590,20 @@ def apply_ops(
 
 def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     """Rewrite interval k's CSR vectors applying one batch of structural ops
-    (see `apply_ops`), and meta.json and indeg.bin to match; returns the
-    count of deletions of absent edges."""
-    meta = graph.meta
-    part = graph.partitions[k]
+    (see `apply_ops`), and indeg.bin to match; returns the count of
+    deletions of absent edges."""
+    n, part = graph.meta.num_vertices, graph.partitions[k]
     dst = ops[ops[:, 0] == ADD_EDGE, 2]
-    bad = dst[(dst < 0) | (dst >= meta.num_vertices)]
+    bad = dst[(dst < 0) | (dst >= n)]
     if len(bad):
-        raise IngestError(f"insert destination {int(bad[0])} outside [0, {meta.num_vertices})")
+        raise IngestError(f"insert destination {int(bad[0])} outside [0, {n})")
     rp, old = part.full_csr()
     rowptr, colidx, warnings, gone, ins = apply_ops(np.arange(part.lo, part.hi), rp, old, ops)
+    in_degrees = graph.in_degrees() + np.bincount(ins, minlength=n) - np.bincount(gone, minlength=n)
 
     reg = graph.registry
     reg.drop(part.rowptr, "csr", unlink=True)
     reg.drop(part.colidx, "csr", unlink=True)
-    rp_store = reg.open(os.path.join(graph.path, f"part{k}.rowptr"), "csr")
-    rp_store.append_records(rowptr.astype(ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
-    ci_store = reg.open(os.path.join(graph.path, f"part{k}.colidx"), "csr")
-    ci_store.append_records(colidx.tobytes(), VID_WIDTH)
-    part.rowptr, part.colidx = rp_store, ci_store
-    n = meta.num_vertices
-    change = np.bincount(ins, minlength=n) - np.bincount(gone, minlength=n)
-    below = np.concatenate([[0], np.cumsum(change)])[meta.interval_bounds]
-    meta.interval_indeg = (np.array(meta.interval_indeg) + np.diff(below)).tolist()
-    meta.num_edges += len(colidx) - len(old)
-    meta.save(graph.path)
-    path = os.path.join(graph.path, "indeg.bin")
-    # without indeg.bin, in_degrees counts the rewritten CSR itself
-    if os.path.exists(path):
-        (graph.in_degrees() + change).astype(VID_DT).tofile(path)
+    part.rowptr, part.colidx = write_interval(reg, graph.path, k, rowptr, colidx)
+    write_in_degrees(graph.path, in_degrees)
     return warnings

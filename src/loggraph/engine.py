@@ -247,6 +247,22 @@ class VertexProgram:
 
 @dataclass
 class SuperstepStats:
+    """What one superstep did and moved. Per page class, the merges at its end
+    included: reads and writes (pages read from and written to storage), hits
+    (page reads the ledger served) and evicted (pages it gave back).
+    messages_sent counts sends, before any fold at the sender; runtime (wall
+    seconds) stays out of `to_dict`. prediction_accuracy: the share of the
+    active vertices active in the superstep before, None at superstep 0 or
+    with none active. Peaks in bytes: sort_resident_peak of the largest load a
+    pass sorted or combined, multilog_resident_peak of the open multi-log
+    pages and accumulators after eviction, resident_peak of the ledger.
+    edgelog_bytes and edgelog_logged are what was logged, edgelog_served the
+    rows served, edgelog_read_peak the page bytes of the largest fetch; all 0
+    without an edge log.
+    csr_pages_accessed counts the colIdx pages the fetched rows span, not the
+    pages read (a take reads only what it wants), and csr_pages_inefficient
+    those the rows fill below `edgelog.INEFFICIENT_THRESHOLD`."""
+
     superstep: int
     active_vertices: int
     messages_sent: int

@@ -62,9 +62,9 @@ def convert(
 ) -> csr.GraphDir:
     """Build a partitioned CSR graph directory from an edge-list file.
 
-    Writes part files, meta.json, indeg.bin and mapping.tsv (dense id ->
-    original id). With undirected=True every edge is materialized in both
-    directions (self-loops stay single).
+    Writes the graph files (see `convert_arrays`) and mapping.tsv (dense id
+    -> original id). With undirected=True every edge is materialized in
+    both directions (self-loops stay single).
     """
     src, dst = parse_edge_list(input_path)
     src, dst, original_ids = relabel_dense(src, dst)
@@ -93,17 +93,15 @@ def convert_arrays(
     registry: StoreRegistry | None = None,
     dataset_hash: str = "",
 ) -> csr.GraphDir:
-    """Convert in-memory dense-id edge arrays: part files, meta.json and
-    indeg.bin. `convert` reaches it once the ids are dense."""
+    """Convert in-memory dense-id edge arrays: the interval files, the
+    in-degrees and meta.json, which nothing writes again. `convert`
+    reaches it once the ids are dense."""
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
     in_deg = np.bincount(dst, minlength=num_vertices).astype(np.int64)
-    bounds, indeg_sums = csr.partition_vertices(in_deg, record_size, sort_budget)
     meta = csr.GraphMeta(
         num_vertices=num_vertices,
-        num_edges=len(src),
-        interval_bounds=bounds,
-        interval_indeg=indeg_sums,
+        interval_bounds=csr.partition_vertices(in_deg, record_size, sort_budget),
         page_size=page_size,
         record_size=record_size,
         dataset_hash=dataset_hash or f"inline-{len(src)}-{num_vertices}",
@@ -111,6 +109,6 @@ def convert_arrays(
     os.makedirs(out_dir, exist_ok=True)
     registry = registry or StoreRegistry(page_size)
     csr.build_partitions(src, dst, meta, registry, out_dir)
+    csr.write_in_degrees(out_dir, in_deg)
     meta.save(out_dir)
-    in_deg.astype(np.uint32).tofile(os.path.join(out_dir, "indeg.bin"))
     return csr.GraphDir(out_dir, registry)

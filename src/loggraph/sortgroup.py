@@ -193,8 +193,8 @@ def iter_plan_sorted(
     destination (`apply_combine`). One pass covers the plan's vertex range;
     a plan whose single interval overflows the sort budget takes several
     dest-partitioned passes, which together cover it, an empty bucket
-    included. Each pass re-reads the log but keeps only its own destination
-    bucket in memory.
+    included. Each pass loads the whole log (`load_log`) and then masks it
+    to its own bucket, so each holds the whole log (see ROADMAP item 6).
 
     release(handles), when given, gets the plan's log handles right after
     their last load, before that pass is yielded, so the multi-log can free
@@ -203,19 +203,8 @@ def iter_plan_sorted(
     hi = bounds[plan.intervals[-1] + 1]
     handles = [manifest.handles[k] for k in plan.intervals]
 
-    def group(records, a, b):
-        if on_resident is not None:
-            on_resident(records.nbytes)
-        return sort_n_group(records) if combine is None else apply_combine(records, a, b, combine, fmt)
-
-    if plan.passes == 1:
-        records = load_log(plan, manifest, fmt)
-        if release is not None:
-            release(handles)
-        check_dest_range(records, lo, hi)
-        yield lo, hi, group(records, lo, hi)
-        return
-    assert len(plan.intervals) == 1
+    # a one-pass plan is the one bucket [lo, hi)
+    assert plan.passes == 1 or len(plan.intervals) == 1
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
     buckets = split_dest_range(lo, hi, deg, plan.passes)
     for i, (a, b) in enumerate(buckets):
@@ -223,5 +212,8 @@ def iter_plan_sorted(
         if release is not None and i == len(buckets) - 1:
             release(handles)
         check_dest_range(records, lo, hi)
-        keep = (records["dest"] >= a) & (records["dest"] < b)
-        yield a, b, group(records[keep], a, b)
+        if len(buckets) > 1:
+            records = records[(records["dest"] >= a) & (records["dest"] < b)]
+        if on_resident is not None:
+            on_resident(records.nbytes)
+        yield a, b, sort_n_group(records) if combine is None else apply_combine(records, a, b, combine, fmt)

@@ -30,9 +30,10 @@ def convert_g6(tmp_path, g6_file):
 
 def test_convert_skips_comments_and_counts(tmp_path, g6_file, capsys):
     out = convert_g6(tmp_path, g6_file)
+    assert json.loads(capsys.readouterr().out)["num_edges"] == 12  # both directions
     meta = json.loads(Path(os.path.join(out, "meta.json")).read_text())
+    assert sorted(meta) == ["dataset_hash", "interval_bounds", "num_vertices", "page_size", "record_size"]
     assert meta["num_vertices"] == 6
-    assert meta["num_edges"] == 12  # both directions
     assert meta["interval_bounds"] == [0, 3, 6]
     assert os.path.exists(os.path.join(out, "mapping.tsv"))
 
@@ -219,7 +220,7 @@ def test_report_totals_count_the_pages_moved_outside_supersteps(tmp_path):
     before = g.registry.totals()
     result = run_app(g, KCore(k=4), config, str(tmp_path / "run"))
     after = g.registry.totals()
-    totals = build_report(result, config, "kcore", {"k": 4}, g.meta)["totals"]
+    totals = build_report(result, config, "kcore", {"k": 4}, g)["totals"]
     assert totals["reads"] == {c: after[c][0] - before[c][0] for c in after}
     assert totals["writes"] == {c: after[c][1] - before[c][1] for c in after}
     assert totals["writes"]["csr"] > 0 and sum(st.writes["csr"] for st in result.stats) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loggraph import csr, pager
-from loggraph.errors import ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
+from loggraph.errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
@@ -14,9 +14,7 @@ from util import adjacency, adjacency_lists, both_directions, build_graph, op_ro
 
 
 def test_partition_exact_packing():
-    bounds, sums = csr.partition_vertices(np.array([1, 1, 1, 1]), 16, 32)
-    assert bounds == [0, 2, 4]
-    assert sums == [2, 2]
+    assert csr.partition_vertices(np.array([1, 1, 1, 1]), 16, 32) == [0, 2, 4]
 
 
 def test_partition_oversized_vertex_names_culprit():
@@ -39,8 +37,7 @@ def test_partition_ring_by_prefix_sum_oracle():
         else:
             acc += w
     expect.append(6)
-    bounds, _ = csr.partition_vertices(indeg, record, budget)
-    assert bounds == expect == [0, 3, 6]
+    assert csr.partition_vertices(indeg, record, budget) == expect == [0, 3, 6]
 
 
 def greedy_partition(in_degrees, record, budget):
@@ -69,14 +66,12 @@ def test_partition_matches_the_greedy_loop():
         cases.append((indeg, budget))
     cases.append((np.minimum(rng.zipf(1.7, 1 << 16), 5000), 3 << 20))
     for indeg, budget in cases:
-        bounds, sums = csr.partition_vertices(indeg, 16, budget)
-        assert bounds == greedy_partition(indeg, 16, budget)
-        assert sums == [int(indeg[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+        assert csr.partition_vertices(indeg, 16, budget) == greedy_partition(indeg, 16, budget)
 
 
 def test_partition_zero_degree_consumes_slack():
     # 3 isolated vertices, one record each: budget of 2 records -> 2 intervals
-    bounds, _ = csr.partition_vertices(np.zeros(3, int), 16, 32)
+    bounds = csr.partition_vertices(np.zeros(3, int), 16, 32)
     assert bounds == [0, 2, 3]
     assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -104,7 +99,7 @@ def test_build_duplicate_edges_preserved(tmp_path):
 
 
 def test_build_out_of_range_rejected(tmp_path):
-    meta = csr.GraphMeta(2, 1, [0, 2], [1], 256)
+    meta = csr.GraphMeta(2, [0, 2], 256)
     from loggraph.pager import StoreRegistry
 
     with pytest.raises(IngestError):
@@ -215,12 +210,13 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
     assert g.meta.num_intervals > 1
     adj = adjacency_lists(src, dst, n)
     useful, rp_pages, rows_on = {}, set(), {}
+    cap_rp = page_capacity(256, csr.ROWPTR_WIDTH)
     for v in active.tolist():
         k = g.meta.interval_of(v)
         part = g.partitions[k]
         rp = part.full_rowptr()
         local = v - part.lo
-        rp_pages |= {(k, local // part.cap_rp), (k, (local + 1) // part.cap_rp)}
+        rp_pages |= {(k, local // cap_rp), (k, (local + 1) // cap_rp)}
         for e in range(int(rp[local]), int(rp[local + 1])):
             key = (k, e // part.cap_ci)
             useful[key] = useful.get(key, 0) + csr.VID_WIDTH
@@ -604,11 +600,44 @@ def test_a_take_answers_with_its_own_entries(tmp_path):
 def set_rowptr_entry(g, entry, value):
     """Overwrite rowPtr entry `entry` of interval 0 with `value`."""
     store = g.partitions[0].rowptr
-    cap = g.partitions[0].cap_rp
+    cap = page_capacity(g.meta.page_size, csr.ROWPTR_WIDTH)
     page = bytearray(store.read_page(entry // cap))
     at = PAGE_HEADER + entry % cap * csr.ROWPTR_WIDTH
     page[at : at + csr.ROWPTR_WIDTH] = np.array(value, csr.ROWPTR_DT).tobytes()
     store.write_page(entry // cap, bytes(page))
+
+
+def test_load_adjacency_rejects_a_row_past_the_colidx_store(tmp_path):
+    # rowPtr entry 10 ends row 9 at entry 1000, past the 100 entries of
+    # colIdx's 2 pages
+    g = truncated_graph(tmp_path, 10, None)
+    set_rowptr_entry(g, 10, 1000)
+    with pytest.raises(AddressError, match="entry 999 wanted from a store of 2 pages"):
+        csr.load_adjacency(g, np.array([8, 9]))
+
+
+@pytest.mark.parametrize("active", [[-1, 2], [2, 6]], ids=["negative", "past-the-end"])
+def test_load_adjacency_rejects_an_id_outside_the_graph(tmp_path, active):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    with pytest.raises(ContractViolation, match="out of range"):
+        csr.load_adjacency(g, np.array(active))
+
+
+def test_take_rejects_a_position_outside_the_batch(tmp_path):
+    # rows 1 and 4 of a 6-ring: [0, 2] and [3, 5], flat positions [0, 4)
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    adj, _ = csr.load_adjacency(g, np.array([1, 4]))
+    assert adj.take(np.array([0, 3])).tolist() == [0, 5]
+    for at in ([4], [-1], [0, 4]):
+        with pytest.raises(ContractViolation, match=r"outside the batch's \[0, 4\)"):
+            adj.take(np.array(at))
+
+
+def test_a_registry_of_another_page_size_cannot_open_the_graph(tmp_path):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    g.close()
+    with pytest.raises(ContractViolation, match="registry page size 512 != graph 256"):
+        csr.GraphDir(g.path, pager.StoreRegistry(512))
 
 
 @pytest.mark.parametrize("active", [[3], [2, 3], [3, 4, 9]])
@@ -637,11 +666,10 @@ def test_load_adjacency_rejects_rows_that_overlap(tmp_path, active, named):
     [(3, 55, "offset 4 is 40, after 55"), (0, 4, "offset 0 is 4")],
     ids=["decreasing", "not-from-zero"],
 )
-@pytest.mark.parametrize("caller", ["all_edges", "in_degrees", "merge"])
+@pytest.mark.parametrize("caller", ["all_edges", "merge"])
 def test_whole_vector_reads_reject_a_bad_rowptr(tmp_path, entry, value, named, caller):
     g = truncated_graph(tmp_path, 10, None)
     set_rowptr_entry(g, entry, value)
-    os.remove(os.path.join(g.path, "indeg.bin"))  # in_degrees falls back to the CSR
     with pytest.raises(CorruptPageError, match=named):
         if caller == "merge":
             csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 1)))
@@ -650,10 +678,9 @@ def test_whole_vector_reads_reject_a_bad_rowptr(tmp_path, entry, value, named, c
 
 
 @pytest.mark.parametrize("vector", ["rowptr", "colidx"])
-@pytest.mark.parametrize("caller", ["all_edges", "in_degrees", "merge"])
+@pytest.mark.parametrize("caller", ["all_edges", "merge"])
 def test_whole_vector_reads_reject_a_short_vector(tmp_path, vector, caller):
     g = truncated_graph(tmp_path, 100, vector)
-    os.remove(os.path.join(g.path, "indeg.bin"))  # in_degrees falls back to the CSR
     with pytest.raises(CorruptPageError):
         if caller == "merge":
             csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 1)))
@@ -662,10 +689,13 @@ def test_whole_vector_reads_reject_a_short_vector(tmp_path, vector, caller):
 
 
 def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):
-    src, dst = ring_graph(6)
-    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    # one interval of 100 vertices: 101 rowPtr entries and 200 colIdx entries
+    src, dst = ring_graph(100)
+    g = build_graph(tmp_path, src, dst, 100, page_size=256, sort_budget=20 * len(src))
     part = g.partitions[0]
-    assert part.cap_rp == page_capacity(256, 8)
+    assert g.meta.num_intervals == 1
+    assert part.rowptr.num_pages == -(-101 // page_capacity(256, 8))
+    assert part.colidx.num_pages == -(-200 // page_capacity(256, 4))
     assert part.cap_ci == page_capacity(256, 4)
 
 

@@ -4,6 +4,7 @@ hides a change to the file under it."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,27 +57,27 @@ def test_open_rejects_a_length_that_is_not_a_page_multiple(tmp_path):
         PageStore(path, 256, create=False)
 
 
-@pytest.mark.parametrize("damage", ["removed-colidx", "extra-interval"])
+@pytest.mark.parametrize("damage", ["removed-colidx", "extra-interval", "removed-indeg"])
 def test_opening_a_graph_with_a_missing_part_file_creates_nothing(tmp_path, damage):
+    # indeg.bin is required too: no code counts the in-degrees from the CSR
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     g.close()
-    if damage == "removed-colidx":
-        path = os.path.join(g.path, "part0.colidx")
+    if damage.startswith("removed"):
+        path = os.path.join(g.path, "part0.colidx" if damage == "removed-colidx" else "indeg.bin")
         os.remove(path)
     else:
         # meta.json names one interval past the part files
         k = g.meta.num_intervals
         g.meta.interval_bounds.append(6)
-        g.meta.interval_indeg.append(0)
         with open(os.path.join(g.path, "meta.json"), "w") as f:
             json.dump(g.meta.to_dict(), f)
         path = os.path.join(g.path, f"part{k}.rowptr")
-    before = sorted(os.listdir(g.path))
+    before = {name: Path(g.path, name).read_bytes() for name in os.listdir(g.path)}
     with pytest.raises(FileNotFoundError, match=os.path.basename(path)) as raised:
         GraphDir(g.path)
     assert isinstance(raised.value, errors.MissingStoreError)
-    assert sorted(os.listdir(g.path)) == before
+    assert {name: Path(g.path, name).read_bytes() for name in os.listdir(g.path)} == before
 
 
 def test_a_count_overflowing_a_log_page_is_corrupt(tmp_path):

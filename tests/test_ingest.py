@@ -45,3 +45,13 @@ def test_bad_weight_column_names_its_line(tmp_path, lines, line, text):
     with pytest.raises(IngestError, match=text) as err:
         convert(path, str(tmp_path / "g"), sort_budget=1 << 20, page_size=256)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("bad", ["3", "0 1 2.0 7"], ids=["one-column", "four-columns"])
+def test_a_line_of_one_or_four_columns_names_its_line(tmp_path, bad):
+    # the header comment is line 1
+    path = write_edges(tmp_path / "bad.txt", ["0 1", bad, "1 2"])
+    with pytest.raises(IngestError, match="line 3: expected 2 or 3 columns") as err:
+        convert(path, str(tmp_path / "g"), sort_budget=1 << 20, page_size=256)
+    assert err.value.line == 3
+    assert not os.path.exists(tmp_path / "g")

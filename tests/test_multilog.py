@@ -822,3 +822,13 @@ def test_a_combining_send_to_a_bad_destination_is_a_contract_violation(tmp_path,
         mlog.send_columns([np.r_[np.arange(40), dest], 0, 1.0, 0])
     assert mlog.total_appends == 0 and all(log.acc is None for log in mlog.logs)
     mlog.close()
+
+
+@pytest.mark.parametrize(
+    "row", [(-1, 0, 1.0), (1 << 32, 0, 1.0), (0, 1 << 40, 1.0)], ids=["negative-dest", "dest-past-uint32", "src-past-uint32"]
+)
+def test_pack_turns_an_overflow_into_a_contract_violation(row):
+    fmt = RecordFormat([("x", "<f4")])
+    assert fmt.pack([(0, 1, 2.0)])[["dest", "src"]].tolist() == [(0, 1)]
+    with pytest.raises(ContractViolation, match="does not fit the wire format"):
+        fmt.pack([(0, 1, 2.0), row])
