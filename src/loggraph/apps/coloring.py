@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..pager import ranges
+from ..pager import ranges, sorted_unique
 from .table import upsert
 
 
@@ -42,7 +42,7 @@ class Coloring(VertexProgram):
             live = ranges(batch.table_offsets[:-1], used)
             row = np.repeat(np.arange(len(batch)), used)
             lower = batch.table["src"][live] < batch.ids[row]
-            key = np.unique(row[lower] << 32 | batch.table["color"][live[lower]])
+            key = sorted_unique(row[lower] << 32 | batch.table["color"][live[lower]])
             row = key >> 32
             rank = np.arange(len(key)) - np.searchsorted(row, row)
             free = np.bincount(row[(key & 0xFFFFFFFF) == rank], minlength=len(batch))
@@ -51,4 +51,4 @@ class Coloring(VertexProgram):
         ctx.send_many(*batch.broadcast(changed, st["color"]))
 
     def summary(self, states):
-        return {"colors": int(len(np.unique(states["color"])))}
+        return {"colors": len(sorted_unique(states["color"]))}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
-from ..pager import ranges
+from ..pager import ranges, sorted_unique
 from .table import upsert
 
 
@@ -55,4 +55,4 @@ class Community(VertexProgram):
         ctx.send_many(*batch.broadcast(changed, label))
 
     def summary(self, states):
-        return {"communities": int(len(np.unique(states["label"])))}
+        return {"communities": len(sorted_unique(states["label"]))}

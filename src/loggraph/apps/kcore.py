@@ -18,7 +18,7 @@ import numpy as np
 
 from ..csr import DEL_EDGE, DEL_VERTEX
 from ..engine import VertexProgram
-from ..pager import ranges
+from ..pager import member, ranges
 
 
 class KCore(VertexProgram):
@@ -53,7 +53,7 @@ class KCore(VertexProgram):
         deg = adj.degrees[dying]
         senders = np.repeat(dying, deg)
         nbrs = adj.take(ranges(adj.offsets[dying], deg))
-        notified_us = np.isin(senders << 32 | nbrs, rows << 32 | notifiers)
+        notified_us = member(senders << 32 | nbrs, np.sort(rows << 32 | notifiers))
         ctx.send_many(nbrs[~notified_us], batch.ids[senders[~notified_us]])
 
     def summary(self, states):

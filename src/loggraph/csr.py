@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
-from .pager import StoreRegistry, cover, page_capacity, ranges, run_starts
+from .pager import StoreRegistry, cover, member, page_capacity, ranges, run_starts
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -244,7 +244,7 @@ class Adjacency:
         have, slots, counts = self._read[k]
         want = ranges(starts, ends - starts)
         page = want // cap
-        new = have[np.searchsorted(have, page).clip(max=len(have) - 1)] != page
+        new = ~member(page, have)
         if new.any():
             got, got_counts, more, _ = store.read_spans(want[new], want[new] + 1, VID_DT)
             order = np.argsort(np.concatenate([have, got]))
@@ -572,7 +572,9 @@ def apply_ops(
     # a touched edge's stored copies give way to its final ones, and rows of
     # removed vertices end empty
     removed = np.searchsorted(ids, ops[~edge, 1])
-    copies[np.isin(group >> 32, removed)] = 0
+    gone_rows = np.zeros(len(ids), bool)
+    gone_rows[removed] = True
+    copies[gone_rows[group >> 32]] = 0
     keep = np.ones(len(keys), bool)
     keep[ranges(at, stored)] = False
     keep[ranges(offsets[removed], degrees[removed])] = False

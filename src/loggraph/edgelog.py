@@ -20,7 +20,7 @@ import numpy as np
 
 from .csr import VID_DT, VID_WIDTH, Adjacency, AdjacencyView
 from .errors import ContractViolation, CorruptPageError
-from .pager import StoreRegistry, page_capacity, ranges
+from .pager import StoreRegistry, member, page_capacity, ranges
 
 INEFFICIENT_THRESHOLD = 0.10
 
@@ -139,7 +139,7 @@ class EdgeLog:
 
     def indexed(self, vids) -> np.ndarray:
         """Which of the vertex ids last superstep's log can serve."""
-        return np.isin(vids, self._consumable[0])
+        return member(vids, self._consumable[0])
 
     def fetch_batch(self, vids) -> Adjacency:
         """Serve adjacency of the ascending vids, all indexed, from last

@@ -78,7 +78,7 @@ from .csr import Adjacency, GraphDir
 from .edgelog import EdgeLog, inefficient, log_candidates
 from .errors import ConfigError, ContractViolation
 from .multilog import MultiLog, RecordFormat, check_combine
-from .pager import DEFAULT_PAGE_SIZE, ranges
+from .pager import DEFAULT_PAGE_SIZE, member, ranges, sorted_unique
 from .state import VertexStateStore
 
 
@@ -400,7 +400,7 @@ class Engine:
         n = self.meta.num_vertices
         if len(ops) and (src.min() < 0 or src.max() >= n):
             raise ContractViolation(f"structural op on a vertex outside [0, {n})")
-        bad = ~np.isin(kind, (csrmod.ADD_EDGE, csrmod.DEL_EDGE, csrmod.DEL_VERTEX))
+        bad = ~member(kind, np.sort([csrmod.ADD_EDGE, csrmod.DEL_EDGE, csrmod.DEL_VERTEX]))
         if bad.any():
             raise ContractViolation(f"structural op kind {int(kind[bad][0])} is not ADD_EDGE, DEL_EDGE or DEL_VERTEX")
         dst = ops[kind == csrmod.ADD_EDGE, 2]
@@ -425,7 +425,7 @@ class Engine:
         # a deletion's dst outside the graph matches no edge, and neither does NO_VID
         edge["dst"] = np.where((rows[:, 2] >= 0) & (rows[:, 2] < n), rows[:, 2], csrmod.NO_VID)
         intervals = self.meta.interval_of(edge["src"])
-        for k in np.unique(intervals).tolist():
+        for k in sorted_unique(intervals).tolist():
             self._pending[k].append(edge[intervals == k])
             self._pending_bytes[k] += self._pending[k][-1].nbytes
         self.registry.hold("structural", int(self._pending_bytes.sum()))
@@ -436,14 +436,14 @@ class Engine:
         the batch holds the new rows in memory. The batch holds no removed
         vertex, so no removal applies."""
         dirty = adj.ids[self._el_dirty[adj.ids]]
-        pending = [c for k in np.unique(self.meta.interval_of(dirty)).tolist() for c in self._pending[k]]
+        pending = [c for k in sorted_unique(self.meta.interval_of(dirty)).tolist() for c in self._pending[k]]
         if not pending:
             return
         edge = np.concatenate(pending)
         # dirty is ascending: keep the ops whose src is one of it
-        edge = edge[dirty[np.searchsorted(dirty, edge["src"]).clip(max=len(dirty) - 1)] == edge["src"]]
+        edge = edge[member(edge["src"], dirty)]
         if len(edge):
-            rows = np.searchsorted(adj.ids, np.unique(edge["src"]))
+            rows = np.searchsorted(adj.ids, sorted_unique(edge["src"]))
             deg = adj.degrees[rows]
             offsets = np.zeros(len(rows) + 1, np.int64)
             np.cumsum(deg, out=offsets[1:])
@@ -562,7 +562,7 @@ class Engine:
         plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget)
         covered = {k for p in plans for k in p.intervals}
         if len(forced):
-            for k in sorted(set(np.unique(self.meta.interval_of(forced)).tolist()) - covered):
+            for k in sorted(set(sorted_unique(self.meta.interval_of(forced)).tolist()) - covered):
                 plans.append(sortgroup.FusePlan([k], 0))
             plans.sort(key=lambda p: p.intervals[0])
         # the sort, or a combiner's scatter, holds its largest load, or its
@@ -595,7 +595,7 @@ class Engine:
                 act = slog.dests
                 forced_here = forced[(forced >= lo) & (forced < hi)]
                 if len(forced_here):
-                    act = np.union1d(act, forced_here)
+                    act = sorted_unique(np.concatenate([act, forced_here]))
                 act = act[~self.deleted[act]]
                 if len(act) == 0:
                     continue

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import csr
 from .errors import IngestError
-from .pager import StoreRegistry
+from .pager import StoreRegistry, sorted_unique
 
 
 def parse_edge_list(path: str):
@@ -47,7 +47,7 @@ def parse_edge_list(path: str):
 
 def relabel_dense(src: np.ndarray, dst: np.ndarray):
     """Map arbitrary ids to dense 0..n-1 (ascending by original id)."""
-    ids = np.unique(np.concatenate([src, dst])) if len(src) else np.zeros(0, np.int64)
+    ids = sorted_unique(np.concatenate([src, dst]))
     return np.searchsorted(ids, src), np.searchsorted(ids, dst), ids
 
 

@@ -383,7 +383,9 @@ class MultiLog:
             self._append(self._records(columns))
             return
         if len(folding) < len(hit):
-            keep = np.isin(k, folding)
+            folds = np.zeros(self.n_intervals, bool)
+            folds[folding] = True
+            keep = folds[k]
             self._append(self._records([col[~keep] if np.ndim(col) else col for col in columns]))
             columns = [col[keep] if np.ndim(col) else col for col in columns]
             k = k[keep]

@@ -26,6 +26,15 @@ images, and `page_records` parses the counted records of a list of pages,
 for `read_records` and the multi-log's resident tails. A count that
 overflows its page is corrupt.
 
+The index helpers serve the engine's set operations over vertex ids,
+interval ids and packed `row << 32 | nbr` keys: `ranges` concatenates
+index ranges, `cover` gives the distinct ids a set of ranges covers,
+`run_starts` marks where runs of equal values start, `sorted_unique` gives
+the distinct values ascending, and `member` tests membership in an
+ascending set. The last two sort and search where numpy's plain
+`np.unique`, `np.union1d` and `np.isin` take a hash path that is many
+times slower on these arrays.
+
 The stores of one `StoreRegistry` share one ledger of resident pages under
 one memory budget. The other holders of memory report what they hold
 through `StoreRegistry.hold`, and the ledger's room is the budget less
@@ -143,6 +152,22 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), bool)
     first[1:] = values[1:] != values[:-1]
     return first
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: np.unique by sorting, not by numpy's
+    hash path."""
+    values = np.sort(values)
+    return values[run_starts(values)]
+
+
+def member(values, sorted_set: np.ndarray) -> np.ndarray:
+    """Mask of the values found in the ascending sorted_set: np.isin by one
+    binary search, not by numpy's hash path."""
+    if len(sorted_set) == 0:
+        return np.zeros(np.shape(values), bool)
+    at = np.minimum(np.searchsorted(sorted_set, values), len(sorted_set) - 1)
+    return sorted_set[at] == values
 
 
 def record_counts(images: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import VID_DT
-from .pager import StoreRegistry
+from .pager import StoreRegistry, member, run_starts
 
 
 @dataclass
@@ -76,7 +76,7 @@ def build_shards(
         store.append_records(recs.tobytes(), recs.itemsize)
         stores.append(store)
         counts.append(store.num_pages)
-        src_sets.append(np.unique(s))
+        src_sets.append(s[run_starts(s)])  # s ascends
     return ShardSet(bounds, counts, src_sets, stores)
 
 
@@ -94,6 +94,6 @@ def superstep_page_cost(shards: ShardSet, active: np.ndarray) -> int:
     for k in range(shards.num_shards):
         lo, hi = shards.bounds[k], shards.bounds[k + 1]
         a, b = np.searchsorted(active, [lo, hi])
-        if b > a or np.isin(active, shards.src_sets[k], assume_unique=True).any():
+        if b > a or member(active, shards.src_sets[k]).any():
             total += shards.page_counts[k]
     return total

@@ -558,6 +558,17 @@ def test_active_accounting_matches_dests_union_forced(tmp_path):
     assert res.stats[0].active_vertices == 4  # {5, 9} from messages + {50, 51} forced
 
 
+def test_vertex_forced_and_sent_to_is_processed_once(tmp_path):
+    src, dst = random_graph(100, 4, seed=23)
+    g = build_graph(tmp_path, src, dst, 100, page_size=256)
+    prog = EchoProgram([(5, (1,)), (9, (2,)), (9, (3,)), (50, (4,))], active=[9, 50, 51])
+    res = run_app(g, prog, cfg(), str(tmp_path / "run"))
+    assert res.stats[0].active_vertices == 4  # {5, 9, 50} from messages, {9, 50, 51} forced
+    seen = {v: sorted(x) for s, v, x, _ in prog.seen if s == 0}
+    assert sorted(v for s, v, _, _ in prog.seen if s == 0) == [5, 9, 50, 51]
+    assert seen == {5: [1], 9: [2, 3], 50: [4], 51: []}
+
+
 def test_storage_isolation_colidx_reads_equal_active_span_pages(tmp_path):
     src, dst = random_graph(120, 5, seed=29)
     g = build_graph(tmp_path, src, dst, 120, page_size=256)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loggraph.errors import AddressError, ContractViolation, CorruptPageError
-from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, pack_pages, page_capacity, record_counts
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, member, pack_pages, page_capacity, record_counts, sorted_unique
 
 from util import page_image
 
@@ -573,3 +573,47 @@ def test_holds_give_back_the_pages_a_brute_force_ranking_of_every_admission_pick
         gave += len(resident) - len(keep)
     assert gave > 50
     reg.close_all()
+
+
+def _set_cases():
+    """Seeded int64 arrays for the set helpers: empty, one value, all equal,
+    negative, small ranges full of repeats, and packed row << 32 | nbr keys."""
+    rng = np.random.default_rng(7)
+    packed = rng.integers(0, 1 << 20, 300) << 32 | rng.integers(0, 1 << 32, 300)
+    yield np.zeros(0, np.int64)
+    yield np.array([5], np.int64)
+    yield np.full(40, -3, np.int64)
+    yield rng.integers(-50, 50, 200)
+    yield rng.integers(0, 16, 500)
+    yield rng.integers(-(1 << 62), 1 << 62, 400)
+    yield packed
+    yield np.concatenate([packed, packed[::3]])
+
+
+def test_sorted_unique_matches_np_unique():
+    for values in _set_cases():
+        got = sorted_unique(values)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, np.unique(values))
+
+
+def test_member_matches_np_isin():
+    rng = np.random.default_rng(8)
+    cases = list(_set_cases())
+    for values in cases:
+        for pool in cases:
+            # half the set drawn from the values themselves, so both answers occur
+            drawn = rng.choice(values, len(values) // 2) if len(values) else values
+            sorted_set = np.sort(np.concatenate([pool, drawn]))
+            got = member(values, sorted_set)
+            assert got.dtype == bool and got.shape == values.shape
+            assert np.array_equal(got, np.isin(values, sorted_set))
+
+
+def test_member_of_empty_set_and_scalar():
+    assert not member(np.arange(4), np.zeros(0, np.int64)).any()
+    assert member(np.zeros(0, np.int64), np.arange(3)).shape == (0,)
+    assert member(7, np.array([3, 7, 9])) and not member(8, np.array([3, 7, 9]))
+    assert not member(7, np.zeros(0, np.int64))
+    # a value above the largest entry is not taken for it
+    assert member(np.array([10, 9]), np.array([3, 9])).tolist() == [False, True]
