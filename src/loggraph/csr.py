@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
-from .pager import StoreRegistry, cover, member, page_capacity, ranges, run_starts
+from .pager import DENSE_SLOTS, StoreRegistry, cover, member, page_capacity, ranges, run_starts
 
 ROWPTR_WIDTH = 8
 VID_WIDTH = 4
@@ -114,11 +114,6 @@ NO_VID = (1 << 32) - 1
 # in memory, 1 + the interval for one in that interval's colIdx vector
 ADDR_SHIFT = 32
 LOW = (1 << ADDR_SHIFT) - 1
-# a first take of an interval that wants fewer than one in DENSE_SLOTS of
-# the slots of the pages it reads gathers its entries from the page images;
-# a denser one copies the slots once and slices its runs out of the copy
-# (a random walk's picks are sparse, PageRank's whole rows dense)
-DENSE_SLOTS = 8
 
 
 class Adjacency:
@@ -134,8 +129,10 @@ class Adjacency:
     and the rows given to `put`) or stored: then its entries stay in its
     interval's colIdx file until a `take` wants them. A take reads, through
     `PageStore.read_spans` over the runs of wanted entries, only the pages
-    holding them that no earlier take of this Adjacency read, and keeps
-    them for later takes, so no page is read twice.
+    holding them that no earlier take of this Adjacency read, and gathers
+    the wanted entries from their arena rows, copying no page. It keeps
+    the rows for later takes, and the pager pins them until the batch ends
+    (`StoreRegistry.unpin`), so no page is read twice.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, pages: np.ndarray):
@@ -147,8 +144,8 @@ class Adjacency:
         # the address of each row's first entry (see ADDR_SHIFT)
         self._first = np.asarray(offsets[:-1], np.int64)
         self._colidx: dict = {}  # interval -> its colIdx PageStore
-        # interval -> the colIdx pages read so far (ascending), their
-        # record slots (a row of page capacity each) and record counts
+        # interval -> the colIdx pages read so far (ascending), their arena
+        # rows (pinned for the batch, see pager) and record counts
         self._read: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -228,28 +225,29 @@ class Adjacency:
         if len(starts) == 0:
             return np.zeros(0, VID_DT)
         store = self._colidx[k]
-        cap = page_capacity(store.page_size, VID_WIDTH)
+        reg, cap = store.registry, page_capacity(store.page_size, VID_WIDTH)
         if k not in self._read:
             # one span per run of adjacent spans
             cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
             starts, ends = starts[np.append(0, cut)], ends[np.append(cut, len(ends)) - 1]
             lens = ends - starts
-            pages, counts, slots, at = store.read_spans(starts, ends, VID_DT)
-            self._read[k] = pages, slots, counts
-            if lens.sum() * DENSE_SLOTS < slots.size:
-                return slots[np.divmod(ranges(at, lens), cap)]
-            # most slots are wanted: copy them all and slice the runs out
-            flat = slots.copy().reshape(-1)
+            pages, counts, rows, at = store.read_spans(starts, ends, VID_DT)
+            self._read[k] = pages, rows, counts
+            if lens.sum() * DENSE_SLOTS < len(rows) * cap:
+                return reg.gather(rows, ranges(at, lens), VID_DT)
+            # dense (a random walk's picks are sparse, PageRank's whole rows
+            # dense): copy the slots whole and slice the runs out of the copy
+            flat = reg.gather_pages(rows, VID_DT).reshape(-1)
             return flat[at[0] : at[0] + lens[0]] if len(at) == 1 else flat[ranges(at, lens)]
-        have, slots, counts = self._read[k]
+        have, rows, counts = self._read[k]
         want = ranges(starts, ends - starts)
         page = want // cap
         new = ~member(page, have)
         if new.any():
             got, got_counts, more, _ = store.read_spans(want[new], want[new] + 1, VID_DT)
             order = np.argsort(np.concatenate([have, got]))
-            have, slots, counts = (np.concatenate(pair)[order] for pair in ((have, got), (slots, more), (counts, got_counts)))
-            self._read[k] = have, slots, counts
+            have, rows, counts = (np.concatenate(pair)[order] for pair in ((have, got), (rows, more), (counts, got_counts)))
+            self._read[k] = have, rows, counts
         i = np.searchsorted(have, page)
         slot = want - page * cap
         # a page read by an earlier take was checked only for what it wanted
@@ -257,7 +255,7 @@ class Adjacency:
         if len(short):
             j = short[0]
             raise CorruptPageError(f"{store.path}: page {page[j]} holds {counts[i[j]]} entries, entry {slot[j]} wanted")
-        return slots[i, slot]
+        return reg.gather(rows, i * cap + slot, VID_DT)
 
     def put(self, rows: "Adjacency") -> None:
         """Hold the rows of another Adjacency in memory, read whole, with
@@ -477,9 +475,9 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
         if len(loc) == 0:
             continue
         part = graph.partitions[k]
-        _, _, rp, at = part.rowptr.read_spans(loc, loc + 2, ROWPTR_DT)
-        rp = rp.reshape(-1)
-        a, b = rp[at].astype(np.int64), rp[at + 1].astype(np.int64)
+        _, _, rows, at = part.rowptr.read_spans(loc, loc + 2, ROWPTR_DT)
+        ab = graph.registry.gather(rows, np.stack([at, at + 1], 1).reshape(-1), ROWPTR_DT).reshape(-1, 2)
+        a, b = ab[:, 0].astype(np.int64), ab[:, 1].astype(np.int64)
         back = np.flatnonzero(b < a)
         if len(back):
             j = back[0]

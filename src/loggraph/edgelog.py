@@ -157,12 +157,11 @@ class EdgeLog:
         pos, length = spans[i].T
         # read_spans wants ascending spans, so the entries in the order logged
         order = np.argsort(pos)
-        pages, _, slots, at = store.read_spans(pos[order], (pos + length)[order], VID_DT)
+        pages, _, rows, at = store.read_spans(pos[order], (pos + length)[order], VID_DT)
         at = at[np.argsort(order)]
         self.read_cache_peak = max(self.read_cache_peak, len(pages) * self.page_size)
         # entries span pages, so gather from the slots taken row after row
-        flat = slots.reshape(-1)
-        vid, deg = flat[ranges(at, np.full(len(at), 2))].reshape(-1, 2).T.astype(np.int64)
+        vid, deg = self.registry.gather(rows, ranges(at, np.full(len(at), 2)), VID_DT).reshape(-1, 2).T.astype(np.int64)
         bad = np.flatnonzero(vid != vids)
         if len(bad):
             raise CorruptPageError(f"edge log index mismatch: wanted {vids[bad[0]]}, found {vid[bad[0]]}")
@@ -171,5 +170,5 @@ class EdgeLog:
             raise CorruptPageError(f"edge log entry of {vids[bad[0]]}: degree field {deg[bad[0]]} disagrees with its length")
         offsets = np.zeros(len(vids) + 1, np.int64)
         np.cumsum(deg, out=offsets[1:])
-        nbrs = flat[ranges(at + 2, length - 2)]
+        nbrs = self.registry.gather(rows, ranges(at + 2, length - 2), VID_DT)
         return Adjacency(vids, offsets, nbrs, np.zeros((len(vids), 3), np.int64))

@@ -655,6 +655,14 @@ class Engine:
         return adj, served
 
     def _process_batch(self, S: int, act: np.ndarray, slog, predicted: np.ndarray) -> int:
+        """Run the program on one batch; the pages it read stay pinned in the
+        pager's arena until it ends (see `StoreRegistry.unpin`)."""
+        try:
+            return self._run_batch(S, act, slog, predicted)
+        finally:
+            self.registry.unpin()
+
+    def _run_batch(self, S: int, act: np.ndarray, slog, predicted: np.ndarray) -> int:
         adj, served = self._fetch_adjacency(act)
         sl = self._states.checkout(act)
         aux = self._states.checkout_aux(act) if self.program.aux_entry_dtype is not None else None

@@ -7,11 +7,12 @@ is 1. Applications that remember something per in-neighbor (label tables,
 color tables) also get aux tables, with caps[v] the in-degree of v.
 
 Checkout reads each page covering the rows of a vertex set once, in
-ascending order, through `PageStore.read_spans`, and hands out the rows as
-one flat entry array; commit builds the whole images of only the pages
-covering rows whose entries changed, in one `pager.page_images` call, and
-writes them back through `PageStore.write_back`, which holds a resident
-page's change in memory until the store is closed.
+ascending order, through `PageStore.read_spans`, and gathers the rows from
+the pages' arena rows into one flat entry array; commit writes the changed
+entries into those arena rows in place and writes back, through
+`PageStore.write_back_row`, only the pages covering rows whose entries
+changed: a resident page stays in memory, marked dirty, until the store
+gives it back or is closed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pager import StoreRegistry, cover, page_capacity, page_images, ranges
+from .pager import StoreRegistry, cover, page_capacity, ranges
 
 
 class StateSlice:
@@ -31,45 +32,44 @@ class StateSlice:
     is entries.
 
     pages[j] is the id of checked-out page j in stores[store_of[j]], and
-    record_counts[j] its record count as read; slots holds their record
-    slots end to end, page_capacity to a page, with row i's entries at
-    slots[index[offsets[i]:offsets[i + 1]]]. Commit patches slots and
-    writes back the whole images of the pages it changed.
+    arena_rows[j] the registry's arena row holding it, pinned until the
+    batch ends; row i's entries are at the positions
+    index[offsets[i]:offsets[i + 1]] of the pages' record slots taken row
+    after row (see `StoreRegistry.gather`). Commit compares the entries
+    with their copy as checked out, writes the changed ones back into
+    those arena rows and writes back the pages it changed.
     """
 
-    def __init__(self, stores, ids, offsets, store_of, pages, record_counts, slots, index):
+    def __init__(self, stores, ids, offsets, store_of, pages, arena_rows, index, dtype):
         self._stores = stores
         self.ids = ids
         self.offsets = offsets
         self._store_of = store_of
         self._pages = pages
-        self.record_counts = record_counts
-        # the slots as opaque void items: whole entries move fastest so
-        self._voids = slots.view(np.dtype((np.void, slots.itemsize)))
+        self._arena_rows = arena_rows
         self._index = index
-        self.entries = self.rows = self._voids[index].view(slots.dtype)
+        self._registry = stores[0].registry
+        self.entries = self.rows = self._registry.gather(arena_rows, index, dtype)
+        self._was = self.entries.copy()
 
     def commit(self) -> None:
-        """Write back, in page order through `PageStore.write_back`, the
-        image of every page covering a row whose entries changed, each once;
-        the images are built in one `page_images` call."""
-        width = self._voids.itemsize
+        """Write the changed entries into the pages' arena rows, then write
+        back, in page order through `PageStore.write_back_row`, every page
+        covering a row whose entries changed, each once."""
+        width = self.entries.itemsize
         word = np.dtype(f"u{math.gcd(width, 8)}")  # entries compare a word column at a time
         now = self.entries.view(word).reshape(-1, width // word.itemsize)
-        was = self._voids[self._index].view(word).reshape(now.shape)
+        was = self._was.view(word).reshape(now.shape)
         changed = np.flatnonzero(reduce(np.logical_or, (now != was).T))
         if len(changed) == 0:
             return
-        self._voids[self._index[changed]] = self.entries.view(self._voids.dtype)[changed]
+        self._registry.scatter(self._arena_rows, self._index[changed], self.entries[changed])
         rows = np.searchsorted(self.offsets, changed, side="right") - 1
-        page_size = self._stores[0].page_size
-        cap = page_capacity(page_size, width)
+        cap = page_capacity(self._stores[0].page_size, width)
         first = self._index[self.offsets[rows]] // cap
         dirty = cover(first, self._index[self.offsets[rows + 1] - 1] // cap + 1)
-        regions = self._voids.view(np.uint8).reshape(len(self._pages), -1)
-        images = page_images([regions[j] for j in dirty.tolist()], self.record_counts[dirty].tolist(), page_size)
-        for j, image in zip(dirty.tolist(), images):
-            self._stores[self._store_of[j]].write_back(int(self._pages[j]), image)
+        for j in dirty.tolist():
+            self._stores[self._store_of[j]].write_back_row(int(self._pages[j]), int(self._arena_rows[j]))
 
 
 class AuxSlice(StateSlice):
@@ -145,8 +145,10 @@ class VertexStateStore:
         starts = start[ids]
         ends = starts + lens
         reads = [store.read_spans(starts[a:b], ends[a:b], dtype) for store, a, b in zip(stores, cut[:-1], cut[1:])]
-        pages, counts, slots, at = zip(*reads)
-        shift = np.cumsum([0] + [s.size for s in slots])
+        pages, _, rows, at = zip(*reads)
+        # the pages of every interval, taken row after row
+        cap = page_capacity(self.page_size, dtype.itemsize)
+        shift = np.cumsum([0] + [len(p) for p in pages]) * cap
         at = np.concatenate(at) + np.repeat(shift[:-1], [len(a) for a in at])
         offsets = np.zeros(len(ids) + 1, np.int64)
         np.cumsum(lens, out=offsets[1:])
@@ -156,10 +158,9 @@ class VertexStateStore:
             offsets,
             np.repeat(np.arange(len(stores)), [len(p) for p in pages]),
             np.concatenate(pages),
-            np.concatenate(counts),
-            # a byte join: np.concatenate of structured arrays copies field by field
-            np.concatenate([s.view(np.uint8) for s in slots]).reshape(-1).view(dtype),
+            np.concatenate(rows),
             at if caps is None else ranges(at, lens),
+            dtype,
         )
 
     def checkout(self, ids: np.ndarray) -> StateSlice:

@@ -597,6 +597,44 @@ def test_a_take_answers_with_its_own_entries(tmp_path):
     assert adj.take(np.arange(len(want))).tolist() == adj.take().tolist() == want
 
 
+def test_a_take_keeps_its_pinned_rows_when_a_hold_gives_their_pages_back(tmp_path, monkeypatch):
+    # one batch at a tight budget: a take admits the colIdx pages it reads,
+    # then a hold gives every page back; until the batch ends the take's
+    # arena rows stay pinned, so later takes read none of those pages again
+    src, dst = random_graph(300, 8, seed=3)
+    want = adjacency_lists(src, dst, 300)
+    g = build_graph(tmp_path, src, dst, 300, page_size=256)
+    reg = g.registry
+    reg.set_budget(16 * 256)
+    reads = spy_colidx_reads(monkeypatch, g)
+    active = np.arange(0, 300, 3)
+    adj, _ = csr.load_adjacency(g, active)
+    half = np.arange(len(active) // 2)
+    at = pager.ranges(adj.offsets[half], adj.degrees[half])
+    first = adj.take(at)
+    assert first.tolist() == [w for v in active[half] for w in want[v]]
+    taken = set(reads)
+    assert reg.resident > 0 and reg.resident <= reg.budget - reg.held
+    reg.hold("sort", 16 * 256)  # the ledger has no room left: every page goes back
+    assert reg.resident == 0 and sum(reg.evicted.values()) > 0
+    pinned = set(np.flatnonzero(reg._pinned & (reg._admitted < 0)).tolist())
+    assert pinned and not pinned & set(reg._free)
+    n = len(reads)
+    assert adj.take(at).tolist() == first.tolist() and len(reads) == n
+    assert adj.take().tolist() == [w for v in active for w in want[v]]
+    assert not set(reads[n:]) & taken  # only the other rows' pages are read
+    assert reg.resident <= reg.budget - reg.held
+    reg.unpin()  # the batch ends: the rows its pages were given back from are free
+    assert pinned <= set(reg._free) and not reg._pinned.any()
+    reg.hold("sort", 0)
+    used = reg._used
+    again, _ = csr.load_adjacency(g, active)
+    assert again.take().tolist() == [w for v in active for w in want[v]]
+    assert reg._used == used and reg.resident <= reg.budget - reg.held  # freed rows serve again
+    reg.unpin()
+    reg.set_budget(0)
+
+
 def set_rowptr_entry(g, entry, value):
     """Overwrite rowPtr entry `entry` of interval 0 with `value`."""
     store = g.partitions[0].rowptr

@@ -925,3 +925,11 @@ def test_run_closes_its_stores_when_the_program_raises(tmp_path):
     assert opened["log"] > 0 and opened["state"] > 0
     assert [len(g.registry._stores[klass]) for klass in ("log", "edgelog", "state")] == [0, 0, 0]
     assert os.listdir(tmp_path / "run" / "logs") == []
+
+
+def test_convert_maps_no_arena_and_a_run_unmaps_it_at_its_end(tmp_path):
+    g = build_graph(tmp_path, *ring_graph(40), 40, page_size=256)
+    assert g.registry._mm is None  # convert reads no page
+    result = run_app(g, PageRank(), cfg(max_supersteps=3), str(tmp_path / "run"))
+    assert sum(result.stats[-1].hits.values()) > 0  # pages were served from the arena
+    assert g.registry._mm is None and g.registry.arena.shape == (0, 256) and not g.registry._free

@@ -1,10 +1,23 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from loggraph.errors import AddressError, ContractViolation, CorruptPageError
-from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, member, pack_pages, page_capacity, record_counts, sorted_unique
+from loggraph.pager import (
+    PAGE_COUNT,
+    PAGE_HEADER,
+    PageStore,
+    StoreRegistry,
+    member,
+    pack_pages,
+    page_capacity,
+    page_records,
+    ranges,
+    record_counts,
+    sorted_unique,
+)
 
 from util import page_image
 
@@ -121,6 +134,23 @@ def test_pack_pages_counts_past_one_byte():
     assert record_counts(pages).tolist() == [512, 188]
 
 
+def test_page_records_counts_past_one_byte_in_any_page_buffer(tmp_path):
+    # 300 four-byte records in one 4096-byte page: the count's high byte is 1
+    pages = pack_pages(np.arange(300, dtype="<u4").tobytes(), 4, 4096)
+    for given in (list(pages), [p.tobytes() for p in pages], [bytearray(p.tobytes()) for p in pages]):
+        assert page_records(given, "<u4", "test", [0]).tolist() == list(range(300))
+    # 1,500 records on two pages, read from storage and from the arena
+    reg = StoreRegistry(page_size=4096)
+    store = reg.open(str(tmp_path / "r.pages"), "log")
+    store.append_records(np.arange(1500, dtype="<u4").tobytes(), 4)
+    assert store.read_records([0, 1], "<u4").tolist() == list(range(1500))
+    reg.set_budget(2 * 4096)
+    for _ in range(2):
+        assert store.read_records([1, 0], "<u4").tolist() == list(range(1020, 1500)) + list(range(1020))
+    assert (store.pages_read, store.pages_hit) == (4, 2)
+    reg.drop(store, "log", unlink=True)
+
+
 def vector(store, n):
     """Store the 8-byte records 0..n-1, 30 to a 256-byte page."""
     store.append_records(np.arange(n, dtype="<u8").tobytes(), 8)
@@ -128,13 +158,14 @@ def vector(store, n):
 
 def spans(store, starts, ends):
     """read_spans of [starts[i], ends[i]) over 8-byte records: the page ids
-    and each span's entries."""
-    pages, counts, slots, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
+    and each span's entries, gathered from the arena rows, which hold the
+    pages' images."""
+    pages, counts, rows, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
     images = np.frombuffer(b"".join(store.read_page(p) for p in pages.tolist()), np.uint8).reshape(-1, 256)
     assert counts.tolist() == record_counts(images).tolist()
-    assert slots.tobytes() == images[:, PAGE_HEADER : PAGE_HEADER + slots.shape[1] * 8].tobytes()
-    flat = slots.reshape(-1)
-    return pages.tolist(), [flat[a : a + e - s].tolist() for a, s, e in zip(at, starts, ends)]
+    assert store.registry.arena[rows].tobytes() == images.tobytes()
+    gather = store.registry.gather
+    return pages.tolist(), [gather(rows, np.arange(a, a + e - s), "<u8").tolist() for a, s, e in zip(at, starts, ends)]
 
 
 def test_read_spans_serves_overlapping_spans(store):
@@ -158,9 +189,10 @@ def test_read_spans_reads_each_covering_page_once_in_ascending_order(store, monk
     seen = []
     read = PageStore.read_page
     monkeypatch.setattr(PageStore, "read_page", lambda s, p: seen.append(p) or read(s, p))
-    pages, _, slots, _ = store.read_spans(np.array([0, 1, 20, 100, 170, 175]), np.array([2, 2, 95, 100, 175, 200]), "<u8")
+    pages, _, rows, _ = store.read_spans(np.array([0, 1, 20, 100, 170, 175]), np.array([2, 2, 95, 100, 175, 200]), "<u8")
     assert seen == pages.tolist() == [0, 1, 2, 3, 5, 6] and store.pages_read == 6
-    assert not slots.flags.writeable  # a view of the images: the slots are not copied
+    # each page in its own arena row, pinned until the batch ends
+    assert len(set(rows.tolist())) == 6 and store.registry._pinned[rows].all()
     assert store.read_spans(np.array([50]), np.array([50]), "<u8")[0].tolist() == []
     assert store.pages_read == 6  # an empty span reads nothing
 
@@ -520,8 +552,7 @@ def test_a_hold_that_leaves_room_touches_no_store(tmp_path, monkeypatch):
     store.read_pages([0, 1, 2])
     reg.hold("multilog", 128)  # the ledger is full
     with monkeypatch.context() as patch:
-        patch.setattr(PageStore, "admitted", lambda s: pytest.fail("a hold with room looked at the stores"))
-        patch.setattr(PageStore, "release", lambda s, **kw: pytest.fail("a hold with room released pages"))
+        patch.setattr(PageStore, "release", lambda s, *a, **kw: pytest.fail("a hold with room released pages"))
         for _ in range(1000):
             reg.hold("multilog", 128)
             reg.hold("sort", 0)
@@ -551,7 +582,7 @@ def test_holds_give_back_the_pages_a_brute_force_ranking_of_every_admission_pick
         if step % 3:
             continue
         resident = sorted(
-            (s._admitted[s._slot[p]], klass, p)
+            (reg._admitted[s._slot[p]], klass, p)
             for klass, s in stores.items()
             for p in np.flatnonzero(s._slot[: s.num_pages] >= 0).tolist()
         )
@@ -562,7 +593,7 @@ def test_holds_give_back_the_pages_a_brute_force_ranking_of_every_admission_pick
         evicted = dict(reg.evicted)
         reg.hold("sort", nbytes)
         got = sorted(
-            (s._admitted[s._slot[p]], klass, p)
+            (reg._admitted[s._slot[p]], klass, p)
             for klass, s in stores.items()
             for p in np.flatnonzero(s._slot[: s.num_pages] >= 0).tolist()
         )
@@ -617,3 +648,87 @@ def test_member_of_empty_set_and_scalar():
     assert not member(7, np.zeros(0, np.int64))
     # a value above the largest entry is not taken for it
     assert member(np.array([10, 9]), np.array([3, 9])).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("budget_pages", [0, 5, 40], ids=["none", "some", "all"])
+def test_read_spans_and_gather_match_the_entries_read_page_by_page(tmp_path, budget_pages):
+    # random ascending spans over 21 pages of random 8-byte entries, at a
+    # budget that admits none, some or all of the pages they cover
+    rng = np.random.default_rng(budget_pages)
+    n = 30 * 20 + 7
+    reg = StoreRegistry(page_size=256)
+    store = reg.open(str(tmp_path / "v.pages"), "csr")
+    store.append_records(rng.integers(0, 1 << 63, n).astype("<u8").tobytes(), 8)
+    pages = [np.frombuffer(store.read_page(p)[PAGE_HEADER:], "<u8")[:30] for p in range(store.num_pages)]
+    reg.set_budget(budget_pages * 256)
+    for _ in range(40):
+        k = int(rng.integers(1, 12))
+        starts = np.sort(rng.integers(0, n, k))
+        ends = np.minimum(np.sort(starts + rng.integers(0, 70, k)), n)
+        _, _, rows, at = store.read_spans(starts, ends, "<u8")
+        got = reg.gather(rows, ranges(at, ends - starts), "<u8")
+        assert got.tolist() == [int(pages[e // 30][e % 30]) for a, b in zip(starts, ends) for e in range(a, b)]
+        assert reg.resident <= reg.budget
+        reg.unpin()
+    assert (store.pages_hit > 0) == (budget_pages > 0)
+    reg.close_all()
+
+
+def test_a_sparse_read_of_resident_pages_copies_no_page(tmp_path):
+    reg = StoreRegistry(page_size=4096)
+    reg.set_budget(256 * 4096)
+    store = reg.open(str(tmp_path / "v.pages"), "csr")
+    cap = page_capacity(4096, 4)
+    store.append_records(np.arange(256 * cap, dtype="<u4").tobytes(), 4)  # all resident
+    want = np.arange(256) * cap + 7  # one entry of each page
+    tracemalloc.start()
+    try:
+        _, _, rows, at = store.read_spans(want, want + 1, "<u4")
+        got = reg.gather(rows, at, "<u4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want.tolist() and (store.pages_read, store.pages_hit) == (0, 256)
+    assert peak < 64 * 1024  # the pages themselves are 1 MiB
+    reg.drop(store, "csr", unlink=True)
+
+
+def pages_spans(first, end):
+    """Spans of the 8 entries of each `ledger` page in [first, end), read
+    as 8-byte records, 14 to a 128-byte page."""
+    starts = np.arange(first, end) * 14
+    return starts, starts + 8
+
+
+def test_rows_given_back_or_transient_are_free_only_after_unpin(tmp_path):
+    reg, store, images = ledger(tmp_path, 6, 3)
+    _, _, rows, _ = store.read_spans(*pages_spans(0, 6), "<u8")
+    held = set(rows.tolist())
+    assert reg.resident == 3 * 128 and (reg._admitted[rows] >= 0).sum() == 3  # three transient
+    reg.hold("sort", 2 * 128)  # gives back two of the three resident pages
+    assert reg.resident == 128 and not held & set(reg._free)
+    assert reg.arena[rows].tobytes() == b"".join(images)  # the batch still sees its pages
+    reg.unpin()
+    assert not reg._pinned.any() and held - set(reg._free) == set(rows[reg._admitted[rows] >= 0].tolist())
+    used = reg._used
+    store.read_spans(*pages_spans(0, 6), "<u8")
+    assert reg._used == used  # the freed rows serve again: no untouched row is taken
+    reg.unpin()
+    reg.set_budget(0)
+    assert reg._mm is None and reg.arena.shape == (0, 128)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["remapped", "copied-under-a-view"])
+def test_the_arena_grows_without_losing_a_row(tmp_path, view):
+    reg, store, images = ledger(tmp_path, 12, 2)
+    _, _, first, _ = store.read_spans(*pages_spans(0, 2), "<u8")  # admitted
+    assert len(reg.arena) == 4  # two budgets' worth of rows
+    alive = memoryview(reg._mm) if view else None
+    _, _, rows, _ = store.read_spans(*pages_spans(0, 12), "<u8")  # ten transient rows
+    assert len(reg.arena) == 12 and rows[:2].tolist() == first.tolist()
+    assert reg.arena[rows].tobytes() == b"".join(images)
+    if view:
+        # the old mapping stays readable
+        assert [bytes(alive[r * 128 : (r + 1) * 128]) for r in first.tolist()] == images[:2]
+    reg.unpin()
+    reg.close_all()
