@@ -3,10 +3,16 @@
 The vertex space is cut into contiguous intervals sized so that each
 interval's worst-case inbox (one record per in-edge) fits the in-memory sort
 budget. Each interval stores its vertices' out-edges as two paged vectors:
-rowPtr (8-byte local offsets) and colIdx (4-byte destination ids). Edges
-carry no values. Adjacency loads touch only the pages that overlap the
-requested vertices' ranges, and only the colIdx pages holding the entries
-a vertex program uses.
+rowPtr (8-byte local offsets) and colIdx (destination ids). Edges carry no
+values. A colIdx entry is an unsigned little-endian id of the graph's one
+width, the narrowest of 1, 2 and 4 bytes that holds num_vertices - 1
+(`id_dtype`): convert fixes it in meta.json as colidx_width, a merge
+rewrites an interval at it, and only this module reads or writes entries.
+Every reader gets uint32 ids (`VID_DT`): `Adjacency.take` gathers the
+entries at the stored width and widens them as its answer's copy.
+Adjacency loads touch only the pages that overlap the requested vertices'
+ranges, and only the colIdx pages holding the entries a vertex program
+uses.
 
 A load has two steps. At fetch, `load_adjacency` reads only rowPtr, with
 one `PageStore.read_spans` call per interval over the spans [v, v + 2) of
@@ -52,13 +58,27 @@ VID_DT = np.dtype("<u4")
 INDEG_FILE = "indeg.bin"
 
 
+def id_dtype(num_vertices: int) -> np.dtype:
+    """The narrowest little-endian unsigned dtype of 1, 2 or 4 bytes that
+    holds every id below num_vertices."""
+    return np.dtype(np.min_scalar_type(max(num_vertices - 1, 0))).newbyteorder("<")
+
+
 @dataclass
 class GraphMeta:
+    """meta.json: the facts convert fixes. colidx_width is the bytes of
+    one colIdx entry (see the module doc)."""
+
     num_vertices: int
     interval_bounds: list[int]
     page_size: int
+    colidx_width: int
     record_size: int = 16
     dataset_hash: str = ""
+
+    @property
+    def colidx_dtype(self) -> np.dtype:
+        return np.dtype(f"<u{self.colidx_width}")
 
     @property
     def num_intervals(self) -> int:
@@ -81,7 +101,9 @@ class GraphMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphMeta":
-        """Parse meta.json; every field must be present and nothing else."""
+        """Parse meta.json; every field must be present and nothing else, and
+        colidx_width must be the width convert picks for num_vertices: read
+        at another width, a colIdx page would parse as other entries."""
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - names)
         missing = sorted(names - set(d))
@@ -89,6 +111,12 @@ class GraphMeta:
             raise ConfigError(
                 f"meta.json has unknown keys {unknown} and missing keys {missing}; "
                 "reconvert the graph with this version"
+            )
+        width, want = d["colidx_width"], id_dtype(d["num_vertices"]).itemsize
+        if type(width) is not int or width != want:
+            raise ConfigError(
+                f"meta.json: colidx_width {width!r} is not {want}, the narrowest of 1, 2 and 4 bytes "
+                f"that holds the ids of {d['num_vertices']} vertices; reconvert the graph with this version"
             )
         return cls(**d)
 
@@ -130,7 +158,8 @@ class Adjacency:
     interval's colIdx file until a `take` wants them. A take reads, through
     `PageStore.read_spans` over the runs of wanted entries, only the pages
     holding them that no earlier take of this Adjacency read, and gathers
-    the wanted entries from their arena rows, copying no page. It keeps
+    the wanted entries from their arena rows at the graph's id width and
+    widens them to uint32, copying no page. It keeps
     the rows for later takes, and the pager pins them until the batch ends
     (`StoreRegistry.unpin`), so no page is read twice.
     """
@@ -143,7 +172,7 @@ class Adjacency:
         self._held = np.asarray(nbrs, VID_DT)
         # the address of each row's first entry (see ADDR_SHIFT)
         self._first = np.asarray(offsets[:-1], np.int64)
-        self._colidx: dict = {}  # interval -> its colIdx PageStore
+        self._colidx: dict = {}  # interval -> its colIdx PageStore and entry dtype
         # interval -> the colIdx pages read so far (ascending), their arena
         # rows (pinned for the batch, see pager) and record counts
         self._read: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -220,31 +249,31 @@ class Adjacency:
 
     def _entries(self, k: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """The entries of the non-empty spans [starts[i], ends[i]) of
-        interval k's colIdx vector, concatenated; starts and ends each
-        ascend, and a span overlaps another only if they are equal."""
-        if len(starts) == 0:
-            return np.zeros(0, VID_DT)
-        store = self._colidx[k]
-        reg, cap = store.registry, page_capacity(store.page_size, VID_WIDTH)
+        interval k's colIdx vector, concatenated and widened to uint32;
+        starts and ends each ascend, and a span overlaps another only if
+        they are equal. The entries are gathered at the stored width, and
+        the widening is their one copy after that."""
+        store, dt = self._colidx[k]
+        reg, cap = store.registry, page_capacity(store.page_size, dt.itemsize)
         if k not in self._read:
             # one span per run of adjacent spans
             cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
             starts, ends = starts[np.append(0, cut)], ends[np.append(cut, len(ends)) - 1]
             lens = ends - starts
-            pages, counts, rows, at = store.read_spans(starts, ends, VID_DT)
+            pages, counts, rows, at = store.read_spans(starts, ends, dt)
             self._read[k] = pages, rows, counts
             if lens.sum() * DENSE_SLOTS < len(rows) * cap:
-                return reg.gather(rows, ranges(at, lens), VID_DT)
+                return reg.gather(rows, ranges(at, lens), dt).astype(VID_DT)
             # dense (a random walk's picks are sparse, PageRank's whole rows
-            # dense): copy the slots whole and slice the runs out of the copy
-            flat = reg.gather_pages(rows, VID_DT).reshape(-1)
-            return flat[at[0] : at[0] + lens[0]] if len(at) == 1 else flat[ranges(at, lens)]
+            # dense): copy the slots whole and widen the runs out of the copy
+            flat = reg.gather_pages(rows, dt).reshape(-1)
+            return (flat[at[0] : at[0] + lens[0]] if len(at) == 1 else flat[ranges(at, lens)]).astype(VID_DT)
         have, rows, counts = self._read[k]
         want = ranges(starts, ends - starts)
         page = want // cap
         new = ~member(page, have)
         if new.any():
-            got, got_counts, more, _ = store.read_spans(want[new], want[new] + 1, VID_DT)
+            got, got_counts, more, _ = store.read_spans(want[new], want[new] + 1, dt)
             order = np.argsort(np.concatenate([have, got]))
             have, rows, counts = (np.concatenate(pair)[order] for pair in ((have, got), (rows, more), (counts, got_counts)))
             self._read[k] = have, rows, counts
@@ -255,7 +284,7 @@ class Adjacency:
         if len(short):
             j = short[0]
             raise CorruptPageError(f"{store.path}: page {page[j]} holds {counts[i[j]]} entries, entry {slot[j]} wanted")
-        return reg.gather(rows, i * cap + slot, VID_DT)
+        return reg.gather(rows, i * cap + slot, dt).astype(VID_DT)
 
     def put(self, rows: "Adjacency") -> None:
         """Hold the rows of another Adjacency in memory, read whole, with
@@ -303,12 +332,15 @@ def part_path(graph_path: str, k: int, vector: str) -> str:
     return os.path.join(graph_path, f"part{k}.{vector}")
 
 
-def write_interval(registry: StoreRegistry, graph_path: str, k: int, rowptr: np.ndarray, colidx: np.ndarray):
-    """Write interval k's rowPtr and colIdx files; returns their stores, open."""
+def write_interval(
+    registry: StoreRegistry, meta: GraphMeta, graph_path: str, k: int, rowptr: np.ndarray, colidx: np.ndarray
+):
+    """Write interval k's rowPtr file and its colIdx file, at the graph's
+    colidx_width; returns their stores, open."""
     rp_store = registry.open(part_path(graph_path, k, "rowptr"), "csr")
     rp_store.append_records(np.asarray(rowptr, ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
     ci_store = registry.open(part_path(graph_path, k, "colidx"), "csr")
-    ci_store.append_records(np.asarray(colidx, VID_DT).tobytes(), VID_WIDTH)
+    ci_store.append_records(np.asarray(colidx, meta.colidx_dtype).tobytes(), meta.colidx_width)
     return rp_store, ci_store
 
 
@@ -318,7 +350,9 @@ def write_in_degrees(graph_path: str, in_degrees: np.ndarray) -> None:
 
 
 class Partition:
-    """Open handle on one interval's rowPtr/colIdx page files."""
+    """Open handle on one interval's rowPtr/colIdx page files; ci_dt and
+    cap_ci are a colIdx entry's dtype, at the graph's colidx_width, and the
+    entries a colIdx page holds."""
 
     def __init__(self, graph_dir: "GraphDir", k: int):
         self.k = k
@@ -326,7 +360,8 @@ class Partition:
         reg = graph_dir.registry
         self.rowptr = reg.open(part_path(graph_dir.path, k, "rowptr"), "csr", create=False)
         self.colidx = reg.open(part_path(graph_dir.path, k, "colidx"), "csr", create=False)
-        self.cap_ci = page_capacity(graph_dir.meta.page_size, VID_WIDTH)
+        self.ci_dt = graph_dir.meta.colidx_dtype
+        self.cap_ci = page_capacity(graph_dir.meta.page_size, self.ci_dt.itemsize)
 
     def full_rowptr(self) -> np.ndarray:
         """The whole rowPtr vector: hi - lo + 1 offsets."""
@@ -339,10 +374,10 @@ class Partition:
         return out
 
     def full_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whole rowPtr and colIdx vectors; colIdx holds rowPtr[-1]
-        entries."""
+        """The whole rowPtr and colIdx vectors, colIdx widened to uint32;
+        colIdx holds rowPtr[-1] entries."""
         rowptr = self.full_rowptr()
-        return rowptr, self.colidx.read_vector(int(rowptr[-1]), VID_DT)
+        return rowptr, self.colidx.read_vector(int(rowptr[-1]), self.ci_dt).astype(VID_DT, copy=False)
 
 
 class GraphDir:
@@ -444,7 +479,7 @@ def build_partitions(
         rowptr = np.zeros(hi - lo + 1, ROWPTR_DT)
         np.cumsum(counts, out=rowptr[1:])
         # GraphDir opens the files again; drop keeps their traffic in totals()
-        for store in write_interval(registry, out_dir, k, rowptr, dst[a:b]):
+        for store in write_interval(registry, meta, out_dir, k, rowptr, dst[a:b]):
             registry.drop(store, "csr")
 
 
@@ -506,11 +541,11 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
         bound = np.arange(len(read) + 1) * part.cap_ci
         j = np.searchsorted(at, bound)
         useful = np.diff(np.append(0, np.cumsum(n))[j] - np.maximum(np.append(0, at + n)[j] - bound, 0))
-        page_stats.update(zip([(k, p) for p in read.tolist()], (useful * VID_WIDTH).tolist()))
+        page_stats.update(zip([(k, p) for p in read.tolist()], (useful * part.ci_dt.itemsize).tolist()))
         pages.append(np.stack([np.full(len(loc), k), first, end], 1))
         lens.append(b - a)
         firsts.append(a + ((k + 1) << ADDR_SHIFT))
-        stores[k] = part.colidx
+        stores[k] = part.colidx, part.ci_dt
     offsets = np.zeros(len(active) + 1, np.int64)
     np.cumsum(np.concatenate(lens), out=offsets[1:])
     adj = Adjacency(active, offsets, np.zeros(0, VID_DT), np.concatenate(pages))
@@ -604,6 +639,6 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     reg = graph.registry
     reg.drop(part.rowptr, "csr", unlink=True)
     reg.drop(part.colidx, "csr", unlink=True)
-    part.rowptr, part.colidx = write_interval(reg, graph.path, k, rowptr, colidx)
+    part.rowptr, part.colidx = write_interval(reg, graph.meta, graph.path, k, rowptr, colidx)
     write_in_degrees(graph.path, in_degrees)
     return warnings

@@ -93,9 +93,11 @@ def convert_arrays(
     registry: StoreRegistry | None = None,
     dataset_hash: str = "",
 ) -> csr.GraphDir:
-    """Convert in-memory dense-id edge arrays: the interval files, the
-    in-degrees and meta.json, which nothing writes again. `convert`
-    reaches it once the ids are dense."""
+    """Convert in-memory dense-id edge arrays: the interval files, their
+    colIdx entries at the narrowest id width that holds every id
+    (`csr.id_dtype`), the in-degrees and meta.json, which records that
+    width and which nothing writes again. `convert` reaches it once the ids
+    are dense."""
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
     in_deg = np.bincount(dst, minlength=num_vertices).astype(np.int64)
@@ -103,6 +105,7 @@ def convert_arrays(
         num_vertices=num_vertices,
         interval_bounds=csr.partition_vertices(in_deg, record_size, sort_budget),
         page_size=page_size,
+        colidx_width=csr.id_dtype(num_vertices).itemsize,
         record_size=record_size,
         dataset_hash=dataset_hash or f"inline-{len(src)}-{num_vertices}",
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import VID_DT
+from .csr import id_dtype
 from .pager import StoreRegistry, member, run_starts
 
 
@@ -63,6 +63,9 @@ def build_shards(
     in_deg = np.bincount(dst, minlength=num_vertices)
     num_shards = min(num_shards, max(1, num_vertices))
     bounds = balanced_dest_bounds(in_deg, num_shards)
+    # (src, dst) pairs at the CSR's id width, so the two layouts compare
+    # in pages and not in bytes an id
+    vid = id_dtype(num_vertices)
     stores, counts, src_sets = [], [], []
     for k in range(num_shards):
         lo, hi = bounds[k], bounds[k + 1]
@@ -70,7 +73,7 @@ def build_shards(
         s, d = src[sel], dst[sel]
         order = np.lexsort((d, s))  # non-decreasing by source
         s, d = s[order], d[order]
-        recs = np.empty(len(s), np.dtype([("src", "<u4"), ("dst", "<u4")]))
+        recs = np.empty(len(s), np.dtype([("src", vid), ("dst", vid)]))
         recs["src"], recs["dst"] = s, d
         store = registry.open(os.path.join(out_dir, f"shard{k}.bin"), "csr")
         store.append_records(recs.tobytes(), recs.itemsize)

@@ -32,8 +32,8 @@ def test_convert_skips_comments_and_counts(tmp_path, g6_file, capsys):
     out = convert_g6(tmp_path, g6_file)
     assert json.loads(capsys.readouterr().out)["num_edges"] == 12  # both directions
     meta = json.loads(Path(os.path.join(out, "meta.json")).read_text())
-    assert sorted(meta) == ["dataset_hash", "interval_bounds", "num_vertices", "page_size", "record_size"]
-    assert meta["num_vertices"] == 6
+    assert sorted(meta) == ["colidx_width", "dataset_hash", "interval_bounds", "num_vertices", "page_size", "record_size"]
+    assert meta["num_vertices"] == 6 and meta["colidx_width"] == 1
     assert meta["interval_bounds"] == [0, 3, 6]
     assert os.path.exists(os.path.join(out, "mapping.tsv"))
 
@@ -246,6 +246,6 @@ def test_stats_subcommand(tmp_path, g6_file, capsys):
     capsys.readouterr()  # drop the convert summary
     assert main(["stats", "--graph", out]) == 0
     info = json.loads(capsys.readouterr().out)
-    assert info["meta"]["num_edges"] == 12
+    assert info["meta"]["num_edges"] == 12 and info["meta"]["colidx_width"] == 1
     assert info["out_degree"]["max"] == 2
     assert info["pages"]["colidx"] >= 1

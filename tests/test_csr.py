@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from loggraph import csr, pager
+from loggraph.apps import Bfs
+from loggraph.engine import EngineConfig, run_app
 from loggraph.errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
@@ -99,7 +102,7 @@ def test_build_duplicate_edges_preserved(tmp_path):
 
 
 def test_build_out_of_range_rejected(tmp_path):
-    meta = csr.GraphMeta(2, [0, 2], 256)
+    meta = csr.GraphMeta(2, [0, 2], 256, colidx_width=1)
     from loggraph.pager import StoreRegistry
 
     with pytest.raises(IngestError):
@@ -132,7 +135,7 @@ def test_load_single_vertex_page_span(tmp_path):
     views.take()
     # adjacency fits one colidx page; rowptr entries 2,3 share one page
     assert g.registry.totals()["csr"][0] - before == 2
-    assert sum(stats.values()) == 2 * 4  # two useful neighbor entries
+    assert sum(stats.values()) == 2 * g.meta.colidx_width  # two useful neighbor entries
 
 
 def test_load_unsorted_input_rejected(tmp_path):
@@ -162,7 +165,7 @@ def test_page_monotonicity_and_minimality(tmp_path):
 
 def hub_graph(n, seed):
     """A sparse random graph plus a few hubs wired to half of the vertices
-    each way: with 256-byte pages a hub's row spans 3 or more
+    each way: with 60 entries to a colIdx page a hub's row spans 3 or more
     colIdx pages and shares its end pages with its neighbors' rows."""
     src, dst = random_graph(n, 3, seed=seed)
     rng = np.random.default_rng(seed)
@@ -170,6 +173,12 @@ def hub_graph(n, seed):
     pairs = [(int(h), int(v)) for h in hubs for v in rng.choice(n, n // 2, replace=False) if v != h]
     hs, hd = both_directions(pairs)
     return np.concatenate([src, hs]), np.concatenate([dst, hd]), hubs
+
+
+def page_of_60(n):
+    """The page size at which a colIdx page of a graph of n vertices holds
+    60 entries, whatever its id width."""
+    return PAGE_HEADER + 60 * csr.id_dtype(n).itemsize
 
 
 def spy_colidx_reads(monkeypatch, g):
@@ -190,6 +199,7 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
     # with isolated vertices and rows spanning pages; colIdx pages are read
     # once each in ascending order, which is also the order of the stats
     n = 300
+    page_size = page_of_60(n)
     if isinstance(case, int):
         rng = np.random.default_rng(case)
         src, dst = random_graph(n, 8, seed=case)
@@ -205,12 +215,12 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
             "one-vertex": np.flatnonzero(degree == 3)[:1],
             "zero-degree": np.flatnonzero(degree == 0)[:5],
         }[case]
-        assert len(active) and degree[hubs].min() > 2 * page_capacity(256, csr.VID_WIDTH)
-    g = build_graph(tmp_path, src, dst, n, page_size=256)
-    assert g.meta.num_intervals > 1
+        assert len(active) and degree[hubs].min() > 2 * 60
+    g = build_graph(tmp_path, src, dst, n, page_size=page_size)
+    assert g.meta.num_intervals > 1 and g.partitions[0].cap_ci == 60
     adj = adjacency_lists(src, dst, n)
     useful, rp_pages, rows_on = {}, set(), {}
-    cap_rp = page_capacity(256, csr.ROWPTR_WIDTH)
+    cap_rp = page_capacity(page_size, csr.ROWPTR_WIDTH)
     for v in active.tolist():
         k = g.meta.interval_of(v)
         part = g.partitions[k]
@@ -219,7 +229,7 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
         rp_pages |= {(k, local // cap_rp), (k, (local + 1) // cap_rp)}
         for e in range(int(rp[local]), int(rp[local + 1])):
             key = (k, e // part.cap_ci)
-            useful[key] = useful.get(key, 0) + csr.VID_WIDTH
+            useful[key] = useful.get(key, 0) + g.meta.colidx_width
             rows_on.setdefault(key, set()).add(v)
     if str(case).startswith("hubs"):
         assert max(map(len, rows_on.values())) > 1  # active rows share a page
@@ -502,7 +512,7 @@ def test_load_adjacency_rejects_a_short_page_inside_a_row(tmp_path, count):
     # vertex 0's 200 neighbors are colIdx entries 0-199, pages 0-3 of 60
     # entries; page 1 claims fewer, so its last entries are past its count
     src, dst = star_graph(200)
-    g = build_graph(tmp_path, src, dst, 201, page_size=256, sort_budget=20 * len(src))
+    g = build_graph(tmp_path, src, dst, 201, page_size=page_of_60(201), sort_budget=20 * len(src))
     assert g.meta.num_intervals == 1 and g.partitions[0].cap_ci == 60
     store = g.partitions[0].colidx
     page = bytearray(store.read_page(1))
@@ -519,7 +529,8 @@ def test_a_pick_past_a_page_count_is_corrupt(tmp_path, read_first):
     # 1 claims 30, so entries 90-119 are past its count. The page is checked
     # when a take reads it, and again when a later take finds it kept
     src, dst = star_graph(200)
-    g = build_graph(tmp_path, src, dst, 201, page_size=256, sort_budget=20 * len(src))
+    g = build_graph(tmp_path, src, dst, 201, page_size=page_of_60(201), sort_budget=20 * len(src))
+    assert g.partitions[0].cap_ci == 60
     store = g.partitions[0].colidx
     page = bytearray(store.read_page(1))
     PAGE_COUNT.pack_into(page, 0, 30)
@@ -647,10 +658,12 @@ def set_rowptr_entry(g, entry, value):
 
 def test_load_adjacency_rejects_a_row_past_the_colidx_store(tmp_path):
     # rowPtr entry 10 ends row 9 at entry 1000, past the 100 entries of
-    # colIdx's 2 pages
+    # colIdx's pages
     g = truncated_graph(tmp_path, 10, None)
+    pages = g.partitions[0].colidx.num_pages
+    assert pages == -(-100 // g.partitions[0].cap_ci) and 1000 > pages * g.partitions[0].cap_ci
     set_rowptr_entry(g, 10, 1000)
-    with pytest.raises(AddressError, match="entry 999 wanted from a store of 2 pages"):
+    with pytest.raises(AddressError, match=f"entry 999 wanted from a store of {pages} pages"):
         csr.load_adjacency(g, np.array([8, 9]))
 
 
@@ -727,14 +740,26 @@ def test_whole_vector_reads_reject_a_short_vector(tmp_path, vector, caller):
 
 
 def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):
-    # one interval of 100 vertices: 101 rowPtr entries and 200 colIdx entries
-    src, dst = ring_graph(100)
-    g = build_graph(tmp_path, src, dst, 100, page_size=256, sort_budget=20 * len(src))
+    # one interval of 65,537 vertices, whose largest id needs more than 16
+    # bits: 65,538 rowPtr entries and 131,074 colIdx entries
+    n = (1 << 16) + 1
+    src, dst = ring_graph(n)
+    g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=20 * len(src))
     part = g.partitions[0]
-    assert g.meta.num_intervals == 1
-    assert part.rowptr.num_pages == -(-101 // page_capacity(256, 8))
-    assert part.colidx.num_pages == -(-200 // page_capacity(256, 4))
+    assert g.meta.num_intervals == 1 and g.meta.colidx_width == 4
+    assert part.rowptr.num_pages == -(-(n + 1) // page_capacity(256, 8))
+    assert part.colidx.num_pages == -(-2 * n // page_capacity(256, 4))
     assert part.cap_ci == page_capacity(256, 4)
+
+
+def rewrite_meta(g, change):
+    """Apply change to the dict of g's meta.json and write it back."""
+    path = os.path.join(g.path, "meta.json")
+    with open(path) as f:
+        meta = json.load(f)
+    change(meta)
+    with open(path, "w") as f:
+        json.dump(meta, f)
 
 
 @pytest.mark.parametrize(
@@ -748,12 +773,75 @@ def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):
 def test_meta_json_key_mismatch_is_config_error(tmp_path, change, named):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
-    path = os.path.join(g.path, "meta.json")
-    with open(path) as f:
-        meta = json.load(f)
-    change(meta)
-    with open(path, "w") as f:
-        json.dump(meta, f)
+    rewrite_meta(g, change)
     with pytest.raises(ConfigError, match=named) as err:
         csr.GraphDir(g.path)
     assert "reconvert" in str(err.value)
+
+
+def test_a_graph_converted_before_colidx_width_was_stored_is_config_error(tmp_path):
+    # such a graph's colIdx entries are 4 bytes and its meta.json has no
+    # colidx_width; read at the 1-byte width of 6 vertices, every page would
+    # parse as four times the entries, so it must not open
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    old = dataclasses.replace(g.meta, colidx_width=4)
+    for part in g.partitions:
+        rp, ci = part.full_csr()
+        g.registry.drop(part.rowptr, "csr", unlink=True)
+        g.registry.drop(part.colidx, "csr", unlink=True)
+        part.rowptr, part.colidx = csr.write_interval(g.registry, old, g.path, part.k, rp, ci)
+    g.close()
+    rewrite_meta(g, lambda m: m.pop("colidx_width"))
+    with pytest.raises(ConfigError, match=r"missing keys \['colidx_width'\]; reconvert"):
+        csr.GraphDir(g.path)
+
+
+@pytest.mark.parametrize(
+    "width", [0, 3, 8, 1, 4, "2", None, True], ids=["0", "3", "8", "too-narrow", "wider", "string", "null", "bool"]
+)
+def test_meta_json_colidx_width_other_than_the_narrowest_is_config_error(tmp_path, width):
+    # 300 vertices need 2 bytes an id; read at 4, the 2-byte entries of a
+    # page would parse as half as many other ids
+    src, dst = random_graph(300, 4, seed=2)
+    g = build_graph(tmp_path, src, dst, 300, page_size=256)
+    assert g.meta.colidx_width == 2
+    g.close()
+    rewrite_meta(g, lambda m: m.update(colidx_width=width))
+    with pytest.raises(ConfigError, match=f"meta.json: colidx_width {width!r} is not 2, .* 300 vertices; reconvert"):
+        csr.GraphDir(g.path)
+
+
+@pytest.mark.parametrize("n, width", [(256, 1), (257, 2), (1 << 16, 2), ((1 << 16) + 1, 4)])
+def test_colidx_entries_take_the_narrowest_width_that_holds_every_id(tmp_path, n, width):
+    # a sparse random graph with edges to and from n - 1, the largest id:
+    # 255, 256, 65,535 and 65,536 are the bounds of 1, 2 and 4 bytes
+    rng = np.random.default_rng(n)
+    pairs = np.append(rng.integers(0, n, (n, 2)), [[0, n - 1], [n - 1, n - 2]], axis=0)
+    src, dst = both_directions(pairs.tolist())
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+    assert g.meta.colidx_width == width and g.meta.num_intervals > 1
+
+    def edges(graph):
+        s, d = graph.all_edges()
+        return sorted(zip(s.tolist(), d.tolist()))
+
+    def pages_at_width(graph, s):
+        per_interval = np.bincount(graph.meta.interval_of(s), minlength=graph.meta.num_intervals)
+        assert [part.colidx.num_pages for part in graph.partitions] == (-(-per_interval // ((256 - PAGE_HEADER) // width))).tolist()
+
+    assert edges(g) == sorted(zip(src.tolist(), dst.tolist()))
+    pages_at_width(g, src)
+    # a merge into the interval of n - 1 adds an edge to it and deletes one
+    k = int(g.meta.interval_of(n - 1))
+    ops = op_rows(("add_edge", n - 1, n - 1), ("add_edge", n - 1, 0), ("del_edge", n - 1, n - 2))
+    assert csr.merge_structural_updates(g, k, ops) == 0
+    want = Counter(zip(src.tolist(), dst.tolist())) + Counter([(n - 1, n - 1), (n - 1, 0)]) - Counter([(n - 1, n - 2)])
+    src, dst = (np.array(col, np.int64) for col in zip(*sorted(want.elements())))
+    g.close()
+    with csr.GraphDir(g.path) as again:
+        assert again.meta.colidx_width == width
+        assert edges(again) == sorted(want.elements())
+        pages_at_width(again, src)
+        res = run_app(again, Bfs(n - 1), EngineConfig(memory_budget=1 << 20, page_size=256, max_supersteps=500), str(tmp_path / "run"))
+    assert res.states["level"].tolist() == oracles.oracle_bfs(adjacency_lists(src, dst, n), n - 1)

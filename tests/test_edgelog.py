@@ -218,7 +218,9 @@ def test_candidate_mask_logs_what_the_per_view_rule_logs(tmp_path, seed):
 def test_engine_adds_up_page_usage_over_the_batches_of_a_superstep(tmp_path, monkeypatch):
     # one interval, each vertex forced and sent 45 self-messages: the
     # superstep runs in 4 destination passes whose fetches share colIdx
-    # pages, each page's last share inefficient on its own, the sum not
+    # pages, each page's last share inefficient on its own, the sum not.
+    # Each row is 12 bytes of colIdx entries, 20 rows to a page, whatever
+    # the id width
     from loggraph.engine import EngineConfig, VertexProgram, run_app
 
     class Forced(VertexProgram):
@@ -231,8 +233,10 @@ def test_engine_adds_up_page_usage_over_the_batches_of_a_superstep(tmp_path, mon
             pass
 
     n = 80
-    src = np.repeat(np.arange(n), 3)
-    g = build_graph(tmp_path, src, (src + np.tile([1, 2, 3], n)) % n, n, page_size=256, sort_budget=1 << 20)
+    degree = 12 // csr.id_dtype(n).itemsize
+    src = np.repeat(np.arange(n), degree)
+    g = build_graph(tmp_path, src, (src + np.tile(np.arange(1, degree + 1), n)) % n, n, page_size=256, sort_budget=1 << 20)
+    assert degree * g.meta.colidx_width == 12 and g.partitions[0].cap_ci == 20 * degree
     fetched, load = [], csr.load_adjacency
 
     def spy(graph, active):

@@ -1,11 +1,16 @@
 import numpy as np
+import pytest
 
-from loggraph.pager import StoreRegistry, record_counts
+from loggraph.csr import id_dtype
+from loggraph.pager import PAGE_HEADER, StoreRegistry, record_counts
 from loggraph.shards import balanced_dest_bounds, build_shards, superstep_page_cost
 
 from util import random_graph, ring_graph
 
-EDGE_DT = np.dtype([("src", "<u4"), ("dst", "<u4")])
+
+def edge_dt(n):
+    """A shard record of a graph of n vertices: (src, dst) at its id width."""
+    return np.dtype([("src", id_dtype(n)), ("dst", id_dtype(n))])
 
 
 def make_shards(tmp_path, src, dst, n, num_shards, page_size=256):
@@ -17,7 +22,7 @@ def test_single_shard_holds_all_edges_src_sorted(tmp_path):
     src, dst = ring_graph(6)
     shards, _ = make_shards(tmp_path, src, dst, 6, 1)
     assert shards.num_shards == 1
-    recs = shards.stores[0].read_records([0], EDGE_DT)
+    recs = shards.stores[0].read_records([0], edge_dt(6))
     assert len(recs) == 12
     assert np.all(np.diff(recs["src"].astype(int)) >= 0)
 
@@ -35,7 +40,7 @@ def test_edge_lands_in_dest_range_shard(tmp_path):
     src, dst = ring_graph(6)
     shards, _ = make_shards(tmp_path, src, dst, 6, 3)
     # edge (5,0): dst 0 -> shard 0
-    recs = shards.stores[0].read_records([0], EDGE_DT)
+    recs = shards.stores[0].read_records([0], edge_dt(6))
     assert (5, 0) in [tuple(map(int, r)) for r in recs]
 
 
@@ -82,7 +87,8 @@ def test_shrinking_actives_cost_ratio_trend(tmp_path):
     true per-vertex page needs shrink, so the ratio grows."""
     src, dst = random_graph(4000, 6, seed=3)
     shards, _ = make_shards(tmp_path, src, dst, 4000, 4, page_size=256)
-    assert min(shards.page_counts) >= 64
+    # 4-byte records: 2-byte ids, 60 to a page
+    assert min(shards.page_counts) >= 100
     rng = np.random.default_rng(1)
     active = np.unique(rng.integers(0, 4000, 2000))
     prev_ratio = 0.0
@@ -101,3 +107,16 @@ def test_balanced_bounds_strictly_increase():
     bounds = balanced_dest_bounds(indeg, 3)
     assert bounds[0] == 0 and bounds[-1] == 8
     assert all(b > a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("n, width", [(256, 1), (257, 2), ((1 << 16) + 1, 4)])
+def test_shard_records_hold_ids_at_the_csr_width(tmp_path, n, width):
+    # a shard stores the pairs of its destination range at the width a
+    # colIdx entry of the same graph takes, 2 * width bytes a record
+    src, dst = ring_graph(n)
+    shards, _ = make_shards(tmp_path, src, dst, n, 3)
+    per_shard = np.diff(np.searchsorted(np.sort(dst), shards.bounds))
+    cap = (256 - PAGE_HEADER) // (2 * width)
+    assert shards.page_counts == (-(-per_shard // cap)).tolist()
+    recs = shards.stores[2].read_records(range(shards.page_counts[2]), edge_dt(n))
+    assert recs.dtype.itemsize == 2 * width and (n - 2, n - 1) in set(zip(recs["src"].tolist(), recs["dst"].tolist()))
