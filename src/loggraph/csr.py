@@ -3,11 +3,16 @@
 The vertex space is cut into contiguous intervals sized so that each
 interval's worst-case inbox (one record per in-edge) fits the in-memory sort
 budget. Each interval stores its vertices' out-edges as two paged vectors:
-rowPtr (8-byte local offsets) and colIdx (destination ids). Edges carry no
-values. A colIdx entry is an unsigned little-endian id of the graph's one
-width, the narrowest of 1, 2 and 4 bytes that holds num_vertices - 1
-(`id_dtype`): convert fixes it in meta.json as colidx_width, a merge
-rewrites an interval at it, and only this module reads or writes entries.
+rowPtr (4-byte offsets, local to the interval) and colIdx (destination
+ids). Edges carry no values. A 4-byte offset addresses fewer than 2^32
+entries, so convert and merge raise `IngestError` for an interval that
+would hold more, before any file is written or dropped
+(`rowptr_offsets`); meta.json records the width as rowptr_width. A colIdx
+entry is an unsigned little-endian id of the graph's one width, the
+narrowest of 1, 2 and 4 bytes that holds num_vertices - 1 (`id_dtype`):
+convert fixes it in meta.json as colidx_width, a merge rewrites an
+interval at it, and only this module reads or writes entries. The
+multi-log's messages carry their ids at the same width.
 Every reader gets uint32 ids (`VID_DT`): `Adjacency.take` gathers the
 entries at the stored width and widens them as its answer's copy.
 Adjacency loads touch only the pages that overlap the requested vertices'
@@ -51,9 +56,10 @@ import numpy as np
 from .errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
 from .pager import DENSE_SLOTS, StoreRegistry, cover, member, page_capacity, ranges, run_starts
 
-ROWPTR_WIDTH = 8
+# a rowPtr offset is local to its interval (see rowptr_offsets)
+ROWPTR_WIDTH = 4
 VID_WIDTH = 4
-ROWPTR_DT = np.dtype("<u8")
+ROWPTR_DT = np.dtype("<u4")
 VID_DT = np.dtype("<u4")
 INDEG_FILE = "indeg.bin"
 
@@ -67,12 +73,14 @@ def id_dtype(num_vertices: int) -> np.dtype:
 @dataclass
 class GraphMeta:
     """meta.json: the facts convert fixes. colidx_width is the bytes of
-    one colIdx entry (see the module doc)."""
+    one colIdx entry and rowptr_width of one rowPtr offset (see the module
+    doc)."""
 
     num_vertices: int
     interval_bounds: list[int]
     page_size: int
     colidx_width: int
+    rowptr_width: int = ROWPTR_WIDTH
     record_size: int = 16
     dataset_hash: str = ""
 
@@ -101,9 +109,10 @@ class GraphMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphMeta":
-        """Parse meta.json; every field must be present and nothing else, and
-        colidx_width must be the width convert picks for num_vertices: read
-        at another width, a colIdx page would parse as other entries."""
+        """Parse meta.json; every field must be present and nothing else,
+        colidx_width must be the width convert picks for num_vertices and
+        rowptr_width must be ROWPTR_WIDTH: read at another width, a colIdx
+        or rowPtr page would parse as other entries."""
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - names)
         missing = sorted(names - set(d))
@@ -117,6 +126,12 @@ class GraphMeta:
             raise ConfigError(
                 f"meta.json: colidx_width {width!r} is not {want}, the narrowest of 1, 2 and 4 bytes "
                 f"that holds the ids of {d['num_vertices']} vertices; reconvert the graph with this version"
+            )
+        width = d["rowptr_width"]
+        if type(width) is not int or width != ROWPTR_WIDTH:
+            raise ConfigError(
+                f"meta.json: rowptr_width {width!r} is not {ROWPTR_WIDTH}, the bytes of a rowPtr offset; "
+                "reconvert the graph with this version"
             )
         return cls(**d)
 
@@ -336,12 +351,24 @@ def write_interval(
     registry: StoreRegistry, meta: GraphMeta, graph_path: str, k: int, rowptr: np.ndarray, colidx: np.ndarray
 ):
     """Write interval k's rowPtr file and its colIdx file, at the graph's
-    colidx_width; returns their stores, open."""
+    colidx_width; returns their stores, open. rowptr is checked by
+    `rowptr_offsets` before any file is opened."""
+    rowptr = rowptr_offsets(rowptr)
     rp_store = registry.open(part_path(graph_path, k, "rowptr"), "csr")
-    rp_store.append_records(np.asarray(rowptr, ROWPTR_DT).tobytes(), ROWPTR_WIDTH)
+    rp_store.append_records(rowptr.tobytes(), ROWPTR_WIDTH)
     ci_store = registry.open(part_path(graph_path, k, "colidx"), "csr")
     ci_store.append_records(np.asarray(colidx, meta.colidx_dtype).tobytes(), meta.colidx_width)
     return rp_store, ci_store
+
+
+def rowptr_offsets(rowptr: np.ndarray) -> np.ndarray:
+    """An interval's rowPtr (ascending offsets from 0) as stored, ROWPTR_DT;
+    an interval of 2^32 entries or more, which a 4-byte offset cannot
+    address, is an `IngestError`."""
+    total = int(rowptr[-1])
+    if total > np.iinfo(ROWPTR_DT).max:
+        raise IngestError(f"an interval of {total} edges; its {ROWPTR_WIDTH}-byte rowPtr offsets address fewer than 2^32")
+    return np.asarray(rowptr, ROWPTR_DT)
 
 
 def write_in_degrees(graph_path: str, in_degrees: np.ndarray) -> None:
@@ -364,7 +391,7 @@ class Partition:
         self.cap_ci = page_capacity(graph_dir.meta.page_size, self.ci_dt.itemsize)
 
     def full_rowptr(self) -> np.ndarray:
-        """The whole rowPtr vector: hi - lo + 1 offsets."""
+        """The whole rowPtr vector: hi - lo + 1 offsets, widened to int64."""
         out = self.rowptr.read_vector(self.hi - self.lo + 1, ROWPTR_DT).astype(np.int64)
         back = np.flatnonzero(np.diff(out) < 0)
         if out[0] != 0 or len(back):
@@ -476,7 +503,7 @@ def build_partitions(
         a, b = np.searchsorted(src, [lo, hi])
         loc_src = src[a:b] - lo
         counts = np.bincount(loc_src, minlength=hi - lo)
-        rowptr = np.zeros(hi - lo + 1, ROWPTR_DT)
+        rowptr = np.zeros(hi - lo + 1, np.int64)
         np.cumsum(counts, out=rowptr[1:])
         # GraphDir opens the files again; drop keeps their traffic in totals()
         for store in write_interval(registry, meta, out_dir, k, rowptr, dst[a:b]):
@@ -634,6 +661,8 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
         raise IngestError(f"insert destination {int(bad[0])} outside [0, {n})")
     rp, old = part.full_csr()
     rowptr, colidx, warnings, gone, ins = apply_ops(np.arange(part.lo, part.hi), rp, old, ops)
+    # refused before the old files go
+    rowptr = rowptr_offsets(rowptr)
     in_degrees = graph.in_degrees() + np.bincount(ins, minlength=n) - np.bincount(gone, minlength=n)
 
     reg = graph.registry

@@ -145,7 +145,9 @@ class Batch:
 
     Row i is vertex ids[i] (ascending). states[i] is its mutable state row,
     adj row i its out-neighbors and records[starts[i]:ends[i]] its inbox in
-    arrival order (empty when it was only forced active). adj holds the
+    arrival order (empty when it was only forced active); a record's dest
+    and src are unsigned ids at the graph's id width, 1, 2 or 4 bytes, so
+    widen them before arithmetic that may leave it. adj holds the
     rows' degrees (adj.degrees, adj.offsets); their neighbors are read on
     demand, only those a program asks for: adj.take(at) returns the entries
     at flat positions at (adj.offsets[i] + j is row i's j-th neighbor),
@@ -370,7 +372,8 @@ class Engine:
             raise ConfigError(
                 f"engine page size {config.page_size} != converted graph page size {self.meta.page_size}"
             )
-        self.fmt = RecordFormat(program.payload_fields)
+        # message ids at the graph's id width, the one width csr.id_dtype picks
+        self.fmt = RecordFormat(program.payload_fields, self.meta.colidx_dtype)
         if program.combine is not None:
             check_combine(program.combine, self.fmt)
         if config.sort_budget < self.fmt.width:

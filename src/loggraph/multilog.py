@@ -21,9 +21,12 @@ page is never handed over before its log is sealed. Log files are per
 (superstep, interval), so a sealed superstep's chain is frozen but for its
 spilled tail while the next superstep's sends open fresh logs.
 
-Record layout: dest(4) | src(4) | fixed-width payload. Records never span
-pages, so each page parses on its own. Pages keep arrival order; the
-sort-and-group unit orders a loaded log by destination, or combines it.
+Record layout (`RecordFormat`): dest | src | fixed-width payload, dest and
+src unsigned ids at the graph's id width, the narrowest of 1, 2 and 4
+bytes that holds every vertex id (`csr.id_dtype`), as colIdx stores them.
+Records never span pages, so each page parses on its own. Pages keep
+arrival order; the sort-and-group unit orders a loaded log by
+destination, or combines it.
 
 Combining at the sender. With a combiner (one ufunc per payload field, see
 `check_combine`), an interval's log of one superstep is either raw records
@@ -50,10 +53,12 @@ hit destinations, one record per destination in ascending order, through
 the same path as raw records, so the eviction this may force takes closed
 pages as any send's does. `sortgroup.apply_combine` folds a raw log into
 an `Accumulator` too, from the same identity in arrival order, so both
-give the same bits, and on one record per destination it is the identity.
-Mixing raw records and a partial sum in one interval's log would break
-that, hence one or the other for the whole superstep. A log's
-`message_count` is its records; `total_appends` counts sends.
+give the same bits, and on one record per destination it is the identity:
+a sealed accumulator's log is marked `LogHandle.folded`, and the receiver
+does not fold it again. Mixing raw records and a partial sum in one
+interval's log would break that, hence one or the other for the whole
+superstep. A log's `message_count` is its records; `total_appends` counts
+sends.
 
 `send_columns` is the one send path. It takes one column per wire field,
 as vertex programs send through the engine's `Context.send_many`, copies
@@ -181,11 +186,14 @@ class Accumulator:
 
 
 class RecordFormat:
-    """Wire format of one update message; payload fields are app-defined."""
+    """Wire format of one update message: dest and src as unsigned ids of
+    id_dtype, then the app-defined payload fields. The engine passes its
+    graph's id width (`csr.GraphMeta.colidx_dtype`), the narrowest that
+    holds every vertex id; the default, uint32, holds any."""
 
-    def __init__(self, payload_fields: list[tuple[str, str]] | None = None):
+    def __init__(self, payload_fields: list[tuple[str, str]] | None = None, id_dtype="<u4"):
         self.payload_fields = list(payload_fields or [])
-        self.dtype = np.dtype([("dest", "<u4"), ("src", "<u4")] + self.payload_fields)
+        self.dtype = np.dtype([("dest", id_dtype), ("src", id_dtype)] + self.payload_fields)
         self.width = self.dtype.itemsize
 
     def pack(self, rows: list[tuple]) -> np.ndarray:
@@ -204,7 +212,9 @@ class LogHandle:
     Its records are those of the pages `ordinals` of `store`, then those of
     the resident `tail` pages (each with its record count in the header),
     in arrival order. An eviction spills the tail's first page to the end
-    of `ordinals`; `MultiLog.release` frees what is left of it.
+    of `ordinals`; `MultiLog.release` frees what is left of it. folded says
+    the records are already one per destination, ascending, folded from the
+    combiner's identities: an accumulator's, or none.
     """
 
     interval: int
@@ -212,6 +222,7 @@ class LogHandle:
     ordinals: list[int]
     message_count: int
     tail: list[bytearray]
+    folded: bool = False
 
 
 @dataclass
@@ -229,7 +240,7 @@ class LogManifest:
 
 
 class _IntervalLog:
-    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed", "acc")
+    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed", "acc", "folded")
 
     def __init__(self, interval: int, page_size: int):
         self.interval = interval
@@ -241,6 +252,7 @@ class _IntervalLog:
         self.message_count = 0
         self.sealed = False
         self.acc: Accumulator | None = None
+        self.folded = False  # its records are an accumulator's
 
 
 class MultiLog:
@@ -328,11 +340,13 @@ class MultiLog:
         if n == 0:
             return
         dest = np.asarray(columns[0])
-        # an integer dest in range needs no cast to index by
-        if dest.dtype.kind not in "iu" or int(dest.min()) < 0:
+        # checked before any cast, which would wrap -1 into a narrow id's range
+        lowest, highest = dest.min(), dest.max()
+        if lowest < 0 or highest >= self.bounds[-1]:
+            raise ContractViolation(f"destination {lowest if lowest < 0 else highest} outside vertex range")
+        # an integer dest needs no cast to index by
+        if dest.dtype.kind not in "iu":
             dest = _as_wire(dest, self.fmt.dtype["dest"], n)
-        if int(dest.max()) >= self.bounds[-1]:
-            raise ContractViolation(f"destination {int(dest.max())} outside vertex range")
         columns = (dest, *columns[1:])
         if self.combine is None:
             self._append(self._records(columns))
@@ -614,7 +628,9 @@ class MultiLog:
         tail = self._take_pages(log)
         log.top = bytearray()
         log.sealed = True
-        handle = LogHandle(k, log.store, list(log.chain), log.message_count, tail)
+        # an empty log has nothing to fold either
+        folded = log.folded or log.message_count == 0
+        handle = LogHandle(k, log.store, list(log.chain), log.message_count, tail, folded)
         if tail:
             self._carried.append((self.tag, handle))
             self._carried_pages += len(tail)
@@ -627,7 +643,7 @@ class MultiLog:
             return
         records = log.acc.records()
         self._acc_bytes -= log.acc.nbytes
-        log.acc = None
+        log.acc, log.folded = None, True
         self._append(records)
 
     def seal(self) -> LogManifest:

@@ -17,6 +17,8 @@ ascending. A sender that folded an interval's sends into an accumulator
 already logged one record per destination, folded from the same identity
 in arrival order; on such a log apply_combine is the identity, so a pass
 gives the same bits whether its intervals were logged raw or accumulated.
+A one-pass plan whose every log is folded so (`multilog.LogHandle.folded`)
+is therefore not folded again: its records are its inbox as loaded.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class FusePlan:
 
 @dataclass
 class SortedLog:
-    """Records non-decreasing by dest; group ranges partition the array."""
+    """Records non-decreasing by dest; group ranges partition the array.
+    Records loaded as they were logged (see the module doc) are read-only."""
 
     records: np.ndarray
     dests: np.ndarray
@@ -150,17 +153,20 @@ def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: Rec
     number, so that what a pass allocates grows with its records, not with
     its range. Both give the same records."""
     if len(records) == 0:
-        e = np.zeros(0, np.int64)
-        return SortedLog(np.zeros(0, fmt.dtype), e, e, e)
+        return one_per_dest(np.zeros(0, fmt.dtype))
     if hi - lo <= DENSE_SPAN_PER_RECORD * len(records):
         acc, index, dests = Accumulator(lo, hi, combine, fmt), None, None
     else:
         dests, index = np.unique(records["dest"], return_inverse=True)
         acc = Accumulator(0, len(dests), combine, fmt)
     acc.fold(records, index)
-    out = acc.records(dests)
-    idx = np.arange(len(out), dtype=np.int64)
-    return SortedLog(out, out["dest"].astype(np.int64), idx, idx + 1)
+    return one_per_dest(acc.records(dests))
+
+
+def one_per_dest(records: np.ndarray) -> SortedLog:
+    """The SortedLog of records that hold one per destination, ascending."""
+    idx = np.arange(len(records), dtype=np.int64)
+    return SortedLog(records, records["dest"].astype(np.int64), idx, idx + 1)
 
 
 def split_dest_range(lo: int, hi: int, in_degrees: np.ndarray, passes: int) -> list[tuple[int, int]]:
@@ -190,7 +196,8 @@ def iter_plan_sorted(
 ):
     """Yield (lo, hi, SortedLog) per pass: the records destined to [lo, hi),
     sorted and grouped, or with a combiner one combined record per
-    destination (`apply_combine`). One pass covers the plan's vertex range;
+    destination (`apply_combine`, or as loaded when a one-pass plan's logs
+    are all folded). One pass covers the plan's vertex range;
     a plan whose single interval overflows the sort budget takes several
     dest-partitioned passes, which together cover it, an empty bucket
     included. Each pass loads the whole log (`load_log`) and then masks it
@@ -207,6 +214,8 @@ def iter_plan_sorted(
     assert plan.passes == 1 or len(plan.intervals) == 1
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
     buckets = split_dest_range(lo, hi, deg, plan.passes)
+    # contiguous intervals' folded logs, joined, are one record per destination, ascending
+    folded = combine is not None and plan.passes == 1 and all(h.folded for h in handles)
     for i, (a, b) in enumerate(buckets):
         records = load_log(plan, manifest, fmt)
         if release is not None and i == len(buckets) - 1:
@@ -216,4 +225,7 @@ def iter_plan_sorted(
             records = records[(records["dest"] >= a) & (records["dest"] < b)]
         if on_resident is not None:
             on_resident(records.nbytes)
-        yield a, b, sort_n_group(records) if combine is None else apply_combine(records, a, b, combine, fmt)
+        if combine is None:
+            yield a, b, sort_n_group(records)
+        else:
+            yield a, b, one_per_dest(records) if folded else apply_combine(records, a, b, combine, fmt)

@@ -32,8 +32,10 @@ def test_convert_skips_comments_and_counts(tmp_path, g6_file, capsys):
     out = convert_g6(tmp_path, g6_file)
     assert json.loads(capsys.readouterr().out)["num_edges"] == 12  # both directions
     meta = json.loads(Path(os.path.join(out, "meta.json")).read_text())
-    assert sorted(meta) == ["colidx_width", "dataset_hash", "interval_bounds", "num_vertices", "page_size", "record_size"]
-    assert meta["num_vertices"] == 6 and meta["colidx_width"] == 1
+    assert sorted(meta) == [
+        "colidx_width", "dataset_hash", "interval_bounds", "num_vertices", "page_size", "record_size", "rowptr_width"
+    ]
+    assert meta["num_vertices"] == 6 and meta["colidx_width"] == 1 and meta["rowptr_width"] == 4
     assert meta["interval_bounds"] == [0, 3, 6]
     assert os.path.exists(os.path.join(out, "mapping.tsv"))
 
@@ -127,10 +129,12 @@ def test_run_rejects_removed_flags(tmp_path, g6_file, flag):
 
 def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):
     # the ring at 1 MiB, and a 400-vertex graph in 13 intervals at the
-    # smallest budget whose multi-log holds a page per interval
+    # smallest budget whose multi-log holds a page per interval; 8 edges a
+    # vertex send enough 2-byte-id messages that the holds make the ledger
+    # give pages back (at 4 a vertex they fit beside every page)
     edges = tmp_path / "edges.txt"
-    edges.write_text("".join(f"{u} {v}\n" for u, v in zip(*random_graph(400, 4, seed=5))))
-    assert main(["convert", str(edges), str(tmp_path / "tight"), "--budget", "2000", "--page-size", "256"]) == 0
+    edges.write_text("".join(f"{u} {v}\n" for u, v in zip(*random_graph(400, 8, seed=5))))
+    assert main(["convert", str(edges), str(tmp_path / "tight"), "--budget", "4000", "--page-size", "256"]) == 0
     cases = [(convert_g6(tmp_path, g6_file), 1 << 20), (str(tmp_path / "tight"), 13 * 256 * 20)]
     reports = []
     for i, (out, budget) in enumerate(cases):

@@ -739,15 +739,15 @@ def test_whole_vector_reads_reject_a_short_vector(tmp_path, vector, caller):
             getattr(g, caller)()
 
 
-def test_rowptr_uses_8_byte_and_colidx_4_byte_records(tmp_path):
+def test_rowptr_and_colidx_use_4_byte_records(tmp_path):
     # one interval of 65,537 vertices, whose largest id needs more than 16
-    # bits: 65,538 rowPtr entries and 131,074 colIdx entries
+    # bits: 65,538 rowPtr entries and 131,074 colIdx entries, each 4 bytes
     n = (1 << 16) + 1
     src, dst = ring_graph(n)
     g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=20 * len(src))
     part = g.partitions[0]
-    assert g.meta.num_intervals == 1 and g.meta.colidx_width == 4
-    assert part.rowptr.num_pages == -(-(n + 1) // page_capacity(256, 8))
+    assert g.meta.num_intervals == 1 and g.meta.colidx_width == 4 and g.meta.rowptr_width == 4
+    assert part.rowptr.num_pages == -(-(n + 1) // page_capacity(256, 4))
     assert part.colidx.num_pages == -(-2 * n // page_capacity(256, 4))
     assert part.cap_ci == page_capacity(256, 4)
 
@@ -810,6 +810,65 @@ def test_meta_json_colidx_width_other_than_the_narrowest_is_config_error(tmp_pat
     rewrite_meta(g, lambda m: m.update(colidx_width=width))
     with pytest.raises(ConfigError, match=f"meta.json: colidx_width {width!r} is not 2, .* 300 vertices; reconvert"):
         csr.GraphDir(g.path)
+
+
+def test_a_graph_converted_before_rowptr_width_was_stored_is_config_error(tmp_path):
+    # such a graph's rowPtr offsets are 8 bytes and its meta.json has no
+    # rowptr_width; read at 4 bytes, each offset would parse as two, the
+    # second of them 0, so it must not open
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    for part in g.partitions:
+        rp = part.full_rowptr()
+        g.registry.drop(part.rowptr, "csr", unlink=True)
+        part.rowptr = g.registry.open(csr.part_path(g.path, part.k, "rowptr"), "csr")
+        part.rowptr.append_records(rp.astype("<u8").tobytes(), 8)
+    g.close()
+    rewrite_meta(g, lambda m: m.pop("rowptr_width"))
+    with pytest.raises(ConfigError, match=r"meta.json has .* missing keys \['rowptr_width'\]; reconvert"):
+        csr.GraphDir(g.path)
+
+
+@pytest.mark.parametrize("width", [0, 2, 8, "4", None, True], ids=["0", "2", "8", "string", "null", "bool"])
+def test_meta_json_rowptr_width_other_than_4_is_config_error(tmp_path, width):
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    assert g.meta.rowptr_width == 4
+    g.close()
+    rewrite_meta(g, lambda m: m.update(rowptr_width=width))
+    with pytest.raises(ConfigError, match=f"meta.json: rowptr_width {width!r} is not 4, .*; reconvert"):
+        csr.GraphDir(g.path)
+
+
+def test_an_interval_of_2_32_entries_is_refused_before_a_file_changes(tmp_path, monkeypatch):
+    # a 4-byte rowPtr offset addresses 2^32 entries at most: the offsets
+    # are checked before write_interval opens a file and before a merge
+    # drops the old ones, with no colIdx of that size needed
+    assert csr.rowptr_offsets(np.array([0, 5, (1 << 32) - 1])).dtype == np.dtype("<u4")
+    with pytest.raises(IngestError, match="4294967296 edges"):
+        csr.rowptr_offsets(np.array([0, 5, 1 << 32]))
+    src, dst = ring_graph(6)
+    g = build_graph(tmp_path, src, dst, 6, page_size=256)
+    files = {f: (tmp_path / "g" / f).read_bytes() for f in sorted(os.listdir(tmp_path / "g"))}
+    edges = [col.tolist() for col in g.all_edges()]
+    huge = np.array([0, 1, 1 << 32], np.int64)
+    with pytest.raises(IngestError, match="4294967296 edges"):
+        csr.write_interval(g.registry, g.meta, g.path, 0, huge, np.zeros(2, np.int64))
+
+    apply_ops = csr.apply_ops
+
+    def grown(*args):
+        offsets, *rest = apply_ops(*args)
+        offsets[-1] = 1 << 32
+        return (offsets, *rest)
+
+    monkeypatch.setattr(csr, "apply_ops", grown)
+    with pytest.raises(IngestError, match="4294967296 edges"):
+        csr.merge_structural_updates(g, 0, op_rows(("add_edge", 0, 1)))
+    g.close()
+    assert {f: (tmp_path / "g" / f).read_bytes() for f in sorted(os.listdir(tmp_path / "g"))} == files
+    with csr.GraphDir(g.path) as again:
+        assert [col.tolist() for col in again.all_edges()] == edges
 
 
 @pytest.mark.parametrize("n, width", [(256, 1), (257, 2), (1 << 16, 2), ((1 << 16) + 1, 4)])

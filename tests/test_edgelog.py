@@ -216,18 +216,19 @@ def test_candidate_mask_logs_what_the_per_view_rule_logs(tmp_path, seed):
 
 
 def test_engine_adds_up_page_usage_over_the_batches_of_a_superstep(tmp_path, monkeypatch):
-    # one interval, each vertex forced and sent 45 self-messages: the
-    # superstep runs in 4 destination passes whose fetches share colIdx
-    # pages, each page's last share inefficient on its own, the sum not.
-    # Each row is 12 bytes of colIdx entries, 20 rows to a page, whatever
-    # the id width
+    # one interval, each vertex forced and sent 90 self-messages of 6
+    # bytes (1-byte ids and a 4-byte payload), 43,200 bytes against a
+    # 12,288-byte sort budget: the superstep runs in 4 destination passes
+    # whose fetches share colIdx pages, each page's last share inefficient
+    # on its own, the sum not. Each row is 12 bytes of colIdx entries, 20
+    # rows to a page, whatever the id width
     from loggraph.engine import EngineConfig, VertexProgram, run_app
 
     class Forced(VertexProgram):
         payload_fields = [("x", "<u4")]
 
         def init_all(self, n, indeg):
-            return np.zeros(n, self.state_dtype), np.ones(n, bool), [(v, (1,)) for v in range(n) for _ in range(45)]
+            return np.zeros(n, self.state_dtype), np.ones(n, bool), [(v, (1,)) for v in range(n) for _ in range(90)]
 
         def process_batch(self, ctx, batch):
             pass

@@ -17,11 +17,13 @@ from loggraph.engine import (
     run_app,
 )
 from loggraph.errors import ConfigError, ContractViolation
-
+from loggraph.multilog import MultiLog, read_log_records
 from loggraph.pager import StoreRegistry, page_capacity
 
+import oracles
 from util import (
     PerVertex,
+    adjacency_lists,
     both_directions,
     build_graph,
     clique_graph,
@@ -378,13 +380,15 @@ def test_pages_the_holders_leave_room_for_are_read_once(tmp_path):
     # outweigh the messages, which stay in the multi-log. Graph and state
     # exceed 80% of the budget less the sort's need, the most a ledger that
     # reserved every fixed share could hold, but fit beside what the sort
-    # and the multi-log hold
+    # and the multi-log hold. With 4-byte rowPtr offsets they take 53,760
+    # bytes, so the budget is 64 KiB: at 72 KiB, 80% of it less the sort's
+    # need was above them
     n, pairs = 2400, 100
     ids = np.random.default_rng(5).permutation(n)[: 2 * pairs].reshape(2, -1)
     src, dst = both_directions(list(zip(ids[0].tolist(), ids[1].tolist())))
     g = build_graph(tmp_path, src, dst, n, page_size=256)
     csr_pages = sum(part.rowptr.num_pages + part.colidx.num_pages for part in g.partitions)
-    config = cfg(memory_budget=72 << 10, max_supersteps=4)
+    config = cfg(memory_budget=64 << 10, max_supersteps=4)
     holds = []
     res = Engine(g, PageRank(), config, str(tmp_path / "run")).run(
         on_superstep=lambda eng, st: holds.append(dict(eng.registry.holds))
@@ -907,14 +911,15 @@ def test_run_closes_its_stores_when_the_program_raises(tmp_path):
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     boom = RuntimeError("boom")
     opened = {}
-    # the multi-log gets one 20-record page per interval, so superstep 0's
-    # seven pages to vertex 1 are flushed to a log file
+    # the multi-log gets one page per interval, of 40 6-byte records (two
+    # 1-byte ids and the payload), so superstep 0's seven pages to vertex 1
+    # are flushed to a log file
     memory_budget = g.meta.num_intervals * 256 * 20
 
     def step(ctx, batch):
         if ctx.superstep == 0:
             ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), 1))
-            ctx.send_many(np.ones(7 * 20, np.int64), batch.ids[0], 1)
+            ctx.send_many(np.ones(7 * page_capacity(256, 6), np.int64), batch.ids[0], 1)
             return
         opened.update({klass: len(g.registry._stores[klass]) for klass in ("log", "state")})
         raise boom
@@ -933,3 +938,45 @@ def test_convert_maps_no_arena_and_a_run_unmaps_it_at_its_end(tmp_path):
     result = run_app(g, PageRank(), cfg(max_supersteps=3), str(tmp_path / "run"))
     assert sum(result.stats[-1].hits.values()) > 0  # pages were served from the arena
     assert g.registry._mm is None and g.registry.arena.shape == (0, 256) and not g.registry._free
+
+
+@pytest.mark.parametrize("n, id_dt", [(256, "u1"), (257, "u2"), (1 << 16, "u2"), ((1 << 16) + 1, "u4")])
+def test_messages_carry_ids_at_the_graph_width(tmp_path, n, id_dt):
+    # 255, 256, 65,535 and 65,536 are the largest ids of 1, 2 and 4 bytes:
+    # a sparse random graph in which n - 1 has edges to 0 and n - 2
+    a, b = random_graph(n, 2, seed=n)
+    pairs = {(min(u, v), max(u, v)) for u, v in zip(a.tolist(), b.tolist())} | {(0, n - 1), (n - 2, n - 1)}
+    src, dst = both_directions(sorted(pairs))
+    adj = adjacency_lists(src, dst, n)
+    g = build_graph(tmp_path, src, dst, n, page_size=256)
+
+    def run(program, steps):
+        eng = Engine(g, program, cfg(max_supersteps=steps), str(tmp_path / program.name))
+        assert eng.fmt.dtype["dest"] == eng.fmt.dtype["src"] == np.dtype(id_dt)
+        return eng.run()
+
+    # PageRank's combiner folds src by its minimum, community keys its
+    # tables by src and k-core deletes the edge to each notifying src, which
+    # merges into the graph, so it runs last
+    res = run(PageRank(), 6)
+    assert np.allclose(res.states["rank"], oracles.oracle_pagerank(src, dst, n, 0.85, 6), atol=1e-9)
+    res = run(Community(), 4)
+    assert res.states["label"].tolist() == oracles.oracle_community(adj, 4)[0]
+    res = run(KCore(k=2), 500)
+    assert np.array_equal(res.states["alive"].astype(bool), oracles.oracle_kcore(adj, 2))
+
+    # a message from n - 1 to n - 1 in a log page handed to storage: the
+    # multi-log holds a page per interval, and one more page of messages
+    # to n - 1 than that evicts the first; the registry has no budget
+    # outside a run, so the page is written, and read back at the same width
+    fmt = Engine(g, Community(), cfg(), str(tmp_path / "fmt")).fmt
+    mlog = MultiLog(g.meta.interval_bounds, fmt, g.registry, str(tmp_path / "logs"), g.meta.num_intervals * 256)
+    cap, k = mlog.capacity, g.meta.num_intervals - 1
+    ids = (n - 1 - np.arange((k + 2) * cap)) % n
+    mlog.send_columns([np.full(len(ids), n - 1), ids, ids])
+    (handle,) = [h for h in mlog.seal().handles if h.message_count]
+    assert handle.interval == k and handle.ordinals and g.registry.totals()["log"][1] > 0
+    got = read_log_records(handle, fmt)
+    assert got.dtype == fmt.dtype and got[0].tolist() == (n - 1, n - 1, n - 1)
+    assert got["src"].tolist() == got["label"].tolist() == ids.tolist()
+    mlog.close()

@@ -714,6 +714,51 @@ def test_the_turn_folds_the_records_logged_so_far_and_frees_their_pages(tmp_path
     reg.set_budget(0)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_plan_of_logs_the_senders_folded_is_not_folded_again(tmp_path, monkeypatch, seed):
+    # intervals 0 and 1 get enough messages to accumulate, interval 2 too
+    # few and interval 3 none: a one-pass plan of folded or empty logs
+    # yields them as loaded, one that holds a raw log folds, and so does a
+    # plan in two passes; every inbox has the bits of the receiver's fold
+    # over the raw log, -0.0 sums and float minima among them
+    from loggraph import sortgroup
+    from loggraph.sortgroup import FusePlan, apply_combine, iter_plan_sorted
+
+    rng = np.random.default_rng(seed)
+    bounds = [0, 40, 80, 120, 160]
+    dest = rng.permutation(np.r_[rng.integers(0, 80, 300), rng.integers(80, 120, 5)])
+    cols = program_columns(MIXED_FMT, len(dest), 160, rng)
+    cols[0] = dest
+    logs = {}
+    for name, comb in (("raw", None), ("folded", MIXED_COMBINE)):
+        mlog = MultiLog(bounds, MIXED_FMT, StoreRegistry(256), str(tmp_path / name), 64 << 10, comb)
+        send_in_cuts(mlog, cols, np.random.default_rng(seed + 10))
+        logs[name] = (mlog, mlog.seal())
+    folded = logs["folded"][1]
+    assert [h.folded for h in folded.handles] == [True, True, False, True]
+    hit = np.zeros(160, bool)
+    hit[dest] = True
+    assert [h.message_count for h in folded.handles[:2]] == [hit[:40].sum(), hit[40:80].sum()]
+    raw = [read_log_records(h, MIXED_FMT) for h in logs["raw"][1].handles]
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return apply_combine(*args)
+
+    monkeypatch.setattr(sortgroup, "apply_combine", spy)
+    for intervals, passes, folds in (([0, 1], 1, 0), ([3], 1, 0), ([1, 2], 1, 1), ([0], 2, 2)):
+        calls.clear()
+        got = list(iter_plan_sorted(FusePlan(intervals, 0, passes), folded, MIXED_FMT, bounds, combine=MIXED_COMBINE))
+        assert len(calls) == folds
+        lo, hi = bounds[intervals[0]], bounds[intervals[-1] + 1]
+        want = apply_combine(np.concatenate([raw[k] for k in intervals]), lo, hi, MIXED_COMBINE, MIXED_FMT)
+        assert np.concatenate([slog.records for _, _, slog in got]).tobytes() == want.records.tobytes()
+        assert np.concatenate([slog.dests for _, _, slog in got]).tolist() == want.dests.tolist()
+    for mlog, _ in logs.values():
+        mlog.close()
+
+
 def test_an_interval_with_a_page_handed_to_the_pager_stays_raw(tmp_path):
     # interval 2 is too wide to accumulate. Its pages fill the buffer, so
     # interval 0's messages pass the point with no room for its 140-byte
@@ -821,6 +866,19 @@ def test_a_combining_send_to_a_bad_destination_is_a_contract_violation(tmp_path,
     with pytest.raises(ContractViolation, match="outside vertex range"):
         mlog.send_columns([np.r_[np.arange(40), dest], 0, 1.0, 0])
     assert mlog.total_appends == 0 and all(log.acc is None for log in mlog.logs)
+    mlog.close()
+
+
+@pytest.mark.parametrize("combine", [None, PR_COMBINE], ids=["raw", "combined"])
+def test_a_send_to_a_negative_destination_is_refused_at_a_1_byte_id_width(tmp_path, combine):
+    # cast to 1-byte ids, -1 would be 255, a vertex of these 256
+    fmt = RecordFormat(PR_FMT.payload_fields, "u1")
+    mlog = MultiLog([0, 40, 256], fmt, StoreRegistry(256), str(tmp_path / "logs"), 16 << 10, combine)
+    with pytest.raises(ContractViolation, match="destination -1 outside vertex range"):
+        mlog.send_columns([np.r_[np.arange(40), -1], 0, 1.0, 0])
+    with pytest.raises(ContractViolation, match="destination 256 outside vertex range"):
+        mlog.send_columns([np.r_[255, 256], 0, 1.0, 0])
+    assert mlog.total_appends == 0
     mlog.close()
 
 
