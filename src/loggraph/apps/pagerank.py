@@ -3,14 +3,12 @@
 Each processed vertex folds the incoming rank changes, accumulates them into
 its rank, and pushes alpha * change / out_degree to every neighbor. A batch
 is handled as whole columns: one scatter-add of the inboxes, one broadcast
-of every row's share over the flat adjacency. The
-activation flag rides along in the payload when the folded change exceeds
-the threshold; delivery itself is what reactivates a vertex, so the flag is
-informational on the synchronous path.
+of every row's share over the flat adjacency. Delivery is what reactivates
+a vertex, so a message carries its change and nothing else.
 
-The combiner sums a destination's changes and keeps the largest activation
-flag, so each inbox holds one record; with use_combine=False the
-scatter-add folds every message, in arrival order.
+The combiner sums a destination's changes, so each inbox holds one record
+of dest and change; with use_combine=False the scatter-add folds every
+message, in arrival order.
 """
 
 from __future__ import annotations
@@ -22,13 +20,12 @@ from ..engine import VertexProgram
 
 class PageRank(VertexProgram):
     name = "pagerank"
-    payload_fields = [("change", "<f8"), ("activate", "u1")]
+    payload_fields = [("change", "<f8")]
     state_dtype = np.dtype([("rank", "<f8"), ("change", "<f8")])
-    combine = {"change": np.add, "activate": np.maximum}
+    combine = {"change": np.add}
 
-    def __init__(self, alpha: float = 0.85, threshold: float = 0.4, use_combine: bool = True):
+    def __init__(self, alpha: float = 0.85, use_combine: bool = True):
         self.alpha = alpha
-        self.threshold = threshold
         if not use_combine:
             self.combine = None
 
@@ -46,8 +43,7 @@ class PageRank(VertexProgram):
         st["rank"] += total
         deg = batch.adj.degrees
         share = self.alpha * total / np.maximum(deg, 1)
-        flag = (total > self.threshold).astype(np.uint8)
-        ctx.send_many(batch.adj.take(), np.repeat(batch.ids, deg), np.repeat(share, deg), np.repeat(flag, deg))
+        ctx.send_many(batch.adj.take(), np.repeat(batch.ids, deg), np.repeat(share, deg))
 
     def summary(self, states):
         r = states["rank"]

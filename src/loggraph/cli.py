@@ -48,7 +48,6 @@ def _app_kwargs(args) -> dict:
         kw["source"] = args.source
     elif name == "pagerank":
         kw["alpha"] = args.alpha
-        kw["threshold"] = args.threshold
         kw["use_combine"] = not args.no_combine
     elif name == "kcore":
         kw["k"] = args.k
@@ -264,7 +263,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", required=True, choices=sorted(APPS))
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--threshold", type=float, default=0.4)
     p.add_argument("--no-combine", dest="no_combine", action="store_true")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--steps", type=int, default=10)

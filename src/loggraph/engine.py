@@ -147,7 +147,8 @@ class Batch:
     adj row i its out-neighbors and records[starts[i]:ends[i]] its inbox in
     arrival order (empty when it was only forced active); a record's dest
     and src are unsigned ids at the graph's id width, 1, 2 or 4 bytes, so
-    widen them before arithmetic that may leave it. adj holds the
+    widen them before arithmetic that may leave it. With a combiner a
+    record has no src (`multilog.RecordFormat`). adj holds the
     rows' degrees (adj.degrees, adj.offsets); their neighbors are read on
     demand, only those a program asks for: adj.take(at) returns the entries
     at flat positions at (adj.offsets[i] + j is row i's j-th neighbor),
@@ -213,8 +214,10 @@ class VertexProgram:
     it: np.add, np.minimum or np.maximum (`multilog.check_combine`; the
     engine refuses anything else when it is built). Inboxes then hold one
     record per destination, its fields reduced over the destination's
-    messages (a float sum adds in arrival order, in float64) and src the
-    smallest sender; the records are not sorted. The reduction runs at the
+    messages (a float sum adds in arrival order, in float64); the records
+    are not sorted. A combiner reduces message values, not senders: its
+    records, and so its inboxes, have no src field, though send_many still
+    takes and checks a src column. The reduction runs at the
     sender, into one accumulator per interval, from the send at which the
     interval's messages of a superstep would take more bytes as records
     than the accumulator, if it fits the multi-log's budget, and at the
@@ -323,7 +326,8 @@ class Context:
 
     def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
         """Send message i from src[i] to dest[i] with payload column values
-        [i], in index order; a scalar src or payload column is broadcast. A
+        [i], in index order; a scalar src or payload column is broadcast.
+        src is logged only without a combiner (`multilog.RecordFormat`). A
         dest or src outside [0, num_vertices), a column count other than the
         wire format's payload fields, or a column whose length is not
         dest's, is a contract violation."""
@@ -337,11 +341,11 @@ class Context:
             raise ContractViolation(
                 f"{len(payload)} payload columns for the {len(fmt.payload_fields)} fields of the wire format"
             )
-        columns = (dest, src, *payload)
-        for name, col in zip(fmt.dtype.names, columns):
+        names = ("dest", "src", *(name for name, _ in fmt.payload_fields))
+        for name, col in zip(names, (dest, src, *payload)):
             if np.ndim(col) and len(col) != len(dest):
                 raise ContractViolation(f"column {name!r} holds {len(col)} values for {len(dest)} destinations")
-        self._engine._mlog.send_columns(columns)
+        self._engine._mlog.send_columns(fmt.fields(dest, src, payload))
 
     def structural_many(self, ops) -> None:
         """Buffer structural ops, int rows (kind, src, dst) with kind one of
@@ -372,8 +376,9 @@ class Engine:
             raise ConfigError(
                 f"engine page size {config.page_size} != converted graph page size {self.meta.page_size}"
             )
-        # message ids at the graph's id width, the one width csr.id_dtype picks
-        self.fmt = RecordFormat(program.payload_fields, self.meta.colidx_dtype)
+        # message ids at the graph's id width, the one width csr.id_dtype
+        # picks; a combiner's messages carry no src
+        self.fmt = RecordFormat(program.payload_fields, self.meta.colidx_dtype, program.combine)
         if program.combine is not None:
             check_combine(program.combine, self.fmt)
         if config.sort_budget < self.fmt.width:

@@ -24,6 +24,8 @@ spilled tail while the next superstep's sends open fresh logs.
 Record layout (`RecordFormat`): dest | src | fixed-width payload, dest and
 src unsigned ids at the graph's id width, the narrowest of 1, 2 and 4
 bytes that holds every vertex id (`csr.id_dtype`), as colIdx stores them.
+A combiner's records have no src: it reduces message values, not senders,
+so they are dest | payload.
 Records never span pages, so each page parses on its own. Pages keep
 arrival order; the sort-and-group unit orders a loaded log by
 destination, or combines it.
@@ -48,7 +50,7 @@ accumulator's bytes come out of the pages the budget holds, and are
 reported to the ledger with them. Its sends are folded in, column by
 column, with no record built: each column is first cast to its wire
 dtype, then folded, a float sum in float64 and any other field in its
-wire dtype, src by its minimum. `seal` first appends each accumulator's
+wire dtype. `seal` first appends each accumulator's
 hit destinations, one record per destination in ascending order, through
 the same path as raw records, so the eviction this may force takes closed
 pages as any send's does. `sortgroup.apply_combine` folds a raw log into
@@ -99,7 +101,8 @@ COMBINE_UFUNCS = (np.add, np.minimum, np.maximum)
 def check_combine(combine: dict, fmt: RecordFormat) -> None:
     """A combiner maps each integer or float payload field of the wire
     format to one of np.add, np.minimum and np.maximum; anything else is a
-    contract violation."""
+    contract violation. src is never a payload field (`RecordFormat`): a
+    combiner reduces message values, and its records carry no sender."""
     names = [name for name, _ in fmt.payload_fields]
     if not isinstance(combine, dict):
         raise ContractViolation(f"combine must map payload fields to ufuncs, got {type(combine).__name__}")
@@ -139,19 +142,20 @@ def _fresh_slots(ufunc, dtype: np.dtype, n: int) -> np.ndarray:
 
 class Accumulator:
     """The one combiner fold: messages folded into the slots of the
-    destinations [lo, hi), per slot whether any message reached it, and src
-    and each payload field folded by its ufunc (src by np.minimum) from the
-    ufunc's identity. The multi-log's accumulators and
-    `sortgroup.apply_combine` both fold here, one value at a time in message
-    order, so columns folded in pieces, in order, give the bits of one fold
-    over them whole; a float sum is kept in float64."""
+    destinations [lo, hi), per slot whether any message reached it, and
+    each payload field folded by its ufunc from the ufunc's identity. fmt
+    is the combiner's wire format, which has no src. The multi-log's
+    accumulators and `sortgroup.apply_combine` both fold here, one value at
+    a time in message order, so columns folded in pieces, in order, give
+    the bits of one fold over them whole; a float sum is kept in float64."""
 
     __slots__ = ("lo", "dtype", "hit", "slots", "ufuncs")
 
     def __init__(self, lo: int, hi: int, combine: dict, fmt: RecordFormat):
+        _check_no_src(fmt)
         self.lo = lo
         self.dtype = fmt.dtype
-        self.ufuncs = {"src": np.minimum, **combine}
+        self.ufuncs = combine
         self.hit = np.zeros(hi - lo, bool)
         self.slots = {name: _fresh_slots(u, fmt.dtype[name], hi - lo) for name, u in self.ufuncs.items()}
 
@@ -161,8 +165,8 @@ class Accumulator:
 
     def fold(self, cols, index: np.ndarray | None = None) -> None:
         """Fold messages into the slots: cols maps each wire field to its
-        column (a dict, or a record array), src and the payload fields in
-        their wire dtypes. Each message goes into the slot index gives it,
+        column (a dict, or a record array), the payload fields in their
+        wire dtypes. Each message goes into the slot index gives it,
         by default its dest (an integer column) less lo."""
         if index is None:
             index = np.asarray(cols["dest"], np.intp)
@@ -186,23 +190,42 @@ class Accumulator:
 
 
 class RecordFormat:
-    """Wire format of one update message: dest and src as unsigned ids of
-    id_dtype, then the app-defined payload fields. The engine passes its
-    graph's id width (`csr.GraphMeta.colidx_dtype`), the narrowest that
-    holds every vertex id; the default, uint32, holds any."""
+    """Wire format of one update message: dest and, unless the program has
+    a combiner, src as unsigned ids of id_dtype, then the app-defined
+    payload fields. A combiner reduces message values, not senders, so no
+    receiver of its records reads a src, and has_src is whether combine is
+    None. The engine passes its graph's id width
+    (`csr.GraphMeta.colidx_dtype`), the narrowest that holds every vertex
+    id; the default, uint32, holds any."""
 
-    def __init__(self, payload_fields: list[tuple[str, str]] | None = None, id_dtype="<u4"):
+    def __init__(self, payload_fields: list[tuple[str, str]] | None = None, id_dtype="<u4", combine: dict | None = None):
         self.payload_fields = list(payload_fields or [])
-        self.dtype = np.dtype([("dest", id_dtype), ("src", id_dtype)] + self.payload_fields)
+        taken = [name for name, _ in self.payload_fields if name in ("dest", "src")]
+        if taken:
+            raise ContractViolation(f"payload field {taken[0]!r} takes the name of a message id")
+        self.has_src = combine is None
+        ids = [("dest", id_dtype), ("src", id_dtype)] if self.has_src else [("dest", id_dtype)]
+        self.dtype = np.dtype(ids + self.payload_fields)
         self.width = self.dtype.itemsize
 
+    def fields(self, dest, src, payload) -> tuple:
+        """A message's wire fields in order: dest, src if the format has it,
+        then the payload."""
+        return (dest, src, *payload) if self.has_src else (dest, *payload)
+
     def pack(self, rows: list[tuple]) -> np.ndarray:
-        """Records from (dest, src, *payload) tuples; a value the wire format
-        cannot hold, such as a negative destination, is a contract violation."""
+        """Records from tuples of the wire fields in order (see `fields`); a
+        value the wire format cannot hold, such as a negative destination,
+        is a contract violation."""
         try:
             return np.array(rows, self.dtype)
         except OverflowError as exc:
             raise ContractViolation(f"message does not fit the wire format: {exc}") from None
+
+
+def _check_no_src(fmt: RecordFormat) -> None:
+    if fmt.has_src:
+        raise ContractViolation("a combiner's wire format has no src; build it with RecordFormat(..., combine=combine)")
 
 
 @dataclass
@@ -284,6 +307,8 @@ class MultiLog:
                 f"multi-log budget {buffer_budget} is below one page per interval "
                 f"({self.n_intervals} x {self.page_size})"
             )
+        if combine is not None:
+            _check_no_src(fmt)
         self.budget = buffer_budget
         self.combine = combine
         # bytes an accumulator holds per vertex
@@ -311,8 +336,8 @@ class MultiLog:
         self._resident_pages = self._carried_pages
 
     def send(self, dest: int, src: int, *payload) -> None:
-        """Send one message."""
-        self.send_many(self.fmt.pack([(dest, src, *payload)]))
+        """Send one message; src is logged only if the format has it."""
+        self.send_many(self.fmt.pack([self.fmt.fields(dest, src, payload)]))
 
     def send_many(self, records: np.ndarray) -> None:
         """Send wire-format records (fmt.dtype) in arrival order, as their

@@ -141,8 +141,8 @@ def check_dest_range(records: np.ndarray, lo: int, hi: int) -> None:
 
 def apply_combine(records: np.ndarray, lo: int, hi: int, combine: dict, fmt: RecordFormat) -> SortedLog:
     """One record per destination of [lo, hi) that got any, ascending, each
-    payload field reduced by the combiner's ufunc (`multilog.check_combine`) and
-    src the smallest contributor (informational only). Every dest must lie
+    payload field reduced by the combiner's ufunc (`multilog.check_combine`);
+    fmt is the combiner's, whose records have no src. Every dest must lie
     in [lo, hi) (`check_dest_range`).
 
     The records are not sorted: their columns are folded into one

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
+from loggraph.apps import APPS, Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.apps.bfs import INF_LEVEL
 from loggraph.engine import Batch, EngineConfig, run_app
-from loggraph.multilog import RecordFormat
+from loggraph.multilog import Accumulator, RecordFormat
 from loggraph.seeds import pick_index
 
 import oracles
@@ -20,6 +20,28 @@ def cfg(**kw):
 def run(tmp_path, src, dst, n, prog, **kw):
     g = build_graph(tmp_path, src, dst, n, page_size=256)
     return run_app(g, prog, cfg(**kw), str(tmp_path / "run"))
+
+
+# -- Wire widths ---------------------------------------------------------------
+
+@pytest.mark.parametrize("id_dt", ["u1", "<u2", "<u4"])
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_each_app_sends_records_of_its_ids_and_payload_only(name, id_dt):
+    # a combiner's record is dest and payload, any other's dest, src and
+    # payload; a combiner's accumulator holds a hit flag and one slot per
+    # payload field a vertex, a float sum in float64
+    program = APPS[name]()
+    fmt = RecordFormat(program.payload_fields, id_dt, program.combine)
+    ids = np.dtype(id_dt).itemsize
+    payload = sum(np.dtype(t).itemsize for _, t in program.payload_fields)
+    if program.combine is None:
+        assert fmt.width == 2 * ids + payload
+        return
+    assert fmt.width == ids + payload and fmt.dtype.names == ("dest", *program.combine)
+    slots = sum(8 if program.combine[f] is np.add and np.dtype(t).kind == "f" else np.dtype(t).itemsize for f, t in program.payload_fields)
+    per_vertex = Accumulator(0, 1, program.combine, fmt).nbytes
+    assert per_vertex == 1 + slots == {"pagerank": 9, "bfs": 5}[name]
+    assert Accumulator(0, 1000, program.combine, fmt).nbytes == 1000 * per_vertex
 
 
 # -- BFS -----------------------------------------------------------------------
@@ -72,25 +94,6 @@ def test_pagerank_matches_vector_oracle(tmp_path):
     res = run(tmp_path, src, dst, 150, PageRank(), max_supersteps=15)
     want = oracles.oracle_pagerank(src, dst, 150, 0.85, 15)
     assert np.allclose(res.states["rank"], want, atol=1e-9)
-
-
-def test_pagerank_activation_flag_tracks_threshold(tmp_path):
-    from loggraph.csr import GraphDir  # noqa: F401  (import parity with engine path)
-
-    captured = []
-    prog = PageRank()
-    orig = prog.process_batch
-
-    def spy(ctx, batch):
-        _, msgs = batch.messages()
-        captured.extend(int(a) for a in msgs["activate"])
-        return orig(ctx, batch)
-
-    prog.process_batch = spy
-    src, dst = clique_graph(4)
-    run(tmp_path, src, dst, 4, prog, max_supersteps=5)
-    # initial change 0.15 <= 0.4: every delivered flag must be 0
-    assert captured and all(a == 0 for a in captured)
 
 
 def test_pagerank_combine_on_off_equal(tmp_path):

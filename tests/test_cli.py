@@ -119,7 +119,7 @@ def test_run_unknown_app_fails_cleanly(tmp_path, g6_file, capsys):
         main(["run", "--graph", out, "--app", "nope"])
 
 
-@pytest.mark.parametrize("flag", ["--parallel", "--multilog-frac", "--edgelog-frac", "--merge-threshold"])
+@pytest.mark.parametrize("flag", ["--parallel", "--multilog-frac", "--edgelog-frac", "--merge-threshold", "--threshold"])
 def test_run_rejects_removed_flags(tmp_path, g6_file, flag):
     out = convert_g6(tmp_path, g6_file)
     with pytest.raises(SystemExit) as raised:  # argparse knows no such flag

@@ -798,7 +798,7 @@ def test_a_sort_budget_below_one_record_is_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "combine",
-    [{"change": np.add, "activate": np.logical_or}, {"change": np.add, "activate": np.maximum, "rank": np.add}],
+    [{"change": np.logical_or}, {"change": np.add, "rank": np.add}],
 )
 def test_a_combiner_the_scatter_cannot_run_is_refused_when_the_engine_is_built(tmp_path, combine):
     g = build_graph(tmp_path, *ring_graph(3), 3, page_size=256)
@@ -952,12 +952,16 @@ def test_messages_carry_ids_at_the_graph_width(tmp_path, n, id_dt):
 
     def run(program, steps):
         eng = Engine(g, program, cfg(max_supersteps=steps), str(tmp_path / program.name))
-        assert eng.fmt.dtype["dest"] == eng.fmt.dtype["src"] == np.dtype(id_dt)
+        assert eng.fmt.dtype["dest"] == np.dtype(id_dt)
+        # a combiner's records carry no src
+        assert eng.fmt.has_src == (program.combine is None)
+        if eng.fmt.has_src:
+            assert eng.fmt.dtype["src"] == np.dtype(id_dt)
         return eng.run()
 
-    # PageRank's combiner folds src by its minimum, community keys its
-    # tables by src and k-core deletes the edge to each notifying src, which
-    # merges into the graph, so it runs last
+    # PageRank's records carry no src, community keys its tables by src
+    # and k-core deletes the edge to each notifying src, which merges into
+    # the graph, so it runs last
     res = run(PageRank(), 6)
     assert np.allclose(res.states["rank"], oracles.oracle_pagerank(src, dst, n, 0.85, 6), atol=1e-9)
     res = run(Community(), 4)

@@ -104,14 +104,14 @@ def test_pagerank_invariant_across_storage_knobs(tmp_path, use_combine):
 
 
 def test_a_superstep_that_folds_some_intervals_and_logs_others_raw_changes_no_result(tmp_path, monkeypatch):
-    # at 256 KiB on 256-byte pages only some intervals' accumulators fit
+    # at 200 KiB on 256-byte pages only some intervals' accumulators fit
     # beside a top page per interval and a full block, so the others'
     # messages are logged raw in the same superstep; its sort budget cuts
     # the sends into passes, so an interval may log raw records before it
     # turns into an accumulator. At 1 MiB every interval folds, and on
     # 4 KiB pages or at the tight budget none does
     src, dst = random_graph(N, 6, seed=41)
-    mixed = dict(page_size=256, edge_log=False, memory_budget=256 << 10, sort_frac=0.01)
+    mixed = dict(page_size=256, edge_log=False, memory_budget=200 << 10, sort_frac=0.01)
     seen, turned = [], []
     seal, choose = multilog.MultiLog.seal, multilog.MultiLog._choose
 

@@ -560,13 +560,12 @@ def test_send_many_rejects_bad_records(tmp_path):
 
 # -- combining at the sender ----------------------------------------------------
 
-PR_FMT = RecordFormat([("change", "<f8"), ("activate", "u1")])
-PR_COMBINE = {"change": np.add, "activate": np.maximum}
+# PageRank's wire format: dest and change, 12-byte records, and a 9-byte
+# accumulator slot (the hit flag and the float64 sum)
+PR_COMBINE = {"change": np.add}
+PR_FMT = RecordFormat([("change", "<f8")], combine=PR_COMBINE)
 # a float32 sum fed float64 columns, integer sums that wrap, and integer and
 # float minima and maxima
-MIXED_FMT = RecordFormat(
-    [("f32", "<f4"), ("u8sum", "u1"), ("i16sum", "<i2"), ("umin", "<u4"), ("imax", "<i8"), ("fmin", "<f8"), ("fmax", "<f4")]
-)
 MIXED_COMBINE = {
     "f32": np.add,
     "u8sum": np.add,
@@ -576,14 +575,19 @@ MIXED_COMBINE = {
     "fmin": np.minimum,
     "fmax": np.maximum,
 }
+MIXED_FMT = RecordFormat(
+    [("f32", "<f4"), ("u8sum", "u1"), ("i16sum", "<i2"), ("umin", "<u4"), ("imax", "<i8"), ("fmin", "<f8"), ("fmax", "<f4")],
+    combine=MIXED_COMBINE,
+)
 
 
 def program_columns(fmt, n, span, rng):
     """Columns as a vertex program sends them: int64 ids, float64 floats
     (-0.0 among them, and some destinations sent only -0.0), int64 ints
-    that overflow a narrow field's sum."""
+    that overflow a narrow field's sum; a src column only if fmt has src."""
     dest = rng.integers(0, span, n)
-    cols = [dest, rng.integers(0, 1 << 32, n)]
+    src = rng.integers(0, 1 << 32, n)
+    cols = [dest, src] if fmt.has_src else [dest]
     for name, _ in fmt.payload_fields:
         kind = fmt.dtype[name].kind
         if kind == "f":
@@ -650,13 +654,13 @@ def test_a_negative_zero_sum_leaves_the_sender_as_it_leaves_the_receiver(tmp_pat
 
     reg = StoreRegistry(256)
     mlog = MultiLog([0, 2], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
-    mlog.send_columns([np.array([0, 1, 1]), np.array([5, 9, 3]), np.array([-0.0, -0.0, -0.0]), 0])
+    mlog.send_columns([np.array([0, 1, 1]), np.array([-0.0, -0.0, -0.0])])
     (handle,) = mlog.seal().handles
     got = read_log_records(handle, PR_FMT)
     raw = np.zeros(3, PR_FMT.dtype)
-    raw["dest"], raw["src"], raw["change"] = [0, 1, 1], [5, 9, 3], -0.0
+    raw["dest"], raw["change"] = [0, 1, 1], -0.0
     assert got.tobytes() == apply_combine(raw, 0, 2, PR_COMBINE, PR_FMT).records.tobytes()
-    assert got["src"].tolist() == [5, 3] and not np.signbit(got["change"]).any()
+    assert got["dest"].tolist() == [0, 1] and not np.signbit(got["change"]).any()
     mlog.close()
 
 
@@ -674,14 +678,14 @@ def combined_logs(mlog, fmt, combine):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_a_raw_interval_turns_into_an_accumulator_once_its_records_outgrow_it(tmp_path, seed):
-    # a 14-byte accumulator over 40 vertices takes 560 bytes: 33 records of
-    # 17 bytes outgrow it, 32 do not. Interval 0 gets 33 messages, interval
-    # 1 gets 32, in one order cut at random into calls: interval 0 ends as
+    # a 9-byte accumulator over 40 vertices takes 360 bytes: 30 records of
+    # 12 bytes reach it, 29 do not. Interval 0 gets 30 messages, interval
+    # 1 gets 29, in one order cut at random into calls: interval 0 ends as
     # an accumulator whatever the cuts, its raw records so far folded in and
     # their pages freed, and interval 1 stays raw
     rng = np.random.default_rng(seed)
-    dest = rng.permutation(np.r_[rng.integers(0, 40, 33), rng.integers(40, 80, 32)])
-    cols = [dest, rng.integers(0, 1000, 65), rng.standard_normal(65), rng.integers(0, 2, 65)]
+    dest = rng.permutation(np.r_[rng.integers(0, 40, 30), rng.integers(40, 80, 29)])
+    cols = [dest, rng.standard_normal(59)]
     got = {}
     for name, comb in (("raw", None), ("folded", PR_COMBINE)):
         reg = StoreRegistry(256)
@@ -700,16 +704,17 @@ def test_the_turn_folds_the_records_logged_so_far_and_frees_their_pages(tmp_path
     reg = StoreRegistry(256)
     reg.set_budget(1 << 20)  # so that holds are kept
     mlog = MultiLog([0, 40, 80], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
-    mlog.send_columns([np.arange(20) % 40, 3, 1.0, 0])
-    assert mlog.logs[0].acc is None and mlog.logs[0].message_count == 20
+    # 25 records of 12 bytes take two 256-byte pages and stay below the
+    # 360 bytes of a 9-byte accumulator over 40 vertices; 30 reach it
+    mlog.send_columns([np.arange(25) % 40, 1.0])
+    assert mlog.logs[0].acc is None and mlog.logs[0].message_count == 25
     assert mlog._resident_pages == 2 and reg.holds["multilog"] == 2 * 256
-    mlog.send_columns([np.arange(20, 33), 2, 0.5, 1])
+    mlog.send_columns([np.arange(25, 30), 0.5])
     assert mlog.logs[0].acc is not None and mlog._resident_pages == 0
-    assert reg.holds["multilog"] == 40 * 14 and mlog.post_evict_peak == 2 * 256 + 40 * 14
+    assert reg.holds["multilog"] == 40 * 9 and mlog.post_evict_peak == 2 * 256 + 40 * 9
     (records, _) = [read_log_records(h, PR_FMT) for h in mlog.seal().handles]
-    assert records["dest"].tolist() == list(range(33))
-    assert records["src"].tolist() == [3] * 20 + [2] * 13
-    assert records["change"].tolist() == [1.0] * 20 + [0.5] * 13
+    assert records["dest"].tolist() == list(range(30))
+    assert records["change"].tolist() == [1.0] * 25 + [0.5] * 5
     mlog.close()
     reg.set_budget(0)
 
@@ -761,9 +766,9 @@ def test_a_plan_of_logs_the_senders_folded_is_not_folded_again(tmp_path, monkeyp
 
 def test_an_interval_with_a_page_handed_to_the_pager_stays_raw(tmp_path):
     # interval 2 is too wide to accumulate. Its pages fill the buffer, so
-    # interval 0's messages pass the point with no room for its 140-byte
+    # interval 0's messages pass the point with no room for its 90-byte
     # accumulator, and its first page is handed to the pager. Interval 1's
-    # 28-byte accumulator fits the 100 bytes past the last whole page and
+    # 18-byte accumulator fits the 50 bytes past the last whole page and
     # frees a page; then interval 0's accumulator would fit too, but it
     # stays raw: its records in the pager cannot be folded in
     cap = page_capacity(256, PR_FMT.width)
@@ -772,13 +777,13 @@ def test_an_interval_with_a_page_handed_to_the_pager_stays_raw(tmp_path):
     got = {}
     for name, comb in (("raw", None), ("folded", PR_COMBINE)):
         reg = StoreRegistry(256)
-        mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / name), 40 * 256 + 100, comb)
+        mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / name), 40 * 256 + 50, comb)
         for dest in sends[:-1]:
-            mlog.send_columns([np.asarray(dest), 1, 1.0, 0])
+            mlog.send_columns([np.asarray(dest), 1.0])
         if comb is not None:
             assert mlog.logs[0].chain and mlog.logs[1].acc is not None
             assert mlog._fits(10 * mlog._acc_width)
-        mlog.send_columns([np.asarray(sends[-1]), 1, 1.0, 0])
+        mlog.send_columns([np.asarray(sends[-1]), 1.0])
         assert mlog.logs[0].acc is None
         got[name] = combined_logs(mlog, PR_FMT, PR_COMBINE)
         mlog.close()
@@ -786,7 +791,7 @@ def test_an_interval_with_a_page_handed_to_the_pager_stays_raw(tmp_path):
 
 
 def test_an_accumulator_that_does_not_fit_leaves_its_interval_raw(tmp_path):
-    # a 14-byte accumulator over 64 vertices takes 896 bytes; a budget of
+    # a 9-byte accumulator over 64 vertices takes 576 bytes; a budget of
     # 38 256-byte pages holds one beside a top page per interval and a full
     # block of 32 pages, not two
     bounds = [0, 64, 128]
@@ -809,53 +814,56 @@ def test_an_accumulator_that_does_not_fit_leaves_its_interval_raw(tmp_path):
 
 
 def test_accumulators_come_out_of_the_pages_the_budget_holds(tmp_path):
-    # a 13-byte accumulator over 100 vertices in a 40-page budget: 1,300
-    # bytes leave room for 34 pages of interval 1's records, so the 35th
+    # a 9-byte accumulator over 100 vertices in a 40-page budget: 900
+    # bytes leave room for 36 pages of interval 1's records, so the 37th
     # page evicts, and the hold counts both
     reg = StoreRegistry(256)
     reg.set_budget(1 << 20)  # so that holds are kept
     bounds = [0, 100, 1 << 20]
-    mlog = MultiLog(bounds, FMT16, reg, str(tmp_path / "logs"), 40 * 256, {"val": np.add})
-    mlog.send_columns([np.arange(100), 7, np.arange(100)])
-    assert mlog.logs[0].acc is not None and mlog._page_budget == 34
-    assert reg.holds["multilog"] == 1300
+    combine = {"val": np.add}
+    fmt = RecordFormat([("val", "<u8")], combine=combine)
+    mlog = MultiLog(bounds, fmt, reg, str(tmp_path / "logs"), 40 * 256, combine)
+    mlog.send_columns([np.arange(100), np.arange(100)])
+    assert mlog.logs[0].acc is not None and mlog._page_budget == 36
+    assert reg.holds["multilog"] == 900
     evicted = count_evictions(mlog)
     cap = mlog.capacity
-    mlog.send_columns([np.full(34 * cap + 1, 150), 1, 1])  # 34 * cap + 1 records open 35 pages
-    assert evicted[0] == 1 and mlog._resident_pages == 34
-    assert reg.holds["multilog"] == 34 * 256 + 1300
+    mlog.send_columns([np.full(36 * cap + 1, 150), 1])  # 36 * cap + 1 records open 37 pages
+    assert evicted[0] == 1 and mlog._resident_pages == 36
+    assert reg.holds["multilog"] == 36 * 256 + 900
     handles = mlog.seal().handles
-    assert [h.message_count for h in handles] == [100, 34 * cap + 1]
-    assert read_log_records(handles[0], FMT16)["val"].tolist() == list(range(100))
+    assert [h.message_count for h in handles] == [100, 36 * cap + 1]
+    assert read_log_records(handles[0], fmt)["val"].tolist() == list(range(100))
     mlog.close()
     reg.set_budget(0)
 
 
 def test_sealing_an_accumulator_evicts_the_oldest_closed_pages_not_a_sealed_tail(tmp_path):
-    # interval 1 folds 200 vertices into 2,800 bytes, leaving 36 of 47
-    # pages. Interval 2's 18 pages close first, then interval 0's 18, so
-    # the buffer is full. At seal interval 1's 200 records open 15 pages
-    # where the accumulator freed 11: 4 pages go, the 4 oldest closed ones,
-    # all interval 2's. Interval 0 is loaded first in the next superstep
-    # and keeps its pages resident: no tail of an interval sealed before
-    # interval 1 is spilled
+    # interval 1 folds 200 vertices into 1,800 bytes, leaving 36 of 44
+    # pages; intervals 0 and 2, of 100 vertices each, have no room for a
+    # 900-byte accumulator beside it. Interval 2's 18 pages close first,
+    # then interval 0's 18, so the buffer is full. At seal interval 1's 200
+    # records open 10 pages where the accumulator freed 8: 2 pages go, the
+    # 2 oldest closed ones, both interval 2's. Interval 0 is loaded first in
+    # the next superstep and keeps its pages resident: no tail of an
+    # interval sealed before interval 1 is spilled
     reg = StoreRegistry(256)
-    bounds = [0, 40, 240, 280]
-    mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / "logs"), 47 * 256, PR_COMBINE)
+    bounds = [0, 100, 300, 400]
+    mlog = MultiLog(bounds, PR_FMT, reg, str(tmp_path / "logs"), 44 * 256, PR_COMBINE)
     cap = mlog.capacity
-    mlog.send_columns([np.arange(40, 240), 9, 1.0, 1])
+    mlog.send_columns([np.arange(100, 300), 1.0])
     assert mlog.logs[1].acc is not None and mlog._page_budget == 36
-    mlog.send_columns([240 + np.arange(18 * cap) % 40, 1, 1.0, 0])
-    mlog.send_columns([np.arange(18 * cap) % 40, 1, 1.0, 0])
+    mlog.send_columns([300 + np.arange(18 * cap) % 100, 1.0])
+    mlog.send_columns([np.arange(18 * cap) % 100, 1.0])
     assert [log.acc is not None for log in mlog.logs] == [False, True, False]
     assert mlog._resident_pages == 36
     evicted = count_evictions(mlog)
     handles = mlog.seal().handles
-    assert evicted[0] == 4
-    assert [len(h.ordinals) for h in handles] == [0, 0, 4]
-    assert [len(h.tail) for h in handles] == [18, -(-200 // cap), 14]
+    assert evicted[0] == 2
+    assert [len(h.ordinals) for h in handles] == [0, 0, 2]
+    assert [len(h.tail) for h in handles] == [18, -(-200 // cap), 16]
     assert [h.message_count for h in handles] == [18 * cap, 200, 18 * cap]
-    assert read_log_records(handles[2], PR_FMT)["dest"].tolist() == (240 + np.arange(18 * cap) % 40).tolist()
+    assert read_log_records(handles[2], PR_FMT)["dest"].tolist() == (300 + np.arange(18 * cap) % 100).tolist()
     mlog.close()
 
 
@@ -864,7 +872,7 @@ def test_a_combining_send_to_a_bad_destination_is_a_contract_violation(tmp_path,
     reg = StoreRegistry(256)
     mlog = MultiLog([0, 40, 80], PR_FMT, reg, str(tmp_path / "logs"), 16 << 10, PR_COMBINE)
     with pytest.raises(ContractViolation, match="outside vertex range"):
-        mlog.send_columns([np.r_[np.arange(40), dest], 0, 1.0, 0])
+        mlog.send_columns([np.r_[np.arange(40), dest], 1.0])
     assert mlog.total_appends == 0 and all(log.acc is None for log in mlog.logs)
     mlog.close()
 
@@ -872,12 +880,12 @@ def test_a_combining_send_to_a_bad_destination_is_a_contract_violation(tmp_path,
 @pytest.mark.parametrize("combine", [None, PR_COMBINE], ids=["raw", "combined"])
 def test_a_send_to_a_negative_destination_is_refused_at_a_1_byte_id_width(tmp_path, combine):
     # cast to 1-byte ids, -1 would be 255, a vertex of these 256
-    fmt = RecordFormat(PR_FMT.payload_fields, "u1")
+    fmt = RecordFormat(PR_FMT.payload_fields, "u1", combine)
     mlog = MultiLog([0, 40, 256], fmt, StoreRegistry(256), str(tmp_path / "logs"), 16 << 10, combine)
     with pytest.raises(ContractViolation, match="destination -1 outside vertex range"):
-        mlog.send_columns([np.r_[np.arange(40), -1], 0, 1.0, 0])
+        mlog.send_columns(fmt.fields(np.r_[np.arange(40), -1], 0, [1.0]))
     with pytest.raises(ContractViolation, match="destination 256 outside vertex range"):
-        mlog.send_columns([np.r_[255, 256], 0, 1.0, 0])
+        mlog.send_columns(fmt.fields(np.r_[255, 256], 0, [1.0]))
     assert mlog.total_appends == 0
     mlog.close()
 

@@ -12,6 +12,9 @@ from loggraph.sortgroup import FusePlan, apply_combine, plan_fusion, sort_n_grou
 from util import spill_tails
 
 FMT16 = RecordFormat([("val", "<u8")])
+# a val sum's format: dest and val, no src
+SUM_COMBINE = {"val": np.add}
+SUM_FMT = RecordFormat([("val", "<u8")], combine=SUM_COMBINE)
 
 
 def records_of(pairs, fmt=FMT16):
@@ -61,10 +64,11 @@ def test_fusion_safety_estimates_within_budget():
 
 # -- load_log ----------------------------------------------------------------
 
-def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256, spill=False):
-    """Seal the sends; with spill, their tails then go to disk."""
+def make_sealed(tmp_path, sends, bounds=(0, 4, 8), page_size=256, spill=False, fmt=FMT16):
+    """Seal the (dest, src, val) sends, logged raw in fmt (SUM_FMT drops
+    src); with spill, their tails then go to disk."""
     reg = StoreRegistry(page_size)
-    mlog = MultiLog(list(bounds), FMT16, reg, str(tmp_path / "logs"), 64 * page_size)
+    mlog = MultiLog(list(bounds), fmt, reg, str(tmp_path / "logs"), 64 * page_size)
     for d, s, v in sends:
         mlog.send(d, s, v)
     manifest = mlog.seal()
@@ -194,28 +198,26 @@ def test_extract_active_single_dest_flood():
 
 # -- combine -----------------------------------------------------------------
 
-PR_FMT = RecordFormat([("change", "<f8"), ("activate", "u1")])
-PR_COMBINE = {"change": np.add, "activate": np.maximum}
-BFS_FMT = RecordFormat([("level", "<u4")])
+# PageRank's and BFS's wire formats: a combiner's records carry no src
+PR_COMBINE = {"change": np.add}
+PR_FMT = RecordFormat([("change", "<f8")], combine=PR_COMBINE)
 BFS_COMBINE = {"level": np.minimum}
+BFS_FMT = RecordFormat([("level", "<u4")], combine=BFS_COMBINE)
 
 
-def pr_records(triples, activate=()):
-    out = np.zeros(len(triples), PR_FMT.dtype)
-    for i, (d, s, c) in enumerate(triples):
-        out[i] = (d, s, c, activate[i] if len(activate) else 0)
-    return out
+def pr_records(pairs):
+    return PR_FMT.pack(pairs)
 
 
 def test_combine_folds_changes():
-    out = apply_combine(pr_records([(3, 5, 0.10), (3, 2, 0.25), (3, 9, 0.05)]), 0, 8, PR_COMBINE, PR_FMT)
+    out = apply_combine(pr_records([(3, 0.10), (3, 0.25), (3, 0.05)]), 0, 8, PR_COMBINE, PR_FMT)
     assert len(out.records) == 1
     assert out.records["change"][0] == pytest.approx(0.40, abs=1e-12)
-    assert out.records["src"][0] == 2  # smallest contributing src
+    assert out.records.dtype.names == ("dest", "change")  # no sender to fold
 
 
 def test_combine_single_record_identity():
-    recs = pr_records([(3, 5, 0.5), (4, 1, 0.25)])
+    recs = pr_records([(3, 0.5), (4, 0.25)])
     out = apply_combine(recs, 0, 5, PR_COMBINE, PR_FMT)
     assert out.records.tobytes() == sort_n_group(recs).records.tobytes()
 
@@ -223,16 +225,13 @@ def test_combine_single_record_identity():
 def test_combine_scalar_and_vectorized_agree():
     # the scatter against a plain per-group loop
     rng = np.random.default_rng(9)
-    trips = [(int(d), int(s), float(c)) for d, s, c in zip(rng.integers(0, 6, 200), rng.integers(0, 30, 200), rng.random(200))]
-    flags = rng.integers(0, 2, 200)
-    out = apply_combine(pr_records(trips, flags), 0, 6, PR_COMBINE, PR_FMT)
-    dests = sorted({d for d, _, _ in trips})
+    pairs = [(int(d), float(c)) for d, c in zip(rng.integers(0, 6, 200), rng.random(200))]
+    out = apply_combine(pr_records(pairs), 0, 6, PR_COMBINE, PR_FMT)
+    dests = sorted({d for d, _ in pairs})
     assert out.records["dest"].tolist() == dests
     for i, d in enumerate(dests):
-        group = [j for j, (dd, _, _) in enumerate(trips) if dd == d]
-        assert out.records["change"][i] == pytest.approx(sum(trips[j][2] for j in group), abs=1e-12)
-        assert out.records["src"][i] == min(trips[j][1] for j in group)
-        assert out.records["activate"][i] == max(flags[j] for j in group)
+        group = [j for j, (dd, _) in enumerate(pairs) if dd == d]
+        assert out.records["change"][i] == pytest.approx(sum(pairs[j][1] for j in group), abs=1e-12)
     assert np.array_equal(out.starts, np.arange(len(dests)))
     assert np.array_equal(out.ends, np.arange(len(dests)) + 1)
 
@@ -242,7 +241,6 @@ def reference_combine(records, combine):
     scatter replaces."""
     slog = sort_n_group(records)
     out = slog.records[slog.starts]
-    out["src"] = np.minimum.reduceat(slog.records["src"], slog.starts)
     for name, ufunc in combine.items():
         out[name] = ufunc.reduceat(slog.records[name], slog.starts)
     return out
@@ -253,11 +251,9 @@ def test_combine_matches_a_stable_sort_and_reduceat_reference(n, lo, span):
     rng = np.random.default_rng(n + span)
     pr = np.zeros(n, PR_FMT.dtype)
     pr["dest"] = lo + rng.integers(0, span, n)
-    pr["src"] = rng.integers(0, 1 << 32, n)
     pr["change"] = rng.random(n) * 10.0 ** rng.integers(-6, 3, n)
-    pr["activate"] = rng.integers(0, 2, n)
     bfs = np.zeros(n, BFS_FMT.dtype)
-    bfs["dest"], bfs["src"] = pr["dest"], pr["src"]
+    bfs["dest"] = pr["dest"]
     bfs["level"] = rng.integers(0, 1 << 32, n)
     bfs["level"][::7] = 0xFFFFFFFF  # the level an unreached vertex holds
     for recs, fmt, combine in ((pr, PR_FMT, PR_COMBINE), (bfs, BFS_FMT, BFS_COMBINE)):
@@ -285,9 +281,7 @@ def random_pr_records(n, lo, span, seed):
     rng = np.random.default_rng(seed)
     recs = np.zeros(n, PR_FMT.dtype)
     recs["dest"] = lo + rng.integers(0, span, n)
-    recs["src"] = rng.integers(0, 1 << 32, n)
     recs["change"] = rng.random(n)
-    recs["activate"] = rng.integers(0, 2, n)
     return recs
 
 
@@ -332,6 +326,29 @@ def test_a_combiner_other_than_add_min_or_max_per_payload_field_is_a_contract_vi
     with pytest.raises(ContractViolation, match=match):
         multilog.check_combine(combine, FMT16)
     multilog.check_combine({"val": np.minimum}, FMT16)
+
+
+def test_a_combiner_that_names_src_is_a_contract_violation():
+    # a combiner reduces message values, and its records carry no sender;
+    # nor may a payload field take src's name
+    with pytest.raises(ContractViolation, match="'src', which is not a payload field"):
+        multilog.check_combine({"val": np.add, "src": np.minimum}, SUM_FMT)
+    for combine in (None, {"src": np.minimum}):
+        with pytest.raises(ContractViolation, match="payload field 'src' takes the name of a message id"):
+            RecordFormat([("src", "<u4")], combine=combine)
+
+
+def test_a_combiner_with_a_format_that_has_src_is_a_contract_violation(tmp_path):
+    assert FMT16.has_src and not SUM_FMT.has_src
+    assert SUM_FMT.dtype.names == ("dest", "val") and RecordFormat([("val", "<u8")], "u1", SUM_COMBINE).width == 9
+    with pytest.raises(ContractViolation, match="has no src"):
+        multilog.Accumulator(0, 8, SUM_COMBINE, FMT16)
+    with pytest.raises(ContractViolation, match="has no src"):
+        apply_combine(np.zeros(1, FMT16.dtype), 0, 8, SUM_COMBINE, FMT16)
+    with pytest.raises(ContractViolation, match="has no src"):
+        MultiLog([0, 8], FMT16, StoreRegistry(256), str(tmp_path / "logs"), 16 << 10, SUM_COMBINE)
+    assert not (tmp_path / "logs").exists()
+    assert multilog.Accumulator(0, 8, SUM_COMBINE, SUM_FMT).nbytes == 8 * (1 + 8)
 
 
 def test_a_payload_field_that_is_not_an_integer_or_a_float_does_not_combine():
@@ -402,13 +419,12 @@ def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
 def test_a_multi_pass_combiner_plan_equals_its_single_pass(tmp_path):
     rng = np.random.default_rng(13)
     sends = [(int(d), int(s), int(v)) for d, s, v in zip(rng.integers(0, 8, 400), rng.integers(0, 50, 400), rng.integers(0, 99, 400))]
-    manifest, _ = make_sealed(tmp_path, sends, bounds=(0, 8))
+    manifest, _ = make_sealed(tmp_path, sends, bounds=(0, 8), fmt=SUM_FMT)
     indeg = np.bincount([d for d, _, _ in sends], minlength=8)
-    combine = {"val": np.add}
 
     def combined(passes):
-        plan = FusePlan([0], 400 * 16, passes=passes)
-        return list(sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, combine=combine))
+        plan = FusePlan([0], 400 * 12, passes=passes)
+        return list(sortgroup.iter_plan_sorted(plan, manifest, SUM_FMT, [0, 8], indeg, combine=SUM_COMBINE))
 
     (whole,) = combined(1)
     parts = combined(3)
@@ -417,14 +433,13 @@ def test_a_multi_pass_combiner_plan_equals_its_single_pass(tmp_path):
     assert np.concatenate([slog.records for _, _, slog in parts]).tobytes() == whole[2].records.tobytes()
     assert np.concatenate([slog.dests for _, _, slog in parts]).tolist() == whole[2].dests.tolist() == list(range(8))
     for d in range(8):
-        group = [(s, v) for dd, s, v in sends if dd == d]
-        assert whole[2].inbox(d)[["src", "val"]].tolist() == [(min(s for s, _ in group), sum(v for _, v in group))]
+        assert whole[2].inbox(d)["val"].tolist() == [sum(v for dd, _, v in sends if dd == d)]
 
 
 @pytest.mark.parametrize("passes", [1, 2])
 def test_a_destination_out_of_range_fails_loudly_on_the_combiner_path(tmp_path, passes):
     # interval 0's log holds dest 3, but the bounds say the interval is [0, 2)
-    manifest, _ = make_sealed(tmp_path, [(1, 0, 5), (3, 0, 6)])
-    plan = FusePlan([0], 32, passes=passes)
+    manifest, _ = make_sealed(tmp_path, [(1, 0, 5), (3, 0, 6)], fmt=SUM_FMT)
+    plan = FusePlan([0], 24, passes=passes)
     with pytest.raises(CorruptPageError, match="outside interval range"):
-        list(sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 2, 8], combine={"val": np.add}))
+        list(sortgroup.iter_plan_sorted(plan, manifest, SUM_FMT, [0, 2, 8], combine=SUM_COMBINE))
