@@ -1,10 +1,13 @@
 """Superstep driver.
 
 One superstep: plan log fusion from the sealed per-interval message counts,
+with the intervals holding forced vertices planned with the logs, as
+members with no log (`sortgroup.plan_fusion`), so superstep 0 of a program
+that forces every vertex runs one batch per plan, not one per interval;
 load each fused log and sort it, or fold it into one record per destination
-when the program has a combiner, take its destinations plus the forced
-vertices as the active set, fetch their state and adjacency (from the edge
-log when possible), run the vertex program on them, route its sends
+when the program has a combiner, take its destinations plus the plan's
+forced vertices as the active set, fetch their state and adjacency (from
+the edge log when possible), run the vertex program on them, route its sends
 through the multi-log, then seal the next superstep's logs, merge pending
 structural updates if their budget share overflows and record the activity
 bit vector. With a combiner, the multi-log folds an interval's sends into
@@ -207,8 +210,8 @@ class VertexProgram:
     in id order. With aux_entry_dtype set,
     batch.table holds every row's table in one flat array, row i's at
     batch.table_offsets[i] with its in-degree as capacity; the program
-    updates it in place, and the pages covering the rows whose entries
-    changed are written back.
+    updates it in place, and the pages holding the entries it changed are
+    written back.
 
     combine, when set, maps every payload field to the ufunc that reduces
     it: np.add, np.minimum or np.maximum (`multilog.check_combine`; the
@@ -489,7 +492,6 @@ class Engine:
             self._states = VertexStateStore.create(
                 self.registry,
                 os.path.join(self.workdir, "state"),
-                self.meta.interval_bounds,
                 states,
                 self.program.aux_entry_dtype,
                 aux_caps,
@@ -567,12 +569,9 @@ class Engine:
         self._page_base = np.cumsum([0] + [part.colidx.num_pages for part in self.graph.partitions])
         self._usage = np.zeros(self._page_base[-1], np.int64)
 
-        plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget)
-        covered = {k for p in plans for k in p.intervals}
-        if len(forced):
-            for k in sorted(set(sorted_unique(self.meta.interval_of(forced)).tolist()) - covered):
-                plans.append(sortgroup.FusePlan([k], 0))
-            plans.sort(key=lambda p: p.intervals[0])
+        holds_forced = np.zeros(self.meta.num_intervals, bool)
+        holds_forced[self.meta.interval_of(forced)] = True
+        plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget, holds_forced)
         # the sort, or a combiner's scatter, holds its largest load, or its
         # whole share while a log too large for it is read in several passes
         if any(p.passes > 1 for p in plans):

@@ -19,8 +19,10 @@ edge-log entries all read through it) and copies no page, and
 of those rows; `read_pages` returns a batch of page images as one uint8
 array, `read_records` the counted records of a batch of pages as one
 array, `read_vector` a whole vector as one array, `append` appends a page
-image, `append_records` fixed-width records, and `write_back` and
-`write_back_row` overwrite pages. The helpers: `pack_pages` packs records
+image, `append_records` fixed-width records, `write_back` overwrites a page
+from an image, and `write_back_rows` writes back, in one call, the pages
+that a caller of `read_spans` changed in place in their arena rows (the
+state and aux commits of `state`). The helpers: `pack_pages` packs records
 into whole pages; `fill_page` copies records into a page in place (the
 multi-log's top pages); `record_counts` reads the counts of an array of
 images, and `page_records` parses the counted records of a list of page
@@ -64,7 +66,8 @@ without copying them.
 
 Appends are write-behind: while the ledger has room, `append` admits the
 new page dirty and writes nothing, and with no room it writes the page at
-once. `write_back` updates a resident page in memory and marks it dirty.
+once. `write_back` updates a resident page in memory and marks it dirty,
+and `write_back_rows` only marks it dirty, its row already changed.
 A dirty page is written, once and in page order within its store, when it
 is given back, released, closed or dropped, unless a drop deletes the file.
 So an appended page costs at most one storage write, and a log page
@@ -203,7 +206,7 @@ class PageStore:
     copy out of the rows of resident pages and out of the bytes read for
     the others, which never enter the arena. A page is newer in memory
     than in the file, or missing from it, only while it is dirty: appended
-    by `append` or updated by `write_back` or `write_back_row`, and not yet
+    by `append` or updated by `write_back` or `write_back_rows`, and not yet
     given back.
     """
 
@@ -457,14 +460,14 @@ class PageStore:
         self.registry._copy_in([data], self._slot[page_id : page_id + 1])
         self._dirty[page_id] = True
 
-    def write_back_row(self, page_id: int, row: int) -> None:
-        """Write back page page_id from the arena row row, which
-        `read_spans` handed out for it and the caller changed in place: if
-        the row is still the page's resident one it is only marked dirty,
-        otherwise the row's image goes through `write_back`."""
-        if 0 <= page_id < self._npages and self._slot[page_id] == row:
-            self._dirty[page_id] = True
-        else:
+    def write_back_rows(self, pages: np.ndarray, rows: np.ndarray) -> None:
+        """Write back the distinct pages pages from the arena rows rows,
+        which `read_spans` handed out for them and the caller changed in
+        place: a page whose resident row is still its row is only marked
+        dirty, and any other row's image goes through `write_back`."""
+        kept = self._slot[pages] == rows
+        self._dirty[pages[kept]] = True
+        for page_id, row in zip(pages[~kept].tolist(), rows[~kept].tolist()):
             self.write_back(page_id, self.registry.arena[row])
 
     def write_page(self, page_id: int, data) -> None:

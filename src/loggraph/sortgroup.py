@@ -2,7 +2,9 @@
 
 Contiguous intervals whose sealed logs fit the sort budget together are
 fused into one load, which parses each interval's pages on disk from one
-buffer and its resident tail from another.
+buffer and its resident tail from another. An interval holding forced
+vertices but no log is planned as a member of 0 bytes, so its vertices run
+in the batch of the plan it joins.
 Without a combiner, records are sorted by destination with ties in chain
 order, which is arrival order: one uint64 key per record, dest << 32 |
 position, sorts in exactly that order. They are then grouped into
@@ -75,11 +77,16 @@ class SortedLog:
         return starts, ends
 
 
-def plan_fusion(counts: np.ndarray, record_width: int, sort_budget: int) -> list[FusePlan]:
-    """Greedy left-to-right fusion; empty intervals are never loaded.
+def plan_fusion(
+    counts: np.ndarray, record_width: int, sort_budget: int, forced: np.ndarray | None = None
+) -> list[FusePlan]:
+    """Greedy left-to-right fusion of the intervals with a log, and of those
+    the bool mask forced marks as holding forced vertices; any other empty
+    interval is never loaded.
 
-    A single interval whose log exceeds the budget still forms its own plan
-    and is consumed in destination-partitioned passes.
+    A forced interval with no log joins the current plan as a 0-byte member,
+    or starts one. A single interval whose log exceeds the budget still
+    forms its own plan and is consumed in destination-partitioned passes.
     """
     plans: list[FusePlan] = []
     cur: list[int] = []
@@ -87,6 +94,8 @@ def plan_fusion(counts: np.ndarray, record_width: int, sort_budget: int) -> list
     for k, c in enumerate(counts):
         c = int(c)
         if c == 0:
+            if forced is not None and forced[k]:
+                cur.append(k)
             continue
         b = c * record_width
         if b > sort_budget:

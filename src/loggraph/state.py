@@ -1,18 +1,22 @@
-"""Per-interval vertex state vectors on page storage.
+"""Vertex state vectors on page storage.
 
-State has one layout: one file per interval of fixed-width entries, packed
-page_capacity to a page with the record count in each page header, where
-vertex v owns a run of caps[v] consecutive entries. For state rows caps[v]
-is 1. Applications that remember something per in-neighbor (label tables,
-color tables) also get aux tables, with caps[v] the in-degree of v.
+State has one layout: one vector file of fixed-width entries for the whole
+graph, packed page_capacity to a page with the record count in each page
+header, where vertex v owns a run of caps[v] consecutive entries, starting
+at the sum of the caps of the vertices before it. Its pages are not cut at
+interval bounds: intervals size the multi-log's update logs, not the state.
+For state rows caps[v] is 1, so vertex v is entry v of `state.pages`.
+Applications that remember something per in-neighbor (label tables, color
+tables) also get aux tables, in `aux.pages`, with caps[v] the in-degree of
+v.
 
 Checkout reads each page covering the rows of a vertex set once, in
-ascending order, through `PageStore.read_spans`, and gathers the rows from
-the pages' arena rows into one flat entry array; commit writes the changed
-entries into those arena rows in place and writes back, through
-`PageStore.write_back_row`, only the pages covering rows whose entries
-changed: a resident page stays in memory, marked dirty, until the store
-gives it back or is closed.
+ascending order, through one `PageStore.read_spans`, and gathers the rows
+from the pages' arena rows into one flat entry array; commit writes the
+changed entries into those arena rows in place and writes back, through one
+`PageStore.write_back_rows`, only the pages holding a changed entry: a
+resident page stays in memory, marked dirty, until the store gives it back
+or is closed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pager import StoreRegistry, cover, page_capacity, ranges
+from .pager import PageStore, StoreRegistry, page_capacity, ranges, run_starts
 
 
 class StateSlice:
@@ -31,7 +35,7 @@ class StateSlice:
     entries[offsets[i]:offsets[i + 1]]. A state row is one entry, so rows
     is entries.
 
-    pages[j] is the id of checked-out page j in stores[store_of[j]], and
+    pages[j] is the id of checked-out page j of the store, and
     arena_rows[j] the registry's arena row holding it, pinned until the
     batch ends; row i's entries are at the positions
     index[offsets[i]:offsets[i + 1]] of the pages' record slots taken row
@@ -40,22 +44,20 @@ class StateSlice:
     those arena rows and writes back the pages it changed.
     """
 
-    def __init__(self, stores, ids, offsets, store_of, pages, arena_rows, index, dtype):
-        self._stores = stores
+    def __init__(self, store: PageStore, ids, offsets, pages, arena_rows, index, dtype):
+        self._store = store
         self.ids = ids
         self.offsets = offsets
-        self._store_of = store_of
         self._pages = pages
         self._arena_rows = arena_rows
         self._index = index
-        self._registry = stores[0].registry
+        self._registry = store.registry
         self.entries = self.rows = self._registry.gather(arena_rows, index, dtype)
         self._was = self.entries.copy()
 
     def commit(self) -> None:
         """Write the changed entries into the pages' arena rows, then write
-        back, in page order through `PageStore.write_back_row`, every page
-        covering a row whose entries changed, each once."""
+        back the pages holding a changed entry, each once, in page order."""
         width = self.entries.itemsize
         word = np.dtype(f"u{math.gcd(width, 8)}")  # entries compare a word column at a time
         now = self.entries.view(word).reshape(-1, width // word.itemsize)
@@ -63,13 +65,12 @@ class StateSlice:
         changed = np.flatnonzero(reduce(np.logical_or, (now != was).T))
         if len(changed) == 0:
             return
-        self._registry.scatter(self._arena_rows, self._index[changed], self.entries[changed])
-        rows = np.searchsorted(self.offsets, changed, side="right") - 1
-        cap = page_capacity(self._stores[0].page_size, width)
-        first = self._index[self.offsets[rows]] // cap
-        dirty = cover(first, self._index[self.offsets[rows + 1] - 1] // cap + 1)
-        for j in dirty.tolist():
-            self._stores[self._store_of[j]].write_back_row(int(self._pages[j]), int(self._arena_rows[j]))
+        at = self._index[changed]
+        self._registry.scatter(self._arena_rows, at, self.entries[changed])
+        # at ascends, so the checked-out pages it falls in do too
+        dirty = at // page_capacity(self._store.page_size, width)
+        dirty = dirty[run_starts(dirty)]
+        self._store.write_back_rows(self._pages[dirty], self._arena_rows[dirty])
 
 
 class AuxSlice(StateSlice):
@@ -85,105 +86,74 @@ class VertexStateStore:
         self,
         registry: StoreRegistry,
         dirpath: str,
-        bounds: list[int],
+        num_vertices: int,
         state_dtype: np.dtype,
         aux_entry_dtype: np.dtype | None = None,
         aux_capacities: np.ndarray | None = None,
     ):
         self.registry = registry
         self.dir = dirpath
-        self.bounds = list(bounds)
-        self._bounds = np.asarray(bounds, np.int64)
-        self.num_vertices = bounds[-1]
+        self.num_vertices = num_vertices
         self.state_dtype = np.dtype(state_dtype)
         self.state_width = self.state_dtype.itemsize
         self.page_size = registry.page_size
-        self.stores = []
+        self.store: PageStore | None = None
+        self.aux_store: PageStore | None = None
         self.aux_entry_dtype = np.dtype(aux_entry_dtype) if aux_entry_dtype is not None else None
-        self.aux_stores = []
-        # vertex v owns entries [start[v], start[v] + caps[v]) of its
-        # interval's file; state rows own one entry each (caps None)
-        sizes = np.diff(self._bounds)
-        self._start = np.arange(self.num_vertices) - np.repeat(self._bounds[:-1], sizes)
+        # vertex v's table is aux entries [start[v], start[v] + caps[v])
         self._aux_start = self._aux_caps = None
         if self.aux_entry_dtype is not None:
             self._aux_caps = np.asarray(aux_capacities, np.int64)
-            cum = np.zeros(self.num_vertices + 1, np.int64)
-            np.cumsum(self._aux_caps, out=cum[1:])
-            self._aux_start = cum[:-1] - np.repeat(cum[self._bounds[:-1]], sizes)
+            self._aux_start = np.cumsum(self._aux_caps) - self._aux_caps
 
     @classmethod
     def create(
         cls,
         registry: StoreRegistry,
         dirpath: str,
-        bounds: list[int],
         init_states: np.ndarray,
         aux_entry_dtype: np.dtype | None = None,
         aux_capacities: np.ndarray | None = None,
     ) -> "VertexStateStore":
         os.makedirs(dirpath, exist_ok=True)
-        st = cls(registry, dirpath, bounds, init_states.dtype, aux_entry_dtype, aux_capacities)
-        for k in range(len(bounds) - 1):
-            lo, hi = bounds[k], bounds[k + 1]
-            store = registry.open(os.path.join(dirpath, f"state{k}.pages"), "state")
-            store.append_records(init_states[lo:hi].tobytes(), st.state_width)
-            st.stores.append(store)
-            if st.aux_entry_dtype is not None:
-                aux = registry.open(os.path.join(dirpath, f"aux{k}.pages"), "state")
-                blank = np.zeros(st._aux_caps[lo:hi].sum(), st.aux_entry_dtype)
-                aux.append_records(blank.tobytes(), st.aux_entry_dtype.itemsize)
-                st.aux_stores.append(aux)
+        st = cls(registry, dirpath, len(init_states), init_states.dtype, aux_entry_dtype, aux_capacities)
+        st.store = registry.open(os.path.join(dirpath, "state.pages"), "state")
+        st.store.append_records(init_states.tobytes(), st.state_width)
+        if st.aux_entry_dtype is not None:
+            st.aux_store = registry.open(os.path.join(dirpath, "aux.pages"), "state")
+            blank = np.zeros(st._aux_caps.sum(), st.aux_entry_dtype)
+            st.aux_store.append_records(blank.tobytes(), st.aux_entry_dtype.itemsize)
         return st
 
-    def _checkout(self, kind, stores, start, caps, dtype, ids):
-        """The entry runs of ids (ascending) in one layout, read interval by
-        interval."""
+    def _checkout(self, kind, store, start, caps, dtype, ids):
+        """The entry runs of ids (ascending) in one layout: state rows when
+        caps is None, aux tables otherwise."""
         ids = np.asarray(ids, np.int64)
-        cut = np.searchsorted(ids, self._bounds)
         lens = np.ones(len(ids), np.int64) if caps is None else caps[ids]
-        starts = start[ids]
-        ends = starts + lens
-        reads = [store.read_spans(starts[a:b], ends[a:b], dtype) for store, a, b in zip(stores, cut[:-1], cut[1:])]
-        pages, _, rows, at = zip(*reads)
-        # the pages of every interval, taken row after row
-        cap = page_capacity(self.page_size, dtype.itemsize)
-        shift = np.cumsum([0] + [len(p) for p in pages]) * cap
-        at = np.concatenate(at) + np.repeat(shift[:-1], [len(a) for a in at])
+        starts = ids if start is None else start[ids]
+        pages, _, rows, at = store.read_spans(starts, starts + lens, dtype)
         offsets = np.zeros(len(ids) + 1, np.int64)
         np.cumsum(lens, out=offsets[1:])
-        return kind(
-            stores,
-            ids,
-            offsets,
-            np.repeat(np.arange(len(stores)), [len(p) for p in pages]),
-            np.concatenate(pages),
-            np.concatenate(rows),
-            at if caps is None else ranges(at, lens),
-            dtype,
-        )
+        return kind(store, ids, offsets, pages, rows, at if caps is None else ranges(at, lens), dtype)
 
     def checkout(self, ids: np.ndarray) -> StateSlice:
         """State rows of ids; each page they touch is read once, in order.
         A row past its page's record count is corrupt."""
-        return self._checkout(StateSlice, self.stores, self._start, None, self.state_dtype, ids)
+        return self._checkout(StateSlice, self.store, None, None, self.state_dtype, ids)
 
     def checkout_aux(self, ids: np.ndarray) -> AuxSlice:
         """The aux tables of ids, flat; each page covering one of them is
-        read once, in ascending (interval, page) order."""
-        return self._checkout(AuxSlice, self.aux_stores, self._aux_start, self._aux_caps, self.aux_entry_dtype, ids)
+        read once, in ascending order."""
+        return self._checkout(AuxSlice, self.aux_store, self._aux_start, self._aux_caps, self.aux_entry_dtype, ids)
 
     def close(self) -> None:
         """Close the state and aux files; they stay on disk."""
-        for store in self.stores + self.aux_stores:
-            self.registry.drop(store, "state")
+        for store in (self.store, self.aux_store):
+            if store is not None:
+                self.registry.drop(store, "state")
 
     def read_all(self) -> np.ndarray:
-        """Full state vector, each interval's file read whole through
+        """Full state vector, the file read whole through
         `PageStore.read_vector`, so a page holding other than its share of
-        the interval's states is corrupt."""
-        out = np.zeros(self.num_vertices, self.state_dtype)
-        for k, store in enumerate(self.stores):
-            lo, hi = self.bounds[k], self.bounds[k + 1]
-            out[lo:hi] = store.read_vector(hi - lo, self.state_dtype)
-        return out
+        the states is corrupt."""
+        return self.store.read_vector(self.num_vertices, self.state_dtype)

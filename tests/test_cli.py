@@ -128,14 +128,16 @@ def test_run_rejects_removed_flags(tmp_path, g6_file, flag):
 
 
 def test_run_same_seed_byte_identical_reports(tmp_path, g6_file):
-    # the ring at 1 MiB, and a 400-vertex graph in 13 intervals at the
+    # the ring at 1 MiB, and a 400-vertex graph in 9 intervals at the
     # smallest budget whose multi-log holds a page per interval; 8 edges a
     # vertex send enough 2-byte-id messages that the holds make the ledger
-    # give pages back (at 4 a vertex they fit beside every page)
+    # give csr pages back (at 4 a vertex they fit beside every page; in 13
+    # intervals, at their smallest budget, only log pages are given back)
     edges = tmp_path / "edges.txt"
     edges.write_text("".join(f"{u} {v}\n" for u, v in zip(*random_graph(400, 8, seed=5))))
-    assert main(["convert", str(edges), str(tmp_path / "tight"), "--budget", "4000", "--page-size", "256"]) == 0
-    cases = [(convert_g6(tmp_path, g6_file), 1 << 20), (str(tmp_path / "tight"), 13 * 256 * 20)]
+    assert main(["convert", str(edges), str(tmp_path / "tight"), "--budget", "6000", "--page-size", "256"]) == 0
+    assert len(json.loads((tmp_path / "tight" / "meta.json").read_text())["interval_bounds"]) == 10
+    cases = [(convert_g6(tmp_path, g6_file), 1 << 20), (str(tmp_path / "tight"), 9 * 256 * 20)]
     reports = []
     for i, (out, budget) in enumerate(cases):
         paths = []

@@ -573,6 +573,30 @@ def test_vertex_forced_and_sent_to_is_processed_once(tmp_path):
     assert seen == {5: [1], 9: [2, 3], 50: [4], 51: []}
 
 
+@pytest.mark.parametrize(
+    "make_program",
+    [PageRank, lambda: KCore(k=4), lambda: EchoProgram([(3, (1,)), (97, (2,))], active=range(100))],
+    ids=["pagerank", "kcore", "echo-with-messages"],
+)
+def test_superstep_0_of_an_all_forced_program_runs_one_batch(tmp_path, make_program):
+    # every vertex is forced at superstep 0 and every log fits the sort
+    # budget, so the forced intervals, logged or not, join one plan
+    src, dst = random_graph(100, 4, seed=23)
+    g = build_graph(tmp_path, src, dst, 100, page_size=256)
+    assert g.meta.num_intervals >= 3
+    program = make_program()
+    batches = []
+    process_batch = program.process_batch
+
+    def spy(ctx, batch):
+        batches.append((ctx.superstep, batch.ids.tolist()))
+        process_batch(ctx, batch)
+
+    program.process_batch = spy
+    run_app(g, program, cfg(max_supersteps=2), str(tmp_path / "run"))
+    assert [ids for step, ids in batches if step == 0] == [list(range(100))]
+
+
 def test_storage_isolation_colidx_reads_equal_active_span_pages(tmp_path):
     src, dst = random_graph(120, 5, seed=29)
     g = build_graph(tmp_path, src, dst, 120, page_size=256)

@@ -287,3 +287,43 @@ def test_a_deletion_only_cancels_copies_that_precede_it_at_every_budget(tmp_path
         assert (pending[0] == 0) == (budget == "tight")
         seen.append((probe.rows[2], rows_of(csr.load_adjacency(g, np.array([0]))[0]), res.structural_warnings))
     assert seen[0] == seen[1] == ([1, 4, 7], {0: [1, 4, 7]}, 1)
+
+
+@pytest.mark.parametrize(
+    "make_program",
+    [
+        lambda: Bfs(0),
+        PageRank,
+        lambda: PageRank(use_combine=False),
+        Community,
+        Coloring,
+        lambda: Mis(seed=5),
+        lambda: RandomWalk(steps=8, stride=3, seed=3),
+        lambda: KCore(k=4),
+    ],
+    ids=["bfs", "pagerank", "pagerank-raw", "community", "coloring", "mis", "randomwalk", "kcore"],
+)
+def test_the_interval_count_changes_no_state_page(tmp_path, monkeypatch, make_program):
+    # one graph converted into 1 interval and into several. Every
+    # superstep's logs fit one plan, forced vertices included, so both run
+    # the same batches; the state vector's pages are not cut at interval
+    # bounds, so with the ledger off, where every checkout reads its pages
+    # and every commit writes them, each superstep reads and writes the
+    # same state pages
+    ledger_off(monkeypatch)
+    src, dst = random_graph(N, 5, seed=48)
+    results, intervals = [], []
+    for sort_budget in (1 << 20, 2000):
+        d = tmp_path / f"sort{sort_budget}"
+        g = build_graph(d, src, dst, N, page_size=256, sort_budget=sort_budget)
+        intervals.append(g.meta.num_intervals)
+        config = EngineConfig(memory_budget=1 << 20, page_size=256, max_supersteps=12)
+        results.append(run_app(g, make_program(), config, str(d / "run")))
+    assert intervals[0] == 1 and intervals[1] >= 3
+    assert_knob_invariant(results)
+    one, many = results
+    assert [(st.reads["state"], st.writes["state"]) for st in many.stats] == [
+        (st.reads["state"], st.writes["state"]) for st in one.stats
+    ]
+    assert (many.reads["state"], many.writes["state"]) == (one.reads["state"], one.writes["state"])
+    assert one.reads["state"] > 0 and one.writes["state"] > 0

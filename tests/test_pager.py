@@ -383,6 +383,25 @@ def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path
     on_disk.close()
 
 
+def test_write_back_rows_defers_a_page_still_in_its_row_and_writes_any_other_at_once(tmp_path):
+    # 14 8-byte records to a 128-byte page: the spans cover pages 0 to 2,
+    # of which the one-page ledger keeps 0; 1 and 2 get transient rows
+    reg, store, images = ledger(tmp_path, 3, 1)
+    pages, _, rows, _ = store.read_spans(np.array([0, 14, 28]), np.array([1, 15, 29]), "<u8")
+    assert pages.tolist() == [0, 1, 2] and store.resident_bytes == 128
+    reg.arena[rows[[0, 2]], 16] = 0xAA
+    written = store.pages_written
+    store.write_back_rows(pages[[0, 2]], rows[[0, 2]])
+    assert store.pages_written == written + 1  # page 2, at once
+    reg.unpin()
+    reg.drop(store, "csr")
+    assert reg.totals()["csr"][1] == written + 2  # page 0, dirty, at the drop
+    on_disk = PageStore(store.path, 128, create=False)
+    want = [image[:16] + b"\xaa" + image[17:] for image in images]
+    assert [on_disk.read_page(p) for p in range(3)] == [want[0], images[1], want[2]]
+    on_disk.close()
+
+
 def test_write_page_on_a_resident_page_updates_its_copy(tmp_path):
     reg, store, _ = ledger(tmp_path, 2, 2)
     store.read_pages([0, 1])

@@ -51,6 +51,29 @@ def test_fusion_oversized_interval_gets_own_multi_pass_plan():
     assert plans[0].passes == plans[2].passes == 1
 
 
+def test_fusion_forced_empty_interval_joins_the_current_plan():
+    forced = np.array([False, True, False, True])
+    plans = plan_fusion(np.array([5, 0, 5, 0]), 16, 480, forced)
+    assert [(p.intervals, p.est_bytes) for p in plans] == [([0, 1, 2, 3], 160)]
+    # with no log anywhere, the forced intervals make one plan of 0 bytes
+    plans = plan_fusion(np.zeros(4, np.int64), 16, 480, forced)
+    assert [(p.intervals, p.est_bytes) for p in plans] == [([1, 3], 0)]
+
+
+def test_fusion_unforced_empty_interval_is_still_skipped():
+    plans = plan_fusion(np.array([0, 5, 0, 0]), 16, 480, np.array([False, False, True, False]))
+    assert [p.intervals for p in plans] == [[1, 2]]
+    assert plan_fusion(np.array([0, 5, 0]), 16, 480, np.zeros(3, bool))[0].intervals == [1]
+
+
+def test_fusion_oversized_interval_stands_alone_beside_forced_ones():
+    # interval 0 is forced with no log, 1 overflows the budget, 2 is forced
+    # with no log and 3 has a small log: 2 starts the plan after 1's
+    plans = plan_fusion(np.array([0, 100, 0, 4]), 16, 160, np.array([True, False, True, False]))
+    assert [(p.intervals, p.passes) for p in plans] == [([0], 1), ([1], 10), ([2, 3], 1)]
+    assert [p.est_bytes for p in plans] == [0, 1600, 64]
+
+
 def test_fusion_safety_estimates_within_budget():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -60,6 +83,20 @@ def test_fusion_safety_estimates_within_budget():
             if plan.passes == 1:
                 assert plan.est_bytes <= budget
             assert plan.intervals == sorted(plan.intervals)
+
+
+def test_fusion_plans_each_logged_or_forced_interval_once_in_order():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        counts = rng.integers(0, 50, rng.integers(1, 12)) * rng.integers(0, 2, 1)
+        forced = rng.random(len(counts)) < 0.3
+        budget = int(rng.integers(160, 800))
+        plans = plan_fusion(counts, 16, budget, forced)
+        planned = [k for plan in plans for k in plan.intervals]
+        assert planned == np.flatnonzero((counts > 0) | forced).tolist()
+        for plan in plans:
+            assert plan.est_bytes == 16 * counts[plan.intervals].sum()
+            assert plan.passes == 1 or plan.intervals == [plan.intervals[0]]
 
 
 # -- load_log ----------------------------------------------------------------

@@ -8,12 +8,11 @@ from loggraph.state import VertexStateStore
 DT = np.dtype([("a", "<u4"), ("b", "<f8")])
 
 
-def make_store(tmp_path, n=50, bounds=None, aux=None, caps=None):
+def make_store(tmp_path, n=50, aux=None, caps=None):
     reg = StoreRegistry(128)
     init = np.zeros(n, DT)
     init["a"] = np.arange(n)
-    bounds = bounds or [0, n // 2, n]
-    return VertexStateStore.create(reg, str(tmp_path / "st"), bounds, init, aux, caps), reg
+    return VertexStateStore.create(reg, str(tmp_path / "st"), init, aux, caps), reg
 
 
 def test_create_and_read_all(tmp_path):
@@ -45,7 +44,7 @@ def test_checkout_pages_read_once_per_call(tmp_path):
     st, reg = make_store(tmp_path)
     cap = page_capacity(st.page_size, st.state_width)
     before = reg.totals()["state"][0]
-    st.checkout(np.arange(min(cap, 25)))  # all in the first page of interval 0
+    st.checkout(np.arange(cap))  # all in the first page
     assert reg.totals()["state"][0] - before == 1
 
 
@@ -57,22 +56,21 @@ def table(sl, i):
 
 
 def spy_aux_io(monkeypatch):
-    """(interval, page, "read" | "write") per aux page access, in order."""
+    """(page, "read" | "write") per aux page access, in order."""
     seen = []
     read, write = PageStore.read_page, PageStore.write_page
 
-    def aux_interval(store):
-        name = os.path.basename(store.path)
-        return int(name[3:].split(".")[0]) if name.startswith("aux") else None
+    def is_aux(store):
+        return os.path.basename(store.path) == "aux.pages"
 
     def read_spy(store, pid):
-        if aux_interval(store) is not None:
-            seen.append((aux_interval(store), pid, "read"))
+        if is_aux(store):
+            seen.append((pid, "read"))
         return read(store, pid)
 
     def write_spy(store, pid, data):
-        if aux_interval(store) is not None:
-            seen.append((aux_interval(store), pid, "write"))
+        if is_aux(store):
+            seen.append((pid, "write"))
         return write(store, pid, data)
 
     monkeypatch.setattr(PageStore, "read_page", read_spy)
@@ -107,24 +105,23 @@ def test_aux_spans_cross_pages(tmp_path):
     for i in range(50):
         assert (table(back, i)["val"] == i).all()
     # every page written back is laid out as the packer lays it out
-    for k, store in enumerate(st.aux_stores):
-        want = np.zeros(25 * 9, AUX_DT)
-        want["val"] = np.repeat(np.arange(25 * k, 25 * k + 25), 9)
-        assert store.read_pages(range(store.num_pages)).tobytes() == pack_pages(want.tobytes(), 8, 128).tobytes()
+    store = st.aux_store
+    want = np.zeros(50 * 9, AUX_DT)
+    want["val"] = np.repeat(np.arange(50), 9)
+    assert store.read_pages(range(store.num_pages)).tobytes() == pack_pages(want.tobytes(), 8, 128).tobytes()
 
 
 def test_aux_checkout_reads_each_covering_page_once_in_order(tmp_path, monkeypatch):
-    # 72-byte tables in 112-byte regions: vertex j of an interval covers
-    # stream pages 72j // 112 to (72j + 71) // 112
+    # 72-byte tables in 112-byte regions: vertex v covers pages 72v // 112
+    # to (72v + 71) // 112, across interval bounds alike
     st, _ = make_store(tmp_path, aux=AUX_DT, caps=np.full(50, 9))
     seen = spy_aux_io(monkeypatch)
     ids = np.array([1, 2, 9, 25, 26, 40])
     st.checkout_aux(ids)
     want = set()
     for v in ids.tolist():
-        k, j = divmod(v, 25)
-        want |= {(k, p) for p in range(72 * j // 112, (72 * j + 71) // 112 + 1)}
-    assert seen == [(k, p, "read") for k, p in sorted(want)]
+        want |= set(range(72 * v // 112, (72 * v + 71) // 112 + 1))
+    assert seen == [(p, "read") for p in sorted(want)]
 
 
 def test_aux_zero_capacity_rows_read_nothing(tmp_path, monkeypatch):
@@ -135,20 +132,28 @@ def test_aux_zero_capacity_rows_read_nothing(tmp_path, monkeypatch):
     assert seen == []
     assert sl.offsets.tolist() == [0, 0, 0, 0]
     sl = st.checkout_aux(np.array([0, 1, 2]))
-    assert seen == [(0, 0, "read")]
+    assert seen == [(0, "read")]
     assert sl.offsets.tolist() == [0, 0, 2, 2]
 
 
-def test_aux_changed_row_dirties_every_page_of_its_span(tmp_path, monkeypatch):
-    # vertex 1's table is stream bytes [72, 144): its first entry lies in
-    # page 0, but its span covers pages 0 and 1
-    st, _ = make_store(tmp_path, aux=AUX_DT, caps=np.full(50, 9))
+def test_aux_commit_writes_only_the_pages_of_changed_entries(tmp_path, monkeypatch):
+    # vertex 1's table is bytes [72, 144) of the aux vector, pages 0 and 1,
+    # and its first entry lies in page 0; vertex 2's 60-entry table, 14
+    # entries to a 128-byte page, is entries 18 to 77, pages 1 to 5
+    st, _ = make_store(tmp_path, aux=AUX_DT, caps=np.array([9, 9, 60] + [1] * 47))
     seen = spy_aux_io(monkeypatch)
-    sl = st.checkout_aux(np.array([1, 4]))
+    sl = st.checkout_aux(np.array([1, 2]))
+    assert seen == [(p, "read") for p in range(6)]
     table(sl, 0)[0] = (3, 3)
     seen.clear()
     sl.commit()
-    assert seen == [(0, 0, "write"), (0, 1, "write")]
+    assert seen == [(0, "write")]
+    sl = st.checkout_aux(np.array([2]))
+    table(sl, 0)[30] = (4, 4)  # entry 48, page 3
+    seen.clear()
+    sl.commit()
+    assert seen == [(3, "write")]
+    assert tuple(table(st.checkout_aux(np.array([2])), 0)[30]) == (4, 4)
 
 
 def test_aux_unchanged_batch_writes_nothing(tmp_path, monkeypatch):

@@ -15,7 +15,8 @@ prints one line per workload with two sha256 digests:
   `SuperstepStats.to_dict()` (pages read and written per class, memory
   peaks, edge-log counters) and the per-class `registry.totals()` of
   convert and run, whose sums it also prints as `pages_read` and
-  `pages_written`.
+  `pages_written`, and each class's as `read.CLASS` and `written.CLASS`
+  (csr, log, edgelog, state).
 
 Two checkouts that print the same lines computed the same results with the
 same page counts. A change that moves pages but keeps results changes only
@@ -57,9 +58,11 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
     messages = sum(st.messages_sent for st in result.stats)
     read = sum(r for r, _ in totals.values())
     written = sum(w for _, w in totals.values())
+    per_class = [f"{side}.{klass}={c[i]}" for i, side in enumerate(("read", "written")) for klass, c in totals.items()]
     return (
         f"{workload.name} supersteps={result.num_supersteps} messages={messages} "
-        f"results={results.hexdigest()} pages={pages.hexdigest()} pages_read={read} pages_written={written}"
+        f"results={results.hexdigest()} pages={pages.hexdigest()} pages_read={read} pages_written={written} "
+        + " ".join(per_class)
     )
 
 
