@@ -81,7 +81,6 @@ class GraphMeta:
     page_size: int
     colidx_width: int
     rowptr_width: int = ROWPTR_WIDTH
-    record_size: int = 16
     dataset_hash: str = ""
 
     @property

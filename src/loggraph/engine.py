@@ -4,17 +4,18 @@ One superstep: plan log fusion from the sealed per-interval message counts,
 with the intervals holding forced vertices planned with the logs, as
 members with no log (`sortgroup.plan_fusion`), so superstep 0 of a program
 that forces every vertex runs one batch per plan, not one per interval;
-load each fused log and sort it, or fold it into one record per destination
-when the program has a combiner, take its destinations plus the plan's
-forced vertices as the active set, fetch their state and adjacency (from
-the edge log when possible), run the vertex program on them, route its sends
-through the multi-log, then seal the next superstep's logs, merge pending
-structural updates if their budget share overflows and record the activity
-bit vector. With a combiner, the multi-log folds an interval's sends into
-one accumulator per superstep once their records would outgrow it, if it
-fits (see `multilog`), and logs one record per destination at seal; the
-receiver folds a raw log into the same kind of `multilog.Accumulator`.
-`messages_sent` counts sends either way.
+load each fused log once, which consumes it (the multi-log frees its tails
+and deletes its files), and sort it, or fold it into one record per
+destination when the program has a combiner, take each pass's destinations
+plus its forced vertices as the active set, fetch their state and adjacency
+(from the edge log when possible), run the vertex program on them, route
+its sends through the multi-log, then seal the next superstep's logs, merge
+pending structural updates if their budget share overflows and record the
+activity bit vector. With a combiner, the multi-log folds an interval's
+sends into one accumulator per superstep once their records would outgrow
+it, if it fits (see `multilog`), and logs one record per destination at
+seal; the receiver folds a raw log into the same kind of
+`multilog.Accumulator`. `messages_sent` counts sends either way.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
 log, if the batch has read them: logging reads no page.
 
@@ -46,22 +47,21 @@ room. The run sets the registry's budget to the whole memory budget when it
 starts and to 0 when it ends; in between, every other holder of memory
 reports what it holds through `StoreRegistry.hold`, and the ledger gets the
 rest: the sort its need each superstep, after planning its fusion (the
-largest one-pass plan, or the whole sort budget when a plan takes several
-passes), the pending edge ops their bytes as they are buffered and merged,
-the multi-log its open pages, sealed tails and accumulators, and the edge
-log its write buffer. The shares of the memory budget (`MULTILOG_FRAC`,
-`EDGELOG_FRAC`, `STRUCTURAL_FRAC`) are caps on those holders, not
-reservations: memory a holder does not use is the ledger's. A hold that
-grows gives back the newest-admitted pages first, and every page of any
-class read or written is kept while the ledger has room (see `pager`). A
-kept page is never read from storage again. A page the run appends while
-the ledger has room (state and aux pages as they are created, log and
-edge-log pages, merged CSR pages) is kept unwritten, and a kept state page
-that commits change is updated in memory; each is written once, when it is
-given back, and a log or edge-log page consumed and deleted first is never
-written. At its end, also when the program raised, the run sets the budget
-to 0, which writes every dirty page and releases every resident page, CSR
-pages included.
+largest plan's log bytes, at most the sort budget), the pending edge ops
+their bytes as they are buffered and merged, the multi-log its open pages,
+sealed tails and accumulators, and the edge log its write buffer. The
+shares of the memory budget (`MULTILOG_FRAC`, `EDGELOG_FRAC`,
+`STRUCTURAL_FRAC`) are caps on those holders, not reservations: memory a
+holder does not use is the ledger's. A hold that grows gives back the
+newest-admitted pages first, and every page of any class read or written is
+kept while the ledger has room (see `pager`). A kept page is never read
+from storage again. A page the run appends while the ledger has room (state
+and aux pages as they are created, log and edge-log pages, merged CSR
+pages) is kept unwritten, and a kept state page that commits change is
+updated in memory; each is written once, when it is given back, and a log
+or edge-log page consumed and deleted first is never written. At its end,
+also when the program raised, the run sets the budget to 0, which writes
+every dirty page and releases every resident page, CSR pages included.
 `RunResult.reads` and `writes` count the whole run's pages, those end
 writes included.
 """
@@ -261,9 +261,10 @@ class SuperstepStats:
     messages_sent counts sends, before any fold at the sender; runtime (wall
     seconds) stays out of `to_dict`. prediction_accuracy: the share of the
     active vertices active in the superstep before, None at superstep 0 or
-    with none active. Peaks in bytes: sort_resident_peak of the largest load a
-    pass sorted or combined, multilog_resident_peak of the open multi-log
-    pages and accumulators after eviction, resident_peak of the ledger.
+    with none active. Peaks in bytes: sort_resident_peak of the largest log a
+    plan loaded (once, whatever its passes) to sort or combine,
+    multilog_resident_peak of the open multi-log pages and accumulators
+    after eviction, resident_peak of the ledger.
     edgelog_bytes and edgelog_logged are what was logged, edgelog_served the
     rows served, edgelog_read_peak the page bytes of the largest fetch; all 0
     without an edge log.
@@ -572,13 +573,9 @@ class Engine:
         holds_forced = np.zeros(self.meta.num_intervals, bool)
         holds_forced[self.meta.interval_of(forced)] = True
         plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget, holds_forced)
-        # the sort, or a combiner's scatter, holds its largest load, or its
-        # whole share while a log too large for it is read in several passes
-        if any(p.passes > 1 for p in plans):
-            sort_need = cfg.sort_budget
-        else:
-            sort_need = max((p.est_bytes for p in plans), default=0)
-        self.registry.hold("sort", sort_need)
+        # the sort, or a combiner's scatter, is charged its largest load, at
+        # most its whole share; what it really holds is more (ROADMAP item 6)
+        self.registry.hold("sort", min(max((p.est_bytes for p in plans), default=0), cfg.sort_budget))
 
         n = self.meta.num_vertices
         active_bits = np.zeros(n, bool)
@@ -612,7 +609,6 @@ class Engine:
 
         manifest_next = self._mlog.seal()
         self._mlog.open_superstep(S + 2)
-        self._mlog.drop(manifest)
         while self._pending_bytes.sum() > cfg.structural_budget:
             self._merge_interval(int(self._pending_bytes.argmax()))
         self._last_active = active_bits

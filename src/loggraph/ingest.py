@@ -96,8 +96,8 @@ def convert_arrays(
     """Convert in-memory dense-id edge arrays: the interval files, their
     colIdx entries at the narrowest id width that holds every id
     (`csr.id_dtype`), the in-degrees and meta.json, which records that
-    width and which nothing writes again. `convert` reaches it once the ids
-    are dense."""
+    width and which nothing writes again; record_size only sizes the
+    intervals. `convert` reaches it once the ids are dense."""
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
     in_deg = np.bincount(dst, minlength=num_vertices).astype(np.int64)
@@ -106,7 +106,6 @@ def convert_arrays(
         interval_bounds=csr.partition_vertices(in_deg, record_size, sort_budget),
         page_size=page_size,
         colidx_width=csr.id_dtype(num_vertices).itemsize,
-        record_size=record_size,
         dataset_hash=dataset_hash or f"inline-{len(src)}-{num_vertices}",
     )
     os.makedirs(out_dir, exist_ok=True)

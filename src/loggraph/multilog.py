@@ -7,7 +7,7 @@ out. Sealing a superstep hands nothing to the pager (but the pages that
 appending its accumulators' records forces out, see below): an interval's
 resident pages become the resident tail of its sealed log, after the pages
 already handed over, and stay in the buffer's budget until the next
-superstep loads them for the last time and releases them. A page is handed
+superstep loads the log, once, and releases it. A page is handed
 to the pager only when opening a new one would take residency past the
 budget, and then exactly as many pages as the overflow: first sealed
 tails, spilled to their log files page by page in chain order from the log
@@ -67,14 +67,14 @@ as vertex programs send through the engine's `Context.send_many`, copies
 the records into the top pages, and packs the whole pages between an
 interval's first top and its last with `pager.pack_pages`; `send_many`
 sends an array of wire-format records as its columns, and `send` one
-record. The multi-log owns its log files and tails: `release` frees the
-tails of logs loaded for the last time, `drop` deletes a consumed
-superstep's files, and `close` every file and tail still held.
+record. The multi-log owns its log files and tails: `release` consumes
+logs at their one load, freeing their tails and deleting their files, and
+`close` frees every file and tail still held.
 
 Its resident pages and accumulators are memory the pager's ledger may not
 use: it reports their bytes to `StoreRegistry.hold` before a block opens
 pages or an accumulator is made, so the ledger makes room first, and again
-after `release` (which `drop` and `close` call) frees tails.
+after `release` (which `close` calls) frees tails.
 """
 
 from __future__ import annotations
@@ -235,7 +235,9 @@ class LogHandle:
     Its records are those of the pages `ordinals` of `store`, then those of
     the resident `tail` pages (each with its record count in the header),
     in arrival order. An eviction spills the tail's first page to the end
-    of `ordinals`; `MultiLog.release` frees what is left of it. folded says
+    of `ordinals`. The log is loaded once: `MultiLog.release` then frees
+    what is left of the tail and deletes the file, and sets store to None,
+    so a page the pager still holds unwritten is never written. folded says
     the records are already one per destination, ascending, folded from the
     combiner's identities: an accumulator's, or none.
     """
@@ -250,7 +252,6 @@ class LogHandle:
 
 @dataclass
 class LogManifest:
-    tag: int
     handles: list[LogHandle]
 
     @property
@@ -321,7 +322,7 @@ class MultiLog:
         self._resident_pages = 0  # open and carried pages
         self._carried: list[tuple[int, LogHandle]] = []  # (tag, handle) of every held tail, in seal order
         self._carried_pages = 0
-        self._stores: list[PageStore] = []  # every log file not yet dropped
+        self._stores: list[PageStore] = []  # every log file not yet released
         self.total_appends = 0
         self.post_evict_peak = 0
         os.makedirs(log_dir, exist_ok=True)
@@ -679,31 +680,27 @@ class MultiLog:
         for log in self.logs:
             self._log_accumulated(log)
         handles = [self.seal_interval(k) for k in range(self.n_intervals)]
-        return LogManifest(self.tag, handles)
+        return LogManifest(handles)
 
     def release(self, handles: list[LogHandle]) -> None:
-        """Free the resident tails of sealed logs loaded for the last time."""
-        held = {id(h) for h in handles if h.tail}
-        if not held:
-            return
+        """Consume sealed logs once loaded: free their resident tails and
+        delete their files, unwritten pages and all. Releasing a log again
+        does nothing."""
+        held = {id(h) for h in handles}
         self._carried = [(tag, h) for tag, h in self._carried if id(h) not in held]
         for handle in handles:
             self._carried_pages -= len(handle.tail)
             self._resident_pages -= len(handle.tail)
             handle.tail = []
-        self.registry.hold("multilog", self.held_bytes)
-
-    def drop(self, manifest: LogManifest) -> None:
-        """Free the tails and delete the log files of a consumed superstep."""
-        self.release(manifest.handles)
-        for handle in manifest.handles:
             if handle.store is not None:
                 self._stores.remove(handle.store)
                 self.registry.drop(handle.store, "log", unlink=True)
+                handle.store = None
+        self.registry.hold("multilog", self.held_bytes)
 
     def close(self) -> None:
         """Free every tail, and close and delete every log file not yet
-        dropped, sealed or open; a tail still held is never written."""
+        released, sealed or open; a tail still held is never written."""
         for log in self.logs:
             log.acc = None
         self._acc_bytes = 0

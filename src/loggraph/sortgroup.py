@@ -19,8 +19,10 @@ ascending. A sender that folded an interval's sends into an accumulator
 already logged one record per destination, folded from the same identity
 in arrival order; on such a log apply_combine is the identity, so a pass
 gives the same bits whether its intervals were logged raw or accumulated.
-A one-pass plan whose every log is folded so (`multilog.LogHandle.folded`)
-is therefore not folded again: its records are its inbox as loaded.
+A plan whose every log is folded so (`multilog.LogHandle.folded`) is
+therefore not folded again: its records are its inbox as loaded.
+A plan's logs are loaded, and consumed, once; its passes are slices of its
+one sorted log, so a log page is read from storage at most once.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ class SortedLog:
         starts[found] = self.starts[pos[found]]
         ends[found] = self.ends[pos[found]]
         return starts, ends
+
+    def cut(self, lo: int, hi: int) -> SortedLog:
+        """The records destined to [lo, hi): sorted by destination, they are
+        one contiguous slice of the records, a view, and their groups a slice
+        of the group index, rebased to it."""
+        i, j = np.searchsorted(self.dests, [lo, hi]).tolist()
+        a, b = (int(self.starts[i]), int(self.ends[j - 1])) if i < j else (0, 0)
+        return SortedLog(self.records[a:b], self.dests[i:j], self.starts[i:j] - a, self.ends[i:j] - a)
 
 
 def plan_fusion(
@@ -205,36 +215,34 @@ def iter_plan_sorted(
 ):
     """Yield (lo, hi, SortedLog) per pass: the records destined to [lo, hi),
     sorted and grouped, or with a combiner one combined record per
-    destination (`apply_combine`, or as loaded when a one-pass plan's logs
-    are all folded). One pass covers the plan's vertex range;
-    a plan whose single interval overflows the sort budget takes several
-    dest-partitioned passes, which together cover it, an empty bucket
-    included. Each pass loads the whole log (`load_log`) and then masks it
-    to its own bucket, so each holds the whole log (see ROADMAP item 6).
+    destination (`apply_combine`, or as loaded when the plan's logs are all
+    folded). The plan's logs are loaded once (`load_log`), checked against
+    its vertex range, and sorted or combined once. One pass covers that
+    range; a plan whose single interval overflows the sort budget is cut
+    into several dest-partitioned passes (`split_dest_range`), which
+    together cover it, an empty bucket included, each a view of the one
+    SortedLog (`SortedLog.cut`).
 
     release(handles), when given, gets the plan's log handles right after
-    their last load, before that pass is yielded, so the multi-log can free
-    their resident tails before the pass's batch sends."""
+    that one load, before the first pass is yielded, so the multi-log frees
+    their resident tails and deletes their files before any batch sends."""
     lo = bounds[plan.intervals[0]]
     hi = bounds[plan.intervals[-1] + 1]
     handles = [manifest.handles[k] for k in plan.intervals]
-
-    # a one-pass plan is the one bucket [lo, hi)
-    assert plan.passes == 1 or len(plan.intervals) == 1
+    records = load_log(plan, manifest, fmt)
+    if release is not None:
+        release(handles)
+    check_dest_range(records, lo, hi)
+    if on_resident is not None:
+        on_resident(records.nbytes)
+    if combine is None:
+        slog = sort_n_group(records)
+    elif all(h.folded for h in handles):
+        # contiguous intervals' folded logs, joined, are one record per destination, ascending
+        slog = one_per_dest(records)
+    else:
+        slog = apply_combine(records, lo, hi, combine, fmt)
+    del records  # the passes hold only the sorted log, not the load as well
     deg = in_degrees if in_degrees is not None else np.ones(hi, np.int64)
-    buckets = split_dest_range(lo, hi, deg, plan.passes)
-    # contiguous intervals' folded logs, joined, are one record per destination, ascending
-    folded = combine is not None and plan.passes == 1 and all(h.folded for h in handles)
-    for i, (a, b) in enumerate(buckets):
-        records = load_log(plan, manifest, fmt)
-        if release is not None and i == len(buckets) - 1:
-            release(handles)
-        check_dest_range(records, lo, hi)
-        if len(buckets) > 1:
-            records = records[(records["dest"] >= a) & (records["dest"] < b)]
-        if on_resident is not None:
-            on_resident(records.nbytes)
-        if combine is None:
-            yield a, b, sort_n_group(records)
-        else:
-            yield a, b, one_per_dest(records) if folded else apply_combine(records, a, b, combine, fmt)
+    for a, b in split_dest_range(lo, hi, deg, plan.passes):
+        yield a, b, slog.cut(a, b)

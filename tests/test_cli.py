@@ -33,7 +33,7 @@ def test_convert_skips_comments_and_counts(tmp_path, g6_file, capsys):
     assert json.loads(capsys.readouterr().out)["num_edges"] == 12  # both directions
     meta = json.loads(Path(os.path.join(out, "meta.json")).read_text())
     assert sorted(meta) == [
-        "colidx_width", "dataset_hash", "interval_bounds", "num_vertices", "page_size", "record_size", "rowptr_width"
+        "colidx_width", "dataset_hash", "interval_bounds", "num_vertices", "page_size", "rowptr_width"
     ]
     assert meta["num_vertices"] == 6 and meta["colidx_width"] == 1 and meta["rowptr_width"] == 4
     assert meta["interval_bounds"] == [0, 3, 6]

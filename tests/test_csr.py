@@ -766,9 +766,11 @@ def rewrite_meta(g, change):
     "change, named",
     [
         (lambda m: m.update(colour_depth=4), "colour_depth"),  # unknown key
-        (lambda m: m.pop("record_size"), "record_size"),  # missing key
+        (lambda m: m.pop("dataset_hash"), "dataset_hash"),  # missing key
+        # convert sizes intervals by the record size, and meta.json no longer keeps it
+        (lambda m: m.update(record_size=16), "record_size"),
     ],
-    ids=["unknown", "missing"],
+    ids=["unknown", "missing", "record_size"],
 )
 def test_meta_json_key_mismatch_is_config_error(tmp_path, change, named):
     src, dst = ring_graph(6)

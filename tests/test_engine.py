@@ -936,14 +936,15 @@ def test_run_closes_its_stores_when_the_program_raises(tmp_path):
     boom = RuntimeError("boom")
     opened = {}
     # the multi-log gets one page per interval, of 40 6-byte records (two
-    # 1-byte ids and the payload), so superstep 0's seven pages to vertex 1
-    # are flushed to a log file
+    # 1-byte ids and the payload), so each superstep's seven pages to vertex
+    # 1 are flushed to a log file; superstep 1 deletes superstep 0's at its
+    # load, and raises once its own are flushed
     memory_budget = g.meta.num_intervals * 256 * 20
 
     def step(ctx, batch):
+        ctx.send_many(np.ones(7 * page_capacity(256, 6), np.int64), batch.ids[0], 1)
         if ctx.superstep == 0:
             ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), 1))
-            ctx.send_many(np.ones(7 * page_capacity(256, 6), np.int64), batch.ids[0], 1)
             return
         opened.update({klass: len(g.registry._stores[klass]) for klass in ("log", "state")})
         raise boom

@@ -17,6 +17,7 @@ import pytest
 from loggraph import csr, multilog
 from loggraph.apps import Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.engine import Engine, EngineConfig, VertexProgram, run_app
+from loggraph.pager import PageStore
 
 import oracles
 from util import (
@@ -65,6 +66,43 @@ def test_tight_knob_evicts_and_sorts_in_passes(tmp_path, monkeypatch):
     pressure = spy_pressure(monkeypatch)
     run_all_knobs(tmp_path, src, dst, Community, [TIGHT], max_supersteps=3)
     assert pressure["multi_pass"] > 0 and pressure["evicted"] > 0
+
+
+@pytest.mark.parametrize(
+    "make_program, spills",
+    [
+        (lambda: Bfs(0), False),
+        (PageRank, True),
+        (lambda: PageRank(use_combine=False), True),
+        (Community, True),
+        (Coloring, True),
+        (lambda: Mis(seed=5), True),
+        (lambda: RandomWalk(steps=8, stride=3, seed=3), False),
+        (lambda: KCore(k=4), False),
+    ],
+    ids=["bfs", "pagerank", "pagerank-raw", "community", "coloring", "mis", "randomwalk", "kcore"],
+)
+def test_a_log_page_is_read_from_storage_at_most_once_at_the_tight_knob(tmp_path, monkeypatch, make_program, spills):
+    # at the tight knob the multi-log spills pages to storage, and a plan's
+    # log overflows the 409-byte sort budget and is cut into passes; a plan
+    # loads its logs once, so no log page is read twice, and no more log
+    # pages are read than written
+    src, dst = random_graph(N, 6, seed=5)
+    pressure = spy_pressure(monkeypatch)
+    reads = {}
+    read_page = PageStore.read_page
+
+    def spy(store, page_id):
+        if store in store.registry._stores["log"]:
+            reads[store.path, page_id] = reads.get((store.path, page_id), 0) + 1
+        return read_page(store, page_id)
+
+    monkeypatch.setattr(PageStore, "read_page", spy)
+    (res,) = run_all_knobs(tmp_path, src, dst, make_program, [TIGHT], max_supersteps=10)
+    assert max(reads.values(), default=0) <= 1
+    assert sum(reads.values()) == res.reads["log"] <= res.writes["log"]
+    if spills:
+        assert res.reads["log"] > 0 and pressure["multi_pass"] > 0
 
 
 def test_community_invariant_across_storage_knobs(tmp_path):

@@ -90,7 +90,7 @@ def test_routing_correctness(tmp_path):
             assert all(3 * k <= d < 3 * (k + 1) for d in recs["dest"].tolist())
 
 
-def test_drop_and_close_delete_every_log_file(tmp_path):
+def test_release_and_close_delete_every_log_file(tmp_path):
     mlog = make_mlog(tmp_path, budget_pages=2)
     mlog.send(0, 0, 1)
     mlog.send(5, 0, 2)
@@ -102,7 +102,7 @@ def test_drop_and_close_delete_every_log_file(tmp_path):
     for i in range(3 * mlog.capacity):  # past the budget: evicts to an open log
         mlog.send(0, 0, i)
     assert mlog.logs[0].store is not None and not mlog.logs[0].sealed
-    mlog.drop(first)
+    mlog.release(first.handles)
     assert len(mlog.registry._stores["log"]) == 2
     mlog.close()  # the sealed second superstep and the open third
     assert mlog.registry._stores["log"] == []
@@ -349,9 +349,9 @@ def test_open_and_carried_pages_stay_within_the_budget(tmp_path):
         assert sorted(got) == sorted((d, tag, i) for i, d in enumerate(dests.tolist()))
         mlog.open_superstep(tag + 1)
         if carried is not None:
-            mlog.drop(carried)
+            mlog.release(carried.handles)
         carried = sealed
-    mlog.drop(carried)
+    mlog.release(carried.handles)
     assert (mlog._resident_pages, mlog._carried_pages, mlog._carried) == (0, 0, [])
     assert mlog.registry._stores["log"] == []
 
@@ -439,26 +439,49 @@ def test_evictions_write_exactly_the_forced_overflow(tmp_path, seed):
         assert [len(h.tail) for h in sealed.handles if h.tail] == [p for (t, _), p in model.tails if t == tag]
         mlog.open_superstep(tag + 1)
         if carried is not None:
-            mlog.drop(carried)
+            mlog.release(carried.handles)
             model.release({(tag - 1, k) for k in range(n_int)})
         carried = sealed
     assert model.written > 0
 
 
-def test_drop_and_close_free_every_tail(tmp_path):
+def test_release_and_close_free_every_tail(tmp_path):
     mlog = make_mlog(tmp_path)
     mlog.send(0, 0, 1)
     mlog.send(5, 0, 2)
     manifest = mlog.seal()
     mlog.open_superstep(1)
     assert mlog._resident_pages == 2
-    mlog.drop(manifest)
+    mlog.release(manifest.handles)
     assert mlog._resident_pages == 0 and all(not h.tail for h in manifest.handles)
     mlog.send(0, 0, 3)
     last = mlog.seal()
     mlog.close()  # a tail still held at the end is never written
     assert mlog._resident_pages == 0 and not last.handles[0].tail
     assert mlog.registry.totals()["log"] == (0, 0)
+
+
+def test_release_is_idempotent(tmp_path):
+    # interval 0's log has a page in its file and a one-page tail
+    mlog = make_mlog(tmp_path, budget_pages=2)
+    mlog.registry.set_budget(1 << 20)  # so that holds are kept
+    for i in range(mlog.capacity + 1):
+        mlog.send(0, 0, i)
+    mlog.send(5, 0, 99)
+    manifest = mlog.seal()
+    mlog.open_superstep(1)
+    mlog.send(5, 0, 7)
+    first = manifest.handles[0]
+    assert first.ordinals == [0] and len(first.tail) == 1 and mlog._resident_pages == 2
+    path = first.store.path
+    for _ in range(2):
+        mlog.release(manifest.handles)
+        assert all(h.store is None and not h.tail for h in manifest.handles)
+        assert not os.path.exists(path) and mlog.registry._stores["log"] == []
+        assert (mlog._resident_pages, mlog._carried_pages, mlog._carried) == (1, 0, [])
+        assert mlog.registry.holds["multilog"] == mlog.page_size
+    mlog.close()
+    mlog.registry.set_budget(0)
 
 
 # -- send_many: page-exact with a loop of send ----------------------------------
@@ -722,10 +745,10 @@ def test_the_turn_folds_the_records_logged_so_far_and_frees_their_pages(tmp_path
 @pytest.mark.parametrize("seed", range(3))
 def test_a_plan_of_logs_the_senders_folded_is_not_folded_again(tmp_path, monkeypatch, seed):
     # intervals 0 and 1 get enough messages to accumulate, interval 2 too
-    # few and interval 3 none: a one-pass plan of folded or empty logs
-    # yields them as loaded, one that holds a raw log folds, and so does a
-    # plan in two passes; every inbox has the bits of the receiver's fold
-    # over the raw log, -0.0 sums and float minima among them
+    # few and interval 3 none: a plan of folded or empty logs, in one pass
+    # or in two, yields them as loaded, and one that holds a raw log folds
+    # it once, in one pass or in two; every inbox has the bits of the
+    # receiver's fold over the raw log, -0.0 sums and float minima among them
     from loggraph import sortgroup
     from loggraph.sortgroup import FusePlan, apply_combine, iter_plan_sorted
 
@@ -752,7 +775,7 @@ def test_a_plan_of_logs_the_senders_folded_is_not_folded_again(tmp_path, monkeyp
         return apply_combine(*args)
 
     monkeypatch.setattr(sortgroup, "apply_combine", spy)
-    for intervals, passes, folds in (([0, 1], 1, 0), ([3], 1, 0), ([1, 2], 1, 1), ([0], 2, 2)):
+    for intervals, passes, folds in (([0, 1], 1, 0), ([3], 1, 0), ([1, 2], 1, 1), ([0], 2, 0), ([2], 2, 1)):
         calls.clear()
         got = list(iter_plan_sorted(FusePlan(intervals, 0, passes), folded, MIXED_FMT, bounds, combine=MIXED_COMBINE))
         assert len(calls) == folds

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from loggraph import multilog, sortgroup
 from loggraph.errors import ContractViolation, CorruptPageError
-from loggraph.multilog import MultiLog, RecordFormat
+from loggraph.multilog import MultiLog, RecordFormat, read_log_records
 from loggraph.pager import StoreRegistry
 from loggraph.sortgroup import FusePlan, apply_combine, plan_fusion, sort_n_group
 
@@ -420,14 +421,23 @@ def test_multi_pass_bucketing_equals_single_pass(tmp_path):
     parts = list(
         sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, on_resident=peak.append)
     )
+    assert [(a, b) for a, b, _ in parts] == sortgroup.split_dest_range(0, 8, indeg, 3)
     got = np.concatenate([slog.records for _, _, slog in parts])
     assert got.tobytes() == want.records.tobytes()
-    assert max(peak) < whole.nbytes  # each pass held strictly less than the full log
+    for a, b, slog in parts:
+        assert slog.dests.tolist() == [d for d in want.dests.tolist() if a <= d < b]
+        for d in range(a, b):
+            assert slog.inbox(d).tobytes() == want.inbox(d).tobytes()
+    # the whole log is loaded once, and each pass is a slice of its one sort
+    assert peak == [whole.nbytes]
+    sorted_log = parts[0][2].records.base
+    assert sorted_log is not None and all(slog.records.base is sorted_log for _, _, slog in parts)
 
 
 def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
-    # the batches of the first two passes send enough to spill part of the
-    # 27-page tail the later passes still load; the last pass releases it
+    # the batches of the passes send enough to spill part of a 27-page tail
+    # still held; but the one load of the plan released it before the first
+    # pass was yielded, so nothing of it is spilled or written
     rng = np.random.default_rng(13)
     sends = [(int(d), 0, int(v)) for d, v in zip(rng.integers(0, 8, 400), rng.integers(0, 99, 400))]
     reg = StoreRegistry(256)
@@ -436,6 +446,7 @@ def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
         mlog.send(d, s, v)
     manifest = mlog.seal()
     handle = manifest.handles[0]
+    assert (len(handle.ordinals), len(handle.tail)) == (0, 27)
     want = sort_n_group(sortgroup.load_log(FusePlan([0], 400 * 16), manifest, FMT16))
     mlog.open_superstep(1)
     plan = FusePlan([0], 400 * 16, passes=3)
@@ -443,14 +454,73 @@ def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
     parts, held = [], []
     for _, _, slog in sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, None, mlog.release):
         parts.append(slog.records)
-        held.append((len(handle.ordinals), len(handle.tail)))
+        held.append((len(handle.ordinals), len(handle.tail), mlog._carried_pages))
         mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))  # this pass's batch sends
-    assert held[0] == (0, 27)
-    assert 0 < held[1][0] < 27 and held[1][1] == 27 - held[1][0]  # the second pass loaded both parts
-    assert held[1][0] < held[2][0] < 27 and held[2][1] == 0  # the last load, then the release
-    assert mlog._carried_pages == 0
+    assert held == [(0, 0, 0)] * 3  # released at the first yield
+    assert reg.totals()["log"] == (0, 0)
     got = np.concatenate(parts)
     assert got.tobytes() == want.records.tobytes()
+    mlog.close()
+
+
+def spy_loads(monkeypatch):
+    """The interval of each log handle sortgroup reads, in call order."""
+    loads = []
+
+    def spy(handle, fmt):
+        loads.append(handle.interval)
+        return read_log_records(handle, fmt)
+
+    monkeypatch.setattr(sortgroup, "read_log_records", spy)
+    return loads
+
+
+@pytest.mark.parametrize("combine", [False, True])
+def test_an_oversized_plan_reads_each_log_once(tmp_path, monkeypatch, combine):
+    rng = np.random.default_rng(17)
+    fmt, comb = (SUM_FMT, SUM_COMBINE) if combine else (FMT16, None)
+    sends = [(int(d), 0, int(v)) for d, v in zip(rng.integers(0, 8, 300), rng.integers(0, 99, 300))]
+    manifest, reg = make_sealed(tmp_path, sends, bounds=(0, 8, 16), spill=True, fmt=fmt)
+    indeg = np.bincount([d for d, _, _ in sends], minlength=16)
+    loads = spy_loads(monkeypatch)
+    before = reg.totals()["log"][0]
+    parts = list(sortgroup.iter_plan_sorted(FusePlan([0], 300 * fmt.width, passes=4), manifest, fmt, [0, 8, 16], indeg, combine=comb))
+    assert len(parts) == 4 and loads == [0]
+    assert reg.totals()["log"][0] - before == len(manifest.handles[0].ordinals)
+    # a fused plan too reads each of its logs once
+    loads.clear()
+    list(sortgroup.iter_plan_sorted(FusePlan([0, 1], 300 * fmt.width), manifest, fmt, [0, 8, 16], indeg, combine=comb))
+    assert loads == [0, 1]
+
+
+def test_an_oversized_plan_consumes_its_logs_before_its_first_pass(tmp_path):
+    # a 27-page log: superstep 1's sends spill its first two tail pages to
+    # its file, and the other 25 stay resident
+    rng = np.random.default_rng(13)
+    sends = np.zeros(400, FMT16.dtype)
+    sends["dest"], sends["val"] = rng.integers(0, 8, 400), rng.integers(0, 99, 400)
+    reg = StoreRegistry(256)
+    reg.set_budget(1 << 20)  # so that holds are kept
+    mlog = MultiLog([0, 8], FMT16, reg, str(tmp_path / "logs"), 30 * 256)
+    mlog.send_many(sends)
+    manifest = mlog.seal()
+    mlog.open_superstep(1)
+    mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))
+    handle = manifest.handles[0]
+    path = handle.store.path
+    assert (handle.ordinals, len(handle.tail)) == ([0, 1], 25)
+    assert reg.holds["multilog"] == 30 * 256
+    indeg = np.bincount(sends["dest"], minlength=8)
+    passes = sortgroup.iter_plan_sorted(FusePlan([0], 400 * 16, passes=3), manifest, FMT16, [0, 8], indeg, None, mlog.release)
+    a, b, first = next(passes)
+    assert not os.path.exists(path) and handle.store is None and reg._stores["log"] == []
+    assert handle.tail == [] and mlog._carried == [] and mlog._carried_pages == 0
+    assert reg.holds["multilog"] == 5 * 256  # only the open superstep's pages
+    rest = list(passes)
+    want = sort_n_group(sends)
+    assert np.concatenate([first.records] + [slog.records for _, _, slog in rest]).tobytes() == want.records.tobytes()
+    mlog.close()
+    reg.set_budget(0)
 
 
 def test_a_multi_pass_combiner_plan_equals_its_single_pass(tmp_path):

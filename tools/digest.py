@@ -18,6 +18,12 @@ prints one line per workload with two sha256 digests:
   `pages_written`, and each class's as `read.CLASS` and `written.CLASS`
   (csr, log, edgelog, state).
 
+Each line also prints `traced_peak_mib=`, the peak of the Python and numpy
+allocations that `tracemalloc` traces during `Engine.run`, in MiB. It is in
+neither digest: it measures memory, not what was computed or stored, and
+it leaves out the pages resident in the pager's frame arena (an anonymous
+mmap, which tracemalloc does not see).
+
 Two checkouts that print the same lines computed the same results with the
 same page counts. A change that moves pages but keeps results changes only
 `pages=`, and should say why.
@@ -30,6 +36,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 # the SuperstepStats.to_dict() keys that the results= digest covers
@@ -43,7 +50,13 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
 
     src, dst = workload.make_graph(seed)
     graph = convert_arrays(src, dst, workload.num_vertices(), f"{workdir}/graph", **workload.convert_args())
-    result = Engine(graph, workload.program(seed), workload.config(seed), f"{workdir}/run").run()
+    engine = Engine(graph, workload.program(seed), workload.config(seed), f"{workdir}/run")
+    tracemalloc.start()
+    try:
+        result = engine.run()
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     results = hashlib.sha256(result.states.tobytes())
     pages = hashlib.sha256()
     for st in result.stats:
@@ -63,6 +76,7 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
         f"{workload.name} supersteps={result.num_supersteps} messages={messages} "
         f"results={results.hexdigest()} pages={pages.hexdigest()} pages_read={read} pages_written={written} "
         + " ".join(per_class)
+        + f" traced_peak_mib={traced_peak / (1 << 20):.2f}"
     )
 
 
