@@ -160,48 +160,52 @@ ENGINE_READ_CLASSES = ("csr", "log", "edgelog")
 
 
 def cmd_compare(args) -> int:
+    """Replay the report's active sets on the shard baseline. The shard
+    stores and their temporary directory go on every path out."""
     with GraphDir(args.graph) as graph:
         with open(args.report) as f:
             report = json.load(f)
         if report.get("dataset_hash") != graph.meta.dataset_hash:
             raise ConfigError("report was produced from a different dataset (hash mismatch)")
+        for st in report["supersteps"]:
+            for key in ("superstep", "reads"):
+                if key not in st:
+                    raise ConfigError(f"report superstep row {st} has no {key!r} key")
         src, dst = graph.all_edges()
-    trace = np.load(args.trace)
-    tmp = tempfile.TemporaryDirectory(prefix="loggraph_shards_")
-    shard_set = shards.build_shards(
-        src, dst, graph.meta.num_vertices, args.num_shards, graph.registry, tmp.name
-    )
     n = graph.meta.num_vertices
     rows = []
-    for st in report["supersteps"]:
-        s = st["superstep"]
-        key = f"s{s}"
-        if key not in trace:
-            continue
-        active = trace[key]
-        engine_pages = sum(st["reads"].get(c, 0) for c in ENGINE_READ_CLASSES)
-        shard_pages = shards.superstep_page_cost(shard_set, active)
-        if shard_pages == 0 and engine_pages == 0:
-            continue  # 0/0 row: nothing moved on either side
-        rows.append(
-            {
-                "superstep": s,
-                "active_vertices": int(len(active)),
-                "active_fraction": len(active) / n,
-                "shard_pages": int(shard_pages),
-                "engine_pages": int(engine_pages),
-                # None when the engine read nothing, its pages all resident
-                "ratio": shard_pages / engine_pages if engine_pages else None,
-            }
-        )
+    tmp = tempfile.TemporaryDirectory(prefix="loggraph_shards_")
+    try:
+        shard_set = shards.build_shards(src, dst, n, args.num_shards, graph.registry, tmp.name)
+        with np.load(args.trace) as trace:
+            for st in report["supersteps"]:
+                key = f"s{st['superstep']}"
+                if key not in trace:
+                    continue
+                active = trace[key]
+                engine_pages = sum(st["reads"].get(c, 0) for c in ENGINE_READ_CLASSES)
+                shard_pages = shards.superstep_page_cost(shard_set, active)
+                if shard_pages == 0 and engine_pages == 0:
+                    continue  # 0/0 row: nothing moved on either side
+                rows.append(
+                    {
+                        "superstep": st["superstep"],
+                        "active_vertices": int(len(active)),
+                        "active_fraction": len(active) / n,
+                        "shard_pages": int(shard_pages),
+                        "engine_pages": int(engine_pages),
+                        # None when the engine read nothing, its pages all resident
+                        "ratio": shard_pages / engine_pages if engine_pages else None,
+                    }
+                )
+    finally:
+        graph.registry.close_all()  # the shard stores: the graph's own were dropped when it closed
+        tmp.cleanup()
     out = {
         "num_shards": shard_set.num_shards,
         "pages_per_shard": shard_set.page_counts,
         "rows": rows,
     }
-    for store in shard_set.stores:
-        graph.registry.drop(store, "csr")
-    tmp.cleanup()
     text = json.dumps(out, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as f:

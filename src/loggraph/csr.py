@@ -64,6 +64,13 @@ VID_DT = np.dtype("<u4")
 INDEG_FILE = "indeg.bin"
 
 
+def check_page_size(page_size: int) -> None:
+    """A page must hold one rowPtr offset, and so a colIdx entry of any
+    width: a `ConfigError` otherwise."""
+    if page_capacity(page_size, ROWPTR_WIDTH) < 1:
+        raise ConfigError(f"page_size {page_size} holds no {ROWPTR_WIDTH}-byte rowPtr offset after its page header")
+
+
 def id_dtype(num_vertices: int) -> np.dtype:
     """The narrowest little-endian unsigned dtype of 1, 2 or 4 bytes that
     holds every id below num_vertices."""
@@ -109,9 +116,14 @@ class GraphMeta:
     @classmethod
     def from_dict(cls, d: dict) -> "GraphMeta":
         """Parse meta.json; every field must be present and nothing else,
-        colidx_width must be the width convert picks for num_vertices and
-        rowptr_width must be ROWPTR_WIDTH: read at another width, a colIdx
-        or rowPtr page would parse as other entries."""
+        num_vertices and page_size must be ints, the page must hold a rowPtr
+        offset (`check_page_size`), interval_bounds must be ints running
+        non-decreasing from 0 to num_vertices, colidx_width must be the
+        width convert picks for num_vertices and rowptr_width must be
+        ROWPTR_WIDTH: read at another width, a colIdx or rowPtr page would
+        parse as other entries."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"meta.json holds a {type(d).__name__}, not an object; reconvert the graph")
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - names)
         missing = sorted(names - set(d))
@@ -120,11 +132,24 @@ class GraphMeta:
                 f"meta.json has unknown keys {unknown} and missing keys {missing}; "
                 "reconvert the graph with this version"
             )
-        width, want = d["colidx_width"], id_dtype(d["num_vertices"]).itemsize
+        for key in ("num_vertices", "page_size"):
+            if type(d[key]) is not int:
+                raise ConfigError(f"meta.json: {key} {d[key]!r} is not an int")
+        check_page_size(d["page_size"])
+        n, bounds = d["num_vertices"], d["interval_bounds"]
+        if (
+            type(bounds) is not list
+            or any(type(b) is not int for b in bounds)
+            or bounds[:1] != [0]
+            or bounds[-1] != n
+            or any(a > b for a, b in zip(bounds, bounds[1:]))
+        ):
+            raise ConfigError(f"meta.json: interval_bounds {bounds!r} is not a non-decreasing list of ints from 0 to {n}")
+        width, want = d["colidx_width"], id_dtype(n).itemsize
         if type(width) is not int or width != want:
             raise ConfigError(
                 f"meta.json: colidx_width {width!r} is not {want}, the narrowest of 1, 2 and 4 bytes "
-                f"that holds the ids of {d['num_vertices']} vertices; reconvert the graph with this version"
+                f"that holds the ids of {n} vertices; reconvert the graph with this version"
             )
         width = d["rowptr_width"]
         if type(width) is not int or width != ROWPTR_WIDTH:
@@ -388,6 +413,13 @@ class Partition:
         self.colidx = reg.open(part_path(graph_dir.path, k, "colidx"), "csr", create=False)
         self.ci_dt = graph_dir.meta.colidx_dtype
         self.cap_ci = page_capacity(graph_dir.meta.page_size, self.ci_dt.itemsize)
+        # the pages the interval's offsets need, from the file size: no page is read
+        need = -(-(self.hi - self.lo + 1) // page_capacity(graph_dir.meta.page_size, ROWPTR_WIDTH))
+        if self.rowptr.num_pages != need:
+            raise CorruptPageError(
+                f"{self.rowptr.path}: {self.rowptr.num_pages} pages, not the {need} that the offsets of "
+                f"interval [{self.lo}, {self.hi}) in meta.json take"
+            )
 
     def full_rowptr(self) -> np.ndarray:
         """The whole rowPtr vector: hi - lo + 1 offsets, widened to int64."""
@@ -409,12 +441,21 @@ class Partition:
 class GraphDir:
     """A converted graph on disk: meta.json, written once at convert, each
     interval's two files (`write_interval`) and indeg.bin, whose sum is the
-    edge count (`write_in_degrees`). A missing one is a `MissingStoreError`."""
+    edge count (`write_in_degrees`). A missing one is a `MissingStoreError`,
+    a meta.json that does not parse a `ConfigError`, and a rowPtr file of
+    other than the pages its interval's offsets take a `CorruptPageError`."""
 
     def __init__(self, path: str, registry: StoreRegistry | None = None):
         self.path = path
-        with open(os.path.join(path, "meta.json")) as f:
-            self.meta = GraphMeta.from_dict(json.load(f))
+        meta_path = os.path.join(path, "meta.json")
+        try:
+            with open(meta_path) as f:
+                d = json.load(f)
+        except FileNotFoundError:
+            raise MissingStoreError(f"{meta_path}: no meta.json; convert the graph first") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{meta_path}: meta.json does not parse ({exc}); reconvert the graph") from None
+        self.meta = GraphMeta.from_dict(d)
         self.registry = registry or StoreRegistry(self.meta.page_size)
         if self.registry.page_size != self.meta.page_size:
             raise ContractViolation(
@@ -423,7 +464,7 @@ class GraphDir:
         self._indeg_file()
         try:
             self.partitions = [Partition(self, k) for k in range(self.meta.num_intervals)]
-        except MissingStoreError:
+        except (MissingStoreError, CorruptPageError):
             if registry is None:
                 self.registry.close_all()  # only this graph's stores, and no one else can close them
             raise

@@ -81,7 +81,7 @@ from .csr import Adjacency, GraphDir
 from .edgelog import EdgeLog, inefficient, log_candidates
 from .errors import ConfigError, ContractViolation
 from .multilog import MultiLog, RecordFormat, check_combine
-from .pager import DEFAULT_PAGE_SIZE, member, ranges, sorted_unique
+from .pager import DEFAULT_PAGE_SIZE, member, page_capacity, ranges, sorted_unique
 from .state import VertexStateStore
 
 
@@ -389,6 +389,12 @@ class Engine:
             raise ConfigError(
                 f"sort budget of {config.sort_budget} bytes (memory_budget x sort_frac) holds no {self.fmt.width}-byte record"
             )
+        # a state row or an aux entry lies in one page, as a multi-log record does
+        for what, dtype in (("state", program.state_dtype), ("aux", program.aux_entry_dtype)):
+            if dtype is not None and page_capacity(config.page_size, np.dtype(dtype).itemsize) < 1:
+                raise ConfigError(
+                    f"a {np.dtype(dtype).itemsize}-byte {what} entry does not fit a {config.page_size}-byte page"
+                )
         self.registry = graph.registry
         n = self.meta.num_vertices
         self.in_degrees = graph.in_degrees()

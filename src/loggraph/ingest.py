@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from . import csr
-from .errors import IngestError
+from .errors import ConfigError, IngestError
 from .pager import StoreRegistry, sorted_unique
 
 
@@ -97,7 +97,12 @@ def convert_arrays(
     colIdx entries at the narrowest id width that holds every id
     (`csr.id_dtype`), the in-degrees and meta.json, which records that
     width and which nothing writes again; record_size only sizes the
-    intervals. `convert` reaches it once the ids are dense."""
+    intervals. `convert` reaches it once the ids are dense. A page that
+    holds no rowPtr offset, or a record_size below 1, is a `ConfigError`
+    before any file is written."""
+    csr.check_page_size(page_size)
+    if record_size < 1:
+        raise ConfigError(f"record_size {record_size} is below 1 byte: it sizes intervals by bytes per in-edge")
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
     in_deg = np.bincount(dst, minlength=num_vertices).astype(np.int64)

@@ -1,10 +1,12 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from loggraph import shards
 from loggraph.apps import KCore
 from loggraph.cli import build_report, main
 from loggraph.engine import EngineConfig, run_app
@@ -245,6 +247,49 @@ def test_compare_rejects_mismatched_dataset(tmp_path, g6_file, capsys):
     Path(rp).write_text(json.dumps(report))
     assert main(["compare", "--graph", out, "--report", rp, "--trace", tp]) == 2
     assert "hash" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize(
+    "damage, error, named",
+    [("reads", "ConfigError", "'reads'"), ("superstep", "ConfigError", "'superstep'"), ("trace", "FileNotFoundError", "t.npz")],
+)
+def test_compare_closes_its_shard_stores_and_temporary_directory_when_it_fails(
+    tmp_path, g6_file, capsys, monkeypatch, damage, error, named
+):
+    out = convert_g6(tmp_path, g6_file)
+    rp, tp = (str(tmp_path / p) for p in ("r.json", "t.npz"))
+    assert main(["run", "--graph", out, "--app", "bfs", "--memory-budget", str(1 << 20), "--report", rp, "--trace", tp]) == 0
+    if damage == "trace":
+        os.remove(tp)
+    else:
+        report = json.loads(Path(rp).read_text())
+        del report["supersteps"][-1][damage]
+        Path(rp).write_text(json.dumps(report))
+    built, build = [], shards.build_shards
+    monkeypatch.setattr(shards, "build_shards", lambda *args: built.append(build(*args)) or built[-1])
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    capsys.readouterr()
+    assert main(["compare", "--graph", out, "--report", rp, "--trace", tp]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and named in err["message"]
+    assert built or damage != "trace"
+    assert all(store._f.closed for shard_set in built for store in shard_set.stores)
+    assert os.listdir(tmp_path / "tmp") == []
+
+
+@pytest.mark.parametrize(
+    "flag, named",
+    [("--page-size=16", "page_size"), ("--page-size=17", "page_size"), ("--page-size=0", "page_size"),
+     ("--record-size=0", "record_size"), ("--record-size=-4", "record_size")],
+)
+def test_convert_refuses_a_page_or_record_size_that_holds_no_record(tmp_path, g6_file, capsys, flag, named):
+    # a 16-byte page is all header, and a record of 0 bytes sizes no interval
+    out = tmp_path / "graph"
+    assert main(["convert", g6_file, str(out), "--budget", "96", flag]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and named in err["message"]
+    assert not out.exists()
 
 
 def test_stats_subcommand(tmp_path, g6_file, capsys):

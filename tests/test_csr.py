@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from loggraph import csr, pager
 from loggraph.apps import Bfs
 from loggraph.engine import EngineConfig, run_app
-from loggraph.errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, OversizedVertexError
+from loggraph.errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
@@ -779,6 +780,45 @@ def test_meta_json_key_mismatch_is_config_error(tmp_path, change, named):
     with pytest.raises(ConfigError, match=named) as err:
         csr.GraphDir(g.path)
     assert "reconvert" in str(err.value)
+
+
+def swap_first_bounds(m):
+    b = m["interval_bounds"]
+    b[1], b[2] = b[2], b[1]
+
+
+@pytest.mark.parametrize(
+    "damage, error, named",
+    [
+        (lambda m: m["interval_bounds"].__setitem__(-1, 60), ConfigError, "interval_bounds"),  # past the 50 vertices
+        (swap_first_bounds, ConfigError, "interval_bounds"),
+        # interval 0 takes in interval 1: its rowPtr file has too few pages
+        (lambda m: m["interval_bounds"].__setitem__(1, m["interval_bounds"][2]), CorruptPageError, "part0.rowptr"),
+        (lambda m: m.update(num_vertices="50"), ConfigError, "num_vertices"),
+        (lambda m: m.update(page_size=32.0), ConfigError, "page_size"),
+        (lambda m: m.update(page_size=16), ConfigError, "page_size"),  # holds no rowPtr offset
+        ("truncated", ConfigError, "meta.json"),
+        ("removed", MissingStoreError, "meta.json"),
+    ],
+    ids=["bound-past-n", "swapped-bounds", "moved-bound", "num_vertices", "page_size-float", "page_size-16", "truncated", "removed"],
+)
+def test_a_damaged_meta_json_fails_at_open_with_a_typed_error(tmp_path, damage, error, named):
+    src, dst = random_graph(50, 4, seed=1)
+    g = build_graph(tmp_path, src, dst, 50, page_size=32)
+    g.close()
+    assert g.meta.num_intervals > 2
+    path = os.path.join(g.path, "meta.json")
+    if damage == "removed":
+        os.remove(path)
+    elif damage == "truncated":
+        text = Path(path).read_text()
+        Path(path).write_text(text[: len(text) // 2])
+    else:
+        rewrite_meta(g, damage)
+    reg = pager.StoreRegistry(32)
+    with pytest.raises(error, match=named):
+        csr.GraphDir(g.path, reg)
+    assert all(reads == 0 for reads, _ in reg.totals().values())
 
 
 def test_a_graph_converted_before_colidx_width_was_stored_is_config_error(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loggraph import csr, engine, multilog, sortgroup
-from loggraph.apps import Bfs, Community, KCore, PageRank
+from loggraph.apps import Bfs, Community, KCore, Mis, PageRank
 from loggraph.engine import (
     EDGE_OP,
     EDGELOG_FRAC,
@@ -818,6 +818,24 @@ def test_a_sort_budget_below_one_record_is_rejected(tmp_path):
     with pytest.raises(ConfigError, match=f"holds no {width}-byte record"):
         Engine(g, Bfs(0), cfg(memory_budget=width - 1, sort_frac=1), str(tmp_path / "run"))
     Engine(g, Bfs(0), cfg(memory_budget=width, sort_frac=1), str(tmp_path / "run"))
+
+
+class WideAux(VertexProgram):
+    state_dtype = np.dtype("u1")
+    aux_entry_dtype = np.dtype([("src", "<u4"), ("label", "<u8")])
+
+
+@pytest.mark.parametrize(
+    "program, named",
+    [(Mis(seed=1), "9-byte state"), (PageRank(), "16-byte state"), (WideAux(), "12-byte aux")],
+    ids=["mis", "pagerank", "aux"],
+)
+def test_a_state_or_aux_entry_wider_than_a_page_is_refused_when_the_engine_is_built(tmp_path, program, named):
+    # a 24-byte page leaves 8 bytes after its header
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=24)
+    with pytest.raises(ConfigError, match=f"a {named} entry does not fit a 24-byte page"):
+        Engine(g, program, cfg(page_size=24), str(tmp_path / "run"))
+    assert not os.path.exists(tmp_path / "run" / "state")
 
 
 @pytest.mark.parametrize(
