@@ -408,18 +408,22 @@ class Partition:
     def __init__(self, graph_dir: "GraphDir", k: int):
         self.k = k
         self.lo, self.hi = graph_dir.meta.interval_range(k)
-        reg = graph_dir.registry
-        self.rowptr = reg.open(part_path(graph_dir.path, k, "rowptr"), "csr", create=False)
-        self.colidx = reg.open(part_path(graph_dir.path, k, "colidx"), "csr", create=False)
         self.ci_dt = graph_dir.meta.colidx_dtype
         self.cap_ci = page_capacity(graph_dir.meta.page_size, self.ci_dt.itemsize)
-        # the pages the interval's offsets need, from the file size: no page is read
-        need = -(-(self.hi - self.lo + 1) // page_capacity(graph_dir.meta.page_size, ROWPTR_WIDTH))
-        if self.rowptr.num_pages != need:
-            raise CorruptPageError(
-                f"{self.rowptr.path}: {self.rowptr.num_pages} pages, not the {need} that the offsets of "
-                f"interval [{self.lo}, {self.hi}) in meta.json take"
-            )
+        reg = graph_dir.registry
+        self.rowptr = reg.open(part_path(graph_dir.path, k, "rowptr"), "csr", create=False)
+        try:
+            # the pages the interval's offsets need, from the file size: no page is read
+            need = -(-(self.hi - self.lo + 1) // page_capacity(graph_dir.meta.page_size, ROWPTR_WIDTH))
+            if self.rowptr.num_pages != need:
+                raise CorruptPageError(
+                    f"{self.rowptr.path}: {self.rowptr.num_pages} pages, not the {need} that the offsets of "
+                    f"interval [{self.lo}, {self.hi}) in meta.json take"
+                )
+            self.colidx = reg.open(part_path(graph_dir.path, k, "colidx"), "csr", create=False)
+        except (MissingStoreError, CorruptPageError):
+            reg.drop(self.rowptr, "csr")
+            raise
 
     def full_rowptr(self) -> np.ndarray:
         """The whole rowPtr vector: hi - lo + 1 offsets, widened to int64."""
@@ -462,11 +466,14 @@ class GraphDir:
                 f"registry page size {self.registry.page_size} != graph {self.meta.page_size}"
             )
         self._indeg_file()
+        self.partitions = []
         try:
-            self.partitions = [Partition(self, k) for k in range(self.meta.num_intervals)]
+            for k in range(self.meta.num_intervals):
+                self.partitions.append(Partition(self, k))
         except (MissingStoreError, CorruptPageError):
-            if registry is None:
-                self.registry.close_all()  # only this graph's stores, and no one else can close them
+            # the opened stores go, whoever owns the registry (a failing
+            # Partition drops its own)
+            self.close()
             raise
 
     def close(self) -> None:
@@ -519,14 +526,10 @@ def build_partitions(
 ) -> None:
     """Write per-interval CSR vectors: out-edges contiguous per vertex,
     vertices ascending, destinations ascending within a vertex (duplicates
-    kept — multigraphs are allowed)."""
-    n = meta.num_vertices
+    kept — multigraphs are allowed). Every id is in [0, num_vertices)
+    (`ingest.convert_arrays` checks)."""
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
-    if len(src) and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
-        bad = src[(src < 0) | (src >= n)]
-        bad = bad if len(bad) else dst[(dst < 0) | (dst >= n)]
-        raise IngestError(f"vertex id {int(bad[0])} outside [0, {n})")
     # one key per edge, ascending by source and then destination, built and
     # split with one more array than the edges (ids are non-negative, so an
     # int64 id is the same bits as a uint64 one)

@@ -513,10 +513,8 @@ class Engine:
             )
             if cfg.edge_log:
                 self._edgelog = EdgeLog(self.registry, os.path.join(self.workdir, "edgelog"), cfg.edgelog_budget)
-            for v, payload in init_msgs:
-                self._mlog.send(int(v), int(v), *payload)
+            self._mlog.send_many(self.fmt.pack([self.fmt.fields(v, v, payload) for v, payload in init_msgs]))
             manifest = self._mlog.seal()
-            self._mlog.open_superstep(1)
 
             forced = np.nonzero(active_bits)[0].astype(np.int64)
             stats_list: list[SuperstepStats] = []
@@ -568,7 +566,6 @@ class Engine:
         base_sends = self._mlog.total_appends
         self.registry.restart_peak()
         self._mlog.reset_peaks()
-        self._sort_peak = 0
         if self._edgelog is not None:
             self._edgelog.begin_superstep(S)
         predicted = self._last_active
@@ -579,17 +576,16 @@ class Engine:
         holds_forced = np.zeros(self.meta.num_intervals, bool)
         holds_forced[self.meta.interval_of(forced)] = True
         plans = sortgroup.plan_fusion(manifest.counts, self.fmt.width, cfg.sort_budget, holds_forced)
+        # a plan loads its logs' message_count records, est_bytes in all
+        sort_peak = max((p.est_bytes for p in plans), default=0)
         # the sort, or a combiner's scatter, is charged its largest load, at
         # most its whole share; what it really holds is more (ROADMAP item 6)
-        self.registry.hold("sort", min(max((p.est_bytes for p in plans), default=0), cfg.sort_budget))
+        self.registry.hold("sort", min(sort_peak, cfg.sort_budget))
 
         n = self.meta.num_vertices
         active_bits = np.zeros(n, bool)
         active_count = 0
         served_from_log = 0
-
-        def track(nbytes):
-            self._sort_peak = max(self._sort_peak, nbytes)
 
         for plan in plans:
             for lo, hi, slog in sortgroup.iter_plan_sorted(
@@ -598,7 +594,6 @@ class Engine:
                 self.fmt,
                 self.meta.interval_bounds,
                 self.in_degrees,
-                track,
                 self._mlog.release,
                 self.program.combine,
             ):
@@ -614,7 +609,6 @@ class Engine:
                 active_count += len(act)
 
         manifest_next = self._mlog.seal()
-        self._mlog.open_superstep(S + 2)
         while self._pending_bytes.sum() > cfg.structural_budget:
             self._merge_interval(int(self._pending_bytes.argmax()))
         self._last_active = active_bits
@@ -632,7 +626,7 @@ class Engine:
             writes={c: d[1] for c, d in delta.items()},
             runtime=time.perf_counter() - t0,
             prediction_accuracy=accuracy,
-            sort_resident_peak=self._sort_peak,
+            sort_resident_peak=sort_peak,
             multilog_resident_peak=self._mlog.post_evict_peak,
             edgelog_bytes=self._edgelog.bytes_logged if self._edgelog else 0,
             edgelog_served=served_from_log,

@@ -98,14 +98,20 @@ def convert_arrays(
     (`csr.id_dtype`), the in-degrees and meta.json, which records that
     width and which nothing writes again; record_size only sizes the
     intervals. `convert` reaches it once the ids are dense. A page that
-    holds no rowPtr offset, or a record_size below 1, is a `ConfigError`
-    before any file is written."""
+    holds no rowPtr offset, or a record_size below 1, is a `ConfigError`,
+    and an id outside [0, num_vertices) an `IngestError`, before any file
+    is written."""
     csr.check_page_size(page_size)
     if record_size < 1:
         raise ConfigError(f"record_size {record_size} is below 1 byte: it sizes intervals by bytes per in-edge")
     src = np.asarray(src, np.int64)
     dst = np.asarray(dst, np.int64)
-    in_deg = np.bincount(dst, minlength=num_vertices).astype(np.int64)
+    n = num_vertices
+    if len(src) and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
+        bad = src[(src < 0) | (src >= n)]
+        bad = bad if len(bad) else dst[(dst < 0) | (dst >= n)]
+        raise IngestError(f"vertex id {int(bad[0])} outside [0, {n})")
+    in_deg = np.bincount(dst, minlength=n).astype(np.int64)
     meta = csr.GraphMeta(
         num_vertices=num_vertices,
         interval_bounds=csr.partition_vertices(in_deg, record_size, sort_budget),

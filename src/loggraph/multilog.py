@@ -3,23 +3,30 @@
 Every message is routed by destination to its vertex interval's log. Each
 interval keeps one in-memory top page receiving appends; a page closes as
 soon as it is full and stays resident until the buffer budget forces it
-out. Sealing a superstep hands nothing to the pager (but the pages that
-appending its accumulators' records forces out, see below): an interval's
-resident pages become the resident tail of its sealed log, after the pages
-already handed over, and stay in the buffer's budget until the next
-superstep loads the log, once, and releases it. A page is handed
+out. `seal` ends a superstep in one call: it seals every interval's log
+and opens the next superstep's, and hands nothing to the pager (but the
+pages that appending its accumulators' records forces out, see below). An
+interval's resident pages become the resident tail of its sealed log,
+after the pages already handed over, and stay in the buffer's budget until
+the next superstep loads the log, once, and releases it. A page is handed
 to the pager only when opening a new one would take residency past the
 budget, and then exactly as many pages as the overflow: first sealed
-tails, spilled to their log files page by page in chain order from the log
-the next superstep loads last; then closed pages, oldest first in the
+tails, spilled to their log files page by page in arrival order from the
+log the next superstep loads last; then closed pages, oldest first in the
 order they closed across all intervals. The pager appends them
 write-behind (see `pager`), so a handed-over page reaches storage only if
 the pager's ledger has no room for it or gives it back before the log file
 is deleted. The budget holds at least one top page per interval, so a
 buffer over budget with no tail left always holds a closed page, and a top
-page is never handed over before its log is sealed. Log files are per
-(superstep, interval), so a sealed superstep's chain is frozen but for its
-spilled tail while the next superstep's sends open fresh logs.
+page is never handed over before its log is sealed.
+
+Log files are per (superstep, interval), `log_t{tag}_i{k}.pages` with tag
+the number of seals before, so the next superstep's sends open fresh
+files. A log's file takes only its own pages, its closed pages and then
+its tail's, in arrival order, each full but the last: it is a record
+vector as `pager.pack_pages` lays one out, and `read_log_records` reads it
+whole with `PageStore.read_vector`, which finds a page whose count is not
+its share corrupt.
 
 Record layout (`RecordFormat`): dest | src | fixed-width payload, dest and
 src unsigned ids at the graph's id width, the narrowest of 1, 2 and 4
@@ -232,19 +239,22 @@ def _check_no_src(fmt: RecordFormat) -> None:
 class LogHandle:
     """One sealed interval log: where its pages live and how many records.
 
-    Its records are those of the pages `ordinals` of `store`, then those of
-    the resident `tail` pages (each with its record count in the header),
-    in arrival order. An eviction spills the tail's first page to the end
-    of `ordinals`. The log is loaded once: `MultiLog.release` then frees
-    what is left of the tail and deletes the file, and sets store to None,
-    so a page the pager still holds unwritten is never written. folded says
-    the records are already one per destination, ascending, folded from the
-    combiner's identities: an accumulator's, or none.
+    Its records are the vector of records in `store`, its log file (None
+    until a page of it is handed to the pager), then those of the resident
+    `tail` pages (each with its record count in the header), in arrival
+    order. Only the log's own pages are appended to its file, in arrival
+    order, so the file holds its records as `pager.pack_pages` lays them
+    out: every page full but the last. An eviction spills the tail's first
+    page to the end of the file. The log is loaded once: `MultiLog.release`
+    then frees what is left of the tail and deletes the file, and sets
+    store to None, so a page the pager still holds unwritten is never
+    written. folded says the records are already one per destination,
+    ascending, folded from the combiner's identities: an accumulator's, or
+    none.
     """
 
     interval: int
     store: PageStore | None
-    ordinals: list[int]
     message_count: int
     tail: list[bytearray]
     folded: bool = False
@@ -264,17 +274,15 @@ class LogManifest:
 
 
 class _IntervalLog:
-    __slots__ = ("interval", "top", "fill", "closed", "store", "chain", "message_count", "sealed", "acc", "folded")
+    __slots__ = ("interval", "top", "fill", "closed", "store", "message_count", "acc", "folded")
 
     def __init__(self, interval: int, page_size: int):
         self.interval = interval
         self.top = bytearray(page_size)
         self.fill = 0
         self.closed: deque[bytearray] = deque()
-        self.store: PageStore | None = None
-        self.chain: list[int] = []
+        self.store: PageStore | None = None  # its file, opened by its first flushed page
         self.message_count = 0
-        self.sealed = False
         self.acc: Accumulator | None = None
         self.folded = False  # its records are an accumulator's
 
@@ -316,8 +324,8 @@ class MultiLog:
         self._acc_width = Accumulator(0, 1, combine, fmt).nbytes if combine is not None else 0
         self._min_acc_bytes = min(np.diff(bounds).tolist(), default=0) * self._acc_width
         self._acc_bytes = 0  # of the open superstep's accumulators
-        self.tag = -1
-        self.logs: list[_IntervalLog] = []
+        self.tag = 0  # the open superstep's, which names its log files
+        self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
         self._closed: deque[_IntervalLog] = deque()  # the log of each closed open page, oldest first
         self._resident_pages = 0  # open and carried pages
         self._carried: list[tuple[int, LogHandle]] = []  # (tag, handle) of every held tail, in seal order
@@ -326,18 +334,13 @@ class MultiLog:
         self.total_appends = 0
         self.post_evict_peak = 0
         os.makedirs(log_dir, exist_ok=True)
-        self.open_superstep(0)
 
     # -- write path ---------------------------------------------------------
 
-    def open_superstep(self, tag: int) -> None:
-        self.tag = tag
-        self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
-        self._closed = deque()
-        self._resident_pages = self._carried_pages
-
     def send(self, dest: int, src: int, *payload) -> None:
-        """Send one message; src is logged only if the format has it."""
+        """Send one message; src is logged only if the format has it. The
+        engine sends through send_many and send_columns; the benchmark's
+        tracer wraps this name."""
         self.send_many(self.fmt.pack([self.fmt.fields(dest, src, payload)]))
 
     def send_many(self, records: np.ndarray) -> None:
@@ -356,7 +359,7 @@ class MultiLog:
         intervals folded straight from the columns (see the module doc).
 
         Splitting the messages into several calls leaves the same page
-        images, chains, counts, eviction points and peaks: each page
+        images, log files, counts, eviction points and peaks: each page
         opening past the budget evicts one page that was resident before
         the record that opens it. Appends in blocks of at most BLOCK_PAGES
         pages of records: its temporaries stay small whatever the batch
@@ -415,8 +418,7 @@ class MultiLog:
             hit = np.flatnonzero(counts).tolist()
         for j in hit:
             log = self.logs[j]
-            self._check_open(log)
-            if log.acc is None and not log.chain:
+            if log.acc is None and log.store is None:
                 self._choose(log, int(counts[j]))
         folding = [j for j in hit if self.logs[j].acc is not None]
         if not folding:
@@ -461,7 +463,7 @@ class MultiLog:
         if log.message_count == 0:
             return
         pages = self._take_pages(log)
-        records = read_log_records(LogHandle(log.interval, None, [], log.message_count, pages), self.fmt)
+        records = read_log_records(LogHandle(log.interval, None, log.message_count, pages), self.fmt)
         log.acc.fold(records)
         self._resident_pages -= len(pages)
         log.message_count = 0
@@ -507,8 +509,6 @@ class MultiLog:
         counts = np.bincount(k, minlength=self.n_intervals)
         hit = np.flatnonzero(counts)
         logs = [self.logs[j] for j in hit.tolist()]
-        for log in logs:
-            self._check_open(log)
         # a record opens a page where it lands at slot 0 and closes one at
         # slot cap - 1; opens and closes hold those records' indices
         cap, n = self.capacity, len(recs)
@@ -567,10 +567,6 @@ class MultiLog:
             log.top = bytearray(self.page_size)
             log.fill = 0
 
-    def _check_open(self, log: _IntervalLog) -> None:
-        if log.sealed:
-            raise ContractViolation(f"interval {log.interval} already sealed for tag {self.tag}")
-
     def reset_peaks(self) -> None:
         self.post_evict_peak = self.open_bytes
 
@@ -603,7 +599,7 @@ class MultiLog:
     def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
         if log.store is None:
             log.store = self._open_file(self.tag, log.interval)
-        log.chain.append(log.store.append(data))
+        log.store.append(data)
         self._resident_pages -= 1
 
     def _spill_tail_page(self) -> None:
@@ -612,7 +608,7 @@ class MultiLog:
         tag, handle = self._carried[-1]
         if handle.store is None:
             handle.store = self._open_file(tag, handle.interval)
-        handle.ordinals.append(handle.store.append(handle.tail.pop(0)))
+        handle.store.append(handle.tail.pop(0))
         if not handle.tail:
             self._carried.pop()
         self._carried_pages -= 1
@@ -626,7 +622,7 @@ class MultiLog:
         Exactly that overflow goes, so after an eviction the openings fill
         the buffer to its budget. Sealed tails spill first; then closed
         pages are flushed, oldest first in the order they closed across all
-        intervals, each to the end of its log's chain. Top pages are never
+        intervals, each to the end of its log's file. Top pages are never
         evicted: the budget holds one per interval, so with incoming 0 the
         tails and closed pages always cover the overflow, and send_many
         passes no more openings than they cover.
@@ -642,25 +638,28 @@ class MultiLog:
 
     # -- seal path ----------------------------------------------------------
 
-    def seal_interval(self, k: int) -> LogHandle:
-        """Freeze interval k's log. An accumulator's hit destinations are
-        first appended (`_log_accumulated`). The log's resident pages,
-        closed ones in arrival order and then the partial top, become the
-        sealed log's tail; none is handed to the pager."""
-        log = self.logs[k]
-        if log.sealed:
-            raise ContractViolation(f"interval {k} sealed twice for tag {self.tag}")
-        self._log_accumulated(log)
-        tail = self._take_pages(log)
-        log.top = bytearray()
-        log.sealed = True
-        # an empty log has nothing to fold either
-        folded = log.folded or log.message_count == 0
-        handle = LogHandle(k, log.store, list(log.chain), log.message_count, tail, folded)
-        if tail:
-            self._carried.append((self.tag, handle))
-            self._carried_pages += len(tail)
-        return handle
+    def seal(self) -> LogManifest:
+        """Seal every interval's log of the open superstep and open the
+        next's, whose log files take tag + 1. The accumulators' records are
+        appended first, while every log is open, so a page they force out is
+        a closed page, oldest first, as for any send. Then each log's
+        resident pages, closed ones in arrival order and then the partial
+        top, become its sealed tail; none is handed to the pager."""
+        for log in self.logs:
+            self._log_accumulated(log)
+        handles = []
+        for log in self.logs:
+            tail = self._take_pages(log)
+            # an empty log has nothing to fold either
+            handle = LogHandle(log.interval, log.store, log.message_count, tail, log.folded or log.message_count == 0)
+            if tail:
+                self._carried.append((self.tag, handle))
+                self._carried_pages += len(tail)
+            handles.append(handle)
+        # every open page is now a tail, so residency is unchanged
+        self.tag += 1
+        self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
+        return LogManifest(handles)
 
     def _log_accumulated(self, log: _IntervalLog) -> None:
         """Append an accumulating log's hit destinations, one record each in
@@ -671,16 +670,6 @@ class MultiLog:
         self._acc_bytes -= log.acc.nbytes
         log.acc, log.folded = None, True
         self._append(records)
-
-    def seal(self) -> LogManifest:
-        """Seal every interval for the current tag and freeze the manifest.
-        The accumulators' records are appended first, while no interval is
-        sealed, so a page they force out is a closed page, oldest first, as
-        for any send, and never the tail of an interval sealed before."""
-        for log in self.logs:
-            self._log_accumulated(log)
-        handles = [self.seal_interval(k) for k in range(self.n_intervals)]
-        return LogManifest(handles)
 
     def release(self, handles: list[LogHandle]) -> None:
         """Consume sealed logs once loaded: free their resident tails and
@@ -712,28 +701,27 @@ class MultiLog:
 
 
 def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
-    """All records of one sealed interval log, in chain order.
+    """All records of one sealed interval log, in arrival order, as one
+    read-only array.
 
-    Reads each chain page on disk exactly once, parses the resident tail
-    from memory with the pager's one records parser (`pager.page_records`),
-    joins both into one read-only array and cross-checks the manifest's
-    message count.
+    Parses the resident tail from memory with the pager's one records
+    parser (`pager.page_records`), then reads the log file whole, as the
+    vector of the records the tail does not hold (`PageStore.read_vector`,
+    which reads each page once and finds a page whose count is not its
+    share corrupt), and joins the two.
     """
-    on_disk = handle.store is not None and bool(handle.ordinals)
-    if not on_disk and not handle.tail:
-        if handle.message_count != 0:
-            raise CorruptPageError(
-                f"interval {handle.interval}: manifest says {handle.message_count} records, log empty"
-            )
-        return np.zeros(0, fmt.dtype)
-    records = page_records(handle.tail, fmt.dtype, f"interval {handle.interval} tail", range(len(handle.tail)))
-    if on_disk:
-        chain = handle.store.read_records(handle.ordinals, fmt.dtype)
-        # one byte join: np.concatenate of structured arrays copies field by field
-        records = np.frombuffer(b"".join([chain, records]), fmt.dtype) if len(records) else chain
-    if len(records) != handle.message_count:
+    tail = page_records(handle.tail, fmt.dtype, f"interval {handle.interval} tail")
+    on_disk = handle.message_count - len(tail)
+    if on_disk < 0 or (on_disk and handle.store is None):
         raise CorruptPageError(
             f"interval {handle.interval}: manifest count {handle.message_count} "
-            f"!= {len(records)} parsed records"
+            f"!= {len(tail)} tail records{' and no log file' if handle.store is None else ''}"
         )
+    if handle.store is None:
+        return tail
+    records = handle.store.read_vector(on_disk, fmt.dtype)
+    if len(tail):
+        # one byte join: np.concatenate of structured arrays copies field by field
+        return np.frombuffer(b"".join([records, tail]), fmt.dtype)
+    records.flags.writeable = False
     return records

@@ -17,17 +17,18 @@ spans of a fixed-width vector (CSR rows, state rows, aux tables and
 edge-log entries all read through it) and copies no page, and
 `StoreRegistry.gather` then copies exactly the entries a caller wants out
 of those rows; `read_pages` returns a batch of page images as one uint8
-array, `read_records` the counted records of a batch of pages as one
-array, `read_vector` a whole vector as one array, `append` appends a page
-image, `append_records` fixed-width records, `write_back` overwrites a page
-from an image, and `write_back_rows` writes back, in one call, the pages
-that a caller of `read_spans` changed in place in their arena rows (the
-state and aux commits of `state`). The helpers: `pack_pages` packs records
+array, `read_vector` a whole vector as one array (a state vector, a CSR
+vector or a multi-log file, each laid out as `pack_pages` lays records
+out), `append` appends a page image, `append_records` fixed-width
+records, `write_back` overwrites a page from an image, and
+`write_back_rows` writes back, in one call, the pages that a caller of
+`read_spans` changed in place in their arena rows (the state and aux
+commits of `state`). The helpers: `pack_pages` packs records
 into whole pages; `fill_page` copies records into a page in place (the
 multi-log's top pages); `record_counts` reads the counts of an array of
 images, and `page_records` parses the counted records of a list of page
-buffers, for `read_records` and the multi-log's resident tails. A count
-that overflows its page is corrupt.
+buffers, the multi-log's resident tails. A count that overflows its page
+is corrupt.
 
 The index helpers serve the engine's set operations over vertex ids,
 interval ids and packed `row << 32 | nbr` keys: `ranges` concatenates
@@ -58,10 +59,10 @@ had no room for. `read_spans` pins the rows it hands out until
 `StoreRegistry.unpin`, which the engine calls when a batch ends: a pinned
 row that is given back, or transient, goes back to the free list only
 then, so what a batch was handed never changes under it and no page is
-read twice for it. The readers that copy pages out (`read_pages`,
-`read_records`, `read_vector`) pin nothing, and a missed page the ledger
-has no room for never enters the arena on their path. The arena's rows are
-mapped untouched, and it grows by remapping, which moves the rows it holds
+read twice for it. The readers that copy pages out (`read_pages` and
+`read_vector`) pin nothing, and a missed page the ledger has no room for
+never enters the arena on their path. The arena's rows are mapped
+untouched, and it grows by remapping, which moves the rows it holds
 without copying them.
 
 Appends are write-behind: while the ledger has room, `append` admits the
@@ -136,16 +137,16 @@ def fill_page(page: bytearray, fill: int, raw, width: int) -> int:
     return fill
 
 
-def page_records(pages: list, dtype, where: str, ids) -> np.ndarray:
+def page_records(pages: list, dtype, where: str) -> np.ndarray:
     """The counted records of the page images pages (a list of page
     buffers: bytes, bytearrays, memoryviews or uint8 rows), concatenated in
     order as one read-only array. A count that overflows its page is
-    corrupt; the error names page ids[i] of where."""
+    corrupt; the error names where and the page's index in pages."""
     dtype = np.dtype(dtype)
     nbytes = [PAGE_COUNT.unpack_from(p)[0] * dtype.itemsize for p in pages]
     over = [i for i, (p, n) in enumerate(zip(pages, nbytes)) if n > len(p) - PAGE_HEADER]
     if over:
-        raise CorruptPageError(f"{where}: the record count of page {ids[over[0]]} overflows it")
+        raise CorruptPageError(f"{where}: the record count of page {over[0]} overflows it")
     return np.frombuffer(b"".join([memoryview(p)[PAGE_HEADER : PAGE_HEADER + n] for p, n in zip(pages, nbytes)]), dtype)
 
 
@@ -202,12 +203,11 @@ class PageStore:
     numbers the rows' admissions, so what a shrinking budget takes back is
     always the newest of them. `read_spans` hands out the arena rows of
     the pages it covers, resident or transient, pinned until the batch
-    ends, and copies none; `read_pages`, `read_records` and `read_vector`
-    copy out of the rows of resident pages and out of the bytes read for
-    the others, which never enter the arena. A page is newer in memory
-    than in the file, or missing from it, only while it is dirty: appended
-    by `append` or updated by `write_back` or `write_back_rows`, and not yet
-    given back.
+    ends, and copies none; `read_pages` and `read_vector` copy out of the
+    rows of resident pages and out of the bytes read for the others, which
+    never enter the arena. A page is newer in memory than in the file, or
+    missing from it, only while it is dirty: appended by `append` or
+    updated by `write_back` or `write_back_rows`, and not yet given back.
     """
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True, registry=None):
@@ -316,12 +316,6 @@ class PageStore:
         uint8[len(ids), page_size] that no later write changes."""
         return np.frombuffer(b"".join(self._images(ids)), np.uint8).reshape(-1, self.page_size)
 
-    def read_records(self, ids, dtype) -> np.ndarray:
-        """The counted records of the pages ids, concatenated in order, as
-        one read-only array, parsed by `page_records`: one copy of the
-        counted regions."""
-        return page_records(self._images(ids), dtype, self.path, ids)
-
     def read_spans(self, starts: np.ndarray, ends: np.ndarray, dtype):
         """The pages covering the entry spans [starts[i], ends[i]) of a vector
         of dtype records, page_capacity to a page; starts and ends are each
@@ -368,9 +362,9 @@ class PageStore:
         return pages, counts, rows, at
 
     def read_vector(self, n: int, dtype) -> np.ndarray:
-        """The whole vector of n dtype records as one writable array, read
-        as `read_records` reads pages, so a page holding fewer records than
-        its share is corrupt. The file must hold the vector as
+        """The whole vector of n dtype records as one writable array, each
+        page read once, so a page holding fewer records than its share is
+        corrupt. The file must hold the vector as
         `pack_pages` lays it out and nothing more: a page count other than
         the vector's, or a page count of records past its share, is corrupt
         too."""
@@ -435,8 +429,8 @@ class PageStore:
         """Pack fixed-width records into full pages (the last one partial)
         and append them as `append` would one by one: the pages the ledger
         has room for, the first ones, are admitted dirty in one block copy,
-        and the others are written through append_page. Returns the page
-        ordinals."""
+        and the others are written through append_page. Returns the ids of
+        the pages appended."""
         pages = pack_pages(raw, width, self.page_size)
         k = min(max(self._room(), 0), len(pages))
         first = self._extend(k)

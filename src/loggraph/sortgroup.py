@@ -209,7 +209,6 @@ def iter_plan_sorted(
     fmt: RecordFormat,
     bounds: list[int],
     in_degrees: np.ndarray | None = None,
-    on_resident=None,
     release=None,
     combine: dict | None = None,
 ):
@@ -233,8 +232,6 @@ def iter_plan_sorted(
     if release is not None:
         release(handles)
     check_dest_range(records, lo, hi)
-    if on_resident is not None:
-        on_resident(records.nbytes)
     if combine is None:
         slog = sort_n_group(records)
     elif all(h.folded for h in handles):

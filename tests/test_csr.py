@@ -11,6 +11,7 @@ from loggraph import csr, pager
 from loggraph.apps import Bfs
 from loggraph.engine import EngineConfig, run_app
 from loggraph.errors import AddressError, ConfigError, ContractViolation, CorruptPageError, IngestError, MissingStoreError, OversizedVertexError
+from loggraph.ingest import convert_arrays
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
@@ -103,11 +104,9 @@ def test_build_duplicate_edges_preserved(tmp_path):
 
 
 def test_build_out_of_range_rejected(tmp_path):
-    meta = csr.GraphMeta(2, [0, 2], 256, colidx_width=1)
-    from loggraph.pager import StoreRegistry
-
-    with pytest.raises(IngestError):
-        csr.build_partitions(np.array([0]), np.array([5]), meta, StoreRegistry(256), str(tmp_path))
+    with pytest.raises(IngestError, match="vertex id 5 outside"):
+        convert_arrays(np.array([0]), np.array([5]), 2, str(tmp_path / "g"), sort_budget=1 << 20, page_size=256)
+    assert not os.path.exists(tmp_path / "g")
 
 
 def test_load_empty_active_reads_nothing(tmp_path):

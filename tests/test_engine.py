@@ -1022,7 +1022,7 @@ def test_messages_carry_ids_at_the_graph_width(tmp_path, n, id_dt):
     ids = (n - 1 - np.arange((k + 2) * cap)) % n
     mlog.send_columns([np.full(len(ids), n - 1), ids, ids])
     (handle,) = [h for h in mlog.seal().handles if h.message_count]
-    assert handle.interval == k and handle.ordinals and g.registry.totals()["log"][1] > 0
+    assert handle.interval == k and handle.store.num_pages and g.registry.totals()["log"][1] > 0
     got = read_log_records(handle, fmt)
     assert got.dtype == fmt.dtype and got[0].tolist() == (n - 1, n - 1, n - 1)
     assert got["src"].tolist() == got["label"].tolist() == ids.tolist()

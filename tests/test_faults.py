@@ -80,10 +80,39 @@ def test_opening_a_graph_with_a_missing_part_file_creates_nothing(tmp_path, dama
     assert {name: Path(g.path, name).read_bytes() for name in os.listdir(g.path)} == before
 
 
+@pytest.mark.parametrize("damage", ["removed-colidx", "long-rowptr"])
+def test_a_graph_that_fails_to_open_leaves_no_store_open(tmp_path, damage):
+    # the stores of the intervals before the damaged one, and the damaged
+    # interval's rowPtr, are dropped from the caller's registry too
+    g = build_graph(tmp_path, *ring_graph(50), 50, page_size=32)
+    g.close()
+    assert g.meta.num_intervals > 3
+    if damage == "removed-colidx":
+        os.remove(os.path.join(g.path, "part2.colidx"))
+    else:
+        with open(os.path.join(g.path, "part2.rowptr"), "ab") as f:
+            f.write(bytes(32))
+    registry = StoreRegistry(32)
+    with pytest.raises(errors.MissingStoreError if damage == "removed-colidx" else CorruptPageError):
+        GraphDir(g.path, registry)
+    assert registry._stores["csr"] == []
+
+
 def test_a_count_overflowing_a_log_page_is_corrupt(tmp_path):
     handle = sealed_log(tmp_path, 40)
-    set_count(handle.store, handle.ordinals[1], 0xFFFF)
+    set_count(handle.store, 1, 0xFFFF)
     with pytest.raises(CorruptPageError, match="overflows"):
+        read_log_records(handle, FMT16)
+
+
+def test_log_page_counts_that_still_sum_to_the_log_fail_its_load(tmp_path):
+    # 20 records, 15 to a page: one moved from page 0's count to page 1's
+    # keeps the total, but the load would drop record 14 and hand vertex 0
+    # the zeroed slot past page 1's last record
+    handle = sealed_log(tmp_path, 20)
+    set_count(handle.store, 0, 14)
+    set_count(handle.store, 1, 6)
+    with pytest.raises(CorruptPageError, match="page 0 holds 14 entries, entry 14 wanted"):
         read_log_records(handle, FMT16)
 
 
@@ -117,8 +146,8 @@ def test_a_count_overflowing_a_state_page_is_corrupt(tmp_path):
 
 def test_a_nonzero_count_with_an_empty_chain_is_corrupt(tmp_path):
     handle = sealed_log(tmp_path, 40)
-    handle.ordinals = []
-    with pytest.raises(CorruptPageError, match="log empty"):
+    handle.store = None
+    with pytest.raises(CorruptPageError, match="manifest count 40 != 0 tail records and no log file"):
         read_log_records(handle, FMT16)
 
 

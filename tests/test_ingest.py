@@ -1,9 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from loggraph.errors import IngestError
-from loggraph.ingest import convert
+from loggraph.ingest import convert, convert_arrays
 
 EDGES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
 
@@ -54,4 +55,11 @@ def test_a_line_of_one_or_four_columns_names_its_line(tmp_path, bad):
     with pytest.raises(IngestError, match="line 3: expected 2 or 3 columns") as err:
         convert(path, str(tmp_path / "g"), sort_budget=1 << 20, page_size=256)
     assert err.value.line == 3
+    assert not os.path.exists(tmp_path / "g")
+
+
+@pytest.mark.parametrize("src, dst", [([0, -1], [1, 1]), ([0, 1], [1, -1])], ids=["source", "destination"])
+def test_a_negative_id_is_an_ingest_error_before_any_file(tmp_path, src, dst):
+    with pytest.raises(IngestError, match="vertex id -1 outside"):
+        convert_arrays(np.array(src), np.array(dst), 3, str(tmp_path / "g"), sort_budget=1 << 20, page_size=256)
     assert not os.path.exists(tmp_path / "g")

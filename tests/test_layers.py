@@ -96,11 +96,11 @@ def hashed_set_op(text: str) -> list[int]:
 
 RULES = [
     Rule("one page-read path", (PKG,), (PAGER,), r"\.read_pages?\(",
-         "only the pager reads page images: read through PageStore.read_spans, read_vector or read_records",
+         "only the pager reads page images: read spans through PageStore.read_spans and whole vectors, log files included, through read_vector",
          "img = store.read_page(3)\nimgs = store.read_pages([1, 2])", "pages, _, rows, at = store.read_spans(lo, hi, dt)", PAGER),
-    Rule("whole vectors in one span", (PKG,), (), r"read_records\(range\(",
+    Rule("whole vectors in one span", (PKG,), (), r"read_(records|pages)\(range\(",
          "a whole vector reads as the one span [0, n), whose page counts are checked: use PageStore.read_vector",
-         "out = store.read_records(range(store.num_pages), 4)", "out = store.read_vector(n, VID_DT)"),
+         "out = store.read_records(range(store.num_pages), 4)\nimgs = self.read_pages(range(need))", "out = store.read_vector(n, VID_DT)"),
     Rule("one page layout", (PKG,), (PAGER,), r"PAGE_HEADER|PAGE_COUNT",
          "only the pager knows a page's header and record count: build and parse pages through its layout helpers",
          "off = pager.PAGE_HEADER + 4\nn = PAGE_COUNT.unpack_from(page)[0]", "pages = pack_pages(raw, 4, page_size)", PAGER),

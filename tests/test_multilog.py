@@ -33,6 +33,11 @@ def send_run(mlog, dest, vals):
     mlog.send_many(recs)
 
 
+def filed(log):
+    """The pages an open or sealed log has handed to its file."""
+    return 0 if log.store is None else log.store.num_pages
+
+
 def test_vid_to_interval_boundaries(tmp_path):
     mlog = make_mlog(tmp_path)  # bounds [0, 3, 6]
     for d in (0, 2, 3, 5):
@@ -51,7 +56,7 @@ def test_single_message_stays_in_top_page(tmp_path):
     mlog.send(1, 0, 7)
     assert mlog.logs[0].message_count == 1
     assert mlog.logs[0].fill == 1
-    assert not mlog.logs[0].chain  # nothing written to storage yet
+    assert mlog.logs[0].store is None  # nothing written to storage yet
 
 
 def test_overflow_closes_page_capacity_plus_one(tmp_path):
@@ -95,13 +100,11 @@ def test_release_and_close_delete_every_log_file(tmp_path):
     mlog.send(0, 0, 1)
     mlog.send(5, 0, 2)
     first = mlog.seal()
-    mlog.open_superstep(1)
     mlog.send(0, 0, 3)
     mlog.seal()
-    mlog.open_superstep(2)
     for i in range(3 * mlog.capacity):  # past the budget: evicts to an open log
         mlog.send(0, 0, i)
-    assert mlog.logs[0].store is not None and not mlog.logs[0].sealed
+    assert mlog.logs[0].store is not None
     mlog.release(first.handles)
     assert len(mlog.registry._stores["log"]) == 2
     mlog.close()  # the sealed second superstep and the open third
@@ -122,24 +125,23 @@ def test_evict_flushes_closed_pages_oldest_first_down_to_the_budget(tmp_path):
     evicted = count_evictions(mlog)
     mlog.send(5, 0, 99)
     (tail,) = [h for h in mlog.seal().handles if h.tail]
-    mlog.open_superstep(1)
     send_run(mlog, 5, range(cap))  # interval 1 closes its first page,
     send_run(mlog, 0, range(cap))  # then interval 0,
     send_run(mlog, 5, range(cap, 2 * cap))  # then interval 1 again
     assert (mlog._resident_pages, evicted[0]) == (4, 0)
     mlog.send(0, 0, cap)  # a fifth page: the tail spills, no open page goes
-    assert (tail.ordinals, tail.tail) == ([0], [])
-    assert (mlog.logs[0].chain, mlog.logs[1].chain, mlog._resident_pages) == ([], [], 4)
+    assert (filed(tail), tail.tail) == (1, [])
+    assert ([filed(log) for log in mlog.logs], mlog._resident_pages) == ([0, 0], 4)
     mlog.send(5, 0, 2 * cap)  # the oldest closed page goes: interval 1's first
-    assert (mlog.logs[0].chain, mlog.logs[1].chain, mlog._resident_pages) == ([], [0], 4)
+    assert ([filed(log) for log in mlog.logs], mlog._resident_pages) == ([0, 1], 4)
     send_run(mlog, 0, range(cap + 1, 2 * cap))  # closes a top, opens nothing
     assert (evicted[0], mlog._resident_pages) == (2, 4)
     mlog.send(0, 0, 2 * cap)  # now interval 0's first closed page is the oldest
-    assert (mlog.logs[0].chain, mlog.logs[1].chain, mlog._resident_pages) == ([0], [0], 4)
+    assert ([filed(log) for log in mlog.logs], mlog._resident_pages) == ([1, 1], 4)
     assert evicted[0] == 3
     first, second = mlog.seal().handles
-    assert first.store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
-    assert second.store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
+    assert first.store.read_vector(cap, FMT16.dtype)["val"].tolist() == list(range(cap))
+    assert second.store.read_vector(cap, FMT16.dtype)["val"].tolist() == list(range(cap))
     assert read_log_records(first, FMT16)["val"].tolist() == list(range(2 * cap + 1))  # order survives
     assert read_log_records(second, FMT16)["val"].tolist() == list(range(2 * cap + 1))
 
@@ -155,7 +157,6 @@ def test_adversarial_spray_evicts_exactly_to_the_budget(tmp_path):
     for k in range(8):
         mlog.send(k, 0, 0)
     tails = mlog.seal().handles[:8]
-    mlog.open_superstep(1)
     for k in reversed(range(64)):
         send_run(mlog, k, range(cap))
     for k in range(64):
@@ -163,31 +164,16 @@ def test_adversarial_spray_evicts_exactly_to_the_budget(tmp_path):
     assert mlog._resident_pages == 8 + 128
     mlog.budget = 133 * 256
     assert mlog.evict_if_needed() == 3
-    assert [len(h.ordinals) for h in tails] == [0] * 5 + [1] * 3
-    assert mlog._resident_pages == 133 and all(not log.chain for log in mlog.logs)
+    assert [filed(h) for h in tails] == [0] * 5 + [1] * 3
+    assert mlog._resident_pages == 133 and all(log.store is None for log in mlog.logs)
     mlog.budget = 96 * 256
     assert mlog.evict_if_needed() == 37
-    assert [len(h.ordinals) for h in tails] == [1] * 8 and mlog._carried_pages == 0
+    assert [filed(h) for h in tails] == [1] * 8 and mlog._carried_pages == 0
     assert mlog._resident_pages == 96
     # the 32 pages that closed first went: those of intervals 63 down to 32
-    assert [len(log.chain) for log in mlog.logs] == [0] * 32 + [1] * 32
+    assert [filed(log) for log in mlog.logs] == [0] * 32 + [1] * 32
     assert [len(log.closed) for log in mlog.logs] == [1] * 32 + [0] * 32
     assert mlog.evict_if_needed() == 0
-
-
-def test_a_sealed_interval_leaves_the_eviction_order(tmp_path):
-    # interval 0's closed pages are the oldest, then become its tail; once
-    # the tail has spilled, the oldest page left to flush is interval 1's
-    mlog = make_mlog(tmp_path, budget_pages=4)  # bounds (0, 3, 6)
-    cap = mlog.capacity
-    send_run(mlog, 0, range(2 * cap))
-    mlog.send(5, 0, 0)
-    handle = mlog.seal_interval(0)
-    assert len(handle.tail) == 2 and mlog._resident_pages == 3
-    send_run(mlog, 5, range(1, 4 * cap + 1))  # three openings past the budget
-    assert handle.ordinals == [0, 1] and not handle.tail
-    assert mlog.logs[1].chain == [0] and mlog._resident_pages == 4
-    assert mlog.logs[1].store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
 
 
 def test_budget_below_one_page_per_interval_rejected(tmp_path):
@@ -199,7 +185,7 @@ def test_budget_below_one_page_per_interval_rejected(tmp_path):
 def test_seal_empty_interval_has_empty_chain(tmp_path):
     mlog = make_mlog(tmp_path)
     manifest = mlog.seal()
-    assert manifest.handles[0].ordinals == []
+    assert manifest.handles[0].store is None
     assert manifest.handles[0].message_count == 0
     recs = read_log_records(manifest.handles[0], FMT16)
     assert len(recs) == 0
@@ -209,25 +195,11 @@ def test_seal_partial_top_page_record_count(tmp_path):
     mlog = make_mlog(tmp_path)
     for i in range(5):
         mlog.send(0, i, i)
-    handle = mlog.seal_interval(0)
+    handle = mlog.seal().handles[0]
     spill_tails(mlog)
-    assert record_counts(handle.store.read_pages(handle.ordinals[:1])).tolist() == [5]
+    assert record_counts(handle.store.read_pages([0])).tolist() == [5]
     recs = read_log_records(handle, FMT16)
     assert recs["val"].tolist() == [0, 1, 2, 3, 4]
-
-
-def test_double_seal_rejected(tmp_path):
-    mlog = make_mlog(tmp_path)
-    mlog.seal_interval(0)
-    with pytest.raises(ContractViolation):
-        mlog.seal_interval(0)
-
-
-def test_send_after_seal_rejected(tmp_path):
-    mlog = make_mlog(tmp_path)
-    mlog.seal()
-    with pytest.raises(ContractViolation):
-        mlog.send(0, 0, 1)
 
 
 def test_message_count_always_matches_parseable_records(tmp_path):
@@ -250,9 +222,9 @@ def test_flushed_page_keeps_arrival_order(tmp_path):
     mlog = make_mlog(tmp_path)
     for d in [5, 2, 2, 1]:
         mlog.send(d, 0, 0)
-    handle = mlog.seal_interval(0)
+    handle = mlog.seal().handles[0]
     spill_tails(mlog)
-    recs = handle.store.read_records([0], FMT16.dtype)
+    recs = handle.store.read_vector(3, FMT16.dtype)
     assert recs["dest"].tolist() == [2, 2, 1]  # interval 0 only, arrival order
 
 
@@ -297,7 +269,7 @@ def test_seal_writes_nothing_and_loads_the_tail_from_memory(tmp_path):
     cap = mlog.capacity
     for i in range(2 * cap + 3):
         mlog.send(0, 0, i)
-    handle = mlog.seal_interval(0)
+    handle = mlog.seal().handles[0]
     assert mlog.registry.totals()["log"] == (0, 0) and handle.store is None
     assert [record_counts(np.frombuffer(bytes(p), np.uint8)[None])[0] for p in handle.tail] == [cap, cap, 3]
     assert read_log_records(handle, FMT16)["val"].tolist() == list(range(2 * cap + 3))
@@ -311,21 +283,21 @@ def test_tails_spill_before_any_open_page_in_chain_order(tmp_path):
     mlog.send(5, 0, 99)  # interval 1: one partial top
     first, second = mlog.seal().handles
     assert [len(first.tail), len(second.tail)] == [3, 1]
-    mlog.open_superstep(1)
     mlog.send(3, 0, 0)  # a fifth page: exactly one tail page spills, from the log loaded last
-    assert (first.ordinals, second.ordinals) == ([], [0])
+    assert (filed(first), filed(second)) == (0, 1)
     assert len(first.tail) == 3 and not second.tail
     assert mlog._resident_pages == 4
     send_run(mlog, 3, range(1, 2 * cap + 1))  # two more openings: two tail pages, in chain order
-    assert first.ordinals == [0, 1] and len(first.tail) == 1
-    assert not mlog.logs[1].chain and len(mlog.logs[1].closed) == 2  # no open page written yet
+    assert filed(first) == 2 and len(first.tail) == 1
+    assert mlog.logs[1].store is None and len(mlog.logs[1].closed) == 2  # no open page written yet
     assert mlog._resident_pages == 4
     send_run(mlog, 3, range(2 * cap + 1, 4 * cap + 1))  # two more: the last tail page, then the oldest closed page
-    assert first.ordinals == [0, 1, 2] and not first.tail
-    assert mlog.logs[1].chain == [0] and mlog._resident_pages == 4
-    assert first.store.read_records(first.ordinals, FMT16.dtype)["val"].tolist() == list(range(2 * cap + 3))
-    assert second.store.read_records(second.ordinals, FMT16.dtype)["val"].tolist() == [99]
-    assert mlog.logs[1].store.read_records([0], FMT16.dtype)["val"].tolist() == list(range(cap))
+    assert filed(first) == 3 and not first.tail
+    assert filed(mlog.logs[1]) == 1 and mlog._resident_pages == 4
+    # each file is its log's records as one vector
+    assert first.store.read_vector(2 * cap + 3, FMT16.dtype)["val"].tolist() == list(range(2 * cap + 3))
+    assert second.store.read_vector(1, FMT16.dtype)["val"].tolist() == [99]
+    assert mlog.logs[1].store.read_vector(cap, FMT16.dtype)["val"].tolist() == list(range(cap))
     assert [os.path.basename(h.store.path) for h in (first, second)] == ["log_t0_i0.pages", "log_t0_i1.pages"]
 
 
@@ -347,7 +319,6 @@ def test_open_and_carried_pages_stay_within_the_budget(tmp_path):
         assert mlog.resident_bytes <= mlog.budget
         got = [(int(r["dest"]), int(r["src"]), int(r["val"])) for h in sealed.handles for r in read_log_records(h, FMT16)]
         assert sorted(got) == sorted((d, tag, i) for i, d in enumerate(dests.tolist()))
-        mlog.open_superstep(tag + 1)
         if carried is not None:
             mlog.release(carried.handles)
         carried = sealed
@@ -437,7 +408,6 @@ def test_evictions_write_exactly_the_forced_overflow(tmp_path, seed):
         sealed = mlog.seal()
         model.seal(tag)
         assert [len(h.tail) for h in sealed.handles if h.tail] == [p for (t, _), p in model.tails if t == tag]
-        mlog.open_superstep(tag + 1)
         if carried is not None:
             mlog.release(carried.handles)
             model.release({(tag - 1, k) for k in range(n_int)})
@@ -450,7 +420,6 @@ def test_release_and_close_free_every_tail(tmp_path):
     mlog.send(0, 0, 1)
     mlog.send(5, 0, 2)
     manifest = mlog.seal()
-    mlog.open_superstep(1)
     assert mlog._resident_pages == 2
     mlog.release(manifest.handles)
     assert mlog._resident_pages == 0 and all(not h.tail for h in manifest.handles)
@@ -469,10 +438,9 @@ def test_release_is_idempotent(tmp_path):
         mlog.send(0, 0, i)
     mlog.send(5, 0, 99)
     manifest = mlog.seal()
-    mlog.open_superstep(1)
     mlog.send(5, 0, 7)
     first = manifest.handles[0]
-    assert first.ordinals == [0] and len(first.tail) == 1 and mlog._resident_pages == 2
+    assert filed(first) == 1 and len(first.tail) == 1 and mlog._resident_pages == 2
     path = first.store.path
     for _ in range(2):
         mlog.release(manifest.handles)
@@ -504,7 +472,7 @@ def count_evictions(mlog):
 
 def snapshot(mlog):
     logs = [
-        (log.fill, log.message_count, bytes(log.top), [bytes(p) for p in log.closed], list(log.chain))
+        (log.fill, log.message_count, bytes(log.top), [bytes(p) for p in log.closed], filed(log))
         for log in mlog.logs
     ]
     return logs, mlog.resident_bytes, mlog.total_appends, mlog.post_evict_peak
@@ -563,8 +531,8 @@ def test_send_many_matches_a_loop_of_send(tmp_path, page_size, n_intervals, budg
         assert evicted[0][0] > 0
     want, got = loop.seal(), many.seal()
     for a, b in zip(want.handles, got.handles):
-        assert (a.ordinals, a.message_count) == (b.ordinals, b.message_count)
-        assert [a.store.read_page(o) for o in a.ordinals] == [b.store.read_page(o) for o in b.ordinals]
+        assert (filed(a), a.message_count) == (filed(b), b.message_count)
+        assert [a.store.read_page(o) for o in range(filed(a))] == [b.store.read_page(o) for o in range(filed(b))]
 
 
 def test_send_many_rejects_bad_records(tmp_path):
@@ -576,9 +544,6 @@ def test_send_many_rejects_bad_records(tmp_path):
     with pytest.raises(ContractViolation):
         mlog.send_many(recs)  # 6 is outside the vertex range
     assert mlog.total_appends == 0
-    mlog.seal()
-    with pytest.raises(ContractViolation):
-        mlog.send_many(recs[:1])
 
 
 # -- combining at the sender ----------------------------------------------------
@@ -804,7 +769,7 @@ def test_an_interval_with_a_page_handed_to_the_pager_stays_raw(tmp_path):
         for dest in sends[:-1]:
             mlog.send_columns([np.asarray(dest), 1.0])
         if comb is not None:
-            assert mlog.logs[0].chain and mlog.logs[1].acc is not None
+            assert mlog.logs[0].store is not None and mlog.logs[1].acc is not None
             assert mlog._fits(10 * mlog._acc_width)
         mlog.send_columns([np.asarray(sends[-1]), 1.0])
         assert mlog.logs[0].acc is None
@@ -883,7 +848,7 @@ def test_sealing_an_accumulator_evicts_the_oldest_closed_pages_not_a_sealed_tail
     evicted = count_evictions(mlog)
     handles = mlog.seal().handles
     assert evicted[0] == 2
-    assert [len(h.ordinals) for h in handles] == [0, 0, 2]
+    assert [filed(h) for h in handles] == [0, 0, 2]
     assert [len(h.tail) for h in handles] == [18, -(-200 // cap), 16]
     assert [h.message_count for h in handles] == [18 * cap, 200, 18 * cap]
     assert read_log_records(handles[2], PR_FMT)["dest"].tolist() == (300 + np.arange(18 * cap) % 100).tolist()

@@ -104,7 +104,7 @@ def test_registry_totals_and_retirement(tmp_path):
 
 def test_page_record_region_parsing(store):
     store.append_page(page_image(256, b"\x01\x02\x03\x04" * 3, count=3))
-    assert store.read_records([0], "<u4").tobytes() == b"\x01\x02\x03\x04" * 3
+    assert store.read_vector(3, "<u4").tobytes() == b"\x01\x02\x03\x04" * 3
 
 
 def test_read_pages_returns_images_in_the_given_order(store):
@@ -138,15 +138,15 @@ def test_page_records_counts_past_one_byte_in_any_page_buffer(tmp_path):
     # 300 four-byte records in one 4096-byte page: the count's high byte is 1
     pages = pack_pages(np.arange(300, dtype="<u4").tobytes(), 4, 4096)
     for given in (list(pages), [p.tobytes() for p in pages], [bytearray(p.tobytes()) for p in pages]):
-        assert page_records(given, "<u4", "test", [0]).tolist() == list(range(300))
+        assert page_records(given, "<u4", "test").tolist() == list(range(300))
     # 1,500 records on two pages, read from storage and from the arena
     reg = StoreRegistry(page_size=4096)
     store = reg.open(str(tmp_path / "r.pages"), "log")
     store.append_records(np.arange(1500, dtype="<u4").tobytes(), 4)
-    assert store.read_records([0, 1], "<u4").tolist() == list(range(1500))
+    assert store.read_vector(1500, "<u4").tolist() == list(range(1500))
     reg.set_budget(2 * 4096)
     for _ in range(2):
-        assert store.read_records([1, 0], "<u4").tolist() == list(range(1020, 1500)) + list(range(1020))
+        assert store.read_vector(1500, "<u4").tolist() == list(range(1500))
     assert (store.pages_read, store.pages_hit) == (4, 2)
     reg.drop(store, "log", unlink=True)
 

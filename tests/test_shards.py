@@ -22,8 +22,7 @@ def test_single_shard_holds_all_edges_src_sorted(tmp_path):
     src, dst = ring_graph(6)
     shards, _ = make_shards(tmp_path, src, dst, 6, 1)
     assert shards.num_shards == 1
-    recs = shards.stores[0].read_records([0], edge_dt(6))
-    assert len(recs) == 12
+    recs = shards.stores[0].read_vector(12, edge_dt(6))
     assert np.all(np.diff(recs["src"].astype(int)) >= 0)
 
 
@@ -40,7 +39,7 @@ def test_edge_lands_in_dest_range_shard(tmp_path):
     src, dst = ring_graph(6)
     shards, _ = make_shards(tmp_path, src, dst, 6, 3)
     # edge (5,0): dst 0 -> shard 0
-    recs = shards.stores[0].read_records([0], edge_dt(6))
+    recs = shards.stores[0].read_vector(4, edge_dt(6))
     assert (5, 0) in [tuple(map(int, r)) for r in recs]
 
 
@@ -118,5 +117,5 @@ def test_shard_records_hold_ids_at_the_csr_width(tmp_path, n, width):
     per_shard = np.diff(np.searchsorted(np.sort(dst), shards.bounds))
     cap = (256 - PAGE_HEADER) // (2 * width)
     assert shards.page_counts == (-(-per_shard // cap)).tolist()
-    recs = shards.stores[2].read_records(range(shards.page_counts[2]), edge_dt(n))
+    recs = shards.stores[2].read_vector(int(per_shard[2]), edge_dt(n))
     assert recs.dtype.itemsize == 2 * width and (n - 2, n - 1) in set(zip(recs["src"].tolist(), recs["dst"].tolist()))

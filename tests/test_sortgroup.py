@@ -417,10 +417,7 @@ def test_multi_pass_bucketing_equals_single_pass(tmp_path):
 
     plan = FusePlan([0], 400 * 16, passes=3)
     indeg = np.bincount([d for d, _, _ in sends], minlength=8)
-    peak = []
-    parts = list(
-        sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, on_resident=peak.append)
-    )
+    parts = list(sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg))
     assert [(a, b) for a, b, _ in parts] == sortgroup.split_dest_range(0, 8, indeg, 3)
     got = np.concatenate([slog.records for _, _, slog in parts])
     assert got.tobytes() == want.records.tobytes()
@@ -428,8 +425,9 @@ def test_multi_pass_bucketing_equals_single_pass(tmp_path):
         assert slog.dests.tolist() == [d for d in want.dests.tolist() if a <= d < b]
         for d in range(a, b):
             assert slog.inbox(d).tobytes() == want.inbox(d).tobytes()
-    # the whole log is loaded once, and each pass is a slice of its one sort
-    assert peak == [whole.nbytes]
+    # the plan's estimate is its one load, the sort peak the engine reports,
+    # and each pass is a slice of its one sort
+    assert plan.est_bytes == whole.nbytes
     sorted_log = parts[0][2].records.base
     assert sorted_log is not None and all(slog.records.base is sorted_log for _, _, slog in parts)
 
@@ -446,17 +444,16 @@ def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
         mlog.send(d, s, v)
     manifest = mlog.seal()
     handle = manifest.handles[0]
-    assert (len(handle.ordinals), len(handle.tail)) == (0, 27)
+    assert (handle.store, len(handle.tail)) == (None, 27)
     want = sort_n_group(sortgroup.load_log(FusePlan([0], 400 * 16), manifest, FMT16))
-    mlog.open_superstep(1)
     plan = FusePlan([0], 400 * 16, passes=3)
     indeg = np.bincount([d for d, _, _ in sends], minlength=8)
     parts, held = [], []
-    for _, _, slog in sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, None, mlog.release):
+    for _, _, slog in sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, mlog.release):
         parts.append(slog.records)
-        held.append((len(handle.ordinals), len(handle.tail), mlog._carried_pages))
+        held.append((handle.store, len(handle.tail), mlog._carried_pages))
         mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))  # this pass's batch sends
-    assert held == [(0, 0, 0)] * 3  # released at the first yield
+    assert held == [(None, 0, 0)] * 3  # released at the first yield
     assert reg.totals()["log"] == (0, 0)
     got = np.concatenate(parts)
     assert got.tobytes() == want.records.tobytes()
@@ -486,7 +483,7 @@ def test_an_oversized_plan_reads_each_log_once(tmp_path, monkeypatch, combine):
     before = reg.totals()["log"][0]
     parts = list(sortgroup.iter_plan_sorted(FusePlan([0], 300 * fmt.width, passes=4), manifest, fmt, [0, 8, 16], indeg, combine=comb))
     assert len(parts) == 4 and loads == [0]
-    assert reg.totals()["log"][0] - before == len(manifest.handles[0].ordinals)
+    assert reg.totals()["log"][0] - before == manifest.handles[0].store.num_pages
     # a fused plan too reads each of its logs once
     loads.clear()
     list(sortgroup.iter_plan_sorted(FusePlan([0, 1], 300 * fmt.width), manifest, fmt, [0, 8, 16], indeg, combine=comb))
@@ -504,14 +501,13 @@ def test_an_oversized_plan_consumes_its_logs_before_its_first_pass(tmp_path):
     mlog = MultiLog([0, 8], FMT16, reg, str(tmp_path / "logs"), 30 * 256)
     mlog.send_many(sends)
     manifest = mlog.seal()
-    mlog.open_superstep(1)
     mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))
     handle = manifest.handles[0]
     path = handle.store.path
-    assert (handle.ordinals, len(handle.tail)) == ([0, 1], 25)
+    assert (handle.store.num_pages, len(handle.tail)) == (2, 25)
     assert reg.holds["multilog"] == 30 * 256
     indeg = np.bincount(sends["dest"], minlength=8)
-    passes = sortgroup.iter_plan_sorted(FusePlan([0], 400 * 16, passes=3), manifest, FMT16, [0, 8], indeg, None, mlog.release)
+    passes = sortgroup.iter_plan_sorted(FusePlan([0], 400 * 16, passes=3), manifest, FMT16, [0, 8], indeg, mlog.release)
     a, b, first = next(passes)
     assert not os.path.exists(path) and handle.store is None and reg._stores["log"] == []
     assert handle.tail == [] and mlog._carried == [] and mlog._carried_pages == 0

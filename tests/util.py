@@ -81,10 +81,9 @@ def page_image(page_size, payload, count):
 
 
 def spill_tails(mlog: MultiLog) -> None:
-    """Open the next superstep and fill the multi-log's whole budget with
-    records to vertex 0: the sends spill every sealed tail to its log file
+    """Fill the multi-log's whole budget with records to vertex 0, sent
+    after its last seal: the sends spill every sealed tail to its log file
     and flush no open page."""
-    mlog.open_superstep(mlog.tag + 1)
     mlog.send_many(np.zeros(mlog.budget // mlog.page_size * mlog.capacity, mlog.fmt.dtype))
     assert mlog._carried_pages == 0
 
