@@ -19,15 +19,17 @@ Adjacency loads touch only the pages that overlap the requested vertices'
 ranges, and only the colIdx pages holding the entries a vertex program
 uses.
 
-A load has two steps. At fetch, `load_adjacency` reads only rowPtr, with
-one `PageStore.read_spans` call per interval over the spans [v, v + 2) of
-the requested rows. That gives an `Adjacency`: the rows' degrees as one
-flat CSR's `offsets`, and per row the span of colIdx pages it covers, which
-the edge log's candidate rule reads together with the useful bytes of each
-of those pages, counted from the spans. The neighbor entries are read on
-demand: `Adjacency.take` reads, through `read_spans` over the runs of
-wanted entries, only the colIdx pages that hold them, each at most once per
-Adjacency. A program that uses every row (PageRank) takes them all; a
+A load has two steps. At fetch, `load_adjacency` reads only rowPtr, in
+one `StoreRegistry.read_spans` call over every interval's rowPtr file, of
+the spans [v, v + 2) of the requested rows. That gives an `Adjacency`: the
+rows' degrees as one flat CSR's `offsets`, and per row the span of colIdx
+pages it covers, which the edge log's candidate rule reads together with
+the useful bytes of each of those pages, counted from the spans. The
+neighbor entries are read on demand: `Adjacency.take` reads, in one
+`read_spans` call over every interval's colIdx file and over the runs of
+wanted entries, only the colIdx pages that hold them, each at most once
+per Adjacency. So a batch makes the same reads whatever the number of
+intervals. A program that uses every row (PageRank) takes them all; a
 random walk takes one picked entry per walker. Rows that are already in
 memory, served by the edge log or overlaid with pending structural
 updates, are held in the same Adjacency.
@@ -177,10 +179,9 @@ ADD_EDGE, DEL_EDGE, DEL_VERTEX = range(3)
 NO_VID = (1 << 32) - 1
 
 
-# the high half of an entry's address in an Adjacency: 0 for an entry held
-# in memory, 1 + the interval for one in that interval's colIdx vector
-ADDR_SHIFT = 32
-LOW = (1 << ADDR_SHIFT) - 1
+# an entry's address in an Adjacency: a held entry's index in memory, or
+# STORED plus its position in the intervals' colIdx vectors laid end to end
+STORED = 1 << 62
 
 
 class Adjacency:
@@ -188,18 +189,22 @@ class Adjacency:
 
     Row i is vertex ids[i] (ascending); its neighbors are the flat entries
     [offsets[i], offsets[i + 1]), which `take` returns. pages[i] =
-    (interval, first, end) names the colIdx pages [first, end) the row
-    spans (first == end when none: an empty row, or one served by the edge
-    log).
+    (interval, first, end) names the pages [first, end) of its interval's
+    colIdx file that the row spans (first == end when none: an empty row,
+    or one served by the edge log).
 
     A row is held in memory (every row of an Adjacency built from arrays,
     and the rows given to `put`) or stored: then its entries stay in its
-    interval's colIdx file until a `take` wants them. A take reads, through
-    `PageStore.read_spans` over the runs of wanted entries, only the pages
-    holding them that no earlier take of this Adjacency read, and gathers
-    the wanted entries from their arena rows at the graph's id width and
-    widens them to uint32, copying no page. It keeps
-    the rows for later takes, and the pager pins them until the batch ends
+    interval's colIdx file until a `take` wants them. Stored entries are
+    addressed over the intervals' colIdx vectors laid end to end, each
+    starting on a page boundary, as `StoreRegistry.read_spans` numbers
+    them. A take reads, in one such call over the runs of wanted entries,
+    only the pages holding them that no earlier take of this Adjacency
+    read, and gathers the wanted entries from their arena rows at the
+    graph's id width and widens them to uint32, copying no page. A run
+    never crosses the start of an interval's vector: entries adjacent there
+    lie in two files. The batch keeps one set of the pages read, with their
+    rows, for later takes, and the pager pins the rows until the batch ends
     (`StoreRegistry.unpin`), so no page is read twice.
     """
 
@@ -209,12 +214,17 @@ class Adjacency:
         self.offsets = offsets
         self.pages = pages
         self._held = np.asarray(nbrs, VID_DT)
-        # the address of each row's first entry (see ADDR_SHIFT)
+        # the address of each row's first entry (see STORED)
         self._first = np.asarray(offsets[:-1], np.int64)
-        self._colidx: dict = {}  # interval -> its colIdx PageStore and entry dtype
-        # interval -> the colIdx pages read so far (ascending), their arena
-        # rows (pinned for the batch, see pager) and record counts
-        self._read: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # the stored rows' colIdx stores, one per interval, the first page of
+        # each in the numbering laid end to end (the total last), and the
+        # stored entry dtype (see `load_adjacency`)
+        self._stores: list = []
+        self._bases = np.zeros(1, np.int64)
+        self._dtype = VID_DT
+        # the colIdx pages read so far (ascending, in that numbering), their
+        # arena rows (pinned for the batch, see pager) and record counts
+        self._have = self._rows = self._counts = np.zeros(0, np.int64)
 
     @classmethod
     def empty(cls) -> "Adjacency":
@@ -241,12 +251,10 @@ class Adjacency:
     def loaded(self, rows: np.ndarray) -> np.ndarray:
         """Which of the given rows have their neighbors in memory: held
         rows, and stored rows whose every colIdx page a take has read."""
-        part = (self._first[rows] >> ADDR_SHIFT) - 1
-        out = part < 0
-        for k, (have, _, _) in self._read.items():
-            at = part == k
-            _, first, end = self.pages[rows[at]].T
-            out[at] = np.searchsorted(have, end) - np.searchsorted(have, first) == end - first
+        out = self._first[rows] < STORED
+        k, first, end = self.pages[rows[~out]].T
+        first, end = first + self._bases[k], end + self._bases[k]
+        out[~out] = np.searchsorted(self._have, end) - np.searchsorted(self._have, first) == end - first
         return out
 
     def take(self, at: np.ndarray | None = None) -> np.ndarray:
@@ -261,24 +269,25 @@ class Adjacency:
             total = int(self.offsets[-1])
             if len(at) and (at.min() < 0 or at.max() >= total):
                 raise ContractViolation(f"neighbor entry outside the batch's [0, {total})")
-            row = np.searchsorted(self.offsets, at, side="right") - 1
             # one span per entry; a repeat equals its first
-            addr, lens = at + (self._first - self.offsets[:-1])[row], np.ones(len(at), np.int64)
+            addr = (self._first - self.offsets[:-1])[np.searchsorted(self.offsets, at, side="right") - 1]
+            addr += at
+            # every span is one entry long (a view, allocating nothing)
+            lens = np.broadcast_to(np.int64(1), len(at))
         order = None
         if (addr[1:] < addr[:-1]).any():
             order = np.argsort(addr, kind="stable")
             # where each span's entries go in the answer
             dest = ranges((np.cumsum(lens) - lens)[order], lens[order])
             addr, lens = addr[order], lens[order]
-        # addr ascends, so the held spans come first and then each
-        # interval's, in interval order
-        bounds = np.searchsorted(addr, np.arange(max(self._colidx, default=-1) + 3) << ADDR_SHIFT).tolist()
-        blocks = [self._held[ranges(addr[: bounds[1]], lens[: bounds[1]])]] if bounds[1] else []
-        for k in self._colidx:
-            a, b = bounds[k + 1], bounds[k + 2]
-            if b > a:
-                start = addr[a:b] & LOW
-                blocks.append(self._entries(k, start, start + lens[a:b]))
+        # addr ascends, so the held spans come first
+        h = int(np.searchsorted(addr, STORED))
+        blocks = [self._held[ranges(addr[:h], lens[:h])]] if h else []
+        if h < len(addr):
+            # addr is this take's own array, so its stored part is rebased in place
+            starts = addr[h:]
+            starts -= STORED
+            blocks.append(self._entries(starts, starts + lens[h:]))
         out = blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0, VID_DT), *blocks])
         if order is None:
             return out
@@ -286,44 +295,70 @@ class Adjacency:
         unsorted[dest] = out
         return unsorted
 
-    def _entries(self, k: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """The entries of the non-empty spans [starts[i], ends[i]) of
-        interval k's colIdx vector, concatenated and widened to uint32;
+    def _runs(self, starts: np.ndarray, ends: np.ndarray, cap: int):
+        """The runs of adjacent spans among the ascending spans [starts[i],
+        ends[i]) of the colIdx vectors laid end to end, each cut where an
+        interval's vector starts, and their cuts: the runs cuts[k] to
+        cuts[k + 1] lie in interval k."""
+        bounds = self._bases * cap
+        cut = np.ones(len(starts), bool)
+        cut[1:] = starts[1:] != ends[:-1]
+        at = np.searchsorted(starts, bounds[1:-1])
+        cut[at[at < len(starts)]] = True
+        run = np.flatnonzero(cut)
+        if len(run) < len(starts):
+            # a run ends where the next one starts
+            starts, ends = starts[run], np.append(ends[run[1:] - 1], ends[-1:])
+        return starts, ends, np.searchsorted(starts, bounds)
+
+    def _entries(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The entries of the non-empty spans [starts[i], ends[i]) of the
+        colIdx vectors laid end to end, concatenated and widened to uint32;
         starts and ends each ascend, and a span overlaps another only if
         they are equal. The entries are gathered at the stored width, and
         the widening is their one copy after that."""
-        store, dt = self._colidx[k]
-        reg, cap = store.registry, page_capacity(store.page_size, dt.itemsize)
-        if k not in self._read:
-            # one span per run of adjacent spans
-            cut = np.flatnonzero(starts[1:] != ends[:-1]) + 1
-            starts, ends = starts[np.append(0, cut)], ends[np.append(cut, len(ends)) - 1]
-            lens = ends - starts
-            pages, counts, rows, at = store.read_spans(starts, ends, dt)
-            self._read[k] = pages, rows, counts
-            if lens.sum() * DENSE_SLOTS < len(rows) * cap:
-                return reg.gather(rows, ranges(at, lens), dt).astype(VID_DT)
-            # dense (a random walk's picks are sparse, PageRank's whole rows
-            # dense): copy the slots whole and widen the runs out of the copy
-            flat = reg.gather_pages(rows, dt).reshape(-1)
-            return (flat[at[0] : at[0] + lens[0]] if len(at) == 1 else flat[ranges(at, lens)]).astype(VID_DT)
-        have, rows, counts = self._read[k]
-        want = ranges(starts, ends - starts)
-        page = want // cap
-        new = ~member(page, have)
-        if new.any():
-            got, got_counts, more, _ = store.read_spans(want[new], want[new] + 1, dt)
-            order = np.argsort(np.concatenate([have, got]))
-            have, rows, counts = (np.concatenate(pair)[order] for pair in ((have, got), (rows, more), (counts, got_counts)))
-            self._read[k] = have, rows, counts
-        i = np.searchsorted(have, page)
-        slot = want - page * cap
-        # a page read by an earlier take was checked only for what it wanted
-        short = np.flatnonzero(slot >= counts[i])
-        if len(short):
-            j = short[0]
-            raise CorruptPageError(f"{store.path}: page {page[j]} holds {counts[i[j]]} entries, entry {slot[j]} wanted")
-        return reg.gather(rows, i * cap + slot, dt).astype(VID_DT)
+        dt, reg = self._dtype, self._stores[0].registry
+        cap = page_capacity(reg.page_size, dt.itemsize)
+        starts, ends, cuts = self._runs(starts, ends, cap)
+        if not len(self._have):
+            self._have, self._counts, self._rows, at = reg.read_spans(self._stores, cuts, starts, ends, dt)
+            rows = self._rows
+        else:
+            first, end = starts // cap, (ends - 1) // cap + 1
+            # each run's part on each page it covers; a page an earlier take
+            # read was checked only for what that take wanted
+            page = ranges(first, end - first)
+            run = np.repeat(np.arange(len(starts)), end - first)
+            lo, hi = np.maximum(starts[run], page * cap), np.minimum(ends[run], page * cap + cap)
+            old = member(page, self._have)
+            slot = hi[old] - page[old] * cap - 1
+            counts = self._counts[np.searchsorted(self._have, page[old])]
+            short = np.flatnonzero(slot >= counts)
+            if len(short):
+                p = page[old][short[0]]
+                k = np.searchsorted(self._bases, p, side="right") - 1
+                raise CorruptPageError(
+                    f"{self._stores[k].path}: page {p - self._bases[k]} holds {counts[short[0]]} entries, "
+                    f"entry {slot[short[0]]} wanted"
+                )
+            if not old.all():
+                new_starts, new_ends, new_cuts = self._runs(lo[~old], hi[~old], cap)
+                pages, counts, rows, _ = reg.read_spans(self._stores, new_cuts, new_starts, new_ends, dt)
+                order = np.argsort(np.concatenate([self._have, pages]))
+                self._have, self._rows, self._counts = (
+                    np.concatenate(pair)[order] for pair in ((self._have, pages), (self._rows, rows), (self._counts, counts))
+                )
+            # the runs' offsets into the slots of the rows from their first page on
+            i = np.searchsorted(self._have, first)
+            rows = self._rows[i[0] : i[-1] + end[-1] - first[-1]]
+            at = (i - i[0] - first) * cap + starts
+        lens = ends - starts
+        if len(at) == 1 and lens[0] * DENSE_SLOTS >= len(rows) * cap:
+            # one dense run (PageRank's whole rows): a slice of the rows'
+            # slots, copied whole
+            return reg.gather_pages(rows, dt).reshape(-1)[at[0] : at[0] + lens[0]].astype(VID_DT)
+        # runs of one entry each (a random walk's picks) are their own slots
+        return reg.gather(rows, at if len(at) == lens.sum() else ranges(at, lens), dt).astype(VID_DT)
 
     def put(self, rows: "Adjacency") -> None:
         """Hold the rows of another Adjacency in memory, read whole, with
@@ -401,15 +436,13 @@ def write_in_degrees(graph_path: str, in_degrees: np.ndarray) -> None:
 
 
 class Partition:
-    """Open handle on one interval's rowPtr/colIdx page files; ci_dt and
-    cap_ci are a colIdx entry's dtype, at the graph's colidx_width, and the
-    entries a colIdx page holds."""
+    """Open handle on one interval's rowPtr/colIdx page files; ci_dt is a
+    colIdx entry's dtype, at the graph's colidx_width."""
 
     def __init__(self, graph_dir: "GraphDir", k: int):
         self.k = k
         self.lo, self.hi = graph_dir.meta.interval_range(k)
         self.ci_dt = graph_dir.meta.colidx_dtype
-        self.cap_ci = page_capacity(graph_dir.meta.page_size, self.ci_dt.itemsize)
         reg = graph_dir.registry
         self.rowptr = reg.open(part_path(graph_dir.path, k, "rowptr"), "csr", create=False)
         try:
@@ -553,13 +586,30 @@ def build_partitions(
             registry.drop(store, "csr")
 
 
+def _row_offsets(graph: GraphDir, active: np.ndarray, cuts: np.ndarray, per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets a and b that start and end each active row in its
+    interval's colIdx vector, read in one `StoreRegistry.read_spans` call
+    over every interval's rowPtr file; the rows cuts[k] to cuts[k + 1],
+    per[k] of them, lie in interval k."""
+    parts, reg = graph.partitions, graph.registry
+    # each row's offsets [v, v + 2) in the intervals' rowPtr vectors laid end to end
+    bases = np.zeros(len(parts) + 1, np.int64)
+    np.cumsum([part.rowptr.num_pages for part in parts], out=bases[1:])
+    shift = bases[:-1] * page_capacity(graph.meta.page_size, ROWPTR_WIDTH) - graph.meta.interval_bounds[:-1]
+    v = active + np.repeat(shift, per)
+    _, _, rows, at = reg.read_spans([part.rowptr for part in parts], cuts, v, v + 2, ROWPTR_DT)
+    ab = reg.gather(rows, np.stack([at, at + 1], 1).reshape(-1), ROWPTR_DT).reshape(-1, 2)
+    return ab[:, 0].astype(np.int64), ab[:, 1].astype(np.int64)
+
+
 def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict[tuple[int, int], int]]:
     """Adjacency for exactly the active vertices (sorted ascending), their
     rows stored: their neighbors are read only when `Adjacency.take` wants
     them.
 
     Reads only the rowPtr pages overlapping the active vertices' entries,
-    each distinct page once per call. Also returns, for the edge-log
+    each distinct page once, in one `StoreRegistry.read_spans` call over
+    every interval's rowPtr file. Also returns, for the edge-log
     optimizer, the useful bytes of each colIdx page the rows span:
     (interval, ordinal) -> bytes of active-vertex entries on that page.
     """
@@ -572,54 +622,65 @@ def load_adjacency(graph: GraphDir, active: np.ndarray) -> tuple[Adjacency, dict
     if active[0] < 0 or active[-1] >= meta.num_vertices:
         raise ContractViolation("active vertex id out of range")
 
-    lens, firsts, pages, stores = [], [], [], {}
-    page_stats: dict[tuple[int, int], int] = {}
-    starts = np.searchsorted(active, meta.interval_bounds)
-    for k in range(meta.num_intervals):
-        loc = active[starts[k] : starts[k + 1]] - graph.partitions[k].lo
-        if len(loc) == 0:
-            continue
-        part = graph.partitions[k]
-        _, _, rows, at = part.rowptr.read_spans(loc, loc + 2, ROWPTR_DT)
-        ab = graph.registry.gather(rows, np.stack([at, at + 1], 1).reshape(-1), ROWPTR_DT).reshape(-1, 2)
-        a, b = ab[:, 0].astype(np.int64), ab[:, 1].astype(np.int64)
-        back = np.flatnonzero(b < a)
-        if len(back):
-            j = back[0]
-            raise CorruptPageError(
-                f"{part.rowptr.path}: the row of vertex {active[starts[k] + j]} ends at {b[j]}, before its start {a[j]}"
-            )
-        # read_spans needs the rows ascending, so one starting inside the row before it is corrupt
-        inside = np.flatnonzero(a[1:] < b[:-1])
-        if len(inside):
-            j = starts[k] + inside[0]
-            raise CorruptPageError(
-                f"{part.rowptr.path}: the row of vertex {active[j + 1]} starts inside the row of vertex {active[j]}"
-            )
-        full = b > a
-        first = a // part.cap_ci
-        end = np.where(full, (b - 1) // part.cap_ci + 1, first)
-        if end.max() > part.colidx.num_pages:
-            raise AddressError(f"{part.colidx.path}: entry {b.max() - 1} wanted from a store of {part.colidx.num_pages} pages")
-        # the colIdx pages the rows cover, and each non-empty row's offset
-        # into their record slots, as `PageStore.read_spans` would read them
-        n, a_full, first_full = (b - a)[full], a[full], first[full]
-        read = cover(first_full, end[full])
-        at = (np.searchsorted(read, first_full) - first_full) * part.cap_ci + a_full
-        # wanted entries below each page bound: those of the spans starting
-        # below it, less the part of the last of them at or past it
-        bound = np.arange(len(read) + 1) * part.cap_ci
-        j = np.searchsorted(at, bound)
-        useful = np.diff(np.append(0, np.cumsum(n))[j] - np.maximum(np.append(0, at + n)[j] - bound, 0))
-        page_stats.update(zip([(k, p) for p in read.tolist()], (useful * part.ci_dt.itemsize).tolist()))
-        pages.append(np.stack([np.full(len(loc), k), first, end], 1))
-        lens.append(b - a)
-        firsts.append(a + ((k + 1) << ADDR_SHIFT))
-        stores[k] = part.colidx, part.ci_dt
+    parts = graph.partitions
+    # the rows cuts[k] to cuts[k + 1] lie in interval k
+    cuts = np.searchsorted(active, meta.interval_bounds)
+    per = np.diff(cuts)
+    a, b = _row_offsets(graph, active, cuts, per)
+    k = np.repeat(np.arange(len(parts)), per)
+    back = np.flatnonzero(b < a)
+    if len(back):
+        j = back[0]
+        raise CorruptPageError(
+            f"{parts[k[j]].rowptr.path}: the row of vertex {active[j]} ends at {b[j]}, before its start {a[j]}"
+        )
+    # a take reads an interval's rows as ascending spans, so one starting
+    # inside the row before it in its interval is corrupt
+    inside = a[1:] < b[:-1]
+    inside[cuts[(cuts > 0) & (cuts < len(active))] - 1] = False
+    inside = np.flatnonzero(inside)
+    if len(inside):
+        j = inside[0]
+        raise CorruptPageError(
+            f"{parts[k[j]].rowptr.path}: the row of vertex {active[j + 1]} starts inside the row of vertex {active[j]}"
+        )
+    cap, dt = page_capacity(meta.page_size, meta.colidx_width), meta.colidx_dtype
+    deg = b - a
+    full = deg > 0
+    first = a // cap
+    end = b - 1
+    end //= cap
+    end += 1
+    np.copyto(end, first, where=~full)
+    # the first page of each interval's colIdx file, laid end to end
+    bases = np.zeros(len(parts) + 1, np.int64)
+    np.cumsum([part.colidx.num_pages for part in parts], out=bases[1:])
+    used = np.flatnonzero(per)
+    over = used[np.maximum.reduceat(end, cuts[used]) > bases[used + 1] - bases[used]]
+    if len(over):
+        store = parts[over[0]].colidx
+        last = b[cuts[over[0]] : cuts[over[0] + 1]].max() - 1
+        raise AddressError(f"{store.path}: entry {last} wanted from a store of {store.num_pages} pages")
+    # each row's first entry and pages in the colIdx vectors laid end to
+    # end; the pages the non-empty rows cover, and each one's offset into
+    # their record slots, as `StoreRegistry.read_spans` would read them
+    base = np.repeat(bases[:-1], per)
+    start = a + base * cap
+    first_full, n = (first + base)[full], deg[full]
+    read = cover(first_full, (end + base)[full])
+    at = (np.searchsorted(read, first_full) - first_full) * cap + start[full]
+    # wanted entries below each page bound: those of the spans starting
+    # below it, less the part of the last of them at or past it
+    bound = np.arange(len(read) + 1) * cap
+    j = np.searchsorted(at, bound)
+    useful = np.diff(np.append(0, np.cumsum(n))[j] - np.maximum(np.append(0, at + n)[j] - bound, 0))
+    read_k = np.searchsorted(bases, read, side="right") - 1
+    page_stats = dict(zip(zip(read_k.tolist(), (read - bases[read_k]).tolist()), (useful * dt.itemsize).tolist()))
     offsets = np.zeros(len(active) + 1, np.int64)
-    np.cumsum(np.concatenate(lens), out=offsets[1:])
-    adj = Adjacency(active, offsets, np.zeros(0, VID_DT), np.concatenate(pages))
-    adj._first, adj._colidx = np.concatenate(firsts), stores
+    np.cumsum(deg, out=offsets[1:])
+    adj = Adjacency(active, offsets, np.zeros(0, VID_DT), np.stack([k, first, end], 1))
+    adj._first = start + STORED
+    adj._stores, adj._bases, adj._dtype = [part.colidx for part in parts], bases, dt
     return adj, page_stats
 
 

@@ -11,20 +11,23 @@ The remaining bytes are the record region. Records are fixed width per file
 and never span pages, so every page parses on its own.
 
 `PageStore` and the layout helpers here are the only code that reads or
-writes pages or knows their layout. The store: `read_spans` gives the ids,
-record counts and arena rows (see below) of the pages covering ascending
-spans of a fixed-width vector (CSR rows, state rows, aux tables and
-edge-log entries all read through it) and copies no page, and
-`StoreRegistry.gather` then copies exactly the entries a caller wants out
-of those rows; `read_pages` returns a batch of page images as one uint8
-array, `read_vector` a whole vector as one array (a state vector, a CSR
-vector or a multi-log file, each laid out as `pack_pages` lays records
-out), `append` appends a page image, `append_records` fixed-width
-records, `write_back` overwrites a page from an image, and
-`write_back_rows` writes back, in one call, the pages that a caller of
-`read_spans` changed in place in their arena rows (the state and aux
-commits of `state`). The helpers: `pack_pages` packs records
-into whole pages; `fill_page` copies records into a page in place (the
+writes pages or knows their layout. `StoreRegistry.read_spans` is the one
+span reader: it gives the ids, record counts and arena rows (see below) of
+the pages covering ascending spans of fixed-width vectors held in one or
+more stores, numbered as if the stores' files were laid end to end, and
+copies no page. A CSR batch reads every interval's rowPtr, and each take
+every interval's colIdx, in one such call; `PageStore.read_spans` is the
+same reader over one store's vector (state rows, aux tables and edge-log
+entries). `StoreRegistry.gather` then copies exactly the entries a caller
+wants out of those rows. The store: `read_pages` returns a batch of page
+images as one uint8 array, `read_vector` a whole vector as one array (a
+state vector, a CSR vector or a multi-log file, each laid out as
+`pack_pages` lays records out), `append` appends a page image,
+`append_records` fixed-width records, `write_back` overwrites a page from
+an image, and `write_back_rows` writes back, in one call, the pages that a
+caller of `read_spans` changed in place in their arena rows (the state and
+aux commits of `state`). The helpers: `pack_pages` packs records into
+whole pages; `fill_page` copies records into a page in place (the
 multi-log's top pages); `record_counts` reads the counts of an array of
 images, and `page_records` parses the counted records of a list of page
 buffers, the multi-log's resident tails. A count that overflows its page
@@ -88,6 +91,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -264,13 +268,11 @@ class PageStore:
         admitted to the ledger while it has room. Returns (hit, rows,
         images): each page's arena row before the call and after it (-1
         when it has none), and what read_page returned for each miss, in
-        order."""
-        ids = np.asarray(ids, np.int64).reshape(-1)
-        if len(ids) and (ids.min() < 0 or ids.max() >= self._npages):
-            bad = ids[(ids < 0) | (ids >= self._npages)][0]
-            raise AddressError(f"{self.path}: page {bad} out of range (store has {self._npages})")
+        order. Every id must address a page of the store: its callers
+        check."""
+        ids = np.asarray(ids, np.int64)
         hit = self._slot[ids]
-        miss = np.flatnonzero(hit < 0)
+        miss = (hit < 0).nonzero()[0]
         self.pages_hit += len(ids) - len(miss)
         if len(miss) == 0:
             return hit, hit, []
@@ -314,52 +316,15 @@ class PageStore:
     def read_pages(self, ids) -> np.ndarray:
         """Images of the pages ids (a sequence), in order, as one read-only
         uint8[len(ids), page_size] that no later write changes."""
+        ids = np.asarray(ids, np.int64).reshape(-1)
+        bad = ids[(ids < 0) | (ids >= self._npages)]
+        if len(bad):
+            raise AddressError(f"{self.path}: page {bad[0]} out of range (store has {self._npages})")
         return np.frombuffer(b"".join(self._images(ids)), np.uint8).reshape(-1, self.page_size)
 
     def read_spans(self, starts: np.ndarray, ends: np.ndarray, dtype):
-        """The pages covering the entry spans [starts[i], ends[i]) of a vector
-        of dtype records, page_capacity to a page; starts and ends are each
-        ascending, and spans may overlap or be empty.
-
-        Reads each covering page once, in ascending order, and copies none
-        that is resident: every page is an arena row, a missed one the ledger
-        has no room for a transient row, and each row stays pinned until
-        `StoreRegistry.unpin` (see the module doc). A span past the last
-        page is an address error, and a page whose record count does not
-        reach its last wanted entry is corrupt.
-        Returns (pages, counts, rows, at): the page ids, their record
-        counts, their arena rows, and each span's offset into the pages'
-        record slots taken row after row, so span i is the entries at[i] to
-        at[i] + ends[i] - starts[i] there, which `StoreRegistry.gather`
-        copies out.
-        """
-        dtype = np.dtype(dtype)
-        cap = page_capacity(self.page_size, dtype.itemsize)
-        first = starts // cap
-        end = np.where(ends > starts, (ends - 1) // cap + 1, first)
-        if end.max(initial=0) > self._npages:
-            raise AddressError(f"{self.path}: entry {ends.max() - 1} wanted from a store of {self._npages} pages")
-        pages = cover(first, end)
-        hit, rows, images = self._fetch(pages)
-        reg = self.registry
-        # the misses the ledger had no room for (pages are distinct, so each
-        # miss has one image)
-        miss = np.flatnonzero(hit < 0)
-        left = np.flatnonzero(rows[miss] < 0)
-        if len(left):
-            rows[miss[left]] = reg._take(len(left))
-            reg._copy_in([images[i] for i in left.tolist()], rows[miss[left]])
-        reg._pinned[rows] = True
-        counts = reg._counts(rows)
-        # the last span starting below a page's end wants the most of it
-        base = pages * cap
-        wanted = np.minimum(ends[np.searchsorted(starts, base + cap) - 1] - base, cap)
-        short = np.flatnonzero(wanted > counts)
-        if len(short):
-            i = short[0]
-            raise CorruptPageError(f"{self.path}: page {pages[i]} holds {counts[i]} entries, entry {wanted[i] - 1} wanted")
-        at = (np.searchsorted(pages, first) - first) * cap + starts
-        return pages, counts, rows, at
+        """`StoreRegistry.read_spans` over this store's vector alone."""
+        return self.registry.read_spans([self], [0, len(starts)], starts, ends, dtype)
 
     def read_vector(self, n: int, dtype) -> np.ndarray:
         """The whole vector of n dtype records as one writable array, each
@@ -387,13 +352,14 @@ class PageStore:
         out = bytearray().join([memoryview(p)[PAGE_HEADER : PAGE_HEADER + s * width] for p, s in zip(images, share.tolist())])
         return np.frombuffer(out, dtype)
 
-    def append(self, data) -> int:
+    def append(self, data) -> None:
         """Append one page image, write-behind: while the ledger has room
         the page is admitted dirty and not written, so it reaches storage
         once, when it is given back, or never if its file is deleted first;
-        with no room it is one counted append_page. Returns its ordinal."""
+        with no room it is one counted append_page."""
         if self._room() <= 0:
-            return self.append_page(data)
+            self.append_page(data)
+            return
         if len(data) != self.page_size:
             raise ContractViolation(f"append needs exactly {self.page_size} bytes, got {len(data)}")
         ordinal = self._extend()
@@ -402,9 +368,8 @@ class PageStore:
         reg._mm[row * size : (row + 1) * size] = data
         self._admit(ordinal, row, 1)
         self._dirty[ordinal] = True
-        return ordinal
 
-    def append_page(self, data) -> int:
+    def append_page(self, data) -> None:
         """Append one page image: one counted storage write, which `append`
         makes when the ledger has no room for the page."""
         if len(data) != self.page_size:
@@ -413,7 +378,7 @@ class PageStore:
             )
         self._put(self._npages, data)
         self.pages_written += 1
-        return self._extend()
+        self._extend()
 
     def _extend(self, n: int = 1) -> int:
         """Add n pages to the store's end; returns the first one's ordinal."""
@@ -425,12 +390,11 @@ class PageStore:
             self._dirty = np.append(self._dirty, np.zeros(more, bool))
         return first
 
-    def append_records(self, raw: bytes, width: int) -> list[int]:
+    def append_records(self, raw: bytes, width: int) -> None:
         """Pack fixed-width records into full pages (the last one partial)
         and append them as `append` would one by one: the pages the ledger
         has room for, the first ones, are admitted dirty in one block copy,
-        and the others are written through append_page. Returns the ids of
-        the pages appended."""
+        and the others are written through append_page."""
         pages = pack_pages(raw, width, self.page_size)
         k = min(max(self._room(), 0), len(pages))
         first = self._extend(k)
@@ -439,7 +403,8 @@ class PageStore:
             self.registry.arena[rows] = pages[:k]
             self._admit(np.arange(first, first + k), rows, k)
             self._dirty[first : first + k] = True
-        return list(range(first, first + k)) + [self.append_page(page) for page in pages[k:]]
+        for page in pages[k:]:
+            self.append_page(page)
 
     def write_back(self, page_id: int, data) -> None:
         """Overwrite page page_id with the image data: a resident page is
@@ -640,6 +605,82 @@ class StoreRegistry:
         rows = np.flatnonzero(self._pinned)
         self._pinned[rows] = False
         self._free += rows[self._admitted[rows] < 0].tolist()
+
+    def read_spans(self, stores: list, cuts, starts: np.ndarray, ends: np.ndarray, dtype):
+        """The pages covering the entry spans [starts[i], ends[i]) of the
+        vectors of dtype records in the stores stores, page_capacity to a
+        page. Spans cuts[j] to cuts[j + 1] lie in stores[j], and pages and
+        entries are numbered as if the stores' files were laid end to end:
+        store j's page p is page bases[j] + p, bases[j] being the pages of
+        the stores before it, and its entry e is entry bases[j] *
+        page_capacity + e. starts and ends are each ascending, and spans may
+        overlap or be empty.
+
+        Reads each covering page once, in ascending order, through its own
+        store's `_fetch`, and copies none that is resident: every page is an
+        arena row, a missed one the ledger has no room for a transient row,
+        and each row stays pinned until `unpin` (see the module doc). A span
+        past the last page of its store is an address error, and a page
+        whose record count does not reach its last wanted entry is corrupt;
+        each error names the store's file and the entry or page in that
+        file's own numbering.
+        Returns (pages, counts, rows, at): the page ids, their record
+        counts, their arena rows, and each span's offset into the pages'
+        record slots taken row after row, so span i is the entries at[i] to
+        at[i] + ends[i] - starts[i] there, which `gather` copies out.
+        """
+        dtype = np.dtype(dtype)
+        cap = page_capacity(self.page_size, dtype.itemsize)
+        bases = [0, *accumulate(store.num_pages for store in stores)]
+        cuts = np.asarray(cuts).tolist()
+        for j, store in enumerate(stores):
+            # ends ascend, so a store's last span ends its spans
+            a, b = cuts[j], cuts[j + 1]
+            if b > a and ends[b - 1] > bases[j + 1] * cap:
+                last = ends[b - 1] - 1 - bases[j] * cap
+                raise AddressError(f"{store.path}: entry {last} wanted from a store of {store.num_pages} pages")
+        first = starts // cap
+        # each span's end page, built in place: a batch can hold a span per
+        # vertex or per entry
+        end = ends - 1
+        end //= cap
+        end += 1
+        np.copyto(end, first, where=ends <= starts)
+        pages = cover(first, end)
+        del end
+        rows = np.empty(len(pages), np.int64)
+        split = np.searchsorted(pages, bases).tolist()
+        for j, store in enumerate(stores):
+            a, b = split[j], split[j + 1]
+            if b > a:
+                hit, rows[a:b], images = store._fetch(pages[a:b] - bases[j])
+                if not images:
+                    continue
+                # the misses the ledger had no room for take transient rows
+                # (pages are distinct, so each miss has one image), so one
+                # store's images are freed before the next store's are read
+                miss = a + np.flatnonzero(hit < 0)
+                left = np.flatnonzero(rows[miss] < 0)
+                if len(left):
+                    rows[miss[left]] = self._take(len(left))
+                    self._copy_in([images[i] for i in left.tolist()], rows[miss[left]])
+        self._pinned[rows] = True
+        counts = self._counts(rows)
+        # the last span starting below a page's end wants the most of it
+        base = pages * cap
+        wanted = np.minimum(ends[np.searchsorted(starts, base + cap) - 1] - base, cap)
+        short = np.flatnonzero(wanted > counts)
+        if len(short):
+            i = short[0]
+            j = np.searchsorted(bases, pages[i], side="right") - 1
+            raise CorruptPageError(
+                f"{stores[j].path}: page {pages[i] - bases[j]} holds {counts[i]} entries, entry {wanted[i] - 1} wanted"
+            )
+        at = np.searchsorted(pages, first)
+        at -= first
+        at *= cap
+        at += starts
+        return pages, counts, rows, at
 
     def _give_back(self) -> None:
         """While the resident pages exceed the budget less the holds, give

@@ -15,7 +15,18 @@ from loggraph.ingest import convert_arrays
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, page_capacity
 
 import oracles
-from util import adjacency, adjacency_lists, both_directions, build_graph, op_rows, random_graph, ring_graph, rows_of, star_graph
+from util import (
+    adjacency,
+    adjacency_lists,
+    both_directions,
+    build_graph,
+    colidx_capacity,
+    op_rows,
+    random_graph,
+    ring_graph,
+    rows_of,
+    star_graph,
+)
 
 
 def test_partition_exact_packing():
@@ -217,7 +228,7 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
         }[case]
         assert len(active) and degree[hubs].min() > 2 * 60
     g = build_graph(tmp_path, src, dst, n, page_size=page_size)
-    assert g.meta.num_intervals > 1 and g.partitions[0].cap_ci == 60
+    assert g.meta.num_intervals > 1 and colidx_capacity(g) == 60
     adj = adjacency_lists(src, dst, n)
     useful, rp_pages, rows_on = {}, set(), {}
     cap_rp = page_capacity(page_size, csr.ROWPTR_WIDTH)
@@ -228,7 +239,7 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
         local = v - part.lo
         rp_pages |= {(k, local // cap_rp), (k, (local + 1) // cap_rp)}
         for e in range(int(rp[local]), int(rp[local + 1])):
-            key = (k, e // part.cap_ci)
+            key = (k, e // colidx_capacity(g))
             useful[key] = useful.get(key, 0) + g.meta.colidx_width
             rows_on.setdefault(key, set()).add(v)
     if str(case).startswith("hubs"):
@@ -513,7 +524,7 @@ def test_load_adjacency_rejects_a_short_page_inside_a_row(tmp_path, count):
     # entries; page 1 claims fewer, so its last entries are past its count
     src, dst = star_graph(200)
     g = build_graph(tmp_path, src, dst, 201, page_size=page_of_60(201), sort_budget=20 * len(src))
-    assert g.meta.num_intervals == 1 and g.partitions[0].cap_ci == 60
+    assert g.meta.num_intervals == 1 and colidx_capacity(g) == 60
     store = g.partitions[0].colidx
     page = bytearray(store.read_page(1))
     PAGE_COUNT.pack_into(page, 0, count)
@@ -530,7 +541,7 @@ def test_a_pick_past_a_page_count_is_corrupt(tmp_path, read_first):
     # when a take reads it, and again when a later take finds it kept
     src, dst = star_graph(200)
     g = build_graph(tmp_path, src, dst, 201, page_size=page_of_60(201), sort_budget=20 * len(src))
-    assert g.partitions[0].cap_ci == 60
+    assert colidx_capacity(g) == 60
     store = g.partitions[0].colidx
     page = bytearray(store.read_page(1))
     PAGE_COUNT.pack_into(page, 0, 30)
@@ -541,6 +552,111 @@ def test_a_pick_past_a_page_count_is_corrupt(tmp_path, read_first):
         assert adj.take(np.array([89, 61])).tolist() == [90, 62]  # within page 1's count
     with pytest.raises(CorruptPageError, match="page 1 holds 30 entries, entry 40 wanted"):
         adj.take(np.array([100]))
+
+
+def spy_span_reads(monkeypatch):
+    """The number of StoreRegistry.read_spans calls that follow."""
+    calls = [0]
+    read_spans = pager.StoreRegistry.read_spans
+
+    def spy(reg, *args):
+        calls[0] += 1
+        return read_spans(reg, *args)
+
+    monkeypatch.setattr(pager.StoreRegistry, "read_spans", spy)
+    return calls
+
+
+@pytest.mark.parametrize("active", ["all", "some"])
+def test_a_batch_makes_the_same_reads_whatever_the_interval_count(tmp_path, monkeypatch, active):
+    # one graph converted into 1 interval and into 8 or more: the same batch
+    # reads rowPtr in one call, a first take colIdx in one more, and a later
+    # take the pages still unread in one more, whatever the intervals
+    n = 400
+    src, dst = random_graph(n, 8, seed=9)
+    lists = adjacency_lists(src, dst, n)
+    rng = np.random.default_rng(9)
+    ids = np.arange(n) if active == "all" else np.unique(rng.integers(0, n, 120))
+    flat = [w for v in ids.tolist() for w in lists[v]]
+    picks = rng.integers(0, len(flat), 50)
+    answers, reads = [], []
+    for name, sort_budget in (("one", 1 << 30), ("many", 2 * len(src))):
+        g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=sort_budget, name=name)
+        assert g.meta.num_intervals == 1 if name == "one" else g.meta.num_intervals >= 8
+        calls = spy_span_reads(monkeypatch)
+        adj, _ = csr.load_adjacency(g, ids)
+        answers.append((adj.take(picks).tolist(), adj.take().tolist()))
+        reads.append(calls[0])
+        g.close()
+    assert answers[0] == answers[1] == ([flat[p] for p in picks.tolist()], flat)
+    assert reads == [3, 3]
+
+
+def bounded_graph(tmp_path, intervals=3):
+    """20 vertices an interval, 3 out-edges each, at 60 colIdx entries to a
+    page: each interval's colIdx file is one full page, so the last entry of
+    one interval and the first of the next are adjacent when the files are
+    laid end to end."""
+    n = 20 * intervals
+    src = np.repeat(np.arange(n), 3)
+    dst = (src + np.tile([1, 2, 3], n)) % n
+    g = build_graph(tmp_path, src, dst, n, page_size=page_of_60(n), sort_budget=20 * 3 * 20, record_size=20)
+    assert g.meta.interval_bounds == list(range(0, n + 1, 20))
+    assert [p.colidx.num_pages for p in g.partitions] == [1] * intervals and colidx_capacity(g) == 60
+    return g, adjacency_lists(src, dst, n)
+
+
+@pytest.mark.parametrize("first", [None, 40], ids=["fresh", "after-a-take"])
+def test_a_run_of_entries_never_crosses_from_one_file_into_the_next(tmp_path, monkeypatch, first):
+    # vertex 19's last entry ends interval 0's full colIdx page and vertex
+    # 20's first starts interval 1's: one take wants both, before or after a
+    # take that read another interval's page
+    g, lists = bounded_graph(tmp_path)
+    reads = spy_colidx_reads(monkeypatch, g)
+    adj, _ = csr.load_adjacency(g, np.array([19, 20, 40]))
+    if first is not None:
+        assert adj.take(np.array([6])).tolist() == lists[40][:1]
+    assert adj.take(np.array([2, 3])).tolist() == [lists[19][-1], lists[20][0]]
+    assert adj.take().tolist() == lists[19] + lists[20] + lists[40]
+    assert sorted(reads) == [(0, 0), (1, 0), (2, 0)]
+
+
+def damage_count(store, count=5):
+    """Make page 0 of store claim only count records."""
+    page = bytearray(store.read_page(0))
+    PAGE_COUNT.pack_into(page, 0, count)
+    store.write_page(0, bytes(page))
+
+
+@pytest.mark.parametrize(
+    "damage, want, error, match",
+    [
+        # interval 1's rowPtr page 0 keeps 5 offsets; vertex 27 needs offsets 7-8
+        (lambda g: damage_count(g.partitions[1].rowptr), 27, CorruptPageError, r"part1\.rowptr: page 0 holds 5 entries"),
+        # interval 2's colIdx page keeps 5 entries; vertex 43's are entries 9-11
+        (lambda g: damage_count(g.partitions[2].colidx), 43, CorruptPageError, r"part2\.colidx: page 0 holds 5 entries, entry 11 wanted"),
+        # vertex 21's row ends past interval 1's one colIdx page
+        (lambda g: set_rowptr_entry(g, 2, 1000, k=1), 21, AddressError, r"part1\.colidx: entry 999 wanted from a store of 1 pages"),
+    ],
+    ids=["rowptr-count", "colidx-count", "rowptr-past-colidx"],
+)
+def test_a_damaged_page_past_interval_0_names_its_own_file(tmp_path, damage, want, error, match):
+    g, lists = bounded_graph(tmp_path)
+    damage(g)
+    assert rows_of(csr.load_adjacency(g, np.array([0, 20, 40]))[0]) == {v: lists[v] for v in (0, 20, 40)}
+    with pytest.raises(error, match=match):
+        csr.load_adjacency(g, np.array([5, want]))[0].take()
+
+
+def test_a_kept_page_past_interval_0_is_checked_against_its_own_count(tmp_path):
+    # a later take finds interval 2's colIdx page kept from an earlier take,
+    # which wanted only entries within its count
+    g, lists = bounded_graph(tmp_path)
+    damage_count(g.partitions[2].colidx)
+    adj, _ = csr.load_adjacency(g, np.array([5, 40, 43]))
+    assert adj.take(np.array([4])).tolist() == lists[40][1:2]
+    with pytest.raises(CorruptPageError, match=r"part2\.colidx: page 0 holds 5 entries, entry 10 wanted"):
+        adj.take(np.array([0, 7]))
 
 
 @pytest.mark.parametrize("order", ["picks-first", "all-first"])
@@ -646,9 +762,9 @@ def test_a_take_keeps_its_pinned_rows_when_a_hold_gives_their_pages_back(tmp_pat
     reg.set_budget(0)
 
 
-def set_rowptr_entry(g, entry, value):
-    """Overwrite rowPtr entry `entry` of interval 0 with `value`."""
-    store = g.partitions[0].rowptr
+def set_rowptr_entry(g, entry, value, k=0):
+    """Overwrite rowPtr entry `entry` of interval k with `value`."""
+    store = g.partitions[k].rowptr
     cap = page_capacity(g.meta.page_size, csr.ROWPTR_WIDTH)
     page = bytearray(store.read_page(entry // cap))
     at = PAGE_HEADER + entry % cap * csr.ROWPTR_WIDTH
@@ -661,7 +777,7 @@ def test_load_adjacency_rejects_a_row_past_the_colidx_store(tmp_path):
     # colIdx's pages
     g = truncated_graph(tmp_path, 10, None)
     pages = g.partitions[0].colidx.num_pages
-    assert pages == -(-100 // g.partitions[0].cap_ci) and 1000 > pages * g.partitions[0].cap_ci
+    assert pages == -(-100 // colidx_capacity(g)) and 1000 > pages * colidx_capacity(g)
     set_rowptr_entry(g, 10, 1000)
     with pytest.raises(AddressError, match=f"entry 999 wanted from a store of {pages} pages"):
         csr.load_adjacency(g, np.array([8, 9]))
@@ -749,7 +865,7 @@ def test_rowptr_and_colidx_use_4_byte_records(tmp_path):
     assert g.meta.num_intervals == 1 and g.meta.colidx_width == 4 and g.meta.rowptr_width == 4
     assert part.rowptr.num_pages == -(-(n + 1) // page_capacity(256, 4))
     assert part.colidx.num_pages == -(-2 * n // page_capacity(256, 4))
-    assert part.cap_ci == page_capacity(256, 4)
+    assert colidx_capacity(g) == page_capacity(256, 4)
 
 
 def rewrite_meta(g, change):

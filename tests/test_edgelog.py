@@ -6,7 +6,7 @@ from loggraph.edgelog import INEFFICIENT_THRESHOLD, EdgeLog, inefficient, log_ca
 from loggraph.errors import ContractViolation, CorruptPageError
 from loggraph.pager import PAGE_COUNT, PAGE_HEADER, StoreRegistry
 
-from util import adjacency, build_graph, ledger_off, random_graph, ring_graph, rows_of
+from util import adjacency, build_graph, colidx_capacity, ledger_off, random_graph, ring_graph, rows_of
 
 
 def view(v, nbrs):
@@ -237,7 +237,7 @@ def test_engine_adds_up_page_usage_over_the_batches_of_a_superstep(tmp_path, mon
     degree = 12 // csr.id_dtype(n).itemsize
     src = np.repeat(np.arange(n), degree)
     g = build_graph(tmp_path, src, (src + np.tile(np.arange(1, degree + 1), n)) % n, n, page_size=256, sort_budget=1 << 20)
-    assert degree * g.meta.colidx_width == 12 and g.partitions[0].cap_ci == 20 * degree
+    assert degree * g.meta.colidx_width == 12 and colidx_capacity(g) == 20 * degree
     fetched, load = [], csr.load_adjacency
 
     def spy(graph, active):
@@ -340,7 +340,7 @@ def test_a_walk_batch_reads_only_the_pages_of_its_picks_each_once(tmp_path, monk
     src, dst = random_graph(n, 6, seed=11)
     g = build_graph(tmp_path, src, dst, n, page_size=256)
     rowptr = [part.full_rowptr() for part in g.partitions]
-    cap = g.partitions[0].cap_ci
+    cap = colidx_capacity(g)
     batches = []  # per batch: its Adjacency, the pages its takes want, the pages read
 
     take, views, logging = csr.Adjacency.take, csr.Adjacency.views, []

@@ -27,6 +27,7 @@ from util import (
     both_directions,
     build_graph,
     clique_graph,
+    colidx_capacity,
     ledger_off,
     random_graph,
     ring_graph,
@@ -617,7 +618,7 @@ def test_storage_isolation_colidx_reads_equal_active_span_pages(tmp_path):
                 rp_pages.add((j + 1) // cap_rp)
                 a, b = int(rp[j]), int(rp[j + 1])
                 for e in range(a, b):
-                    ci_pages.add(e // part.cap_ci)
+                    ci_pages.add(e // colidx_capacity(g))
             total += len(rp_pages) + len(ci_pages)
         return total
 

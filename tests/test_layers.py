@@ -96,7 +96,7 @@ def hashed_set_op(text: str) -> list[int]:
 
 RULES = [
     Rule("one page-read path", (PKG,), (PAGER,), r"\.read_pages?\(",
-         "only the pager reads page images: read spans through PageStore.read_spans and whole vectors, log files included, through read_vector",
+         "only the pager reads page images: read spans through StoreRegistry.read_spans, over one store or several, and whole vectors, log files included, through read_vector",
          "img = store.read_page(3)\nimgs = store.read_pages([1, 2])", "pages, _, rows, at = store.read_spans(lo, hi, dt)", PAGER),
     Rule("whole vectors in one span", (PKG,), (), r"read_(records|pages)\(range\(",
          "a whole vector reads as the one span [0, n), whose page counts are checked: use PageStore.read_vector",

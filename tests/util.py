@@ -11,7 +11,7 @@ from loggraph import csr, sortgroup
 from loggraph.engine import VertexProgram
 from loggraph.ingest import convert_arrays
 from loggraph.multilog import MultiLog, RecordFormat
-from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, PageStore, StoreRegistry, page_capacity
 
 
 def both_directions(pairs):
@@ -98,6 +98,11 @@ def build_graph(tmpdir, src, dst, n, page_size=1024, sort_budget=None, record_si
     return convert_arrays(src, dst, n, out, sort_budget=sort_budget, page_size=page_size, record_size=record_size)
 
 
+def colidx_capacity(g):
+    """The colIdx entries a page of the converted graph g holds."""
+    return page_capacity(g.meta.page_size, g.meta.colidx_width)
+
+
 def adjacency_lists(src, dst, n):
     """Sorted-neighbor adjacency lists matching the engine's canonical order."""
     adj = [[] for _ in range(n)]
@@ -162,11 +167,10 @@ def spy_given_back(monkeypatch):
     hold, set_budget = StoreRegistry.hold, StoreRegistry.set_budget
 
     def append_spy(store, data):
-        written = store.pages_written
-        ordinal = append(store, data)
+        written, ordinal = store.pages_written, store.num_pages
+        append(store, data)
         if store.pages_written == written:
             deferred.add((store.path, ordinal))
-        return ordinal
 
     def write_spy(store, page_id, data):
         if (store.path, page_id) in deferred and inside and inside[-1] > 0:

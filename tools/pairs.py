@@ -1,15 +1,19 @@
 """Alternating pairs of benchmark runs of two git refs.
 
-    python3 tools/pairs.py BASE HEAD --workload NAME [--seed N] [--pairs N] [--seconds S]
+    python3 tools/pairs.py BASE HEAD --workload NAME [--workload NAME ...] [--seed N] [--pairs N] [--seconds S]
 
 Builds each ref by `git archive` into its own temporary directory, so both
 sides are built the same way (two checkouts of identical code can differ by
 a few percent in `wall_s`). Then runs `bench/run.py --trace 0` of each side
-for N pairs on the named workload and seed, flipping which side runs first
-from one pair to the next. It prints every run's end-to-end metrics, then,
-per metric, each side's median and quartiles and how many pairs HEAD won
-(lower is better for every end-to-end metric; ties count for neither side).
-Nothing is written to the repository. Both refs must hold `bench/run.py`.
+for N pairs on the named workloads and seed, flipping which side runs first
+from one pair to the next. A pair runs every named workload, in the given
+order, each on both sides in the pair's side order, so one invocation
+measures a claimed workload and the workloads it must not slow down under
+the same conditions. It prints every run's `wall_s`, then, per workload and
+per end-to-end metric, each side's median and quartiles and how many pairs
+HEAD won (lower is better for every end-to-end metric; ties count for
+neither side). Nothing is written to the repository. Both refs must hold
+`bench/run.py`.
 """
 
 from __future__ import annotations
@@ -60,29 +64,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("base", help="git ref of the parent side")
-    ap.add_argument("head", help="git ref of the changed side")
-    ap.add_argument("--workload", required=True, help="a workload name of bench/workloads.py")
-    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
-    ap.add_argument("--seconds", type=float, default=20.0, help="--seconds of each bench/run.py call (default 20)")
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    with tempfile.TemporaryDirectory(prefix="pairs_") as tmp:
-        sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
-        for name, ref in (("base", args.base), ("head", args.head)):
-            print(f"{name} {ref} = {build(ref, sides[name])}", flush=True)
-        runs: dict[str, list[dict]] = {"base": [], "head": []}
-        for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for name in order:
-                runs[name].append(run(sides[name], args.workload, args.seed, args.seconds))
-            shown = "  ".join(f"{name} wall_s={runs[name][-1]['wall_s']:.4f}" for name in order)
-            print(f"pair {i + 1} ({order[0]} first): {shown}", flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds}")
+def summary(workload: str, runs: dict[str, list[dict]], seed: int, pairs: int, seconds: float) -> None:
+    """Print one workload's per-metric quartiles of both sides and HEAD's wins."""
+    print(f"{workload} seed {seed}, {pairs} pairs at --seconds {seconds}")
     print(f"  {'metric':<14} {'base q1 / median / q3':>30} {'head q1 / median / q3':>30}  head wins")
     for metric in runs["base"][0]:
         base = [r[metric] for r in runs["base"]]
@@ -90,7 +74,37 @@ def main(argv=None) -> int:
         wins = sum(h < b for b, h in zip(base, head))
         losses = sum(h > b for b, h in zip(base, head))
         fmt = lambda qs: " / ".join(f"{q:.4g}" for q in qs)  # noqa: E731
-        print(f"  {metric:<14} {fmt(quartiles(base)):>30} {fmt(quartiles(head)):>30}  {wins} of {args.pairs} ({losses} lost)")
+        print(f"  {metric:<14} {fmt(quartiles(base)):>30} {fmt(quartiles(head)):>30}  {wins} of {pairs} ({losses} lost)")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", help="git ref of the parent side")
+    ap.add_argument("head", help="git ref of the changed side")
+    ap.add_argument(
+        "--workload", action="append", required=True, help="a workload name of bench/workloads.py; repeat it to run several"
+    )
+    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
+    ap.add_argument("--seconds", type=float, default=20.0, help="--seconds of each bench/run.py call (default 20)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    workloads = list(dict.fromkeys(args.workload))
+    runs = {w: {"base": [], "head": []} for w in workloads}
+    with tempfile.TemporaryDirectory(prefix="pairs_") as tmp:
+        sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        for name, ref in (("base", args.base), ("head", args.head)):
+            print(f"{name} {ref} = {build(ref, sides[name])}", flush=True)
+        for i in range(args.pairs):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for w in workloads:
+                for name in order:
+                    runs[w][name].append(run(sides[name], w, args.seed, args.seconds))
+                shown = "  ".join(f"{name} wall_s={runs[w][name][-1]['wall_s']:.4f}" for name in order)
+                print(f"pair {i + 1} {w} ({order[0]} first): {shown}", flush=True)
+    for w in workloads:
+        summary(w, runs[w], args.seed, args.pairs, args.seconds)
     return 0
 
 
