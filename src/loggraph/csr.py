@@ -204,8 +204,8 @@ class Adjacency:
     graph's id width and widens them to uint32, copying no page. A run
     never crosses the start of an interval's vector: entries adjacent there
     lie in two files. The batch keeps one set of the pages read, with their
-    rows, for later takes, and the pager pins the rows until the batch ends
-    (`StoreRegistry.unpin`), so no page is read twice.
+    rows, for later takes, and the pager pins the rows until the batch's
+    scope exits (`StoreRegistry.scope`), so no page is read twice.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, pages: np.ndarray):

@@ -579,7 +579,8 @@ class Engine:
         # a plan loads its logs' message_count records, est_bytes in all
         sort_peak = max((p.est_bytes for p in plans), default=0)
         # the sort, or a combiner's scatter, is charged its largest load, at
-        # most its whole share; what it really holds is more (ROADMAP item 6)
+        # most its whole share; what it really holds is more (ROADMAP, "The
+        # memory budget bounds the whole run")
         self.registry.hold("sort", min(sort_peak, cfg.sort_budget))
 
         n = self.meta.num_vertices
@@ -658,39 +659,35 @@ class Engine:
         return adj, served
 
     def _process_batch(self, S: int, act: np.ndarray, slog, predicted: np.ndarray) -> int:
-        """Run the program on one batch; the pages it read stay pinned in the
-        pager's arena until it ends (see `StoreRegistry.unpin`)."""
-        try:
-            return self._run_batch(S, act, slog, predicted)
-        finally:
-            self.registry.unpin()
-
-    def _run_batch(self, S: int, act: np.ndarray, slog, predicted: np.ndarray) -> int:
-        adj, served = self._fetch_adjacency(act)
-        sl = self._states.checkout(act)
-        aux = self._states.checkout_aux(act) if self.program.aux_entry_dtype is not None else None
-        starts, ends = slog.spans(act)
-        batch = Batch(act, sl.rows, adj, slog.records, starts, ends)
-        if aux is not None:
-            batch.table, batch.table_offsets = aux.entries, aux.offsets
-        self.program.process_batch(Context(self, S), batch)
-        el = self._edgelog
-        if el is not None:
-            # structural updates only touch the vertex being processed, so
-            # logging after the batch sees the same dirty bits as after each;
-            # only rows the batch has read are logged, so logging reads no
-            # page, and candidates are logged in act order until the budget
-            # runs out
-            candidates = log_candidates(
-                adj.pages, predicted[act], self._el_dirty[act], self._usage, self._page_base, self.cfg.page_size
-            )
-            candidates = np.flatnonzero(candidates)
-            for view in adj.views(candidates[adj.loaded(candidates)]):
-                el.maybe_log(view)
-        sl.commit()
-        if aux is not None:
-            aux.commit()
-        return served
+        """Run the program on one batch in one pager scope: the pages it
+        reads stay pinned in the pager's arena until it ends (see
+        `StoreRegistry.scope`)."""
+        with self.registry.scope():
+            adj, served = self._fetch_adjacency(act)
+            sl = self._states.checkout(act)
+            aux = self._states.checkout_aux(act) if self.program.aux_entry_dtype is not None else None
+            starts, ends = slog.spans(act)
+            batch = Batch(act, sl.rows, adj, slog.records, starts, ends)
+            if aux is not None:
+                batch.table, batch.table_offsets = aux.entries, aux.offsets
+            self.program.process_batch(Context(self, S), batch)
+            el = self._edgelog
+            if el is not None:
+                # structural updates only touch the vertex being processed,
+                # so logging after the batch sees the same dirty bits as
+                # after each; only rows the batch has read are logged, so
+                # logging reads no page, and candidates are logged in act
+                # order until the budget runs out
+                candidates = log_candidates(
+                    adj.pages, predicted[act], self._el_dirty[act], self._usage, self._page_base, self.cfg.page_size
+                )
+                candidates = np.flatnonzero(candidates)
+                for view in adj.views(candidates[adj.loaded(candidates)]):
+                    el.maybe_log(view)
+            sl.commit()
+            if aux is not None:
+                aux.commit()
+            return served
 
 
 def _op_rows(edge: np.ndarray, removed=()) -> np.ndarray:

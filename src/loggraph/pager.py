@@ -12,26 +12,24 @@ and never span pages, so every page parses on its own.
 
 `PageStore` and the layout helpers here are the only code that reads or
 writes pages or knows their layout. `StoreRegistry.read_spans` is the one
-span reader: it gives the ids, record counts and arena rows (see below) of
+page reader: it gives the ids, record counts and arena rows (see below) of
 the pages covering ascending spans of fixed-width vectors held in one or
 more stores, numbered as if the stores' files were laid end to end, and
 copies no page. A CSR batch reads every interval's rowPtr, and each take
 every interval's colIdx, in one such call; `PageStore.read_spans` is the
 same reader over one store's vector (state rows, aux tables and edge-log
-entries). `StoreRegistry.gather` then copies exactly the entries a caller
-wants out of those rows. The store: `read_pages` returns a batch of page
-images as one uint8 array, `read_vector` a whole vector as one array (a
-state vector, a CSR vector or a multi-log file, each laid out as
-`pack_pages` lays records out), `append` appends a page image,
-`append_records` fixed-width records, `write_back` overwrites a page from
-an image, and `write_back_rows` writes back, in one call, the pages that a
-caller of `read_spans` changed in place in their arena rows (the state and
-aux commits of `state`). The helpers: `pack_pages` packs records into
-whole pages; `fill_page` copies records into a page in place (the
-multi-log's top pages); `record_counts` reads the counts of an array of
-images, and `page_records` parses the counted records of a list of page
-buffers, the multi-log's resident tails. A count that overflows its page
-is corrupt.
+entries), and `PageStore.read_vector` reads a whole vector (a state
+vector, a CSR vector or a multi-log file, each laid out as `pack_pages`
+lays records out) through it as the one span [0, n) and copies it out.
+`StoreRegistry.gather` copies exactly the entries a caller wants out of
+the rows. The store's writers: `append` appends a page image,
+`append_records` fixed-width records, and `write_back_rows` writes back,
+in one call, the pages that a caller of `read_spans` changed in place in
+their arena rows (the state and aux commits of `state`). The helpers:
+`pack_pages` packs records into whole pages; `fill_page` copies records
+into a page in place (the multi-log's top pages); and `page_records`
+parses the counted records of a list of page buffers, the multi-log's
+resident tails. A count that overflows its page is corrupt.
 
 The index helpers serve the engine's set operations over vertex ids,
 interval ids and packed `row << 32 | nbr` keys: `ranges` concatenates
@@ -58,20 +56,19 @@ fixed set, are the last to go.
 Every page in memory is one row of the registry's frame arena, a single
 uint8[rows, page_size] array: a resident page's row for as long as it stays
 resident, and a transient row for a page `read_spans` read but the ledger
-had no room for. `read_spans` pins the rows it hands out until
-`StoreRegistry.unpin`, which the engine calls when a batch ends: a pinned
-row that is given back, or transient, goes back to the free list only
-then, so what a batch was handed never changes under it and no page is
-read twice for it. The readers that copy pages out (`read_pages` and
-`read_vector`) pin nothing, and a missed page the ledger has no room for
-never enters the arena on their path. The arena's rows are mapped
-untouched, and it grows by remapping, which moves the rows it holds
-without copying them.
+had no room for. Pins have one scope, `StoreRegistry.scope()`, which the
+engine opens around a batch and `read_vector` around its read; outside
+one, `read_spans` is a contract violation. The rows `read_spans` hands out
+stay pinned until the outermost open scope exits: a pinned row that is
+given back, or transient, goes back to the free list only then, so what a
+batch was handed never changes under it and no page is read twice for it.
+The arena's rows are mapped untouched, and it grows by remapping, which
+moves the rows it holds without copying them.
 
 Appends are write-behind: while the ledger has room, `append` admits the
 new page dirty and writes nothing, and with no room it writes the page at
-once. `write_back` updates a resident page in memory and marks it dirty,
-and `write_back_rows` only marks it dirty, its row already changed.
+once. `write_back_rows` marks a page still resident in its row dirty, and
+writes any other at once through `write_page`.
 A dirty page is written, once and in page order within its store, when it
 is given back, released, closed or dropped, unless a drop deletes the file.
 So an appended page costs at most one storage write, and a log page
@@ -91,6 +88,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+from contextlib import contextmanager
 from itertools import accumulate
 
 import numpy as np
@@ -190,11 +188,6 @@ def member(values, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[at] == values
 
 
-def record_counts(images: np.ndarray) -> np.ndarray:
-    """The header record count of each page image (rows of uint8)."""
-    return images[:, 1].astype(np.int64) | images[:, 2].astype(np.int64) << 8
-
-
 class PageStore:
     """A flat file of concatenated pages with read, write and hit counters.
 
@@ -206,12 +199,11 @@ class PageStore:
     registry's frame arena, `_slot` maps a page to it, and the registry
     numbers the rows' admissions, so what a shrinking budget takes back is
     always the newest of them. `read_spans` hands out the arena rows of
-    the pages it covers, resident or transient, pinned until the batch
-    ends, and copies none; `read_pages` and `read_vector` copy out of the
-    rows of resident pages and out of the bytes read for the others, which
-    never enter the arena. A page is newer in memory than in the file, or
-    missing from it, only while it is dirty: appended by `append` or
-    updated by `write_back` or `write_back_rows`, and not yet given back.
+    the pages it covers, resident or transient, pinned until the registry's
+    scope exits, and copies none; `read_vector` copies a whole vector out
+    of them. A page is newer in memory than in the file, or missing from
+    it, only while it is dirty: appended by `append` or updated by
+    `write_back_rows`, and not yet given back.
     """
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE, create: bool = True, registry=None):
@@ -262,29 +254,25 @@ class PageStore:
         self.pages_read += 1
         return data
 
-    def _fetch(self, ids) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
-        """The pages ids (a sequence), in order: a resident page is a hit;
-        any other is one counted read_page call, and its first copy is
-        admitted to the ledger while it has room. Returns (hit, rows,
-        images): each page's arena row before the call and after it (-1
-        when it has none), and what read_page returned for each miss, in
-        order. Every id must address a page of the store: its callers
-        check."""
-        ids = np.asarray(ids, np.int64)
-        hit = self._slot[ids]
-        miss = (hit < 0).nonzero()[0]
+    def _fetch(self, ids: np.ndarray) -> np.ndarray:
+        """The arena rows of the distinct pages ids, ascending: a resident
+        page is a hit; any other is one counted read_page call, and is
+        admitted to the ledger while it has room, the first misses first,
+        or else copied into a transient row. Every id must address a page
+        of the store: its callers check."""
+        rows = self._slot[ids]
+        miss = np.flatnonzero(rows < 0)
         self.pages_hit += len(ids) - len(miss)
         if len(miss) == 0:
-            return hit, hit, []
+            return rows
         images = [self.read_page(p) for p in ids[miss].tolist()]
-        room = self._room()
-        if room > 0:
-            # the first copy of each missed page, in the order read
-            first = np.sort(np.unique(ids[miss], return_index=True)[1])[:room]
-            rows = self.registry._take(len(first))
-            self.registry._copy_in([images[i] for i in first.tolist()], rows)
-            self._admit(ids[miss[first]], rows, len(rows))
-        return hit, self._slot[ids], images
+        reg = self.registry
+        rows[miss] = reg._take(len(miss))
+        reg._copy_in(images, rows[miss])
+        k = min(max(self._room(), 0), len(miss))
+        if k:
+            self._admit(ids[miss[:k]], rows[miss[:k]], k)
+        return rows
 
     def _admit(self, ids, rows, n: int) -> None:
         """Make the n arena rows rows, which hold the images of the distinct
@@ -301,56 +289,29 @@ class PageStore:
         reg.resident += n * self.page_size
         reg.resident_peak = max(reg.resident_peak, reg.resident)
 
-    def _images(self, ids) -> list:
-        """The images of the pages ids, in order, through `_fetch`: a view
-        of its arena row for a hit, the bytes read for a miss, so a page the
-        ledger has no room for is never copied into the arena. The caller
-        copies out of them at once."""
-        hit, _, images = self._fetch(ids)
-        if (hit < 0).all():
-            return images
-        missed, size = iter(images), self.page_size
-        arena = memoryview(self.registry._mm)
-        return [arena[row * size : (row + 1) * size] if row >= 0 else next(missed) for row in hit.tolist()]
-
-    def read_pages(self, ids) -> np.ndarray:
-        """Images of the pages ids (a sequence), in order, as one read-only
-        uint8[len(ids), page_size] that no later write changes."""
-        ids = np.asarray(ids, np.int64).reshape(-1)
-        bad = ids[(ids < 0) | (ids >= self._npages)]
-        if len(bad):
-            raise AddressError(f"{self.path}: page {bad[0]} out of range (store has {self._npages})")
-        return np.frombuffer(b"".join(self._images(ids)), np.uint8).reshape(-1, self.page_size)
-
     def read_spans(self, starts: np.ndarray, ends: np.ndarray, dtype):
         """`StoreRegistry.read_spans` over this store's vector alone."""
         return self.registry.read_spans([self], [0, len(starts)], starts, ends, dtype)
 
     def read_vector(self, n: int, dtype) -> np.ndarray:
-        """The whole vector of n dtype records as one writable array, each
-        page read once, so a page holding fewer records than its share is
-        corrupt. The file must hold the vector as
-        `pack_pages` lays it out and nothing more: a page count other than
-        the vector's, or a page count of records past its share, is corrupt
-        too."""
+        """The whole vector of n dtype records as one writable array, read
+        as the one span [0, n) in a scope of its own, so a page holding
+        fewer records than its share is corrupt. The file must hold the
+        vector as `pack_pages` lays it out and nothing more: a page count
+        other than the vector's, or a page count of records past its share,
+        is corrupt too."""
         dtype = np.dtype(dtype)
         cap = page_capacity(self.page_size, dtype.itemsize)
         need = -(-n // cap)
         if self._npages != need:
             raise CorruptPageError(f"{self.path}: {self._npages} pages for {n} records, not {need}")
-        images = self._images(range(need))
-        share = np.minimum(n - np.arange(need) * cap, cap)
-        counts = np.array([PAGE_COUNT.unpack_from(p)[0] for p in images], np.int64)
-        short = np.flatnonzero(share > counts)
-        if len(short):
-            i = short[0]
-            raise CorruptPageError(f"{self.path}: page {i} holds {counts[i]} entries, entry {share[i] - 1} wanted")
-        over = np.flatnonzero(counts > share)
-        if len(over):
-            raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
-        width = dtype.itemsize
-        out = bytearray().join([memoryview(p)[PAGE_HEADER : PAGE_HEADER + s * width] for p, s in zip(images, share.tolist())])
-        return np.frombuffer(out, dtype)
+        reg = self.registry
+        with reg.scope():
+            _, counts, rows, _ = self.read_spans(np.zeros(1, np.int64), np.full(1, n, np.int64), dtype)
+            over = np.flatnonzero(counts > np.minimum(n - np.arange(need) * cap, cap))
+            if len(over):
+                raise CorruptPageError(f"{self.path}: the record count of page {over[0]} overflows the {n}-record vector")
+            return reg.gather_pages(rows, dtype).reshape(-1)[:n]
 
     def append(self, data) -> None:
         """Append one page image, write-behind: while the ledger has room
@@ -406,28 +367,16 @@ class PageStore:
         for page in pages[k:]:
             self.append_page(page)
 
-    def write_back(self, page_id: int, data) -> None:
-        """Overwrite page page_id with the image data: a resident page is
-        updated in memory and marked dirty, any other is written at once
-        through write_page. So no page is written more often than by writing
-        every one through."""
-        if not (0 <= page_id < self._npages and self._slot[page_id] >= 0):
-            self.write_page(page_id, data)
-            return
-        if len(data) != self.page_size:
-            raise ContractViolation(f"write_back needs exactly {self.page_size} bytes, got {len(data)}")
-        self.registry._copy_in([data], self._slot[page_id : page_id + 1])
-        self._dirty[page_id] = True
-
     def write_back_rows(self, pages: np.ndarray, rows: np.ndarray) -> None:
         """Write back the distinct pages pages from the arena rows rows,
         which `read_spans` handed out for them and the caller changed in
         place: a page whose resident row is still its row is only marked
-        dirty, and any other row's image goes through `write_back`."""
+        dirty, and any other row's image is written at once through
+        `write_page`."""
         kept = self._slot[pages] == rows
         self._dirty[pages[kept]] = True
         for page_id, row in zip(pages[~kept].tolist(), rows[~kept].tolist()):
-            self.write_back(page_id, self.registry.arena[row])
+            self.write_page(page_id, self.registry.arena[row])
 
     def write_page(self, page_id: int, data) -> None:
         """Overwrite an existing page in place: one counted storage write. A
@@ -495,13 +444,14 @@ class StoreRegistry:
     `arena` is uint8[rows, page_size]: row r holds a page image while it is
     resident (its admission number `_admitted[r]` is then >= 0, and
     `_owner[r]` and `_page[r]` name the page) or pinned (handed out by
-    `read_spans` since the last `unpin`), and is free otherwise. A free
-    row is taken last-freed first, and an untouched one lowest first, so
-    the rows a run touches stay as few as it holds at once. `gather`
-    copies entries out of rows, `scatter` writes entries into them in
-    place, and `gather_pages` copies whole record regions. A budget of 0
-    with nothing pinned unmaps the arena; until a page is kept or read
-    through `read_spans`, none is mapped.
+    `read_spans` in the open `scope`), and is free otherwise. A free row is
+    taken last-freed first, and an untouched one lowest first, so the rows
+    a run touches stay as few as it holds at once; `rows_peak` is the most
+    rows it has touched at once, over the registry's life. `gather` copies
+    entries out of rows, `scatter` writes entries into them in place, and
+    `gather_pages` copies whole record regions. A budget of 0 with nothing
+    pinned unmaps the arena; until a page is kept or read through
+    `read_spans`, none is mapped.
 
     The engine diffs counts() snapshots at superstep boundaries to split
     page counts per class without resetting the per-store counters.
@@ -517,6 +467,9 @@ class StoreRegistry:
         self.resident_peak = 0
         self.admissions = 0
         self.evicted = {c: 0 for c in self.CLASSES}
+        self.rows_peak = 0
+        # scopes open around the reads whose rows are pinned
+        self._depth = 0
         self._stores: dict[str, list[PageStore]] = {c: [] for c in self.CLASSES}
         # reads, writes and hits of the dropped stores, per class
         self._retired = {c: (0, 0, 0) for c in self.CLASSES}
@@ -598,13 +551,24 @@ class StoreRegistry:
         """Restart resident_peak from the bytes resident now."""
         self.resident_peak = self.resident
 
-    def unpin(self) -> None:
-        """End a batch: the rows `read_spans` handed out since the last
-        unpin are no longer pinned, and those that are not resident (given
-        back meanwhile, or transient) return to the free list."""
-        rows = np.flatnonzero(self._pinned)
-        self._pinned[rows] = False
-        self._free += rows[self._admitted[rows] < 0].tolist()
+    @contextmanager
+    def scope(self):
+        """The scope of the pins of `read_spans`, which reads only inside
+        one. Scopes nest; when the outermost exits, the rows handed out in
+        it are no longer pinned, and those that are not resident (given
+        back meanwhile, or transient) return to the free list. With a
+        budget of 0 no page is resident, and the arena is unmapped then."""
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
+            if self._depth == 0:
+                rows = np.flatnonzero(self._pinned)
+                self._pinned[rows] = False
+                self._free += rows[self._admitted[rows] < 0].tolist()
+                if self.budget == 0:
+                    self._unmap()
 
     def read_spans(self, stores: list, cuts, starts: np.ndarray, ends: np.ndarray, dtype):
         """The pages covering the entry spans [starts[i], ends[i]) of the
@@ -619,8 +583,9 @@ class StoreRegistry:
         Reads each covering page once, in ascending order, through its own
         store's `_fetch`, and copies none that is resident: every page is an
         arena row, a missed one the ledger has no room for a transient row,
-        and each row stays pinned until `unpin` (see the module doc). A span
-        past the last page of its store is an address error, and a page
+        and each row stays pinned until the open `scope` exits (see the
+        module doc); with no scope open, the read is a contract violation.
+        A span past the last page of its store is an address error, and a page
         whose record count does not reach its last wanted entry is corrupt;
         each error names the store's file and the entry or page in that
         file's own numbering.
@@ -629,6 +594,8 @@ class StoreRegistry:
         record slots taken row after row, so span i is the entries at[i] to
         at[i] + ends[i] - starts[i] there, which `gather` copies out.
         """
+        if not self._depth:
+            raise ContractViolation("read_spans outside a StoreRegistry.scope(): its rows would stay pinned")
         dtype = np.dtype(dtype)
         cap = page_capacity(self.page_size, dtype.itemsize)
         bases = [0, *accumulate(store.num_pages for store in stores)]
@@ -652,18 +619,7 @@ class StoreRegistry:
         split = np.searchsorted(pages, bases).tolist()
         for j, store in enumerate(stores):
             a, b = split[j], split[j + 1]
-            if b > a:
-                hit, rows[a:b], images = store._fetch(pages[a:b] - bases[j])
-                if not images:
-                    continue
-                # the misses the ledger had no room for take transient rows
-                # (pages are distinct, so each miss has one image), so one
-                # store's images are freed before the next store's are read
-                miss = a + np.flatnonzero(hit < 0)
-                left = np.flatnonzero(rows[miss] < 0)
-                if len(left):
-                    rows[miss[left]] = self._take(len(left))
-                    self._copy_in([images[i] for i in left.tolist()], rows[miss[left]])
+            rows[a:b] = store._fetch(pages[a:b] - bases[j])
         self._pinned[rows] = True
         counts = self._counts(rows)
         # the last span starting below a page's end wants the most of it
@@ -717,6 +673,7 @@ class StoreRegistry:
                 self._page = np.append(self._page, np.zeros(more, np.int64))
                 self._pinned = np.append(self._pinned, np.zeros(more, bool))
             rows += range(first, self._used)
+            self.rows_peak = max(self.rows_peak, self._used)
         return np.array(rows, np.int64)
 
     def _grow(self, need: int) -> None:
@@ -749,7 +706,7 @@ class StoreRegistry:
 
     def _release(self, rows: np.ndarray) -> None:
         """The pages in the arena rows rows are no longer resident: the rows
-        not pinned are free at once, the others at `unpin`."""
+        not pinned are free at once, the others when the scope exits."""
         self._admitted[rows] = -1
         for row in rows.tolist():
             self._owner[row] = None

@@ -29,10 +29,6 @@ class ShardSet:
     def num_shards(self) -> int:
         return len(self.page_counts)
 
-    @property
-    def total_pages(self) -> int:
-        return sum(self.page_counts)
-
 
 def balanced_dest_bounds(in_degrees: np.ndarray, num_shards: int) -> list[int]:
     """Destination ranges holding roughly equal in-edge counts."""

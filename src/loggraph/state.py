@@ -37,7 +37,8 @@ class StateSlice:
 
     pages[j] is the id of checked-out page j of the store, and
     arena_rows[j] the registry's arena row holding it, pinned until the
-    batch ends; row i's entries are at the positions
+    registry's scope exits (`StoreRegistry.scope`, which the engine opens
+    around a batch); row i's entries are at the positions
     index[offsets[i]:offsets[i + 1]] of the pages' record slots taken row
     after row (see `StoreRegistry.gather`). Commit compares the entries
     with their copy as checked out, writes the changed ones back into

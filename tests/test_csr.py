@@ -26,6 +26,7 @@ from util import (
     ring_graph,
     rows_of,
     star_graph,
+    stored_rows,
 )
 
 
@@ -105,8 +106,7 @@ def test_build_single_edge(tmp_path):
 def test_build_ring_adjacency_sorted_by_destination(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
-    adj, _ = csr.load_adjacency(g, np.array([2]))
-    assert rows_of(adj) == {2: [1, 3]}
+    assert stored_rows(g, np.array([2])) == {2: [1, 3]}
 
 
 def test_build_duplicate_edges_preserved(tmp_path):
@@ -134,7 +134,8 @@ def test_load_all_active_reads_every_page_once(tmp_path):
     g = build_graph(tmp_path, src, dst, 50, page_size=256)
     total_pages = sum(p.rowptr.num_pages + p.colidx.num_pages for p in g.partitions)
     before = g.registry.totals()["csr"][0]
-    csr.load_adjacency(g, np.arange(50))[0].take()
+    with g.registry.scope():
+        csr.load_adjacency(g, np.arange(50))[0].take()
     assert g.registry.totals()["csr"][0] - before == total_pages
 
 
@@ -142,8 +143,9 @@ def test_load_single_vertex_page_span(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     before = g.registry.totals()["csr"][0]
-    views, stats = csr.load_adjacency(g, np.array([2]))
-    views.take()
+    with g.registry.scope():
+        views, stats = csr.load_adjacency(g, np.array([2]))
+        views.take()
     # adjacency fits one colidx page; rowptr entries 2,3 share one page
     assert g.registry.totals()["csr"][0] - before == 2
     assert sum(stats.values()) == 2 * g.meta.colidx_width  # two useful neighbor entries
@@ -162,7 +164,8 @@ def test_page_monotonicity_and_minimality(tmp_path):
 
     def pages_for(active):
         before = g.registry.totals()["csr"][0]
-        csr.load_adjacency(g, np.asarray(active, np.int64))[0].take()
+        with g.registry.scope():
+            csr.load_adjacency(g, np.asarray(active, np.int64))[0].take()
         return g.registry.totals()["csr"][0] - before
 
     rng = np.random.default_rng(0)
@@ -246,12 +249,13 @@ def test_load_matches_a_per_vertex_reference(tmp_path, monkeypatch, case):
         assert max(map(len, rows_on.values())) > 1  # active rows share a page
     before = g.registry.totals()["csr"][0]
     reads = spy_colidx_reads(monkeypatch, g)
-    views, stats = csr.load_adjacency(g, active)
-    views.take()
-    assert g.registry.totals()["csr"][0] - before == len(rp_pages) + len(useful)
-    assert stats == useful
-    assert reads == list(stats) == sorted(useful)
-    assert rows_of(views) == {v: adj[v] for v in active.tolist()}
+    with g.registry.scope():
+        views, stats = csr.load_adjacency(g, active)
+        views.take()
+        assert g.registry.totals()["csr"][0] - before == len(rp_pages) + len(useful)
+        assert stats == useful
+        assert reads == list(stats) == sorted(useful)
+        assert rows_of(views) == {v: adj[v] for v in active.tolist()}
 
 
 def test_converted_graph_holds_one_store_per_file(tmp_path):
@@ -282,8 +286,7 @@ def test_merge_delete_edge(tmp_path):
     k = g.meta.interval_of(2)
     warn = csr.merge_structural_updates(g, k, op_rows(("del_edge", 2, 3)))
     assert warn == 0
-    adj, _ = csr.load_adjacency(g, np.array([2]))
-    assert rows_of(adj) == {2: [1]}
+    assert stored_rows(g, np.array([2])) == {2: [1]}
 
 
 def test_merge_empty_batch_identity(tmp_path):
@@ -514,7 +517,7 @@ def truncated_graph(tmp_path, n, vector):
 def test_load_adjacency_rejects_entries_past_a_page_count(tmp_path, vector, vertex):
     # rowPtr entries 7-8 and colIdx entries 10-19 lie past the 5 left on page 0
     g = truncated_graph(tmp_path, 10, vector)
-    with pytest.raises(CorruptPageError):
+    with g.registry.scope(), pytest.raises(CorruptPageError):
         csr.load_adjacency(g, np.array([vertex]))[0].take()
 
 
@@ -529,8 +532,8 @@ def test_load_adjacency_rejects_a_short_page_inside_a_row(tmp_path, count):
     page = bytearray(store.read_page(1))
     PAGE_COUNT.pack_into(page, 0, count)
     store.write_page(1, bytes(page))
-    assert rows_of(csr.load_adjacency(g, np.array([5]))[0]) == {5: [0]}  # page 3 is whole
-    with pytest.raises(CorruptPageError, match=f"page 1 holds {count} entries, entry 59 wanted"):
+    assert stored_rows(g, np.array([5])) == {5: [0]}  # page 3 is whole
+    with g.registry.scope(), pytest.raises(CorruptPageError, match=f"page 1 holds {count} entries, entry 59 wanted"):
         csr.load_adjacency(g, np.array([0]))[0].take()
 
 
@@ -546,12 +549,13 @@ def test_a_pick_past_a_page_count_is_corrupt(tmp_path, read_first):
     page = bytearray(store.read_page(1))
     PAGE_COUNT.pack_into(page, 0, 30)
     store.write_page(1, bytes(page))
-    adj, _ = csr.load_adjacency(g, np.array([0]))
-    assert adj.take(np.array([5, 130])).tolist() == [6, 131]  # pages 0 and 2 are whole
-    if read_first:
-        assert adj.take(np.array([89, 61])).tolist() == [90, 62]  # within page 1's count
-    with pytest.raises(CorruptPageError, match="page 1 holds 30 entries, entry 40 wanted"):
-        adj.take(np.array([100]))
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, np.array([0]))
+        assert adj.take(np.array([5, 130])).tolist() == [6, 131]  # pages 0 and 2 are whole
+        if read_first:
+            assert adj.take(np.array([89, 61])).tolist() == [90, 62]  # within page 1's count
+        with pytest.raises(CorruptPageError, match="page 1 holds 30 entries, entry 40 wanted"):
+            adj.take(np.array([100]))
 
 
 def spy_span_reads(monkeypatch):
@@ -584,8 +588,9 @@ def test_a_batch_makes_the_same_reads_whatever_the_interval_count(tmp_path, monk
         g = build_graph(tmp_path, src, dst, n, page_size=256, sort_budget=sort_budget, name=name)
         assert g.meta.num_intervals == 1 if name == "one" else g.meta.num_intervals >= 8
         calls = spy_span_reads(monkeypatch)
-        adj, _ = csr.load_adjacency(g, ids)
-        answers.append((adj.take(picks).tolist(), adj.take().tolist()))
+        with g.registry.scope():
+            adj, _ = csr.load_adjacency(g, ids)
+            answers.append((adj.take(picks).tolist(), adj.take().tolist()))
         reads.append(calls[0])
         g.close()
     assert answers[0] == answers[1] == ([flat[p] for p in picks.tolist()], flat)
@@ -613,12 +618,13 @@ def test_a_run_of_entries_never_crosses_from_one_file_into_the_next(tmp_path, mo
     # take that read another interval's page
     g, lists = bounded_graph(tmp_path)
     reads = spy_colidx_reads(monkeypatch, g)
-    adj, _ = csr.load_adjacency(g, np.array([19, 20, 40]))
-    if first is not None:
-        assert adj.take(np.array([6])).tolist() == lists[40][:1]
-    assert adj.take(np.array([2, 3])).tolist() == [lists[19][-1], lists[20][0]]
-    assert adj.take().tolist() == lists[19] + lists[20] + lists[40]
-    assert sorted(reads) == [(0, 0), (1, 0), (2, 0)]
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, np.array([19, 20, 40]))
+        if first is not None:
+            assert adj.take(np.array([6])).tolist() == lists[40][:1]
+        assert adj.take(np.array([2, 3])).tolist() == [lists[19][-1], lists[20][0]]
+        assert adj.take().tolist() == lists[19] + lists[20] + lists[40]
+        assert sorted(reads) == [(0, 0), (1, 0), (2, 0)]
 
 
 def damage_count(store, count=5):
@@ -643,8 +649,8 @@ def damage_count(store, count=5):
 def test_a_damaged_page_past_interval_0_names_its_own_file(tmp_path, damage, want, error, match):
     g, lists = bounded_graph(tmp_path)
     damage(g)
-    assert rows_of(csr.load_adjacency(g, np.array([0, 20, 40]))[0]) == {v: lists[v] for v in (0, 20, 40)}
-    with pytest.raises(error, match=match):
+    assert stored_rows(g, np.array([0, 20, 40])) == {v: lists[v] for v in (0, 20, 40)}
+    with g.registry.scope(), pytest.raises(error, match=match):
         csr.load_adjacency(g, np.array([5, want]))[0].take()
 
 
@@ -653,10 +659,11 @@ def test_a_kept_page_past_interval_0_is_checked_against_its_own_count(tmp_path):
     # which wanted only entries within its count
     g, lists = bounded_graph(tmp_path)
     damage_count(g.partitions[2].colidx)
-    adj, _ = csr.load_adjacency(g, np.array([5, 40, 43]))
-    assert adj.take(np.array([4])).tolist() == lists[40][1:2]
-    with pytest.raises(CorruptPageError, match=r"part2\.colidx: page 0 holds 5 entries, entry 10 wanted"):
-        adj.take(np.array([0, 7]))
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, np.array([5, 40, 43]))
+        assert adj.take(np.array([4])).tolist() == lists[40][1:2]
+        with pytest.raises(CorruptPageError, match=r"part2\.colidx: page 0 holds 5 entries, entry 10 wanted"):
+            adj.take(np.array([0, 7]))
 
 
 @pytest.mark.parametrize("order", ["picks-first", "all-first"])
@@ -673,26 +680,27 @@ def test_take_over_edge_log_overlaid_and_stored_rows_matches_the_flat_csr(tmp_pa
     lists = adjacency_lists(src, dst, n)
     rng = np.random.default_rng(5)
     stored = np.unique(rng.integers(0, n, 80))
-    adj, _ = csr.load_adjacency(g, stored)
-    overlaid = {int(v): sorted(rng.integers(0, n, int(rng.integers(0, 12))).tolist()) for v in stored[::5]}
-    adj.put(adjacency(list(overlaid), list(overlaid.values())))
-    el = EdgeLog(g.registry, str(tmp_path / "el"), 1 << 16)
-    el.begin_superstep(0)
-    logged = np.setdiff1d(np.arange(n), stored)[::11]
-    for v in logged.tolist():
-        assert el.maybe_log(csr.AdjacencyView(v, np.array(lists[v], csr.VID_DT)))
-    el.begin_superstep(1)
-    adj.put(el.fetch_batch(logged))
-    el.close()
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, stored)
+        overlaid = {int(v): sorted(rng.integers(0, n, int(rng.integers(0, 12))).tolist()) for v in stored[::5]}
+        adj.put(adjacency(list(overlaid), list(overlaid.values())))
+        el = EdgeLog(g.registry, str(tmp_path / "el"), 1 << 16)
+        el.begin_superstep(0)
+        logged = np.setdiff1d(np.arange(n), stored)[::11]
+        for v in logged.tolist():
+            assert el.maybe_log(csr.AdjacencyView(v, np.array(lists[v], csr.VID_DT)))
+        el.begin_superstep(1)
+        adj.put(el.fetch_batch(logged))
+        el.close()
 
-    rows = {**{v: lists[v] for v in stored.tolist()}, **overlaid, **{v: lists[v] for v in logged.tolist()}}
-    assert adj.ids.tolist() == sorted(rows)
-    flat = np.array([w for v in sorted(rows) for w in rows[v]], np.int64)
-    assert adj.offsets[-1] == len(flat)
-    at = rng.integers(0, len(flat), 400)
-    takes = [lambda: adj.take(at).tolist() == flat[at].tolist(), lambda: adj.take().tolist() == flat.tolist()]
-    for take in takes if order == "picks-first" else takes[::-1]:
-        assert take()
+        rows = {**{v: lists[v] for v in stored.tolist()}, **overlaid, **{v: lists[v] for v in logged.tolist()}}
+        assert adj.ids.tolist() == sorted(rows)
+        flat = np.array([w for v in sorted(rows) for w in rows[v]], np.int64)
+        assert adj.offsets[-1] == len(flat)
+        at = rng.integers(0, len(flat), 400)
+        takes = [lambda: adj.take(at).tolist() == flat[at].tolist(), lambda: adj.take().tolist() == flat.tolist()]
+        for take in takes if order == "picks-first" else takes[::-1]:
+            assert take()
 
 
 def test_take_of_every_row_skips_rows_overlaid_empty(tmp_path):
@@ -704,10 +712,11 @@ def test_take_of_every_row_skips_rows_overlaid_empty(tmp_path):
     assert g.meta.num_intervals > 1
     lists = adjacency_lists(src, dst, n)
     stored = np.arange(0, n, 3)
-    adj, _ = csr.load_adjacency(g, stored)
-    emptied = stored[::4]
-    adj.put(adjacency(emptied, [[] for _ in emptied]))
-    assert adj.take().tolist() == [w for v in stored.tolist() if v % 12 for w in lists[v]]
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, stored)
+        emptied = stored[::4]
+        adj.put(adjacency(emptied, [[] for _ in emptied]))
+        assert adj.take().tolist() == [w for v in stored.tolist() if v % 12 for w in lists[v]]
 
 
 def test_a_take_answers_with_its_own_entries(tmp_path):
@@ -716,12 +725,13 @@ def test_a_take_answers_with_its_own_entries(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256, sort_budget=20 * len(src))
     assert g.meta.num_intervals == 1
-    adj, _ = csr.load_adjacency(g, np.arange(6))
-    nbrs = adj.take()
-    want = [w for r in adjacency_lists(src, dst, 6) for w in r]
-    assert nbrs.tolist() == want
-    nbrs += 1
-    assert adj.take(np.arange(len(want))).tolist() == adj.take().tolist() == want
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, np.arange(6))
+        nbrs = adj.take()
+        want = [w for r in adjacency_lists(src, dst, 6) for w in r]
+        assert nbrs.tolist() == want
+        nbrs += 1
+        assert adj.take(np.arange(len(want))).tolist() == adj.take().tolist() == want
 
 
 def test_a_take_keeps_its_pinned_rows_when_a_hold_gives_their_pages_back(tmp_path, monkeypatch):
@@ -735,32 +745,53 @@ def test_a_take_keeps_its_pinned_rows_when_a_hold_gives_their_pages_back(tmp_pat
     reg.set_budget(16 * 256)
     reads = spy_colidx_reads(monkeypatch, g)
     active = np.arange(0, 300, 3)
-    adj, _ = csr.load_adjacency(g, active)
-    half = np.arange(len(active) // 2)
-    at = pager.ranges(adj.offsets[half], adj.degrees[half])
-    first = adj.take(at)
-    assert first.tolist() == [w for v in active[half] for w in want[v]]
-    taken = set(reads)
-    assert reg.resident > 0 and reg.resident <= reg.budget - reg.held
-    reg.hold("sort", 16 * 256)  # the ledger has no room left: every page goes back
-    assert reg.resident == 0 and sum(reg.evicted.values()) > 0
-    pinned = set(np.flatnonzero(reg._pinned & (reg._admitted < 0)).tolist())
-    assert pinned and not pinned & set(reg._free)
-    n = len(reads)
-    assert adj.take(at).tolist() == first.tolist() and len(reads) == n
-    assert adj.take().tolist() == [w for v in active for w in want[v]]
-    assert not set(reads[n:]) & taken  # only the other rows' pages are read
-    assert reg.resident <= reg.budget - reg.held
-    reg.unpin()  # the batch ends: the rows its pages were given back from are free
+    with reg.scope():
+        adj, _ = csr.load_adjacency(g, active)
+        half = np.arange(len(active) // 2)
+        at = pager.ranges(adj.offsets[half], adj.degrees[half])
+        first = adj.take(at)
+        assert first.tolist() == [w for v in active[half] for w in want[v]]
+        taken = set(reads)
+        assert reg.resident > 0 and reg.resident <= reg.budget - reg.held
+        reg.hold("sort", 16 * 256)  # the ledger has no room left: every page goes back
+        assert reg.resident == 0 and sum(reg.evicted.values()) > 0
+        pinned = set(np.flatnonzero(reg._pinned & (reg._admitted < 0)).tolist())
+        assert pinned and not pinned & set(reg._free)
+        n = len(reads)
+        assert adj.take(at).tolist() == first.tolist() and len(reads) == n
+        assert adj.take().tolist() == [w for v in active for w in want[v]]
+        assert not set(reads[n:]) & taken  # only the other rows' pages are read
+        assert reg.resident <= reg.budget - reg.held
+    # the batch's scope exits: the rows its pages were given back from are free
     assert pinned <= set(reg._free) and not reg._pinned.any()
     reg.hold("sort", 0)
     used = reg._used
-    again, _ = csr.load_adjacency(g, active)
-    assert again.take().tolist() == [w for v in active for w in want[v]]
+    with reg.scope():
+        again, _ = csr.load_adjacency(g, active)
+        assert again.take().tolist() == [w for v in active for w in want[v]]
     assert reg._used == used and reg.resident <= reg.budget - reg.held  # freed rows serve again
-    reg.unpin()
     reg.set_budget(0)
 
+
+
+def test_adjacency_reads_in_scopes_of_their_own_at_a_budget_of_0_leave_no_row_pinned(tmp_path):
+    # thirty reads outside any batch, as a tool makes them: each scope's
+    # exit frees its rows and, with no budget, unmaps the arena, so no read
+    # holds on to the rows of the reads before it
+    src, dst = random_graph(300, 8, seed=3)
+    want = adjacency_lists(src, dst, 300)
+    g = build_graph(tmp_path, src, dst, 300, page_size=256)
+    reg = g.registry
+    rng = np.random.default_rng(3)
+    held = []
+    for _ in range(30):
+        active = np.unique(rng.integers(0, 300, 40))
+        with reg.scope():
+            adj, _ = csr.load_adjacency(g, active)
+            assert adj.take().tolist() == [w for v in active.tolist() for w in want[v]]
+            held.append(reg._used)
+        assert not reg._pinned.any() and reg._mm is None and reg.arena.shape == (0, 256)
+    assert reg.rows_peak == max(held)  # no read holds more rows than it read itself
 
 def set_rowptr_entry(g, entry, value, k=0):
     """Overwrite rowPtr entry `entry` of interval k with `value`."""
@@ -779,7 +810,7 @@ def test_load_adjacency_rejects_a_row_past_the_colidx_store(tmp_path):
     pages = g.partitions[0].colidx.num_pages
     assert pages == -(-100 // colidx_capacity(g)) and 1000 > pages * colidx_capacity(g)
     set_rowptr_entry(g, 10, 1000)
-    with pytest.raises(AddressError, match=f"entry 999 wanted from a store of {pages} pages"):
+    with g.registry.scope(), pytest.raises(AddressError, match=f"entry 999 wanted from a store of {pages} pages"):
         csr.load_adjacency(g, np.array([8, 9]))
 
 
@@ -793,11 +824,12 @@ def test_load_adjacency_rejects_an_id_outside_the_graph(tmp_path, active):
 def test_take_rejects_a_position_outside_the_batch(tmp_path):
     # rows 1 and 4 of a 6-ring: [0, 2] and [3, 5], flat positions [0, 4)
     g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
-    adj, _ = csr.load_adjacency(g, np.array([1, 4]))
-    assert adj.take(np.array([0, 3])).tolist() == [0, 5]
-    for at in ([4], [-1], [0, 4]):
-        with pytest.raises(ContractViolation, match=r"outside the batch's \[0, 4\)"):
-            adj.take(np.array(at))
+    with g.registry.scope():
+        adj, _ = csr.load_adjacency(g, np.array([1, 4]))
+        assert adj.take(np.array([0, 3])).tolist() == [0, 5]
+        for at in ([4], [-1], [0, 4]):
+            with pytest.raises(ContractViolation, match=r"outside the batch's \[0, 4\)"):
+                adj.take(np.array(at))
 
 
 def test_a_registry_of_another_page_size_cannot_open_the_graph(tmp_path):
@@ -812,7 +844,7 @@ def test_load_adjacency_rejects_a_row_ending_before_its_start(tmp_path, active):
     # rowPtr entry 3 is 55 and entry 4 is 40, so row 3 would end before it starts
     g = truncated_graph(tmp_path, 10, None)
     set_rowptr_entry(g, 3, 55)
-    with pytest.raises(CorruptPageError, match="vertex 3 ends at 40"):
+    with g.registry.scope(), pytest.raises(CorruptPageError, match="vertex 3 ends at 40"):
         csr.load_adjacency(g, np.array(active))
 
 
@@ -824,7 +856,7 @@ def test_load_adjacency_rejects_rows_that_overlap(tmp_path, active, named):
     # rowPtr entry 3 is 55: row 2 is entries [20, 55), past the starts of rows 4 and 5
     g = truncated_graph(tmp_path, 10, None)
     set_rowptr_entry(g, 3, 55)
-    with pytest.raises(CorruptPageError, match=named):
+    with g.registry.scope(), pytest.raises(CorruptPageError, match=named):
         csr.load_adjacency(g, np.array(active))
 
 

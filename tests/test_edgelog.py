@@ -59,24 +59,26 @@ def test_efficient_page_not_logged():
 
 
 def test_logged_entry_roundtrip(tmp_path):
-    el, _ = make_log(tmp_path)
+    el, reg = make_log(tmp_path)
     nbrs = [5, 9, 11, 40]
     assert el.maybe_log(view(7, nbrs)) is True
     el.begin_superstep(1)  # rotate: entry becomes readable
     assert el.indexed(7)
-    got = el.fetch_batch([7])
-    assert rows_of(got) == {7: nbrs}
+    with reg.scope():
+        got = el.fetch_batch([7])
+        assert rows_of(got) == {7: nbrs}
     assert got.pages.tolist() == [[0, 0, 0]]  # no colIdx page: never a candidate again
 
 
 def test_edge_log_rows_are_never_candidates(tmp_path):
-    el, _ = make_log(tmp_path)
+    el, reg = make_log(tmp_path)
     el.maybe_log(view(2, [5, 6]))
     el.begin_superstep(1)
     csr_rows = adjacency([1, 3], [[4], [7]])
     csr_rows.pages = np.array([[0, 0, 1], [0, 0, 1]])
     adj = csr_rows
-    adj.put(el.fetch_batch([2]))
+    with reg.scope():
+        adj.put(el.fetch_batch([2]))
     got = log_candidates(adj.pages, np.ones(3, bool), np.zeros(3, bool), np.array([4]), np.array([0, 1]), 256)
     assert adj.ids.tolist() == [1, 2, 3] and got.tolist() == [True, False, True]
 
@@ -86,7 +88,8 @@ def test_entries_span_pages(tmp_path):
     big = list(range(100, 160))  # 8 + 240 bytes, spans 3 pages
     assert el.maybe_log(view(3, big))
     el.begin_superstep(1)
-    assert rows_of(el.fetch_batch([3])) == {3: big}
+    with reg.scope():
+        assert rows_of(el.fetch_batch([3])) == {3: big}
 
 
 def test_budget_exhaustion_stops_logging(tmp_path):
@@ -103,29 +106,29 @@ def test_dirty_vertex_not_logged_and_not_served():
 
 
 def test_index_mismatch_is_corruption(tmp_path):
-    el, _ = make_log(tmp_path)
+    el, reg = make_log(tmp_path)
     el.maybe_log(view(1, [2, 3]))
     el.begin_superstep(1)
     ids = el._consumable[0]
     ids[ids == 1] = 99  # tamper: 99 indexes vertex 1's entry
-    with pytest.raises(CorruptPageError):
+    with reg.scope(), pytest.raises(CorruptPageError):
         el.fetch_batch([99])
 
 
 def test_degree_field_disagreeing_with_index_is_corruption(tmp_path):
-    el, _ = make_log(tmp_path)
+    el, reg = make_log(tmp_path)
     el.maybe_log(view(7, [5, 9, 11]))
     el.begin_superstep(1)
     store = el._consumable[2]
     page = bytearray(store.read_page(0))
     page[PAGE_HEADER + 4 : PAGE_HEADER + 8] = np.uint32(7).tobytes()  # degree 3 -> 7
     store.write_page(0, bytes(page))
-    with pytest.raises(CorruptPageError):
+    with reg.scope(), pytest.raises(CorruptPageError):
         el.fetch_batch([7])
 
 
 def test_a_page_whose_count_misses_an_entry_is_corruption(tmp_path):
-    el, _ = make_log(tmp_path)
+    el, reg = make_log(tmp_path)
     el.maybe_log(view(1, [2, 3]))  # records 0-3
     el.maybe_log(view(7, [5, 9, 11]))  # records 4-8
     el.begin_superstep(1)
@@ -133,9 +136,10 @@ def test_a_page_whose_count_misses_an_entry_is_corruption(tmp_path):
     page = bytearray(store.read_page(0))
     PAGE_COUNT.pack_into(page, 0, 6)  # 9 -> 6: cuts vertex 7's entry
     store.write_page(0, bytes(page))
-    assert rows_of(el.fetch_batch([1])) == {1: [2, 3]}
-    with pytest.raises(CorruptPageError, match="page 0 holds 6 entries, entry 8 wanted"):
-        el.fetch_batch([1, 7])
+    with reg.scope():
+        assert rows_of(el.fetch_batch([1])) == {1: [2, 3]}
+        with pytest.raises(CorruptPageError, match="page 0 holds 6 entries, entry 8 wanted"):
+            el.fetch_batch([1, 7])
 
 
 def test_fetch_of_an_unindexed_vertex_is_a_contract_violation(tmp_path):
@@ -306,25 +310,26 @@ def test_savings_shared_page_reduces_csr_reads(tmp_path):
     el = EdgeLog(g.registry, str(tmp_path / "el"), 1 << 16)
     el.begin_superstep(0)
     active = np.arange(0, 8)
-    adj, stats = csr.load_adjacency(g, active)
-    base = np.cumsum([0] + [part.colidx.num_pages for part in g.partitions])
-    usage = np.zeros(base[-1], np.int64)
-    for (k, p), useful in stats.items():
-        usage[base[k] + p] = useful
-    assert np.count_nonzero(inefficient(usage, 256)) >= 2
-    rows = log_candidates(adj.pages, np.ones(len(adj), bool), np.zeros(len(adj), bool), usage, base, 256)
-    logged = [int(adj.ids[i]) for i in np.flatnonzero(rows) if el.maybe_log(adj.view(i))]
-    assert len(logged) >= 2
-    el.begin_superstep(1)
+    with g.registry.scope():
+        adj, stats = csr.load_adjacency(g, active)
+        base = np.cumsum([0] + [part.colidx.num_pages for part in g.partitions])
+        usage = np.zeros(base[-1], np.int64)
+        for (k, p), useful in stats.items():
+            usage[base[k] + p] = useful
+        assert np.count_nonzero(inefficient(usage, 256)) >= 2
+        rows = log_candidates(adj.pages, np.ones(len(adj), bool), np.zeros(len(adj), bool), usage, base, 256)
+        logged = [int(adj.ids[i]) for i in np.flatnonzero(rows) if el.maybe_log(adj.view(i))]
+        assert len(logged) >= 2
+        el.begin_superstep(1)
 
-    csr_before = g.registry.totals()["csr"][0]
-    got = el.fetch_batch(logged)
-    el_reads = g.registry.totals()["edgelog"][0]
-    assert rows_of(got) == {v: rows_of(adj)[v] for v in logged}
-    # k entries share one edge-log page; CSR would have needed k colidx pages
-    assert g.registry.totals()["csr"][0] == csr_before
-    assert el_reads <= 1 + (len(logged) * 16 + 8 * len(logged) * 4) // 240
-    assert len(logged) - 1 >= el_reads  # saving >= k-1 versus k sparse pages
+        csr_before = g.registry.totals()["csr"][0]
+        got = el.fetch_batch(logged)
+        el_reads = g.registry.totals()["edgelog"][0]
+        assert rows_of(got) == {v: rows_of(adj)[v] for v in logged}
+        # k entries share one edge-log page; CSR would have needed k colidx pages
+        assert g.registry.totals()["csr"][0] == csr_before
+        assert el_reads <= 1 + (len(logged) * 16 + 8 * len(logged) * 4) // 240
+        assert len(logged) - 1 >= el_reads  # saving >= k-1 versus k sparse pages
 
 
 def test_a_walk_batch_reads_only_the_pages_of_its_picks_each_once(tmp_path, monkeypatch):

@@ -31,8 +31,8 @@ from util import (
     ledger_off,
     random_graph,
     ring_graph,
-    rows_of,
     spy_ledger,
+    stored_rows,
 )
 
 CFG = dict(memory_budget=1 << 20, page_size=256)
@@ -231,12 +231,12 @@ def test_an_overflowing_structural_share_merges_at_superstep_end(tmp_path, tight
 
     def snap(engine, st):
         # load_adjacency reads the CSR files, with no overlay
-        on_disk[st.superstep] = rows_of(csr.load_adjacency(engine.graph, np.array([0]))[0])[0]
+        on_disk[st.superstep] = stored_rows(engine.graph, np.array([0]))[0]
 
     Engine(g, Adder(), config, str(tmp_path / "run")).run(on_superstep=snap)
     merged = [1] + [4] * copies + [5] * copies + [6] * copies + [7]
     assert on_disk[0] == (merged if tight else [1, 7])
-    assert rows_of(csr.load_adjacency(g, np.array([0]))[0]) == {0: merged}  # the run's end merges the rest
+    assert stored_rows(g, np.array([0])) == {0: merged}  # the run's end merges the rest
 
 
 def test_the_interval_with_the_most_pending_bytes_merges_first(tmp_path):
@@ -625,7 +625,8 @@ def test_storage_isolation_colidx_reads_equal_active_span_pages(tmp_path):
     active = [3, 40, 77, 111]
     want = expected_pages(active)
     before = g.registry.totals()["csr"][0]
-    csr.load_adjacency(g, np.array(active, np.int64))[0].take()
+    with g.registry.scope():
+        csr.load_adjacency(g, np.array(active, np.int64))[0].take()
     assert g.registry.totals()["csr"][0] - before == want
 
 
@@ -704,8 +705,7 @@ def test_structural_many_equals_one_call_per_op(tmp_path, one_call):
     res = run_app(g, Scripted(edit), cfg(), str(tmp_path / "run"))
     assert res.structural_warnings == 2
     assert np.flatnonzero(res.deleted).tolist() == [0, 3]
-    adj, _ = csr.load_adjacency(g, np.arange(6))
-    assert list(rows_of(adj).values()) == [[], [0, 2], [1, 3, 4], [], [5], [0, 4]]
+    assert list(stored_rows(g, np.arange(6)).values()) == [[], [0, 2], [1, 3, 4], [], [5], [0, 4]]
 
 
 @pytest.mark.parametrize("src", [-1, 6])
@@ -789,8 +789,7 @@ def test_deleting_an_absent_edge_is_a_warning(tmp_path, dst):
     stray = Scripted(lambda ctx, batch: ctx.structural_many([(csr.DEL_EDGE, 0, dst)]))
     res = run_app(g, stray, cfg(), str(tmp_path / "run"))
     assert res.structural_warnings == 1
-    adj, _ = csr.load_adjacency(g, np.arange(6))
-    assert list(rows_of(adj).values()) == [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
+    assert list(stored_rows(g, np.arange(6)).values()) == [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
 
 
 def test_a_config_asking_for_threads_is_rejected():

@@ -18,7 +18,7 @@ from loggraph.multilog import MultiLog, RecordFormat, read_log_records
 from loggraph.pager import PAGE_COUNT, PageStore, StoreRegistry
 from loggraph.state import VertexStateStore
 
-from util import build_graph, op_rows, ring_graph, rows_of, spill_tails
+from util import build_graph, op_rows, ring_graph, spill_tails, stored_rows
 
 FMT16 = RecordFormat([("val", "<u8")])
 STATE_DT = np.dtype([("a", "<u4"), ("b", "<f8")])
@@ -186,9 +186,10 @@ def test_a_state_file_holding_more_than_its_interval_fails_a_whole_read(tmp_path
 def test_a_short_state_page_fails_a_checkout_past_its_count(tmp_path):
     st = state_store(tmp_path)
     set_count(st.store, 1, 4)
-    assert st.checkout(np.array([12, 30])).rows["a"].tolist() == [12, 30]  # slot 3 is still counted
-    with pytest.raises(CorruptPageError):
-        st.checkout(np.array([2, 13]))
+    with st.store.registry.scope():
+        assert st.checkout(np.array([12, 30])).rows["a"].tolist() == [12, 30]  # slot 3 is still counted
+        with pytest.raises(CorruptPageError):
+            st.checkout(np.array([2, 13]))
 
 
 def test_a_short_aux_page_fails_a_checkout_of_a_table_on_it(tmp_path):
@@ -198,9 +199,10 @@ def test_a_short_aux_page_fails_a_checkout_of_a_table_on_it(tmp_path):
     aux_dt = np.dtype([("src", "<u4"), ("val", "<u4")])
     st = VertexStateStore.create(StoreRegistry(128), str(tmp_path / "st"), init, aux_dt, np.full(50, 3))
     set_count(st.aux_store, 1, 4)
-    assert len(st.checkout_aux(np.array([5, 30])).entries) == 6
-    with pytest.raises(CorruptPageError, match="page 1 holds 4 entries, entry 6 wanted"):
-        st.checkout_aux(np.array([6]))
+    with st.aux_store.registry.scope():
+        assert len(st.checkout_aux(np.array([5, 30])).entries) == 6
+        with pytest.raises(CorruptPageError, match="page 1 holds 4 entries, entry 6 wanted"):
+            st.checkout_aux(np.array([6]))
 
 
 @pytest.mark.parametrize("change", [-4, 4, 2], ids=["one-entry-short", "one-entry-long", "half-entry-long"])
@@ -237,12 +239,12 @@ def test_rows_fetched_after_a_merge_are_the_merged_ones(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     g.registry.budget = 1 << 20
-    assert rows_of(csr.load_adjacency(g, np.arange(6))[0])[0] == [1, 5]
+    assert stored_rows(g, np.arange(6))[0] == [1, 5]
     old = (g.partitions[0].rowptr, g.partitions[0].colidx)
     assert min(store.resident_bytes for store in old) > 0
     csr.merge_structural_updates(g, 0, op_rows(("del_edge", 0, 1), ("add_edge", 0, 3)))
     assert [store.resident_bytes for store in old] == [0, 0]
-    assert rows_of(csr.load_adjacency(g, np.arange(6))[0])[0] == [3, 5]
+    assert stored_rows(g, np.arange(6))[0] == [3, 5]
     assert g.registry.resident == sum(store.resident_bytes for store in g.registry._stores["csr"])
 
 

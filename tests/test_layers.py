@@ -105,7 +105,7 @@ RULES = [
          "only the pager knows a page's header and record count: build and parse pages through its layout helpers",
          "off = pager.PAGE_HEADER + 4\nn = PAGE_COUNT.unpack_from(page)[0]", "pages = pack_pages(raw, 4, page_size)", PAGER),
     Rule("one colIdx codec", (PKG,), (CSR, "src/loggraph/edgelog.py"), colidx_coded,
-         # edgelog.py writes its own uint32 entries until the edge log is deleted (ROADMAP item 3)
+         # edgelog.py writes its own uint32 entries until the edge log is deleted (ROADMAP, "Delete the edge log")
          "a module that names colIdx and uses VID_DT or VID_WIDTH codes entries itself: go through csr.py",
          "ci = part.colIdx.read_vector(n, VID_DT)", "ci = adj.take(wanted)  # colidx entries, widened by csr.py", CSR),
     Rule("records name their id dtype", (PKG,), (), record_format_without(1, "id_dtype"),
@@ -125,7 +125,8 @@ RULES = [
          "adj, _ = load_adjacency(graph, ids)\nrows = batch.adj.views(ids)\nrp, ci = part.full_csr()\nrp = part.full_rowptr()\nsrc, dst = graph.all_edges()",
          "nbrs = batch.adj.take(ranges(starts, lens))", CSR),
     Rule("one page-write path", (PKG,), (PAGER,), r"\.write_page\(",
-         "only the pager overwrites pages: use PageStore.write_back", "store.write_page(3, image)", "store.write_back(3, image)", PAGER),
+         "only the pager overwrites pages: change the rows read_spans handed out and use PageStore.write_back_rows",
+         "store.write_page(3, image)", "store.write_back_rows(pages, rows)", PAGER),
     Rule("one page-append path", (PKG,), (PAGER,), r"\.append_page\(",
          "only the pager appends raw pages, each counted by the tracer: use PageStore.append or append_records",
          "store.append_page(image)", "store.append_records(raw, width)", PAGER),

@@ -32,6 +32,7 @@ from util import (
     spy_given_back,
     spy_ledger,
     spy_pressure,
+    stored_rows,
 )
 
 N = 400
@@ -323,7 +324,7 @@ def test_a_deletion_only_cancels_copies_that_precede_it_at_every_budget(tmp_path
             on_superstep=lambda eng, st: pending.append(int(eng._pending_bytes.sum()))
         )
         assert (pending[0] == 0) == (budget == "tight")
-        seen.append((probe.rows[2], rows_of(csr.load_adjacency(g, np.array([0]))[0]), res.structural_warnings))
+        seen.append((probe.rows[2], stored_rows(g, np.array([0])), res.structural_warnings))
     assert seen[0] == seen[1] == ([1, 4, 7], {0: [1, 4, 7]}, 1)
 
 

@@ -11,7 +11,7 @@ from loggraph.multilog import (
     RecordFormat,
     read_log_records,
 )
-from loggraph.pager import PAGE_HEADER, StoreRegistry, page_capacity, record_counts
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, StoreRegistry, page_capacity
 
 from util import spill_tails
 
@@ -197,7 +197,7 @@ def test_seal_partial_top_page_record_count(tmp_path):
         mlog.send(0, i, i)
     handle = mlog.seal().handles[0]
     spill_tails(mlog)
-    assert record_counts(handle.store.read_pages([0])).tolist() == [5]
+    assert PAGE_COUNT.unpack_from(handle.store.read_page(0)) == (5,)
     recs = read_log_records(handle, FMT16)
     assert recs["val"].tolist() == [0, 1, 2, 3, 4]
 
@@ -271,7 +271,7 @@ def test_seal_writes_nothing_and_loads_the_tail_from_memory(tmp_path):
         mlog.send(0, 0, i)
     handle = mlog.seal().handles[0]
     assert mlog.registry.totals()["log"] == (0, 0) and handle.store is None
-    assert [record_counts(np.frombuffer(bytes(p), np.uint8)[None])[0] for p in handle.tail] == [cap, cap, 3]
+    assert [PAGE_COUNT.unpack_from(p)[0] for p in handle.tail] == [cap, cap, 3]
     assert read_log_records(handle, FMT16)["val"].tolist() == list(range(2 * cap + 3))
     assert mlog.registry.totals()["log"] == (0, 0)
 

@@ -15,7 +15,6 @@ from loggraph.pager import (
     page_capacity,
     page_records,
     ranges,
-    record_counts,
     sorted_unique,
 )
 
@@ -109,16 +108,6 @@ def test_page_record_region_parsing(store):
     assert store.read_vector(3, "<u4").tobytes() == b"\x01\x02\x03\x04" * 3
 
 
-def test_read_pages_returns_images_in_the_given_order(store):
-    images = [page_image(256, bytes([i]) * 10, count=i) for i in range(3)]
-    for img in images:
-        store.append_page(img)
-    got = store.read_pages([2, 0, 2])
-    assert [row.tobytes() for row in got] == [images[2], images[0], images[2]]
-    assert store.pages_read == 3
-    assert store.read_pages([]).shape == (0, 256)
-
-
 @pytest.mark.parametrize("records", [0, 1, 14, 15, 16, 45, 47])
 def test_pack_pages_matches_one_pack_page_per_page(store, records):
     # 16-byte records, 15 to a 256-byte page: empty, partial, exactly full
@@ -129,12 +118,12 @@ def test_pack_pages_matches_one_pack_page_per_page(store, records):
     assert pages.shape == (len(want), 256) and [p.tobytes() for p in pages] == want
     store.append_records(raw, 16)
     assert store.num_pages == len(want)
-    assert store.read_pages(range(len(want))).tobytes() == b"".join(want)
+    assert [store.read_page(p) for p in range(len(want))] == want
 
 
 def test_pack_pages_counts_past_one_byte():
     pages = pack_pages(bytes(2 * 700), 2, 1040)  # 512 two-byte records a page
-    assert record_counts(pages).tolist() == [512, 188]
+    assert [PAGE_COUNT.unpack_from(page)[0] for page in pages] == [512, 188]
 
 
 def test_page_records_counts_past_one_byte_in_any_page_buffer(tmp_path):
@@ -163,12 +152,13 @@ def spans(store, starts, ends):
     """read_spans of [starts[i], ends[i]) over 8-byte records: the page ids
     and each span's entries, gathered from the arena rows, which hold the
     pages' images."""
-    pages, counts, rows, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
-    images = np.frombuffer(b"".join(store.read_page(p) for p in pages.tolist()), np.uint8).reshape(-1, 256)
-    assert counts.tolist() == record_counts(images).tolist()
-    assert store.registry.arena[rows].tobytes() == images.tobytes()
-    gather = store.registry.gather
-    return pages.tolist(), [gather(rows, np.arange(a, a + e - s), "<u8").tolist() for a, s, e in zip(at, starts, ends)]
+    with store.registry.scope():
+        pages, counts, rows, at = store.read_spans(np.array(starts), np.array(ends), "<u8")
+        images = [store.read_page(p) for p in pages.tolist()]
+        assert counts.tolist() == [PAGE_COUNT.unpack_from(image)[0] for image in images]
+        assert store.registry.arena[rows].tobytes() == b"".join(images)
+        gather = store.registry.gather
+        return pages.tolist(), [gather(rows, np.arange(a, a + e - s), "<u8").tolist() for a, s, e in zip(at, starts, ends)]
 
 
 def test_read_spans_serves_overlapping_spans(store):
@@ -192,18 +182,19 @@ def test_read_spans_reads_each_covering_page_once_in_ascending_order(store, monk
     seen = []
     read = PageStore.read_page
     monkeypatch.setattr(PageStore, "read_page", lambda s, p: seen.append(p) or read(s, p))
-    pages, _, rows, _ = store.read_spans(np.array([0, 1, 20, 100, 170, 175]), np.array([2, 2, 95, 100, 175, 200]), "<u8")
-    assert seen == pages.tolist() == [0, 1, 2, 3, 5, 6] and store.pages_read == 6
-    # each page in its own arena row, pinned until the batch ends
-    assert len(set(rows.tolist())) == 6 and store.registry._pinned[rows].all()
-    assert store.read_spans(np.array([50]), np.array([50]), "<u8")[0].tolist() == []
+    with store.registry.scope():
+        pages, _, rows, _ = store.read_spans(np.array([0, 1, 20, 100, 170, 175]), np.array([2, 2, 95, 100, 175, 200]), "<u8")
+        assert seen == pages.tolist() == [0, 1, 2, 3, 5, 6] and store.pages_read == 6
+        # each page in its own arena row, pinned until the scope exits
+        assert len(set(rows.tolist())) == 6 and store.registry._pinned[rows].all()
+        assert store.read_spans(np.array([50]), np.array([50]), "<u8")[0].tolist() == []
     assert store.pages_read == 6  # an empty span reads nothing
 
 
 def test_read_spans_rejects_a_span_past_the_last_page_before_reading(store):
     vector(store, 100)  # pages 0-3
     for end in (121, 10**15):
-        with pytest.raises(AddressError, match=f"entry {end - 1} wanted from a store of 4 pages"):
+        with store.registry.scope(), pytest.raises(AddressError, match=f"entry {end - 1} wanted from a store of 4 pages"):
             store.read_spans(np.array([0, 5]), np.array([2, end]), "<u8")
     assert store.pages_read == 0
 
@@ -214,7 +205,7 @@ def test_read_spans_rejects_a_page_whose_count_misses_a_wanted_entry(store):
     PAGE_COUNT.pack_into(page, 0, 5)
     store.write_page(1, bytes(page))
     assert spans(store, [31], [35])[1] == [[31, 32, 33, 34]]  # slots 1-4 are still counted
-    with pytest.raises(CorruptPageError, match="page 1 holds 5 entries, entry 9 wanted"):
+    with store.registry.scope(), pytest.raises(CorruptPageError, match="page 1 holds 5 entries, entry 9 wanted"):
         store.read_spans(np.array([2, 31, 36]), np.array([4, 34, 40]), "<u8")
 
 
@@ -240,21 +231,45 @@ def ledger(tmp_path, pages, budget_pages, page_size=128):
     return reg, store, images
 
 
+def first_bytes(store, ids):
+    """The spans of the first byte of each page ids, read as 1-byte records."""
+    starts = np.asarray(ids, np.int64) * page_capacity(store.page_size, 1)
+    return starts, starts + 1
+
+
+def read(store, ids):
+    """The images of the pages ids (distinct, ascending), read through
+    read_spans in a scope of their own."""
+    with store.registry.scope():
+        _, _, rows, _ = store.read_spans(*first_bytes(store, ids), "u1")
+        return [row.tobytes() for row in store.registry.arena[rows]]
+
+
+def write(store, ids, images):
+    """Overwrite the pages ids (distinct, ascending) with images as a state
+    commit does: read them through read_spans in a scope, change their arena
+    rows in place and write them back with write_back_rows."""
+    reg = store.registry
+    with reg.scope():
+        pages, _, rows, _ = store.read_spans(*first_bytes(store, ids), "u1")
+        reg.arena[rows] = np.frombuffer(b"".join(images), np.uint8).reshape(len(rows), -1)
+        store.write_back_rows(pages, rows)
+
+
 def test_the_ledger_is_empty_without_a_budget(tmp_path):
     reg, store, _ = ledger(tmp_path, 3, 0)
-    store.read_pages([0, 1, 2])
-    store.read_pages([0, 1, 2])
+    read(store, [0, 1, 2])
+    read(store, [0, 1, 2])
     assert (store.pages_read, store.pages_hit, reg.resident) == (6, 0, 0)
 
 
 def test_a_read_page_stays_resident_while_the_budget_has_room(tmp_path):
     reg, store, images = ledger(tmp_path, 3, 2)
-    store.read_pages([2, 0, 2, 1])  # 2 and 0 fill the ledger; 2 is read twice
-    assert (store.pages_read, store.pages_hit, reg.resident) == (4, 0, 2 * 128)
-    got = store.read_pages([0, 1, 2])
-    assert [row.tobytes() for row in got] == images
-    assert (store.pages_read, store.pages_hit) == (5, 2)
-    assert reg.counts()["csr"] == (5, 3, 2) and reg.totals()["csr"] == (5, 3)
+    read(store, [0, 2])  # 0 and 2 fill the ledger
+    assert (store.pages_read, store.pages_hit, reg.resident) == (2, 0, 2 * 128)
+    assert read(store, [0, 1, 2]) == images
+    assert (store.pages_read, store.pages_hit) == (3, 2)
+    assert reg.counts()["csr"] == (3, 3, 2) and reg.totals()["csr"] == (3, 3)
 
 
 def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
@@ -265,7 +280,7 @@ def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
     for image in images:
         store.append(image)
     assert store.num_pages == 3
-    assert [row.tobytes() for row in store.read_pages([0, 1, 2])] == images
+    assert read(store, [0, 1, 2]) == images
     assert (store.pages_written, store.pages_read, store.pages_hit) == (1, 1, 2)
     reg.drop(store, "log", unlink=True)
 
@@ -287,7 +302,7 @@ def test_an_append_with_room_is_neither_written_nor_counted(tmp_path):
     reg, store, images = appended(tmp_path, 2, 2)
     assert (store.num_pages, store.pages_written, reg.totals()["state"]) == (2, 0, (0, 0))
     assert os.path.getsize(store.path) == 0 and reg.resident == 2 * 128
-    assert [row.tobytes() for row in store.read_pages([1, 0])] == images[::-1]
+    assert read(store, [0, 1]) == images
     assert (store.pages_read, store.pages_hit) == (0, 2)
     with pytest.raises(ContractViolation):
         store.append(bytes(100))
@@ -303,7 +318,7 @@ def test_an_append_with_no_room_is_written_at_once(tmp_path, monkeypatch):
     on_disk = PageStore(store.path, 128, create=False)
     assert [on_disk.read_page(p) for p in (1, 2)] == images[1:]
     on_disk.close()
-    assert [row.tobytes() for row in store.read_pages([0, 1, 2])] == images
+    assert read(store, [0, 1, 2]) == images
     assert (store.pages_read, store.pages_hit) == (2, 1)
     reg.drop(store, "state", unlink=True)
 
@@ -315,7 +330,7 @@ def test_a_shrinking_budget_writes_appended_pages_once_in_page_order(tmp_path, m
     monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append(p) or write_page(s, p, data))
     reg.set_budget(2 * 128)  # gives back the newest two
     assert order == [2, 3] and store.pages_written == 2 and reg.evicted["state"] == 2
-    assert [row.tobytes() for row in store.read_pages([0, 1, 2, 3])] == images
+    assert read(store, [0, 1, 2, 3]) == images
     assert (store.pages_read, store.pages_hit) == (2, 2)  # what went back is read from storage
     reg.set_budget(0)
     assert order == [2, 3, 0, 1] and store.pages_written == 4 == reg.totals()["state"][1]
@@ -333,9 +348,9 @@ def test_a_drop_that_deletes_the_file_writes_no_appended_page(tmp_path, monkeypa
 def test_an_appended_page_that_write_back_updates_is_written_once_with_the_newest_image(tmp_path):
     reg, store, images = appended(tmp_path, 2, 2)
     new = [page_image(128, b"new", 3), page_image(128, b"newer", 5)]
-    store.write_back(1, new[0])
-    store.write_back(1, new[1])
-    assert store.pages_written == 0 and store.read_pages([1]).tobytes() == new[1]
+    write(store, [1], new[:1])
+    write(store, [1], new[1:])
+    assert store.pages_written == 0 and read(store, [1]) == new[1:]
     reg.drop(store, "state")
     assert reg.totals()["state"][1] == 2  # each page once, at the drop
     on_disk = PageStore(store.path, 128, create=False)
@@ -351,42 +366,49 @@ def test_a_closed_store_holds_every_appended_page(tmp_path):
     assert store.pages_written == 5 and reg.resident == 0
     assert os.path.getsize(store.path) == store.num_pages * 128
     again = PageStore(store.path, 128, create=False)
-    assert again.num_pages == 5 and [row.tobytes() for row in again.read_pages(range(5))] == images
+    assert again.num_pages == 5 and [again.read_page(p) for p in range(5)] == images
     again.close()
 
 
 def test_a_full_ledger_evicts_nothing_until_a_dropped_store_frees_room(tmp_path):
-    reg, store, _ = ledger(tmp_path, 2, 1)
+    reg, store, images = ledger(tmp_path, 2, 1)
     other = reg.open(str(tmp_path / "o.pages"), "state")
-    store.read_pages([0])
-    other.append(bytes(128))  # no room: written, not admitted
-    other.read_pages([0])
-    store.read_pages([1, 0])  # 1 is not admitted over 0
+    read(store, [0])
+    other.append(images[0])  # no room: written, not admitted
+    read(other, [0])
+    read(store, [0, 1])  # 1 is not admitted over 0
     assert (store.pages_read, store.pages_hit, other.pages_read) == (2, 1, 1)
     reg.drop(store, "csr")
     assert reg.resident == 0
-    other.read_pages([0])
-    other.read_pages([0])
+    read(other, [0])
+    read(other, [0])
     assert (other.pages_read, other.pages_hit, reg.resident) == (2, 1, 128)
 
 
 def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path):
     reg, store, images = ledger(tmp_path, 2, 1)
-    store.read_pages([0, 1])  # 0 is resident, 1 is not
     new = [page_image(128, b"new", 3), page_image(128, b"newer", 5)]
     written = store.pages_written
-    store.write_back(0, new[0])
-    store.write_back(1, new[1])
-    store.write_back(0, new[1])
+    write(store, [0, 1], new)  # 0 is admitted, 1 takes a transient row
     assert store.pages_written == written + 1
     on_disk = PageStore(store.path, 128, create=False)
     assert on_disk.read_page(0) == images[0] and on_disk.read_page(1) == new[1]
-    assert store.read_pages([0]).tobytes() == new[1]  # read your writes, from memory
-    with pytest.raises(ContractViolation):
-        store.write_back(0, bytes(100))
+    assert read(store, [0]) == new[:1]  # read your writes, from memory
+    # a page given back and read into another row in the same scope is no
+    # longer in the row its caller changed: that row is written at once, and
+    # the page's resident copy takes the image
+    with reg.scope():
+        _, _, old, _ = store.read_spans(*first_bytes(store, [0]), "u1")
+        reg.hold("sort", 128)  # gives the dirty page 0 back: written
+        reg.hold("sort", 0)
+        _, _, again, _ = store.read_spans(*first_bytes(store, [0]), "u1")
+        assert again.tolist() != old.tolist() and reg.resident == 128
+        reg.arena[old] = np.frombuffer(new[1], np.uint8)
+        store.write_back_rows(np.zeros(1, np.int64), old)
+    assert store.pages_written == written + 3 and on_disk.read_page(0) == new[1]
+    assert read(store, [0]) == new[1:]
     reg.drop(store, "csr")
-    assert reg.totals()["csr"][1] == written + 2  # the dirty page once, at the drop
-    assert on_disk.read_page(0) == new[1]
+    assert reg.totals()["csr"][1] == written + 3  # the resident copy is clean
     on_disk.close()
 
 
@@ -394,13 +416,13 @@ def test_write_back_rows_defers_a_page_still_in_its_row_and_writes_any_other_at_
     # 14 8-byte records to a 128-byte page: the spans cover pages 0 to 2,
     # of which the one-page ledger keeps 0; 1 and 2 get transient rows
     reg, store, images = ledger(tmp_path, 3, 1)
-    pages, _, rows, _ = store.read_spans(np.array([0, 14, 28]), np.array([1, 15, 29]), "<u8")
-    assert pages.tolist() == [0, 1, 2] and store.resident_bytes == 128
-    reg.arena[rows[[0, 2]], 16] = 0xAA
-    written = store.pages_written
-    store.write_back_rows(pages[[0, 2]], rows[[0, 2]])
-    assert store.pages_written == written + 1  # page 2, at once
-    reg.unpin()
+    with reg.scope():
+        pages, _, rows, _ = store.read_spans(np.array([0, 14, 28]), np.array([1, 15, 29]), "<u8")
+        assert pages.tolist() == [0, 1, 2] and store.resident_bytes == 128
+        reg.arena[rows[[0, 2]], 16] = 0xAA
+        written = store.pages_written
+        store.write_back_rows(pages[[0, 2]], rows[[0, 2]])
+        assert store.pages_written == written + 1  # page 2, at once
     reg.drop(store, "csr")
     assert reg.totals()["csr"][1] == written + 2  # page 0, dirty, at the drop
     on_disk = PageStore(store.path, 128, create=False)
@@ -411,13 +433,13 @@ def test_write_back_rows_defers_a_page_still_in_its_row_and_writes_any_other_at_
 
 def test_write_page_on_a_resident_page_updates_its_copy(tmp_path):
     reg, store, _ = ledger(tmp_path, 2, 2)
-    store.read_pages([0, 1])
+    read(store, [0, 1])
     new = [page_image(128, b"dirty", 5), page_image(128, b"direct", 6)]
-    store.write_back(0, new[0])  # resident and dirty
+    write(store, [0], new[:1])  # resident and dirty
     store.write_page(0, new[1])
     store.write_page(1, new[1])
     written = store.pages_written
-    assert store.read_pages([0, 1]).tobytes() == new[1] * 2
+    assert read(store, [0, 1]) == [new[1]] * 2
     assert store.pages_read == 2  # both served from memory
     reg.drop(store, "csr")
     assert reg.totals()["csr"][1] == written  # no stale dirty copy is flushed
@@ -427,18 +449,18 @@ def test_write_page_on_a_resident_page_updates_its_copy(tmp_path):
 
 
 def test_dirty_pages_are_written_in_page_order(tmp_path, monkeypatch):
-    reg, store, _ = ledger(tmp_path, 3, 3)
-    store.read_pages([0, 1, 2])
+    reg, store, images = ledger(tmp_path, 3, 3)
+    read(store, [0, 1, 2])
     order = []
     write_page = PageStore.write_page
     monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append(p) or write_page(s, p, data))
     for page_id in (2, 0, 1):
-        store.write_back(page_id, bytes(128))
+        write(store, [page_id], images[:1])
     assert order == []
     reg.set_budget(0)
     assert order == [0, 1, 2] and reg.resident == 0
     reg.set_budget(3 * 128)
-    store.read_pages([1])
+    read(store, [1])
     assert store.pages_read == 4  # released pages come from storage again...
     assert reg.resident == 128  # ...and are admitted again
 
@@ -446,31 +468,32 @@ def test_dirty_pages_are_written_in_page_order(tmp_path, monkeypatch):
 def test_a_shrinking_budget_gives_back_the_newest_admitted_pages_first(tmp_path):
     reg, store, images = ledger(tmp_path, 4, 6)
     other = reg.open(str(tmp_path / "o.pages"), "state")
-    store.read_pages([0])  # admissions, oldest first: csr 0, state 0, csr 2,
+    read(store, [0])  # admissions, oldest first: csr 0, state 0, csr 2,
     other.append(images[0])  # csr 1, state 1, csr 3
-    store.read_pages([2, 1])
+    read(store, [2])
+    read(store, [1])
     other.append(images[1])
-    store.read_pages([3])
+    read(store, [3])
     assert reg.resident == reg.resident_peak == 6 * 128
     reg.set_budget(3 * 128 + 5)  # a partial page holds no page
     assert reg.evicted == {"csr": 2, "log": 0, "edgelog": 0, "state": 1}
     assert (reg.resident, reg.resident_peak) == (3 * 128, 3 * 128)
-    read = (store.pages_read, other.pages_read)
-    store.read_pages([0, 2])
-    other.read_pages([0])
-    assert (store.pages_read, other.pages_read) == read  # the oldest three stayed
-    store.read_pages([1, 3])
-    other.read_pages([1])
-    assert (store.pages_read, other.pages_read) == (read[0] + 2, read[1] + 1)
+    counted = (store.pages_read, other.pages_read)
+    read(store, [0, 2])
+    read(other, [0])
+    assert (store.pages_read, other.pages_read) == counted  # the oldest three stayed
+    read(store, [1, 3])
+    read(other, [1])
+    assert (store.pages_read, other.pages_read) == (counted[0] + 2, counted[1] + 1)
     assert reg.resident == 3 * 128  # a full ledger admits nothing
 
 
 def test_a_given_back_dirty_page_is_written_once_and_a_clean_one_never(tmp_path, monkeypatch):
     reg, store, images = ledger(tmp_path, 4, 4)
-    store.read_pages([0, 1, 2, 3])
+    read(store, [0, 1, 2, 3])
     new = [page_image(128, bytes([9, i]), 2) for i in range(4)]
     for page_id in (3, 0, 2):
-        store.write_back(page_id, new[page_id])
+        write(store, [page_id], new[page_id : page_id + 1])
     order = []
     write_page = PageStore.write_page
     monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append(p) or write_page(s, p, data))
@@ -482,42 +505,40 @@ def test_a_given_back_dirty_page_is_written_once_and_a_clean_one_never(tmp_path,
     # again once the budget grows
     reg.set_budget(4 * 128)
     want = [new[0], images[1], new[2], new[3]]
-    assert [row.tobytes() for row in store.read_pages([0, 1, 2, 3])] == want
+    assert read(store, [0, 1, 2, 3]) == want
     assert store.pages_read == 8 and reg.resident == reg.resident_peak == 4 * 128
-    assert [row.tobytes() for row in store.read_pages([0, 1, 2, 3])] == want
+    assert read(store, [0, 1, 2, 3]) == want
     assert store.pages_read == 8 and order == [2, 3, 0]
 
 
 def test_a_drop_that_deletes_the_file_discards_its_dirty_pages(tmp_path):
-    reg, store, _ = ledger(tmp_path, 2, 2)
-    store.read_pages([0, 1])
+    reg, store, images = ledger(tmp_path, 2, 2)
+    read(store, [0, 1])
     written = store.pages_written
-    store.write_back(0, bytes(128))
-    store.write_back(1, bytes(128))
+    write(store, [0, 1], images[::-1])
     reg.drop(store, "csr", unlink=True)
     assert reg.totals()["csr"][1] == written and reg.resident == 0
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
-def test_read_pages_and_write_back_reject_a_page_out_of_range(tmp_path, bad):
+def test_write_page_rejects_a_page_out_of_range(tmp_path, bad):
     reg, store, _ = ledger(tmp_path, 3, 3)
-    store.read_pages([0, 1, 2])
+    read(store, [0, 1, 2])
     with pytest.raises(AddressError):
-        store.read_pages([0, bad])
-    with pytest.raises(AddressError):
-        store.write_back(bad, bytes(128))
+        store.write_page(bad, bytes(128))
 
 
 def test_a_growing_hold_gives_back_the_newest_pages_across_stores(tmp_path, monkeypatch):
     reg, store, images = ledger(tmp_path, 4, 6)
     other = reg.open(str(tmp_path / "o.pages"), "state")
-    store.read_pages([0])  # admissions, oldest first: csr 0, state 0, csr 2,
+    read(store, [0])  # admissions, oldest first: csr 0, state 0, csr 2,
     other.append(images[0])  # csr 1, state 1, csr 3
-    store.read_pages([2, 1])
+    read(store, [2])
+    read(store, [1])
     other.append(images[1])
-    store.read_pages([3])
+    read(store, [3])
     for page_id in (3, 1, 2):
-        store.write_back(page_id, images[0])
+        write(store, [page_id], images[:1])
     order = []
     write_page = PageStore.write_page
     monkeypatch.setattr(PageStore, "write_page", lambda s, p, data: order.append((s.path, p)) or write_page(s, p, data))
@@ -526,10 +547,10 @@ def test_a_growing_hold_gives_back_the_newest_pages_across_stores(tmp_path, monk
     # the dirty csr 1 and 3 once, in page order, then the appended state 1
     assert order == [(store.path, 1), (store.path, 3), (other.path, 1)]
     assert (reg.resident, reg.held, reg.holds) == (3 * 128, 2 * 128 + 5, {"sort": 2 * 128 + 5})
-    read = (store.pages_read, other.pages_read)
-    store.read_pages([0, 2])
-    other.read_pages([0])
-    assert (store.pages_read, other.pages_read) == read  # the oldest three stayed
+    counted = (store.pages_read, other.pages_read)
+    read(store, [0, 2])
+    read(other, [0])
+    assert (store.pages_read, other.pages_read) == counted  # the oldest three stayed
     reg.hold("multilog", 128)
     assert reg.evicted["csr"] == 3 and reg.resident == 2 * 128 and reg.held == 3 * 128 + 5
     assert order[3:] == [(store.path, 2)]
@@ -539,14 +560,14 @@ def test_a_growing_hold_gives_back_the_newest_pages_across_stores(tmp_path, monk
 
 def test_a_shrinking_hold_reopens_room_but_admits_nothing_by_itself(tmp_path):
     reg, store, _ = ledger(tmp_path, 4, 4)
-    store.read_pages([0, 1, 2, 3])
+    read(store, [0, 1, 2, 3])
     reg.hold("sort", 3 * 128)
     assert reg.resident == 128
     reg.hold("sort", 128)
     assert reg.resident == 128 and reg.evicted["csr"] == 3
-    store.read_pages([1, 2, 3])  # two pages of room: 1 and 2 are admitted
+    read(store, [1, 2, 3])  # two pages of room: 1 and 2 are admitted
     assert reg.resident == 3 * 128 and store.pages_read == 7
-    store.read_pages([1, 2, 3])
+    read(store, [1, 2, 3])
     assert store.pages_read == 8 and store.pages_hit == 2
 
 
@@ -555,13 +576,13 @@ def test_holds_do_nothing_while_the_budget_is_0(tmp_path):
     reg.hold("multilog", 5 * 128)
     assert (reg.held, reg.holds) == (0, {})
     reg.set_budget(3 * 128)
-    store.read_pages([0, 1, 2])  # no hold from before the budget takes room
+    read(store, [0, 1, 2])  # no hold from before the budget takes room
     assert reg.resident == 3 * 128
     reg.hold("sort", 128)
     reg.set_budget(0)  # a budget of 0 forgets every hold
     assert (reg.resident, reg.held, reg.holds) == (0, 0, {})
     reg.set_budget(3 * 128)
-    store.read_pages([0, 1, 2])
+    read(store, [0, 1, 2])
     assert reg.resident == 3 * 128
 
 
@@ -575,7 +596,7 @@ def test_a_negative_hold_is_a_contract_violation(tmp_path):
 def test_a_hold_that_leaves_room_touches_no_store(tmp_path, monkeypatch):
     # the multi-log reports its bytes once per send block
     reg, store, _ = ledger(tmp_path, 4, 4)
-    store.read_pages([0, 1, 2])
+    read(store, [0, 1, 2])
     reg.hold("multilog", 128)  # the ledger is full
     with monkeypatch.context() as patch:
         patch.setattr(PageStore, "release", lambda s, *a, **kw: pytest.fail("a hold with room released pages"))
@@ -604,7 +625,7 @@ def test_holds_give_back_the_pages_a_brute_force_ranking_of_every_admission_pick
         if rng.random() < 0.3:
             s.append(image)
         else:
-            s.read_pages(rng.integers(0, s.num_pages, rng.integers(1, 5)))
+            read(s, sorted_unique(rng.integers(0, s.num_pages, rng.integers(1, 5))))
         if step % 3:
             continue
         resident = sorted(
@@ -691,11 +712,11 @@ def test_read_spans_and_gather_match_the_entries_read_page_by_page(tmp_path, bud
         k = int(rng.integers(1, 12))
         starts = np.sort(rng.integers(0, n, k))
         ends = np.minimum(np.sort(starts + rng.integers(0, 70, k)), n)
-        _, _, rows, at = store.read_spans(starts, ends, "<u8")
-        got = reg.gather(rows, ranges(at, ends - starts), "<u8")
+        with reg.scope():
+            _, _, rows, at = store.read_spans(starts, ends, "<u8")
+            got = reg.gather(rows, ranges(at, ends - starts), "<u8")
         assert got.tolist() == [int(pages[e // 30][e % 30]) for a, b in zip(starts, ends) for e in range(a, b)]
         assert reg.resident <= reg.budget
-        reg.unpin()
     assert (store.pages_hit > 0) == (budget_pages > 0)
     reg.close_all()
 
@@ -709,8 +730,9 @@ def test_a_sparse_read_of_resident_pages_copies_no_page(tmp_path):
     want = np.arange(256) * cap + 7  # one entry of each page
     tracemalloc.start()
     try:
-        _, _, rows, at = store.read_spans(want, want + 1, "<u4")
-        got = reg.gather(rows, at, "<u4")
+        with reg.scope():
+            _, _, rows, at = store.read_spans(want, want + 1, "<u4")
+            got = reg.gather(rows, at, "<u4")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -726,35 +748,66 @@ def pages_spans(first, end):
     return starts, starts + 8
 
 
-def test_rows_given_back_or_transient_are_free_only_after_unpin(tmp_path):
+def test_rows_given_back_or_transient_are_free_only_when_the_scope_exits(tmp_path):
     reg, store, images = ledger(tmp_path, 6, 3)
-    _, _, rows, _ = store.read_spans(*pages_spans(0, 6), "<u8")
-    held = set(rows.tolist())
-    assert reg.resident == 3 * 128 and (reg._admitted[rows] >= 0).sum() == 3  # three transient
-    reg.hold("sort", 2 * 128)  # gives back two of the three resident pages
-    assert reg.resident == 128 and not held & set(reg._free)
-    assert reg.arena[rows].tobytes() == b"".join(images)  # the batch still sees its pages
-    reg.unpin()
+    with reg.scope():
+        _, _, rows, _ = store.read_spans(*pages_spans(0, 6), "<u8")
+        held = set(rows.tolist())
+        assert reg.resident == 3 * 128 and (reg._admitted[rows] >= 0).sum() == 3  # three transient
+        reg.hold("sort", 2 * 128)  # gives back two of the three resident pages
+        assert reg.resident == 128 and not held & set(reg._free)
+        assert reg.arena[rows].tobytes() == b"".join(images)  # the batch still sees its pages
     assert not reg._pinned.any() and held - set(reg._free) == set(rows[reg._admitted[rows] >= 0].tolist())
     used = reg._used
-    store.read_spans(*pages_spans(0, 6), "<u8")
+    with reg.scope():
+        store.read_spans(*pages_spans(0, 6), "<u8")
     assert reg._used == used  # the freed rows serve again: no untouched row is taken
-    reg.unpin()
     reg.set_budget(0)
     assert reg._mm is None and reg.arena.shape == (0, 128)
+
+
+def test_read_spans_outside_a_scope_is_a_contract_violation(tmp_path):
+    reg, store, _ = ledger(tmp_path, 2, 2)
+    with pytest.raises(ContractViolation, match="outside a StoreRegistry.scope"):
+        store.read_spans(*pages_spans(0, 2), "<u8")
+    with reg.scope():
+        pass
+    with pytest.raises(ContractViolation):
+        reg.read_spans([store], [0, 2], *pages_spans(0, 2), "<u8")
+    assert store.pages_read == 0 and not reg._pinned.any()
+
+
+def test_a_nested_scope_leaves_the_outer_rows_pinned_until_the_outer_scope_exits(tmp_path):
+    reg, store, images = ledger(tmp_path, 4, 0)
+    with reg.scope():
+        _, _, outer, _ = store.read_spans(*pages_spans(0, 2), "<u8")
+        with reg.scope():
+            _, _, inner, _ = store.read_spans(*pages_spans(2, 4), "<u8")
+        assert reg._pinned[outer].all() and reg._pinned[inner].all() and not reg._free
+        assert reg.arena[np.concatenate([outer, inner])].tobytes() == b"".join(images)
+    # the outermost exit frees them, and at a budget of 0 unmaps the arena
+    assert not reg._pinned.any() and reg._mm is None and reg.arena.shape == (0, 128)
+    assert reg.rows_peak == 4
+
+
+def test_read_vector_at_a_budget_of_0_leaves_no_row_pinned_and_no_arena(store):
+    vector(store, 100)
+    reg = store.registry
+    assert store.read_vector(100, "<u8").tolist() == list(range(100))
+    assert not reg._pinned.any() and reg._mm is None and reg.rows_peak == store.num_pages
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["remapped", "copied-under-a-view"])
 def test_the_arena_grows_without_losing_a_row(tmp_path, view):
     reg, store, images = ledger(tmp_path, 12, 2)
-    _, _, first, _ = store.read_spans(*pages_spans(0, 2), "<u8")  # admitted
-    assert len(reg.arena) == 4  # two budgets' worth of rows
-    alive = memoryview(reg._mm) if view else None
-    _, _, rows, _ = store.read_spans(*pages_spans(0, 12), "<u8")  # ten transient rows
-    assert len(reg.arena) == 12 and rows[:2].tolist() == first.tolist()
-    assert reg.arena[rows].tobytes() == b"".join(images)
-    if view:
-        # the old mapping stays readable
-        assert [bytes(alive[r * 128 : (r + 1) * 128]) for r in first.tolist()] == images[:2]
-    reg.unpin()
+    with reg.scope():
+        _, _, first, _ = store.read_spans(*pages_spans(0, 2), "<u8")  # admitted
+        assert len(reg.arena) == 4  # two budgets' worth of rows
+        alive = memoryview(reg._mm) if view else None
+        _, _, rows, _ = store.read_spans(*pages_spans(0, 12), "<u8")  # ten transient rows
+        assert len(reg.arena) == 12 and rows[:2].tolist() == first.tolist()
+        assert reg.arena[rows].tobytes() == b"".join(images)
+        if view:
+            # the old mapping stays readable
+            assert [bytes(alive[r * 128 : (r + 1) * 128]) for r in first.tolist()] == images[:2]
     reg.close_all()

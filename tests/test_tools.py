@@ -24,12 +24,14 @@ def digest(workload: str) -> dict:
 
 def test_the_digest_repeats_and_reads_no_log_page_twice():
     # community-rmat-tight is the workload that moves log pages. Its
-    # traced_peak_mib is not compared: it moves by 0.01 MiB between runs
+    # traced_peak_mib is not compared: it moves by 0.01 MiB between runs;
+    # the arena rows a run touches follow from its reads alone
     name = "community-rmat-tight"
     first, second = digest(name), digest(name)
     assert list(first) == list(second) == [name]
     a, b = first[name], second[name]
     assert (a["results"], a["pages"]) == (b["results"], b["pages"])
+    assert a["arena_peak_mib"] == b["arena_peak_mib"] and float(a["arena_peak_mib"]) > 0
     # a plan loads each log once and the multi-log deletes it at that load
     assert 0 < int(a["read.log"]) <= int(a["written.log"])
 

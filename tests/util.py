@@ -126,6 +126,13 @@ def rows_of(adj):
     return {int(adj.ids[i]): adj.view(i).neighbors.tolist() for i in range(len(adj))}
 
 
+def stored_rows(g, ids):
+    """The neighbor lists by vertex id of the rows ids as the CSR files of g
+    hold them, read by csr.load_adjacency in a pager scope of their own."""
+    with g.registry.scope():
+        return rows_of(csr.load_adjacency(g, np.asarray(ids, np.int64))[0])
+
+
 def op_rows(*ops):
     """An ops array from ("add_edge" | "del_edge", src, dst) and
     ("del_vertex", v) tuples."""

@@ -18,11 +18,14 @@ prints one line per workload with two sha256 digests:
   `pages_written`, and each class's as `read.CLASS` and `written.CLASS`
   (csr, log, edgelog, state).
 
-Each line also prints `traced_peak_mib=`, the peak of the Python and numpy
-allocations that `tracemalloc` traces during `Engine.run`, in MiB. It is in
-neither digest: it measures memory, not what was computed or stored, and
-it leaves out the pages resident in the pager's frame arena (an anonymous
-mmap, which tracemalloc does not see).
+Each line also prints two memory peaks in MiB, in neither digest, since
+they measure memory, not what was computed or stored:
+
+- `traced_peak_mib=`, the peak of the Python and numpy allocations that
+  `tracemalloc` traces during `Engine.run`. It leaves out the pages in the
+  pager's frame arena, an anonymous mmap that tracemalloc does not see;
+- `arena_peak_mib=`, the most frame arena rows the graph's registry
+  touched at once, over convert and run, times the page size.
 
 Two checkouts that print the same lines computed the same results with the
 same page counts. A change that moves pages but keeps results changes only
@@ -67,6 +70,7 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
     results.update(str(result.structural_warnings).encode())
     totals = graph.registry.totals()
     pages.update(json.dumps(totals, sort_keys=True).encode())
+    arena_peak = graph.registry.rows_peak * graph.registry.page_size
     graph.registry.close_all()
     messages = sum(st.messages_sent for st in result.stats)
     read = sum(r for r, _ in totals.values())
@@ -76,7 +80,7 @@ def digest_workload(workload, seed: int, workdir: str) -> str:
         f"{workload.name} supersteps={result.num_supersteps} messages={messages} "
         f"results={results.hexdigest()} pages={pages.hexdigest()} pages_read={read} pages_written={written} "
         + " ".join(per_class)
-        + f" traced_peak_mib={traced_peak / (1 << 20):.2f}"
+        + f" traced_peak_mib={traced_peak / (1 << 20):.2f} arena_peak_mib={arena_peak / (1 << 20):.2f}"
     )
 
 
