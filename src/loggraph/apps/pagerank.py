@@ -41,9 +41,8 @@ class PageRank(VertexProgram):
         np.add.at(total, rows, np.ascontiguousarray(msgs["change"]))  # in index order: arrival-order sums
         st["change"] = 0.0
         st["rank"] += total
-        deg = batch.adj.degrees
-        share = self.alpha * total / np.maximum(deg, 1)
-        ctx.send_many(batch.adj.take(), np.repeat(batch.ids, deg), np.repeat(share, deg))
+        share = self.alpha * total / np.maximum(batch.adj.degrees, 1)
+        ctx.send_many(*batch.broadcast(np.ones(len(batch), bool), share))
 
     def summary(self, states):
         r = states["rank"]

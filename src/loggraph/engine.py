@@ -183,11 +183,13 @@ class Batch:
         """Arguments for ctx.send_many that send each row in the bool mask
         rows its payload values (per-row columns or scalars) to every
         out-neighbor, in (row, adjacency) order; only those rows'
-        neighbors are read."""
+        neighbors are read. The src column is None when the records have
+        no src field: a combiner's messages log none."""
         deg = np.where(rows, self.adj.degrees, 0)
         cols = (np.repeat(np.broadcast_to(col, len(self)), deg) for col in payload)
         at = None if rows.all() else ranges(self.adj.offsets[:-1][rows], deg[rows])
-        return (self.adj.take(at), np.repeat(self.ids, deg), *cols)
+        src = np.repeat(self.ids, deg) if "src" in self.records.dtype.names else None
+        return (self.adj.take(at), src, *cols)
 
 
 class VertexProgram:
@@ -219,8 +221,9 @@ class VertexProgram:
     record per destination, its fields reduced over the destination's
     messages (a float sum adds in arrival order, in float64); the records
     are not sorted. A combiner reduces message values, not senders: its
-    records, and so its inboxes, have no src field, though send_many still
-    takes and checks a src column. The reduction runs at the
+    records, and so its inboxes, have no src field, and send_many takes
+    src None (batch.broadcast passes it) or ignores the src column it is
+    given. The reduction runs at the
     sender, into one accumulator per interval, from the send at which the
     interval's messages of a superstep would take more bytes as records
     than the accumulator, if it fits the multi-log's budget, and at the
@@ -331,25 +334,29 @@ class Context:
     def send_many(self, dest: np.ndarray, src: np.ndarray, *payload: np.ndarray) -> None:
         """Send message i from src[i] to dest[i] with payload column values
         [i], in index order; a scalar src or payload column is broadcast.
-        src is logged only without a combiner (`multilog.RecordFormat`). A
-        dest or src outside [0, num_vertices), a column count other than the
-        wire format's payload fields, or a column whose length is not
+        src is logged only without a combiner (`multilog.RecordFormat`), so
+        only a combiner's sends may pass src None, and only a logged src is
+        checked. A dest or logged src outside [0, num_vertices), a src of
+        None where src is logged, a column count other than the wire
+        format's payload fields, or a logged column whose length is not
         dest's, is a contract violation."""
-        n = self._engine.meta.num_vertices
-        for name, col in (("destination", dest), ("source", src)):
-            col = np.asarray(col)
-            if col.size and (col.min() < 0 or col.max() >= n):
-                raise ContractViolation(f"message {name} outside [0, {n})")
         fmt = self._engine.fmt
+        if src is None and fmt.has_src:
+            raise ContractViolation("src is None, but this program's messages log their src: it has no combiner")
         if len(payload) != len(fmt.payload_fields):
             raise ContractViolation(
                 f"{len(payload)} payload columns for the {len(fmt.payload_fields)} fields of the wire format"
             )
-        names = ("dest", "src", *(name for name, _ in fmt.payload_fields))
-        for name, col in zip(names, (dest, src, *payload)):
+        columns = fmt.fields(dest, src, payload)
+        n = self._engine.meta.num_vertices
+        for name, col in zip(("destination", "source"), (dest, src) if fmt.has_src else (dest,)):
+            col = np.asarray(col)
+            if col.size and (col.min() < 0 or col.max() >= n):
+                raise ContractViolation(f"message {name} outside [0, {n})")
+        for name, col in zip(fmt.dtype.names, columns):
             if np.ndim(col) and len(col) != len(dest):
                 raise ContractViolation(f"column {name!r} holds {len(col)} values for {len(dest)} destinations")
-        self._engine._mlog.send_columns(fmt.fields(dest, src, payload))
+        self._engine._mlog.send_columns(columns)
 
     def structural_many(self, ops) -> None:
         """Buffer structural ops, int rows (kind, src, dst) with kind one of

@@ -1,32 +1,37 @@
 """Per-interval append logs for inter-vertex messages.
 
-Every message is routed by destination to its vertex interval's log. Each
-interval keeps one in-memory top page receiving appends; a page closes as
-soon as it is full and stays resident until the buffer budget forces it
-out. `seal` ends a superstep in one call: it seals every interval's log
-and opens the next superstep's, and hands nothing to the pager (but the
-pages that appending its accumulators' records forces out, see below). An
-interval's resident pages become the resident tail of its sealed log,
-after the pages already handed over, and stay in the buffer's budget until
-the next superstep loads the log, once, and releases it. A page is handed
-to the pager only when opening a new one would take residency past the
-budget, and then exactly as many pages as the overflow: first sealed
-tails, spilled to their log files page by page in arrival order from the
-log the next superstep loads last; then closed pages, oldest first in the
-order they closed across all intervals. The pager appends them
-write-behind (see `pager`), so a handed-over page reaches storage only if
-the pager's ledger has no room for it or gives it back before the log file
-is deleted. The budget holds at least one top page per interval, so a
-buffer over budget with no tail left always holds a closed page, and a top
-page is never handed over before its log is sealed.
+Every message is routed by destination to its vertex interval's log, one
+`LogHandle` per (superstep, interval). A log is open from its superstep's
+start: it appends into one in-memory top page, and a page closes as soon
+as it is full and joins the log's resident pages. `seal` ends a superstep
+in one call: it seals every interval's log, whose partial top joins its
+resident pages, and opens the next superstep's, and hands nothing to the
+pager (but the pages that appending its accumulators' records forces out,
+see below). A sealed log's resident pages, its tail, come after the pages
+already handed over and stay in the buffer's budget until the next
+superstep loads the log, once, and releases it.
+
+Every resident page but the tops waits in one eviction queue, as its log,
+in the order the pages leave: at a seal the new tails go to the front, the
+last interval's first, ahead of any tail sealed earlier, and a closed page
+joins at the back as it closes. A page is handed to the pager only when
+opening a new one would take residency past the budget, and then exactly
+as many pages as the overflow, each the first resident page of the log at
+the queue's front: so first sealed tails, page by page in arrival order
+from the log the next superstep loads last; then closed pages, oldest
+first in the order they closed across all intervals. The pager appends
+them write-behind (see `pager`), so a handed-over page reaches storage
+only if the pager's ledger has no room for it or gives it back before the
+log file is deleted. The budget holds at least one top page per interval,
+so a buffer over budget always holds a queued page, and a top page is
+never handed over before its log is sealed.
 
 Log files are per (superstep, interval), `log_t{tag}_i{k}.pages` with tag
 the number of seals before, so the next superstep's sends open fresh
-files. A log's file takes only its own pages, its closed pages and then
-its tail's, in arrival order, each full but the last: it is a record
-vector as `pager.pack_pages` lays one out, and `read_log_records` reads it
-whole with `PageStore.read_vector`, which finds a page whose count is not
-its share corrupt.
+files. A log's file takes only its own pages, in arrival order, each full
+but the last: it is a record vector as `pager.pack_pages` lays one out,
+and `read_log_records` reads it whole with `PageStore.read_vector`, which
+finds a page whose count is not its share corrupt.
 
 Record layout (`RecordFormat`): dest | src | fixed-width payload, dest and
 src unsigned ids at the graph's id width, the narrowest of 1, 2 and 4
@@ -49,7 +54,7 @@ page per interval and a full block of pages for the raw intervals'
 appends. Below that point the records take less memory and about as long
 to log, load and combine; from about one message per vertex up the
 accumulator is the faster too. Its records so far are read back from its
-resident pages by `read_log_records`, folded in in arrival order, and the
+resident pages (`pager.page_records`), folded in in arrival order, and the
 pages freed. So the choice does not depend on how the sends are cut into
 calls unless the budget hands pages over or refuses the accumulator; a
 sparse frontier stays raw and what it holds grows with its messages. An
@@ -75,8 +80,9 @@ the records into the top pages, and packs the whole pages between an
 interval's first top and its last with `pager.pack_pages`; `send_many`
 sends an array of wire-format records as its columns, and `send` one
 record. The multi-log owns its log files and tails: `release` consumes
-logs at their one load, freeing their tails and deleting their files, and
-`close` frees every file and tail still held.
+logs at their one load, freeing their tails, taking them out of the queue
+and deleting their files, and `close` frees every file and tail still
+held.
 
 Its resident pages and accumulators are memory the pager's ledger may not
 use: it reports their bytes to `StoreRegistry.hold` before a block opens
@@ -235,29 +241,42 @@ def _check_no_src(fmt: RecordFormat) -> None:
         raise ContractViolation("a combiner's wire format has no src; build it with RecordFormat(..., combine=combine)")
 
 
-@dataclass
 class LogHandle:
-    """One sealed interval log: where its pages live and how many records.
+    """One interval's log of one superstep: where its pages live and how
+    many records. It is open, taking sends, until `MultiLog.seal`, and
+    sealed after.
 
-    Its records are the vector of records in `store`, its log file (None
-    until a page of it is handed to the pager), then those of the resident
-    `tail` pages (each with its record count in the header), in arrival
-    order. Only the log's own pages are appended to its file, in arrival
-    order, so the file holds its records as `pager.pack_pages` lays them
-    out: every page full but the last. An eviction spills the tail's first
-    page to the end of the file. The log is loaded once: `MultiLog.release`
-    then frees what is left of the tail and deletes the file, and sets
-    store to None, so a page the pager still holds unwritten is never
-    written. folded says the records are already one per destination,
-    ascending, folded from the combiner's identities: an accumulator's, or
-    none.
+    Its records are the vector of records in `store`, its log file
+    `log_t{tag}_i{interval}.pages` (None until a page of it is handed to
+    the pager; tag is the number of seals before its superstep), then those
+    of its resident `pages` (each with its record count in the header), in
+    arrival order: while open its closed pages, then its top's records;
+    once sealed its tail, the partial top last. An eviction appends its
+    first resident page to the end of its file, so the file holds its
+    records as `pager.pack_pages` lays them out: every page full but the
+    last. The log is loaded once: `MultiLog.release` then frees what is
+    left of its pages and deletes the file, and sets store to None, so a
+    page the pager still holds unwritten is never written. folded says the
+    records are already one per destination, ascending, folded from the
+    combiner's identities: an accumulator's, or none.
+
+    Only an open log uses `top`, the page receiving its appends, `fill`,
+    the records in it, and `acc`, its accumulator if it chose one (see the
+    module doc); a sealed log's top is None.
     """
 
-    interval: int
-    store: PageStore | None
-    message_count: int
-    tail: list[bytearray]
-    folded: bool = False
+    __slots__ = ("interval", "tag", "store", "message_count", "pages", "folded", "top", "fill", "acc")
+
+    def __init__(self, interval: int, tag: int, page_size: int):
+        self.interval = interval
+        self.tag = tag
+        self.store: PageStore | None = None
+        self.message_count = 0
+        self.pages: list[bytearray] = []
+        self.folded = False
+        self.top: bytearray | None = bytearray(page_size)
+        self.fill = 0
+        self.acc: Accumulator | None = None
 
 
 @dataclass
@@ -271,20 +290,6 @@ class LogManifest:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-class _IntervalLog:
-    __slots__ = ("interval", "top", "fill", "closed", "store", "message_count", "acc", "folded")
-
-    def __init__(self, interval: int, page_size: int):
-        self.interval = interval
-        self.top = bytearray(page_size)
-        self.fill = 0
-        self.closed: deque[bytearray] = deque()
-        self.store: PageStore | None = None  # its file, opened by its first flushed page
-        self.message_count = 0
-        self.acc: Accumulator | None = None
-        self.folded = False  # its records are an accumulator's
 
 
 class MultiLog:
@@ -325,11 +330,10 @@ class MultiLog:
         self._min_acc_bytes = min(np.diff(bounds).tolist(), default=0) * self._acc_width
         self._acc_bytes = 0  # of the open superstep's accumulators
         self.tag = 0  # the open superstep's, which names its log files
-        self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
-        self._closed: deque[_IntervalLog] = deque()  # the log of each closed open page, oldest first
-        self._resident_pages = 0  # open and carried pages
-        self._carried: list[tuple[int, LogHandle]] = []  # (tag, handle) of every held tail, in seal order
-        self._carried_pages = 0
+        self.logs = [LogHandle(k, 0, self.page_size) for k in range(self.n_intervals)]
+        self._queue: deque[LogHandle] = deque()  # the log of each resident page but the tops, in leaving order
+        self._resident_pages = 0  # open and sealed pages
+        self._sealed_pages = 0  # of them, sealed logs'
         self._stores: list[PageStore] = []  # every log file not yet released
         self.total_appends = 0
         self.post_evict_peak = 0
@@ -442,7 +446,7 @@ class MultiLog:
             part = order[a:b]
             self.logs[j].acc.fold({name: col[part] for name, col in cols.items()})
 
-    def _choose(self, log: _IntervalLog, count: int) -> None:
+    def _choose(self, log: LogHandle, count: int) -> None:
         """Turn raw log into an accumulator if count more messages bring its
         records of the superstep to the accumulator's bytes, and the
         accumulators fit the budget beside the resident pages or, if more,
@@ -462,22 +466,18 @@ class MultiLog:
         self.post_evict_peak = max(self.post_evict_peak, self.open_bytes)
         if log.message_count == 0:
             return
-        pages = self._take_pages(log)
-        records = read_log_records(LogHandle(log.interval, None, log.message_count, pages), self.fmt)
-        log.acc.fold(records)
-        self._resident_pages -= len(pages)
+        log.acc.fold(page_records(self._take_pages(log), self.fmt.dtype, f"interval {log.interval}"))
         log.message_count = 0
         self.registry.hold("multilog", self.held_bytes)
 
-    def _take_pages(self, log: _IntervalLog) -> list[bytearray]:
-        """Take log's resident pages out of its open log: the closed ones in
-        arrival order, then the top, if not empty."""
-        if log.closed:
-            self._closed = deque(other for other in self._closed if other is not log)
-        pages = list(log.closed)
-        if log.fill > 0:
-            pages.append(log.top)
-        log.closed = deque()
+    def _take_pages(self, log: LogHandle) -> list[bytearray]:
+        """Take open log's resident pages out of the buffer and the queue:
+        the closed ones in arrival order, then the top, if not empty."""
+        if log.pages:
+            self._queue = deque(other for other in self._queue if other is not log)
+        pages = [*log.pages, log.top] if log.fill else log.pages
+        self._resident_pages -= len(pages)
+        log.pages = []
         log.top = bytearray(self.page_size)
         log.fill = 0
         return pages
@@ -495,8 +495,8 @@ class MultiLog:
         done = 0
         while done < len(records):
             # page openings a block may make: into free pages, or in place
-            # of a tail or a closed page held before the block
-            room = self._page_budget - self._resident_pages + self._carried_pages + len(self._closed)
+            # of a page queued before the block
+            room = self._page_budget - self._resident_pages + len(self._queue)
             block = min(room + self.n_intervals, BLOCK_PAGES) * self.capacity
             done += self._append_block(records[done : done + block], room)
 
@@ -539,12 +539,12 @@ class MultiLog:
                 if b > a:
                     self._append_run(log, np.take(recs, order[a:b]))
         self._resident_pages += opened
-        self._closed.extend([self.logs[j] for j in k[closes[closes < t]].tolist()])
+        self._queue.extend([self.logs[j] for j in k[closes[closes < t]].tolist()])
         if self.open_bytes > self.post_evict_peak:
             self.post_evict_peak = self.open_bytes
         return t
 
-    def _append_run(self, log: _IntervalLog, recs: np.ndarray) -> None:
+    def _append_run(self, log: LogHandle, recs: np.ndarray) -> None:
         """Append one interval's records in arrival order: complete its top
         page, pack the whole pages after it, and start the next top with
         the rest."""
@@ -554,16 +554,16 @@ class MultiLog:
         whole = (n - head) // cap * cap
         self._fill_top(log, raw[: head * w])
         # a bytearray per page: holding rows of the packed array raised peak RSS
-        log.closed.extend(map(bytearray, pack_pages(raw[head * w : (head + whole) * w], w, self.page_size)))
+        log.pages.extend(map(bytearray, pack_pages(raw[head * w : (head + whole) * w], w, self.page_size)))
         self._fill_top(log, raw[(head + whole) * w :])
         log.message_count += n
 
-    def _fill_top(self, log: _IntervalLog, raw: memoryview) -> None:
+    def _fill_top(self, log: LogHandle, raw: memoryview) -> None:
         """Copy whole records into log's top page, which keeps its record
         count (`pager.fill_page`), closing it once full."""
         log.fill = fill_page(log.top, log.fill, raw, self.fmt.width)
         if log.fill == self.capacity:
-            log.closed.append(log.top)
+            log.pages.append(log.top)
             log.top = bytearray(self.page_size)
             log.fill = 0
 
@@ -584,35 +584,12 @@ class MultiLog:
     def open_bytes(self) -> int:
         """Bytes of the open superstep's resident pages and accumulators,
         which post_evict_peak tracks."""
-        return (self._resident_pages - self._carried_pages) * self.page_size + self._acc_bytes
+        return (self._resident_pages - self._sealed_pages) * self.page_size + self._acc_bytes
 
     @property
     def _page_budget(self) -> int:
         """Pages the buffer may hold: its budget less its accumulators."""
         return (self.budget - self._acc_bytes) // self.page_size
-
-    def _open_file(self, tag: int, k: int) -> PageStore:
-        store = self.registry.open(os.path.join(self.dir, f"log_t{tag}_i{k}.pages"), "log")
-        self._stores.append(store)
-        return store
-
-    def _flush_page(self, log: _IntervalLog, data: bytearray) -> None:
-        if log.store is None:
-            log.store = self._open_file(self.tag, log.interval)
-        log.store.append(data)
-        self._resident_pages -= 1
-
-    def _spill_tail_page(self) -> None:
-        """Append the first tail page of the log the next superstep loads
-        last, the one whose room it would free last, to that log's file."""
-        tag, handle = self._carried[-1]
-        if handle.store is None:
-            handle.store = self._open_file(tag, handle.interval)
-        handle.store.append(handle.tail.pop(0))
-        if not handle.tail:
-            self._carried.pop()
-        self._carried_pages -= 1
-        self._resident_pages -= 1
 
     def evict_if_needed(self, incoming: int = 0) -> int:
         """Hand the pager the resident pages that residency plus `incoming`
@@ -620,48 +597,54 @@ class MultiLog:
         many.
 
         Exactly that overflow goes, so after an eviction the openings fill
-        the buffer to its budget. Sealed tails spill first; then closed
-        pages are flushed, oldest first in the order they closed across all
-        intervals, each to the end of its log's file. Top pages are never
-        evicted: the budget holds one per interval, so with incoming 0 the
-        tails and closed pages always cover the overflow, and send_many
-        passes no more openings than they cover.
+        the buffer to its budget: each time the log at the queue's front
+        appends its first resident page to the end of its file (see the
+        module doc for the order). Top pages are never queued: the budget
+        holds one per interval, so with incoming 0 the queue always covers
+        the overflow, and send_many passes no more openings than it covers.
         """
         excess = self._resident_pages + incoming - self._page_budget
         for _ in range(excess):
-            if self._carried:
-                self._spill_tail_page()
-            else:
-                log = self._closed.popleft()
-                self._flush_page(log, log.closed.popleft())
+            log = self._queue.popleft()
+            if log.store is None:
+                log.store = self.registry.open(os.path.join(self.dir, f"log_t{log.tag}_i{log.interval}.pages"), "log")
+                self._stores.append(log.store)
+            log.store.append(log.pages.pop(0))
+            if log.tag < self.tag:
+                self._sealed_pages -= 1
+            self._resident_pages -= 1
         return max(excess, 0)
 
     # -- seal path ----------------------------------------------------------
 
     def seal(self) -> LogManifest:
-        """Seal every interval's log of the open superstep and open the
-        next's, whose log files take tag + 1. The accumulators' records are
-        appended first, while every log is open, so a page they force out is
-        a closed page, oldest first, as for any send. Then each log's
-        resident pages, closed ones in arrival order and then the partial
-        top, become its sealed tail; none is handed to the pager."""
+        """Seal every interval's log of the open superstep and return them;
+        the next superstep's logs take tag + 1. The accumulators' records
+        are appended first, while every log is open, so a page they force
+        out is a queued page, as for any send. Then each log's partial top
+        joins its resident pages, its sealed tail, and the tails go to the
+        queue's front, the last interval's first; none is handed to the
+        pager."""
         for log in self.logs:
             self._log_accumulated(log)
-        handles = []
+        # the open logs' closed pages are the queue's last entries
+        for _ in range(sum(len(log.pages) for log in self.logs)):
+            self._queue.pop()
         for log in self.logs:
-            tail = self._take_pages(log)
+            if log.fill:
+                log.pages.append(log.top)
+            log.top, log.fill = None, 0
             # an empty log has nothing to fold either
-            handle = LogHandle(log.interval, log.store, log.message_count, tail, log.folded or log.message_count == 0)
-            if tail:
-                self._carried.append((self.tag, handle))
-                self._carried_pages += len(tail)
-            handles.append(handle)
-        # every open page is now a tail, so residency is unchanged
+            log.folded = log.folded or log.message_count == 0
+            self._queue.extendleft([log] * len(log.pages))
+        # every resident page is now a tail, so residency is unchanged
+        self._sealed_pages = self._resident_pages
+        manifest = LogManifest(self.logs)
         self.tag += 1
-        self.logs = [_IntervalLog(k, self.page_size) for k in range(self.n_intervals)]
-        return LogManifest(handles)
+        self.logs = [LogHandle(k, self.tag, self.page_size) for k in range(self.n_intervals)]
+        return manifest
 
-    def _log_accumulated(self, log: _IntervalLog) -> None:
+    def _log_accumulated(self, log: LogHandle) -> None:
         """Append an accumulating log's hit destinations, one record each in
         ascending order, and free its accumulator."""
         if log.acc is None:
@@ -672,15 +655,17 @@ class MultiLog:
         self._append(records)
 
     def release(self, handles: list[LogHandle]) -> None:
-        """Consume sealed logs once loaded: free their resident tails and
-        delete their files, unwritten pages and all. Releasing a log again
-        does nothing."""
-        held = {id(h) for h in handles}
-        self._carried = [(tag, h) for tag, h in self._carried if id(h) not in held]
+        """Consume sealed logs once loaded: free their resident tails, take
+        them out of the queue and delete their files, unwritten pages and
+        all. Releasing a log again does nothing."""
+        freed = sum(len(handle.pages) for handle in handles)
+        if freed:
+            held = set(handles)
+            self._queue = deque(log for log in self._queue if log not in held)
+            self._sealed_pages -= freed
+            self._resident_pages -= freed
         for handle in handles:
-            self._carried_pages -= len(handle.tail)
-            self._resident_pages -= len(handle.tail)
-            handle.tail = []
+            handle.pages.clear()
             if handle.store is not None:
                 self._stores.remove(handle.store)
                 self.registry.drop(handle.store, "log", unlink=True)
@@ -693,7 +678,7 @@ class MultiLog:
         for log in self.logs:
             log.acc = None
         self._acc_bytes = 0
-        self.release([h for _, h in self._carried])
+        self.release([log for log in dict.fromkeys(self._queue) if log.tag < self.tag])
         self.registry.hold("multilog", self.held_bytes)
         for store in self._stores:
             self.registry.drop(store, "log", unlink=True)
@@ -710,7 +695,7 @@ def read_log_records(handle: LogHandle, fmt: RecordFormat) -> np.ndarray:
     which reads each page once and finds a page whose count is not its
     share corrupt), and joins the two.
     """
-    tail = page_records(handle.tail, fmt.dtype, f"interval {handle.interval} tail")
+    tail = page_records(handle.pages, fmt.dtype, f"interval {handle.interval} tail")
     on_disk = handle.message_count - len(tail)
     if on_disk < 0 or (on_disk and handle.store is None):
         raise CorruptPageError(

@@ -581,12 +581,14 @@ class StoreRegistry:
         overlap or be empty.
 
         Reads each covering page once, in ascending order, through its own
-        store's `_fetch`, and copies none that is resident: every page is an
-        arena row, a missed one the ledger has no room for a transient row,
-        and each row stays pinned until the open `scope` exits (see the
-        module doc); with no scope open, the read is a contract violation.
-        A span past the last page of its store is an address error, and a page
-        whose record count does not reach its last wanted entry is corrupt;
+        store's `_fetch` (a store holding none is not called), and copies
+        none that is resident: every page is an arena row, a missed one the
+        ledger has no room for a transient row, and each row stays pinned
+        until the open `scope` exits (see the module doc); with no scope
+        open, the read is a contract violation.
+        A span starting before the first entry of its store or ending past
+        its last page is an address error, and a page whose record count does
+        not reach its last wanted entry is corrupt;
         each error names the store's file and the entry or page in that
         file's own numbering.
         Returns (pages, counts, rows, at): the page ids, their record
@@ -601,11 +603,12 @@ class StoreRegistry:
         bases = [0, *accumulate(store.num_pages for store in stores)]
         cuts = np.asarray(cuts).tolist()
         for j, store in enumerate(stores):
-            # ends ascend, so a store's last span ends its spans
+            # starts and ends ascend, so a store's first span starts its
+            # spans and its last span ends them
             a, b = cuts[j], cuts[j + 1]
-            if b > a and ends[b - 1] > bases[j + 1] * cap:
-                last = ends[b - 1] - 1 - bases[j] * cap
-                raise AddressError(f"{store.path}: entry {last} wanted from a store of {store.num_pages} pages")
+            if b > a and (starts[a] < bases[j] * cap or ends[b - 1] > bases[j + 1] * cap):
+                bad = starts[a] if starts[a] < bases[j] * cap else ends[b - 1] - 1
+                raise AddressError(f"{store.path}: entry {bad - bases[j] * cap} wanted from a store of {store.num_pages} pages")
         first = starts // cap
         # each span's end page, built in place: a batch can hold a span per
         # vertex or per entry
@@ -619,7 +622,8 @@ class StoreRegistry:
         split = np.searchsorted(pages, bases).tolist()
         for j, store in enumerate(stores):
             a, b = split[j], split[j + 1]
-            rows[a:b] = store._fetch(pages[a:b] - bases[j])
+            if b > a:
+                rows[a:b] = store._fetch(pages[a:b] - bases[j])
         self._pinned[rows] = True
         counts = self._counts(rows)
         # the last span starting below a page's end wants the most of it

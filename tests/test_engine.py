@@ -771,6 +771,38 @@ def test_a_scalar_column_is_broadcast(tmp_path):
     assert got == [(1, 0, 9), (2, 0, 9), (3, 0, 9)]
 
 
+class ScriptedSum(Scripted):
+    """Scripted with a sum combiner, so its messages log no src."""
+
+    name = "scripted-sum"
+    combine = {"x": np.add}
+
+
+@pytest.mark.parametrize("src", [None, -1, 6, np.array([0, 1])], ids=["none", "minus-1", "n", "short"])
+def test_a_combiners_send_takes_no_src_and_checks_none_it_is_given(tmp_path, src):
+    # its records have no src field, so broadcast passes src None, and a
+    # src column send_many is given is neither logged nor checked
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    got = []
+
+    def step(ctx, batch):
+        if ctx.superstep == 0:
+            ctx.send_many(np.array([1, 2, 2]), src, np.array([3, 4, 5]))
+        else:
+            assert batch.broadcast(np.ones(len(batch), bool), 1)[1] is None
+            got.extend(batch.records.tolist())
+
+    run_app(g, ScriptedSum(step), cfg(max_supersteps=2), str(tmp_path / "run"))
+    assert got == [(1, 3), (2, 9)]
+
+
+def test_a_send_with_no_src_is_a_contract_violation_where_src_is_logged(tmp_path):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.send_many(batch.ids, None, 1))
+    with pytest.raises(ContractViolation, match="src is None"):
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
+
+
 @pytest.mark.parametrize(
     "op",
     [(7, 0, 1), (-1, 0, 1), (csr.ADD_EDGE, 0, 10**6), (csr.ADD_EDGE, 0, -5), (csr.ADD_EDGE, 0, 6)],

@@ -122,7 +122,7 @@ def test_a_count_overflowing_a_resident_tail_page_is_corrupt(tmp_path):
     for i in range(40):
         mlog.send(i % 4, 0, i)
     handle = mlog.seal().handles[0]
-    PAGE_COUNT.pack_into(handle.tail[1], 0, 0xFFFF)
+    PAGE_COUNT.pack_into(handle.pages[1], 0, 0xFFFF)
     with pytest.raises(CorruptPageError, match="interval 0 tail: the record count of page 1 overflows it"):
         read_log_records(handle, FMT16)
     mlog.close()

@@ -95,12 +95,13 @@ def hashed_set_op(text: str) -> list[int]:
 
 
 RULES = [
-    Rule("one page-read path", (PKG,), (PAGER,), r"\.read_pages?\(",
+    Rule("one page-read path", (PKG,), (PAGER,), r"\.read_page\(",
          "only the pager reads page images: read spans through StoreRegistry.read_spans, over one store or several, and whole vectors, log files included, through read_vector",
-         "img = store.read_page(3)\nimgs = store.read_pages([1, 2])", "pages, _, rows, at = store.read_spans(lo, hi, dt)", PAGER),
-    Rule("whole vectors in one span", (PKG,), (), r"read_(records|pages)\(range\(",
+         "img = store.read_page(3)\nimgs = [self.read_page(p) for p in ids]", "pages, _, rows, at = store.read_spans(lo, hi, dt)", PAGER),
+    Rule("whole vectors in one span", (PKG,), (PAGER,), r"read_spans\(.*np\.zeros\(1\b",
          "a whole vector reads as the one span [0, n), whose page counts are checked: use PageStore.read_vector",
-         "out = store.read_records(range(store.num_pages), 4)\nimgs = self.read_pages(range(need))", "out = store.read_vector(n, VID_DT)"),
+         "_, counts, rows, _ = store.read_spans(np.zeros(1, np.int64), np.full(1, n), dt)\nreg.read_spans([store], [0, 1], np.zeros(1, int), ends, dt)",
+         "out = store.read_vector(n, VID_DT)\npages, _, rows, at = store.read_spans(np.zeros(k, np.int64), ends, dt)", PAGER),
     Rule("one page layout", (PKG,), (PAGER,), r"PAGE_HEADER|PAGE_COUNT",
          "only the pager knows a page's header and record count: build and parse pages through its layout helpers",
          "off = pager.PAGE_HEADER + 4\nn = PAGE_COUNT.unpack_from(page)[0]", "pages = pack_pages(raw, 4, page_size)", PAGER),

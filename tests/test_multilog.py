@@ -65,7 +65,7 @@ def test_overflow_closes_page_capacity_plus_one(tmp_path):
     for i in range(cap + 1):
         mlog.send(0, 0, i)
     log = mlog.logs[0]
-    assert len(log.closed) == 1  # one full page buffered
+    assert len(log.pages) == 1  # one full page buffered
     assert log.fill == 1  # one record in the fresh top page
     assert log.message_count == cap + 1
 
@@ -124,13 +124,13 @@ def test_evict_flushes_closed_pages_oldest_first_down_to_the_budget(tmp_path):
     cap = mlog.capacity
     evicted = count_evictions(mlog)
     mlog.send(5, 0, 99)
-    (tail,) = [h for h in mlog.seal().handles if h.tail]
+    (tail,) = [h for h in mlog.seal().handles if h.pages]
     send_run(mlog, 5, range(cap))  # interval 1 closes its first page,
     send_run(mlog, 0, range(cap))  # then interval 0,
     send_run(mlog, 5, range(cap, 2 * cap))  # then interval 1 again
     assert (mlog._resident_pages, evicted[0]) == (4, 0)
     mlog.send(0, 0, cap)  # a fifth page: the tail spills, no open page goes
-    assert (filed(tail), tail.tail) == (1, [])
+    assert (filed(tail), len(tail.pages)) == (1, 0)
     assert ([filed(log) for log in mlog.logs], mlog._resident_pages) == ([0, 0], 4)
     mlog.send(5, 0, 2 * cap)  # the oldest closed page goes: interval 1's first
     assert ([filed(log) for log in mlog.logs], mlog._resident_pages) == ([0, 1], 4)
@@ -168,11 +168,11 @@ def test_adversarial_spray_evicts_exactly_to_the_budget(tmp_path):
     assert mlog._resident_pages == 133 and all(log.store is None for log in mlog.logs)
     mlog.budget = 96 * 256
     assert mlog.evict_if_needed() == 37
-    assert [filed(h) for h in tails] == [1] * 8 and mlog._carried_pages == 0
+    assert [filed(h) for h in tails] == [1] * 8 and mlog._sealed_pages == 0
     assert mlog._resident_pages == 96
     # the 32 pages that closed first went: those of intervals 63 down to 32
     assert [filed(log) for log in mlog.logs] == [0] * 32 + [1] * 32
-    assert [len(log.closed) for log in mlog.logs] == [1] * 32 + [0] * 32
+    assert [len(log.pages) for log in mlog.logs] == [1] * 32 + [0] * 32
     assert mlog.evict_if_needed() == 0
 
 
@@ -271,7 +271,7 @@ def test_seal_writes_nothing_and_loads_the_tail_from_memory(tmp_path):
         mlog.send(0, 0, i)
     handle = mlog.seal().handles[0]
     assert mlog.registry.totals()["log"] == (0, 0) and handle.store is None
-    assert [PAGE_COUNT.unpack_from(p)[0] for p in handle.tail] == [cap, cap, 3]
+    assert [PAGE_COUNT.unpack_from(p)[0] for p in handle.pages] == [cap, cap, 3]
     assert read_log_records(handle, FMT16)["val"].tolist() == list(range(2 * cap + 3))
     assert mlog.registry.totals()["log"] == (0, 0)
 
@@ -282,17 +282,17 @@ def test_tails_spill_before_any_open_page_in_chain_order(tmp_path):
     send_run(mlog, 0, range(2 * cap + 3))  # interval 0: two full pages and a partial top
     mlog.send(5, 0, 99)  # interval 1: one partial top
     first, second = mlog.seal().handles
-    assert [len(first.tail), len(second.tail)] == [3, 1]
+    assert [len(first.pages), len(second.pages)] == [3, 1]
     mlog.send(3, 0, 0)  # a fifth page: exactly one tail page spills, from the log loaded last
     assert (filed(first), filed(second)) == (0, 1)
-    assert len(first.tail) == 3 and not second.tail
+    assert len(first.pages) == 3 and not second.pages
     assert mlog._resident_pages == 4
     send_run(mlog, 3, range(1, 2 * cap + 1))  # two more openings: two tail pages, in chain order
-    assert filed(first) == 2 and len(first.tail) == 1
-    assert mlog.logs[1].store is None and len(mlog.logs[1].closed) == 2  # no open page written yet
+    assert filed(first) == 2 and len(first.pages) == 1
+    assert mlog.logs[1].store is None and len(mlog.logs[1].pages) == 2  # no open page written yet
     assert mlog._resident_pages == 4
     send_run(mlog, 3, range(2 * cap + 1, 4 * cap + 1))  # two more: the last tail page, then the oldest closed page
-    assert filed(first) == 3 and not first.tail
+    assert filed(first) == 3 and not first.pages
     assert filed(mlog.logs[1]) == 1 and mlog._resident_pages == 4
     # each file is its log's records as one vector
     assert first.store.read_vector(2 * cap + 3, FMT16.dtype)["val"].tolist() == list(range(2 * cap + 3))
@@ -323,62 +323,80 @@ def test_open_and_carried_pages_stay_within_the_budget(tmp_path):
             mlog.release(carried.handles)
         carried = sealed
     mlog.release(carried.handles)
-    assert (mlog._resident_pages, mlog._carried_pages, mlog._carried) == (0, 0, [])
+    assert (mlog._resident_pages, mlog._sealed_pages, len(mlog._queue)) == (0, 0, 0)
     assert mlog.registry._stores["log"] == []
 
 
 class PageCountModel:
-    """Page counts of the exact eviction rule, one record at a time. A
-    record landing on an empty top opens a page; an opening past the budget
-    writes one page: a tail page of the last sealed log still held, else the
-    oldest closed page. Pages are counts here, never contents."""
+    """The exact eviction rule, one record at a time, over page identities
+    (tag, interval, ordinal): the ordinal-th page of the interval's log
+    that is sealed after tag seals. A record landing on an empty
+    top opens a page; an opening past the budget writes one page: the first
+    held page of the sealed log still held that leaves first (the last
+    seal's, its last interval's first), else the oldest closed page. Pages
+    are identities here, never contents."""
 
     def __init__(self, n_intervals, cap, budget_pages):
         self.cap, self.budget = cap, budget_pages
+        self.tag = 0
         self.fill = [0] * n_intervals
-        self.closed = deque()  # the interval of each closed page, oldest first
-        self.tails = []  # [key, pages] of each held tail, in seal order
-        self.open = self.written = 0
+        self.opened = [0] * n_intervals  # pages each open log has opened
+        self.closed = deque()  # the identity of each closed page, oldest first
+        self.tails = []  # the held pages of each held sealed log, in seal order
+        self.open = 0
+        self.written = []  # the identity of each page written, in order
 
     @property
     def resident(self):
-        return self.open + sum(pages for _, pages in self.tails)
+        return self.open + sum(len(pages) for pages in self.tails)
 
     def send(self, k):
         if self.fill[k] == 0:
             if self.resident == self.budget:
-                self.written += 1
                 if self.tails:
-                    self.tails[-1][1] -= 1
-                    if self.tails[-1][1] == 0:
+                    self.written.append(self.tails[-1].popleft())
+                    if not self.tails[-1]:
                         self.tails.pop()
                 else:
-                    self.closed.popleft()
+                    self.written.append(self.closed.popleft())
                     self.open -= 1
             self.open += 1
+            self.opened[k] += 1
         self.fill[k] = (self.fill[k] + 1) % self.cap
         if self.fill[k] == 0:
-            self.closed.append(k)
+            self.closed.append((self.tag, k, self.opened[k] - 1))
 
-    def seal(self, tag):
+    def seal(self):
         for k, fill in enumerate(self.fill):
-            pages = self.closed.count(k) + (fill > 0)
+            pages = deque(page for page in self.closed if page[1] == k)
+            if fill:
+                pages.append((self.tag, k, self.opened[k] - 1))
             if pages:
-                self.tails.append([(tag, k), pages])
+                self.tails.append(pages)
+        self.tag += 1
         self.fill = [0] * len(self.fill)
+        self.opened = [0] * len(self.fill)
         self.closed.clear()
         self.open = 0
 
-    def release(self, keys):
-        self.tails = [t for t in self.tails if t[0] not in keys]
+    def release(self, log):
+        self.tails = [pages for pages in self.tails if pages[0][:2] != log]
+
+    def filed(self, logs):
+        """The pages of each of logs, (tag, interval) pairs, in its file; a
+        log's pages are written in arrival order, so they are its first."""
+        got = {log: sorted(o for t, k, o in self.written if (t, k) == log) for log in logs}
+        assert all(ordinals == list(range(len(ordinals))) for ordinals in got.values())
+        return {log: len(ordinals) for log, ordinals in got.items()}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_evictions_write_exactly_the_forced_overflow(tmp_path, seed):
-    # random send streams over several supersteps, with the carried tails
-    # released one log at a time mid-stream as if loaded: every call that
-    # evicts leaves residency at the budget, and the log pages written are
-    # the openings the model finds past the budget
+    # random send streams over several supersteps, with sealed logs
+    # released one at a time mid-stream as if loaded, some only supersteps
+    # after their seal: every call that evicts leaves residency at the
+    # budget, and each log file holds the pages of its log that the model
+    # finds written, past the budget, in the order pages leave
     rng = np.random.default_rng(seed)
     n_int = int(rng.integers(1, 5))
     bounds = list(range(0, 3 * n_int + 1, 3))
@@ -386,9 +404,8 @@ def test_evictions_write_exactly_the_forced_overflow(tmp_path, seed):
     mlog = make_mlog(tmp_path, bounds=bounds, budget_pages=budget_pages)
     evicted = count_evictions(mlog)
     model = PageCountModel(n_int, mlog.capacity, budget_pages)
-    carried = None
+    held = []  # (tag, handle) of each sealed log not yet released
     for tag in range(6):
-        held = [h for h in carried.handles if h.tail] if carried is not None else []
         for _ in range(int(rng.integers(1, 10))):
             size = int(rng.integers(0, 3 * mlog.capacity * n_int))
             recs = np.zeros(size, FMT16.dtype)
@@ -400,19 +417,26 @@ def test_evictions_write_exactly_the_forced_overflow(tmp_path, seed):
             if evicted[0] > before:
                 assert mlog._resident_pages == budget_pages
             assert mlog._resident_pages == model.resident
-            assert mlog.registry.totals()["log"][1] == model.written == evicted[0]
+            assert mlog.registry.totals()["log"][1] == len(model.written) == evicted[0]
+            logs = {(t, h.interval): filed(h) for t, h in held} | {(tag, log.interval): filed(log) for log in mlog.logs}
+            assert logs == model.filed(logs)
             if held and rng.random() < 0.5:
-                handle = held.pop(int(rng.integers(0, len(held))))
+                t, handle = held.pop(int(rng.integers(0, len(held))))
                 mlog.release([handle])
-                model.release({(tag - 1, handle.interval)})
-        sealed = mlog.seal()
-        model.seal(tag)
-        assert [len(h.tail) for h in sealed.handles if h.tail] == [p for (t, _), p in model.tails if t == tag]
-        if carried is not None:
-            mlog.release(carried.handles)
-            model.release({(tag - 1, k) for k in range(n_int)})
-        carried = sealed
-    assert model.written > 0
+                model.release((t, handle.interval))
+        held += [(tag, handle) for handle in mlog.seal().handles]
+        model.seal()
+        assert mlog._resident_pages == model.resident
+        # each sealed log is released now or a superstep or two later
+        kept = []
+        for t, handle in held:
+            if t < tag - 1 or rng.random() < 0.4:
+                mlog.release([handle])
+                model.release((t, handle.interval))
+            else:
+                kept.append((t, handle))
+        held = kept
+    assert model.written
 
 
 def test_release_and_close_free_every_tail(tmp_path):
@@ -422,11 +446,11 @@ def test_release_and_close_free_every_tail(tmp_path):
     manifest = mlog.seal()
     assert mlog._resident_pages == 2
     mlog.release(manifest.handles)
-    assert mlog._resident_pages == 0 and all(not h.tail for h in manifest.handles)
+    assert mlog._resident_pages == 0 and all(not h.pages for h in manifest.handles)
     mlog.send(0, 0, 3)
     last = mlog.seal()
     mlog.close()  # a tail still held at the end is never written
-    assert mlog._resident_pages == 0 and not last.handles[0].tail
+    assert mlog._resident_pages == 0 and not last.handles[0].pages
     assert mlog.registry.totals()["log"] == (0, 0)
 
 
@@ -440,13 +464,13 @@ def test_release_is_idempotent(tmp_path):
     manifest = mlog.seal()
     mlog.send(5, 0, 7)
     first = manifest.handles[0]
-    assert filed(first) == 1 and len(first.tail) == 1 and mlog._resident_pages == 2
+    assert filed(first) == 1 and len(first.pages) == 1 and mlog._resident_pages == 2
     path = first.store.path
     for _ in range(2):
         mlog.release(manifest.handles)
-        assert all(h.store is None and not h.tail for h in manifest.handles)
+        assert all(h.store is None and not h.pages for h in manifest.handles)
         assert not os.path.exists(path) and mlog.registry._stores["log"] == []
-        assert (mlog._resident_pages, mlog._carried_pages, mlog._carried) == (1, 0, [])
+        assert (mlog._resident_pages, mlog._sealed_pages, len(mlog._queue)) == (1, 0, 0)
         assert mlog.registry.holds["multilog"] == mlog.page_size
     mlog.close()
     mlog.registry.set_budget(0)
@@ -472,7 +496,7 @@ def count_evictions(mlog):
 
 def snapshot(mlog):
     logs = [
-        (log.fill, log.message_count, bytes(log.top), [bytes(p) for p in log.closed], filed(log))
+        (log.fill, log.message_count, bytes(log.top), [bytes(p) for p in log.pages], filed(log))
         for log in mlog.logs
     ]
     return logs, mlog.resident_bytes, mlog.total_appends, mlog.post_evict_peak
@@ -681,8 +705,8 @@ def test_a_raw_interval_turns_into_an_accumulator_once_its_records_outgrow_it(tm
         send_in_cuts(mlog, cols, np.random.default_rng(seed + 50))
         if comb is not None:
             assert [log.acc is not None for log in mlog.logs] == [True, False]
-            assert mlog.logs[0].message_count == 0 and not mlog.logs[0].closed
-            assert mlog._resident_pages == len(mlog.logs[1].closed) + (mlog.logs[1].fill > 0)
+            assert mlog.logs[0].message_count == 0 and not mlog.logs[0].pages
+            assert mlog._resident_pages == len(mlog.logs[1].pages) + (mlog.logs[1].fill > 0)
         got[name] = combined_logs(mlog, PR_FMT, PR_COMBINE)
         mlog.close()
     assert got["folded"] == got["raw"]
@@ -849,7 +873,7 @@ def test_sealing_an_accumulator_evicts_the_oldest_closed_pages_not_a_sealed_tail
     handles = mlog.seal().handles
     assert evicted[0] == 2
     assert [filed(h) for h in handles] == [0, 0, 2]
-    assert [len(h.tail) for h in handles] == [18, -(-200 // cap), 16]
+    assert [len(h.pages) for h in handles] == [18, -(-200 // cap), 16]
     assert [h.message_count for h in handles] == [18 * cap, 200, 18 * cap]
     assert read_log_records(handles[2], PR_FMT)["dest"].tolist() == (300 + np.arange(18 * cap) % 100).tolist()
     mlog.close()

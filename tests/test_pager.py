@@ -199,6 +199,43 @@ def test_read_spans_rejects_a_span_past_the_last_page_before_reading(store):
     assert store.pages_read == 0
 
 
+def three_vectors(tmp_path):
+    """A registry holding stores a, b and c, each the 8-byte records 0..99
+    in pages 0-3, 30 to a 256-byte page."""
+    reg = StoreRegistry(page_size=256)
+    stores = [reg.open(str(tmp_path / f"{name}.pages"), "csr") for name in "abc"]
+    for store in stores:
+        vector(store, 100)
+    return reg, stores
+
+
+def test_read_spans_rejects_a_span_starting_before_its_store_before_reading(tmp_path):
+    # b's span [10, 12) lies in a's pages, and a negative start lies before
+    # every store: each names the store whose span it is, in its numbering
+    reg, (a, b, _) = three_vectors(tmp_path)
+    with reg.scope(), pytest.raises(AddressError, match=f"{b.path}: entry -110 wanted from a store of 4 pages"):
+        reg.read_spans([a, b], [0, 1, 2], np.array([0, 10]), np.array([3, 12]), "<u8")
+    with reg.scope(), pytest.raises(AddressError, match=f"{a.path}: entry -5 wanted from a store of 4 pages"):
+        a.read_spans(np.array([-5]), np.array([3]), "<u8")
+    assert a.pages_read == b.pages_read == 0
+    reg.close_all()
+
+
+def test_read_spans_fetches_only_from_the_stores_its_pages_lie_in(tmp_path, monkeypatch):
+    # b has no span and c only an empty one: only a's and the last c's pages are read
+    reg, (a, b, c) = three_vectors(tmp_path)
+    fetched = []
+    fetch = PageStore._fetch
+    monkeypatch.setattr(PageStore, "_fetch", lambda s, ids: fetched.append(s) or fetch(s, ids))
+    starts, ends = np.array([5, 40, 250, 400, 410]), np.array([9, 42, 250, 403, 410])
+    with reg.scope():
+        pages, _, rows, at = reg.read_spans([a, b, c, c], [0, 2, 2, 3, 5], starts, ends, "<u8")
+        got = [reg.gather(rows, np.arange(i, i + e - s), "<u8").tolist() for i, s, e in zip(at, starts, ends)]
+    assert fetched == [a, c] and pages.tolist() == [0, 1, 13]
+    assert got == [[5, 6, 7, 8], [40, 41], [], [40, 41, 42], []]
+    reg.close_all()
+
+
 def test_read_spans_rejects_a_page_whose_count_misses_a_wanted_entry(store):
     vector(store, 100)
     page = bytearray(store.read_page(1))  # entries 30-59

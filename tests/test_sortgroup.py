@@ -444,14 +444,14 @@ def test_a_tail_spilled_between_passes_gives_the_same_records(tmp_path):
         mlog.send(d, s, v)
     manifest = mlog.seal()
     handle = manifest.handles[0]
-    assert (handle.store, len(handle.tail)) == (None, 27)
+    assert (handle.store, len(handle.pages)) == (None, 27)
     want = sort_n_group(sortgroup.load_log(FusePlan([0], 400 * 16), manifest, FMT16))
     plan = FusePlan([0], 400 * 16, passes=3)
     indeg = np.bincount([d for d, _, _ in sends], minlength=8)
     parts, held = [], []
     for _, _, slog in sortgroup.iter_plan_sorted(plan, manifest, FMT16, [0, 8], indeg, mlog.release):
         parts.append(slog.records)
-        held.append((handle.store, len(handle.tail), mlog._carried_pages))
+        held.append((handle.store, len(handle.pages), mlog._sealed_pages))
         mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))  # this pass's batch sends
     assert held == [(None, 0, 0)] * 3  # released at the first yield
     assert reg.totals()["log"] == (0, 0)
@@ -504,13 +504,13 @@ def test_an_oversized_plan_consumes_its_logs_before_its_first_pass(tmp_path):
     mlog.send_many(np.zeros(5 * mlog.capacity, FMT16.dtype))
     handle = manifest.handles[0]
     path = handle.store.path
-    assert (handle.store.num_pages, len(handle.tail)) == (2, 25)
+    assert (handle.store.num_pages, len(handle.pages)) == (2, 25)
     assert reg.holds["multilog"] == 30 * 256
     indeg = np.bincount(sends["dest"], minlength=8)
     passes = sortgroup.iter_plan_sorted(FusePlan([0], 400 * 16, passes=3), manifest, FMT16, [0, 8], indeg, mlog.release)
     a, b, first = next(passes)
     assert not os.path.exists(path) and handle.store is None and reg._stores["log"] == []
-    assert handle.tail == [] and mlog._carried == [] and mlog._carried_pages == 0
+    assert not handle.pages and handle not in mlog._queue and mlog._sealed_pages == 0
     assert reg.holds["multilog"] == 5 * 256  # only the open superstep's pages
     rest = list(passes)
     want = sort_n_group(sends)

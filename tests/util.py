@@ -85,7 +85,7 @@ def spill_tails(mlog: MultiLog) -> None:
     after its last seal: the sends spill every sealed tail to its log file
     and flush no open page."""
     mlog.send_many(np.zeros(mlog.budget // mlog.page_size * mlog.capacity, mlog.fmt.dtype))
-    assert mlog._carried_pages == 0
+    assert mlog._sealed_pages == 0
 
 
 def build_graph(tmpdir, src, dst, n, page_size=1024, sort_budget=None, record_size=20, name="g"):
