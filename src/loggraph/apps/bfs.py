@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import VertexProgram
+from ..errors import ConfigError
 
 INF_LEVEL = 0xFFFFFFFF
 
@@ -24,7 +25,7 @@ class Bfs(VertexProgram):
 
     def init_all(self, num_vertices, in_degrees):
         if not (0 <= self.source < num_vertices):
-            raise ValueError(f"source {self.source} outside [0, {num_vertices})")
+            raise ConfigError(f"source {self.source} outside [0, {num_vertices})")
         states = np.full(num_vertices, INF_LEVEL, self.state_dtype)
         active = np.zeros(num_vertices, bool)
         # the source levels itself through an initial self-message

@@ -455,7 +455,7 @@ class Partition:
                 )
             self.colidx = reg.open(part_path(graph_dir.path, k, "colidx"), "csr", create=False)
         except (MissingStoreError, CorruptPageError):
-            reg.drop(self.rowptr, "csr")
+            reg.drop(self.rowptr)
             raise
 
     def full_rowptr(self) -> np.ndarray:
@@ -512,8 +512,8 @@ class GraphDir:
     def close(self) -> None:
         """Close the partition files; their traffic stays in registry.totals()."""
         for part in self.partitions:
-            self.registry.drop(part.rowptr, "csr")
-            self.registry.drop(part.colidx, "csr")
+            self.registry.drop(part.rowptr)
+            self.registry.drop(part.colidx)
         self.partitions = []
 
     def __enter__(self) -> "GraphDir":
@@ -583,7 +583,7 @@ def build_partitions(
         np.cumsum(counts, out=rowptr[1:])
         # GraphDir opens the files again; drop keeps their traffic in totals()
         for store in write_interval(registry, meta, out_dir, k, rowptr, dst[a:b]):
-            registry.drop(store, "csr")
+            registry.drop(store)
 
 
 def _row_offsets(graph: GraphDir, active: np.ndarray, cuts: np.ndarray, per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -770,8 +770,8 @@ def merge_structural_updates(graph: GraphDir, k: int, ops: np.ndarray) -> int:
     in_degrees = graph.in_degrees() + np.bincount(ins, minlength=n) - np.bincount(gone, minlength=n)
 
     reg = graph.registry
-    reg.drop(part.rowptr, "csr", unlink=True)
-    reg.drop(part.colidx, "csr", unlink=True)
+    reg.drop(part.rowptr, unlink=True)
+    reg.drop(part.colidx, unlink=True)
     part.rowptr, part.colidx = write_interval(reg, graph.meta, graph.path, k, rowptr, colidx)
     write_in_degrees(graph.path, in_degrees)
     return warnings

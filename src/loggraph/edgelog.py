@@ -81,7 +81,7 @@ class EdgeLog:
         """Rotate: last superstep's log becomes readable, a fresh one opens."""
         old = self._consumable[2]
         if old is not None:
-            self.registry.drop(old, "edgelog", unlink=True)
+            self.registry.drop(old, unlink=True)
         self._finish_writer()
         self._tag = tag
         self.bytes_logged = 0
@@ -102,7 +102,7 @@ class EdgeLog:
         """Drop the readable and the open log; neither is needed again."""
         for store in (self._consumable[2], self._store):
             if store is not None:
-                self.registry.drop(store, "edgelog", unlink=True)
+                self.registry.drop(store, unlink=True)
         self._consumable = (np.zeros(0, np.int64), np.zeros((0, 2), np.int64), None)
         self._store = None
         self.registry.hold("edgelog", 0)

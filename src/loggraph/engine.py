@@ -371,8 +371,12 @@ class Context:
         earlier insertion left, or else counts a structural warning. Every
         later fetch sees them at once, whether or not the engine has merged
         them into the CSR files yet; it merges only when their share of the
-        memory budget overflows, and at the end of the run."""
-        self._engine._buffer_ops(np.asarray(ops, np.int64).reshape(-1, 3))
+        memory budget overflows, and at the end of the run. ops other than
+        empty or (n, 3) integer rows are a contract violation."""
+        ops = np.asarray(ops)
+        if ops.size and (ops.ndim != 2 or ops.shape[1] != 3 or ops.dtype.kind not in "iu"):
+            raise ContractViolation(f"structural ops must be (n, 3) integer rows, got a {ops.dtype} array of shape {ops.shape}")
+        self._engine._buffer_ops(ops.astype(np.int64, copy=False).reshape(-1, 3))
 
 
 class Engine:

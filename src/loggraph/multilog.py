@@ -2,13 +2,15 @@
 
 Every message is routed by destination to its vertex interval's log, one
 `LogHandle` per (superstep, interval). A log is open from its superstep's
-start: it appends into one in-memory top page, and a page closes as soon
-as it is full and joins the log's resident pages. `seal` ends a superstep
-in one call: it seals every interval's log, whose partial top joins its
-resident pages, and opens the next superstep's, and hands nothing to the
-pager (but the pages that appending its accumulators' records forces out,
-see below). A sealed log's resident pages, its tail, come after the pages
-already handed over and stay in the buffer's budget until the next
+start: it appends whole records to its top, an in-memory buffer that
+counts as one resident page once it holds a record, and as soon as the top
+holds a page's worth of records, `pager.pack_pages` packs them into a page
+that joins the log's resident pages. `seal` ends a superstep in one call:
+it seals every interval's log, whose partial top is packed as the last of
+its resident pages, and opens the next superstep's, and hands nothing to
+the pager (but the pages that appending its accumulators' records forces
+out, see below). A sealed log's resident pages, its tail, come after the
+pages already handed over and stay in the buffer's budget until the next
 superstep loads the log, once, and releases it.
 
 Every resident page but the tops waits in one eviction queue, as its log,
@@ -22,8 +24,8 @@ from the log the next superstep loads last; then closed pages, oldest
 first in the order they closed across all intervals. The pager appends
 them write-behind (see `pager`), so a handed-over page reaches storage
 only if the pager's ledger has no room for it or gives it back before the
-log file is deleted. The budget holds at least one top page per interval,
-so a buffer over budget always holds a queued page, and a top page is
+log file is deleted. The budget holds at least one page per interval, for
+the tops, so a buffer over budget always holds a queued page, and a top is
 never handed over before its log is sealed.
 
 Log files are per (superstep, interval), `log_t{tag}_i{k}.pages` with tag
@@ -75,9 +77,9 @@ superstep. A log's `message_count` is its records; `total_appends` counts
 sends.
 
 `send_columns` is the one send path. It takes one column per wire field,
-as vertex programs send through the engine's `Context.send_many`, copies
-the records into the top pages, and packs the whole pages between an
-interval's first top and its last with `pager.pack_pages`; `send_many`
+as vertex programs send through the engine's `Context.send_many`, appends
+each interval's records to its top, and packs the whole pages the top then
+holds with `pager.pack_pages`, the one builder of a log's pages; `send_many`
 sends an array of wire-format records as its columns, and `send` one
 record. The multi-log owns its log files and tails: `release` consumes
 logs at their one load, freeing their tails, taking them out of the queue
@@ -99,7 +101,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, CorruptPageError
-from .pager import PageStore, StoreRegistry, fill_page, pack_pages, page_capacity, page_records
+from .pager import PageStore, StoreRegistry, pack_pages, page_capacity, page_records
 
 
 # most pages of records one send_many block covers; uncapped blocks, as
@@ -249,9 +251,10 @@ class LogHandle:
     Its records are the vector of records in `store`, its log file
     `log_t{tag}_i{interval}.pages` (None until a page of it is handed to
     the pager; tag is the number of seals before its superstep), then those
-    of its resident `pages` (each with its record count in the header), in
-    arrival order: while open its closed pages, then its top's records;
-    once sealed its tail, the partial top last. An eviction appends its
+    of its resident `pages` (page images, each with its record count in
+    the header, packed by `pager.pack_pages`), in arrival order: while open
+    its closed pages, then the records in its top; once sealed its tail,
+    the partial top packed as its last page. An eviction appends its
     first resident page to the end of its file, so the file holds its
     records as `pager.pack_pages` lays them out: every page full but the
     last. The log is loaded once: `MultiLog.release` then frees what is
@@ -260,22 +263,22 @@ class LogHandle:
     records are already one per destination, ascending, folded from the
     combiner's identities: an accumulator's, or none.
 
-    Only an open log uses `top`, the page receiving its appends, `fill`,
-    the records in it, and `acc`, its accumulator if it chose one (see the
-    module doc); a sealed log's top is None.
+    Only an open log uses `top`, a bytearray of the whole records appended
+    since its last closed page, fewer than a page holds, and `acc`, its
+    accumulator if it chose one (see the module doc); a sealed log's top is
+    None.
     """
 
-    __slots__ = ("interval", "tag", "store", "message_count", "pages", "folded", "top", "fill", "acc")
+    __slots__ = ("interval", "tag", "store", "message_count", "pages", "folded", "top", "acc")
 
-    def __init__(self, interval: int, tag: int, page_size: int):
+    def __init__(self, interval: int, tag: int):
         self.interval = interval
         self.tag = tag
         self.store: PageStore | None = None
         self.message_count = 0
         self.pages: list[bytearray] = []
         self.folded = False
-        self.top: bytearray | None = bytearray(page_size)
-        self.fill = 0
+        self.top: bytearray | None = bytearray()
         self.acc: Accumulator | None = None
 
 
@@ -330,7 +333,7 @@ class MultiLog:
         self._min_acc_bytes = min(np.diff(bounds).tolist(), default=0) * self._acc_width
         self._acc_bytes = 0  # of the open superstep's accumulators
         self.tag = 0  # the open superstep's, which names its log files
-        self.logs = [LogHandle(k, 0, self.page_size) for k in range(self.n_intervals)]
+        self.logs = [LogHandle(k, 0) for k in range(self.n_intervals)]
         self._queue: deque[LogHandle] = deque()  # the log of each resident page but the tops, in leaving order
         self._resident_pages = 0  # open and sealed pages
         self._sealed_pages = 0  # of them, sealed logs'
@@ -466,21 +469,21 @@ class MultiLog:
         self.post_evict_peak = max(self.post_evict_peak, self.open_bytes)
         if log.message_count == 0:
             return
-        log.acc.fold(page_records(self._take_pages(log), self.fmt.dtype, f"interval {log.interval}"))
+        log.acc.fold(self._take_records(log))
         log.message_count = 0
         self.registry.hold("multilog", self.held_bytes)
 
-    def _take_pages(self, log: LogHandle) -> list[bytearray]:
-        """Take open log's resident pages out of the buffer and the queue:
-        the closed ones in arrival order, then the top, if not empty."""
+    def _take_records(self, log: LogHandle) -> np.ndarray:
+        """Take open log's records out of the buffer and the queue: its
+        closed pages' in arrival order (`pager.page_records`), then its
+        top's."""
         if log.pages:
             self._queue = deque(other for other in self._queue if other is not log)
-        pages = [*log.pages, log.top] if log.fill else log.pages
-        self._resident_pages -= len(pages)
-        log.pages = []
-        log.top = bytearray(self.page_size)
-        log.fill = 0
-        return pages
+        self._resident_pages -= len(log.pages) + bool(log.top)
+        closed = page_records(log.pages, self.fmt.dtype, f"interval {log.interval}")
+        records = np.frombuffer(b"".join([closed, log.top]), self.fmt.dtype)
+        log.pages, log.top = [], bytearray()
+        return records
 
     def _fits(self, nbytes: int) -> bool:
         """Whether an accumulator of nbytes fits beside the others and the
@@ -511,9 +514,9 @@ class MultiLog:
         logs = [self.logs[j] for j in hit.tolist()]
         # a record opens a page where it lands at slot 0 and closes one at
         # slot cap - 1; opens and closes hold those records' indices
-        cap, n = self.capacity, len(recs)
+        cap, n, w = self.capacity, len(recs), self.fmt.width
         if len(logs) == 1:
-            fill = logs[0].fill
+            fill = len(logs[0].top) // w
             opens, closes = np.arange(-fill % cap, n, cap), np.arange(cap - 1 - fill, n, cap)
         else:
             order = np.argsort(k, kind="stable")
@@ -521,8 +524,9 @@ class MultiLog:
             opens, closes = np.zeros(n, bool), np.zeros(n, bool)
             for log, a, b in zip(logs, [0, *ends[:-1]], ends):
                 group = order[a:b]
-                opens[group[-log.fill % cap :: cap]] = True
-                closes[group[cap - 1 - log.fill :: cap]] = True
+                fill = len(log.top) // w
+                opens[group[-fill % cap :: cap]] = True
+                closes[group[cap - 1 - fill :: cap]] = True
             opens, closes = np.flatnonzero(opens), np.flatnonzero(closes)
         t = int(opens[room]) if len(opens) > room else n
         opened = min(len(opens), room)
@@ -545,27 +549,17 @@ class MultiLog:
         return t
 
     def _append_run(self, log: LogHandle, recs: np.ndarray) -> None:
-        """Append one interval's records in arrival order: complete its top
-        page, pack the whole pages after it, and start the next top with
-        the rest."""
-        w, cap, n = self.fmt.width, self.capacity, len(recs)
-        raw = memoryview(np.ascontiguousarray(recs).view(np.uint8))
-        head = min(n, -log.fill % cap)
-        whole = (n - head) // cap * cap
-        self._fill_top(log, raw[: head * w])
-        # a bytearray per page: holding rows of the packed array raised peak RSS
-        log.pages.extend(map(bytearray, pack_pages(raw[head * w : (head + whole) * w], w, self.page_size)))
-        self._fill_top(log, raw[(head + whole) * w :])
-        log.message_count += n
-
-    def _fill_top(self, log: LogHandle, raw: memoryview) -> None:
-        """Copy whole records into log's top page, which keeps its record
-        count (`pager.fill_page`), closing it once full."""
-        log.fill = fill_page(log.top, log.fill, raw, self.fmt.width)
-        if log.fill == self.capacity:
-            log.pages.append(log.top)
-            log.top = bytearray(self.page_size)
-            log.fill = 0
+        """Append one interval's records in arrival order to its top, and
+        close every whole page the top then holds."""
+        # a memoryview: += of an ndarray would broadcast, not append
+        log.top += memoryview(np.ascontiguousarray(recs).view(np.uint8))
+        page = self.capacity * self.fmt.width
+        whole = len(log.top) // page * page
+        if whole:
+            # a bytearray per page: holding rows of the packed array raised peak RSS
+            log.pages.extend(map(bytearray, pack_pages(memoryview(log.top)[:whole], self.fmt.width, self.page_size)))
+            del log.top[:whole]
+        log.message_count += len(recs)
 
     def reset_peaks(self) -> None:
         self.post_evict_peak = self.open_bytes
@@ -622,18 +616,18 @@ class MultiLog:
         the next superstep's logs take tag + 1. The accumulators' records
         are appended first, while every log is open, so a page they force
         out is a queued page, as for any send. Then each log's partial top
-        joins its resident pages, its sealed tail, and the tails go to the
-        queue's front, the last interval's first; none is handed to the
-        pager."""
+        is packed as the last of its resident pages, its sealed tail, and
+        the tails go to the queue's front, the last interval's first; none
+        is handed to the pager."""
         for log in self.logs:
             self._log_accumulated(log)
         # the open logs' closed pages are the queue's last entries
         for _ in range(sum(len(log.pages) for log in self.logs)):
             self._queue.pop()
         for log in self.logs:
-            if log.fill:
-                log.pages.append(log.top)
-            log.top, log.fill = None, 0
+            if log.top:
+                log.pages.append(bytearray(pack_pages(log.top, self.fmt.width, self.page_size)[0]))
+            log.top = None
             # an empty log has nothing to fold either
             log.folded = log.folded or log.message_count == 0
             self._queue.extendleft([log] * len(log.pages))
@@ -641,7 +635,7 @@ class MultiLog:
         self._sealed_pages = self._resident_pages
         manifest = LogManifest(self.logs)
         self.tag += 1
-        self.logs = [LogHandle(k, self.tag, self.page_size) for k in range(self.n_intervals)]
+        self.logs = [LogHandle(k, self.tag) for k in range(self.n_intervals)]
         return manifest
 
     def _log_accumulated(self, log: LogHandle) -> None:
@@ -668,7 +662,7 @@ class MultiLog:
             handle.pages.clear()
             if handle.store is not None:
                 self._stores.remove(handle.store)
-                self.registry.drop(handle.store, "log", unlink=True)
+                self.registry.drop(handle.store, unlink=True)
                 handle.store = None
         self.registry.hold("multilog", self.held_bytes)
 
@@ -681,7 +675,7 @@ class MultiLog:
         self.release([log for log in dict.fromkeys(self._queue) if log.tag < self.tag])
         self.registry.hold("multilog", self.held_bytes)
         for store in self._stores:
-            self.registry.drop(store, "log", unlink=True)
+            self.registry.drop(store, unlink=True)
         self._stores = []
 
 

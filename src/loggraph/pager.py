@@ -26,10 +26,10 @@ the rows. The store's writers: `append` appends a page image,
 `append_records` fixed-width records, and `write_back_rows` writes back,
 in one call, the pages that a caller of `read_spans` changed in place in
 their arena rows (the state and aux commits of `state`). The helpers:
-`pack_pages` packs records into whole pages; `fill_page` copies records
-into a page in place (the multi-log's top pages); and `page_records`
-parses the counted records of a list of page buffers, the multi-log's
-resident tails. A count that overflows its page is corrupt.
+`pack_pages`, the one builder of page images, packs records into whole
+pages (every multi-log page, and what `append_records` appends); and
+`page_records` parses the counted records of a list of page buffers, the
+multi-log's resident pages. A count that overflows its page is corrupt.
 
 The index helpers serve the engine's set operations over vertex ids,
 interval ids and packed `row << 32 | nbr` keys: `ranges` concatenates
@@ -129,16 +129,6 @@ def pack_pages(raw, width: int, page_size: int) -> np.ndarray:
     return pages
 
 
-def fill_page(page: bytearray, fill: int, raw, width: int) -> int:
-    """Copy the whole records raw into the page image page after its first
-    fill records, in place, and set its record count; returns the count."""
-    off = PAGE_HEADER + fill * width
-    page[off : off + len(raw)] = raw
-    fill += len(raw) // width
-    PAGE_COUNT.pack_into(page, 0, fill)
-    return fill
-
-
 def page_records(pages: list, dtype, where: str) -> np.ndarray:
     """The counted records of the page images pages (a list of page
     buffers: bytes, bytearrays, memoryviews or uint8 rows), concatenated in
@@ -212,6 +202,7 @@ class PageStore:
         self.pages_read = 0
         self.pages_written = 0
         self.pages_hit = 0
+        self.klass: str | None = None  # the class StoreRegistry.open gave it
         self.registry = registry if registry is not None else StoreRegistry(page_size)
         try:
             self._f = open(path, "w+b" if create else "r+b", buffering=0)
@@ -495,16 +486,18 @@ class StoreRegistry:
         return sum(self.holds.values())
 
     def open(self, path: str, klass: str, create: bool = True) -> PageStore:
+        """Open a store of the traffic class klass, kept as its `klass`."""
         store = PageStore(path, self.page_size, create=create, registry=self)
+        store.klass = klass
         self._stores[klass].append(store)
         return store
 
-    def drop(self, store: PageStore, klass: str, unlink: bool = False) -> None:
+    def drop(self, store: PageStore, unlink: bool = False) -> None:
         """Close a store, writing its dirty pages unless unlink deletes its
-        file; its traffic stays in the totals."""
-        self._stores[klass].remove(store)
+        file; its traffic stays in its class's totals."""
+        self._stores[store.klass].remove(store)
         store.release(flush=not unlink)
-        self._retired[klass] = tuple(a + b for a, b in zip(self._retired[klass], _counts(store)))
+        self._retired[store.klass] = tuple(a + b for a, b in zip(self._retired[store.klass], _counts(store)))
         store.close()
         if unlink:
             os.unlink(store.path)

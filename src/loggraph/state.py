@@ -151,7 +151,7 @@ class VertexStateStore:
         """Close the state and aux files; they stay on disk."""
         for store in (self.store, self.aux_store):
             if store is not None:
-                self.registry.drop(store, "state")
+                self.registry.drop(store)
 
     def read_all(self) -> np.ndarray:
         """Full state vector, the file read whole through

@@ -4,6 +4,7 @@ import pytest
 from loggraph.apps import APPS, Bfs, Coloring, Community, KCore, Mis, PageRank, RandomWalk
 from loggraph.apps.bfs import INF_LEVEL
 from loggraph.engine import Batch, EngineConfig, run_app
+from loggraph.errors import ConfigError
 from loggraph.multilog import Accumulator, RecordFormat
 from loggraph.seeds import pick_index
 
@@ -75,7 +76,7 @@ def test_bfs_source_level_zero_and_no_resend(tmp_path):
 def test_bfs_invalid_source_rejected(tmp_path):
     src, dst = ring_graph(6)
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"source 17 outside \[0, 6\)"):
         run_app(g, Bfs(17), cfg(), str(tmp_path / "run"))
 
 

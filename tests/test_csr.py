@@ -977,8 +977,8 @@ def test_a_graph_converted_before_colidx_width_was_stored_is_config_error(tmp_pa
     old = dataclasses.replace(g.meta, colidx_width=4)
     for part in g.partitions:
         rp, ci = part.full_csr()
-        g.registry.drop(part.rowptr, "csr", unlink=True)
-        g.registry.drop(part.colidx, "csr", unlink=True)
+        g.registry.drop(part.rowptr, unlink=True)
+        g.registry.drop(part.colidx, unlink=True)
         part.rowptr, part.colidx = csr.write_interval(g.registry, old, g.path, part.k, rp, ci)
     g.close()
     rewrite_meta(g, lambda m: m.pop("colidx_width"))
@@ -1009,7 +1009,7 @@ def test_a_graph_converted_before_rowptr_width_was_stored_is_config_error(tmp_pa
     g = build_graph(tmp_path, src, dst, 6, page_size=256)
     for part in g.partitions:
         rp = part.full_rowptr()
-        g.registry.drop(part.rowptr, "csr", unlink=True)
+        g.registry.drop(part.rowptr, unlink=True)
         part.rowptr = g.registry.open(csr.part_path(g.path, part.k, "rowptr"), "csr")
         part.rowptr.append_records(rp.astype("<u8").tobytes(), 8)
     g.close()

@@ -815,6 +815,30 @@ def test_structural_op_it_cannot_apply_is_a_contract_violation(tmp_path, op):
         run_app(g, stray, cfg(), str(tmp_path / "run"))
 
 
+@pytest.mark.parametrize(
+    "ops, shape",
+    [
+        ([[csr.DEL_EDGE, 0, 1, csr.DEL_EDGE, 0, 5]], r"\(1, 6\)"),  # not two rows of three
+        ([(csr.DEL_EDGE, 0)], r"\(1, 2\)"),
+        ([(float(csr.DEL_EDGE), 0.0, 1.0)], r"float64 array of shape \(1, 3\)"),
+    ],
+    ids=["one-row-of-six", "two-columns", "float-rows"],
+)
+def test_structural_ops_other_than_n_by_3_integer_rows_are_a_contract_violation(tmp_path, ops, shape):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    stray = Scripted(lambda ctx, batch: ctx.structural_many(ops))
+    with pytest.raises(ContractViolation, match=shape):
+        run_app(g, stray, cfg(), str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("ops", [[], np.empty((0, 2), np.int64), np.empty((0, 3), np.uint8)], ids=["list", "0x2", "0x3"])
+def test_empty_structural_ops_change_nothing(tmp_path, ops):
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+    res = run_app(g, Scripted(lambda ctx, batch: ctx.structural_many(ops)), cfg(), str(tmp_path / "run"))
+    assert res.structural_warnings == 0 and not res.deleted.any()
+    assert list(stored_rows(g, np.arange(6)).values()) == [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
+
+
 @pytest.mark.parametrize("dst", [3, 10**6, -5])
 def test_deleting_an_absent_edge_is_a_warning(tmp_path, dst):
     g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)

@@ -11,7 +11,7 @@ from loggraph.multilog import (
     RecordFormat,
     read_log_records,
 )
-from loggraph.pager import PAGE_COUNT, PAGE_HEADER, StoreRegistry, page_capacity
+from loggraph.pager import PAGE_COUNT, PAGE_HEADER, StoreRegistry, pack_pages, page_capacity
 
 from util import spill_tails
 
@@ -55,7 +55,7 @@ def test_single_message_stays_in_top_page(tmp_path):
     mlog = make_mlog(tmp_path)
     mlog.send(1, 0, 7)
     assert mlog.logs[0].message_count == 1
-    assert mlog.logs[0].fill == 1
+    assert len(mlog.logs[0].top) // mlog.fmt.width == 1
     assert mlog.logs[0].store is None  # nothing written to storage yet
 
 
@@ -66,7 +66,7 @@ def test_overflow_closes_page_capacity_plus_one(tmp_path):
         mlog.send(0, 0, i)
     log = mlog.logs[0]
     assert len(log.pages) == 1  # one full page buffered
-    assert log.fill == 1  # one record in the fresh top page
+    assert len(log.top) // mlog.fmt.width == 1  # one record in the fresh top
     assert log.message_count == cap + 1
 
 
@@ -226,6 +226,38 @@ def test_flushed_page_keeps_arrival_order(tmp_path):
     spill_tails(mlog)
     recs = handle.store.read_vector(3, FMT16.dtype)
     assert recs["dest"].tolist() == [2, 2, 1]  # interval 0 only, arrival order
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_filed_and_tail_page_is_pack_pages_of_its_logs_records(tmp_path, seed):
+    # 17-byte records leave 2 bytes of padding after a full page's 14
+    rng = np.random.default_rng(seed)
+    bounds = [0, 5, 10, 15, 20]
+    # the registry's budget is 0, so every page handed over is in its file
+    mlog = MultiLog(bounds, FMT17, StoreRegistry(256), str(tmp_path / "logs"), 6 * 256)
+    sent, manifests = [], []
+    for _ in range(2):
+        calls = []
+        for _ in range(int(rng.integers(2, 6))):
+            recs = np.zeros(int(rng.integers(0, 80)), FMT17.dtype)
+            for name in FMT17.dtype.names:
+                recs[name] = rng.integers(0, 20 if name in ("dest", "src") else 256, len(recs))
+            mlog.send_many(recs)
+            calls.append(recs)
+        sent.append(np.concatenate(calls))
+        # the second superstep's sends evict the first one's tails
+        manifests.append(mlog.seal())
+    pages = {"filed": 0, "tail": 0}
+    for recs, manifest in zip(sent, manifests):
+        for h in manifest.handles:
+            lo, hi = bounds[h.interval], bounds[h.interval + 1]
+            want = pack_pages(recs[(recs["dest"] >= lo) & (recs["dest"] < hi)].tobytes(), FMT17.width, 256)
+            got = [h.store.read_page(i) for i in range(filed(h))] + [bytes(p) for p in h.pages]
+            assert got == [row.tobytes() for row in want]
+            pages["filed"] += filed(h)
+            pages["tail"] += len(h.pages)
+    assert pages["filed"] and pages["tail"]
+    mlog.close()
 
 
 def test_exactly_once_multiset_property(tmp_path):
@@ -496,7 +528,7 @@ def count_evictions(mlog):
 
 def snapshot(mlog):
     logs = [
-        (log.fill, log.message_count, bytes(log.top), [bytes(p) for p in log.pages], filed(log))
+        (len(log.top) // mlog.fmt.width, log.message_count, bytes(log.top), [bytes(p) for p in log.pages], filed(log))
         for log in mlog.logs
     ]
     return logs, mlog.resident_bytes, mlog.total_appends, mlog.post_evict_peak
@@ -536,7 +568,7 @@ def test_send_many_matches_a_loop_of_send(tmp_path, page_size, n_intervals, budg
         elif step % 3 == 2:
             # one interval's records up to exactly a full top page
             k = int(rng.integers(0, n_intervals))
-            size = cap - loop.logs[k].fill + cap * int(rng.integers(0, 3))
+            size = cap - len(loop.logs[k].top) // loop.fmt.width + cap * int(rng.integers(0, 3))
             dest = rng.integers(bounds[k], bounds[k + 1], size)
         else:
             size = int(rng.integers(0, 3 * cap * n_intervals + 2))
@@ -706,7 +738,7 @@ def test_a_raw_interval_turns_into_an_accumulator_once_its_records_outgrow_it(tm
         if comb is not None:
             assert [log.acc is not None for log in mlog.logs] == [True, False]
             assert mlog.logs[0].message_count == 0 and not mlog.logs[0].pages
-            assert mlog._resident_pages == len(mlog.logs[1].pages) + (mlog.logs[1].fill > 0)
+            assert mlog._resident_pages == len(mlog.logs[1].pages) + (len(mlog.logs[1].top) // mlog.fmt.width > 0)
         got[name] = combined_logs(mlog, PR_FMT, PR_COMBINE)
         mlog.close()
     assert got["folded"] == got["raw"]

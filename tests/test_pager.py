@@ -98,9 +98,22 @@ def test_registry_totals_and_retirement(tmp_path):
     b.append_page(bytes(128))
     assert reg.totals()["csr"] == (1, 1)
     assert reg.totals()["log"] == (0, 1)
-    reg.drop(b, "log", unlink=True)
+    reg.drop(b, unlink=True)
     assert reg.totals()["log"] == (0, 1)  # retired traffic is kept
     assert not os.path.exists(str(tmp_path / "b"))
+
+
+def test_a_store_keeps_its_class_and_drops_into_it(tmp_path):
+    reg = StoreRegistry(page_size=128)
+    stores = {klass: reg.open(str(tmp_path / klass), klass) for klass in StoreRegistry.CLASSES}
+    assert {klass: s.klass for klass, s in stores.items()} == {klass: klass for klass in StoreRegistry.CLASSES}
+    stores["state"].append_page(bytes(128))
+    reg.drop(stores["state"])
+    assert reg.totals() == {"csr": (0, 0), "log": (0, 0), "edgelog": (0, 0), "state": (0, 1)}
+    reg.close_all()
+    alone = PageStore(str(tmp_path / "alone"), 128)
+    assert alone.klass is None
+    alone.close()
 
 
 def test_page_record_region_parsing(store):
@@ -140,7 +153,7 @@ def test_page_records_counts_past_one_byte_in_any_page_buffer(tmp_path):
     for _ in range(2):
         assert store.read_vector(1500, "<u4").tolist() == list(range(1500))
     assert (store.pages_read, store.pages_hit) == (4, 2)
-    reg.drop(store, "log", unlink=True)
+    reg.drop(store, unlink=True)
 
 
 def vector(store, n):
@@ -319,7 +332,7 @@ def test_an_appended_page_is_admitted_and_read_from_memory(tmp_path):
     assert store.num_pages == 3
     assert read(store, [0, 1, 2]) == images
     assert (store.pages_written, store.pages_read, store.pages_hit) == (1, 1, 2)
-    reg.drop(store, "log", unlink=True)
+    reg.drop(store, unlink=True)
 
 
 def appended(tmp_path, pages, budget_pages, klass="state", page_size=128):
@@ -343,7 +356,7 @@ def test_an_append_with_room_is_neither_written_nor_counted(tmp_path):
     assert (store.pages_read, store.pages_hit) == (0, 2)
     with pytest.raises(ContractViolation):
         store.append(bytes(100))
-    reg.drop(store, "state", unlink=True)
+    reg.drop(store, unlink=True)
 
 
 def test_an_append_with_no_room_is_written_at_once(tmp_path, monkeypatch):
@@ -357,7 +370,7 @@ def test_an_append_with_no_room_is_written_at_once(tmp_path, monkeypatch):
     on_disk.close()
     assert read(store, [0, 1, 2]) == images
     assert (store.pages_read, store.pages_hit) == (2, 1)
-    reg.drop(store, "state", unlink=True)
+    reg.drop(store, unlink=True)
 
 
 def test_a_shrinking_budget_writes_appended_pages_once_in_page_order(tmp_path, monkeypatch):
@@ -371,14 +384,14 @@ def test_a_shrinking_budget_writes_appended_pages_once_in_page_order(tmp_path, m
     assert (store.pages_read, store.pages_hit) == (2, 2)  # what went back is read from storage
     reg.set_budget(0)
     assert order == [2, 3, 0, 1] and store.pages_written == 4 == reg.totals()["state"][1]
-    reg.drop(store, "state")
+    reg.drop(store)
     assert order == [2, 3, 0, 1]
 
 
 def test_a_drop_that_deletes_the_file_writes_no_appended_page(tmp_path, monkeypatch):
     reg, store, _ = appended(tmp_path, 3, 3, klass="log")
     monkeypatch.setattr(PageStore, "write_page", lambda *_: pytest.fail("a deleted page was written"))
-    reg.drop(store, "log", unlink=True)
+    reg.drop(store, unlink=True)
     assert reg.totals()["log"] == (0, 0) and reg.resident == 0 and not os.path.exists(store.path)
 
 
@@ -388,7 +401,7 @@ def test_an_appended_page_that_write_back_updates_is_written_once_with_the_newes
     write(store, [1], new[:1])
     write(store, [1], new[1:])
     assert store.pages_written == 0 and read(store, [1]) == new[1:]
-    reg.drop(store, "state")
+    reg.drop(store)
     assert reg.totals()["state"][1] == 2  # each page once, at the drop
     on_disk = PageStore(store.path, 128, create=False)
     assert [on_disk.read_page(p) for p in (0, 1)] == [images[0], new[1]]
@@ -415,7 +428,7 @@ def test_a_full_ledger_evicts_nothing_until_a_dropped_store_frees_room(tmp_path)
     read(other, [0])
     read(store, [0, 1])  # 1 is not admitted over 0
     assert (store.pages_read, store.pages_hit, other.pages_read) == (2, 1, 1)
-    reg.drop(store, "csr")
+    reg.drop(store)
     assert reg.resident == 0
     read(other, [0])
     read(other, [0])
@@ -444,7 +457,7 @@ def test_write_back_defers_a_resident_page_and_writes_any_other_at_once(tmp_path
         store.write_back_rows(np.zeros(1, np.int64), old)
     assert store.pages_written == written + 3 and on_disk.read_page(0) == new[1]
     assert read(store, [0]) == new[1:]
-    reg.drop(store, "csr")
+    reg.drop(store)
     assert reg.totals()["csr"][1] == written + 3  # the resident copy is clean
     on_disk.close()
 
@@ -460,7 +473,7 @@ def test_write_back_rows_defers_a_page_still_in_its_row_and_writes_any_other_at_
         written = store.pages_written
         store.write_back_rows(pages[[0, 2]], rows[[0, 2]])
         assert store.pages_written == written + 1  # page 2, at once
-    reg.drop(store, "csr")
+    reg.drop(store)
     assert reg.totals()["csr"][1] == written + 2  # page 0, dirty, at the drop
     on_disk = PageStore(store.path, 128, create=False)
     want = [image[:16] + b"\xaa" + image[17:] for image in images]
@@ -478,7 +491,7 @@ def test_write_page_on_a_resident_page_updates_its_copy(tmp_path):
     written = store.pages_written
     assert read(store, [0, 1]) == [new[1]] * 2
     assert store.pages_read == 2  # both served from memory
-    reg.drop(store, "csr")
+    reg.drop(store)
     assert reg.totals()["csr"][1] == written  # no stale dirty copy is flushed
     on_disk = PageStore(store.path, 128, create=False)
     assert on_disk.read_page(0) == new[1] and on_disk.read_page(1) == new[1]
@@ -553,7 +566,7 @@ def test_a_drop_that_deletes_the_file_discards_its_dirty_pages(tmp_path):
     read(store, [0, 1])
     written = store.pages_written
     write(store, [0, 1], images[::-1])
-    reg.drop(store, "csr", unlink=True)
+    reg.drop(store, unlink=True)
     assert reg.totals()["csr"][1] == written and reg.resident == 0
 
 
@@ -775,7 +788,7 @@ def test_a_sparse_read_of_resident_pages_copies_no_page(tmp_path):
         tracemalloc.stop()
     assert got.tolist() == want.tolist() and (store.pages_read, store.pages_hit) == (0, 256)
     assert peak < 64 * 1024  # the pages themselves are 1 MiB
-    reg.drop(store, "csr", unlink=True)
+    reg.drop(store, unlink=True)
 
 
 def pages_spans(first, end):

@@ -4,9 +4,14 @@
 
 Imports the engine and the workload definitions from the checkout at ROOT
 (default: the one holding this script), then generates, converts and runs
-each workload of `bench/workloads.py` once for seed N (default 1); a
-repeated `--workload NAME` runs only the named ones, in the given order. It
-prints one line per workload with two sha256 digests:
+each workload of `bench/workloads.py` once for seed N (default 1), and
+after them `pr-rmat16-ooc`; a repeated `--workload NAME` runs only the
+named ones, in the given order. `pr-rmat16-ooc` is defined here, from
+`bench.workloads.Workload`: PageRank with its combiner on the benchmark's
+R-MAT 16 graph at a 4 MiB budget for 15 supersteps, whose log pages spill
+and are written behind, which none of the four workloads does; its
+intervals come from `Workload.convert_args`, as theirs do. It prints one
+line per workload with two sha256 digests:
 
 - `results=` covers what the app computed: the final states, each
   superstep's number, active vertices and messages sent, and
@@ -93,14 +98,24 @@ def main(argv=None) -> int:
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     import loggraph
-    from bench.workloads import WORKLOADS
+    from bench.workloads import MIB, WORKLOADS, Workload
 
     if Path(loggraph.__file__).resolve().parent != root / "src" / "loggraph":
         sys.exit(f"digest: loggraph imported from {loggraph.__file__}, not from {root}")
-    unknown = sorted(set(args.workload or ()) - set(WORKLOADS))
+    ooc = Workload(
+        name="pr-rmat16-ooc",
+        why="out-of-core PageRank: log pages spill and are written behind",
+        graph=("rmat", 16, 8),
+        app="pagerank",
+        memory_budget=4 * MIB,
+        max_supersteps=15,
+        app_kwargs={"use_combine": True},
+    )
+    workloads = {**WORKLOADS, ooc.name: ooc}
+    unknown = sorted(set(args.workload or ()) - set(workloads))
     if unknown:
-        ap.error(f"unknown workload {unknown[0]}; choose from {', '.join(WORKLOADS)}")
-    for workload in [WORKLOADS[name] for name in args.workload] if args.workload else WORKLOADS.values():
+        ap.error(f"unknown workload {unknown[0]}; choose from {', '.join(workloads)}")
+    for workload in [workloads[name] for name in args.workload] if args.workload else workloads.values():
         with tempfile.TemporaryDirectory() as workdir:
             print(digest_workload(workload, args.seed, workdir), flush=True)
     return 0
