@@ -66,6 +66,9 @@ def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, gra
     run-end merges, the final state read and the write-back of dirty
     pages."""
     meta = graph.meta
+    stats = result.stats
+    # stopped before the cap, or its last superstep sent nothing
+    converged = len(stats) < cfg.max_supersteps or (bool(stats) and stats[-1].messages_sent == 0)
     return {
         "app": app_name,
         "app_args": dict(sorted(app_kwargs.items())),
@@ -83,7 +86,7 @@ def build_report(result, cfg: EngineConfig, app_name: str, app_kwargs: dict, gra
             "reads": dict(sorted(result.reads.items())),
             "writes": dict(sorted(result.writes.items())),
         },
-        "converged": len(result.stats) < cfg.max_supersteps,
+        "converged": converged,
         "structural_warnings": result.structural_warnings,
         "summary": result.summary(),
     }

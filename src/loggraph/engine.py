@@ -11,10 +11,13 @@ plus its forced vertices as the active set, fetch their state and adjacency
 (from the edge log when possible), run the vertex program on them, route
 its sends through the multi-log, then seal the next superstep's logs, merge
 pending structural updates if their budget share overflows and record the
-activity bit vector. With a combiner, the multi-log folds an interval's
-sends into one accumulator per superstep once their records would outgrow
-it, if it fits (see `multilog`), and logs one record per destination at
-seal; the receiver folds a raw log into the same kind of
+activity bit vector. The last superstep that `max_supersteps` allows logs
+nothing that only a later superstep would read: the seal that opens it
+tells the multi-log, which then checks and counts its sends without logging
+them, and its batches log no edge-log rows. With a combiner, the multi-log
+folds an interval's sends into one accumulator per superstep once their
+records would outgrow it, if it fits (see `multilog`), and logs one record
+per destination at seal; the receiver folds a raw log into the same kind of
 `multilog.Accumulator`. `messages_sent` counts sends either way.
 After a batch ran, the rows `edgelog.log_candidates` picks go to the edge
 log, if the batch has read them: logging reads no page.
@@ -525,7 +528,7 @@ class Engine:
             if cfg.edge_log:
                 self._edgelog = EdgeLog(self.registry, os.path.join(self.workdir, "edgelog"), cfg.edgelog_budget)
             self._mlog.send_many(self.fmt.pack([self.fmt.fields(v, v, payload) for v, payload in init_msgs]))
-            manifest = self._mlog.seal()
+            manifest = self._mlog.seal(last=cfg.max_supersteps <= 1)
 
             forced = np.nonzero(active_bits)[0].astype(np.int64)
             stats_list: list[SuperstepStats] = []
@@ -546,10 +549,11 @@ class Engine:
                 self._merge_interval(k)
             final = self._states.read_all()
         finally:
-            # also when the program raised. Every log goes, the last sealed
-            # ones too, which are never consumed; state files stay on disk,
-            # with their dirty pages written. Then no page stays resident,
-            # so a later run on the same graph starts from storage.
+            # also when the program raised. Every log goes, those sealed
+            # and never consumed too (a run that raised or a cap of 0 leaves
+            # some; the last superstep logs nothing); state files stay on
+            # disk, with their dirty pages written. Then no page stays
+            # resident, so a later run on the same graph starts from storage.
             if self._mlog is not None:
                 self._mlog.close()
             if self._states is not None:
@@ -620,7 +624,7 @@ class Engine:
                 active_bits[act] = True
                 active_count += len(act)
 
-        manifest_next = self._mlog.seal()
+        manifest_next = self._mlog.seal(last=S + 2 >= cfg.max_supersteps)
         while self._pending_bytes.sum() > cfg.structural_budget:
             self._merge_interval(int(self._pending_bytes.argmax()))
         self._last_active = active_bits
@@ -683,7 +687,8 @@ class Engine:
                 batch.table, batch.table_offsets = aux.entries, aux.offsets
             self.program.process_batch(Context(self, S), batch)
             el = self._edgelog
-            if el is not None:
+            # no superstep follows the last to be served the rows it logs
+            if el is not None and not self._mlog.last:
                 # structural updates only touch the vertex being processed,
                 # so logging after the batch sees the same dirty bits as
                 # after each; only rows the batch has read are logged, so

@@ -86,6 +86,12 @@ logs at their one load, freeing their tails, taking them out of the queue
 and deleting their files, and `close` frees every file and tail still
 held.
 
+The run's last superstep logs nothing: no superstep loads its logs. The
+seal that opens it is told so (`seal(last=True)`), and from then on
+`send_columns` checks each call's destinations and adds its messages to
+`total_appends`, and builds no record, page or accumulator, so its logs
+stay empty and none of its sends reaches the pager.
+
 Its resident pages and accumulators are memory the pager's ledger may not
 use: it reports their bytes to `StoreRegistry.hold` before a block opens
 pages or an accumulator is made, so the ledger makes room first, and again
@@ -340,6 +346,7 @@ class MultiLog:
         self._stores: list[PageStore] = []  # every log file not yet released
         self.total_appends = 0
         self.post_evict_peak = 0
+        self.last = False  # whether the open superstep is the run's last, set at each seal
         os.makedirs(log_dir, exist_ok=True)
 
     # -- write path ---------------------------------------------------------
@@ -365,6 +372,9 @@ class MultiLog:
         appended as records or, with a combiner, those of accumulating
         intervals folded straight from the columns (see the module doc).
 
+        In the run's last superstep (see `seal`) the messages are only
+        counted, once their destinations are checked.
+
         Splitting the messages into several calls leaves the same page
         images, log files, counts, eviction points and peaks: each page
         opening past the budget evicts one page that was resident before
@@ -380,6 +390,10 @@ class MultiLog:
         lowest, highest = dest.min(), dest.max()
         if lowest < 0 or highest >= self.bounds[-1]:
             raise ContractViolation(f"destination {lowest if lowest < 0 else highest} outside vertex range")
+        if self.last:
+            # no superstep loads the run's last logs
+            self.total_appends += n
+            return
         # an integer dest needs no cast to index by
         if dest.dtype.kind not in "iu":
             dest = _as_wire(dest, self.fmt.dtype["dest"], n)
@@ -611,14 +625,15 @@ class MultiLog:
 
     # -- seal path ----------------------------------------------------------
 
-    def seal(self) -> LogManifest:
+    def seal(self, last: bool = False) -> LogManifest:
         """Seal every interval's log of the open superstep and return them;
-        the next superstep's logs take tag + 1. The accumulators' records
-        are appended first, while every log is open, so a page they force
-        out is a queued page, as for any send. Then each log's partial top
-        is packed as the last of its resident pages, its sealed tail, and
-        the tails go to the queue's front, the last interval's first; none
-        is handed to the pager."""
+        the next superstep's logs take tag + 1, and last says whether that
+        superstep is the run's last, whose sends are counted, not logged.
+        The accumulators' records are appended first, while every log is
+        open, so a page they force out is a queued page, as for any send.
+        Then each log's partial top is packed as the last of its resident
+        pages, its sealed tail, and the tails go to the queue's front, the
+        last interval's first; none is handed to the pager."""
         for log in self.logs:
             self._log_accumulated(log)
         # the open logs' closed pages are the queue's last entries
@@ -635,6 +650,7 @@ class MultiLog:
         self._sealed_pages = self._resident_pages
         manifest = LogManifest(self.logs)
         self.tag += 1
+        self.last = last
         self.logs = [LogHandle(k, self.tag) for k in range(self.n_intervals)]
         return manifest
 

@@ -115,6 +115,27 @@ def test_run_respects_superstep_cap(tmp_path, g6_file):
     assert report["converged"] is False
 
 
+@pytest.mark.parametrize("cap, converged", [(20, True), (5, True), (4, False)])
+def test_a_run_whose_last_superstep_sends_nothing_converged_at_any_cap(tmp_path, cap, converged):
+    # BFS from 0 on the directed path 0-1-2-3-4 runs 5 supersteps; the
+    # fifth sends nothing, so a cap of 5 stops it where it would stop anyway
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"{v} {v + 1}\n" for v in range(4)))
+    out = str(tmp_path / "graph")
+    assert main(["convert", str(edges), out, "--budget", "96", "--page-size", "256"]) == 0
+    report_path = str(tmp_path / "report.json")
+    rc = main(
+        ["run", "--graph", out, "--app", "bfs", "--source", "0",
+         "--memory-budget", str(1 << 20), "--max-supersteps", str(cap),
+         "--report", report_path]
+    )
+    assert rc == 0
+    report = json.loads(Path(report_path).read_text())
+    sent = [st["messages_sent"] for st in report["supersteps"]]
+    assert sent == [1, 1, 1, 1, 0][:cap]
+    assert report["converged"] is converged
+
+
 def test_run_unknown_app_fails_cleanly(tmp_path, g6_file, capsys):
     out = convert_g6(tmp_path, g6_file)
     with pytest.raises(SystemExit):  # argparse rejects the choice

@@ -437,8 +437,8 @@ def test_accumulators_stay_inside_the_multilog_hold(tmp_path, monkeypatch, memor
 
     logged, seal = [], multilog.MultiLog.seal
 
-    def seal_spy(mlog):
-        manifest = seal(mlog)
+    def seal_spy(mlog, last=False):
+        manifest = seal(mlog, last)
         logged.append(manifest.total)
         return manifest
 
@@ -983,8 +983,8 @@ def test_forced_vertex_runs_once_in_a_multi_pass_superstep(tmp_path):
 
 
 def test_run_closes_its_logs_and_state_files(tmp_path):
-    # capped while messages are still in flight, so the last sealed logs
-    # are never consumed
+    # capped while messages are still in flight: the last superstep's
+    # sends are counted, not logged, and no log or edge-log file is left
     src, dst = random_graph(200, 4, seed=17)
     g = build_graph(tmp_path, src, dst, 200, page_size=256)
     run_app(g, Community(), cfg(max_supersteps=3, edge_log=True), str(tmp_path / "run"))
@@ -994,7 +994,8 @@ def test_run_closes_its_logs_and_state_files(tmp_path):
 
 
 def test_a_capped_run_writes_no_log_page_for_messages_that_fit_the_buffer(tmp_path):
-    # the last superstep's messages stay sealed tails and are dropped unread
+    # each superstep's messages stay sealed tails until the next reads
+    # them, and the last superstep's are not logged at all
     src, dst = random_graph(200, 4, seed=17)
     g = build_graph(tmp_path, src, dst, 200, page_size=256)
     res = run_app(g, PageRank(), cfg(max_supersteps=3), str(tmp_path / "run"))
@@ -1002,6 +1003,76 @@ def test_a_capped_run_writes_no_log_page_for_messages_that_fit_the_buffer(tmp_pa
     assert res.stats[-1].writes["log"] == 0
     assert g.registry.totals()["log"] == (0, 0)
     assert os.listdir(tmp_path / "run" / "logs") == []
+
+
+# budgets at which the multi-log hands log pages to the pager on 256-byte
+# pages: at the tight one a combiner folds nothing at the sender, at the
+# mixed one some intervals turn into accumulators
+SPILLING = {"tight": 40 << 10, "mixed": 200 << 10}
+
+
+@pytest.mark.parametrize(
+    "make_program, budget",
+    [(PageRank, "tight"), (PageRank, "mixed"), (lambda: PageRank(use_combine=False), "tight")],
+    ids=["combine-tight", "combine-mixed", "raw-tight"],
+)
+def test_the_last_superstep_checks_and_counts_its_sends_and_logs_none(tmp_path, monkeypatch, make_program, budget):
+    # the ledger off, every log page handed to the pager is written at once
+    ledger_off(monkeypatch)
+    src, dst = random_graph(300, 6, seed=5)
+    chosen, choose = [], multilog.MultiLog._choose
+
+    def choose_spy(mlog, log, count):
+        chosen.append(mlog.tag)
+        choose(mlog, log, count)
+
+    monkeypatch.setattr(multilog.MultiLog, "_choose", choose_spy)
+    k = 3
+    runs = {}
+    for cap in (k, k + 1):
+        chosen.clear()
+        g = build_graph(tmp_path / f"cap{cap}", src, dst, 300, page_size=256)
+        config = cfg(memory_budget=SPILLING[budget], sort_frac=0.01, max_supersteps=cap)
+        held = []
+        # after each superstep's seal: the bytes and log files the multi-log holds
+        res = Engine(g, make_program(), config, str(tmp_path / f"run{cap}")).run(
+            on_superstep=lambda eng, st: held.append((eng._mlog.held_bytes, len(eng._mlog._stores)))
+        )
+        runs[cap] = res, held, set(chosen)
+    (short, short_held, short_chosen), (long, long_held, long_chosen) = runs[k], runs[k + 1]
+    assert short.num_supersteps == k and long.num_supersteps == k + 1
+    # superstep k - 1 sends into the logs of tag k; capped at k + 1 they
+    # spill, capped at k they are never made
+    assert long.stats[k - 1].writes["log"] > 0 and min(long_held[k - 1]) > 0
+    assert short.stats[-1].messages_sent > 0 and short.stats[-1].writes["log"] == 0
+    assert short_held[-1] == (0, 0)
+    assert k not in short_chosen
+    assert (k in long_chosen) == (budget == "mixed")
+    # every log page written is read, once
+    assert short.reads["log"] == short.writes["log"] > 0
+    # the sends are counted all the same
+    assert [(st.messages_sent, st.active_vertices) for st in short.stats] == [
+        (st.messages_sent, st.active_vertices) for st in long.stats[:k]
+    ]
+
+
+@pytest.mark.parametrize("send", ["dest-outside", "payload-columns", "src-none"])
+def test_a_contract_violating_send_in_the_last_superstep_still_raises(tmp_path, send):
+    # at a cap of 1, superstep 0 is the last: its sends are not logged, but
+    # are checked as any other's
+    g = build_graph(tmp_path, *ring_graph(6), 6, page_size=256)
+
+    def step(ctx, batch):
+        assert ctx._engine._mlog.last
+        if send == "dest-outside":
+            ctx.send_many(np.array([6]), batch.ids, 1)
+        elif send == "payload-columns":
+            ctx.send_many(batch.ids, batch.ids)
+        else:
+            ctx.send_many(batch.ids, None, 1)
+
+    with pytest.raises(ContractViolation):
+        run_app(g, Scripted(step), cfg(max_supersteps=1), str(tmp_path / "run"))
 
 
 def test_run_closes_its_stores_when_the_program_raises(tmp_path):

@@ -86,8 +86,9 @@ def test_tight_knob_evicts_and_sorts_in_passes(tmp_path, monkeypatch):
 def test_a_log_page_is_read_from_storage_at_most_once_at_the_tight_knob(tmp_path, monkeypatch, make_program, spills):
     # at the tight knob the multi-log spills pages to storage, and a plan's
     # log overflows the 409-byte sort budget and is cut into passes; a plan
-    # loads its logs once, so no log page is read twice, and no more log
-    # pages are read than written
+    # loads its logs once, so no log page is read twice, and the last
+    # superstep logs nothing, so every log page written is read: the reads
+    # equal the writes
     src, dst = random_graph(N, 6, seed=5)
     pressure = spy_pressure(monkeypatch)
     reads = {}
@@ -101,7 +102,7 @@ def test_a_log_page_is_read_from_storage_at_most_once_at_the_tight_knob(tmp_path
     monkeypatch.setattr(PageStore, "read_page", spy)
     (res,) = run_all_knobs(tmp_path, src, dst, make_program, [TIGHT], max_supersteps=10)
     assert max(reads.values(), default=0) <= 1
-    assert sum(reads.values()) == res.reads["log"] <= res.writes["log"]
+    assert sum(reads.values()) == res.reads["log"] == res.writes["log"]
     if spills:
         assert res.reads["log"] > 0 and pressure["multi_pass"] > 0
 
@@ -154,11 +155,11 @@ def test_a_superstep_that_folds_some_intervals_and_logs_others_raw_changes_no_re
     seen, turned = [], []
     seal, choose = multilog.MultiLog.seal, multilog.MultiLog._choose
 
-    def seal_spy(mlog):
+    def seal_spy(mlog, last=False):
         folded = [log.acc is not None for log in mlog.logs]
         raw = [log.message_count > 0 for log in mlog.logs]
         seen.append((mlog.budget, mlog.page_size, mlog.tag, folded, raw))
-        return seal(mlog)
+        return seal(mlog, last)
 
     def choose_spy(mlog, log, count):
         logged = log.message_count

@@ -95,6 +95,25 @@ def test_routing_correctness(tmp_path):
             assert all(3 * k <= d < 3 * (k + 1) for d in recs["dest"].tolist())
 
 
+def test_the_last_supersteps_sends_are_checked_and_counted_not_logged(tmp_path):
+    mlog = make_mlog(tmp_path, budget_pages=2)
+    mlog.send(5, 0, 1)
+    assert not mlog.last
+    assert mlog.seal(last=True).total == 1
+    sent = mlog.total_appends
+    send_run(mlog, 0, range(3 * mlog.capacity))  # past the budget, if logged
+    mlog.send(5, 0, 1)
+    assert mlog.total_appends == sent + 3 * mlog.capacity + 1
+    assert [(log.message_count, log.pages, log.top, log.store) for log in mlog.logs] == [(0, [], bytearray(), None)] * 2
+    with pytest.raises(ContractViolation, match="outside vertex range"):
+        mlog.send(6, 0, 1)
+    with pytest.raises(ContractViolation, match="record dtype"):
+        mlog.send_many(np.zeros(1, [("dest", "<u4")]))
+    last = mlog.seal(last=True)
+    assert last.total == 0 and mlog.last
+    mlog.close()
+
+
 def test_release_and_close_delete_every_log_file(tmp_path):
     mlog = make_mlog(tmp_path, budget_pages=2)
     mlog.send(0, 0, 1)
